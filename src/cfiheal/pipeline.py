@@ -109,7 +109,7 @@ def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
 def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensus]]:
     total = IrSiteCensus()
     per_function: dict[str, IrSiteCensus] = {}
-    diagnostics: list[tuple[int, str]] = []
+    diagnostics: list[str] = []
     for path in _collect_ir_files(cfg):
         try:
             text = path.read_text(errors="replace")
@@ -121,12 +121,9 @@ def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensu
             if not name:
                 continue
             per_function[name] = per_function.get(name, IrSiteCensus()) + counts
-        diagnostics.extend((lineno, f"{path.name}: {reason}") for lineno, reason in sidecar)
+        diagnostics.extend(f"{path.name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
     if diagnostics:
-        sidecar_path = cfg.report_dir / "ir-census-diagnostics.txt"
-        sidecar_path.write_text(
-            "".join(f"{name}:{lineno}\n" for lineno, name in diagnostics)
-        )
+        (cfg.report_dir / "ir-census-diagnostics.txt").write_text("".join(diagnostics))
     return total, per_function
 
 

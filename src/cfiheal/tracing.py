@@ -18,8 +18,18 @@ The walk is bounded at depth two and truncates on any failed memory read or
 non-monotonic frame chain, so instrumented builds must keep frame pointers.
 
 All ptrace requests for one tracee tree are issued from a single control
-context; concurrent monitors in one process stay isolated because each polls
-only its own PIDs (never waitpid(-1)).
+context. The monitor sleeps until something happens: while run_traced runs,
+SIGCHLD is blocked in the calling thread only, and when a drain of the
+monitor's PIDs finds nothing it waits in sigtimedwait for the next SIGCHLD,
+up to the remaining timeout. The caller's mask is restored on return, and the
+tracee resets to it before execve, so tested programs see the caller's mask.
+SIGCHLD is process-directed, so another thread may take a wake-up meant for
+this monitor; each wait is therefore capped at _WAKE_CAP seconds, after which
+the monitor drains again.
+
+Concurrent monitors in one process stay isolated because each drains only its
+own PIDs with WNOHANG|__WALL (never waitpid(-1)); a SIGCHLD one of them takes
+costs the others at most one capped wait, never a lost status.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 PTRACE_TRACEME = 0
 PTRACE_PEEKTEXT = 1
@@ -66,6 +76,10 @@ _FOLLOW_OPTIONS = (
 
 _WALL = 0x40000000
 _WORD_MASK = (1 << 64) - 1
+
+# Longest single wait for SIGCHLD, in seconds: bounds the delay when another
+# thread took the wake-up.
+_WAKE_CAP = 0.05
 
 # x86_64 user_regs_struct, in kernel declaration order.
 _REG_FIELDS = (
@@ -248,8 +262,16 @@ def _hashing_reader(fd: int, digest: "hashlib._Hash") -> threading.Thread:
     return thread
 
 
-def _spawn_traced(cmd: str | Sequence[str], cwd: Path | None, env: dict | None) -> tuple[int, int, int]:
-    """Fork the tracee; returns (pid, stdout_read_fd, stderr_read_fd)."""
+def _spawn_traced(
+    cmd: str | Sequence[str],
+    cwd: Path | None,
+    env: dict | None,
+    caller_mask: set[signal.Signals],
+) -> tuple[int, int, int]:
+    """Fork the tracee with `caller_mask` as its signal mask.
+
+    Returns (pid, stdout_read_fd, stderr_read_fd).
+    """
     if isinstance(cmd, str):
         argv = ["/bin/sh", "-c", cmd]
     else:
@@ -282,6 +304,7 @@ def _spawn_traced(cmd: str | Sequence[str], cwd: Path | None, env: dict | None) 
             if cwd is not None:
                 os.chdir(cwd)
             _libc.ptrace(PTRACE_TRACEME, 0, None, None)
+            signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
             os.execve(argv[0], argv, environ)
         except Exception:
             pass
@@ -289,6 +312,29 @@ def _spawn_traced(cmd: str | Sequence[str], cwd: Path | None, env: dict | None) 
     for fd in (out_w, err_w, null_fd):
         os.close(fd)
     return pid, out_r, err_r
+
+
+def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | None]]:
+    """Drain `pids` only, sleeping on SIGCHLD between empty drains.
+
+    Returns the (pid, status) pairs of the first non-empty drain, with status
+    None for a pid that is no longer a waitable child, or [] if `deadline`
+    passes first. SIGCHLD must be blocked in the calling thread.
+    """
+    while True:
+        ready: list[tuple[int, int | None]] = []
+        for pid in pids:
+            try:
+                wpid, status = os.waitpid(pid, os.WNOHANG | _WALL)
+            except ChildProcessError:
+                ready.append((pid, None))
+                continue
+            if wpid == pid:
+                ready.append((pid, status))
+        left = deadline - time.monotonic()
+        if ready or left <= 0:
+            return ready
+        signal.sigtimedwait((signal.SIGCHLD,), min(left, _WAKE_CAP))
 
 
 def _slay_tree(root: int, tracees: set[int]) -> None:
@@ -304,17 +350,13 @@ def _slay_tree(root: int, tracees: set[int]) -> None:
             pass
     deadline = time.monotonic() + 2.0
     remaining = set(tracees)
-    while remaining and time.monotonic() < deadline:
-        for pid in list(remaining):
-            try:
-                wpid, _ = os.waitpid(pid, os.WNOHANG | _WALL)
-            except ChildProcessError:
-                remaining.discard(pid)
-                continue
-            if wpid == pid:
-                remaining.discard(pid)
-        if remaining:
-            time.sleep(0.005)
+    while remaining:
+        ready = _wait_own(remaining, deadline)
+        if not ready:
+            break
+        remaining.difference_update(
+            pid for pid, status in ready if status is None or not os.WIFSTOPPED(status)
+        )
 
 
 def _event_of(status: int) -> int:
@@ -333,11 +375,29 @@ def run_traced(
 
     A string command runs through /bin/sh -c; a sequence execs directly.
     Stdout and stderr are consumed concurrently and recorded as sha256
-    digests, never buffered whole. Timeout kills the entire process group.
+    digests, never buffered whole. Timeout kills the entire process group and
+    covers the wait for the tracee's first stop. SIGCHLD is blocked in the
+    calling thread while the call runs; the tracee starts with the caller's
+    mask, which is restored on every exit.
     """
+    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGCHLD,))
+    try:
+        return _supervise(cmd, timeout, cwd, env, test_id, caller_mask)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
+
+
+def _supervise(
+    cmd: str | Sequence[str],
+    timeout: float,
+    cwd: Path | None,
+    env: dict | None,
+    test_id: str | None,
+    caller_mask: set[signal.Signals],
+) -> TraceOutcome:
     started = time.monotonic()
     deadline = started + timeout
-    root, out_fd, err_fd = _spawn_traced(cmd, cwd, env)
+    root, out_fd, err_fd = _spawn_traced(cmd, cwd, env, caller_mask)
     out_hash = hashlib.sha256()
     err_hash = hashlib.sha256()
     readers = [_hashing_reader(out_fd, out_hash), _hashing_reader(err_fd, err_hash)]
@@ -383,10 +443,12 @@ def run_traced(
 
     # First stop: the TRACEME child raises SIGTRAP at execve (or exits 127
     # if the exec failed before tracing mattered).
-    try:
-        _, status = os.waitpid(root, 0)
-    except ChildProcessError as exc:
-        raise TraceError("tracee vanished before first stop") from exc
+    ready = _wait_own((root,), deadline)
+    if not ready:
+        return finish(OutcomeKind.TIMED_OUT)
+    status = ready[0][1]
+    if status is None:
+        raise TraceError("tracee vanished before first stop")
     if os.WIFEXITED(status):
         return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
     if os.WIFSIGNALED(status):
@@ -395,20 +457,14 @@ def run_traced(
     _ptrace(PTRACE_CONT, root, None, None)
 
     while True:
-        if time.monotonic() > deadline:
+        if time.monotonic() >= deadline:
             return finish(OutcomeKind.TIMED_OUT)
-        progressed = False
-        for pid in list(tracees):
-            try:
-                wpid, status = os.waitpid(pid, os.WNOHANG | _WALL)
-            except ChildProcessError:
+        for pid, status in _wait_own(tracees, deadline):
+            if status is None:
                 tracees.discard(pid)
                 if pid == root:
                     raise TraceError("lost the root tracee without a wait status")
                 continue
-            if wpid == 0:
-                continue
-            progressed = True
 
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
                 tracees.discard(pid)
@@ -440,7 +496,5 @@ def run_traced(
                     _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(stop_signal))
             except PtraceError:
                 # The task died between the wait and the request; the next
-                # poll round will reap it.
+                # drain will reap it.
                 continue
-        if not progressed:
-            time.sleep(0.002)

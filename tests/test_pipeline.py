@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cfiheal.pipeline import cli_main, heal
+from cfiheal.pipeline import _run_census, cli_main, heal
 
 from conftest import copy_fixture, make_config, needs_toolchain
 
@@ -19,6 +19,21 @@ entry:
 }
 define i32 @work(i32 %x) { ret i32 %x }
 """
+
+
+def test_census_diagnostics_sidecar_names_file_and_line(tmp_path):
+    root = tmp_path / "proj"
+    (root / "sub").mkdir(parents=True)
+    (root / "sub" / "odd.ll").write_text(
+        "define void @f(void ()* %fp) {\nentry:\n  call void %fp\n  ret void\n}\n"
+    )
+    (root / "clean.ll").write_text(CENSUS_IR)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    total, _ = _run_census(make_config(root, reports))
+    assert total.fp_calls == 1
+    sidecar = reports / "ir-census-diagnostics.txt"
+    assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
 
 
 def write_config(root, report_dir) -> "Path":

@@ -1,12 +1,18 @@
 """PC correction, frame-pointer unwinding, and live ptrace capture."""
 
 import hashlib
+import os
 import signal
+import subprocess
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfiheal import tracing
 from cfiheal.tracing import (
     MemoryRegion,
     OutcomeKind,
@@ -180,3 +186,122 @@ def test_trap_in_forked_descendant(asm_binaries, tmp_path):
     assert outcome.kind is OutcomeKind.TRAPPED
     assert outcome.trap is not None
     assert outcome.trap.fault_pc == marker
+
+
+# Commands for the three outcomes the supervisor returns on its own.
+_CLEAN = ("exit 0", 10, OutcomeKind.EXITED)
+_TRAP = ("kill -ILL $$", 10, OutcomeKind.TRAPPED)
+_TIMEOUT = ("sleep 30", 0.5, OutcomeKind.TIMED_OUT)
+
+
+_CALLER_MASK = {signal.SIGUSR1}
+
+
+@pytest.fixture
+def caller_mask():
+    """Give the calling thread a known, non-empty mask; restore it afterwards."""
+    before = signal.pthread_sigmask(signal.SIG_SETMASK, _CALLER_MASK)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, before)
+
+
+def _current_mask():
+    return signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+
+@needs_linux
+@pytest.mark.parametrize("cmd, timeout, kind", [_CLEAN, _TRAP, _TIMEOUT])
+def test_run_traced_restores_signal_mask(tmp_path, caller_mask, cmd, timeout, kind):
+    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+    assert _current_mask() == _CALLER_MASK
+
+
+@needs_linux
+def test_run_traced_restores_signal_mask_on_error(tmp_path, caller_mask):
+    with pytest.raises(TraceError):
+        run_traced(["definitely-not-a-real-binary-xyz"], timeout=10, cwd=tmp_path)
+    assert _current_mask() == _CALLER_MASK
+
+
+@needs_linux
+def test_tracee_inherits_caller_signal_mask(tmp_path, caller_mask):
+    # Exec grep directly: a shell may clear its mask at start-up.
+    cmd = ["grep", "SigBlk", "/proc/self/status"]
+    untraced = subprocess.run(cmd, capture_output=True, check=True).stdout
+    assert untraced == b"SigBlk:\t%016x\n" % (1 << (signal.SIGUSR1 - 1))
+    outcome = run_traced(cmd, timeout=10, cwd=tmp_path)
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 0
+    assert outcome.stdout_digest == "sha256:" + hashlib.sha256(untraced).hexdigest()
+
+
+@needs_linux
+def test_first_stop_wait_honours_timeout(tmp_path, monkeypatch):
+    # The forked tracee inherits this patch and never reaches its first stop.
+    monkeypatch.setattr(os, "execve", lambda *args: time.sleep(30))
+    outcome = run_traced(["true"], timeout=0.5, cwd=tmp_path)
+    assert outcome.kind is OutcomeKind.TIMED_OUT
+    assert outcome.wall_time < 10
+
+
+@needs_linux
+@pytest.mark.parametrize("cmd, timeout, kind", [_CLEAN, _TRAP, _TIMEOUT])
+def test_run_traced_never_sleep_polls(tmp_path, monkeypatch, cmd, timeout, kind):
+    def no_sleep(seconds):
+        raise AssertionError("run_traced must block on SIGCHLD, not sleep-poll")
+
+    monkeypatch.setattr(tracing.time, "sleep", no_sleep)
+    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+
+
+def _dead(pid: int) -> bool:
+    # A zombie counts as dead: PID 1 in a container may never reap it.
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@needs_linux
+@pytest.mark.skipif(not os.access("/usr/bin/setsid", os.X_OK), reason="requires setsid(1)")
+@pytest.mark.parametrize(
+    "finale, timeout, kind",
+    [("kill -ILL $$", 10, OutcomeKind.TRAPPED), ("sleep 30", 1.0, OutcomeKind.TIMED_OUT)],
+)
+def test_no_process_survives(tmp_path, finale, timeout, kind):
+    # The grandchild leaves the tracee's session, so killpg(root) misses it.
+    pid_file = tmp_path / "grandchild.pid"
+    cmd = (
+        "/usr/bin/setsid sh -c 'echo $$ > grandchild.pid.tmp; "
+        "mv grandchild.pid.tmp grandchild.pid; exec sleep 30' & "
+        "while [ ! -s grandchild.pid ]; do sleep 0.01; done; "
+        + finale
+    )
+    outcome = run_traced(cmd, timeout=timeout, cwd=tmp_path)
+    assert outcome.kind is kind
+    grandchild = int(pid_file.read_text())
+    assert _dead(grandchild)
+
+
+@needs_linux
+def test_concurrent_monitors_keep_their_own_outcomes(tmp_path):
+    cmds = {"exit": "sleep 0.3; exit 3", "segv": "sleep 0.3; kill -SEGV $$"}
+    outcomes: dict[str, object] = {}
+    start = threading.Barrier(len(cmds))
+
+    def monitor(name: str) -> None:
+        start.wait(timeout=10)
+        outcomes[name] = run_traced(cmds[name], timeout=30, cwd=tmp_path)
+
+    threads = [threading.Thread(target=monitor, args=(name,)) for name in cmds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert outcomes["exit"].kind is OutcomeKind.EXITED
+    assert outcomes["exit"].exit_status == 3
+    assert outcomes["segv"].kind is OutcomeKind.SIGNALLED
+    assert outcomes["segv"].term_signal == signal.SIGSEGV
