@@ -112,11 +112,10 @@ class EscalationEngine:
         self.store = store
         self.project_root = project_root
         self.violations: dict[tuple[str, int], Violation] = {}
-        self._order: list[tuple[str, int]] = []
         self._pending: dict[tuple[str, int], tuple[str, str]] = {}
 
     def all_violations(self) -> list[Violation]:
-        return [self.violations[k] for k in self._order]
+        return list(self.violations.values())
 
     def open_violations(self) -> list[Violation]:
         return [v for v in self.all_violations() if v.status is ViolationStatus.OPEN]
@@ -149,25 +148,16 @@ class EscalationEngine:
             test_ids=(test_id,),
         )
         self.violations[key] = violation
-        self._order.append(key)
         return violation, True
 
-    def _identity_for(self, violation: Violation, level: LadderLevel) -> str | None:
-        if level is LadderLevel.CALLEE_FUNCTION:
-            return enforcement_name(violation.callee.function) if violation.callee else None
-        if level is LadderLevel.CALLER_FUNCTION:
-            return enforcement_name(violation.caller.function) if violation.caller else None
-        if level is LadderLevel.CALLERS_CALLER_FUNCTION:
-            return (
-                enforcement_name(violation.callers_caller.function)
-                if violation.callers_caller
-                else None
-            )
-        if level is LadderLevel.CALLEE_SOURCE:
-            return _relative_file(violation.callee, self.project_root)
-        if level is LadderLevel.CALLER_SOURCE:
-            return _relative_file(violation.caller, self.project_root)
-        return None
+    def _claim(self, violation: Violation, level: LadderLevel) -> tuple[str, str | None]:
+        """(entry kind, pattern) the violation asks for at a rung; pattern None if unknown."""
+        if level in FUN_LEVELS:
+            # Function rungs 0..2 name the fault frame and its two callers, in order.
+            info = (violation.callee, violation.caller, violation.callers_caller)[level]
+            return EntryKind.FUN.value, enforcement_name(info.function) if info else None
+        info = violation.callee if level is LadderLevel.CALLEE_SOURCE else violation.caller
+        return EntryKind.SRC.value, _relative_file(info, self.project_root)
 
     def next_scope(self, violation: Violation) -> IgnorelistEntry | None:
         """Advance to the next available rung; None finalizes Unresolvable."""
@@ -175,18 +165,17 @@ class EscalationEngine:
             return None
         level = violation.ladder_level
         while level < LadderLevel.UNRESOLVABLE:
-            pattern = self._identity_for(violation, level)
+            kind_value, pattern = self._claim(violation, level)
             if pattern is None:
                 violation.skipped_levels.append((level, "identity unavailable"))
                 level = LadderLevel(level + 1)
                 continue
-            kind = EntryKind.FUN if level in FUN_LEVELS else EntryKind.SRC
             violation.ladder_level = level
-            violation.attempted.append((level, f"{kind.value}:{pattern}"))
+            violation.attempted.append((level, f"{kind_value}:{pattern}"))
             entry = self.store.add(
-                IgnorelistEntry(kind, pattern, (violation.id,), level)
+                IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,), level)
             )
-            self._pending[violation.key] = (kind.value, pattern)
+            self._pending[violation.key] = (kind_value, pattern)
             return entry
         violation.ladder_level = LadderLevel.UNRESOLVABLE
         violation.status = ViolationStatus.UNRESOLVABLE
@@ -202,7 +191,7 @@ class EscalationEngine:
             violation.fixed_level = violation.ladder_level
             return violation
         if pending is not None:
-            self._release_claim(violation, pending)
+            self._release(*pending)
         if violation.ladder_level < LadderLevel.UNRESOLVABLE:
             violation.ladder_level = LadderLevel(violation.ladder_level + 1)
         if violation.ladder_level is LadderLevel.UNRESOLVABLE:
@@ -210,33 +199,40 @@ class EscalationEngine:
             self._retire_claims(violation)
         return violation
 
+    def reopen(self, violation: Violation) -> bool:
+        """A Fixed violation trapped again: release its entry and climb one rung.
+
+        Returns True if the violation is open again, False if the climb made
+        it Unresolvable.
+        """
+        claim = self._claim(violation, violation.fixed_level)
+        violation.status = ViolationStatus.OPEN
+        violation.fixed_level = None
+        self._release(*claim)
+        self.record_outcome(violation, trap_recurred=True)
+        return violation.status is ViolationStatus.OPEN
+
     def _claimants(self, kind_value: str, pattern: str) -> list[Violation]:
         """Violations that still need an entry: fixed at it, or pending on it."""
         holders: list[Violation] = []
         for other in self.all_violations():
             if other.status is ViolationStatus.FIXED and other.fixed_level is not None:
-                fixed_kind = "fun" if other.fixed_level in FUN_LEVELS else "src"
-                fixed_pattern = self._identity_for(other, other.fixed_level)
-                if fixed_kind == kind_value and fixed_pattern == pattern:
+                if self._claim(other, other.fixed_level) == (kind_value, pattern):
                     holders.append(other)
                     continue
             if self._pending.get(other.key) == (kind_value, pattern):
                 holders.append(other)
         return holders
 
-    def _release_claim(self, violation: Violation, claim: tuple[str, str]) -> None:
-        kind_value, pattern = claim
+    def _release(self, kind_value: str, pattern: str) -> None:
+        """Retire an entry unless some violation still claims it."""
         if not self._claimants(kind_value, pattern):
-            kind = EntryKind.FUN if kind_value == "fun" else EntryKind.SRC
-            self.store.retire(kind, pattern)
+            self.store.retire(EntryKind(kind_value), pattern)
 
     def _retire_claims(self, violation: Violation) -> None:
         """Drop every entry this violation motivated that nobody else needs."""
-        for level, line in violation.attempted:
-            kind_value, _, pattern = line.partition(":")
-            if not self._claimants(kind_value, pattern):
-                kind = EntryKind.FUN if kind_value == "fun" else EntryKind.SRC
-                self.store.retire(kind, pattern)
+        for _, line in violation.attempted:
+            self._release(*line.split(":", 1))
 
     def counts(self) -> dict[str, int]:
         total = len(self.violations)

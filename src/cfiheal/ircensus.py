@@ -30,8 +30,8 @@ rather than being silently miscounted.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,6 @@ class IrSiteCensus:
 def total_sites(counts: IrSiteCensus) -> int:
     """Sum of all six categories; the project-level indirect-site total."""
     return counts.total()
-
-
-@dataclass
-class _Counts:
-    fp_calls: int = 0
-    virtual_calls: int = 0
-    callback_stores: int = 0
-    jt_switch: int = 0
-    jt_lowered: int = 0
-    inline_asm: int = 0
-
-    def freeze(self) -> IrSiteCensus:
-        return IrSiteCensus(
-            self.fp_calls,
-            self.virtual_calls,
-            self.callback_stores,
-            self.jt_switch,
-            self.jt_lowered,
-            self.inline_asm,
-        )
 
 
 _TOKEN = re.compile(r"[%@][-\w.$]+|[%@]\"[^\"]*\"")
@@ -230,32 +210,32 @@ class _FunctionScope:
         return token
 
     def classify_callee(self, callee: str, tables: set[str]) -> str:
-        """'virtual', 'lowered' or 'fp' for an indirect callee register."""
+        """The category of an indirect callee register: virtual_calls, jt_lowered or fp_calls."""
         token = self._resolve_alias(callee)
         if not token or not token.startswith("%"):
-            return "fp"
+            return "fp_calls"
         kind, pointer = self.defs.get(token[1:], ("opaque", None))
         if kind != "load":
-            return "fp"
+            return "fp_calls"
         pointer = self._resolve_alias(pointer)
         if pointer is None:
-            return "fp"
+            return "fp_calls"
         if pointer.startswith("@"):
-            return "lowered" if pointer[1:].strip('"') in tables else "fp"
+            return "jt_lowered" if pointer[1:].strip('"') in tables else "fp_calls"
         if pointer.startswith("%"):
             pkind, pbase = self.defs.get(pointer[1:], ("opaque", None))
             seen_gep = 0
             while pkind == "gep" and seen_gep < 8:
                 base = self._resolve_alias(pbase)
                 if base is None:
-                    return "fp"
+                    return "fp_calls"
                 if base.startswith("@"):
-                    return "lowered" if base[1:].strip('"') in tables else "fp"
+                    return "jt_lowered" if base[1:].strip('"') in tables else "fp_calls"
                 pkind, pbase = self.defs.get(base[1:], ("opaque", None))
                 seen_gep += 1
             if pkind == "load":
-                return "virtual"
-        return "fp"
+                return "virtual_calls"
+        return "fp_calls"
 
 
 def _collect_module_facts(lines: list[str]) -> tuple[set[str], set[str], int]:
@@ -289,36 +269,25 @@ def census(
     ir_text: str, diagnostics: list[tuple[int, str]] | None = None
 ) -> IrSiteCensus:
     """Whole-module census; see the module docstring for the category rules."""
-    total = IrSiteCensus()
-    for _, counts in _walk(ir_text, diagnostics):
-        total = total + counts.freeze()
-    return total
+    return sum(census_by_function(ir_text, diagnostics).values(), IrSiteCensus())
 
 
 def census_by_function(
     ir_text: str, diagnostics: list[tuple[int, str]] | None = None
 ) -> dict[str, IrSiteCensus]:
     """Per-function census; module-level sites land under the empty name."""
-    out: dict[str, IrSiteCensus] = {}
-    for name, counts in _walk(ir_text, diagnostics):
-        key = name or ""
-        out[key] = out.get(key, IrSiteCensus()) + counts.freeze()
-    return out
+    return {name: IrSiteCensus(**counts) for name, counts in _walk(ir_text, diagnostics).items()}
 
 
-def _walk(
-    ir_text: str, diagnostics: list[tuple[int, str]] | None
-) -> Iterable[tuple[str | None, _Counts]]:
+def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, Counter]:
+    """Site counts by category, per function name ('' for module scope)."""
     lines = ir_text.splitlines()
     functions, tables, module_asm = _collect_module_facts(lines)
 
-    module_counts = _Counts()
-    module_counts.inline_asm = module_asm
-    results: list[tuple[str | None, _Counts]] = [(None, module_counts)]
-
+    tally: dict[str, Counter] = {"": Counter(inline_asm=module_asm)}
     current: str | None = None
     scope = _FunctionScope()
-    counts = _Counts()
+    counts: Counter = Counter()
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -329,10 +298,10 @@ def _walk(
             if m and line.rstrip().endswith("{"):
                 current = m.group(1).strip('"')
                 scope = _FunctionScope()
-                counts = _Counts()
+                counts = Counter()
             continue
         if line == "}":
-            results.append((current, counts))
+            tally.setdefault(current, Counter()).update(counts)
             current = None
             continue
 
@@ -345,10 +314,10 @@ def _walk(
 
         body = rhs.lstrip()
         if body.startswith("switch "):
-            counts.jt_switch += 1
+            counts["jt_switch"] += 1
             continue
         if body.startswith("indirectbr "):
-            counts.jt_lowered += 1
+            counts["jt_lowered"] += 1
             continue
         if body.startswith("store "):
             pieces = _split_top(body[len("store "):].replace("volatile ", "", 1))
@@ -357,7 +326,7 @@ def _walk(
                     t[1:].strip('"') for t in _TOKEN.findall(pieces[0]) if t.startswith("@")
                 }
                 if "blockaddress(" in pieces[0].replace(" ", "") or (value_refs & functions):
-                    counts.callback_stores += 1
+                    counts["callback_stores"] += 1
             continue
 
         m = _CALL_KW.search(rhs)
@@ -366,19 +335,13 @@ def _walk(
         rest = rhs[m.end():]
         callee = _callee_token(rest)
         if callee == "asm":
-            counts.inline_asm += 1
+            counts["inline_asm"] += 1
         elif callee is None:
             if "(" not in rest and diagnostics is not None:
                 diagnostics.append((lineno, "call instruction without an argument list"))
         elif callee.startswith("@"):
             pass  # direct call, not a site
         else:
-            bucket = scope.classify_callee(callee, tables)
-            if bucket == "virtual":
-                counts.virtual_calls += 1
-            elif bucket == "lowered":
-                counts.jt_lowered += 1
-            else:
-                counts.fp_calls += 1
+            counts[scope.classify_callee(callee, tables)] += 1
 
-    return results
+    return tally

@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
@@ -67,7 +68,9 @@ class HealResult:
     report_paths: list[Path] = field(default_factory=list)
 
 
-def _save_state(cfg: ProjectConfig, state: dict) -> None:
+def _save_state(cfg: ProjectConfig, state: dict, **changes) -> None:
+    """Apply changes to state, then rewrite state.json from it."""
+    state.update(changes)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.report_dir / STATE_NAME
     path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
@@ -93,6 +96,30 @@ def _symbolize_trap(
     return binary, static, callee, frames[0], frames[1]
 
 
+@dataclass
+class _Run:
+    """What the phases of one heal share once the baseline stands."""
+
+    cfg: ProjectConfig
+    symbolizer: Symbolizer
+    baseline: dict[str, TestResult]
+    engine: EscalationEngine
+    ledger: RepairLedger
+
+
+def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
+    """(test id, trap, symbolized fault) for each CFI trap in a test whose baseline passed.
+
+    The symbolized fault is what _symbolize_trap returns, the arguments
+    EscalationEngine.observe takes between the trap and the test id.
+    """
+    for result in results:
+        base = run.baseline.get(result.test_id)
+        if base is not None and base.passed and result.cfi_trapped:
+            trap = result.outcome.trap
+            yield result.test_id, trap, _symbolize_trap(run.symbolizer, trap)
+
+
 def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
     report_root = cfg.report_dir.resolve()
     files = []
@@ -116,11 +143,10 @@ def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensu
         except OSError:
             continue
         sidecar: list[tuple[int, str]] = []
-        total = total + census(text, sidecar)
-        for name, counts in census_by_function(text).items():
-            if not name:
-                continue
-            per_function[name] = per_function.get(name, IrSiteCensus()) + counts
+        for name, counts in census_by_function(text, sidecar).items():
+            total = total + counts
+            if name:
+                per_function[name] = per_function.get(name, IrSiteCensus()) + counts
         diagnostics.extend(f"{path.name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
     if diagnostics:
         (cfg.report_dir / "ir-census-diagnostics.txt").write_text("".join(diagnostics))
@@ -210,208 +236,181 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     return details, grouped
 
 
-def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealResult:
-    """Run the full healing pipeline; raises PipelineFailure on hard errors."""
-    findings = validate_config(cfg)
-    if findings:
-        raise PipelineFailure("invalid configuration: " + "; ".join(findings))
-    symbolizer = symbolizer or Symbolizer()
-    started = time.monotonic()
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
+def _baseline(cfg: ProjectConfig) -> dict[str, TestResult]:
+    """The uninstrumented build and its suite results, by test id."""
+    build = run_build(cfg, BuildMode.baseline(), iteration=1)
+    if not build.succeeded:
+        raise PipelineFailure(f"baseline build failed; see {build.log_path}")
+    return {r.test_id: r for r in run_suite(cfg, build)}
 
-    state: dict = {"phase": "building", "iteration": 0}
-    _save_state(cfg, state)
 
-    with ProjectLock(cfg.report_dir):
-        baseline_build = run_build(cfg, BuildMode.baseline(), iteration=1)
-        if not baseline_build.succeeded:
-            _save_state(cfg, {**state, "phase": "failed", "reason": "baseline build failed"})
-            raise PipelineFailure(
-                f"baseline build failed; see {baseline_build.log_path}"
-            )
-        try:
-            baseline_results = run_suite(cfg, baseline_build)
-        except (HarnessError, TraceError) as exc:
-            _save_state(cfg, {**state, "phase": "failed", "reason": str(exc)})
-            raise PipelineFailure(f"baseline suite failed to run: {exc}") from exc
-        baseline_by_id = {r.test_id: r for r in baseline_results}
+def _cfi_build(run: _Run, phase: str) -> BuildOutcome:
+    """An instrumented build, repaired until it stands; phase is repair's "build" or "test"."""
+    mode = BuildMode.cfi(run.cfg.cfi_variants, run.engine.store.path)
+    build, _ = repair_until_buildable(
+        run.cfg, mode, run.ledger, phase=phase, start_iteration=run.ledger.build_attempts + 1
+    )
+    if not build.succeeded:
+        raise PipelineFailure(f"instrumented build could not be repaired; see {build.log_path}")
+    return build
 
-        store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
-        store.write()
-        cfi_mode = BuildMode.cfi(cfg.cfi_variants, store.path)
-        ledger = RepairLedger()
-        cfi_build, ledger = repair_until_buildable(cfg, cfi_mode, ledger, phase="build")
-        if not cfi_build.succeeded:
-            _save_state(cfg, {**state, "phase": "failed", "reason": "cfi build unrepairable"})
-            raise PipelineFailure(
-                f"instrumented build could not be repaired; see {cfi_build.log_path}"
-            )
 
-        state.update(phase="testing", ignorelist=[])
-        _save_state(cfg, state)
-        try:
-            cfi_results = run_suite(cfg, cfi_build)
-        except (HarnessError, TraceError) as exc:
-            _save_state(cfg, {**state, "phase": "failed", "reason": str(exc)})
-            raise PipelineFailure(f"instrumented suite failed to run: {exc}") from exc
+def _escalation_round(run: _Run) -> BuildOutcome | None:
+    """Add each open violation's next rung, rebuild, and re-run the tests that saw it.
 
-        engine = EscalationEngine(store, cfg.project_root)
-        diff = diff_suites(baseline_results, cfi_results)
-        cfi_by_id = {r.test_id: r for r in cfi_results}
-        for test_id, cls in diff.per_test.items():
-            if cls is FailureClass.CFI_POLICY_VIOLATION:
-                trap = cfi_by_id[test_id].outcome.trap
-                assert trap is not None
-                binary, static, callee, caller, cc = _symbolize_trap(symbolizer, trap)
-                engine.observe(trap, binary, static, callee, caller, cc, test_id)
+    Returns the rebuild, or None when no open violation had a rung left. A
+    trap at a known fault key only counts as a recurrence: merging the test
+    into that violation would widen the set of tests its next round re-runs.
+    """
+    engine = run.engine
+    pending = [v for v in engine.open_violations() if engine.next_scope(v) is not None]
+    if not pending:
+        return None
+    engine.store.write()
+    build = _cfi_build(run, "test")
+    affected = sorted({tid for v in pending for tid in v.test_ids})
+    cases = {c.test_id: c for c in enumerate_tests(run.cfg)}
+    missing = [tid for tid in affected if tid not in cases]
+    if missing:
+        raise PipelineFailure(f"tests disappeared from enumeration during healing: {missing}")
+    rerun = [run_case(run.cfg, cases[tid]) for tid in affected]
+    recurred: set[tuple[str, int]] = set()
+    for test_id, trap, fault in _traps(run, rerun):
+        key = (str(fault[0]), fault[1])
+        recurred.add(key)
+        if key not in engine.violations:
+            engine.observe(trap, *fault, test_id)
+    for violation in pending:
+        engine.record_outcome(violation, violation.key in recurred)
+    engine.store.write()
+    return build
 
-        iterations_used = 0
-        final_results = cfi_results
-        while True:
-            while engine.open_violations() and iterations_used < cfg.max_repair_iterations:
-                iterations_used += 1
-                pending: list[Violation] = []
-                for violation in engine.open_violations():
-                    if engine.next_scope(violation) is not None:
-                        pending.append(violation)
-                if not pending:
-                    continue
-                store.write()
-                cfi_build, ledger = repair_until_buildable(
-                    cfg,
-                    cfi_mode,
-                    ledger,
-                    phase="test",
-                    start_iteration=ledger.build_attempts + 1,
-                )
-                if not cfi_build.succeeded:
-                    _save_state(cfg, {**state, "phase": "failed", "reason": "rebuild failed"})
-                    raise PipelineFailure(
-                        f"rebuild with updated ignorelist failed; see {cfi_build.log_path}"
-                    )
-                affected = sorted({tid for v in pending for tid in v.test_ids})
-                cases = {c.test_id: c for c in enumerate_tests(cfg)}
-                missing = [tid for tid in affected if tid not in cases]
-                if missing:
-                    raise PipelineFailure(
-                        f"tests disappeared from enumeration during healing: {missing}"
-                    )
-                rerun = {tid: run_case(cfg, cases[tid]) for tid in affected}
-                recurred: dict[tuple[str, int], tuple[str, TrapEvent]] = {}
-                for tid, result in rerun.items():
-                    if result.cfi_trapped and result.outcome.trap is not None:
-                        trap = result.outcome.trap
-                        binary, static, callee, caller, cc = _symbolize_trap(symbolizer, trap)
-                        recurred[(str(binary), static)] = (tid, trap)
-                        if (str(binary), static) not in engine.violations:
-                            base = baseline_by_id.get(tid)
-                            if base is not None and base.passed:
-                                engine.observe(trap, binary, static, callee, caller, cc, tid)
-                for violation in pending:
-                    engine.record_outcome(violation, violation.key in recurred)
-                store.write()
-                state.update(
-                    iteration=iterations_used,
-                    violations=engine.counts(),
-                    ignorelist=[e.line for e in store.active_entries()],
-                )
-                _save_state(cfg, state)
 
-            # Confirmation pass over the whole suite.
-            store.write()
-            try:
-                final_results = run_suite(cfg, cfi_build)
-            except (HarnessError, TraceError) as exc:
-                raise PipelineFailure(f"confirmation suite failed to run: {exc}") from exc
-            reopened = False
-            for result in final_results:
-                base = baseline_by_id.get(result.test_id)
-                if base is None or not base.passed or not result.cfi_trapped:
-                    continue
-                trap = result.outcome.trap
-                assert trap is not None
-                binary, static, callee, caller, cc = _symbolize_trap(symbolizer, trap)
-                violation, is_new = engine.observe(
-                    trap, binary, static, callee, caller, cc, result.test_id
-                )
-                if is_new:
-                    reopened = True
-                elif violation.status is ViolationStatus.FIXED:
-                    violation.status = ViolationStatus.OPEN
-                    violation.fixed_level = None
-                    engine.record_outcome(violation, trap_recurred=True)
-                    if violation.status is ViolationStatus.OPEN:
-                        reopened = True
-            if reopened and iterations_used < cfg.max_repair_iterations:
-                continue
-            break
+def _confirm(run: _Run, results: list[TestResult]) -> bool:
+    """Observe the full suite's traps; True if a violation is new or open again."""
+    reopened = False
+    for test_id, trap, fault in _traps(run, results):
+        violation, is_new = run.engine.observe(trap, *fault, test_id)
+        if is_new or (violation.status is ViolationStatus.FIXED and run.engine.reopen(violation)):
+            reopened = True
+    return reopened
 
-        final_diff = diff_suites(baseline_results, final_results)
 
-        state.update(phase="reporting")
-        _save_state(cfg, state)
-        census_total, per_function = _run_census(cfg)
-        records = _function_records(cfg, symbolizer, per_function, ledger)
-        coverage = compute_coverage(records, store.active_entries(),
-                                    {enforcement_name(s) for s in ledger.patched_symbols})
+def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
+    """IR census, coverage accounting and the emitted report."""
+    cfg, engine, ledger = run.cfg, run.engine, run.ledger
+    census_total, per_function = _run_census(cfg)
+    records = _function_records(cfg, run.symbolizer, per_function, ledger)
+    coverage = compute_coverage(records, engine.store.active_entries())
 
-        counts = engine.counts()
-        details, by_file = _violation_rows(engine)
-        duration = time.monotonic() - started
-        report = {
-            "schema_version": "1",
-            "duration": format_duration(duration),
-            "coverage": {
-                "per_function": coverage.per_function.as_dict(),
-                "per_call_site": coverage.per_call_site.as_dict(),
-            },
-            "census": {**census_total.as_dict(), "total": census_total.total()},
-            "violations": {
-                "total": counts["total"],
-                "fixed": counts["fixed"],
-                "unresolvable": counts["unresolvable"],
-                "open": counts["open"],
-                "by_file": by_file,
-                "details": details,
-            },
-            "ignorelist": [e.line for e in store.active_entries()],
-            "repair": {
-                "patches": [
-                    {
-                        "iteration": p.iteration,
-                        "symbol": p.symbol,
-                        "demangled": p.demangled,
-                        "file": p.file,
-                        "line": p.line,
-                    }
-                    for p in ledger.patches
-                ],
-                "iterations_build_phase": ledger.iterations_build_phase,
-                "iterations_test_phase": ledger.iterations_test_phase,
-                "skipped": [{"symbol": s, "reason": r} for s, r in ledger.skipped],
-            },
-            "tests": {
-                "total": len(final_diff.per_test),
-                "pass": final_diff.counts[FailureClass.PASS],
-                "baseline_failure": final_diff.counts[FailureClass.BASELINE_FAILURE],
-                "cfi_policy_violation": final_diff.counts[FailureClass.CFI_POLICY_VIOLATION],
-                "functional_non_cfi": final_diff.counts[FailureClass.FUNCTIONAL_NON_CFI],
-            },
-        }
-        paths = emit_report(report, cfg.report_dir)
-        state.update(phase="done", report=report)
-        _save_state(cfg, state)
-
+    counts = engine.counts()
+    details, by_file = _violation_rows(engine)
+    duration = time.monotonic() - started
+    report = {
+        "schema_version": "1",
+        "duration": format_duration(duration),
+        "coverage": {
+            "per_function": coverage.per_function.as_dict(),
+            "per_call_site": coverage.per_call_site.as_dict(),
+        },
+        "census": {**census_total.as_dict(), "total": census_total.total()},
+        "violations": {
+            "total": counts["total"],
+            "fixed": counts["fixed"],
+            "unresolvable": counts["unresolvable"],
+            "open": counts["open"],
+            "by_file": by_file,
+            "details": details,
+        },
+        "ignorelist": [e.line for e in engine.store.active_entries()],
+        "repair": {
+            "patches": [
+                {
+                    "iteration": p.iteration,
+                    "symbol": p.symbol,
+                    "demangled": p.demangled,
+                    "file": p.file,
+                    "line": p.line,
+                }
+                for p in ledger.patches
+            ],
+            "iterations_build_phase": ledger.iterations_build_phase,
+            "iterations_test_phase": ledger.iterations_test_phase,
+            "skipped": [{"symbol": s, "reason": r} for s, r in ledger.skipped],
+        },
+        "tests": {
+            "total": len(diff.per_test),
+            "pass": diff.counts[FailureClass.PASS],
+            "baseline_failure": diff.counts[FailureClass.BASELINE_FAILURE],
+            "cfi_policy_violation": diff.counts[FailureClass.CFI_POLICY_VIOLATION],
+            "functional_non_cfi": diff.counts[FailureClass.FUNCTIONAL_NON_CFI],
+        },
+    }
     return HealResult(
         report=report,
         coverage=coverage,
         violations=engine.all_violations(),
         ledger=ledger,
-        diff=final_diff,
+        diff=diff,
         unresolvable=counts["unresolvable"],
         open_violations=counts["open"],
-        report_paths=paths,
+        report_paths=emit_report(report, cfg.report_dir),
     )
+
+
+def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealResult:
+    """Run the full healing pipeline; raises PipelineFailure on hard errors.
+
+    A run that fails once it holds the project lock leaves state.json at
+    phase "failed", with the PipelineFailure message as "reason"; test
+    harness and tracer errors from any phase surface as PipelineFailure.
+    """
+    findings = validate_config(cfg)
+    if findings:
+        raise PipelineFailure("invalid configuration: " + "; ".join(findings))
+    symbolizer = symbolizer or Symbolizer()
+    started = time.monotonic()
+    state: dict = {}
+    with ProjectLock(cfg.report_dir):
+        _save_state(cfg, state, phase="building", iteration=0)
+        try:
+            baseline = _baseline(cfg)
+            store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
+            store.write()
+            engine = EscalationEngine(store, cfg.project_root)
+            run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
+            cfi_build = _cfi_build(run, "build")
+
+            _save_state(cfg, state, phase="testing", ignorelist=[])
+            for test_id, trap, fault in _traps(run, run_suite(cfg, cfi_build)):
+                engine.observe(trap, *fault, test_id)
+
+            rounds = 0
+            while True:
+                while engine.open_violations() and rounds < cfg.max_repair_iterations:
+                    rounds += 1
+                    cfi_build = _escalation_round(run) or cfi_build
+                    _save_state(
+                        cfg,
+                        state,
+                        iteration=rounds,
+                        violations=engine.counts(),
+                        ignorelist=[e.line for e in store.active_entries()],
+                    )
+                store.write()
+                final_results = run_suite(cfg, cfi_build)
+                if not _confirm(run, final_results) or rounds >= cfg.max_repair_iterations:
+                    break
+
+            _save_state(cfg, state, phase="reporting")
+            diff = diff_suites(list(baseline.values()), final_results)
+            result = _account(run, diff, started)
+            _save_state(cfg, state, phase="done", report=result.report)
+            return result
+        except (PipelineFailure, HarnessError, TraceError) as exc:
+            reason = str(exc) if isinstance(exc, PipelineFailure) else f"test harness failed: {exc}"
+            _save_state(cfg, state, phase="failed", reason=reason)
+            raise PipelineFailure(reason) from exc
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,7 @@ semicolon and are never patched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .build import (
@@ -163,7 +163,7 @@ def locate_definition(symbol: str, root: Path) -> DefinitionSite | None:
     caller can record the ambiguity.
     """
     name = base_identifier(demangle(symbol))
-    hits: list[tuple[Path, int]] = []
+    hits: list[tuple[Path, str, int]] = []
     for path in _iter_sources(root):
         try:
             text = path.read_text(errors="replace")
@@ -172,16 +172,14 @@ def locate_definition(symbol: str, root: Path) -> DefinitionSite | None:
         if name not in text:
             continue
         for offset in _definition_offsets(text, name):
-            hits.append((path, offset))
+            hits.append((path, text, offset))
     if not hits:
         return None
-    path, offset = hits[0]
-    text = path.read_text(errors="replace")
+    path, text, offset = hits[0]
     line = text.count("\n", 0, offset) + 1
     column = offset - (text.rfind("\n", 0, offset) + 1) + 1
     alternates = tuple(
-        f"{p.relative_to(root)}:{p.read_text(errors='replace').count(chr(10), 0, o) + 1}"
-        for p, o in hits[1:]
+        f"{p.relative_to(root)}:{t.count(chr(10), 0, o) + 1}" for p, t, o in hits[1:]
     )
     return DefinitionSite(path, line, column, offset, alternates)
 
@@ -206,13 +204,11 @@ def apply_visibility_default(site: DefinitionSite, symbol: str, iteration: int) 
     untouched and the patch records an empty applied_text.
     """
     text = site.file.read_text(errors="replace")
-    rel = str(site.file)
-    if _already_default(text, site.name_offset):
-        return VisibilityPatch(symbol, demangle(symbol), rel, site.line, site.column, "", iteration)
-    patched = text[: site.name_offset] + ATTRIBUTE_TEXT + text[site.name_offset :]
-    site.file.write_text(patched)
+    applied = "" if _already_default(text, site.name_offset) else ATTRIBUTE_TEXT
+    if applied:
+        site.file.write_text(text[: site.name_offset] + applied + text[site.name_offset :])
     return VisibilityPatch(
-        symbol, demangle(symbol), rel, site.line, site.column, ATTRIBUTE_TEXT, iteration
+        symbol, demangle(symbol), str(site.file), site.line, site.column, applied, iteration
     )
 
 
@@ -303,19 +299,10 @@ def repair_until_buildable(
                 if not patch.applied_text:
                     ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
                     continue
-                rel_patch = VisibilityPatch(
-                    patch.symbol,
-                    patch.demangled,
-                    str(site.file.relative_to(cfg.project_root))
-                    if site.file.is_relative_to(cfg.project_root)
-                    else patch.file,
-                    patch.line,
-                    patch.column,
-                    patch.applied_text,
-                    patch.iteration,
-                )
-                ledger.patches.append(rel_patch)
-                journal_patch(cfg, rel_patch)
+                if site.file.is_relative_to(cfg.project_root):
+                    patch = replace(patch, file=str(site.file.relative_to(cfg.project_root)))
+                ledger.patches.append(patch)
+                journal_patch(cfg, patch)
                 new_patches += 1
             if new_patches == 0:
                 return outcome, ledger

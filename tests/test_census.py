@@ -5,6 +5,8 @@ reference semantics for each construct; the per-project row sums reproduce
 published whole-project totals.
 """
 
+import pytest
+
 from cfiheal.ircensus import IrSiteCensus, census, census_by_function, total_sites
 
 from conftest import needs_toolchain
@@ -147,6 +149,38 @@ entry:
   ret i32 %r
 }
 """
+
+
+BAD_CALL = """
+define void @f(void ()* %fp) {
+entry:
+  call void %fp
+  call void %fp()
+  ret void
+}
+"""
+
+ALL_CASES = {
+    "fp": FP, "virt": VIRT, "lowered": LOWERED, "constexpr_gep": CONSTEXPR_GEP,
+    "indirectbr": INDIRECTBR, "blockaddr": BLOCKADDR, "switch": SWITCH, "asm": ASM,
+    "bitcast_direct": BITCAST_DIRECT, "invoke": INVOKE, "alias_direct": ALIAS_DIRECT,
+    "opaque_ptr": OPAQUE_PTR, "bad_call": BAD_CALL,
+}
+
+
+@pytest.mark.parametrize("ir", ALL_CASES.values(), ids=ALL_CASES.keys())
+def test_census_is_the_sum_of_census_by_function(ir):
+    whole: list[tuple[int, str]] = []
+    split: list[tuple[int, str]] = []
+    per = census_by_function(ir, split)
+    assert census(ir, whole) == sum(per.values(), IrSiteCensus())
+    assert whole == split
+
+
+def test_census_diagnostics_name_the_line():
+    diagnostics: list[tuple[int, str]] = []
+    assert census(BAD_CALL, diagnostics).fp_calls == 1
+    assert diagnostics == [(4, "call instruction without an argument list")]
 
 
 def tuple_of(ir: str) -> tuple[int, int, int, int, int, int]:

@@ -238,3 +238,46 @@ def test_violation_ids_are_sequential(engine):
     a, _ = observe(engine, pc=0x1, test_id="t1")
     b, _ = observe(engine, pc=0x2, test_id="t2")
     assert (a.id, b.id) == ("V1", "V2")
+
+
+def test_reopen_releases_the_entry_it_was_fixed_at(engine):
+    v, _ = observe(engine, callee=info("f", "f.c", 1), caller=info("g", "g.c", 2))
+    engine.next_scope(v)
+    engine.record_outcome(v, trap_recurred=False)
+    assert rendered(engine) == "fun:f\n"
+
+    # The confirmation suite sees the trap again: fun:f did not hold.
+    assert engine.reopen(v) is True
+    assert (v.status, v.fixed_level, v.ladder_level) == (
+        ViolationStatus.OPEN, None, LadderLevel.CALLER_FUNCTION)
+    engine.next_scope(v)
+    engine.record_outcome(v, trap_recurred=False)
+    assert v.fixed_level is LadderLevel.CALLER_FUNCTION
+    assert rendered(engine) == "fun:g\n"
+
+
+def test_reopen_keeps_an_entry_another_violation_is_fixed_at(engine):
+    a, _ = observe(engine, pc=0x1, callee=info("f", "f.c", 1), test_id="t1")
+    b, _ = observe(engine, pc=0x2, callee=info("f", "f.c", 5), test_id="t2")
+    for v in (a, b):
+        engine.next_scope(v)
+        engine.record_outcome(v, trap_recurred=False)
+    # a has no caller, so reopening climbs it straight to its file.
+    assert engine.reopen(a) is True
+    assert rendered(engine) == "fun:f\n"
+    engine.next_scope(a)
+    assert a.ladder_level is LadderLevel.CALLEE_SOURCE
+    assert rendered(engine) == "fun:f\nsrc:f.c\n"
+
+
+def test_reopen_at_the_last_rung_is_unresolvable(engine):
+    v, _ = observe(engine, callee=info("f", "f.c", 1), caller=info("g", "g.c", 2))
+    for _ in range(3):  # fun:f, fun:g, src:f.c; the caller's caller is unknown
+        engine.next_scope(v)
+        engine.record_outcome(v, trap_recurred=True)
+    engine.next_scope(v)
+    engine.record_outcome(v, trap_recurred=False)
+    assert v.fixed_level is LadderLevel.CALLER_SOURCE
+    assert engine.reopen(v) is False
+    assert v.status is ViolationStatus.UNRESOLVABLE
+    assert rendered(engine) == ""

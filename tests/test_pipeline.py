@@ -1,10 +1,22 @@
 """Pipeline orchestration and the command-line entry points."""
 
+import fcntl
 import json
+import os
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from cfiheal.pipeline import _run_census, cli_main, heal
+from cfiheal import ircensus, pipeline
+from cfiheal.build import BuildKind, BuildOutcome, OrchestrationError, ProjectLock
+from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
+from cfiheal.ignorelist import LadderLevel
+from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
+from cfiheal.repair import RepairLedger
+from cfiheal.symbols import Confidence, SymbolInfo
+from cfiheal.tracing import OutcomeKind, TraceError, TraceOutcome, TrapEvent, TrapSignal
 
 from conftest import copy_fixture, make_config, needs_toolchain
 
@@ -34,6 +46,25 @@ def test_census_diagnostics_sidecar_names_file_and_line(tmp_path):
     assert total.fp_calls == 1
     sidecar = reports / "ir-census-diagnostics.txt"
     assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
+
+
+def test_run_census_walks_each_file_once(tmp_path, monkeypatch):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "a.ll").write_text(CENSUS_IR)
+    (root / "b.ll").write_text(CENSUS_IR)
+    walked = []
+    real_walk = ircensus._walk
+
+    def counting_walk(text, diagnostics):
+        walked.append(text)
+        return real_walk(text, diagnostics)
+
+    monkeypatch.setattr(ircensus, "_walk", counting_walk)
+    total, per_function = _run_census(make_config(root, tmp_path / "reports"))
+    assert len(walked) == 2
+    assert (total.fp_calls, total.callback_stores) == (2, 2)
+    assert per_function["driver"].total() == 4
 
 
 def write_config(root, report_dir) -> "Path":
@@ -216,3 +247,295 @@ def test_cli_revert_with_no_journal(tmp_path, capsys):
     cfg_path = write_config(root, tmp_path / "reports")
     assert cli_main(["heal", str(cfg_path), "--revert"]) == 0
     assert "reverted 0" in capsys.readouterr().out
+
+
+# Fake-layer heal rig. heal() runs with the five layer names pipeline
+# imports replaced: every build stands unless a test breaks it, and each
+# test is a script of traps. A trap fires when its condition entries are in
+# the ignorelist the last CFI build was made with and none of its
+# suppressing entries is; the first trap that fires ends the test. A fake
+# symbolizer maps the scripted addresses to functions.
+
+LAYERS = ("run_build", "repair_until_buildable", "enumerate_tests", "run_case", "run_suite")
+
+SYMBOLS = {
+    0x1010: ("f", "f.c"),
+    0x1110: ("main", "main.c"),
+    0x2010: ("g", "lib/g.c"),
+    0x2110: ("h", "lib/h.c"),
+    0x3010: ("u", "u.c"),
+    0x3110: ("w", "w.c"),
+    0x3210: ("x", "x.c"),
+    0x4010: ("q", "q.c"),
+    0x5010: ("b", "b.c"),
+}
+
+
+@dataclass(frozen=True)
+class ScriptedTrap:
+    pc: int
+    returns: tuple[int, ...] = ()
+    suppressed_by: frozenset[str] = frozenset()
+    only_with: frozenset[str] = frozenset()
+
+
+def trap(pc, returns=(), suppressed_by=(), only_with=()):
+    return ScriptedTrap(pc, tuple(returns), frozenset(suppressed_by), frozenset(only_with))
+
+
+# L0: fixed by the callee. L3: neither function rung helps and there is no
+# caller's caller, so the callee's file fixes it. Unresolvable: nothing does.
+# t_basefail traps under CFI but already failed its baseline run.
+SCRIPT = {
+    "t_pass": [],
+    "t_l0": [trap(0x1010, [0x1110], ["fun:f"])],
+    "t_l3": [trap(0x2010, [0x2110], ["src:lib/g.c"])],
+    "t_unres": [trap(0x3010, [0x3110, 0x3210])],
+    "t_basefail": [trap(0x5010)],
+}
+
+
+class FakeSymbolizer:
+    def resolve_runtime(self, addr, regions):
+        function, source = SYMBOLS[addr]
+        return Path("app"), addr, SymbolInfo(function, source, None, Confidence.DEBUGINFO)
+
+
+def raising(exc):
+    def layer():
+        raise exc
+
+    return layer
+
+
+class Rig:
+    def __init__(self, tmp_path, monkeypatch, script):
+        root = tmp_path / "proj"
+        root.mkdir()
+        self.reports = tmp_path / "reports"
+        self.cfg = make_config(root, self.reports)
+        self.script = script
+        self.built: frozenset[str] | None = None  # None: the last build was the baseline
+        self.calls: Counter = Counter()
+        # (layer, n) -> callable run instead of the n-th call of that layer.
+        self.overrides: dict = {}
+        for name in LAYERS:
+            monkeypatch.setattr(pipeline, name, getattr(self, name))
+        monkeypatch.setattr(pipeline, "Symbolizer", FakeSymbolizer)
+
+    def _layer(self, name, real):
+        self.calls[name] += 1
+        override = self.overrides.get((name, self.calls[name]))
+        return override() if override else real()
+
+    def _build(self, mode) -> BuildOutcome:
+        if mode.kind is BuildKind.CFI:
+            self.built = frozenset(mode.ignorelist_path.read_text().split())
+        else:
+            self.built = None
+        return BuildOutcome(True, mode, (), (), None, 0.0)
+
+    def _cases(self):
+        return [TestCase(tid, f"run {tid}") for tid in self.script]
+
+    def _run(self, test_id) -> TestResult:
+        if self.built is None:
+            status = 1 if test_id == "t_basefail" else 0
+            return TestResult(test_id, TraceOutcome(OutcomeKind.EXITED, exit_status=status))
+        for step in self.script[test_id]:
+            if step.only_with <= self.built and not step.suppressed_by & self.built:
+                event = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, step.pc, step.pc,
+                                  step.returns, {}, Path("app"), ())
+                return TestResult(test_id, TraceOutcome(OutcomeKind.TRAPPED, trap=event))
+        return TestResult(test_id, TraceOutcome(OutcomeKind.EXITED, exit_status=0))
+
+    def run_build(self, cfg, mode, iteration=1, run_configure=True):
+        return self._layer("run_build", lambda: self._build(mode))
+
+    def repair_until_buildable(self, cfg, mode, ledger=None, *, phase="build", start_iteration=1):
+        ledger = ledger if ledger is not None else RepairLedger()
+        ledger.build_attempts += 1
+        return self._layer("repair_until_buildable", lambda: (self._build(mode), ledger))
+
+    def enumerate_tests(self, cfg):
+        return self._layer("enumerate_tests", self._cases)
+
+    def run_case(self, cfg, case):
+        return self._layer("run_case", lambda: self._run(case.test_id))
+
+    def run_suite(self, cfg, build):
+        return self._layer("run_suite", lambda: [self._run(c.test_id) for c in self._cases()])
+
+    def state(self) -> dict:
+        return json.loads((self.reports / "state.json").read_text())
+
+
+def violation_rows(result):
+    return [
+        (v.id, v.status.value, v.ladder_level.short,
+         v.fixed_level.short if v.fixed_level is not None else None, v.test_ids)
+        for v in result.violations
+    ]
+
+
+def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+
+    assert violation_rows(result) == [
+        ("V1", "Fixed", "L0", "L0", ("t_l0",)),
+        ("V2", "Fixed", "L3", "L3", ("t_l3",)),
+        ("V3", "Unresolvable", "L5", None, ("t_unres",)),
+    ]
+    assert [v.attempted for v in result.violations] == [
+        [(LadderLevel.CALLEE_FUNCTION, "fun:f")],
+        [(LadderLevel.CALLEE_FUNCTION, "fun:g"), (LadderLevel.CALLER_FUNCTION, "fun:h"),
+         (LadderLevel.CALLEE_SOURCE, "src:lib/g.c")],
+        [(LadderLevel.CALLEE_FUNCTION, "fun:u"), (LadderLevel.CALLER_FUNCTION, "fun:w"),
+         (LadderLevel.CALLERS_CALLER_FUNCTION, "fun:x"), (LadderLevel.CALLEE_SOURCE, "src:u.c"),
+         (LadderLevel.CALLER_SOURCE, "src:w.c")],
+    ]
+    assert (rig.reports / "cfi.ignorelist").read_text() == "fun:f\nsrc:lib/g.c\n"
+    # One instrumented build, then one rebuild per escalation round.
+    assert result.ledger.build_attempts == 6
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=6, enumerate_tests=5,
+                                run_case=9, run_suite=3)
+    assert (result.unresolvable, result.open_violations) == (1, 0)
+    assert result.diff.per_test["t_unres"] is FailureClass.CFI_POLICY_VIOLATION
+    assert result.diff.per_test["t_basefail"] is FailureClass.BASELINE_FAILURE
+
+    report = dict(result.report)
+    assert report.pop("duration")
+    assert report == {
+        "schema_version": "1",
+        "coverage": {
+            "per_function": {"protected": 0.0, "default_visibility": 0.0, "ignored": 0.0,
+                             "counts": {"protected": 0, "default_visibility": 0, "ignored": 0}},
+            "per_call_site": {"protected": 0.0, "default_visibility": 0.0, "ignored": 0.0,
+                              "counts": {"protected": 0, "default_visibility": 0, "ignored": 0}},
+        },
+        "census": {"fp_calls": 0, "virtual_calls": 0, "callback_stores": 0, "jt_switch": 0,
+                   "jt_lowered": 0, "inline_asm": 0, "total": 0},
+        "violations": {
+            "total": 3, "fixed": 2, "unresolvable": 1, "open": 0,
+            "by_file": [
+                {"file": "f.c", "count": 1, "tests": ["t_l0"]},
+                {"file": "lib/g.c", "count": 1, "tests": ["t_l3"]},
+                {"file": "u.c", "count": 1, "tests": ["t_unres"]},
+            ],
+            "details": [
+                {"id": "V1", "binary": "app", "fault_pc": "0x1010", "function": "f",
+                 "file": "f.c", "line": None, "status": "Fixed", "level": "L0",
+                 "tests": ["t_l0"], "attempted": ["fun:f"]},
+                {"id": "V2", "binary": "app", "fault_pc": "0x2010", "function": "g",
+                 "file": "lib/g.c", "line": None, "status": "Fixed", "level": "L3",
+                 "tests": ["t_l3"], "attempted": ["fun:g", "fun:h", "src:lib/g.c"]},
+                {"id": "V3", "binary": "app", "fault_pc": "0x3010", "function": "u",
+                 "file": "u.c", "line": None, "status": "Unresolvable", "level": "L5",
+                 "tests": ["t_unres"],
+                 "attempted": ["fun:u", "fun:w", "fun:x", "src:u.c", "src:w.c"]},
+            ],
+        },
+        "ignorelist": ["fun:f", "src:lib/g.c"],
+        "repair": {"patches": [], "iterations_build_phase": 0, "iterations_test_phase": 0,
+                   "skipped": []},
+        "tests": {"total": 5, "pass": 3, "baseline_failure": 1, "cfi_policy_violation": 1,
+                  "functional_non_cfi": 0},
+    }
+    assert rig.state() == {
+        "phase": "done",
+        "iteration": 5,
+        "violations": {"total": 3, "fixed": 2, "unresolvable": 1, "open": 0},
+        "ignorelist": ["fun:f", "src:lib/g.c"],
+        "report": result.report,
+    }
+
+
+def test_rig_clean_suite(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": [], "t_basefail": [trap(0x5010)]})
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert result.violations == []
+    assert result.ledger.build_attempts == 1
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=1, run_suite=3)
+    assert rig.state()["phase"] == "done"
+    assert rig.state()["ignorelist"] == []
+
+
+@pytest.mark.parametrize(("script", "code"), [(SCRIPT, 1), ({"t_l0": SCRIPT["t_l0"]}, 0)])
+def test_rig_cli_exit_codes(tmp_path, monkeypatch, capsys, script, code):
+    rig = Rig(tmp_path, monkeypatch, script)
+    assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == code
+    assert "reports in" in capsys.readouterr().out
+
+
+def test_rig_confirmation_reopen_releases_the_ineffective_entry(tmp_path, monkeypatch):
+    # Only fun:main gets t_q past q, and from there it reaches the check V1
+    # was already fixed at, through g this time. The confirmation suite is the
+    # first to see that trap, so V1 reopens and fun:f no longer suppresses it.
+    script = {
+        "t_l0": [trap(0x1010, [0x2010], ["fun:f", "fun:g"])],
+        "t_q": [trap(0x4010, [0x1110], ["fun:main"]),
+                trap(0x1010, [0x2010], ["fun:g"], only_with=["fun:main"])],
+    }
+    rig = Rig(tmp_path, monkeypatch, script)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert violation_rows(result) == [
+        ("V1", "Fixed", "L1", "L1", ("t_l0", "t_q")),
+        ("V2", "Fixed", "L1", "L1", ("t_q",)),
+    ]
+    assert rig.calls["run_suite"] == 4
+    # fun:f was V1's rung before the reopen; nothing claims it any more.
+    assert result.report["ignorelist"] == ["fun:g", "fun:main"]
+
+
+def test_rig_locked_project_leaves_the_running_state_alone(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    rig.reports.mkdir()
+    running = json.dumps({"phase": "testing", "iteration": 3})
+    (rig.reports / "state.json").write_text(running)
+    # Another pipeline holds the project: flock conflicts across open files.
+    fd = os.open(ProjectLock(rig.reports).lock_path, os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        with pytest.raises(OrchestrationError):
+            heal(rig.cfg, symbolizer=FakeSymbolizer())
+    finally:
+        os.close(fd)
+    assert (rig.reports / "state.json").read_text() == running
+    assert rig.calls == Counter()
+
+
+FAILURE_SITES = {
+    "baseline build": (("run_build", 1), lambda: BuildOutcome(False, None, (), (), None, 0.0)),
+    "baseline suite": (("run_suite", 1), raising(HarnessError("no TEST lines"))),
+    "instrumented build": (("repair_until_buildable", 1),
+                           lambda: (BuildOutcome(False, None, (), (), None, 0.0), RepairLedger())),
+    "instrumented suite": (("run_suite", 2), raising(TraceError("fork failed"))),
+    "rebuild": (("repair_until_buildable", 2),
+                lambda: (BuildOutcome(False, None, (), (), None, 0.0), RepairLedger())),
+    "round enumeration": (("enumerate_tests", 1), raising(HarnessError("enumeration timed out"))),
+    "round re-run": (("run_case", 1), raising(TraceError("lost the tracee"))),
+    "vanished tests": (("enumerate_tests", 1), lambda: [TestCase("t_pass", "run t_pass")]),
+    "confirmation suite": (("run_suite", 3), raising(HarnessError("enumeration timed out"))),
+}
+
+
+@pytest.mark.parametrize("site", FAILURE_SITES)
+def test_rig_failure_saves_failed_state(tmp_path, monkeypatch, site):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    key, layer = FAILURE_SITES[site]
+    rig.overrides[key] = layer
+    with pytest.raises(PipelineFailure) as excinfo:
+        heal(rig.cfg, symbolizer=FakeSymbolizer())
+    state = rig.state()
+    assert state["phase"] == "failed"
+    assert state["reason"] == str(excinfo.value)
+
+
+@pytest.mark.parametrize("exc", [HarnessError("enumeration timed out"), TraceError("lost it")])
+def test_rig_cli_harness_error_in_round_exits_2(tmp_path, monkeypatch, capsys, exc):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    rig.overrides[("run_case", 2)] = raising(exc)
+    assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == 2
+    assert str(exc) in capsys.readouterr().err
+    assert rig.state()["phase"] == "failed"
