@@ -89,7 +89,9 @@ def _symbolize_trap(
         callee = None
     frames: list[SymbolInfo | None] = []
     for addr in trap.return_addresses[:2]:
-        frame_hit = symbolizer.resolve_runtime(addr, trap.memory_map)
+        # A return address follows the call; when the call ends its function,
+        # it is already the next function's first byte.
+        frame_hit = symbolizer.resolve_runtime(addr - 1, trap.memory_map)
         frames.append(frame_hit[2] if frame_hit else None)
     while len(frames) < 2:
         frames.append(None)

@@ -14,7 +14,11 @@ correct when segment file offsets and virtual addresses disagree.
 The disassembler is pluggable: anything with a
 ``function_candidates(Path) -> list[FunctionSpan]`` method can serve as the
 backend (the shipped one drives objdump). Backends only ever contribute
-heuristic spans; symbol-table spans always win where both exist.
+heuristic spans; symbol-table spans always win where both exist. A binary's
+view starts with its symbol-table spans, demangled by one c++filt; the
+backend runs only for ``function_boundaries`` or for an address outside every
+symbol-table span. Heuristic spans never overlap symbol-table spans, so a
+symbol-table hit resolves the same either way.
 """
 
 from __future__ import annotations
@@ -68,16 +72,45 @@ class FunctionSpan:
         return self.start <= addr < self.end
 
 
+# Names c++filt reads from stdin as one symbol. Given any other name as an
+# argument it prints the name unchanged, so batching only these keeps the
+# per-name result.
+_CXXFILT_WORD = re.compile(r"_Z[\w.$]*", re.ASCII)
+
+
+def _demangle_batch(names: Sequence[str]) -> tuple[list[str], str | None]:
+    """Demangled spellings of `names` from one c++filt reading them over stdin.
+
+    Names other than a whole c++filt symbol (whitespace, ``@`` version
+    suffixes) pass through unchanged. If c++filt is missing, times out, fails
+    or answers with the wrong number of lines, every name stays as given and
+    the second item says why.
+    """
+    out = list(names)
+    todo = [i for i, name in enumerate(names) if _CXXFILT_WORD.fullmatch(name)]
+    if not todo:
+        return out, None
+    payload = "".join(names[i] + "\n" for i in todo).encode()
+    try:
+        proc = subprocess.run(["c++filt"], input=payload, capture_output=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return out, f"c++filt failed, names left mangled: {exc}"
+    lines = proc.stdout.decode(errors="replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if proc.returncode != 0 or len(lines) != len(todo):
+        return out, (
+            f"c++filt exited {proc.returncode} with {len(lines)} lines for "
+            f"{len(todo)} names; names left mangled"
+        )
+    for i, line in zip(todo, lines):
+        out[i] = line.strip() or names[i]
+    return out, None
+
+
 def demangle(symbol: str) -> str:
     """Demangled spelling via c++filt; non-mangled names pass through."""
-    if not symbol.startswith("_Z"):
-        return symbol
-    try:
-        out = subprocess.run(["c++filt", symbol], capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return symbol
-    result = out.stdout.strip()
-    return result if result and out.returncode == 0 else symbol
+    return _demangle_batch([symbol])[0][0]
 
 
 class DisassemblyBackend(Protocol):
@@ -165,12 +198,66 @@ def runtime_to_static(
     return None
 
 
+def _fill_gaps(symtab: list[FunctionSpan], candidates: list[FunctionSpan]) -> list[FunctionSpan]:
+    """Symtab spans plus the parts of heuristic candidates no symtab span covers.
+
+    `symtab` is sorted and disjoint. One sweep over it and the candidates
+    sorted by start: a candidate starting inside a run of abutting symtab spans
+    restarts where the run ends, and every candidate stops where the next
+    symtab span starts. Without symtab spans the candidates come back as they
+    are, sorted.
+    """
+    ordered = sorted(candidates, key=lambda s: s.start)
+    if not symtab:
+        return ordered
+    spans = list(symtab)
+    n = len(symtab)
+    i = 0  # first symtab span ending after the candidate's start
+    run_after = run_end = 0  # the last run walked: index past it, and its end
+    for cand in ordered:
+        start = cand.start
+        while i < n and symtab[i].end <= start:
+            i += 1
+        after = i
+        if i < n and symtab[i].start <= start:
+            if i >= run_after:
+                run_after = i + 1
+                while run_after < n and symtab[run_after].start == symtab[run_after - 1].end:
+                    run_after += 1
+                run_end = symtab[run_after - 1].end
+            start, after = run_end, run_after
+        end = min(cand.end, symtab[after].start) if after < n else cand.end
+        if end > start:
+            spans.append(FunctionSpan(f"fn_0x{start:x}", start, end, source="heuristic"))
+    spans.sort(key=lambda s: s.start)
+    trimmed: list[FunctionSpan] = []
+    for span in spans:
+        if trimmed and span.start < trimmed[-1].end:
+            prev = trimmed[-1]
+            trimmed[-1] = FunctionSpan(prev.name, prev.start, span.start, prev.source)
+        trimmed.append(span)
+    return trimmed
+
+
+class _SpanIndex:
+    """Sorted spans with a bisect lookup by address."""
+
+    def __init__(self, spans: list[FunctionSpan]):
+        self.spans = spans
+        self.starts = [s.start for s in spans]
+
+    def at(self, address: int) -> FunctionSpan | None:
+        i = bisect.bisect_right(self.starts, address) - 1
+        return self.spans[i] if i >= 0 and self.spans[i].contains(address) else None
+
+
 @dataclass
 class _BinaryView:
     elf: ElfFile
-    spans: list[FunctionSpan]
-    starts: list[int]
     line_table: LineTable
+    symtab: _SpanIndex
+    # Symtab spans plus heuristic gap fill; built on the first need for it.
+    filled: _SpanIndex | None = None
 
 
 class Symbolizer:
@@ -179,7 +266,8 @@ class Symbolizer:
     def __init__(self, backend: DisassemblyBackend | None = None):
         self.backend = backend or ObjdumpBackend()
         self.warnings: list[str] = []
-        self._cache: dict[tuple[str, int, int], _BinaryView | None] = {}
+        # One view per path, with the (mtime_ns, size) it was built from.
+        self._cache: dict[str, tuple[tuple[int, int], _BinaryView | None]] = {}
 
     def _view(self, binary: Path) -> _BinaryView | None:
         binary = Path(binary)
@@ -188,24 +276,26 @@ class Symbolizer:
         except OSError as exc:
             self.warnings.append(f"unreadable binary {binary}: {exc}")
             return None
-        key = (str(binary), stat.st_mtime_ns, stat.st_size)
-        if key in self._cache:
-            return self._cache[key]
+        stamp = (stat.st_mtime_ns, stat.st_size)
+        held = self._cache.get(str(binary))
+        if held is not None and held[0] == stamp:
+            return held[1]
+        # A rebuilt binary replaces the stale view of its path.
+        view = None
         try:
             elf = ElfFile(binary)
         except (ElfError, OSError) as exc:
             self.warnings.append(f"unparseable binary {binary}: {exc}")
-            self._cache[key] = None
-            return None
-        spans = self._build_spans(elf, binary)
-        table = LineTable.from_elf(elf)
-        self.warnings.extend(f"{binary}: {w}" for w in table.warnings)
-        view = _BinaryView(elf, spans, [s.start for s in spans], table)
-        self._cache[key] = view
+        else:
+            spans = self._build_spans(elf, binary)
+            table = LineTable.from_elf(elf)
+            self.warnings.extend(f"{binary}: {w}" for w in table.warnings)
+            view = _BinaryView(elf, table, _SpanIndex(spans))
+        self._cache[str(binary)] = (stamp, view)
         return view
 
     def _build_spans(self, elf: ElfFile, binary: Path) -> list[FunctionSpan]:
-        symtab_spans: list[FunctionSpan] = []
+        """Sorted, disjoint symbol-table spans, demangled in one batch."""
         by_start: dict[int, ElfSymbol] = {}
         for sym in elf.function_symbols():
             if sym.size <= 0:
@@ -214,56 +304,36 @@ class Symbolizer:
             if held is None or (held.bind == 0 and sym.bind != 0):
                 by_start[sym.value] = sym
         ordered = sorted(by_start.values(), key=lambda s: s.value)
+        names, failure = _demangle_batch([sym.name for sym in ordered])
+        if failure:
+            self.warnings.append(f"{binary}: {failure}")
+        spans: list[FunctionSpan] = []
         for i, sym in enumerate(ordered):
             end = sym.value + sym.size
             if i + 1 < len(ordered):
                 end = min(end, ordered[i + 1].value)
-            if end > sym.value:
-                symtab_spans.append(FunctionSpan(demangle(sym.name), sym.value, end))
+            spans.append(FunctionSpan(names[i], sym.value, end))
+        return spans
 
-        heuristic = self.backend.function_candidates(binary)
-        if not symtab_spans:
-            return sorted(heuristic, key=lambda s: s.start)
-
-        # Fill uncovered gaps with heuristic candidates; symtab always wins.
-        spans = list(symtab_spans)
-        covered = [(s.start, s.end) for s in symtab_spans]
-        for cand in heuristic:
-            start, end = cand.start, cand.end
-            for cov_start, cov_end in covered:
-                if start >= cov_end or end <= cov_start:
-                    continue
-                if start < cov_start:
-                    end = cov_start
-                else:
-                    start = max(start, cov_end)
-                if end <= start:
-                    break
-            if end > start and not any(cs <= start < ce for cs, ce in covered):
-                spans.append(FunctionSpan(f"fn_0x{start:x}", start, end, source="heuristic"))
-        spans.sort(key=lambda s: s.start)
-        trimmed: list[FunctionSpan] = []
-        for span in spans:
-            if trimmed and span.start < trimmed[-1].end:
-                prev = trimmed[-1]
-                trimmed[-1] = FunctionSpan(prev.name, prev.start, span.start, prev.source)
-            trimmed.append(span)
-        return [s for s in trimmed if s.end > s.start]
+    def _filled(self, view: _BinaryView) -> _SpanIndex:
+        if view.filled is None:
+            candidates = self.backend.function_candidates(view.elf.path)
+            view.filled = _SpanIndex(_fill_gaps(view.symtab.spans, candidates))
+        return view.filled
 
     def function_boundaries(self, binary: Path) -> list[FunctionSpan]:
         """Sorted, non-overlapping spans; empty (with a warning) if unparseable."""
         view = self._view(binary)
-        return list(view.spans) if view else []
+        return list(self._filled(view).spans) if view else []
 
     def resolve(self, binary: Path, address: int) -> SymbolInfo:
         """Symbol info for a static address; raises ResolutionError on a miss."""
         view = self._view(binary)
         if view is None:
             raise ResolutionError(f"cannot parse binary {binary}")
-        i = bisect.bisect_right(view.starts, address) - 1
-        if i < 0 or not view.spans[i].contains(address):
+        span = view.symtab.at(address) or self._filled(view).at(address)
+        if span is None:
             raise ResolutionError(f"address 0x{address:x} is outside all function spans")
-        span = view.spans[i]
         if span.source == "heuristic":
             return SymbolInfo(span.name, None, None, Confidence.BOUNDARY_HEURISTIC)
         hit = view.line_table.lookup(address)

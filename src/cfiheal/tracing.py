@@ -403,10 +403,13 @@ def _supervise(
     readers = [_hashing_reader(out_fd, out_hash), _hashing_reader(err_fd, err_hash)]
     tracees: set[int] = {root}
 
-    def finish(outcome_kind: OutcomeKind, **kw) -> TraceOutcome:
+    def stop() -> None:
         _slay_tree(root, tracees)
         for reader in readers:
             reader.join(timeout=2.0)
+
+    def finish(outcome_kind: OutcomeKind, **kw) -> TraceOutcome:
+        stop()
         return TraceOutcome(
             kind=outcome_kind,
             stdout_digest="sha256:" + out_hash.hexdigest(),
@@ -441,60 +444,66 @@ def _supervise(
         )
         return finish(OutcomeKind.TRAPPED, trap=event)
 
-    # First stop: the TRACEME child raises SIGTRAP at execve (or exits 127
-    # if the exec failed before tracing mattered).
-    ready = _wait_own((root,), deadline)
-    if not ready:
-        return finish(OutcomeKind.TIMED_OUT)
-    status = ready[0][1]
-    if status is None:
-        raise TraceError("tracee vanished before first stop")
-    if os.WIFEXITED(status):
-        return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
-    if os.WIFSIGNALED(status):
-        return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
-    _ptrace(PTRACE_SETOPTIONS, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-    _ptrace(PTRACE_CONT, root, None, None)
-
-    while True:
-        if time.monotonic() >= deadline:
+    try:
+        # First stop: the TRACEME child raises SIGTRAP at execve (or exits 127
+        # if the exec failed before tracing mattered).
+        ready = _wait_own((root,), deadline)
+        if not ready:
             return finish(OutcomeKind.TIMED_OUT)
-        for pid, status in _wait_own(tracees, deadline):
-            if status is None:
-                tracees.discard(pid)
-                if pid == root:
-                    raise TraceError("lost the root tracee without a wait status")
-                continue
+        status = ready[0][1]
+        if status is None:
+            raise TraceError("tracee vanished before first stop")
+        if os.WIFEXITED(status):
+            return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
+        if os.WIFSIGNALED(status):
+            return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
+        _ptrace(PTRACE_SETOPTIONS, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
+        _ptrace(PTRACE_CONT, root, None, None)
 
-            if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                tracees.discard(pid)
-                if pid == root:
-                    if os.WIFEXITED(status):
-                        return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
-                    return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
-                continue
+        while True:
+            if time.monotonic() >= deadline:
+                return finish(OutcomeKind.TIMED_OUT)
+            for pid, status in _wait_own(tracees, deadline):
+                if status is None:
+                    tracees.discard(pid)
+                    if pid == root:
+                        raise TraceError("lost the root tracee without a wait status")
+                    continue
 
-            if not os.WIFSTOPPED(status):
-                continue
-            stop_signal = os.WSTOPSIG(status)
-            event = _event_of(status)
-            try:
-                if event in (PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE):
-                    msg = ctypes.c_ulong()
-                    _ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg))
-                    tracees.add(msg.value)
-                    _ptrace(PTRACE_CONT, pid, None, None)
-                elif event:
-                    _ptrace(PTRACE_CONT, pid, None, None)
-                elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
-                    return trap_outcome(pid, stop_signal)
-                elif stop_signal == signal.SIGSTOP:
-                    # Auto-attach stop of a new descendant (or a job-control
-                    # stop, which this monitor deliberately suppresses).
-                    _ptrace(PTRACE_CONT, pid, None, None)
-                else:
-                    _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(stop_signal))
-            except PtraceError:
-                # The task died between the wait and the request; the next
-                # drain will reap it.
-                continue
+                if os.WIFEXITED(status) or os.WIFSIGNALED(status):
+                    tracees.discard(pid)
+                    if pid == root:
+                        if os.WIFEXITED(status):
+                            return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
+                        return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
+                    continue
+
+                if not os.WIFSTOPPED(status):
+                    continue
+                stop_signal = os.WSTOPSIG(status)
+                event = _event_of(status)
+                try:
+                    if event in (PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE):
+                        msg = ctypes.c_ulong()
+                        _ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg))
+                        tracees.add(msg.value)
+                        _ptrace(PTRACE_CONT, pid, None, None)
+                    elif event:
+                        _ptrace(PTRACE_CONT, pid, None, None)
+                    elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
+                        return trap_outcome(pid, stop_signal)
+                    elif stop_signal == signal.SIGSTOP:
+                        # Auto-attach stop of a new descendant (or a job-control
+                        # stop, which this monitor deliberately suppresses).
+                        _ptrace(PTRACE_CONT, pid, None, None)
+                    else:
+                        _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(stop_signal))
+                except PtraceError:
+                    # The task died between the wait and the request; the next
+                    # drain will reap it.
+                    continue
+    except BaseException:
+        # Lost root, a failed ptrace request, an error while capturing a trap,
+        # KeyboardInterrupt: leave no tracee behind.
+        stop()
+        raise

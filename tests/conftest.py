@@ -16,9 +16,11 @@ import pytest
 from cfiheal.config import ProjectConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SAMPLE_CXX = FIXTURES / "symbolizer" / "sample.cpp"
 
 HAVE_CLANG = shutil.which("clang") is not None
 HAVE_LLD = shutil.which("ld.lld") is not None
+HAVE_GCC = all(shutil.which(tool) for tool in ("gcc", "g++", "strip"))
 IS_LINUX_X86_64 = platform.system() == "Linux" and platform.machine() == "x86_64"
 
 needs_toolchain = pytest.mark.skipif(
@@ -176,6 +178,30 @@ def sample_binaries(tmp_path_factory) -> dict[str, Path]:
     shutil.copy2(out["dwarf4"], stripped)
     subprocess.run(["strip", str(stripped)], check=True, capture_output=True)
     out["stripped"] = stripped
+    return out
+
+
+@pytest.fixture(scope="session")
+def gcc_binaries(tmp_path_factory) -> dict[str, Path]:
+    """gcc builds: the C sample with DWARF, a stripped copy, and a C++ binary."""
+    if not HAVE_GCC:
+        pytest.skip("requires gcc, g++ and strip")
+    tmp = tmp_path_factory.mktemp("gcc-sample")
+    src = tmp / "sample.c"
+    src.write_text(SAMPLE_C)
+    out = {
+        "source": src,
+        "c": tmp / "sample-gcc",
+        "stripped": tmp / "sample-gcc-stripped",
+        "cxx": tmp / "sample-cxx",
+    }
+    flags = ["-g", "-O0", "-fno-omit-frame-pointer"]
+    for compiler, source, binary in (("gcc", src, out["c"]), ("g++", SAMPLE_CXX, out["cxx"])):
+        subprocess.run(
+            [compiler, *flags, "-o", str(binary), str(source)], check=True, capture_output=True
+        )
+    shutil.copy2(out["c"], out["stripped"])
+    subprocess.run(["strip", str(out["stripped"])], check=True, capture_output=True)
     return out
 
 

@@ -296,8 +296,10 @@ SCRIPT = {
 
 
 class FakeSymbolizer:
+    """Each SYMBOLS address stands for a function spanning 16 bytes either side of it."""
+
     def resolve_runtime(self, addr, regions):
-        function, source = SYMBOLS[addr]
+        function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
         return Path("app"), addr, SymbolInfo(function, source, None, Confidence.DEBUGINFO)
 
 
@@ -539,3 +541,31 @@ def test_rig_cli_harness_error_in_round_exits_2(tmp_path, monkeypatch, capsys, e
     assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == 2
     assert str(exc) in capsys.readouterr().err
     assert rig.state()["phase"] == "failed"
+
+
+class SpanSymbolizer:
+    """Three functions, caller and next_fn abutting; records every address asked for."""
+
+    SPANS = (("caller", 0x1000, 0x1040), ("next_fn", 0x1040, 0x1080), ("callee", 0x2000, 0x2040))
+
+    def __init__(self):
+        self.asked: list[int] = []
+
+    def resolve_runtime(self, addr, regions):
+        self.asked.append(addr)
+        for name, start, end in self.SPANS:
+            if start <= addr < end:
+                return Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO)
+        return None
+
+
+def test_symbolize_trap_resolves_callers_at_return_address_minus_one():
+    # The call into the callee is the last instruction of `caller`, so the
+    # return address is the first byte of `next_fn`.
+    symbolizer = SpanSymbolizer()
+    event = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010,
+                      (0x1040, 0x1060), {}, Path("app"), ())
+    binary, static, callee, caller, callers_caller = pipeline._symbolize_trap(symbolizer, event)
+    assert (binary, static) == (Path("app"), 0x2010)
+    assert [callee.function, caller.function, callers_caller.function] == ["callee", "caller", "next_fn"]
+    assert symbolizer.asked == [0x2010, 0x103F, 0x105F]

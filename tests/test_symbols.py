@@ -5,14 +5,20 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfiheal import symbols
 from cfiheal.elf import ElfFile
 from cfiheal.symbols import (
     Confidence,
     FunctionSpan,
     ObjdumpBackend,
     ResolutionError,
+    SymbolInfo,
     Symbolizer,
+    _demangle_batch,
+    _fill_gaps,
     demangle,
     runtime_to_static,
 )
@@ -56,9 +62,7 @@ def test_function_span_contains():
     assert not span.contains(0x120)
 
 
-@needs_toolchain
-def test_boundaries_match_nm(sample_binaries):
-    binary = sample_binaries["dwarf4"]
+def _check_boundaries_match_nm(binary: Path) -> None:
     spans = {s.name: s for s in Symbolizer().function_boundaries(binary)}
     oracle = nm_functions(binary)
     for name in ("main", "alpha", "beta", "gamma_fn"):
@@ -66,17 +70,15 @@ def test_boundaries_match_nm(sample_binaries):
         assert spans[name].end > spans[name].start
 
 
-@needs_toolchain
-def test_boundaries_sorted_and_disjoint(sample_binaries):
-    spans = Symbolizer().function_boundaries(sample_binaries["dwarf4"])
+def _check_sorted_and_disjoint(binary: Path) -> None:
+    spans = Symbolizer().function_boundaries(binary)
+    assert spans
     for a, b in zip(spans, spans[1:]):
         assert a.start <= b.start
         assert a.end <= b.start or a.start == b.start
 
 
-@needs_toolchain
-def test_resolve_matches_addr2line(sample_binaries):
-    binary = sample_binaries["dwarf4"]
+def _check_resolve_matches_addr2line(binary: Path) -> None:
     symbolizer = Symbolizer()
     oracle_syms = nm_functions(binary)
     spans = {s.name: s for s in symbolizer.function_boundaries(binary)}
@@ -94,12 +96,9 @@ def test_resolve_matches_addr2line(sample_binaries):
     assert oracle_syms["main"] == spans["main"].start
 
 
-@needs_toolchain
-def test_resolve_without_debuginfo_falls_back_to_symtab(tmp_path, sample_binaries):
-    src = sample_binaries["source"]
-    binary = tmp_path / "nodebug"
+def _check_symtab_fallback(compiler: str, src: Path, binary: Path) -> None:
     subprocess.run(
-        ["clang", "-O0", "-fno-omit-frame-pointer", "-o", str(binary), str(src)],
+        [compiler, "-O0", "-fno-omit-frame-pointer", "-o", str(binary), str(src)],
         check=True,
         capture_output=True,
     )
@@ -109,6 +108,26 @@ def test_resolve_without_debuginfo_falls_back_to_symtab(tmp_path, sample_binarie
     assert info.function == "alpha"
     assert info.confidence is Confidence.SYMBOL_TABLE
     assert info.source_file is None
+
+
+@needs_toolchain
+def test_boundaries_match_nm(sample_binaries):
+    _check_boundaries_match_nm(sample_binaries["dwarf4"])
+
+
+@needs_toolchain
+def test_boundaries_sorted_and_disjoint(sample_binaries):
+    _check_sorted_and_disjoint(sample_binaries["dwarf4"])
+
+
+@needs_toolchain
+def test_resolve_matches_addr2line(sample_binaries):
+    _check_resolve_matches_addr2line(sample_binaries["dwarf4"])
+
+
+@needs_toolchain
+def test_resolve_without_debuginfo_falls_back_to_symtab(tmp_path, sample_binaries):
+    _check_symtab_fallback("clang", sample_binaries["source"], tmp_path / "nodebug")
 
 
 @needs_toolchain
@@ -197,3 +216,278 @@ def test_resolve_runtime_unmapped_returns_none(sample_binaries):
         MemoryRegion(start=0x1000, end=0x2000, perms="rw-p", offset=0, path=None),
     )
     assert Symbolizer().resolve_runtime(0x1800, regions) is None
+
+
+# gcc twins of the symbolizer tests above, plus C++ naming and view-build cost.
+
+
+def test_gcc_boundaries_match_nm(gcc_binaries):
+    _check_boundaries_match_nm(gcc_binaries["c"])
+
+
+def test_gcc_boundaries_sorted_and_disjoint(gcc_binaries):
+    _check_sorted_and_disjoint(gcc_binaries["c"])
+    _check_sorted_and_disjoint(gcc_binaries["cxx"])
+
+
+def test_gcc_resolve_matches_addr2line(gcc_binaries):
+    _check_resolve_matches_addr2line(gcc_binaries["c"])
+
+
+def test_gcc_resolve_without_debuginfo_falls_back_to_symtab(tmp_path, gcc_binaries):
+    _check_symtab_fallback("gcc", gcc_binaries["source"], tmp_path / "nodebug")
+
+
+def _gcc_sample_starts(gcc_binaries) -> dict[str, int]:
+    functions = nm_functions(gcc_binaries["c"])
+    return {name: functions[name] for name in ("main", "alpha", "beta", "gamma_fn")}
+
+
+# gcc's _start here opens with `xor %ebp,%ebp`, which the heuristic does not
+# take for a prologue, so the stripped probes are the sample's own functions,
+# placed by nm on the unstripped build.
+def test_gcc_resolve_stripped_uses_heuristic(gcc_binaries):
+    binary = gcc_binaries["stripped"]
+    symbolizer = Symbolizer()
+    for addr in _gcc_sample_starts(gcc_binaries).values():
+        for probe in (addr, addr + 4):
+            info = symbolizer.resolve(binary, probe)
+            assert info == SymbolInfo(f"fn_0x{addr:x}", None, None, Confidence.BOUNDARY_HEURISTIC)
+    starts = {s.start for s in symbolizer.function_boundaries(binary)}
+    assert set(_gcc_sample_starts(gcc_binaries).values()) <= starts
+
+
+def test_gcc_objdump_backend_finds_function_starts(gcc_binaries):
+    spans = ObjdumpBackend().function_candidates(gcc_binaries["stripped"])
+    assert all(s.source == "heuristic" for s in spans)
+    assert set(_gcc_sample_starts(gcc_binaries).values()) <= {s.start for s in spans}
+
+
+def test_gcc_resolve_miss_raises(gcc_binaries):
+    with pytest.raises(ResolutionError):
+        Symbolizer().resolve(gcc_binaries["c"], 0x2)
+
+
+def _symtab_functions(binary: Path) -> dict[int, str]:
+    """Mangled name of each sized function symbol, by address (first seen wins)."""
+    out: dict[int, str] = {}
+    for sym in ElfFile(binary).function_symbols():
+        if sym.size > 0:
+            out.setdefault(sym.value, sym.name)
+    return out
+
+
+@pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
+def test_gcc_cxx_span_names_match_per_name_cxxfilt(gcc_binaries):
+    binary = gcc_binaries["cxx"]
+    symbolizer = Symbolizer()
+    functions = _symtab_functions(binary)
+    assert sum(name.startswith("_Z") for name in functions.values()) >= 6
+    for addr, mangled in functions.items():
+        oracle = subprocess.run(
+            ["c++filt", mangled], check=True, capture_output=True, text=True
+        ).stdout.strip()
+        assert symbolizer.resolve(binary, addr).function == oracle
+    names = {s.name for s in symbolizer.function_boundaries(binary)}
+    assert {"geo::detail::scale(int)", "twice(int)", "geo::Square::area(int) const"} <= names
+
+
+def test_gcc_cxx_resolve_matches_addr2line(gcc_binaries):
+    binary = gcc_binaries["cxx"]
+    symbolizer = Symbolizer()
+    for span in symbolizer.function_boundaries(binary):
+        if "(" not in span.name or "~" in span.name:
+            continue  # C names are covered above; destructor aliases share a start
+        out = subprocess.run(
+            ["addr2line", "-C", "-f", "-e", str(binary), hex(span.start)],
+            check=True, capture_output=True, text=True,
+        ).stdout.splitlines()
+        info = symbolizer.resolve(binary, span.start)
+        assert info.function == out[0].strip() == span.name
+        assert info.confidence is Confidence.DEBUGINFO
+        location = out[1].split(" ")[0]
+        assert Path(info.source_file).name == "sample.cpp"
+        assert info.line == int(location.rpartition(":")[2])
+
+
+def test_demangle_batch_agrees_with_per_name_cxxfilt():
+    if shutil.which("c++filt") is None:
+        pytest.skip("requires c++filt")
+    names = [
+        "main", "_ZN3geo7measureERKNS_5ShapeEi", "_Z3foov.cold", "_Z3foov@GLIBC_2.2.5",
+        "_ZN3foo3barEv@@V1", "_Z3foo v", "_Zgarbage", "_Z", "engine_step.1", "_ZL5twicei",
+    ]
+    per_name = [demangle(name) for name in names]
+    assert _demangle_batch(names) == (per_name, None)
+    for name, got in zip(names, per_name):
+        oracle = subprocess.run(["c++filt", name], capture_output=True, text=True)
+        assert got == (oracle.stdout.strip() if name.startswith("_Z") else name)
+    assert per_name[2] == "foo() [clone .cold]"
+    assert per_name[3:6] == names[3:6]  # not one c++filt word: passed through
+
+
+class _RecordingRun:
+    """Wraps subprocess.run, counting the programs started; c++filt can be made to fail."""
+
+    def __init__(self, failure=None):
+        self.programs: list[str] = []
+        self.failure = failure
+        self.real = subprocess.run
+
+    def __call__(self, argv, *args, **kwargs):
+        self.programs.append(argv[0])
+        if argv[0] == "c++filt" and self.failure is not None:
+            if isinstance(self.failure, BaseException):
+                raise self.failure
+            return subprocess.CompletedProcess(argv, *self.failure)
+        return self.real(argv, *args, **kwargs)
+
+
+class _RaisingBackend:
+    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
+        raise AssertionError("a symtab hit must not disassemble")
+
+
+class _RecordingBackend:
+    def __init__(self):
+        self.calls: list[Path] = []
+
+    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
+        self.calls.append(binary)
+        return []
+
+
+def test_view_build_starts_at_most_one_cxxfilt(gcc_binaries, monkeypatch):
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    symbolizer = Symbolizer()
+    spans = symbolizer.function_boundaries(gcc_binaries["cxx"])
+    for span in spans:
+        symbolizer.resolve(gcc_binaries["cxx"], span.start)
+    assert run.programs.count("c++filt") == 1
+    assert run.programs.count("objdump") == 1
+    symbolizer.function_boundaries(gcc_binaries["c"])
+    assert run.programs.count("c++filt") == 1  # a C binary has nothing to demangle
+
+
+def test_symtab_hits_never_disassemble(gcc_binaries):
+    binary = gcc_binaries["cxx"]
+    symbolizer = Symbolizer(backend=_RaisingBackend())
+    for addr in _symtab_functions(binary):
+        info = symbolizer.resolve(binary, addr)
+        assert info.confidence is not Confidence.BOUNDARY_HEURISTIC
+
+
+def test_symtab_miss_disassembles_once(gcc_binaries):
+    backend = _RecordingBackend()
+    symbolizer = Symbolizer(backend=backend)
+    binary = gcc_binaries["c"]
+    symbolizer.resolve(binary, nm_functions(binary)["alpha"])
+    assert backend.calls == []
+    for _ in range(2):
+        with pytest.raises(ResolutionError):
+            symbolizer.resolve(binary, 0x2)
+    symbolizer.function_boundaries(binary)
+    assert backend.calls == [binary]
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        FileNotFoundError("c++filt"),
+        subprocess.TimeoutExpired("c++filt", 60),
+        (1, b"", b"c++filt: bad\n"),
+        (0, b"one line only\n", b""),
+    ],
+    ids=["missing", "timeout", "nonzero", "short"],
+)
+def test_failed_batch_leaves_names_mangled(gcc_binaries, monkeypatch, failure):
+    run = _RecordingRun(failure)
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    binary = gcc_binaries["cxx"]
+    symbolizer = Symbolizer(backend=_RecordingBackend())
+    functions = _symtab_functions(binary)
+    for addr, mangled in functions.items():
+        assert symbolizer.resolve(binary, addr).function == mangled
+    assert run.programs == ["c++filt"]
+    assert len(symbolizer.warnings) == 1
+    assert "c++filt" in symbolizer.warnings[0] and str(binary) in symbolizer.warnings[0]
+
+
+def test_rebuilt_binary_replaces_its_view(gcc_binaries, tmp_path):
+    binary = tmp_path / "app"
+    shutil.copy2(gcc_binaries["c"], binary)
+    symbolizer = Symbolizer(backend=_RecordingBackend())
+    alpha = nm_functions(binary)["alpha"]
+    assert symbolizer.resolve(binary, alpha).function == "alpha"
+    shutil.copy2(gcc_binaries["cxx"], binary)  # a different size: a new key
+    measure = nm_functions(binary)["_ZN3geo7measureERKNS_5ShapeEi"]
+    assert symbolizer.resolve(binary, measure).function.startswith("geo::measure(")
+    symbolizer.resolve(gcc_binaries["c"], alpha)
+    assert len(symbolizer._cache) == 2
+    assert symbolizer._view(binary).elf.path == binary
+
+
+def _fill_gaps_reference(symtab, heuristic):
+    """The quadratic gap fill the sweep replaced, kept as its oracle."""
+    if not symtab:
+        return sorted(heuristic, key=lambda s: s.start)
+    spans = list(symtab)
+    covered = [(s.start, s.end) for s in symtab]
+    for cand in heuristic:
+        start, end = cand.start, cand.end
+        for cov_start, cov_end in covered:
+            if start >= cov_end or end <= cov_start:
+                continue
+            if start < cov_start:
+                end = cov_start
+            else:
+                start = max(start, cov_end)
+            if end <= start:
+                break
+        if end > start and not any(cs <= start < ce for cs, ce in covered):
+            spans.append(FunctionSpan(f"fn_0x{start:x}", start, end, source="heuristic"))
+    spans.sort(key=lambda s: s.start)
+    trimmed = []
+    for span in spans:
+        if trimmed and span.start < trimmed[-1].end:
+            prev = trimmed[-1]
+            trimmed[-1] = FunctionSpan(prev.name, prev.start, span.start, prev.source)
+        trimmed.append(span)
+    return [s for s in trimmed if s.end > s.start]
+
+
+def _symtab_like(raw: list[tuple[int, int]]) -> list[FunctionSpan]:
+    """Sorted, disjoint spans the way the view builds them from symbols."""
+    by_start = dict(sorted(raw))
+    starts = sorted(by_start)
+    spans = []
+    for i, start in enumerate(starts):
+        end = start + by_start[start]
+        if i + 1 < len(starts):
+            end = min(end, starts[i + 1])
+        spans.append(FunctionSpan(f"f{start}", start, end))
+    return spans
+
+
+def _outcome(fill, symtab, heuristic):
+    try:
+        return fill(symtab, heuristic)
+    except ValueError:
+        return ValueError
+
+
+_INTERVALS = st.lists(st.tuples(st.integers(0, 80), st.integers(1, 12)), max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symtab=_INTERVALS, heuristic=_INTERVALS, disjoint=st.booleans())
+def test_gap_fill_sweep_equals_quadratic_loop(symtab, heuristic, disjoint):
+    spans = _symtab_like(symtab)
+    if disjoint:  # what ObjdumpBackend returns: each candidate ends where the next starts
+        starts = sorted({s for s, _ in heuristic})
+        ends = starts[1:] + [starts[-1] + 5] if starts else []
+        cands = [FunctionSpan(f"c{a}", a, b, source="heuristic") for a, b in zip(starts, ends)]
+    else:
+        cands = [FunctionSpan(f"c{s}", s, s + n, source="heuristic") for s, n in heuristic]
+    assert _outcome(_fill_gaps, spans, cands) == _outcome(_fill_gaps_reference, spans, cands)

@@ -305,3 +305,21 @@ def test_concurrent_monitors_keep_their_own_outcomes(tmp_path):
     assert outcomes["exit"].exit_status == 3
     assert outcomes["segv"].kind is OutcomeKind.SIGNALLED
     assert outcomes["segv"].term_signal == signal.SIGSEGV
+
+
+@needs_linux
+def test_monitor_exception_kills_the_tree(tmp_path, monkeypatch):
+    def broken_maps(pid):
+        raise RuntimeError("maps unreadable")
+
+    monkeypatch.setattr(tracing, "read_memory_maps", broken_maps)
+    cmd = (
+        "sleep 30 & echo $! > sleeper.pid.tmp; mv sleeper.pid.tmp sleeper.pid; "
+        "echo $$ > shell.pid.tmp; mv shell.pid.tmp shell.pid; kill -ILL $$"
+    )
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="maps unreadable"):
+        run_traced(cmd, timeout=10, cwd=tmp_path)
+    assert time.monotonic() - started < 10
+    for name in ("sleeper.pid", "shell.pid"):
+        assert _dead(int((tmp_path / name).read_text()))
