@@ -22,11 +22,17 @@ suffixes such as ".1" are kept verbatim; they can never match at compile
 time, which is precisely what justifies escalating past function rungs for
 renamed file-local functions.
 
-Violations deduplicate by (static fault address, binary): a second test
-tripping the same check merges into the existing violation. When two open
-violations resolve to the same pattern they share one entry and are
-re-tested together; outcome bookkeeping keeps a shared entry alive while any
-of its claimants still needs it.
+A violation is keyed by where its check is in the source: (binary,
+enforcement name of the fault function, DWARF file, line of the fault PC).
+An ignorelist entry shifts the code after it, so a check that traps again
+after a rebuild may do so at a new address; its function, file and line stay.
+Without a file and line the key falls back to (binary, static fault address).
+A second test tripping the same check merges into the existing violation,
+which keeps the first fault address it saw. Two checks on one source line of
+one function share a key, as two checks sharing one trap site share an
+address. When two open violations resolve to the same pattern they share
+one entry and are re-tested together; outcome bookkeeping keeps a shared
+entry alive while any of its claimants still needs it.
 """
 
 from __future__ import annotations
@@ -59,6 +65,16 @@ def enforcement_name(function: str) -> str:
         name = stripped
 
 
+ViolationKey = tuple[str | int, ...]
+
+
+def violation_key(binary: Path, static_fault_pc: int, callee: SymbolInfo | None) -> ViolationKey:
+    """A trap's violation identity: its check's source site, else its fault address."""
+    if callee is not None and callee.source_file is not None and callee.line is not None:
+        return (str(binary), enforcement_name(callee.function), callee.source_file, callee.line)
+    return (str(binary), static_fault_pc)
+
+
 class ViolationStatus(Enum):
     OPEN = "Open"
     FIXED = "Fixed"
@@ -84,8 +100,8 @@ class Violation:
     skipped_levels: list[tuple[LadderLevel, str]] = field(default_factory=list)
 
     @property
-    def key(self) -> tuple[str, int]:
-        return (str(self.binary), self.static_fault_pc)
+    def key(self) -> ViolationKey:
+        return violation_key(self.binary, self.static_fault_pc, self.callee)
 
     @property
     def test_id(self) -> str:
@@ -111,8 +127,8 @@ class EscalationEngine:
     def __init__(self, store: IgnorelistStore, project_root: Path):
         self.store = store
         self.project_root = project_root
-        self.violations: dict[tuple[str, int], Violation] = {}
-        self._pending: dict[tuple[str, int], tuple[str, str]] = {}
+        self.violations: dict[ViolationKey, Violation] = {}
+        self._pending: dict[ViolationKey, tuple[str, str]] = {}
 
     def all_violations(self) -> list[Violation]:
         return list(self.violations.values())
@@ -131,7 +147,7 @@ class EscalationEngine:
         test_id: str,
     ) -> tuple[Violation, bool]:
         """Register a trap; returns (violation, is_new). Duplicates merge."""
-        key = (str(binary), static_fault_pc)
+        key = violation_key(binary, static_fault_pc, callee)
         existing = self.violations.get(key)
         if existing is not None:
             if test_id not in existing.test_ids:

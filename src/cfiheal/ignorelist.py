@@ -161,6 +161,9 @@ class IgnorelistStore:
             key=lambda e: (e.kind.value, e.pattern),
         )
 
+    def render(self) -> str:
+        return render(self.entries.values())
+
     def write(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(render(self.entries.values()))
+        self.path.write_text(self.render())

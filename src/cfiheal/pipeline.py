@@ -25,7 +25,8 @@ from typing import Iterable, Iterator
 
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
-from .escalation import EscalationEngine, Violation, ViolationStatus, enforcement_name
+from .escalation import EscalationEngine, Violation, ViolationKey, ViolationStatus
+from .escalation import enforcement_name, violation_key
 from .harness import (
     FailureClass,
     HarnessError,
@@ -107,6 +108,8 @@ class _Run:
     baseline: dict[str, TestResult]
     engine: EscalationEngine
     ledger: RepairLedger
+    # The rendered ignorelist the last instrumented build was made with.
+    built_list: str | None = None
 
 
 def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
@@ -184,9 +187,7 @@ def _function_records(
             for s in elf.dynamic_symbols()
             if s.name and s.is_func and s.shndx != 0 and s.visibility == "default"
         }
-        for span in symbolizer.function_boundaries(exe):
-            if span.source != "symtab":
-                continue
+        for span in symbolizer._symtab_spans(exe):
             name = enforcement_name(span.name)
             try:
                 file = symbolizer.resolve(exe, span.start).source_file
@@ -249,6 +250,7 @@ def _baseline(cfg: ProjectConfig) -> dict[str, TestResult]:
 def _cfi_build(run: _Run, phase: str) -> BuildOutcome:
     """An instrumented build, repaired until it stands; phase is repair's "build" or "test"."""
     mode = BuildMode.cfi(run.cfg.cfi_variants, run.engine.store.path)
+    run.built_list = run.engine.store.render()
     build, _ = repair_until_buildable(
         run.cfg, mode, run.ledger, phase=phase, start_iteration=run.ledger.build_attempts + 1
     )
@@ -261,7 +263,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     """Add each open violation's next rung, rebuild, and re-run the tests that saw it.
 
     Returns the rebuild, or None when no open violation had a rung left. A
-    trap at a known fault key only counts as a recurrence: merging the test
+    trap of a known violation only counts as a recurrence: merging the test
     into that violation would widen the set of tests its next round re-runs.
     """
     engine = run.engine
@@ -276,9 +278,9 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     if missing:
         raise PipelineFailure(f"tests disappeared from enumeration during healing: {missing}")
     rerun = [run_case(run.cfg, cases[tid]) for tid in affected]
-    recurred: set[tuple[str, int]] = set()
+    recurred: set[ViolationKey] = set()
     for test_id, trap, fault in _traps(run, rerun):
-        key = (str(fault[0]), fault[1])
+        key = violation_key(*fault[:3])
         recurred.add(key)
         if key not in engine.violations:
             engine.observe(trap, *fault, test_id)
@@ -400,6 +402,9 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
                         ignorelist=[e.line for e in store.active_entries()],
                     )
                 store.write()
+                # The last round may have retired entries after its rebuild.
+                if store.render() != run.built_list:
+                    cfi_build = _cfi_build(run, "test")
                 final_results = run_suite(cfg, cfi_build)
                 if not _confirm(run, final_results) or rounds >= cfg.max_repair_iterations:
                     break

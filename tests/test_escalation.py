@@ -8,6 +8,7 @@ from cfiheal.escalation import (
     EscalationEngine,
     ViolationStatus,
     enforcement_name,
+    violation_key,
 )
 from cfiheal.ignorelist import EntryKind, IgnorelistStore, LadderLevel, render
 from cfiheal.symbols import Confidence, SymbolInfo
@@ -87,6 +88,30 @@ def test_observe_distinguishes_binaries(engine):
     v2, _ = observe(engine, pc=0x1000, callee=info("f"), binary=Path("helper"))
     assert v1 is not v2
     assert engine.counts()["total"] == 2
+
+
+def test_observe_keys_by_check_site_across_moved_addresses(engine):
+    # A rebuild moved the check: same function, file and line, new address.
+    v1, _ = observe(engine, pc=0x1000, callee=info("f.cfi", "a.c", 7), test_id="t1")
+    v2, new = observe(engine, pc=0x1010, callee=info("f", "a.c", 7), test_id="t2")
+    assert v2 is v1 and not new
+    assert v1.static_fault_pc == 0x1000
+    assert v1.key == violation_key(Path("app"), 0x1010, info("f", "a.c", 7))
+    # Another line, function or binary is another check.
+    for pc, callee, binary in ((0x1020, info("f", "a.c", 8), "app"),
+                               (0x1030, info("g", "a.c", 7), "app"),
+                               (0x1000, info("f", "a.c", 7), "helper")):
+        _, new = observe(engine, pc=pc, callee=callee, binary=Path(binary))
+        assert new
+    assert engine.counts()["total"] == 4
+
+
+@pytest.mark.parametrize("callee", [None, info("f"), info("f", "a.c")])
+def test_observe_without_a_line_keys_by_address(engine, callee):
+    v1, _ = observe(engine, pc=0x1000, callee=callee)
+    v2, new = observe(engine, pc=0x1010, callee=callee)
+    assert new and v2 is not v1
+    assert v1.key == (str(Path("app")), 0x1000)
 
 
 def test_full_ladder_sequence(engine, tmp_path):

@@ -15,7 +15,7 @@ from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
 from cfiheal.ignorelist import LadderLevel
 from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
 from cfiheal.repair import RepairLedger
-from cfiheal.symbols import Confidence, SymbolInfo
+from cfiheal.symbols import Confidence, SymbolInfo, Symbolizer
 from cfiheal.tracing import OutcomeKind, TraceError, TraceOutcome, TrapEvent, TrapSignal
 
 from conftest import copy_fixture, make_config, needs_toolchain
@@ -268,7 +268,10 @@ SYMBOLS = {
     0x3210: ("x", "x.c"),
     0x4010: ("q", "q.c"),
     0x5010: ("b", "b.c"),
+    0x6010: ("m", "m.c"),
 }
+# The DWARF line of the check in each function that has one.
+LINES = {"m": 7}
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,12 @@ class ScriptedTrap:
     returns: tuple[int, ...] = ()
     suppressed_by: frozenset[str] = frozenset()
     only_with: frozenset[str] = frozenset()
+    # Bytes the trap moves per entry of the built list: entries shift the code.
+    drift: int = 0
 
 
-def trap(pc, returns=(), suppressed_by=(), only_with=()):
-    return ScriptedTrap(pc, tuple(returns), frozenset(suppressed_by), frozenset(only_with))
+def trap(pc, returns=(), suppressed_by=(), only_with=(), drift=0):
+    return ScriptedTrap(pc, tuple(returns), frozenset(suppressed_by), frozenset(only_with), drift)
 
 
 # L0: fixed by the callee. L3: neither function rung helps and there is no
@@ -300,7 +305,8 @@ class FakeSymbolizer:
 
     def resolve_runtime(self, addr, regions):
         function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
-        return Path("app"), addr, SymbolInfo(function, source, None, Confidence.DEBUGINFO)
+        return Path("app"), addr, SymbolInfo(function, source, LINES.get(function),
+                                             Confidence.DEBUGINFO)
 
 
 def raising(exc):
@@ -346,7 +352,8 @@ class Rig:
             return TestResult(test_id, TraceOutcome(OutcomeKind.EXITED, exit_status=status))
         for step in self.script[test_id]:
             if step.only_with <= self.built and not step.suppressed_by & self.built:
-                event = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, step.pc, step.pc,
+                pc = step.pc + step.drift * len(self.built)
+                event = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, pc, pc,
                                   step.returns, {}, Path("app"), ())
                 return TestResult(test_id, TraceOutcome(OutcomeKind.TRAPPED, trap=event))
         return TestResult(test_id, TraceOutcome(OutcomeKind.EXITED, exit_status=0))
@@ -398,10 +405,13 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
          (LadderLevel.CALLER_SOURCE, "src:w.c")],
     ]
     assert (rig.reports / "cfi.ignorelist").read_text() == "fun:f\nsrc:lib/g.c\n"
-    # One instrumented build, then one rebuild per escalation round.
-    assert result.ledger.build_attempts == 6
-    assert rig.calls == Counter(run_build=1, repair_until_buildable=6, enumerate_tests=5,
+    # One instrumented build, one rebuild per escalation round, and one more
+    # because the last round retired src:w.c after its rebuild: the
+    # confirmation suite runs on a build of the final list.
+    assert result.ledger.build_attempts == 7
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=7, enumerate_tests=5,
                                 run_case=9, run_suite=3)
+    assert rig.built == {"fun:f", "src:lib/g.c"}
     assert (result.unresolvable, result.open_violations) == (1, 0)
     assert result.diff.per_test["t_unres"] is FailureClass.CFI_POLICY_VIOLATION
     assert result.diff.per_test["t_basefail"] is FailureClass.BASELINE_FAILURE
@@ -490,6 +500,23 @@ def test_rig_confirmation_reopen_releases_the_ineffective_entry(tmp_path, monkey
     assert result.report["ignorelist"] == ["fun:g", "fun:main"]
 
 
+def test_rig_check_that_moves_keeps_its_violation(tmp_path, monkeypatch):
+    # Each built entry moves m's check 4 bytes; its function, file and line
+    # stay. Only fun:main, the caller's rung, suppresses it.
+    script = {"t_m": [trap(0x6010, [0x1110], ["fun:main"], drift=4)]}
+    rig = Rig(tmp_path, monkeypatch, script)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    # fun:m moved the check to 0x6014, where it trapped again: one violation,
+    # climbing past fun:m, which does nothing and leaves the list.
+    assert violation_rows(result) == [("V1", "Fixed", "L1", "L1", ("t_m",))]
+    assert result.violations[0].attempted == [
+        (LadderLevel.CALLEE_FUNCTION, "fun:m"), (LadderLevel.CALLER_FUNCTION, "fun:main"),
+    ]
+    assert result.report["ignorelist"] == ["fun:main"]
+    assert result.report["violations"]["details"][0]["fault_pc"] == "0x6010"
+    assert result.ledger.build_attempts == 3
+
+
 def test_rig_locked_project_leaves_the_running_state_alone(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
     rig.reports.mkdir()
@@ -569,3 +596,32 @@ def test_symbolize_trap_resolves_callers_at_return_address_minus_one():
     assert (binary, static) == (Path("app"), 0x2010)
     assert [callee.function, caller.function, callers_caller.function] == ["callee", "caller", "next_fn"]
     assert symbolizer.asked == [0x2010, 0x103F, 0x105F]
+
+
+class _NoDisassembly:
+    def function_candidates(self, binary):
+        raise AssertionError("the account phase must not disassemble")
+
+
+class _BoundariesSymbolizer(Symbolizer):
+    """The account phase's former span source: every boundary, symtab spans kept."""
+
+    def _symtab_spans(self, binary):
+        return [s for s in self.function_boundaries(binary) if s.source == "symtab"]
+
+
+def test_function_records_never_disassemble(gcc_binaries):
+    exes = (gcc_binaries["c"], gcc_binaries["cxx"])
+    root = exes[0].parent
+    cfg = make_config(root, root / "reports", executables=tuple(e.name for e in exes))
+    per_function = {"alpha": ircensus.IrSiteCensus(fp_calls=2)}
+    records = pipeline._function_records(
+        cfg, Symbolizer(backend=_NoDisassembly()), per_function, RepairLedger()
+    )
+    assert records == pipeline._function_records(
+        cfg, _BoundariesSymbolizer(), per_function, RepairLedger()
+    )
+    by_name = {r.name: r for r in records}
+    assert {"alpha", "beta", "gamma_fn", "main", "twice(int)"} <= set(by_name)
+    assert by_name["alpha"].call_sites == 2
+    assert Path(by_name["alpha"].file).name == "sample.c"

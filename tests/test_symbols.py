@@ -243,9 +243,8 @@ def _gcc_sample_starts(gcc_binaries) -> dict[str, int]:
     return {name: functions[name] for name in ("main", "alpha", "beta", "gamma_fn")}
 
 
-# gcc's _start here opens with `xor %ebp,%ebp`, which the heuristic does not
-# take for a prologue, so the stripped probes are the sample's own functions,
-# placed by nm on the unstripped build.
+# The stripped probes are the sample's own functions, placed by nm on the
+# unstripped build.
 def test_gcc_resolve_stripped_uses_heuristic(gcc_binaries):
     binary = gcc_binaries["stripped"]
     symbolizer = Symbolizer()
@@ -261,6 +260,55 @@ def test_gcc_objdump_backend_finds_function_starts(gcc_binaries):
     spans = ObjdumpBackend().function_candidates(gcc_binaries["stripped"])
     assert all(s.source == "heuristic" for s in spans)
     assert set(_gcc_sample_starts(gcc_binaries).values()) <= {s.start for s in spans}
+
+
+def test_gcc_resolve_stripped_entry_point(gcc_binaries):
+    # gcc's _start opens with `xor %ebp,%ebp`, no listed prologue.
+    binary = gcc_binaries["stripped"]
+    entry = ElfFile(binary).e_entry
+    info = Symbolizer().resolve(binary, entry)
+    assert info == SymbolInfo(f"fn_0x{entry:x}", None, None, Confidence.BOUNDARY_HEURISTIC)
+
+
+FAKE_OBJDUMP = """\
+#!/bin/sh
+cat <<'OUT'
+
+app:     file format elf64-x86-64
+architecture: i386:x86-64, flags 0x00000150:
+start address 0x0000000000001000
+
+
+Disassembly of section .plt:
+
+0000000000000f00 <.plt>:
+     f00:\tff 25 fa 2f 00 00    \tjmp    *0x2ffa(%rip)
+
+Disassembly of section .text:
+
+0000000000001000 <.text>:
+    1000:\t31 ed                \txor    %ebp,%ebp
+    1002:\te8 09 00 00 00       \tcall   1010 <.text+0x10>
+    1007:\te8 f4 fe ff ff       \tcall   f00 <.plt>
+    100c:\tf4                   \thlt
+    100d:\t0f 1f 00             \tnopl   (%rax)
+    1010:\t48 8d 05 00 00 00 00 \tlea    0x0(%rip),%rax
+    1017:\tc3                   \tret
+    1018:\t55                   \tpush   %rbp
+    1019:\tc3                   \tret
+OUT
+"""
+
+
+def test_objdump_backend_starts_at_entry_and_call_targets(tmp_path):
+    objdump = tmp_path / "objdump"
+    objdump.write_text(FAKE_OBJDUMP)
+    objdump.chmod(0o755)
+    spans = ObjdumpBackend(str(objdump)).function_candidates(tmp_path / "app")
+    # The entry point and the callee open with no listed prologue; the call
+    # into .plt is outside .text.
+    assert [(s.start, s.end) for s in spans] == [(0x1000, 0x1010), (0x1010, 0x1018),
+                                                 (0x1018, 0x101A)]
 
 
 def test_gcc_resolve_miss_raises(gcc_binaries):
