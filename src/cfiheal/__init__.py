@@ -42,7 +42,6 @@ from .ignorelist import (
     IgnorelistEntry,
     IgnorelistStore,
     LadderLevel,
-    merge,
     parse,
     render,
 )

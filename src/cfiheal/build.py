@@ -241,13 +241,13 @@ def parse_diagnostics(raw_log: str) -> list[Diagnostic]:
 
 
 class ProjectLock:
-    """Advisory per-project lock; reentrant within a process, flock across.
+    """Advisory per-project flock, taken once by each entry point.
 
-    Build and source mutation share one lock so that at most one pipeline
-    works on a project directory at a time.
+    heal(), the build command and revert_patches() hold it for their whole
+    run, so that at most one pipeline builds or patches a project at a time.
+    flock conflicts across open files, so a nested acquisition fails in the
+    same process as it does in another.
     """
-
-    _held: dict[Path, int] = {}
 
     def __init__(self, report_dir: Path):
         self.lock_path = report_dir / ".cfiheal.lock"
@@ -255,27 +255,19 @@ class ProjectLock:
 
     def __enter__(self) -> "ProjectLock":
         self.lock_path.parent.mkdir(parents=True, exist_ok=True)
-        key = self.lock_path.resolve()
-        self._key = key
-        if ProjectLock._held.get(key, 0) > 0:
-            ProjectLock._held[key] += 1
-            return self
-        fd = os.open(key, os.O_CREAT | os.O_RDWR, 0o644)
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
             os.close(fd)
-            raise OrchestrationError(f"project is locked by another pipeline: {key}") from exc
+            raise OrchestrationError(
+                f"project is locked by another pipeline: {self.lock_path.resolve()}"
+            ) from exc
         self._fd = fd
-        ProjectLock._held[key] = 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        ProjectLock._held[self._key] -= 1
-        if ProjectLock._held[self._key] == 0 and self._fd is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
+        os.close(self._fd)  # closing the descriptor releases the flock
 
 
 def _run_step(cmd: str, cwd: Path, env: dict[str, str], sink: list[bytes], used: int) -> tuple[int, int]:
@@ -308,14 +300,8 @@ def _run_step(cmd: str, cwd: Path, env: dict[str, str], sink: list[bytes], used:
     return proc.wait(), used
 
 
-def run_build(
-    cfg: ProjectConfig,
-    mode: BuildMode,
-    *,
-    iteration: int = 1,
-    run_configure: bool = True,
-) -> BuildOutcome:
-    """Full rebuild in the given mode: clean, (configure), build.
+def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> BuildOutcome:
+    """Full rebuild in the given mode: clean, configure, build.
 
     Flags reach the project through conventional environment variables
     (CC/CXX pinned to clang/clang++, CFLAGS/CXXFLAGS/LDFLAGS carrying the
@@ -323,7 +309,8 @@ def run_build(
     build_cmd when present. The interleaved stdout+stderr log is preserved
     verbatim at <report_dir>/build-<mode>-<iteration>.log, capped at 64 MiB
     with an explicit truncation marker. Success additionally requires every
-    configured executable to exist under the project root.
+    configured executable to exist under the project root. The caller holds
+    the ProjectLock.
     """
     if mode.kind is BuildKind.CFI:
         assert mode.ignorelist_path is not None
@@ -355,20 +342,15 @@ def run_build(
     sink: list[bytes] = []
     used = 0
     started = time.monotonic()
-    with ProjectLock(cfg.report_dir):
-        rc = 0
-        steps: list[str] = []
-        if cfg.clean_cmd:
-            steps.append(cfg.clean_cmd)
-        if cfg.configure_cmd and run_configure:
-            steps.append(cfg.configure_cmd)
-        steps.append(build_cmd)
-        for step in steps:
-            sink.append(f"$ {step}\n".encode())
-            used += len(sink[-1])
-            rc, used = _run_step(step, cfg.project_root, env, sink, used)
-            if rc != 0:
-                break
+    rc = 0
+    for step in (cfg.clean_cmd, cfg.configure_cmd, build_cmd):
+        if not step:
+            continue
+        sink.append(f"$ {step}\n".encode())
+        used += len(sink[-1])
+        rc, used = _run_step(step, cfg.project_root, env, sink, used)
+        if rc != 0:
+            break
     wall_time = time.monotonic() - started
 
     raw_log = b"".join(sink).decode("utf-8", errors="replace")

@@ -30,15 +30,20 @@ Without a file and line the key falls back to (binary, static fault address).
 A second test tripping the same check merges into the existing violation,
 which keeps the first fault address it saw. Two checks on one source line of
 one function share a key, as two checks sharing one trap site share an
-address. When two open violations resolve to the same pattern they share
-one entry and are re-tested together; outcome bookkeeping keeps a shared
-entry alive while any of its claimants still needs it.
+address.
+
+The ignorelist is derived, never edited. A violation's claim is the rung it
+holds: its current rung once tried, while Open or Fixed; an Unresolvable
+violation holds none. After every state change the engine sets the store's
+entries to the claims, each naming the violations that hold it, so an entry
+that no violation holds any more leaves the list, and one that two
+violations hold stays while either does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -95,13 +100,24 @@ class Violation:
     test_ids: tuple[str, ...]
     ladder_level: LadderLevel = LadderLevel.CALLEE_FUNCTION
     status: ViolationStatus = ViolationStatus.OPEN
-    fixed_level: LadderLevel | None = None
     attempted: list[tuple[LadderLevel, str]] = field(default_factory=list)
     skipped_levels: list[tuple[LadderLevel, str]] = field(default_factory=list)
 
     @property
     def key(self) -> ViolationKey:
         return violation_key(self.binary, self.static_fault_pc, self.callee)
+
+    @property
+    def fixed_level(self) -> LadderLevel | None:
+        return self.ladder_level if self.status is ViolationStatus.FIXED else None
+
+    @property
+    def claim(self) -> tuple[LadderLevel, str] | None:
+        """(rung, ignorelist line) this violation holds: its current rung once tried."""
+        if self.status is ViolationStatus.UNRESOLVABLE or not self.attempted:
+            return None
+        level, line = self.attempted[-1]
+        return (level, line) if level == self.ladder_level else None
 
     @property
     def test_id(self) -> str:
@@ -122,13 +138,12 @@ def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
 
 
 class EscalationEngine:
-    """Owns all violations of a run and their shared ignorelist store."""
+    """Owns all violations of a run; the store's entries are their claims."""
 
     def __init__(self, store: IgnorelistStore, project_root: Path):
         self.store = store
         self.project_root = project_root
         self.violations: dict[ViolationKey, Violation] = {}
-        self._pending: dict[ViolationKey, tuple[str, str]] = {}
 
     def all_violations(self) -> list[Violation]:
         return list(self.violations.values())
@@ -166,7 +181,7 @@ class EscalationEngine:
         self.violations[key] = violation
         return violation, True
 
-    def _claim(self, violation: Violation, level: LadderLevel) -> tuple[str, str | None]:
+    def _scope(self, violation: Violation, level: LadderLevel) -> tuple[str, str | None]:
         """(entry kind, pattern) the violation asks for at a rung; pattern None if unknown."""
         if level in FUN_LEVELS:
             # Function rungs 0..2 name the fault frame and its two callers, in order.
@@ -175,80 +190,63 @@ class EscalationEngine:
         info = violation.callee if level is LadderLevel.CALLEE_SOURCE else violation.caller
         return EntryKind.SRC.value, _relative_file(info, self.project_root)
 
+    def _derive_entries(self) -> None:
+        """Set the store's entries to the claims, each naming the violations that hold it."""
+        entries: dict[tuple[str, str], IgnorelistEntry] = {}
+        for violation in self.violations.values():
+            if violation.claim is None:
+                continue
+            level, line = violation.claim
+            kind_value, pattern = line.split(":", 1)
+            held = entries.get((kind_value, pattern))
+            entries[kind_value, pattern] = (
+                replace(held, origin_violations=held.origin_violations + (violation.id,))
+                if held is not None
+                else IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,), level)
+            )
+        self.store.entries = entries
+
     def next_scope(self, violation: Violation) -> IgnorelistEntry | None:
         """Advance to the next available rung; None finalizes Unresolvable."""
         if violation.status is not ViolationStatus.OPEN:
             return None
         level = violation.ladder_level
         while level < LadderLevel.UNRESOLVABLE:
-            kind_value, pattern = self._claim(violation, level)
+            kind_value, pattern = self._scope(violation, level)
             if pattern is None:
                 violation.skipped_levels.append((level, "identity unavailable"))
                 level = LadderLevel(level + 1)
                 continue
             violation.ladder_level = level
             violation.attempted.append((level, f"{kind_value}:{pattern}"))
-            entry = self.store.add(
-                IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,), level)
-            )
-            self._pending[violation.key] = (kind_value, pattern)
-            return entry
+            self._derive_entries()
+            return self.store.entries[kind_value, pattern]
         violation.ladder_level = LadderLevel.UNRESOLVABLE
         violation.status = ViolationStatus.UNRESOLVABLE
-        self._retire_claims(violation)
-        self._pending.pop(violation.key, None)
+        self._derive_entries()
         return None
 
     def record_outcome(self, violation: Violation, trap_recurred: bool) -> Violation:
         """Apply a re-test result to the violation's current rung."""
-        pending = self._pending.pop(violation.key, None)
         if not trap_recurred:
             violation.status = ViolationStatus.FIXED
-            violation.fixed_level = violation.ladder_level
-            return violation
-        if pending is not None:
-            self._release(*pending)
-        if violation.ladder_level < LadderLevel.UNRESOLVABLE:
+        elif violation.ladder_level < LadderLevel.CALLER_SOURCE:
             violation.ladder_level = LadderLevel(violation.ladder_level + 1)
-        if violation.ladder_level is LadderLevel.UNRESOLVABLE:
+        else:
+            violation.ladder_level = LadderLevel.UNRESOLVABLE
             violation.status = ViolationStatus.UNRESOLVABLE
-            self._retire_claims(violation)
+        self._derive_entries()
         return violation
 
     def reopen(self, violation: Violation) -> bool:
-        """A Fixed violation trapped again: release its entry and climb one rung.
+        """A Fixed violation trapped again: it is Open again and climbs one rung.
 
         Returns True if the violation is open again, False if the climb made
         it Unresolvable.
         """
-        claim = self._claim(violation, violation.fixed_level)
         violation.status = ViolationStatus.OPEN
-        violation.fixed_level = None
-        self._release(*claim)
         self.record_outcome(violation, trap_recurred=True)
         return violation.status is ViolationStatus.OPEN
-
-    def _claimants(self, kind_value: str, pattern: str) -> list[Violation]:
-        """Violations that still need an entry: fixed at it, or pending on it."""
-        holders: list[Violation] = []
-        for other in self.all_violations():
-            if other.status is ViolationStatus.FIXED and other.fixed_level is not None:
-                if self._claim(other, other.fixed_level) == (kind_value, pattern):
-                    holders.append(other)
-                    continue
-            if self._pending.get(other.key) == (kind_value, pattern):
-                holders.append(other)
-        return holders
-
-    def _release(self, kind_value: str, pattern: str) -> None:
-        """Retire an entry unless some violation still claims it."""
-        if not self._claimants(kind_value, pattern):
-            self.store.retire(EntryKind(kind_value), pattern)
-
-    def _retire_claims(self, violation: Violation) -> None:
-        """Drop every entry this violation motivated that nobody else needs."""
-        for _, line in violation.attempted:
-            self._release(*line.split(":", 1))
 
     def counts(self) -> dict[str, int]:
         total = len(self.violations)

@@ -3,13 +3,15 @@
 Entry kinds map one-to-one onto ladder rung families: ``fun:`` entries come
 from function-granular rungs (0..2), ``src:`` entries from file-granular
 rungs (3..4). The rendered file is the exact text handed to the compiler via
--fsanitize-ignorelist=, so rendering is deterministic: active entries only,
-sorted by kind then pattern, one entry per line, no comments.
+-fsanitize-ignorelist=, so rendering is deterministic: sorted by kind then
+pattern, one entry per line, no duplicates, no comments. Nothing edits the
+store's entries in place: the escalation engine sets them from the rungs its
+violations hold, so every entry in the store is live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable
@@ -43,13 +45,12 @@ class EntryKind(Enum):
 
 @dataclass(frozen=True)
 class IgnorelistEntry:
-    """One suppression line plus the violations that motivated it."""
+    """One suppression line plus the violations that hold it."""
 
     kind: EntryKind
     pattern: str
     origin_violations: tuple[str, ...] = ()
     level: LadderLevel = LadderLevel.CALLEE_FUNCTION
-    active: bool = True
 
     def __post_init__(self) -> None:
         if not self.pattern or self.pattern != self.pattern.strip():
@@ -70,15 +71,8 @@ class IgnorelistEntry:
 
 
 def render(entries: Iterable[IgnorelistEntry]) -> str:
-    """Render active entries in deterministic order (fun: block, then src:)."""
-    active = [e for e in entries if e.active]
-    seen: dict[tuple[str, str], IgnorelistEntry] = {}
-    for entry in active:
-        seen.setdefault(entry.key, entry)
-    lines = [e.line for e in sorted(seen.values(), key=lambda e: (e.kind.value, e.pattern))]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    """Render entries in deterministic order (fun: block, then src:), each line once."""
+    return "".join(line + "\n" for line in sorted({e.line for e in entries}))
 
 
 def parse(text: str) -> list[IgnorelistEntry]:
@@ -108,62 +102,26 @@ def parse(text: str) -> list[IgnorelistEntry]:
     return entries
 
 
-def merge(
-    existing: Iterable[IgnorelistEntry], new: Iterable[IgnorelistEntry]
-) -> list[IgnorelistEntry]:
-    """Union by (kind, pattern); origins accumulate, an active side wins."""
-    merged: dict[tuple[str, str], IgnorelistEntry] = {}
-    for entry in list(existing) + list(new):
-        cur = merged.get(entry.key)
-        if cur is None:
-            merged[entry.key] = entry
-            continue
-        origins = cur.origin_violations + tuple(
-            v for v in entry.origin_violations if v not in cur.origin_violations
-        )
-        merged[entry.key] = replace(cur, origin_violations=origins, active=cur.active or entry.active)
-    return sorted(merged.values(), key=lambda e: (e.kind.value, e.pattern))
-
-
 @dataclass
 class IgnorelistStore:
     """The live entry set plus its on-disk mirror.
 
-    The file must reflect the active set before any instrumented build; the
-    pipeline calls write() after every mutation and before every rebuild.
+    EscalationEngine sets entries after every change of its violations;
+    write() is called before every instrumented build.
     """
 
     path: Path
     entries: dict[tuple[str, str], IgnorelistEntry] = field(default_factory=dict)
 
-    def add(self, entry: IgnorelistEntry) -> IgnorelistEntry:
-        cur = self.entries.get(entry.key)
-        if cur is not None:
-            origins = cur.origin_violations + tuple(
-                v for v in entry.origin_violations if v not in cur.origin_violations
-            )
-            entry = replace(cur, origin_violations=origins, active=True, level=entry.level)
-        self.entries[entry.key] = entry
-        return entry
-
-    def retire(self, kind: EntryKind, pattern: str) -> None:
-        key = (kind.value, pattern)
-        cur = self.entries.get(key)
-        if cur is not None:
-            self.entries[key] = replace(cur, active=False)
-
-    def get(self, kind: EntryKind, pattern: str) -> IgnorelistEntry | None:
-        return self.entries.get((kind.value, pattern))
-
     def active_entries(self) -> list[IgnorelistEntry]:
-        return sorted(
-            (e for e in self.entries.values() if e.active),
-            key=lambda e: (e.kind.value, e.pattern),
-        )
+        return sorted(self.entries.values(), key=lambda e: e.line)
 
     def render(self) -> str:
         return render(self.entries.values())
 
-    def write(self) -> None:
+    def write(self) -> str:
+        """Write the rendered list to path; returns the text written."""
+        text = self.render()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(self.render())
+        self.path.write_text(text)
+        return text

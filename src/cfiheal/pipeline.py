@@ -222,9 +222,7 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
                 "file": file,
                 "line": callee.line if callee else None,
                 "status": violation.status.value,
-                "level": violation.ladder_level.short
-                if violation.fixed_level is None
-                else violation.fixed_level.short,
+                "level": violation.ladder_level.short,
                 "tests": list(violation.test_ids),
                 "attempted": [line for _, line in violation.attempted],
             }
@@ -250,7 +248,7 @@ def _baseline(cfg: ProjectConfig) -> dict[str, TestResult]:
 def _cfi_build(run: _Run, phase: str) -> BuildOutcome:
     """An instrumented build, repaired until it stands; phase is repair's "build" or "test"."""
     mode = BuildMode.cfi(run.cfg.cfi_variants, run.engine.store.path)
-    run.built_list = run.engine.store.render()
+    run.built_list = run.engine.store.write()
     build, _ = repair_until_buildable(
         run.cfg, mode, run.ledger, phase=phase, start_iteration=run.ledger.build_attempts + 1
     )
@@ -270,7 +268,6 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     pending = [v for v in engine.open_violations() if engine.next_scope(v) is not None]
     if not pending:
         return None
-    engine.store.write()
     build = _cfi_build(run, "test")
     affected = sorted({tid for v in pending for tid in v.test_ids})
     cases = {c.test_id: c for c in enumerate_tests(run.cfg)}
@@ -286,7 +283,6 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
             engine.observe(trap, *fault, test_id)
     for violation in pending:
         engine.record_outcome(violation, violation.key in recurred)
-    engine.store.write()
     return build
 
 
@@ -380,7 +376,6 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
         try:
             baseline = _baseline(cfg)
             store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
-            store.write()
             engine = EscalationEngine(store, cfg.project_root)
             run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
             cfi_build = _cfi_build(run, "build")
@@ -401,8 +396,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
                         violations=engine.counts(),
                         ignorelist=[e.line for e in store.active_entries()],
                     )
-                store.write()
-                # The last round may have retired entries after its rebuild.
+                # The last round may have dropped entries after its rebuild.
                 if store.render() != run.built_list:
                     cfi_build = _cfi_build(run, "test")
                 final_results = run_suite(cfg, cfi_build)
@@ -494,7 +488,8 @@ def cli_main(argv: list[str] | None = None) -> int:
                 IgnorelistStore(path).write()
             mode = BuildMode.cfi(cfg.cfi_variants, path)
         try:
-            outcome = run_build(cfg, mode)
+            with ProjectLock(cfg.report_dir):
+                outcome = run_build(cfg, mode)
         except OrchestrationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -271,48 +271,45 @@ def repair_until_buildable(
     Terminates when the build succeeds, when an attempt yields zero new
     patches (no progress), or when the iteration budget is exhausted. Only
     attempts that applied at least one patch count as repair iterations.
+    The caller holds the ProjectLock.
     """
     if ledger is None:
         ledger = RepairLedger()
     attempts = 0
-    run_configure = True
     iteration = start_iteration
-    with ProjectLock(cfg.report_dir):
-        while True:
-            attempts += 1
+    while True:
+        attempts += 1
+        ledger.build_attempts += 1
+        outcome = run_build(cfg, mode, iteration=iteration)
+        if outcome.succeeded:
+            return outcome, ledger
+        new_patches = 0
+        for symbol in extract_unresolved_symbols(outcome.diagnostics):
+            if symbol in ledger.patched_symbols:
+                continue
+            site = locate_definition(symbol, cfg.project_root)
+            if site is None:
+                ledger.skipped.append((symbol, "definition not found under project root"))
+                continue
+            if site.alternates:
+                ledger.ambiguities.append((symbol, site.alternates))
+            patch = apply_visibility_default(site, symbol, iteration)
+            if not patch.applied_text:
+                ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
+                continue
+            if site.file.is_relative_to(cfg.project_root):
+                patch = replace(patch, file=str(site.file.relative_to(cfg.project_root)))
+            ledger.patches.append(patch)
+            journal_patch(cfg, patch)
+            new_patches += 1
+        if new_patches == 0:
+            return outcome, ledger
+        if phase == "build":
+            ledger.iterations_build_phase += 1
+        else:
+            ledger.iterations_test_phase += 1
+        iteration += 1
+        if attempts >= cfg.max_repair_iterations:
             ledger.build_attempts += 1
-            outcome = run_build(cfg, mode, iteration=iteration, run_configure=run_configure)
-            if outcome.succeeded:
-                return outcome, ledger
-            run_configure = False
-            new_patches = 0
-            for symbol in extract_unresolved_symbols(outcome.diagnostics):
-                if symbol in ledger.patched_symbols:
-                    continue
-                site = locate_definition(symbol, cfg.project_root)
-                if site is None:
-                    ledger.skipped.append((symbol, "definition not found under project root"))
-                    continue
-                if site.alternates:
-                    ledger.ambiguities.append((symbol, site.alternates))
-                patch = apply_visibility_default(site, symbol, iteration)
-                if not patch.applied_text:
-                    ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
-                    continue
-                if site.file.is_relative_to(cfg.project_root):
-                    patch = replace(patch, file=str(site.file.relative_to(cfg.project_root)))
-                ledger.patches.append(patch)
-                journal_patch(cfg, patch)
-                new_patches += 1
-            if new_patches == 0:
-                return outcome, ledger
-            if phase == "build":
-                ledger.iterations_build_phase += 1
-            else:
-                ledger.iterations_test_phase += 1
-            run_configure = True
-            iteration += 1
-            if attempts >= cfg.max_repair_iterations:
-                ledger.build_attempts += 1
-                final = run_build(cfg, mode, iteration=iteration, run_configure=True)
-                return final, ledger
+            final = run_build(cfg, mode, iteration=iteration)
+            return final, ledger

@@ -4,7 +4,7 @@ Every function in the final binary is exactly one of:
 
   Protected          hidden visibility, no ignorelist entry covers it
   DefaultVisibility  exported (originally default or patched back to default)
-  Ignored            an active ignorelist entry suppresses its checks
+  Ignored            an ignorelist entry suppresses its checks
 
 Ignored wins over DefaultVisibility when both apply. Percentages are
 rendered at two decimals with banker's rounding, and the largest component
@@ -97,8 +97,6 @@ def reconcile_percentages(counts: Sequence[int]) -> tuple[float, ...]:
 
 def _matches_ignorelist(record: FunctionRecord, entries: Sequence[IgnorelistEntry]) -> bool:
     for entry in entries:
-        if not entry.active:
-            continue
         if entry.kind is EntryKind.FUN and record.name == entry.pattern:
             return True
         if entry.kind is EntryKind.SRC and record.file is not None:

@@ -180,10 +180,15 @@ def test_buildmode_invariants(tmp_path):
         BuildMode(kind=BuildKind.CFI, variants=("cfi-icall",), ignorelist_path=None)
 
 
-def test_lock_is_reentrant_in_process(tmp_path):
+def test_nested_lock_in_process_raises(tmp_path):
+    # flock conflicts across open files, so the lock is taken once per entry
+    # point and a nested acquisition fails as one from another process would.
     with ProjectLock(tmp_path):
-        with ProjectLock(tmp_path):
-            pass
+        with pytest.raises(OrchestrationError):
+            with ProjectLock(tmp_path):
+                pass
+    with ProjectLock(tmp_path):
+        pass
 
 
 def test_lock_blocks_other_process(tmp_path):

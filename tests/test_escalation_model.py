@@ -102,7 +102,7 @@ class EscalationModel(RuleBasedStateMachine):
         entries = {e.line: e for e in self.engine.store.active_entries()}
         assert set(entries) == set(held)
         for line, entry in entries.items():
-            assert held[line] <= set(entry.origin_violations)
+            assert set(entry.origin_violations) == held[line]
 
     @invariant()
     def fixed_entries_are_rendered(self):

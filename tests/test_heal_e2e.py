@@ -110,3 +110,34 @@ def test_suite_fanout_heals_each_planted_violation_once(healed):
     # initial build, then one per rung the violations climb.
     assert len(result.violations) == 7
     assert result.ledger.build_attempts == 7
+
+
+# Per workload: CFI builds, then each violation's status and the rungs it
+# attempted, by level: the pins hold whatever spelling a pattern has.
+PINS = {
+    "suite_fanout": (7, [
+        ("Fixed", (0,)),
+        ("Fixed", (0, 1)),
+        ("Fixed", (0, 1, 2)),
+        ("Fixed", (0,)),
+        ("Fixed", (0, 1, 2, 3)),
+        ("Fixed", (0, 1, 2, 3, 4)),
+        ("Unresolvable", (0, 1, 2, 3, 4)),
+    ]),
+    "wide_tree": (3, []),
+    "cxx_static": (6, [
+        ("Fixed", (0, 1, 2, 3)),
+        ("Fixed", (0, 1, 2, 3)),
+        ("Fixed", (0, 1, 2, 3)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_violations_and_builds_are_pinned(healed, workload):
+    result, _ = healed(workload)
+    builds, rows = PINS[workload]
+    assert result.ledger.build_attempts == builds
+    assert [
+        (v.status.value, tuple(level for level, _ in v.attempted)) for v in result.violations
+    ] == rows

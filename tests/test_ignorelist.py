@@ -9,7 +9,6 @@ from cfiheal.ignorelist import (
     IgnorelistEntry,
     IgnorelistStore,
     LadderLevel,
-    merge,
     parse,
     render,
 )
@@ -51,10 +50,6 @@ def test_render_orders_fun_before_src_and_sorts():
     assert text == "fun:alpha\nfun:zeta\nsrc:a/b.c\nsrc:z.c\n"
 
 
-def test_render_skips_inactive():
-    assert render([fun("dead", active=False)]) == ""
-
-
 def test_render_empty_is_empty_string():
     assert render([]) == ""
 
@@ -72,35 +67,14 @@ def test_parse_rejects_junk_lines():
         parse("type:whatever\n")
 
 
-def test_merge_unions_origins_and_dedups():
-    a = fun("f", origin_violations=("v1",))
-    b = fun("f", origin_violations=("v2",))
-    merged = merge([a], [b])
-    assert len(merged) == 1
-    assert set(merged[0].origin_violations) == {"v1", "v2"}
-
-
-def test_store_add_retire_write(tmp_path):
+def test_store_write_mirrors_entries(tmp_path):
     path = tmp_path / "cfi.ignorelist"
     store = IgnorelistStore(path)
-    store.add(fun("hot"))
-    store.add(src("cold.c"))
-    store.write()
+    assert store.write() == "" and path.read_text() == ""
+    store.entries = {e.key: e for e in (src("cold.c"), fun("hot"))}
+    assert store.write() == "fun:hot\nsrc:cold.c\n"
     assert path.read_text() == "fun:hot\nsrc:cold.c\n"
-
-    store.retire(EntryKind.FUN, "hot")
-    store.write()
-    assert path.read_text() == "src:cold.c\n"
-    entry = store.get(EntryKind.FUN, "hot")
-    assert entry is not None and not entry.active
-
-
-def test_store_reactivates_on_readd(tmp_path):
-    store = IgnorelistStore(tmp_path / "l")
-    store.add(fun("f"))
-    store.retire(EntryKind.FUN, "f")
-    store.add(fun("f"))
-    assert [e.line for e in store.active_entries()] == ["fun:f"]
+    assert [e.line for e in store.active_entries()] == ["fun:hot", "src:cold.c"]
 
 
 _pattern = st.text(

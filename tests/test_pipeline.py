@@ -219,6 +219,22 @@ def test_cli_build_cfi_seeds_empty_ignorelist(tmp_path, capsys):
     assert "build succeeded" in capsys.readouterr().out
 
 
+def test_cli_build_on_a_locked_project_exits_2(tmp_path, capsys):
+    # run_build takes no lock; the build command holds it around the build.
+    root = tmp_path / "proj"
+    root.mkdir()
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    fd = os.open(ProjectLock(reports).lock_path, os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        assert cli_main(["build", str(write_config(root, reports))]) == 2
+    finally:
+        os.close(fd)
+    assert "locked by another pipeline" in capsys.readouterr().err
+    assert not list(reports.glob("build-*.log"))
+
+
 def test_cli_report_reemits_from_state(tmp_path, capsys):
     report = {"schema_version": "1", "coverage": {}, "census": {},
               "tests": {}, "violations": {}, "ignorelist": [], "repair": {}}
@@ -358,7 +374,7 @@ class Rig:
                 return TestResult(test_id, TraceOutcome(OutcomeKind.TRAPPED, trap=event))
         return TestResult(test_id, TraceOutcome(OutcomeKind.EXITED, exit_status=0))
 
-    def run_build(self, cfg, mode, iteration=1, run_configure=True):
+    def run_build(self, cfg, mode, iteration=1):
         return self._layer("run_build", lambda: self._build(mode))
 
     def repair_until_buildable(self, cfg, mode, ledger=None, *, phase="build", start_iteration=1):

@@ -111,14 +111,6 @@ def test_src_entry_does_not_match_basename_infix():
     assert core.statuses["f"] is EnforcementStatus.PROTECTED
 
 
-def test_inactive_entries_do_not_match():
-    retired = IgnorelistEntry(
-        EntryKind.FUN, "alpha", ("V1",), LadderLevel.CALLEE_FUNCTION, active=False
-    )
-    core = compute_coverage(FUNCTIONS, [retired])
-    assert core.statuses["alpha"] is EnforcementStatus.PROTECTED
-
-
 def test_patched_symbols_argument():
     core = compute_coverage(FUNCTIONS, [], patched_symbols={"alpha"})
     assert core.statuses["alpha"] is EnforcementStatus.DEFAULT_VISIBILITY
