@@ -1,7 +1,7 @@
-"""Layer microbenchmarks that need no clang; writes BENCH_<label>.json.
+"""Layer microbenchmarks that need no clang; writes BENCH_<layer>.json.
 
-The only layer so far is the symbolizer. For each target binary it times, on
-a fresh ``Symbolizer`` each repeat:
+``--layer symbols`` (the default) times the symbolizer. For each target
+binary it times, on a fresh ``Symbolizer`` each repeat:
 
 - ``function_boundaries``: the full span list, with the disassembly heuristic;
 - ``resolve_symtab_hit``: one ``resolve`` at the start of a symbol-table
@@ -12,10 +12,21 @@ the C++ symbolizer fixture of the test suite, built with
 ``g++ -g -O0 -fno-omit-frame-pointer``. Each result also counts the
 subprocesses the operation started, by program.
 
+``--layer census`` times ``census_by_function`` over textual IR shaped like
+the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
+call per module, and reports MB/s.
+
+``--layer repair`` times one pass of ``repair_until_buildable``: a build
+(faked, so no compiler runs) fails on 1,000 undefined C symbols, defined in
+1,000 of 2,000 generated source files whose other functions call them; the
+pass locates and patches every definition. Each repeat runs on a fresh copy
+of the tree.
+
 Run from the repository root, stdlib only:
 
     python3 bench/run.py                  # writes BENCH_symbols.json
-    python3 bench/run.py --repeat 3 --out /tmp/bench.json
+    python3 bench/run.py --layer census   # writes BENCH_census.json
+    python3 bench/run.py --layer repair --repeat 3 --out /tmp/bench.json
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ import argparse
 import json
 import os
 import platform
+import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,9 +47,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from cfiheal import symbols  # noqa: E402
+import gen  # noqa: E402
+from cfiheal import repair, symbols  # noqa: E402
+from cfiheal.build import BuildKind, BuildMode, BuildOutcome, Diagnostic, DiagnosticKind  # noqa: E402
+from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
+from cfiheal.ircensus import census_by_function  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
 
@@ -91,6 +109,14 @@ def _time(op, repeat: int) -> tuple[list[float], Counter]:
     return times, counter.counts
 
 
+def _summary(times: list[float]) -> dict:
+    return {
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "max_s": round(max(times), 4),
+    }
+
+
 def bench_symbols(repeat: int) -> list[dict]:
     results = []
     with tempfile.TemporaryDirectory(prefix="bench-symbols-") as tmp:
@@ -109,13 +135,109 @@ def bench_symbols(repeat: int) -> list[dict]:
                         "mb": round(binary.stat().st_size / 1e6, 3),
                         "spans": len(spans),
                         "op": op,
-                        "median_s": round(statistics.median(times), 4),
-                        "min_s": round(min(times), 4),
-                        "max_s": round(max(times), 4),
+                        **_summary(times),
                         "spawns_per_call": {k: v / repeat for k, v in sorted(spawns.items())},
                     }
                 )
     return results
+
+
+CENSUS_MB = 4
+
+
+def bench_census(repeat: int) -> list[dict]:
+    with tempfile.TemporaryDirectory(prefix="bench-census-") as tmp:
+        writer = gen.ProjectWriter(Path(tmp))
+        gen._ir_bulk(writer, gen.Names(random.Random("bench-census")), CENSUS_MB)
+        texts = [p.read_text() for p in sorted(Path(tmp).rglob("*.ll"))]
+    mb = sum(len(t) for t in texts) / 1e6
+    times = []
+    for _ in range(repeat):
+        started = time.perf_counter()
+        for text in texts:
+            census_by_function(text, [])
+        times.append(time.perf_counter() - started)
+    summary = _summary(times)
+    return [
+        {
+            "target": f"gen._ir_bulk IR, {len(texts)} modules",
+            "mb": round(mb, 3),
+            "op": "census_by_function",
+            **summary,
+            "mb_per_s": round(mb / summary["median_s"], 2),
+        }
+    ]
+
+
+REPAIR_SYMBOLS, REPAIR_FILES = 1000, 2000
+
+
+def _repair_tree(root: Path) -> list[str]:
+    """The generated tree; returns the undefined symbols, each defined in one file."""
+    names = gen.Names(random.Random("bench-repair"))
+    targets = [names("api_", 10) for _ in range(REPAIR_SYMBOLS)]
+    rng = random.Random("bench-repair-calls")
+    for i in range(REPAIR_FILES):
+        defines = [targets[i]] if i < REPAIR_SYMBOLS else []
+        calls = rng.sample(targets, 2)
+        path = root / f"pkg{i % 20:02d}" / f"src_{i:04d}.c"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(gen._vendored_c(names, calls, defines, 6))
+    return targets
+
+
+def bench_repair(repeat: int) -> list[dict]:
+    with tempfile.TemporaryDirectory(prefix="bench-repair-") as tmp:
+        pristine = Path(tmp) / "pristine"
+        targets = _repair_tree(pristine)
+        mode = BuildMode(BuildKind.CFI, ("cfi-icall",), Path(tmp) / "ignorelist.txt")
+        failed = BuildOutcome(
+            False,
+            mode,
+            tuple(Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, t, None, "") for t in targets),
+            (),
+            None,
+            0.0,
+        )
+        built = BuildOutcome(True, mode, (), (), None, 0.0)
+        real_build = repair.run_build
+        times, patches = [], 0
+        counter = _SpawnCounter()
+        symbols.subprocess.run = counter
+        try:
+            for r in range(repeat):
+                project = Path(tmp) / f"project{r}"
+                shutil.copytree(pristine, project)
+                cfg = ProjectConfig(
+                    project_root=project,
+                    build_cmd="true",
+                    test_cmd="true",
+                    executables=("app",),
+                    cfi_variants=("cfi-icall",),
+                    report_dir=Path(tmp) / f"report{r}",
+                )
+                outcomes = iter([failed, built])
+                repair.run_build = lambda cfg, mode, iteration: next(outcomes)
+                started = time.perf_counter()
+                _, ledger = repair.repair_until_buildable(cfg, mode)
+                times.append(time.perf_counter() - started)
+                patches = len(ledger.patches)
+                shutil.rmtree(project)
+        finally:
+            repair.run_build = real_build
+            symbols.subprocess.run = counter.real
+    return [
+        {
+            "target": f"{REPAIR_SYMBOLS} undefined symbols over {REPAIR_FILES} generated .c files",
+            "op": "repair_until_buildable (one pass)",
+            "patches": patches,
+            **_summary(times),
+            "spawns_per_call": {k: v / repeat for k, v in sorted(counter.counts.items())},
+        }
+    ]
+
+
+LAYERS = {"symbols": bench_symbols, "census": bench_census, "repair": bench_repair}
 
 
 def _host() -> dict:
@@ -137,20 +259,23 @@ def _host() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--layer", choices=sorted(LAYERS), default="symbols")
     parser.add_argument("--repeat", type=int, default=5, help="timed calls per operation")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_symbols.json")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<layer>.json at the repository root")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     report = {
-        "label": "symbols",
+        "label": args.layer,
         "host": _host(),
         "repeat": args.repeat,
-        "results": bench_symbols(args.repeat),
+        "results": LAYERS[args.layer](args.repeat),
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    out = args.out or ROOT / f"BENCH_{args.layer}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        print(f"{r['target']}: {r['op']} median {r['median_s']:.4f} s, spawns {r['spawns_per_call']}")
+        extra = {k: r[k] for k in ("mb_per_s", "patches", "spawns_per_call") if k in r}
+        print(f"{r['target']}: {r['op']} median {r['median_s']:.4f} s {extra}")
     return 0
 
 

@@ -15,11 +15,13 @@ Category rules (each site lands in exactly one bucket):
   inline_asm       call-form inline asm sites plus module-level asm lines,
                    each counted once.
 
-For call instructions the buckets are tested in the order virtual, lowered,
-fp; a callee that is a direct @function reference (even through a constant
-bitcast) is no site at all. Only register-to-instruction chains within one
-function body are followed; phi, select and integer round-trips are opaque
-and classify as fp_calls.
+A call instruction is one whose opcode, the first word of the instruction
+after an optional tail/musttail/notail, is call or invoke; an operand named
+%call is no call. For call instructions the buckets are tested in the order
+virtual, lowered, fp; a callee that is a direct @function reference (even
+through a constant bitcast) is no site at all. Only register-to-instruction
+chains within one function body are followed; phi, select and integer
+round-trips are opaque and classify as fp_calls.
 
 The parser is line-oriented and assumes compiler-emitted textual IR (one
 instruction per line). Lines that look like call sites but defeat the
@@ -63,39 +65,46 @@ def total_sites(counts: IrSiteCensus) -> int:
 _TOKEN = re.compile(r"[%@][-\w.$]+|[%@]\"[^\"]*\"")
 _DEFINE = re.compile(r"^define\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
 _DECLARE = re.compile(r"^declare\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
-_GLOBAL = re.compile(r"^@([-\w.$]+|\"[^\"]*\")\s*=\s*(.*)$")
-_ASSIGN = re.compile(r"^%([-\w.$]+|\"[^\"]*\")\s*=\s*(.*)$")
-_CALL_KW = re.compile(r"\b(?:tail\s+|musttail\s+|notail\s+)?(call|invoke)\b")
+# Heads of "@name = ..." and "%name = ..." lines; the rest of the line is the right-hand side.
+_GLOBAL = re.compile(r"@([-\w.$]+|\"[^\"]*\")\s*=\s*")
+_ASSIGN = re.compile(r"%([-\w.$]+|\"[^\"]*\")\s*=\s*")
+# A call is recognized by its opcode, at the start of the right-hand side.
+_CALL_OP = re.compile(r"(?:(?:tail|musttail|notail)\s+)?(?:call|invoke)\b")
+# Every instruction the walk counts starts with one of these.
+_SITE_OPS = ("call", "invoke", "tail", "musttail", "notail", "store ", "switch ", "indirectbr ")
 _OPENERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
+# What _split_top stops at: a quoted run (to its closing quote or the end), a bracket or a comma.
+_SPLIT_STOP = re.compile(r'"[^"]*"?|[,()\[\]{}<>]')
+# A top-level piece whose brackets nest one level deep and hold no quote:
+# plain text, quoted runs and bracketed groups, up to a depth-zero comma.
+_FLAT_PIECE = r'[^",()\[\]{}<>]*(?:(?:"[^"]*"|[(\[{<][^"()\[\]{}<>]*[)\]}>])[^",()\[\]{}<>]*)*'
+_FLAT_SECOND = re.compile(_FLAT_PIECE + ",(" + _FLAT_PIECE + r")(?:,|\Z)")
+# What _callee_token stops at: a quoted run, a %/@ token, an "asm" word or a bracket.
+_CALLEE_STOP = re.compile(r'"[^"]*"?|[%@](?:[-\w.$]+|"[^"]*")|(?<![^\W_])asm(?![\w$.])|[()\[\]{}<>]')
+_ARGS_OPEN = re.compile(r"[ \t]*\(")
+# The common call tail: plain words, the callee, a flat argument list, then no bracket or quote.
+_PLAIN_CALLEE = re.compile(
+    r'[^"%@()\[\]{}<>]*([%@][-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
+)
 
 
 def _split_top(text: str) -> list[str]:
     """Split on commas at bracket depth zero; quotes are respected."""
     parts: list[str] = []
     depth = 0
-    buf: list[str] = []
-    in_quote = False
-    for ch in text:
-        if in_quote:
-            buf.append(ch)
-            if ch == '"':
-                in_quote = False
-            continue
-        if ch == '"':
-            in_quote = True
-            buf.append(ch)
-            continue
-        if ch in _OPENERS:
+    start = 0
+    for m in _SPLIT_STOP.finditer(text):
+        ch = text[m.start()]
+        if ch == ",":
+            if depth == 0:
+                parts.append(text[start : m.start()].strip())
+                start = m.end()
+        elif ch in _OPENERS:
             depth += 1
         elif ch in _CLOSERS:
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
+    tail = text[start:].strip()
     if tail:
         parts.append(tail)
     return parts
@@ -113,7 +122,7 @@ def _first_global_token(text: str) -> str | None:
     return None
 
 
-def _callee_token(rest: str) -> str | None | str:
+def _callee_token(rest: str) -> str | None:
     """The callee of a call/invoke tail, 'asm' for inline asm, None if direct-less.
 
     Scans at bracket depth zero for the last %/@ token immediately followed
@@ -121,88 +130,90 @@ def _callee_token(rest: str) -> str | None | str:
     reference) produce no depth-zero token, which is correct: they are
     direct calls.
     """
+    if "asm" not in rest:  # then a plain tail's one token before "(" is the callee
+        plain = _PLAIN_CALLEE.fullmatch(rest)
+        if plain:
+            return plain.group(1)
     depth = 0
-    in_quote = False
-    i = 0
     callee: str | None = None
-    n = len(rest)
-    while i < n:
-        ch = rest[i]
-        if in_quote:
-            if ch == '"':
-                in_quote = False
-            i += 1
-            continue
-        if ch == '"':
-            in_quote = True
-            i += 1
-            continue
-        if depth == 0:
-            if rest.startswith("asm", i) and (i == 0 or not rest[i - 1].isalnum()):
-                after = i + 3
-                if after >= n or not (rest[after].isalnum() or rest[after] in "_$."):
-                    return "asm"
-            if ch in "%@":
-                m = _TOKEN.match(rest, i)
-                if m:
-                    j = m.end()
-                    while j < n and rest[j] in " \t":
-                        j += 1
-                    if j < n and rest[j] == "(":
-                        callee = m.group(0)
-                    i = m.end()
-                    continue
-        if ch in _OPENERS:
+    for m in _CALLEE_STOP.finditer(rest):
+        ch = rest[m.start()]
+        if ch in "%@":
+            if depth == 0 and _ARGS_OPEN.match(rest, m.end()):
+                callee = m.group()
+        elif ch == "a":
+            if depth == 0:
+                return "asm"
+        elif ch in _OPENERS:
             depth += 1
         elif ch in _CLOSERS:
             depth = max(0, depth - 1)
-        i += 1
     return callee
 
 
-def _pointer_operand(defn: str, keyword: str) -> str | None:
-    """Pointer operand of a load/store-like instruction body."""
-    body = defn.split(keyword, 1)[1]
-    pieces = _split_top(body)
-    if len(pieces) < 2:
-        return None
-    ptr_piece = pieces[1]
-    if "getelementptr" in ptr_piece:
-        return _first_global_token(ptr_piece)
-    return _last_value_token(ptr_piece)
+def _second_piece(text: str) -> str:
+    """_split_top(text)[1], or "" if there is no second piece."""
+    flat = _FLAT_SECOND.match(text)
+    if flat:
+        return flat.group(1).strip()
+    pieces = _split_top(text)
+    return pieces[1] if len(pieces) >= 2 else ""
 
 
-def _gep_base(defn: str) -> str | None:
-    body = defn.split("getelementptr", 1)[1]
-    for kw in ("inbounds", "inrange", "nusw", "nuw"):
-        body = body.replace(kw, " ", 1) if body.lstrip().startswith(kw) else body
-    pieces = _split_top(body)
-    if len(pieces) < 2:
-        return None
-    return _last_value_token(pieces[1])
+def _parse_def(rhs: str) -> tuple[str, str | None]:
+    """(kind, operand) of a register's defining instruction.
+
+    The operand of a load is its pointer, that of a getelementptr its base:
+    the last value token of the second top-level piece (a constant-expression
+    pointer names its first global). Leading getelementptr keywords sit in
+    the first piece and so never change the second.
+    """
+    if rhs.startswith("load"):
+        pointer = _second_piece(rhs[len("load") :])
+        if "getelementptr" in pointer:
+            return "load", _first_global_token(pointer)
+        return "load", _last_value_token(pointer)
+    if rhs.startswith("getelementptr"):
+        return "gep", _last_value_token(_second_piece(rhs[len("getelementptr") :]))
+    if rhs.startswith(("bitcast", "addrspacecast")):
+        return "alias", _last_value_token(rhs.split(" to ")[0])
+    return "opaque", None
 
 
 class _FunctionScope:
-    """Register definitions of the function body currently being scanned."""
+    """Register definitions of the function body currently being scanned.
 
-    def __init__(self) -> None:
-        self.defs: dict[str, tuple[str, str | None]] = {}
+    Definitions are recorded lazily: a classification first records the
+    body's assignment lines up to and including the call's own line, so it
+    sees what recording every line in order would show, and a definition is
+    parsed only when a classification follows it.
+    """
 
-    def record(self, reg: str, rhs: str) -> None:
-        stripped = rhs.lstrip()
-        if stripped.startswith("load"):
-            self.defs[reg] = ("load", _pointer_operand(rhs, "load"))
-        elif stripped.startswith("getelementptr"):
-            self.defs[reg] = ("gep", _gep_base(rhs))
-        elif stripped.startswith("bitcast") or stripped.startswith("addrspacecast"):
-            operand = _last_value_token(stripped.split(" to ")[0])
-            self.defs[reg] = ("alias", operand)
-        else:
-            self.defs[reg] = ("opaque", None)
+    def __init__(self, lines: list[str], start: int) -> None:
+        self.lines = lines
+        self.recorded_to = start
+        self.defs: dict[str, str | tuple[str, str | None]] = {}
+
+    def record_to(self, end: int) -> None:
+        """Record the assignments of lines[recorded_to:end] as raw right-hand sides."""
+        for raw in self.lines[self.recorded_to : end]:
+            line = raw.strip()
+            assign = _ASSIGN.match(line)
+            if assign:
+                self.defs[assign.group(1).strip('"')] = line[assign.end() :]
+        self.recorded_to = end
+
+    def _def(self, reg: str) -> tuple[str, str | None]:
+        found = self.defs.get(reg)
+        if found is None:
+            return "opaque", None
+        if isinstance(found, str):
+            found = self.defs[reg] = _parse_def(found)
+        return found
 
     def _resolve_alias(self, token: str | None, hops: int = 8) -> str | None:
         while token and token.startswith("%") and hops:
-            kind, operand = self.defs.get(token[1:], ("", None))
+            kind, operand = self._def(token[1:])
             if kind != "alias":
                 break
             token = operand
@@ -214,7 +225,7 @@ class _FunctionScope:
         token = self._resolve_alias(callee)
         if not token or not token.startswith("%"):
             return "fp_calls"
-        kind, pointer = self.defs.get(token[1:], ("opaque", None))
+        kind, pointer = self._def(token[1:])
         if kind != "load":
             return "fp_calls"
         pointer = self._resolve_alias(pointer)
@@ -223,7 +234,7 @@ class _FunctionScope:
         if pointer.startswith("@"):
             return "jt_lowered" if pointer[1:].strip('"') in tables else "fp_calls"
         if pointer.startswith("%"):
-            pkind, pbase = self.defs.get(pointer[1:], ("opaque", None))
+            pkind, pbase = self._def(pointer[1:])
             seen_gep = 0
             while pkind == "gep" and seen_gep < 8:
                 base = self._resolve_alias(pbase)
@@ -231,7 +242,7 @@ class _FunctionScope:
                     return "fp_calls"
                 if base.startswith("@"):
                     return "jt_lowered" if base[1:].strip('"') in tables else "fp_calls"
-                pkind, pbase = self.defs.get(base[1:], ("opaque", None))
+                pkind, pbase = self._def(base[1:])
                 seen_gep += 1
             if pkind == "load":
                 return "virtual_calls"
@@ -241,24 +252,26 @@ class _FunctionScope:
 def _collect_module_facts(lines: list[str]) -> tuple[set[str], set[str], int]:
     """Function names, code-pointer-table globals, module-asm line count."""
     functions: set[str] = set()
-    for line in lines:
-        stripped = line.strip()
-        m = _DEFINE.match(stripped) or _DECLARE.match(stripped)
-        if m:
-            functions.add(m.group(1).strip('"'))
-    tables: set[str] = set()
+    candidates: list[tuple[str, str]] = []
     module_asm = 0
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("module asm"):
+    for raw in lines:
+        line = raw.strip()
+        first = line[:1]
+        if first == "@":
+            m = _GLOBAL.match(line)
+            if m:
+                rhs = line[m.end() :]
+                # A table refers to a function (an @) or takes a blockaddress(.
+                if ("constant" in rhs or "global" in rhs) and ("@" in rhs or "(" in rhs):
+                    candidates.append((m.group(1).strip('"'), rhs))
+        elif first == "d":
+            m = _DEFINE.match(line) or _DECLARE.match(line)
+            if m:
+                functions.add(m.group(1).strip('"'))
+        elif first == "m" and line.startswith("module asm"):
             module_asm += 1
-            continue
-        m = _GLOBAL.match(stripped)
-        if not m:
-            continue
-        name, rhs = m.group(1).strip('"'), m.group(2)
-        if "constant" not in rhs and "global" not in rhs:
-            continue
+    tables: set[str] = set()
+    for name, rhs in candidates:
         refs = {t[1:].strip('"') for t in _TOKEN.findall(rhs) if t.startswith("@")}
         if "blockaddress(" in rhs.replace(" ", "") or (refs & functions):
             tables.add(name)
@@ -286,33 +299,42 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
 
     tally: dict[str, Counter] = {"": Counter(inline_asm=module_asm)}
     current: str | None = None
-    scope = _FunctionScope()
+    scope = _FunctionScope(lines, 0)
     counts: Counter = Counter()
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith(";"):
+        if not line:
             continue
-        if current is None:
-            m = _DEFINE.match(line)
-            if m and line.rstrip().endswith("{"):
-                current = m.group(1).strip('"')
-                scope = _FunctionScope()
-                counts = Counter()
+        first = line[0]
+        if first == "%":
+            if current is None or not (
+                "call" in line
+                or "invoke" in line
+                or "store " in line
+                or "switch " in line
+                or "indirectbr " in line
+            ):
+                continue  # not a site; scope.record_to reads its assignment if a call needs it
+            assign = _ASSIGN.match(line)
+            body = line[assign.end() :] if assign else line
+        elif current is None:
+            if first == "d":
+                m = _DEFINE.match(line)
+                if m and line.endswith("{"):
+                    current = m.group(1).strip('"')
+                    scope = _FunctionScope(lines, lineno)
+                    counts = Counter()
             continue
-        if line == "}":
+        elif first == "}" and line == "}":
             tally.setdefault(current, Counter()).update(counts)
             current = None
             continue
+        else:
+            body = line  # comments included: no site opcode starts with ";"
+        if not body.startswith(_SITE_OPS):
+            continue
 
-        rhs = line
-        assign = _ASSIGN.match(line)
-        reg = None
-        if assign:
-            reg, rhs = assign.group(1).strip('"'), assign.group(2)
-            scope.record(reg, rhs)
-
-        body = rhs.lstrip()
         if body.startswith("switch "):
             counts["jt_switch"] += 1
             continue
@@ -329,10 +351,10 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
                     counts["callback_stores"] += 1
             continue
 
-        m = _CALL_KW.search(rhs)
+        m = _CALL_OP.match(body)
         if not m:
             continue
-        rest = rhs[m.end():]
+        rest = body[m.end():]
         callee = _callee_token(rest)
         if callee == "asm":
             counts["inline_asm"] += 1
@@ -342,6 +364,7 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
         elif callee.startswith("@"):
             pass  # direct call, not a site
         else:
+            scope.record_to(lineno)
             counts[scope.classify_callee(callee, tables)] += 1
 
     return tally

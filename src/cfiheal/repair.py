@@ -3,10 +3,10 @@
 Under -fvisibility=hidden, symbols that used to be exported silently stop
 resolving across shared-object boundaries. The repair loop reads undefined /
 hidden-symbol diagnostics off a failed build, locates each symbol's
-definition in the project tree, and prepends an explicit
-__attribute__((visibility("default"))) to the definition's declarator. Every
-textual insertion is journaled (iteration, file, line, symbol) so the whole
-set of patches can be reverted exactly.
+definition in the project tree (one read of each source per pass), and
+prepends an explicit __attribute__((visibility("default"))) to the
+definition's declarator. Every textual insertion is journaled (iteration,
+file, line, symbol) so the whole set of patches can be reverted exactly.
 
 Definitions are recognized, not declarations: the symbol name followed by a
 balanced parameter list whose closing parenthesis leads (possibly through
@@ -17,7 +17,8 @@ semicolon and are never patched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .build import (
@@ -29,7 +30,7 @@ from .build import (
     run_build,
 )
 from .config import ProjectConfig
-from .symbols import demangle
+from .symbols import _demangle_batch, demangle
 
 ATTRIBUTE_TEXT = '__attribute__((visibility("default"))) '
 JOURNAL_NAME = "repair-journal.tsv"
@@ -122,29 +123,43 @@ def _skip_attributes(text: str, pos: int) -> int:
             return pos
 
 
-def _definition_offsets(text: str, name: str) -> list[int]:
-    """Byte offsets of `name` where it begins a function definition."""
+def _call_pattern(name: str) -> re.Pattern:
+    """`name` as a whole word followed by an opening parenthesis."""
+    return re.compile(rf"\b{re.escape(name)}\s*\(")
+
+
+def _definition_offsets(text: str, call: re.Pattern) -> list[int]:
+    """Byte offsets where `call` (a _call_pattern) begins a function definition."""
     offsets: list[int] = []
-    for m in re.finditer(rf"\b{re.escape(name)}\s*\(", text):
+    for m in call.finditer(text):
         line_start = text.rfind("\n", 0, m.start()) + 1
-        if text[line_start:].lstrip().startswith("#"):
+        if text[line_start : m.end()].lstrip().startswith("#"):
             continue
-        depth = 0
-        i = m.end() - 1
-        while i < len(text):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
+        i = _closing_paren(text, m.end() - 1)
         if i >= len(text):
             continue
         after = _skip_attributes(text, i + 1)
         if after < len(text) and text[after] == "{":
             offsets.append(m.start())
     return offsets
+
+
+def _closing_paren(text: str, open_at: int) -> int:
+    """Offset of the parenthesis that closes text[open_at], or len(text)."""
+    close = text.find(")", open_at + 1)
+    if close >= 0 and text.find("(", open_at + 1, close) < 0:
+        return close  # a flat parameter list
+    depth = 0
+    i = open_at
+    while i < len(text):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                break
+        i += 1
+    return i
 
 
 def _iter_sources(root: Path) -> list[Path]:
@@ -156,31 +171,93 @@ def _iter_sources(root: Path) -> list[Path]:
     return sorted(files, key=lambda p: str(p.relative_to(root)))
 
 
-def locate_definition(symbol: str, root: Path) -> DefinitionSite | None:
+# Whole words of ASCII letters, digits and underscores.
+_WORD = re.compile(r"\w+", re.ASCII)
+
+
+class _PassSources:
+    """Where one repair pass's symbols are defined, from one read of each source.
+
+    One walk of the tree and one read per file test every symbol's identifier
+    at once; a mangled symbol is demangled by the pass's one c++filt. A file
+    the pass patches is read again before the next lookup, so its offsets
+    stay exact. Hits are kept per identifier and file, and no text is kept.
+    """
+
+    def __init__(self, root: Path, symbols: Sequence[str]) -> None:
+        self.root = root
+        self.demangled = dict(zip(symbols, _demangle_batch(list(symbols))[0]))
+        names = {base_identifier(d) for d in self.demangled.values()}
+        self.calls = {name: _call_pattern(name) for name in names}
+        # An ASCII name can be defined only in a text that has its leading
+        # word as a whole word; any other name is looked for as a substring.
+        self.by_word: dict[str, list[str]] = {}
+        self.unworded: list[str] = []
+        for name in names:
+            word = _WORD.match(name) if name.isascii() else None
+            if word:
+                self.by_word.setdefault(word.group(), []).append(name)
+            else:
+                self.unworded.append(name)
+        # identifier -> {file index: [(offset, line, column), ...]}, and back
+        self.hits: dict[str, dict[int, list[tuple[int, int, int]]]] = {n: {} for n in names}
+        self.found_in: dict[int, list[str]] = {}
+        self.files = _iter_sources(root)
+        self.position = {path: i for i, path in enumerate(self.files)}
+        self.stale: set[int] = set()
+        for index in range(len(self.files)):
+            self._scan(index)
+
+    def _scan(self, index: int) -> None:
+        """Read one file and record the definitions in it, in place of earlier ones."""
+        for name in self.found_in.pop(index, ()):
+            del self.hits[name][index]
+        try:
+            text = self.files[index].read_text(errors="replace")
+        except OSError:
+            return
+        words = set(_WORD.findall(text))
+        names = [n for w in words & self.by_word.keys() for n in self.by_word[w]]
+        names += [n for n in self.unworded if n in text]
+        for name in names:
+            offsets = _definition_offsets(text, self.calls[name])
+            if offsets:
+                self.hits[name][index] = [
+                    (o, text.count("\n", 0, o) + 1, o - (text.rfind("\n", 0, o) + 1) + 1)
+                    for o in offsets
+                ]
+                self.found_in.setdefault(index, []).append(name)
+
+    def patched(self, path: Path) -> None:
+        """Note that the pass changed path; it is read again before the next lookup."""
+        if path in self.position:
+            self.stale.add(self.position[path])
+
+    def definitions(self, symbol: str) -> list[tuple[Path, int, int, int]]:
+        """(file, offset, line, column) of each definition of symbol, in path order."""
+        for index in self.stale:
+            self._scan(index)
+        self.stale.clear()
+        found = self.hits[base_identifier(self.demangled[symbol])]
+        return [(self.files[i], *hit) for i in sorted(found) for hit in found[i]]
+
+
+def locate_definition(
+    symbol: str, root: Path, index: _PassSources | None = None
+) -> DefinitionSite | None:
     """First definition of symbol under root, in deterministic path order.
 
     Further candidates are reported through DefinitionSite.alternates so the
-    caller can record the ambiguity.
+    caller can record the ambiguity. A repair pass passes the index it built
+    for root and its symbols; without one, the tree is read for symbol alone.
     """
-    name = base_identifier(demangle(symbol))
-    hits: list[tuple[Path, str, int]] = []
-    for path in _iter_sources(root):
-        try:
-            text = path.read_text(errors="replace")
-        except OSError:
-            continue
-        if name not in text:
-            continue
-        for offset in _definition_offsets(text, name):
-            hits.append((path, text, offset))
+    if index is None:
+        index = _PassSources(root, [symbol])
+    hits = index.definitions(symbol)
     if not hits:
         return None
-    path, text, offset = hits[0]
-    line = text.count("\n", 0, offset) + 1
-    column = offset - (text.rfind("\n", 0, offset) + 1) + 1
-    alternates = tuple(
-        f"{p.relative_to(root)}:{t.count(chr(10), 0, o) + 1}" for p, t, o in hits[1:]
-    )
+    path, offset, line, column = hits[0]
+    alternates = tuple(f"{p.relative_to(root)}:{ln}" for p, _, ln, _ in hits[1:])
     return DefinitionSite(path, line, column, offset, alternates)
 
 
@@ -195,6 +272,15 @@ def _already_default(text: str, name_offset: int) -> bool:
     return "visibility" in prefix
 
 
+def _insert_attribute(site: DefinitionSite) -> str:
+    """Insert the attribute before the definition's name; returns the text inserted."""
+    text = site.file.read_text(errors="replace")
+    if _already_default(text, site.name_offset):
+        return ""
+    site.file.write_text(text[: site.name_offset] + ATTRIBUTE_TEXT + text[site.name_offset :])
+    return ATTRIBUTE_TEXT
+
+
 def apply_visibility_default(site: DefinitionSite, symbol: str, iteration: int) -> VisibilityPatch:
     """Insert the attribute immediately before the definition's name token.
 
@@ -203,10 +289,7 @@ def apply_visibility_default(site: DefinitionSite, symbol: str, iteration: int) 
     C++. Idempotent: a declarator that already mentions visibility is left
     untouched and the patch records an empty applied_text.
     """
-    text = site.file.read_text(errors="replace")
-    applied = "" if _already_default(text, site.name_offset) else ATTRIBUTE_TEXT
-    if applied:
-        site.file.write_text(text[: site.name_offset] + applied + text[site.name_offset :])
+    applied = _insert_attribute(site)
     return VisibilityPatch(
         symbol, demangle(symbol), str(site.file), site.line, site.column, applied, iteration
     )
@@ -215,11 +298,10 @@ def apply_visibility_default(site: DefinitionSite, symbol: str, iteration: int) 
 def remove_visibility_default(file: Path, symbol: str) -> bool:
     """Remove one journaled insertion before symbol's definition; True if removed."""
     text = file.read_text(errors="replace")
-    name = base_identifier(demangle(symbol))
-    for offset in _definition_offsets(text, name):
-        if text[:offset].endswith(ATTRIBUTE_TEXT):
-            start = offset - len(ATTRIBUTE_TEXT)
-            file.write_text(text[:start] + text[offset:])
+    start_at = len(ATTRIBUTE_TEXT)
+    for offset in _definition_offsets(text, _call_pattern(base_identifier(demangle(symbol)))):
+        if offset >= start_at and text.startswith(ATTRIBUTE_TEXT, offset - start_at):
+            file.write_text(text[: offset - start_at] + text[offset:])
             return True
     return False
 
@@ -284,22 +366,33 @@ def repair_until_buildable(
         if outcome.succeeded:
             return outcome, ledger
         new_patches = 0
-        for symbol in extract_unresolved_symbols(outcome.diagnostics):
-            if symbol in ledger.patched_symbols:
+        patched = ledger.patched_symbols
+        symbols = [
+            s for s in extract_unresolved_symbols(outcome.diagnostics) if s not in patched
+        ]
+        index = _PassSources(cfg.project_root, symbols)
+        for symbol in symbols:
+            if symbol in patched:
                 continue
-            site = locate_definition(symbol, cfg.project_root)
+            site = locate_definition(symbol, cfg.project_root, index)
             if site is None:
                 ledger.skipped.append((symbol, "definition not found under project root"))
                 continue
             if site.alternates:
                 ledger.ambiguities.append((symbol, site.alternates))
-            patch = apply_visibility_default(site, symbol, iteration)
-            if not patch.applied_text:
+            applied = _insert_attribute(site)
+            if not applied:
                 ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
                 continue
-            if site.file.is_relative_to(cfg.project_root):
-                patch = replace(patch, file=str(site.file.relative_to(cfg.project_root)))
+            index.patched(site.file)
+            file = site.file
+            if file.is_relative_to(cfg.project_root):
+                file = file.relative_to(cfg.project_root)
+            patch = VisibilityPatch(
+                symbol, index.demangled[symbol], str(file), site.line, site.column, applied, iteration
+            )
             ledger.patches.append(patch)
+            patched.update((patch.symbol, patch.demangled))
             journal_patch(cfg, patch)
             new_patches += 1
         if new_patches == 0:

@@ -1,0 +1,566 @@
+"""The census against its previous, character-by-character walker.
+
+``_ref_walk`` below is the walker the census had before it was made
+single-pass: every assignment parsed as it is read, every bracket and quote
+scanned one character at a time. Its one change is the opcode fix: a call is
+matched only at the start of the right-hand side, so an operand named
+``%call`` is no call. The census must give the same per-function counts and
+the same diagnostics on any input.
+"""
+
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cfiheal import ircensus
+from cfiheal.ircensus import IrSiteCensus, census_by_function
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# ---------------------------------------------------------------- reference
+
+_TOKEN = re.compile(r"[%@][-\w.$]+|[%@]\"[^\"]*\"")
+_DEFINE = re.compile(r"^define\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
+_DECLARE = re.compile(r"^declare\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
+_GLOBAL = re.compile(r"^@([-\w.$]+|\"[^\"]*\")\s*=\s*(.*)$")
+_ASSIGN = re.compile(r"^%([-\w.$]+|\"[^\"]*\")\s*=\s*(.*)$")
+_CALL_OP = re.compile(r"(?:(?:tail|musttail|notail)\s+)?(?:call|invoke)\b")
+_OPENERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
+_CLOSERS = {v: k for k, v in _OPENERS.items()}
+
+
+def _ref_split_top(text):
+    parts = []
+    depth = 0
+    buf = []
+    in_quote = False
+    for ch in text:
+        if in_quote:
+            buf.append(ch)
+            if ch == '"':
+                in_quote = False
+            continue
+        if ch == '"':
+            in_quote = True
+            buf.append(ch)
+            continue
+        if ch in _OPENERS:
+            depth += 1
+        elif ch in _CLOSERS:
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    tail = "".join(buf).strip()
+    if tail:
+        parts.append(tail)
+    return parts
+
+
+def _ref_last_value_token(text):
+    matches = _TOKEN.findall(text)
+    return matches[-1] if matches else None
+
+
+def _ref_first_global_token(text):
+    for token in _TOKEN.findall(text):
+        if token.startswith("@"):
+            return token
+    return None
+
+
+def _ref_callee_token(rest):
+    depth = 0
+    in_quote = False
+    i = 0
+    callee = None
+    n = len(rest)
+    while i < n:
+        ch = rest[i]
+        if in_quote:
+            if ch == '"':
+                in_quote = False
+            i += 1
+            continue
+        if ch == '"':
+            in_quote = True
+            i += 1
+            continue
+        if depth == 0:
+            if rest.startswith("asm", i) and (i == 0 or not rest[i - 1].isalnum()):
+                after = i + 3
+                if after >= n or not (rest[after].isalnum() or rest[after] in "_$."):
+                    return "asm"
+            if ch in "%@":
+                m = _TOKEN.match(rest, i)
+                if m:
+                    j = m.end()
+                    while j < n and rest[j] in " \t":
+                        j += 1
+                    if j < n and rest[j] == "(":
+                        callee = m.group(0)
+                    i = m.end()
+                    continue
+        if ch in _OPENERS:
+            depth += 1
+        elif ch in _CLOSERS:
+            depth = max(0, depth - 1)
+        i += 1
+    return callee
+
+
+def _ref_pointer_operand(defn, keyword):
+    body = defn.split(keyword, 1)[1]
+    pieces = _ref_split_top(body)
+    if len(pieces) < 2:
+        return None
+    ptr_piece = pieces[1]
+    if "getelementptr" in ptr_piece:
+        return _ref_first_global_token(ptr_piece)
+    return _ref_last_value_token(ptr_piece)
+
+
+def _ref_gep_base(defn):
+    body = defn.split("getelementptr", 1)[1]
+    for kw in ("inbounds", "inrange", "nusw", "nuw"):
+        body = body.replace(kw, " ", 1) if body.lstrip().startswith(kw) else body
+    pieces = _ref_split_top(body)
+    if len(pieces) < 2:
+        return None
+    return _ref_last_value_token(pieces[1])
+
+
+class _RefScope:
+    def __init__(self):
+        self.defs = {}
+
+    def record(self, reg, rhs):
+        stripped = rhs.lstrip()
+        if stripped.startswith("load"):
+            self.defs[reg] = ("load", _ref_pointer_operand(rhs, "load"))
+        elif stripped.startswith("getelementptr"):
+            self.defs[reg] = ("gep", _ref_gep_base(rhs))
+        elif stripped.startswith("bitcast") or stripped.startswith("addrspacecast"):
+            self.defs[reg] = ("alias", _ref_last_value_token(stripped.split(" to ")[0]))
+        else:
+            self.defs[reg] = ("opaque", None)
+
+    def _resolve_alias(self, token, hops=8):
+        while token and token.startswith("%") and hops:
+            kind, operand = self.defs.get(token[1:], ("", None))
+            if kind != "alias":
+                break
+            token = operand
+            hops -= 1
+        return token
+
+    def classify_callee(self, callee, tables):
+        token = self._resolve_alias(callee)
+        if not token or not token.startswith("%"):
+            return "fp_calls"
+        kind, pointer = self.defs.get(token[1:], ("opaque", None))
+        if kind != "load":
+            return "fp_calls"
+        pointer = self._resolve_alias(pointer)
+        if pointer is None:
+            return "fp_calls"
+        if pointer.startswith("@"):
+            return "jt_lowered" if pointer[1:].strip('"') in tables else "fp_calls"
+        if pointer.startswith("%"):
+            pkind, pbase = self.defs.get(pointer[1:], ("opaque", None))
+            seen_gep = 0
+            while pkind == "gep" and seen_gep < 8:
+                base = self._resolve_alias(pbase)
+                if base is None:
+                    return "fp_calls"
+                if base.startswith("@"):
+                    return "jt_lowered" if base[1:].strip('"') in tables else "fp_calls"
+                pkind, pbase = self.defs.get(base[1:], ("opaque", None))
+                seen_gep += 1
+            if pkind == "load":
+                return "virtual_calls"
+        return "fp_calls"
+
+
+def _ref_module_facts(lines):
+    functions = set()
+    for line in lines:
+        stripped = line.strip()
+        m = _DEFINE.match(stripped) or _DECLARE.match(stripped)
+        if m:
+            functions.add(m.group(1).strip('"'))
+    tables = set()
+    module_asm = 0
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("module asm"):
+            module_asm += 1
+            continue
+        m = _GLOBAL.match(stripped)
+        if not m:
+            continue
+        name, rhs = m.group(1).strip('"'), m.group(2)
+        if "constant" not in rhs and "global" not in rhs:
+            continue
+        refs = {t[1:].strip('"') for t in _TOKEN.findall(rhs) if t.startswith("@")}
+        if "blockaddress(" in rhs.replace(" ", "") or (refs & functions):
+            tables.add(name)
+    return functions, tables, module_asm
+
+
+def _ref_walk(ir_text, diagnostics):
+    lines = ir_text.splitlines()
+    functions, tables, module_asm = _ref_module_facts(lines)
+    tally = {"": Counter(inline_asm=module_asm)}
+    current = None
+    scope = _RefScope()
+    counts = Counter()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        if current is None:
+            m = _DEFINE.match(line)
+            if m and line.rstrip().endswith("{"):
+                current = m.group(1).strip('"')
+                scope = _RefScope()
+                counts = Counter()
+            continue
+        if line == "}":
+            tally.setdefault(current, Counter()).update(counts)
+            current = None
+            continue
+        rhs = line
+        assign = _ASSIGN.match(line)
+        if assign:
+            rhs = assign.group(2)
+            scope.record(assign.group(1).strip('"'), rhs)
+        body = rhs.lstrip()
+        if body.startswith("switch "):
+            counts["jt_switch"] += 1
+            continue
+        if body.startswith("indirectbr "):
+            counts["jt_lowered"] += 1
+            continue
+        if body.startswith("store "):
+            pieces = _ref_split_top(body[len("store "):].replace("volatile ", "", 1))
+            if pieces:
+                value_refs = {
+                    t[1:].strip('"') for t in _TOKEN.findall(pieces[0]) if t.startswith("@")
+                }
+                if "blockaddress(" in pieces[0].replace(" ", "") or (value_refs & functions):
+                    counts["callback_stores"] += 1
+            continue
+        m = _CALL_OP.match(body)  # the opcode fix; the walker before it searched the whole rhs
+        if not m:
+            continue
+        rest = body[m.end():]
+        callee = _ref_callee_token(rest)
+        if callee == "asm":
+            counts["inline_asm"] += 1
+        elif callee is None:
+            if "(" not in rest and diagnostics is not None:
+                diagnostics.append((lineno, "call instruction without an argument list"))
+        elif callee.startswith("@"):
+            pass
+        else:
+            counts[scope.classify_callee(callee, tables)] += 1
+    return tally
+
+
+def reference_census_by_function(ir_text, diagnostics=None):
+    return {name: IrSiteCensus(**c) for name, c in _ref_walk(ir_text, diagnostics).items()}
+
+
+def assert_same_census(ir_text):
+    got_diag, want_diag = [], []
+    got = census_by_function(ir_text, got_diag)
+    want = reference_census_by_function(ir_text, want_diag)
+    assert got == want
+    assert got_diag == want_diag
+
+
+# --------------------------------------------------------------- generators
+
+_plain_name = st.text(alphabet="abcfx0._", min_size=1, max_size=5).map(lambda s: "n" + s)
+_quoted_name = st.text(alphabet="a .,()[]{}<>=%@:;-", max_size=6).map(lambda s: f'"{s}"')
+# A small pool so that definitions, uses and redefinitions meet.
+_reg = st.sampled_from(
+    ["%fp", "%vt", "%slot", "%vfn", "%x", "%call", "%0", '%"q r"', '%"call"', "%p.addr"]
+)
+_fn = st.one_of(
+    st.sampled_from(["@f", "@g", '@"x.call"', '@"h,i"', "@llvm.memcpy", "@tbl", "@cbs"]),
+    _plain_name.map(lambda n: "@" + n),
+    _quoted_name.map(lambda n: "@" + n),
+)
+_ty = st.sampled_from(
+    ["ptr", "i32", "i8*", "void ()*", "{ i32, i32 }", "%struct.S*", "[2 x ptr]", "<2 x i32>",
+     "i32 (i32)*", "{ ptr, { i32, i32 } }"]
+)
+_value = st.one_of(_reg, _fn, st.sampled_from(["null", "1", "undef", "blockaddress(@f, %bb)"]))
+_pad = st.sampled_from(["", " ", "  ", "\t"])
+# Pieces of the grammar's corner cases, joined at random.
+_fragments = st.lists(
+    st.sampled_from([
+        "%x", "%call", '%"a,b"', "%", "@f", '@"x.call"', "@tbl", '"', "(", ")", "[", "]", "{", "}",
+        "<", ">", ",", " ", "\t", "asm", "_asm", "asm.", "xasm", "call", "ptr", "i32",
+        "getelementptr", "inbounds", " to ", "x",
+    ]),
+    max_size=12,
+).map("".join)
+# The links of the virtual, table and alias chains, in any order.
+_chain_link = st.sampled_from([
+    "%vt = load ptr, ptr %p, align 8",
+    "%slot = getelementptr inbounds ptr, ptr %vt, i64 2",
+    "%vfn = load ptr, ptr %slot, align 8",
+    "%fp = load ptr, ptr @tbl, align 8",
+    "%slot = getelementptr inbounds [2 x ptr], ptr @tbl, i64 0, i64 1",
+    "%fp = load ptr, ptr %slot",
+    "%x = bitcast ptr %vfn to ptr",
+    "%fp = bitcast ptr %x to ptr",
+    "%vt = add i32 1, 2",
+    "call void %fp()",
+    "call void %vfn(ptr %p)",
+    "%call = call i32 %x(i32 1)",
+])
+
+
+@st.composite
+def _instruction(draw):
+    ty, ty2, v, v2, r = draw(_ty), draw(_ty), draw(_value), draw(_value), draw(_reg)
+    kind = draw(st.integers(0, 16))
+    if kind == 0:
+        vol = draw(st.sampled_from(["", "volatile ", "atomic "]))
+        tail = draw(st.sampled_from(["", ", align 8", " monotonic, align 4", ", !tbaa !3"]))
+        return f"{r} = load {vol}{ty}, {ty2} {v}{tail}"
+    if kind == 1:
+        kw = draw(st.sampled_from(["", "inbounds ", "nuw ", "inrange(0, 1) ", "nusw inbounds "]))
+        return f"{r} = getelementptr {kw}{ty}, {ty2} {v}, i64 {draw(st.integers(0, 3))}"
+    if kind == 2:
+        return f"{r} = load {ty}, ptr getelementptr inbounds ([2 x ptr], ptr {v}, i64 0, i64 1)"
+    if kind == 3:
+        op = draw(st.sampled_from(["bitcast", "addrspacecast"]))
+        return f"{r} = {op} {ty} {v} to {ty2}"
+    if kind == 4:
+        prefix = draw(st.sampled_from(["", "tail ", "musttail ", "notail ", "tail  "]))
+        op = draw(st.sampled_from(["call", "invoke"]))
+        args = draw(st.sampled_from(["", f"{ty} {v2}", f"ptr {v}, i32 1", "{ i32, i32 } %agg"]))
+        callee = draw(st.one_of(_reg, _fn, st.just(f"bitcast (ptr {v} to ptr)")))
+        after = draw(st.sampled_from(["", " #0", ", !dbg !7", " to label %ok unwind label %bad",
+                                      ' [ "deopt"(i32 1) ]']))
+        lhs = draw(st.sampled_from(["", f"{r} = "]))
+        return f"{lhs}{prefix}{op} {ty} {callee}({args}){after}"
+    if kind == 5:
+        return draw(st.sampled_from(
+            ['call void asm sideeffect "nop", ""()', "call void asm", "%r = call i32 asm \"x\", \"=r\"()",
+             "call void %fp", "tail call void @f", '%a = call ptr @"x.call"'] ))
+    if kind == 6:
+        vol = draw(st.sampled_from(["", "volatile ", "atomic "]))
+        order = draw(st.sampled_from(["", " seq_cst", " release, align 8"]))
+        return f"store {vol}{ty} {v}, ptr {v2}{order}"
+    if kind == 7:
+        return f"switch i32 {v}, label %d [ i32 0, label %a ]"
+    if kind == 8:
+        return f"indirectbr ptr {v}, [label %a, label %b]"
+    if kind == 9:
+        op = draw(st.sampled_from(["add nsw", "icmp eq", "select i1 %c,", "phi", "ptrtoint"]))
+        return f"{r} = {op} {ty} {v}, {v2}"
+    if kind == 10:
+        return draw(st.sampled_from(["entry:", "bb:", "ret void", "ret i32 %call", "br label %bb",
+                                     "unreachable", "; call void %fp()", "", "   ", "}", "} ; end"]))
+    if kind == 11:
+        return f"{r}={draw(st.sampled_from(['load ptr, ptr %x', 'call void %fp()', 'add i32 1, 2']))}"
+    if kind == 12:
+        return f"%add = add nsw i32 %call, {draw(st.integers(0, 9))}"
+    if kind == 13:
+        head = draw(st.sampled_from(["", "call ", "store ", "%r = call ", "%r = load ", "tail call "]))
+        return head + draw(_fragments)
+    if kind in (14, 15):
+        return draw(_chain_link)
+    return f"{r} = call {ty} {v}({ty2} {v2})"
+
+
+@st.composite
+def _module_line(draw):
+    name, fn, ty = draw(st.one_of(_plain_name, _quoted_name)), draw(_fn), draw(_ty)
+    return draw(st.sampled_from([
+        f"@{name} = internal global ptr null, align 8",
+        f"@{name} = internal constant [2 x ptr] [ptr {fn}, ptr @g]",
+        f"@{name} = global ptr blockaddress(@f, %bb)",
+        f"@{name} = private unnamed_addr constant [3 x i8] c\"ab\\00\"",
+        f"@{name} = alias i32 (i32), ptr {fn}",
+        f"declare {ty} {fn}(i32)",
+        'module asm ".globl marker"',
+        "%struct.S = type { i32, { i32, i32 } }",
+        "; ModuleID = 'x.c'",
+        "",
+        "attributes #0 = { nounwind }",
+        "!0 = !{i32 1}",
+        "@tbl = internal constant [2 x ptr] [ptr @f, ptr @g]",
+        "declare void @f()",
+    ]))
+
+
+@st.composite
+def _function(draw):
+    name = draw(st.one_of(_plain_name, _quoted_name))
+    head = draw(st.sampled_from([
+        f"define i32 @{name}(ptr %p, ptr %fp) {{",
+        f"define internal void @{name}() #0 {{",
+        f"define void @{name}(ptr %cb) personality ptr @p0 {{",
+        f"define i32 @{name}(i32 %x)",  # no brace: not a body
+    ]))
+    body = draw(st.lists(st.tuples(_pad, _instruction()), max_size=14))
+    closing = draw(st.sampled_from(["}", "  }  ", "", "}"]))
+    return [head] + [pad + ins for pad, ins in body] + [closing]
+
+
+@st.composite
+def ir_module(draw):
+    # A code-pointer table and a function, so that table-based calls classify.
+    parts = [["@tbl = internal constant [2 x ptr] [ptr @f, ptr @g]", "declare void @f()"]]
+    parts += draw(st.lists(st.one_of(_module_line().map(lambda s: [s]), _function()), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(line for part in parts for line in part)
+
+
+# -------------------------------------------------------------------- tests
+
+@settings(max_examples=250, deadline=None)
+@given(ir_module())
+def test_census_matches_the_reference_walker(ir_text):
+    assert_same_census(ir_text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _fragments,
+        st.tuples(_fragments, _fn | _reg, _fragments, _fragments).map(lambda t: "{} {}({}){}".format(*t)),
+    )
+)
+def test_split_top_and_callee_token_match_the_reference(text):
+    assert ircensus._split_top(text) == _ref_split_top(text)
+    assert ircensus._callee_token(text) == _ref_callee_token(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _instruction().map(lambda line: _ASSIGN.match(line.strip())).filter(bool).map(lambda m: m[2]),
+        st.tuples(st.sampled_from(["load", "getelementptr", "bitcast", "addrspacecast"]), _fragments)
+        .map("".join),
+    )
+)
+def test_parsed_definitions_match_the_reference(rhs):
+    scope = _RefScope()
+    scope.record("r", rhs)
+    assert ircensus._parse_def(rhs) == scope.defs["r"]
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        "load ptr, ptr %p, align 8",
+        'load ptr, ptr @"a, b", align 8',
+        "load ptr, ptr getelementptr inbounds ([2 x ptr], ptr @t, i64 0, i64 1)",
+        "load { i32, i32 }, ptr %agg",
+        "load <2 x ptr>, <2 x ptr> %v",
+        'load [a"], ptr %x',
+        "load ptr, ",
+        "load ptr,, ptr %x",
+        "getelementptr inbounds [2 x ptr], ptr @tbl, i64 0, i64 1",
+        "getelementptr { i32, { i32, i32 } }, ptr %s, i32 0",
+        "getelementptr inrange(0, 1) ptr, ptr %vt, i64 2",
+        "getelementptr (ptr, ptr %q), ptr %r",
+        "bitcast ptr %x to ptr",
+    ],
+)
+def test_parsed_definition_cases(rhs):
+    scope = _RefScope()
+    scope.record("r", rhs)
+    assert ircensus._parse_def(rhs) == scope.defs["r"]
+
+
+def test_odd_line_breaks_count_like_splitlines():
+    ir = "define void @f(ptr %fp) {\r%x = load ptr, ptr @t\x0bcall void %x()\x85} "
+    assert_same_census(ir)
+    assert census_by_function(ir)["f"].fp_calls == 1
+
+
+@pytest.mark.parametrize(
+    "body, category",
+    [
+        (["call void %fp()", "%fp = load ptr, ptr @tbl"], "fp_calls"),  # use before definition
+        (["%fp = load ptr, ptr @tbl", "call void %fp()"], "jt_lowered"),
+        (["%fp = load ptr, ptr @tbl", "%fp = add i32 1, 2", "call void %fp()"], "fp_calls"),
+        (["%fp = add i32 1, 2", "%fp = load ptr, ptr @tbl", "call void %fp()"], "jt_lowered"),
+        (['%"fp" = load ptr, ptr @tbl', "call void %fp()"], "jt_lowered"),
+        (["%fp = load ptr, ptr @tbl", 'call void %"fp"()'], "fp_calls"),
+        (["%vt = load ptr, ptr %p", "%s = getelementptr ptr, ptr %vt, i64 1",
+          "%vf = load ptr, ptr %s", "call void %vf()"], "virtual_calls"),
+        (["%s = getelementptr ptr, ptr %vt, i64 1", "%vf = load ptr, ptr %s",
+          "call void %vf()", "%vt = load ptr, ptr %p"], "fp_calls"),
+        (["%x = load ptr, ptr @tbl", "%fp = bitcast ptr %x to ptr", "call void %fp()"], "jt_lowered"),
+    ],
+)
+def test_definitions_count_as_of_the_call(body, category):
+    ir = "\n".join(
+        ["@tbl = internal constant [2 x ptr] [ptr @f, ptr @g]", "declare void @f()",
+         "define void @h(ptr %p) {", *body, "}"]
+    )
+    assert_same_census(ir)
+    assert census_by_function(ir)["h"].as_dict()[category] == 1
+
+
+@pytest.mark.parametrize(
+    "rest, callee",
+    [
+        (" void %fp(i32 %x) #0", "%fp"),
+        (" void asm %fp()", "asm"),
+        (" void _asm %fp()", "asm"),
+        (" void xasm %fp()", "%fp"),
+        (" void @f() to label %ok unwind label %bad", "@f"),
+        (") void %fp()", "%fp"),
+        (' void %"a(b"(i32 1)', '%"a(b"'),
+        (" void bitcast (ptr @f to ptr)()", None),
+        (" void %fp", None),
+    ],
+)
+def test_callee_token_cases(rest, callee):
+    assert ircensus._callee_token(rest) == _ref_callee_token(rest) == callee
+
+
+def test_call_operand_is_no_call():
+    ir = "define i32 @f(i32 %x) {\n  %call = call i32 @g(i32 %x)\n  %add = add nsw i32 %call, 1\n  ret i32 %add\n}\n"
+    diagnostics: list[tuple[int, str]] = []
+    assert census_by_function(ir, diagnostics)["f"].total() == 0
+    assert diagnostics == []
+
+
+def test_quoted_name_with_call_is_no_call():
+    ir = 'define void @f() {\n  store ptr @"x.call", ptr @slot\n  %v = load ptr, ptr @"x.call"\n  ret void\n}\n'
+    diagnostics: list[tuple[int, str]] = []
+    census_by_function(ir, diagnostics)
+    assert diagnostics == []
+
+
+@pytest.mark.parametrize("workload", ["suite_fanout", "wide_tree", "cxx_static"])
+def test_census_matches_the_reference_on_benchmark_ir(workload, tmp_path):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    gen.GENERATORS[workload](tmp_path, 1, sys.executable, PERFBENCH / "cfimodel.py", 0.3)
+    files = sorted(tmp_path.rglob("*.ll"))
+    assert files
+    for path in files:
+        assert_same_census(path.read_text())
