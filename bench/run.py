@@ -22,10 +22,17 @@ call per module, and reports MB/s.
 pass locates and patches every definition. Each repeat runs on a fresh copy
 of the tree.
 
+``--layer tracer`` times ``run_traced`` on ``/bin/true`` and on a two-exec
+shell test shaped like perfbench's suite_fanout tests, with ``subprocess.run``
+on the same commands as the untraced reference. Each repeat makes 200 calls;
+it reports the median per-call wall time, this process's CPU per call
+(``RUSAGE_SELF``, all its threads) and the threads started per call.
+
 Run from the repository root, stdlib only:
 
     python3 bench/run.py                  # writes BENCH_symbols.json
     python3 bench/run.py --layer census   # writes BENCH_census.json
+    python3 bench/run.py --layer tracer   # writes BENCH_tracer.json
     python3 bench/run.py --layer repair --repeat 3 --out /tmp/bench.json
 """
 
@@ -36,11 +43,13 @@ import json
 import os
 import platform
 import random
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -55,6 +64,7 @@ from cfiheal.build import BuildKind, BuildMode, BuildOutcome, Diagnostic, Diagno
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.ircensus import census_by_function  # noqa: E402
+from cfiheal.tracing import OutcomeKind, run_traced  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
 
@@ -237,7 +247,74 @@ def bench_repair(repeat: int) -> list[dict]:
     ]
 
 
-LAYERS = {"symbols": bench_symbols, "census": bench_census, "repair": bench_repair}
+TRACER_CALLS = 200
+TRACER_COMMANDS = {
+    "/bin/true": ["/bin/true"],
+    "2-exec shell test": "/bin/true a 7 >/dev/null && /bin/true b 7 >/dev/null",
+}
+
+
+def _traced(cmd) -> None:
+    outcome = run_traced(cmd, 10)
+    if outcome.kind is not OutcomeKind.EXITED or outcome.exit_status != 0:
+        raise RuntimeError(f"{cmd!r}: {outcome}")
+
+
+def _untraced(cmd) -> None:
+    null = subprocess.DEVNULL
+    subprocess.run(
+        cmd, shell=isinstance(cmd, str), check=True, stdin=null, stdout=null, stderr=null
+    )
+
+
+def bench_tracer(repeat: int) -> list[dict]:
+    results = []
+    real_start = threading.Thread.start
+    for target, cmd in TRACER_COMMANDS.items():
+        for op, call in (("run_traced", _traced), ("subprocess.run", _untraced)):
+            started = 0
+
+            def counting_start(thread):
+                nonlocal started
+                started += 1
+                real_start(thread)
+
+            call(cmd)  # warm-up
+            walls, cpus = [], []
+            threading.Thread.start = counting_start
+            try:
+                for _ in range(repeat):
+                    before = resource.getrusage(resource.RUSAGE_SELF)
+                    t0 = time.perf_counter()
+                    for _ in range(TRACER_CALLS):
+                        call(cmd)
+                    walls.append((time.perf_counter() - t0) / TRACER_CALLS)
+                    after = resource.getrusage(resource.RUSAGE_SELF)
+                    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+                    cpus.append(cpu / TRACER_CALLS)
+            finally:
+                threading.Thread.start = real_start
+            results.append(
+                {
+                    "target": target,
+                    "op": op,
+                    "calls_per_repeat": TRACER_CALLS,
+                    "median_ms": round(statistics.median(walls) * 1e3, 3),
+                    "min_ms": round(min(walls) * 1e3, 3),
+                    "max_ms": round(max(walls) * 1e3, 3),
+                    "cpu_ms_per_call": round(statistics.median(cpus) * 1e3, 3),
+                    "threads_per_call": started / (repeat * TRACER_CALLS),
+                }
+            )
+    return results
+
+
+LAYERS = {
+    "symbols": bench_symbols,
+    "census": bench_census,
+    "repair": bench_repair,
+    "tracer": bench_tracer,
+}
 
 
 def _host() -> dict:
@@ -274,8 +351,10 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.layer}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        extra = {k: r[k] for k in ("mb_per_s", "patches", "spawns_per_call") if k in r}
-        print(f"{r['target']}: {r['op']} median {r['median_s']:.4f} s {extra}")
+        keys = ("mb_per_s", "patches", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
+        extra = {k: r[k] for k in keys if k in r}
+        median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
+        print(f"{r['target']}: {r['op']} median {median} {extra}")
     return 0
 
 

@@ -9,6 +9,7 @@ GNU ld (ld.bfd / gold):
     <lib.so>: undefined reference to `<sym>'
     <obj>:(.text+0x3): relocation ... against undefined hidden symbol `<sym>'
     hidden symbol `<sym>' in <obj> is referenced by DSO
+Under -flto <file> is `<artificial>', and the `in function' <obj> stands in.
 
 LLD:
     ld.lld: error: undefined symbol: <sym>
@@ -127,8 +128,8 @@ _GNU_HIDDEN_RELOC = re.compile(
 _GNU_HIDDEN_DSO = re.compile(
     r"hidden symbol [`'](?P<sym>[^']+)'(?: in (?P<obj>\S+))? is referenced by DSO"
 )
-# Linker/driver self-identification tokens to skip when attributing a reference.
-_TOOL_NAME = re.compile(r"(^|/)(ld(\.bfd|\.gold|\.lld)?|collect2|clang(\+\+)?(-\d+)?|gcc|cc)$")
+# Linker/driver self-identification tokens, and GNU ld's LTO `<artificial>'.
+_TOOL_NAME = re.compile(r"(^|/)(ld(\.bfd|\.gold|\.lld)?|collect2|clang(\+\+)?(-\d+)?|gcc|cc|<artificial>)$")
 # `isn't defined' fires when a hidden-marked reference never finds a definition.
 _GNU_HIDDEN_UNDEF = re.compile(r"hidden symbol [`'](?P<sym>[^']+)' isn't defined")
 # LLD grammars. Continuation lines attribute the reference.

@@ -115,12 +115,7 @@ def enumerate_tests(cfg: ProjectConfig) -> list[TestCase]:
 
 
 def run_case(cfg: ProjectConfig, case: TestCase) -> TestResult:
-    outcome = run_traced(
-        case.command,
-        cfg.test_timeout,
-        cwd=cfg.project_root,
-        test_id=case.test_id,
-    )
+    outcome = run_traced(case.command, cfg.test_timeout, cwd=cfg.project_root)
     return TestResult(case.test_id, outcome)
 
 

@@ -6,7 +6,9 @@ The monitor forks the command under PTRACE_TRACEME, follows every descendant
 stop anywhere in the tree into a TrapEvent carrying the corrected fault PC,
 up to two frame-pointer-unwound return addresses, a register snapshot, and
 the faulting task's memory map. The tracee tree is terminated after the trap;
-execution never resumes past a violation.
+execution never resumes past a violation. The tracee's stdin, stdout and
+stderr are one read-write /dev/null descriptor: no output is read or kept, so
+no tracee blocks on a full pipe and the monitor runs no thread of its own.
 
 Program-counter correction is trap-flavor specific: SIGILL stops report the
 faulting instruction address directly, while SIGTRAP from an int3 byte
@@ -23,9 +25,15 @@ SIGCHLD is blocked in the calling thread only, and when a drain of the
 monitor's PIDs finds nothing it waits in sigtimedwait for the next SIGCHLD,
 up to the remaining timeout. The caller's mask is restored on return, and the
 tracee resets to it before execve, so tested programs see the caller's mask.
-SIGCHLD is process-directed, so another thread may take a wake-up meant for
-this monitor; each wait is therefore capped at _WAKE_CAP seconds, after which
-the monitor drains again.
+SIGCHLD is process-directed, so a library caller's other thread may take a
+wake-up meant for this monitor; each wait is therefore capped at _WAKE_CAP
+seconds, after which the monitor drains again.
+
+A fork the monitor has not yet drained leaves a child it does not know, which
+killpg(root) misses if its parent left the root's process group. So before
+the kill each running tracee gets SIGSTOP, and each fork, vfork or clone event
+drained meanwhile adds its child, until every tracee is in a ptrace-stop,
+dead, or a vfork parent blocked on a child that has not exec'd.
 
 Concurrent monitors in one process stay isolated because each drains only its
 own PIDs with WNOHANG|__WALL (never waitpid(-1)); a SIGCHLD one of them takes
@@ -35,11 +43,9 @@ costs the others at most one capped wait, never a lost status.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import re
 import signal
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -75,11 +81,16 @@ _FOLLOW_OPTIONS = (
 )
 
 _WALL = 0x40000000
+_SYS_TKILL = 200  # x86_64: a thread-directed signal, so each thread stops
 _WORD_MASK = (1 << 64) - 1
 
 # Longest single wait for SIGCHLD, in seconds: bounds the delay when another
 # thread took the wake-up.
 _WAKE_CAP = 0.05
+
+# Longest wait, in seconds, for the tree to stop before the kill. Past it a
+# tracee that would not stop is killed anyway, and a fork in flight may escape.
+_DRAIN_CAP = 0.25
 
 # x86_64 user_regs_struct, in kernel declaration order.
 _REG_FIELDS = (
@@ -97,6 +108,8 @@ class _UserRegs(ctypes.Structure):
 _libc = ctypes.CDLL("libc.so.6", use_errno=True)
 _libc.ptrace.restype = ctypes.c_long
 _libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+_libc.syscall.restype = ctypes.c_long
+_libc.syscall.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long]
 
 
 class TraceError(RuntimeError):
@@ -166,7 +179,6 @@ class TrapEvent:
     registers: Mapping[str, int]
     binary: Path | None
     memory_map: tuple[MemoryRegion, ...]
-    test_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -175,8 +187,6 @@ class TraceOutcome:
     exit_status: int | None = None
     term_signal: int | None = None
     trap: TrapEvent | None = None
-    stdout_digest: str = ""
-    stderr_digest: str = ""
     wall_time: float = 0.0
 
 
@@ -245,33 +255,13 @@ def region_for(regions: Sequence[MemoryRegion], addr: int) -> MemoryRegion | Non
     return None
 
 
-def _hashing_reader(fd: int, digest: "hashlib._Hash") -> threading.Thread:
-    def pump() -> None:
-        while True:
-            try:
-                chunk = os.read(fd, 65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            digest.update(chunk)
-        os.close(fd)
-
-    thread = threading.Thread(target=pump, daemon=True)
-    thread.start()
-    return thread
-
-
 def _spawn_traced(
     cmd: str | Sequence[str],
     cwd: Path | None,
     env: dict | None,
     caller_mask: set[signal.Signals],
-) -> tuple[int, int, int]:
-    """Fork the tracee with `caller_mask` as its signal mask.
-
-    Returns (pid, stdout_read_fd, stderr_read_fd).
-    """
+) -> int:
+    """Fork the tracee with `caller_mask` as its signal mask; returns its pid."""
     if isinstance(cmd, str):
         argv = ["/bin/sh", "-c", cmd]
     else:
@@ -288,19 +278,17 @@ def _spawn_traced(
         argv[0] = resolved
     environ = dict(os.environ if env is None else env)
 
-    out_r, out_w = os.pipe()
-    err_r, err_w = os.pipe()
-    null_fd = os.open(os.devnull, os.O_RDONLY)
+    # Close-on-exec; its copies on fds 0-2 are inherited.
+    null_fd = os.open(os.devnull, os.O_RDWR)
     pid = os.fork()
     if pid == 0:
         # Child: only exec-safe operations between fork and execve.
         try:
             os.setsid()
-            os.dup2(null_fd, 0)
-            os.dup2(out_w, 1)
-            os.dup2(err_w, 2)
-            for fd in (out_r, out_w, err_r, err_w, null_fd):
-                os.close(fd)
+            for fd in (0, 1, 2):
+                os.dup2(null_fd, fd)
+            if null_fd <= 2:  # the caller had closed it; dup2 onto itself kept close-on-exec
+                os.set_inheritable(null_fd, True)
             if cwd is not None:
                 os.chdir(cwd)
             _libc.ptrace(PTRACE_TRACEME, 0, None, None)
@@ -309,9 +297,8 @@ def _spawn_traced(
         except Exception:
             pass
         os._exit(127)
-    for fd in (out_w, err_w, null_fd):
-        os.close(fd)
-    return pid, out_r, err_r
+    os.close(null_fd)
+    return pid
 
 
 def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | None]]:
@@ -337,30 +324,99 @@ def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | Non
         signal.sigtimedwait((signal.SIGCHLD,), min(left, _WAKE_CAP))
 
 
-def _slay_tree(root: int, tracees: set[int]) -> None:
-    """Terminate every remaining tracee and reap what we can."""
+def _event_of(status: int) -> int:
+    return (status >> 16) & 0xFF
+
+
+class _Tree:
+    """The live tracees of one run, as far as the monitor has drained them."""
+
+    def __init__(self, root: int):
+        self.root = root
+        self.pids = {root}
+        # In a ptrace-stop whose status was consumed and that was not resumed.
+        self.stopped: set[int] = set()
+        # vfork child -> its parent, blocked until the child execs or exits.
+        self.vfork_parent: dict[int, int] = {}
+
+    def note(self, pid: int, status: int | None) -> bool:
+        """Book one wait status of `pid`; True if it left `pid` in a ptrace-stop."""
+        if status is None or not os.WIFSTOPPED(status):
+            self.pids.discard(pid)
+            self.stopped.discard(pid)
+            self.vfork_parent.pop(pid, None)
+            return False
+        self.stopped.add(pid)
+        event = _event_of(status)
+        if event == PTRACE_EVENT_EXEC:
+            self.vfork_parent.pop(pid, None)
+        elif event in (PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE):
+            msg = ctypes.c_ulong()
+            try:
+                _ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg))
+            except PtraceError:  # killed since the stop: its death comes next
+                return True
+            self.pids.add(msg.value)
+            if event == PTRACE_EVENT_VFORK:
+                self.vfork_parent[msg.value] = pid
+        return True
+
+    def resume(self, pid: int, sig: int = 0) -> None:
+        self.stopped.discard(pid)
+        _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(sig))
+
+
+def _settle(tree: _Tree, waiting: Callable[[], set[int]], cap: float) -> None:
+    """Book the statuses of the pids `waiting()` names until none or `cap` seconds."""
+    deadline = time.monotonic() + cap
+    while (pids := waiting()) and (ready := _wait_own(pids, deadline)):
+        for pid, status in ready:
+            tree.note(pid, status)
+
+
+def _slay_tree(tree: _Tree) -> None:
+    """Stop the tree and drain the forks it reports, then kill and reap it."""
+    for pid in tree.pids - tree.stopped:
+        _libc.syscall(_SYS_TKILL, pid, signal.SIGSTOP)
+    _settle(tree, lambda: tree.pids - tree.stopped - set(tree.vfork_parent.values()), _DRAIN_CAP)
     try:
-        os.killpg(root, signal.SIGKILL)
+        os.killpg(tree.root, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
-    for pid in set(tracees):
+    for pid in tree.pids:
         try:
             os.kill(pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
-    deadline = time.monotonic() + 2.0
-    remaining = set(tracees)
-    while remaining:
-        ready = _wait_own(remaining, deadline)
-        if not ready:
-            break
-        remaining.difference_update(
-            pid for pid, status in ready if status is None or not os.WIFSTOPPED(status)
-        )
+    _settle(tree, lambda: tree.pids, 2.0)
 
 
-def _event_of(status: int) -> int:
-    return (status >> 16) & 0xFF
+def _ended(status: int) -> dict:
+    """TraceOutcome fields for the exit or death status of the root."""
+    if os.WIFEXITED(status):
+        return {"kind": OutcomeKind.EXITED, "exit_status": os.WEXITSTATUS(status)}
+    return {"kind": OutcomeKind.SIGNALLED, "term_signal": os.WTERMSIG(status)}
+
+
+def _capture_trap(pid: int, stop_signal: int) -> TrapEvent:
+    trap_sig = TrapSignal(stop_signal)
+    regs_struct = _UserRegs()
+    _ptrace(PTRACE_GETREGS, pid, None, ctypes.byref(regs_struct))
+    registers = {name: int(getattr(regs_struct, name)) for name in _REG_FIELDS}
+    raw_pc = registers["rip"]
+    fault_pc = correct_pc(trap_sig, raw_pc)
+    regions = read_memory_maps(pid)
+    frames = unwind_frames(registers, lambda addr: peek_word(pid, addr))
+    home = region_for(regions, fault_pc)
+    return TrapEvent(
+        signal=trap_sig,
+        raw_pc=raw_pc,
+        fault_pc=fault_pc,
+        return_addresses=frames,
+        registers=registers,
+        binary=Path(home.path) if home and home.path else None,
+        memory_map=regions,
+    )
 
 
 def run_traced(
@@ -369,20 +425,19 @@ def run_traced(
     *,
     cwd: Path | None = None,
     env: dict | None = None,
-    test_id: str | None = None,
 ) -> TraceOutcome:
     """Run a command under trap supervision; first qualifying trap wins.
 
     A string command runs through /bin/sh -c; a sequence execs directly.
-    Stdout and stderr are consumed concurrently and recorded as sha256
-    digests, never buffered whole. Timeout kills the entire process group and
-    covers the wait for the tracee's first stop. SIGCHLD is blocked in the
-    calling thread while the call runs; the tracee starts with the caller's
-    mask, which is restored on every exit.
+    Stdin, stdout and stderr are /dev/null; no output is kept. Timeout kills
+    the entire tree and covers the wait for the tracee's first stop. SIGCHLD
+    is blocked in the calling thread while the call runs; the tracee starts
+    with the caller's mask, which is restored on every exit. The call starts
+    no thread.
     """
     caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGCHLD,))
     try:
-        return _supervise(cmd, timeout, cwd, env, test_id, caller_mask)
+        return _supervise(cmd, timeout, cwd, env, caller_mask)
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
 
@@ -392,57 +447,16 @@ def _supervise(
     timeout: float,
     cwd: Path | None,
     env: dict | None,
-    test_id: str | None,
     caller_mask: set[signal.Signals],
 ) -> TraceOutcome:
     started = time.monotonic()
     deadline = started + timeout
-    root, out_fd, err_fd = _spawn_traced(cmd, cwd, env, caller_mask)
-    out_hash = hashlib.sha256()
-    err_hash = hashlib.sha256()
-    readers = [_hashing_reader(out_fd, out_hash), _hashing_reader(err_fd, err_hash)]
-    tracees: set[int] = {root}
+    root = _spawn_traced(cmd, cwd, env, caller_mask)
+    tree = _Tree(root)
 
-    def stop() -> None:
-        _slay_tree(root, tracees)
-        for reader in readers:
-            reader.join(timeout=2.0)
-
-    def finish(outcome_kind: OutcomeKind, **kw) -> TraceOutcome:
-        stop()
-        return TraceOutcome(
-            kind=outcome_kind,
-            stdout_digest="sha256:" + out_hash.hexdigest(),
-            stderr_digest="sha256:" + err_hash.hexdigest(),
-            wall_time=time.monotonic() - started,
-            **kw,
-        )
-
-    def trap_outcome(pid: int, stop_signal: int) -> TraceOutcome:
-        trap_sig = (
-            TrapSignal.ILLEGAL_INSTRUCTION
-            if stop_signal == signal.SIGILL
-            else TrapSignal.BREAKPOINT_TRAP
-        )
-        regs_struct = _UserRegs()
-        _ptrace(PTRACE_GETREGS, pid, None, ctypes.byref(regs_struct))
-        registers = {name: int(getattr(regs_struct, name)) for name in _REG_FIELDS}
-        raw_pc = registers["rip"]
-        fault_pc = correct_pc(trap_sig, raw_pc)
-        regions = read_memory_maps(pid)
-        frames = unwind_frames(registers, lambda addr: peek_word(pid, addr))
-        home = region_for(regions, fault_pc)
-        event = TrapEvent(
-            signal=trap_sig,
-            raw_pc=raw_pc,
-            fault_pc=fault_pc,
-            return_addresses=frames,
-            registers=registers,
-            binary=Path(home.path) if home and home.path else None,
-            memory_map=regions,
-            test_id=test_id,
-        )
-        return finish(OutcomeKind.TRAPPED, trap=event)
+    def finish(kind: OutcomeKind, **kw) -> TraceOutcome:
+        _slay_tree(tree)
+        return TraceOutcome(kind=kind, wall_time=time.monotonic() - started, **kw)
 
     try:
         # First stop: the TRACEME child raises SIGTRAP at execve (or exits 127
@@ -453,51 +467,35 @@ def _supervise(
         status = ready[0][1]
         if status is None:
             raise TraceError("tracee vanished before first stop")
-        if os.WIFEXITED(status):
-            return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
-        if os.WIFSIGNALED(status):
-            return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
+        if not tree.note(root, status):
+            return finish(**_ended(status))
         _ptrace(PTRACE_SETOPTIONS, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-        _ptrace(PTRACE_CONT, root, None, None)
+        tree.resume(root)
 
         while True:
             if time.monotonic() >= deadline:
                 return finish(OutcomeKind.TIMED_OUT)
-            for pid, status in _wait_own(tracees, deadline):
-                if status is None:
-                    tracees.discard(pid)
-                    if pid == root:
+            ready = _wait_own(tree.pids, deadline)
+            # Book the whole drain before acting on it: the statuses after a
+            # trap are consumed too, and the kill must know their children.
+            stops = [tree.note(pid, status) for pid, status in ready]
+            for (pid, status), is_stop in zip(ready, stops):
+                if not is_stop:
+                    if pid != root:
+                        continue
+                    if status is None:
                         raise TraceError("lost the root tracee without a wait status")
-                    continue
-
-                if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                    tracees.discard(pid)
-                    if pid == root:
-                        if os.WIFEXITED(status):
-                            return finish(OutcomeKind.EXITED, exit_status=os.WEXITSTATUS(status))
-                        return finish(OutcomeKind.SIGNALLED, term_signal=os.WTERMSIG(status))
-                    continue
-
-                if not os.WIFSTOPPED(status):
-                    continue
+                    return finish(**_ended(status))
                 stop_signal = os.WSTOPSIG(status)
-                event = _event_of(status)
                 try:
-                    if event in (PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE):
-                        msg = ctypes.c_ulong()
-                        _ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg))
-                        tracees.add(msg.value)
-                        _ptrace(PTRACE_CONT, pid, None, None)
-                    elif event:
-                        _ptrace(PTRACE_CONT, pid, None, None)
+                    if _event_of(status) or stop_signal == signal.SIGSTOP:
+                        # An event, a new descendant's auto-attach stop, or a
+                        # job-control stop, which this monitor suppresses.
+                        tree.resume(pid)
                     elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
-                        return trap_outcome(pid, stop_signal)
-                    elif stop_signal == signal.SIGSTOP:
-                        # Auto-attach stop of a new descendant (or a job-control
-                        # stop, which this monitor deliberately suppresses).
-                        _ptrace(PTRACE_CONT, pid, None, None)
+                        return finish(OutcomeKind.TRAPPED, trap=_capture_trap(pid, stop_signal))
                     else:
-                        _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(stop_signal))
+                        tree.resume(pid, stop_signal)
                 except PtraceError:
                     # The task died between the wait and the request; the next
                     # drain will reap it.
@@ -505,5 +503,5 @@ def _supervise(
     except BaseException:
         # Lost root, a failed ptrace request, an error while capturing a trap,
         # KeyboardInterrupt: leave no tracee behind.
-        stop()
+        _slay_tree(tree)
         raise

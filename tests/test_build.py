@@ -86,6 +86,13 @@ mainh2.c:(.text+0x15): undefined reference to `foo_api'
 ld.bfd: final link failed: bad value
 """
 
+# GNU ld 12 after `gcc -flto`: the reference names no source file.
+BFD_LTO_ARTIFICIAL = """\
+/usr/bin/ld: /tmp/ccvPDYNZ.ltrans0.ltrans.o: in function `main':
+<artificial>:(.text+0xf): undefined reference to `helper'
+collect2: error: ld returned 1 exit status
+"""
+
 # Modeled on the documented GNU ld message; not reproducible with this
 # toolchain because the hidden-undef form fires first.
 GNU_RELOC_HIDDEN = (
@@ -142,6 +149,13 @@ def test_bare_tool_prefix_not_misattributed():
     assert (kind, sym) == (DiagnosticKind.UNDEFINED_REFERENCE, "foo_api")
     # `ld.bfd' must never be taken for the referencing object.
     assert obj == "mainh2.c" or obj == "nopic.o"
+
+
+def test_lto_artificial_falls_back_to_in_function_object():
+    got = kinds_and_symbols(BFD_LTO_ARTIFICIAL)
+    assert got[0] == (
+        DiagnosticKind.UNDEFINED_REFERENCE, "helper", "/tmp/ccvPDYNZ.ltrans0.ltrans.o"
+    )
 
 
 def test_gnu_relocation_against_hidden():
