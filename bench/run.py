@@ -5,12 +5,15 @@ binary it times, on a fresh ``Symbolizer`` each repeat:
 
 - ``function_boundaries``: the full span list, with the disassembly heuristic;
 - ``resolve_symtab_hit``: one ``resolve`` at the start of a symbol-table
-  function, the cost of a trap address that never needs the heuristic.
+  function, the cost of a trap address that never needs the heuristic;
+- ``resolve_span_starts``: one ``resolve_many`` over every symbol-table span
+  start, the shape of the account phase's file lookup.
 
-Targets are ``libstdc++.so.6`` (found through ``g++ -print-file-name``) and
-the C++ symbolizer fixture of the test suite, built with
-``g++ -g -O0 -fno-omit-frame-pointer``. Each result also counts the
-subprocesses the operation started, by program.
+Targets are ``libstdc++.so.6`` (found through ``g++ -print-file-name``), the
+C++ symbolizer fixture of the test suite, built with
+``g++ -g -O0 -fno-omit-frame-pointer``, and the ``bin/app`` of perfbench's
+cxx_static workload at scale 1, seed 1, built by its own ``make``. Each
+result also counts the subprocesses the operation started, by program.
 
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
@@ -96,6 +99,10 @@ def _targets(tmp: Path) -> list[tuple[str, Path]]:
         capture_output=True,
     )
     targets.append((f"{CXX_FIXTURE.relative_to(ROOT)} (g++ -O0 -g)", fixture))
+    project = tmp / "cxx_static"
+    spec = gen.cxx_static(project, 1, sys.executable, ROOT / "perfbench" / "cfimodel.py")
+    subprocess.run(spec.build_cmd, shell=True, cwd=project, check=True, capture_output=True)
+    targets.append(("perfbench cxx_static bin/app (scale 1, seed 1)", project / "bin" / "app"))
     return targets
 
 
@@ -132,9 +139,11 @@ def bench_symbols(repeat: int) -> list[dict]:
     with tempfile.TemporaryDirectory(prefix="bench-symbols-") as tmp:
         for target, binary in _targets(Path(tmp)):
             probe = _symtab_probe(binary)
+            starts = [s.start for s in symbols.Symbolizer()._symtab_spans(binary)]
             ops = {
                 "function_boundaries": lambda s: s.function_boundaries(binary),
                 "resolve_symtab_hit": lambda s: s.resolve(binary, probe),
+                "resolve_span_starts": lambda s: s.resolve_many(binary, starts),
             }
             spans = symbols.Symbolizer().function_boundaries(binary)
             for op, call in ops.items():

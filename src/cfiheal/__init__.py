@@ -45,7 +45,7 @@ from .ignorelist import (
     parse,
     render,
 )
-from .ircensus import IrSiteCensus, census, census_by_function, total_sites
+from .ircensus import IrSiteCensus, census, census_by_function
 from .pipeline import HealResult, PipelineFailure, cli_main, heal
 from .repair import (
     RepairLedger,

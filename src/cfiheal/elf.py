@@ -1,11 +1,8 @@
-"""Minimal ELF and DWARF line-table readers.
+"""Minimal ELF reader: symbol tables, program headers and section lookup.
 
-Scope is deliberately narrow: 64-bit little-endian ELF (x86_64), symbol
-tables, program headers, and the .debug_line section in DWARF versions 2
-through 5. That is exactly what address symbolization needs; full DIE trees,
-CFI records and 32/64-bit DWARF edge cases are out of scope. Unsupported
-constructs fail soft: the affected unit is skipped and recorded as a warning
-instead of aborting the parse.
+Scope is deliberately narrow: 64-bit little-endian ELF (x86_64). That is what
+address symbolization needs; file and line come from binutils addr2line
+(``symbols.LineTable``), so no DWARF is parsed here.
 """
 
 from __future__ import annotations
@@ -185,349 +182,3 @@ def _cstr(buf: bytes, offset: int) -> str:
     if end < 0:
         end = len(buf)
     return buf[offset:end].decode("utf-8", errors="replace")
-
-
-class _Cursor:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def u8(self) -> int:
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u16(self) -> int:
-        v = struct.unpack_from("<H", self.data, self.pos)[0]
-        self.pos += 2
-        return v
-
-    def u32(self) -> int:
-        v = struct.unpack_from("<I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def u64(self) -> int:
-        v = struct.unpack_from("<Q", self.data, self.pos)[0]
-        self.pos += 8
-        return v
-
-    def s8(self) -> int:
-        v = struct.unpack_from("<b", self.data, self.pos)[0]
-        self.pos += 1
-        return v
-
-    def uleb(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = self.u8()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-
-    def sleb(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = self.u8()
-            result |= (byte & 0x7F) << shift
-            shift += 7
-            if not byte & 0x80:
-                if byte & 0x40:
-                    result -= 1 << shift
-                return result
-
-    def cstr(self) -> str:
-        end = self.data.find(b"\x00", self.pos)
-        if end < 0:
-            end = len(self.data)
-        s = self.data[self.pos : end].decode("utf-8", errors="replace")
-        self.pos = end + 1
-        return s
-
-    def raw(self, n: int) -> bytes:
-        v = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return v
-
-
-# DWARF forms that appear in line-table directory/file entries.
-_DW_FORM_ADDR = 0x01
-_DW_FORM_DATA2 = 0x05
-_DW_FORM_DATA4 = 0x06
-_DW_FORM_DATA8 = 0x07
-_DW_FORM_STRING = 0x08
-_DW_FORM_DATA1 = 0x0B
-_DW_FORM_SDATA = 0x0D
-_DW_FORM_STRP = 0x0E
-_DW_FORM_UDATA = 0x0F
-_DW_FORM_DATA16 = 0x1E
-_DW_FORM_LINE_STRP = 0x1F
-_DW_FORM_STRX = 0x1A
-_DW_FORM_STRX1 = 0x25
-_DW_FORM_STRX2 = 0x26
-_DW_FORM_STRX3 = 0x27
-_DW_FORM_STRX4 = 0x28
-
-_DW_LNCT_PATH = 1
-_DW_LNCT_DIRECTORY_INDEX = 2
-
-_DW_LNS_COPY = 1
-_DW_LNS_ADVANCE_PC = 2
-_DW_LNS_ADVANCE_LINE = 3
-_DW_LNS_SET_FILE = 4
-_DW_LNS_SET_COLUMN = 5
-_DW_LNS_NEGATE_STMT = 6
-_DW_LNS_SET_BASIC_BLOCK = 7
-_DW_LNS_CONST_ADD_PC = 8
-_DW_LNS_FIXED_ADVANCE_PC = 9
-_DW_LNS_SET_ISA = 12
-
-_DW_LNE_END_SEQUENCE = 1
-_DW_LNE_SET_ADDRESS = 2
-_DW_LNE_DEFINE_FILE = 3
-
-
-@dataclass(frozen=True)
-class LineRow:
-    address: int
-    path: str
-    line: int
-    end_sequence: bool
-
-
-class LineTable:
-    """Flattened .debug_line rows for one binary, ready for address lookup."""
-
-    def __init__(self, rows: list[LineRow], warnings: list[str]):
-        self.rows = sorted(rows, key=lambda r: (r.address, r.end_sequence))
-        self.warnings = warnings
-        self._addresses = [r.address for r in self.rows]
-
-    @staticmethod
-    def from_elf(elf: ElfFile) -> "LineTable":
-        debug_line = elf.section(".debug_line")
-        if debug_line is None:
-            return LineTable([], [])
-        line_str = elf.section(".debug_line_str") or b""
-        debug_str = elf.section(".debug_str") or b""
-        rows: list[LineRow] = []
-        warnings: list[str] = []
-        cur = _Cursor(debug_line)
-        while cur.pos < len(debug_line):
-            try:
-                _parse_unit(cur, line_str, debug_str, rows, warnings)
-            except (IndexError, struct.error) as exc:
-                warnings.append(f"truncated line-table unit at offset {cur.pos}: {exc}")
-                break
-        return LineTable(rows, warnings)
-
-    def lookup(self, address: int) -> tuple[str, int] | None:
-        """Source file and line covering an address, or None between sequences."""
-        import bisect
-
-        i = bisect.bisect_right(self._addresses, address) - 1
-        if i < 0:
-            return None
-        row = self.rows[i]
-        if row.end_sequence and row.address <= address:
-            return None
-        return (row.path, row.line)
-
-
-def _read_form(cur: _Cursor, form: int, line_str: bytes, debug_str: bytes):
-    if form == _DW_FORM_STRING:
-        return cur.cstr()
-    if form == _DW_FORM_LINE_STRP:
-        return _cstr(line_str, cur.u32())
-    if form == _DW_FORM_STRP:
-        return _cstr(debug_str, cur.u32())
-    if form == _DW_FORM_UDATA:
-        return cur.uleb()
-    if form == _DW_FORM_SDATA:
-        return cur.sleb()
-    if form == _DW_FORM_DATA1:
-        return cur.u8()
-    if form == _DW_FORM_DATA2:
-        return cur.u16()
-    if form == _DW_FORM_DATA4:
-        return cur.u32()
-    if form == _DW_FORM_DATA8:
-        return cur.u64()
-    if form == _DW_FORM_DATA16:
-        return cur.raw(16)
-    if form == _DW_FORM_ADDR:
-        return cur.u64()
-    if form == _DW_FORM_STRX:
-        cur.uleb()
-        return None
-    if form == _DW_FORM_STRX1:
-        cur.raw(1)
-        return None
-    if form == _DW_FORM_STRX2:
-        cur.raw(2)
-        return None
-    if form == _DW_FORM_STRX3:
-        cur.raw(3)
-        return None
-    if form == _DW_FORM_STRX4:
-        cur.raw(4)
-        return None
-    raise ValueError(f"unsupported DWARF form 0x{form:x} in line table")
-
-
-def _resolve_path(name: str, dir_index: int, dirs: list[str], version: int) -> str:
-    import posixpath
-
-    if name.startswith("/"):
-        return posixpath.normpath(name)
-    if version >= 5:
-        directory = dirs[dir_index] if 0 <= dir_index < len(dirs) else ""
-    else:
-        # v2-4: index 0 means the compilation directory, which only the
-        # .debug_info CU carries; leave the name relative in that case.
-        directory = dirs[dir_index - 1] if 1 <= dir_index <= len(dirs) else ""
-    joined = posixpath.join(directory, name) if directory else name
-    return posixpath.normpath(joined)
-
-
-def _parse_unit(
-    cur: _Cursor, line_str: bytes, debug_str: bytes, rows: list[LineRow], warnings: list[str]
-) -> None:
-    unit_length = cur.u32()
-    if unit_length == 0xFFFFFFFF:
-        raise ValueError("64-bit DWARF is not supported")
-    unit_end = cur.pos + unit_length
-    version = cur.u16()
-    if version < 2 or version > 5:
-        warnings.append(f"unsupported line-table version {version}; unit skipped")
-        cur.pos = unit_end
-        return
-    if version >= 5:
-        cur.u8()  # address_size
-        seg = cur.u8()
-        if seg:
-            warnings.append("segmented addresses are not supported; unit skipped")
-            cur.pos = unit_end
-            return
-    header_length = cur.u32()
-    program_start = cur.pos + header_length
-
-    min_inst = cur.u8()
-    if version >= 4:
-        cur.u8()  # max_ops_per_instruction; VLIW scheduling is ignored
-    cur.u8()  # default_is_stmt; lookup does not filter on statement rows
-    line_base = cur.s8()
-    line_range = cur.u8()
-    opcode_base = cur.u8()
-    std_lengths = [cur.u8() for _ in range(opcode_base - 1)]
-
-    dirs: list[str] = []
-    files: list[tuple[str, int]] = []
-    if version >= 5:
-        dir_formats = [(cur.uleb(), cur.uleb()) for _ in range(cur.u8())]
-        for _ in range(cur.uleb()):
-            path = ""
-            for content, form in dir_formats:
-                value = _read_form(cur, form, line_str, debug_str)
-                if content == _DW_LNCT_PATH and isinstance(value, str):
-                    path = value
-            dirs.append(path)
-        file_formats = [(cur.uleb(), cur.uleb()) for _ in range(cur.u8())]
-        for _ in range(cur.uleb()):
-            name = ""
-            dir_index = 0
-            for content, form in file_formats:
-                value = _read_form(cur, form, line_str, debug_str)
-                if content == _DW_LNCT_PATH and isinstance(value, str):
-                    name = value
-                elif content == _DW_LNCT_DIRECTORY_INDEX and isinstance(value, int):
-                    dir_index = value
-            files.append((name, dir_index))
-    else:
-        while True:
-            d = cur.cstr()
-            if not d:
-                break
-            dirs.append(d)
-        while True:
-            name = cur.cstr()
-            if not name:
-                break
-            dir_index = cur.uleb()
-            cur.uleb()  # mtime
-            cur.uleb()  # length
-            files.append((name, dir_index))
-
-    def file_path(index: int) -> str:
-        if version >= 5:
-            if 0 <= index < len(files):
-                name, di = files[index]
-                return _resolve_path(name, di, dirs, version)
-        else:
-            if 1 <= index <= len(files):
-                name, di = files[index - 1]
-                return _resolve_path(name, di, dirs, version)
-        return f"<file {index}>"
-
-    cur.pos = program_start
-    address = 0
-    file_index = 1  # initial value is 1 in every DWARF version, including 5
-    line = 1
-
-    def emit(end_sequence: bool = False) -> None:
-        rows.append(LineRow(address, file_path(file_index), line, end_sequence))
-
-    while cur.pos < unit_end:
-        opcode = cur.u8()
-        if opcode >= opcode_base:
-            adjusted = opcode - opcode_base
-            address += (adjusted // line_range) * min_inst
-            line += line_base + (adjusted % line_range)
-            emit()
-        elif opcode == 0:
-            length = cur.uleb()
-            ext_end = cur.pos + length
-            sub = cur.u8()
-            if sub == _DW_LNE_END_SEQUENCE:
-                emit(end_sequence=True)
-                address, line = 0, 1
-                file_index = 1
-            elif sub == _DW_LNE_SET_ADDRESS:
-                address = cur.u64()
-            elif sub == _DW_LNE_DEFINE_FILE:
-                name = cur.cstr()
-                di = cur.uleb()
-                cur.uleb()
-                cur.uleb()
-                files.append((name, di))
-            cur.pos = ext_end
-        elif opcode == _DW_LNS_COPY:
-            emit()
-        elif opcode == _DW_LNS_ADVANCE_PC:
-            address += cur.uleb() * min_inst
-        elif opcode == _DW_LNS_ADVANCE_LINE:
-            line += cur.sleb()
-        elif opcode == _DW_LNS_SET_FILE:
-            file_index = cur.uleb()
-        elif opcode == _DW_LNS_SET_COLUMN:
-            cur.uleb()
-        elif opcode in (_DW_LNS_NEGATE_STMT, _DW_LNS_SET_BASIC_BLOCK):
-            pass
-        elif opcode == _DW_LNS_CONST_ADD_PC:
-            adjusted = 255 - opcode_base
-            address += (adjusted // line_range) * min_inst
-        elif opcode == _DW_LNS_FIXED_ADVANCE_PC:
-            address += cur.u16()
-        elif opcode == _DW_LNS_SET_ISA:
-            cur.uleb()
-        else:
-            # Unknown standard opcode: skip its declared operand count.
-            count = std_lengths[opcode - 1] if opcode - 1 < len(std_lengths) else 0
-            for _ in range(count):
-                cur.uleb()
-    cur.pos = unit_end

@@ -57,11 +57,6 @@ class IrSiteCensus:
         return {f.name: getattr(self, f.name) for f in fields(IrSiteCensus)}
 
 
-def total_sites(counts: IrSiteCensus) -> int:
-    """Sum of all six categories; the project-level indirect-site total."""
-    return counts.total()
-
-
 _TOKEN = re.compile(r"[%@][-\w.$]+|[%@]\"[^\"]*\"")
 _DEFINE = re.compile(r"^define\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
 _DECLARE = re.compile(r"^declare\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")

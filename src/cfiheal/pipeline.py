@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
 from .escalation import EscalationEngine, Violation, ViolationKey, ViolationStatus
-from .escalation import enforcement_name, violation_key
+from .escalation import _relative_file, enforcement_name, violation_key
 from .harness import (
     FailureClass,
     HarnessError,
@@ -47,7 +47,7 @@ from .report import (
     emit_report,
     format_duration,
 )
-from .symbols import SymbolInfo, Symbolizer
+from .symbols import ResolutionError, SymbolInfo, Symbolizer
 from .tracing import TraceError, TrapEvent
 
 STATE_NAME = "state.json"
@@ -187,12 +187,13 @@ def _function_records(
             for s in elf.dynamic_symbols()
             if s.name and s.is_func and s.shndx != 0 and s.visibility == "default"
         }
-        for span in symbolizer._symtab_spans(exe):
+        spans = symbolizer._symtab_spans(exe)
+        try:
+            files = [i.source_file for i in symbolizer.resolve_many(exe, [s.start for s in spans])]
+        except ResolutionError:
+            files = [None] * len(spans)
+        for span, file in zip(spans, files):
             name = enforcement_name(span.name)
-            try:
-                file = symbolizer.resolve(exe, span.start).source_file
-            except Exception:
-                file = None
             site_counts = per_function.get(span.name) or per_function.get(name)
             records.append(
                 FunctionRecord(
@@ -211,7 +212,7 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     by_file: dict[str, dict] = {}
     for violation in engine.all_violations():
         callee = violation.callee
-        file = callee.source_file if callee else None
+        file = _relative_file(callee, engine.project_root)
         function = enforcement_name(callee.function) if callee else "<unresolved>"
         details.append(
             {

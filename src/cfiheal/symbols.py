@@ -1,7 +1,8 @@
 """Address symbolization: static addresses to functions, files and lines.
 
 Resolution layers, best first:
-  1. symbol-table function spans plus line tables (confidence Debuginfo),
+  1. symbol-table function spans plus file and line from binutils addr2line
+     (confidence Debuginfo),
   2. symbol-table spans without line info (confidence SymbolTable),
   3. disassembly-derived boundary heuristics for stripped regions
      (confidence BoundaryHeuristic; such functions exist only as synthetic
@@ -18,7 +19,8 @@ heuristic spans; symbol-table spans always win where both exist. A binary's
 view starts with its symbol-table spans, demangled by one c++filt; the
 backend runs only for ``function_boundaries`` or for an address outside every
 symbol-table span. Heuristic spans never overlap symbol-table spans, so a
-symbol-table hit resolves the same either way.
+symbol-table hit resolves the same either way. File and line of symbol-table
+hits come from one addr2line per batch of addresses not asked before.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .elf import ElfError, ElfFile, ElfSymbol, LineTable
+from .elf import ElfError, ElfFile, ElfSymbol
 from .tracing import MemoryRegion
 
 
@@ -111,6 +113,73 @@ def _demangle_batch(names: Sequence[str]) -> tuple[list[str], str | None]:
 def demangle(symbol: str) -> str:
     """Demangled spelling via c++filt; non-mangled names pass through."""
     return _demangle_batch([symbol])[0][0]
+
+
+# addr2line's " (discriminator N)" after a line number.
+_DISCRIMINATOR = re.compile(r" \(discriminator \d+\)$")
+
+_Location = tuple[str, int] | None
+
+
+def _parse_location(text: str) -> _Location:
+    """(file, line) from one addr2line answer; None for ``??:0`` and ``??:?``.
+
+    addr2line prints ``?`` for line 0, which keeps the file.
+    """
+    file, _, line = _DISCRIMINATOR.sub("", text.strip()).rpartition(":")
+    if not file or file == "??":
+        return None
+    return file, int(line) if line.isdigit() else 0
+
+
+class LineTable:
+    """File and line of a binary's addresses, from binutils addr2line.
+
+    One addr2line call answers every address of a batch not asked before, and
+    each answer is cached. A binary without .debug_line starts no addr2line.
+    If addr2line is missing, times out, fails or answers with the wrong number
+    of lines, the binary's lines stay unknown and no further call is made.
+    """
+
+    def __init__(self, binary: Path | None):
+        # None: nothing to ask, because the binary has no line information
+        # or a call for it failed.
+        self.binary = binary
+        self._known: dict[int, _Location] = {}
+
+    @staticmethod
+    def from_elf(elf: ElfFile) -> "LineTable":
+        return LineTable(elf.path if elf.has_section(".debug_line") else None)
+
+    def lookup(self, addresses: Sequence[int]) -> tuple[list[_Location], str | None]:
+        """(file, line) or None per address; the second item says why a call failed."""
+        todo = sorted({a for a in addresses if a not in self._known})
+        failure = self._ask(todo) if todo and self.binary is not None else None
+        return [self._known.get(a) for a in addresses], failure
+
+    def _ask(self, todo: list[int]) -> str | None:
+        """Cache addr2line's answers for `todo`; on a failure stop asking and say why."""
+        payload = "".join(f"{a:#x}\n" for a in todo).encode()
+        try:
+            proc = subprocess.run(
+                ["addr2line", "-e", str(self.binary)],
+                input=payload, capture_output=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            failure = f"addr2line failed, lines left unknown: {exc}"
+        else:
+            lines = proc.stdout.decode(errors="replace").split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            if proc.returncode == 0 and len(lines) == len(todo):
+                self._known.update(zip(todo, map(_parse_location, lines)))
+                return None
+            failure = (
+                f"addr2line exited {proc.returncode} with {len(lines)} lines for "
+                f"{len(todo)} addresses; lines left unknown"
+            )
+        self.binary = None
+        return failure
 
 
 class DisassemblyBackend(Protocol):
@@ -275,7 +344,7 @@ class _SpanIndex:
 @dataclass
 class _BinaryView:
     elf: ElfFile
-    line_table: LineTable
+    lines: LineTable
     symtab: _SpanIndex
     # Symtab spans plus heuristic gap fill; built on the first need for it.
     filled: _SpanIndex | None = None
@@ -309,9 +378,7 @@ class Symbolizer:
             self.warnings.append(f"unparseable binary {binary}: {exc}")
         else:
             spans = self._build_spans(elf, binary)
-            table = LineTable.from_elf(elf)
-            self.warnings.extend(f"{binary}: {w}" for w in table.warnings)
-            view = _BinaryView(elf, table, _SpanIndex(spans))
+            view = _BinaryView(elf, LineTable.from_elf(elf), _SpanIndex(spans))
         self._cache[str(binary)] = (stamp, view)
         return view
 
@@ -354,19 +421,38 @@ class Symbolizer:
 
     def resolve(self, binary: Path, address: int) -> SymbolInfo:
         """Symbol info for a static address; raises ResolutionError on a miss."""
+        return self.resolve_many(binary, [address])[0]
+
+    def resolve_many(self, binary: Path, addresses: Sequence[int]) -> list[SymbolInfo]:
+        """Symbol info per static address, with one addr2line for the batch.
+
+        Raises ResolutionError if any address misses.
+        """
         view = self._view(binary)
         if view is None:
             raise ResolutionError(f"cannot parse binary {binary}")
-        span = view.symtab.at(address) or self._filled(view).at(address)
-        if span is None:
-            raise ResolutionError(f"address 0x{address:x} is outside all function spans")
-        if span.source == "heuristic":
-            return SymbolInfo(span.name, None, None, Confidence.BOUNDARY_HEURISTIC)
-        hit = view.line_table.lookup(address)
-        if hit is not None:
-            path, line = hit
-            return SymbolInfo(span.name, path, line, Confidence.DEBUGINFO)
-        return SymbolInfo(span.name, None, None, Confidence.SYMBOL_TABLE)
+        spans = []
+        for address in addresses:
+            span = view.symtab.at(address) or self._filled(view).at(address)
+            if span is None:
+                raise ResolutionError(f"address 0x{address:x} is outside all function spans")
+            spans.append(span)
+        # Heuristic spans carry no file or line, so only symtab hits are asked.
+        asked = [a for a, span in zip(addresses, spans) if span.source == "symtab"]
+        found, failure = view.lines.lookup(asked)
+        if failure:
+            self.warnings.append(f"{binary}: {failure}")
+        where = dict(zip(asked, found))
+        infos = []
+        for address, span in zip(addresses, spans):
+            hit = where.get(address)
+            if hit is not None:
+                infos.append(SymbolInfo(span.name, *hit, Confidence.DEBUGINFO))
+            elif span.source == "heuristic":
+                infos.append(SymbolInfo(span.name, None, None, Confidence.BOUNDARY_HEURISTIC))
+            else:
+                infos.append(SymbolInfo(span.name, None, None, Confidence.SYMBOL_TABLE))
+        return infos
 
     def resolve_runtime(
         self, runtime_addr: int, regions: Sequence[MemoryRegion]

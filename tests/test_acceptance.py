@@ -31,7 +31,7 @@ from cfiheal.ignorelist import (
     parse,
     render,
 )
-from cfiheal.ircensus import IrSiteCensus, total_sites
+from cfiheal.ircensus import IrSiteCensus
 from cfiheal.pipeline import heal
 from cfiheal.repair import repair_until_buildable
 from cfiheal.report import FunctionRecord, compute_coverage
@@ -147,7 +147,7 @@ def test_criterion_1_census_row_sums(capsys):
     with criterion(capsys, 1, "census category rows sum to whole-project totals"):
         started = time.monotonic()
         for row, expected in PROJECT_ROWS.items():
-            assert total_sites(IrSiteCensus(*row)) == expected
+            assert IrSiteCensus(*row).total() == expected
         assert time.monotonic() - started < 1.0
 
 

@@ -1,4 +1,4 @@
-"""ELF reader and DWARF line table against binutils oracles."""
+"""ELF reader and file/line lookup against binutils oracles."""
 
 import re
 import subprocess
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from cfiheal.elf import ET_DYN, ET_EXEC, ElfError, ElfFile, LineTable
+from cfiheal.elf import ET_DYN, ET_EXEC, ElfError, ElfFile
+from cfiheal.symbols import ResolutionError, Symbolizer
 
 from conftest import HAVE_CLANG, needs_toolchain
 
@@ -120,14 +121,8 @@ def test_visibility_parsing(tmp_path):
     assert vis == {"hush": "hidden", "loud": "default"}
 
 
-@pytest.mark.parametrize("tag", ["dwarf4", "dwarf5"])
-@needs_toolchain
-def test_line_table_matches_objdump(sample_binaries, tag):
-    binary = sample_binaries[tag]
-    table = LineTable.from_elf(ElfFile(binary))
-    assert table.rows, "line table parsed empty"
-    assert table.warnings == []
-
+def _check_lines_match_decodedline(binary: Path, source: str) -> None:
+    symbolizer = Symbolizer()
     oracle = decodedline_rows(binary)
     assert oracle, "objdump produced no decodedline rows"
     by_addr: dict[int, set[int]] = {}
@@ -136,28 +131,66 @@ def test_line_table_matches_objdump(sample_binaries, tag):
 
     checked = 0
     for addr, lines in by_addr.items():
-        hit = table.lookup(addr)
-        if hit is None:
+        try:
+            info = symbolizer.resolve(binary, addr)
+        except ResolutionError:
+            continue  # an end_sequence row past the last function
+        if info.line is None:
             # objdump also prints end_sequence rows; those carry line 1 noise.
             continue
-        path, line = hit
-        assert line in lines, f"at {addr:#x}: got {line}, oracle {sorted(lines)}"
-        assert Path(path).name == "sample.c"
+        assert info.line in lines, f"at {addr:#x}: got {info.line}, oracle {sorted(lines)}"
+        assert Path(info.source_file).name == source
         checked += 1
     assert checked >= len(by_addr) * 3 // 4
+    assert symbolizer.warnings == []
+
+
+def _check_no_line_outside_sequences(binary: Path) -> None:
+    addresses = [addr for _, _, addr in decodedline_rows(binary)]
+    symbolizer = Symbolizer()
+    for probe in (max(addresses) + 0x100000, min(addresses) - 1):
+        try:
+            info = symbolizer.resolve(binary, probe)
+        except ResolutionError:
+            continue
+        assert info.line is None and info.source_file is None
+
+
+def _check_no_line_when_stripped(binary: Path) -> None:
+    symbolizer = Symbolizer()
+    spans = symbolizer.function_boundaries(binary)
+    assert spans
+    for info in symbolizer.resolve_many(binary, [s.start for s in spans]):
+        assert info.line is None and info.source_file is None
+
+
+@pytest.mark.parametrize("tag", ["dwarf4", "dwarf5"])
+@needs_toolchain
+def test_line_table_matches_objdump(sample_binaries, tag):
+    _check_lines_match_decodedline(sample_binaries[tag], "sample.c")
 
 
 @needs_toolchain
 def test_line_lookup_between_functions(sample_binaries):
-    table = LineTable.from_elf(ElfFile(sample_binaries["dwarf4"]))
-    last = max(row.address for row in table.rows)
-    assert table.lookup(last + 0x100000) is None
-    first = min(row.address for row in table.rows)
-    assert table.lookup(first - 1) is None
+    _check_no_line_outside_sequences(sample_binaries["dwarf4"])
 
 
 @needs_toolchain
 def test_line_table_absent_when_stripped(sample_binaries):
-    elf = ElfFile(sample_binaries["stripped"])
-    table = LineTable.from_elf(elf)
-    assert table.rows == []
+    _check_no_line_when_stripped(sample_binaries["stripped"])
+
+
+# gcc twins of the three line checks above.
+
+
+@pytest.mark.parametrize("build, source", [("c", "sample.c"), ("cxx", "sample.cpp")])
+def test_gcc_lines_match_objdump(gcc_binaries, build, source):
+    _check_lines_match_decodedline(gcc_binaries[build], source)
+
+
+def test_gcc_line_lookup_between_functions(gcc_binaries):
+    _check_no_line_outside_sequences(gcc_binaries["c"])
+
+
+def test_gcc_no_line_when_stripped(gcc_binaries):
+    _check_no_line_when_stripped(gcc_binaries["stripped"])

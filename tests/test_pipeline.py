@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,13 +13,15 @@ import pytest
 from cfiheal import ircensus, pipeline
 from cfiheal.build import BuildKind, BuildOutcome, OrchestrationError, ProjectLock
 from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
-from cfiheal.ignorelist import LadderLevel
+from cfiheal.escalation import EscalationEngine
+from cfiheal.ignorelist import EntryKind, IgnorelistEntry, IgnorelistStore, LadderLevel
 from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
 from cfiheal.repair import RepairLedger
+from cfiheal.report import EnforcementStatus, compute_coverage
 from cfiheal.symbols import Confidence, SymbolInfo, Symbolizer
 from cfiheal.tracing import OutcomeKind, TraceError, TraceOutcome, TrapEvent, TrapSignal
 
-from conftest import copy_fixture, make_config, needs_toolchain
+from conftest import HAVE_GCC, copy_fixture, make_config, needs_toolchain
 
 CENSUS_IR = """
 define i32 @driver(i32 %x) {
@@ -641,3 +644,59 @@ def test_function_records_never_disassemble(gcc_binaries):
     assert {"alpha", "beta", "gamma_fn", "main", "twice(int)"} <= set(by_name)
     assert by_name["alpha"].call_sites == 2
     assert Path(by_name["alpha"].file).name == "sample.c"
+
+
+def test_account_phase_starts_one_addr2line_per_executable(gcc_binaries, monkeypatch):
+    exes = (gcc_binaries["c"], gcc_binaries["cxx"], gcc_binaries["stripped"])
+    root = exes[0].parent
+    cfg = make_config(root, root / "reports", executables=tuple(e.name for e in exes))
+    started: list[str] = []
+    real = subprocess.run
+
+    def recording_run(argv, *args, **kwargs):
+        if argv[0] == "addr2line":
+            started.append(argv[argv.index("-e") + 1])
+        return real(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    records = pipeline._function_records(cfg, Symbolizer(), {}, RepairLedger())
+    assert sorted(started) == sorted(str(e) for e in exes[:2])  # the stripped copy has no lines
+    assert sum(r.file is not None for r in records) >= 10
+
+
+TWO_TU = {
+    "a.c": "int a_one(int x) { return x + 1; }\nint a_two(int x) { return a_one(x) * 2; }\n",
+    "b.c": "int b_one(int x) { return x - 1; }\nint b_two(int x) { return b_one(x) * 3; }\n"
+           "int a_two(int);\nint main(void) { return a_two(b_two(1)); }\n",
+}
+
+
+@pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+def test_src_entry_ignores_the_first_function_of_its_unit(tmp_path):
+    # At -O0 gcc does not align functions, so the line sequence of b.c starts
+    # where the one of a.c ends, at b_one.
+    for name, text in TWO_TU.items():
+        (tmp_path / name).write_text(text)
+    subprocess.run(["gcc", "-g", "-O0", "-fno-omit-frame-pointer", "-o", "app", "a.c", "b.c"],
+                   cwd=tmp_path, check=True, capture_output=True)
+    cfg = make_config(tmp_path, tmp_path / "reports")
+    records = pipeline._function_records(cfg, Symbolizer(), {}, RepairLedger())
+    expected = {"a_one": "a.c", "a_two": "a.c", "b_one": "b.c", "b_two": "b.c", "main": "b.c"}
+    files = {r.name: r.file and Path(r.file).name for r in records if r.name in expected}
+    assert files == expected
+    coverage = compute_coverage(records, [IgnorelistEntry(EntryKind.SRC, "b.c",
+                                                          level=LadderLevel.CALLEE_SOURCE)])
+    ignored = {n for n, status in coverage.statuses.items() if status is EnforcementStatus.IGNORED}
+    assert ignored == {"b_one", "b_two", "main"}
+
+
+def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
+    # addr2line joins a unit's file to its compile directory.
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), tmp_path)
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
+    for pc, file in ((0x2010, tmp_path / "src" / "a.c"), (0x3010, "/usr/include/x.h")):
+        callee = SymbolInfo("f", str(file), 3, Confidence.DEBUGINFO)
+        engine.observe(trap, Path("app"), pc, callee, None, None, hex(pc))
+    details, by_file = pipeline._violation_rows(engine)
+    assert [d["file"] for d in details] == ["src/a.c", "/usr/include/x.h"]
+    assert [g["file"] for g in by_file] == ["/usr/include/x.h", "src/a.c"]

@@ -24,7 +24,7 @@ from cfiheal.symbols import (
 )
 from cfiheal.tracing import MemoryRegion
 
-from conftest import needs_toolchain
+from conftest import SAMPLE_CXX, needs_toolchain
 from test_elf import nm_functions
 
 
@@ -40,6 +40,32 @@ def addr2line(binary: Path, addr: int) -> tuple[str, str, int]:
     location = out[1].split(" ")[0]
     file, _, line = location.rpartition(":")
     return func, Path(file).name, int(line)
+
+
+def addr2line_location(binary: Path, addr: int) -> tuple[str, int] | None:
+    """Oracle: (file basename, line) according to addr2line, None where it knows none."""
+    out = subprocess.run(
+        ["addr2line", "-e", str(binary), hex(addr)], check=True, capture_output=True, text=True
+    ).stdout
+    file, _, line = out.split(" (discriminator")[0].strip().rpartition(":")
+    if file == "??" or not line.isdigit():
+        return None
+    return Path(file).name, int(line)
+
+
+@pytest.mark.parametrize(
+    "answer, location",
+    [
+        ("/src/a.c:12", ("/src/a.c", 12)),
+        ("/src/a.c:12 (discriminator 3)", ("/src/a.c", 12)),
+        ("/src/a:b.c:7\n", ("/src/a:b.c", 7)),
+        ("/src/a.c:?", ("/src/a.c", 0)),
+        ("??:0", None),
+        ("??:?", None),
+    ],
+)
+def test_parse_addr2line_answer(answer, location):
+    assert symbols._parse_location(answer) == location
 
 
 def test_demangle_passthrough_for_c_names():
@@ -358,6 +384,29 @@ def test_gcc_cxx_resolve_matches_addr2line(gcc_binaries):
         assert info.line == int(location.rpartition(":")[2])
 
 
+@pytest.mark.parametrize("build", ["c", "cxx", "cxx-O1"])
+def test_gcc_span_starts_match_addr2line(gcc_binaries, tmp_path, build):
+    # gcc emits one line sequence per COMDAT section and the linker places
+    # them back to back, so one sequence often ends where the next starts.
+    binary = gcc_binaries.get(build)
+    if binary is None:
+        binary = tmp_path / "sample-cxx-O1"
+        subprocess.run(["g++", "-g", "-O1", "-fno-omit-frame-pointer", "-o", str(binary),
+                        str(SAMPLE_CXX)], check=True, capture_output=True)
+    symbolizer = Symbolizer(backend=_RaisingBackend())
+    checked = 0
+    for span in symbolizer._symtab_spans(binary):
+        oracle = addr2line_location(binary, span.start)
+        if oracle is None:
+            continue
+        info = symbolizer.resolve(binary, span.start)
+        assert info.confidence is Confidence.DEBUGINFO, span.name
+        assert (Path(info.source_file).name, info.line) == oracle, span.name
+        checked += 1
+    assert checked >= 4
+    assert symbolizer.warnings == []
+
+
 def test_demangle_batch_agrees_with_per_name_cxxfilt():
     if shutil.which("c++filt") is None:
         pytest.skip("requires c++filt")
@@ -375,16 +424,17 @@ def test_demangle_batch_agrees_with_per_name_cxxfilt():
 
 
 class _RecordingRun:
-    """Wraps subprocess.run, counting the programs started; c++filt can be made to fail."""
+    """Wraps subprocess.run, counting the programs started; one program can be made to fail."""
 
-    def __init__(self, failure=None):
+    def __init__(self, failure=None, program="c++filt"):
         self.programs: list[str] = []
         self.failure = failure
+        self.program = program
         self.real = subprocess.run
 
     def __call__(self, argv, *args, **kwargs):
         self.programs.append(argv[0])
-        if argv[0] == "c++filt" and self.failure is not None:
+        if argv[0] == self.program and self.failure is not None:
             if isinstance(self.failure, BaseException):
                 raise self.failure
             return subprocess.CompletedProcess(argv, *self.failure)
@@ -457,9 +507,68 @@ def test_failed_batch_leaves_names_mangled(gcc_binaries, monkeypatch, failure):
     functions = _symtab_functions(binary)
     for addr, mangled in functions.items():
         assert symbolizer.resolve(binary, addr).function == mangled
-    assert run.programs == ["c++filt"]
+    assert run.programs.count("c++filt") == 1 and "objdump" not in run.programs
     assert len(symbolizer.warnings) == 1
     assert "c++filt" in symbolizer.warnings[0] and str(binary) in symbolizer.warnings[0]
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        FileNotFoundError("addr2line"),
+        subprocess.TimeoutExpired("addr2line", 60),
+        (1, b"", b"addr2line: bad\n"),
+        (0, b"sample.c:3\n", b""),
+    ],
+    ids=["missing", "timeout", "nonzero", "short"],
+)
+def test_failed_addr2line_leaves_lines_unknown(gcc_binaries, monkeypatch, failure):
+    run = _RecordingRun(failure, program="addr2line")
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    binary = gcc_binaries["c"]
+    symbolizer = Symbolizer(backend=_RaisingBackend())
+    starts = sorted(_symtab_functions(binary))
+    infos = symbolizer.resolve_many(binary, starts)
+    infos += [symbolizer.resolve(binary, addr) for addr in starts]
+    for info in infos:
+        assert info.confidence is Confidence.SYMBOL_TABLE
+        assert (info.source_file, info.line) == (None, None)
+    assert run.programs.count("addr2line") == 1
+    assert len(symbolizer.warnings) == 1
+    assert "addr2line" in symbolizer.warnings[0] and str(binary) in symbolizer.warnings[0]
+
+
+def test_addr2line_once_per_batch_and_cached(gcc_binaries, monkeypatch):
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    binary = gcc_binaries["cxx"]
+    symbolizer = Symbolizer(backend=_RaisingBackend())
+    starts = sorted(_symtab_functions(binary))
+    batch = symbolizer.resolve_many(binary, starts)
+    assert run.programs.count("addr2line") == 1
+    assert [symbolizer.resolve(binary, addr) for addr in starts] == batch
+    assert run.programs.count("addr2line") == 1
+    inner = starts[1] + 1
+    assert symbolizer.resolve(binary, inner) == symbolizer.resolve(binary, inner)
+    assert run.programs.count("addr2line") == 2
+    assert symbolizer.warnings == []
+
+
+@pytest.mark.parametrize("build", ["stripped", "no -g"])
+def test_no_debug_line_starts_no_addr2line(gcc_binaries, monkeypatch, tmp_path, build):
+    binary = gcc_binaries.get(build)
+    if binary is None:
+        binary = tmp_path / "nodebug"
+        subprocess.run(["gcc", "-O0", "-o", str(binary), str(gcc_binaries["source"])],
+                       check=True, capture_output=True)
+    assert not ElfFile(binary).has_section(".debug_line")
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    symbolizer = Symbolizer()
+    spans = symbolizer.function_boundaries(binary)
+    for info in symbolizer.resolve_many(binary, [s.start for s in spans]):
+        assert info.line is None
+    assert "addr2line" not in run.programs
 
 
 def test_rebuilt_binary_replaces_its_view(gcc_binaries, tmp_path):
