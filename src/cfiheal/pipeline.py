@@ -81,22 +81,18 @@ def _symbolize_trap(
     symbolizer: Symbolizer, trap: TrapEvent
 ) -> tuple[Path, int, SymbolInfo | None, SymbolInfo | None, SymbolInfo | None]:
     """Fault key plus callee/caller/caller's-caller identities (None = unknown)."""
-    hit = symbolizer.resolve_runtime(trap.fault_pc, trap.memory_map)
+    # A return address follows the call; when the call ends its function, it
+    # is already the next function's first byte, so callers resolve at ret - 1.
+    addrs = [trap.fault_pc] + [ret - 1 for ret in trap.return_addresses[:2]]
+    hit, *frames = symbolizer.resolve_runtime_many(addrs, trap.memory_map)
     if hit is not None:
         binary, static, callee = hit
     else:
         binary = trap.binary or Path("<unknown>")
         static = trap.fault_pc
         callee = None
-    frames: list[SymbolInfo | None] = []
-    for addr in trap.return_addresses[:2]:
-        # A return address follows the call; when the call ends its function,
-        # it is already the next function's first byte.
-        frame_hit = symbolizer.resolve_runtime(addr - 1, trap.memory_map)
-        frames.append(frame_hit[2] if frame_hit else None)
-    while len(frames) < 2:
-        frames.append(None)
-    return binary, static, callee, frames[0], frames[1]
+    callers = [frame[2] if frame else None for frame in frames] + [None, None]
+    return binary, static, callee, callers[0], callers[1]
 
 
 @dataclass

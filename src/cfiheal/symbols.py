@@ -409,6 +409,9 @@ class Symbolizer:
             view.filled = _SpanIndex(_fill_gaps(view.symtab.spans, candidates))
         return view.filled
 
+    def _span_at(self, view: _BinaryView, address: int) -> FunctionSpan | None:
+        return view.symtab.at(address) or self._filled(view).at(address)
+
     def _symtab_spans(self, binary: Path) -> list[FunctionSpan]:
         """The binary's symbol-table spans alone, so no disassembly runs."""
         view = self._view(binary)
@@ -433,7 +436,7 @@ class Symbolizer:
             raise ResolutionError(f"cannot parse binary {binary}")
         spans = []
         for address in addresses:
-            span = view.symtab.at(address) or self._filled(view).at(address)
+            span = self._span_at(view, address)
             if span is None:
                 raise ResolutionError(f"address 0x{address:x} is outside all function spans")
             spans.append(span)
@@ -458,21 +461,33 @@ class Symbolizer:
         self, runtime_addr: int, regions: Sequence[MemoryRegion]
     ) -> tuple[Path, int, SymbolInfo] | None:
         """Resolve a runtime address through its mapping; None if unattributable."""
-        region = next(
-            (r for r in regions if r.contains(runtime_addr) and r.path and "x" in r.perms),
-            None,
-        )
-        if region is None or region.path is None:
-            return None
-        binary = Path(region.path)
-        view = self._view(binary)
-        if view is None:
-            return None
-        static = runtime_to_static(view.elf, runtime_addr, regions, binary)
-        if static is None:
-            return None
-        try:
-            info = self.resolve(binary, static)
-        except ResolutionError:
-            return None
-        return binary, static, info
+        return self.resolve_runtime_many([runtime_addr], regions)[0]
+
+    def resolve_runtime_many(
+        self, runtime_addrs: Sequence[int], regions: Sequence[MemoryRegion]
+    ) -> list[tuple[Path, int, SymbolInfo] | None]:
+        """resolve_runtime per address, with one resolve_many per binary."""
+        found: dict[Path, list[tuple[int, int]]] = {}  # binary -> (index, static) hits
+        for i, runtime_addr in enumerate(runtime_addrs):
+            region = next(
+                (r for r in regions if r.contains(runtime_addr) and r.path and "x" in r.perms),
+                None,
+            )
+            if region is None or region.path is None:
+                continue
+            binary = Path(region.path)
+            view = self._view(binary)
+            if view is None:
+                continue
+            static = runtime_to_static(view.elf, runtime_addr, regions, binary)
+            if static is not None and self._span_at(view, static) is not None:
+                found.setdefault(binary, []).append((i, static))
+        results: list[tuple[Path, int, SymbolInfo] | None] = [None] * len(runtime_addrs)
+        for binary, hits in found.items():
+            try:
+                infos = self.resolve_many(binary, [static for _, static in hits])
+            except ResolutionError:  # rebuilt since its view was read
+                continue
+            for (i, static), info in zip(hits, infos):
+                results[i] = (binary, static, info)
+        return results

@@ -1,7 +1,9 @@
 """Trap forensics: supervise a test process tree and capture CFI traps.
 
 CFI violations on x86_64 execute ud2 and raise SIGILL in the faulting task.
-The monitor forks the command under PTRACE_TRACEME, follows every descendant
+The monitor never forks itself. It spawns the command with posix_spawn as a
+session-leader /bin/sh that stops itself before the command, seizes that
+shell with PTRACE_SEIZE while it is stopped, follows every descendant
 (fork/vfork/clone/exec), and converts the first SIGILL or genuine SIGTRAP
 stop anywhere in the tree into a TrapEvent carrying the corrected fault PC,
 up to two frame-pointer-unwound return addresses, a register snapshot, and
@@ -24,7 +26,7 @@ context. The monitor sleeps until something happens: while run_traced runs,
 SIGCHLD is blocked in the calling thread only, and when a drain of the
 monitor's PIDs finds nothing it waits in sigtimedwait for the next SIGCHLD,
 up to the remaining timeout. The caller's mask is restored on return, and the
-tracee resets to it before execve, so tested programs see the caller's mask.
+tracee is spawned with it, so tested programs see the caller's mask.
 SIGCHLD is process-directed, so a library caller's other thread may take a
 wake-up meant for this monitor; each wait is therefore capped at _WAKE_CAP
 seconds, after which the monitor drains again.
@@ -36,8 +38,8 @@ drained meanwhile adds its child, until every tracee is in a ptrace-stop,
 dead, or a vfork parent blocked on a child that has not exec'd.
 
 Concurrent monitors in one process stay isolated because each drains only its
-own PIDs with WNOHANG|__WALL (never waitpid(-1)); a SIGCHLD one of them takes
-costs the others at most one capped wait, never a lost status.
+own PIDs with WNOHANG|WUNTRACED|__WALL (never waitpid(-1)); a SIGCHLD one
+of them takes costs the others at most one capped wait, never a lost status.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from __future__ import annotations
 import ctypes
 import os
 import re
+import shlex
+import shutil
 import signal
 import time
 from dataclasses import dataclass
@@ -52,14 +56,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-PTRACE_TRACEME = 0
 PTRACE_PEEKTEXT = 1
 PTRACE_PEEKDATA = 2
 PTRACE_CONT = 7
 PTRACE_KILL = 8
 PTRACE_GETREGS = 12
-PTRACE_SETOPTIONS = 0x4200
 PTRACE_GETEVENTMSG = 0x4201
+PTRACE_SEIZE = 0x4206
 
 PTRACE_O_TRACEFORK = 0x2
 PTRACE_O_TRACEVFORK = 0x4
@@ -261,44 +264,38 @@ def _spawn_traced(
     env: dict | None,
     caller_mask: set[signal.Signals],
 ) -> int:
-    """Fork the tracee with `caller_mask` as its signal mask; returns its pid."""
+    """Spawn the tracee shell, which stops itself before the command; returns its pid.
+
+    The shell is a session leader with `caller_mask` as its signal mask and
+    /dev/null as fds 0-2. It changes to `cwd` (exit 127 on failure), sends
+    itself SIGSTOP, then runs a string command or execs a list command.
+    """
+    prefix = ""
+    if cwd is not None:
+        prefix = f"cd -P -- {shlex.quote(str(Path(cwd).absolute()))} || exit 127\n"
     if isinstance(cmd, str):
-        argv = ["/bin/sh", "-c", cmd]
+        argv = ["/bin/sh", "-c", f"{prefix}kill -STOP $$\n{cmd}"]
     else:
-        argv = list(cmd)
-        if not argv:
+        if not cmd:
             raise TraceError("empty command")
-        resolved = argv[0] if os.path.isabs(argv[0]) else None
-        if resolved is None:
-            from shutil import which
-
-            resolved = which(argv[0], path=(env or os.environ).get("PATH", os.defpath))
-        if resolved is None or not os.access(resolved, os.X_OK):
-            raise TraceError(f"command not executable: {argv[0]}")
-        argv[0] = resolved
-    environ = dict(os.environ if env is None else env)
-
-    # Close-on-exec; its copies on fds 0-2 are inherited.
+        program = cmd[0]
+        if os.sep not in program:
+            program = shutil.which(program, path=(env or os.environ).get("PATH", os.defpath))
+        if program is None or not os.access(os.path.join(cwd or "", program), os.X_OK):
+            raise TraceError(f"command not executable: {cmd[0]}")
+        argv = ["/bin/sh", "-c", f'{prefix}kill -STOP $$\nexec "$@"', "sh", *cmd]
     null_fd = os.open(os.devnull, os.O_RDWR)
-    pid = os.fork()
-    if pid == 0:
-        # Child: only exec-safe operations between fork and execve.
-        try:
-            os.setsid()
-            for fd in (0, 1, 2):
-                os.dup2(null_fd, fd)
-            if null_fd <= 2:  # the caller had closed it; dup2 onto itself kept close-on-exec
-                os.set_inheritable(null_fd, True)
-            if cwd is not None:
-                os.chdir(cwd)
-            _libc.ptrace(PTRACE_TRACEME, 0, None, None)
-            signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
-            os.execve(argv[0], argv, environ)
-        except Exception:
-            pass
-        os._exit(127)
-    os.close(null_fd)
-    return pid
+    try:
+        return os.posix_spawn(
+            "/bin/sh",
+            argv,
+            os.environ if env is None else env,
+            file_actions=[(os.POSIX_SPAWN_DUP2, null_fd, fd) for fd in (0, 1, 2)],
+            setsid=True,
+            setsigmask=caller_mask,
+        )
+    finally:
+        os.close(null_fd)
 
 
 def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | None]]:
@@ -306,13 +303,14 @@ def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | Non
 
     Returns the (pid, status) pairs of the first non-empty drain, with status
     None for a pid that is no longer a waitable child, or [] if `deadline`
-    passes first. SIGCHLD must be blocked in the calling thread.
+    passes first. The stop of a child not yet traced is reported too.
+    SIGCHLD must be blocked in the calling thread.
     """
     while True:
         ready: list[tuple[int, int | None]] = []
         for pid in pids:
             try:
-                wpid, status = os.waitpid(pid, os.WNOHANG | _WALL)
+                wpid, status = os.waitpid(pid, os.WNOHANG | os.WUNTRACED | _WALL)
             except ChildProcessError:
                 ready.append((pid, None))
                 continue
@@ -428,7 +426,7 @@ def run_traced(
 ) -> TraceOutcome:
     """Run a command under trap supervision; first qualifying trap wins.
 
-    A string command runs through /bin/sh -c; a sequence execs directly.
+    A string command runs in the tracee shell; a sequence is exec'd from it.
     Stdin, stdout and stderr are /dev/null; no output is kept. Timeout kills
     the entire tree and covers the wait for the tracee's first stop. SIGCHLD
     is blocked in the calling thread while the call runs; the tracee starts
@@ -459,8 +457,8 @@ def _supervise(
         return TraceOutcome(kind=kind, wall_time=time.monotonic() - started, **kw)
 
     try:
-        # First stop: the TRACEME child raises SIGTRAP at execve (or exits 127
-        # if the exec failed before tracing mattered).
+        # First stop: the shell's own SIGSTOP, before the command (or its exit,
+        # if the cd failed). Seize it there; its ptrace-stop comes next.
         ready = _wait_own((root,), deadline)
         if not ready:
             return finish(OutcomeKind.TIMED_OUT)
@@ -469,8 +467,9 @@ def _supervise(
             raise TraceError("tracee vanished before first stop")
         if not tree.note(root, status):
             return finish(**_ended(status))
-        _ptrace(PTRACE_SETOPTIONS, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-        tree.resume(root)
+        _ptrace(PTRACE_SEIZE, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
+        tree.stopped.discard(root)
+        os.kill(root, signal.SIGCONT)
 
         while True:
             if time.monotonic() >= deadline:

@@ -327,6 +327,9 @@ class FakeSymbolizer:
         return Path("app"), addr, SymbolInfo(function, source, LINES.get(function),
                                              Confidence.DEBUGINFO)
 
+    def resolve_runtime_many(self, addrs, regions):
+        return [self.resolve_runtime(addr, regions) for addr in addrs]
+
 
 def raising(exc):
     def layer():
@@ -603,6 +606,9 @@ class SpanSymbolizer:
             if start <= addr < end:
                 return Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO)
         return None
+
+    def resolve_runtime_many(self, addrs, regions):
+        return [self.resolve_runtime(addr, regions) for addr in addrs]
 
 
 def test_symbolize_trap_resolves_callers_at_return_address_minus_one():

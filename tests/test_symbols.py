@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfiheal import symbols
+from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
 from cfiheal.symbols import (
     Confidence,
@@ -22,7 +22,7 @@ from cfiheal.symbols import (
     demangle,
     runtime_to_static,
 )
-from cfiheal.tracing import MemoryRegion
+from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal
 
 from conftest import SAMPLE_CXX, needs_toolchain
 from test_elf import nm_functions
@@ -551,6 +551,36 @@ def test_addr2line_once_per_batch_and_cached(gcc_binaries, monkeypatch):
     inner = starts[1] + 1
     assert symbolizer.resolve(binary, inner) == symbolizer.resolve(binary, inner)
     assert run.programs.count("addr2line") == 2
+    assert symbolizer.warnings == []
+
+
+@pytest.mark.parametrize("unmapped", [False, True], ids=["three-hits", "one-miss"])
+def test_trap_frames_start_one_addr2line(gcc_binaries, monkeypatch, unmapped):
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    binary = gcc_binaries["c"]
+    elf = ElfFile(binary)
+    functions = nm_functions(binary)
+    statics = [functions[name] + 1 for name in ("alpha", "beta", "gamma_fn")]
+    offsets = [elf.vaddr_to_file_offset(static) for static in statics]
+    seg = next(s for s in elf.load_segments if s.offset <= offsets[0] < s.offset + s.filesz)
+    base = 0x560000000000
+    region = MemoryRegion(base, base + seg.filesz, "r-xp", seg.offset, str(binary))
+    runtime = [base + off - seg.offset for off in offsets]
+    returns = [runtime[1] + 1, 0x10 if unmapped else runtime[2] + 1]
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, runtime[0], runtime[0], tuple(returns),
+                     {}, binary, (region,))
+    symbolizer = Symbolizer(backend=_RaisingBackend())
+    found, static, callee, caller, callers_caller = pipeline._symbolize_trap(symbolizer, trap)
+    assert (found, static) == (binary, statics[0])
+    assert (callee.function, caller.function) == ("alpha", "beta")
+    assert callee.confidence is caller.confidence is Confidence.DEBUGINFO
+    if unmapped:
+        assert callers_caller is None
+    else:
+        assert callers_caller.function == "gamma_fn"
+        assert callers_caller.confidence is Confidence.DEBUGINFO
+    assert run.programs.count("addr2line") == 1
     assert symbolizer.warnings == []
 
 

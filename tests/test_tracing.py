@@ -256,11 +256,75 @@ def test_tracee_inherits_caller_signal_mask(tmp_path, caller_mask):
 
 @needs_linux
 def test_first_stop_wait_honours_timeout(tmp_path, monkeypatch):
-    # The forked tracee inherits this patch and never reaches its first stop.
-    monkeypatch.setattr(os, "execve", lambda *args: time.sleep(30))
+    # The spawned tracee is a sleep in its own session: it never stops itself.
+    real_spawn = os.posix_spawn
+    spawned = []
+
+    def never_stops(path, argv, env, **kwargs):
+        assert kwargs["setsid"]
+        spawned.append(real_spawn("/bin/sleep", ["sleep", "30"], env, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(os, "posix_spawn", never_stops)
     outcome = run_traced(["true"], timeout=0.5, cwd=tmp_path)
     assert outcome.kind is OutcomeKind.TIMED_OUT
     assert outcome.wall_time < 10
+    assert len(spawned) == 1 and _dead(spawned[0])
+
+
+def _as_list(case):
+    cmd, timeout, kind = case
+    return (["sh", "-c", cmd], timeout, kind)
+
+
+@needs_linux
+@pytest.mark.parametrize(
+    "cmd, timeout, kind", [_CLEAN, _TRAP, _TIMEOUT, *map(_as_list, (_CLEAN, _TRAP, _TIMEOUT))]
+)
+def test_run_traced_never_forks(tmp_path, monkeypatch, cmd, timeout, kind):
+    def no_fork():
+        raise AssertionError("run_traced must not fork the calling process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+
+
+@needs_linux
+@pytest.mark.parametrize("cmd", ["pwd -P > where", ["sh", "-c", "pwd -P > where"]])
+def test_cwd_name_is_quoted(tmp_path, cmd):
+    odd = tmp_path / "a b'c$d"
+    odd.mkdir()
+    outcome = run_traced(cmd, timeout=10, cwd=odd)
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 0
+    assert (odd / "where").read_text() == f"{odd.resolve()}\n"
+
+
+@needs_linux
+@pytest.mark.parametrize("cmd", ["exit 0", ["true"]])
+def test_missing_cwd_exits_127(tmp_path, cmd):
+    outcome = run_traced(cmd, timeout=10, cwd=tmp_path / "missing")
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 127
+
+
+@needs_linux
+def test_list_tracee_cmdline_is_its_argv(tmp_path):
+    script = "open('cmdline', 'wb').write(open('/proc/self/cmdline', 'rb').read())"
+    argv = [sys.executable, "-c", script, "a b", "'$x", ""]
+    outcome = run_traced(argv, timeout=10, cwd=tmp_path)
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 0
+    assert (tmp_path / "cmdline").read_bytes() == b"".join(os.fsencode(a) + b"\0" for a in argv)
+
+
+@needs_linux
+def test_string_tracee_is_a_session_leader_shell(tmp_path):
+    cmd = "cat /proc/$$/stat > stat; cat /proc/$$/cmdline > cmdline"
+    outcome = run_traced(cmd, timeout=10, cwd=tmp_path)
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 0
+    pid, rest = (tmp_path / "stat").read_text().split(" ", 1)
+    assert rest.rsplit(")", 1)[1].split()[3] == pid
+    cmdline = (tmp_path / "cmdline").read_bytes().split(b"\0")
+    assert cmdline[:2] == [b"/bin/sh", b"-c"]
+    assert b"kill -STOP $$" in cmdline[2]
 
 
 @needs_linux
