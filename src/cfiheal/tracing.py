@@ -426,7 +426,8 @@ def run_traced(
 ) -> TraceOutcome:
     """Run a command under trap supervision; first qualifying trap wins.
 
-    A string command runs in the tracee shell; a sequence is exec'd from it.
+    A string command runs in a spawned /bin/sh; a sequence is exec'd from it.
+    A cwd the shell cannot enter gives EXITED with status 127.
     Stdin, stdout and stderr are /dev/null; no output is kept. Timeout kills
     the entire tree and covers the wait for the tracee's first stop. SIGCHLD
     is blocked in the calling thread while the call runs; the tracee starts
