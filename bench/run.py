@@ -25,6 +25,10 @@ call per module, and reports MB/s.
 pass locates and patches every definition. Each repeat runs on a fresh copy
 of the tree.
 
+It also times ``cross_dso_scan``: ``cross_dso_bindings`` over perfbench's
+wide_tree workload at scale 1, seed 1, after its baseline build (its own
+``make``), the scan a heal runs before its first instrumented build.
+
 ``--layer tracer`` times ``run_traced`` on ``/bin/true`` and on a two-exec
 shell test shaped like perfbench's suite_fanout tests, with ``subprocess.run``
 on the same commands as the untraced reference. Each repeat makes 200 calls;
@@ -252,8 +256,31 @@ def bench_repair(repeat: int) -> list[dict]:
             "patches": patches,
             **_summary(times),
             "spawns_per_call": {k: v / repeat for k, v in sorted(counter.counts.items())},
-        }
+        },
+        bench_cross_dso_scan(repeat),
     ]
+
+
+def bench_cross_dso_scan(repeat: int) -> dict:
+    with tempfile.TemporaryDirectory(prefix="bench-scan-") as tmp:
+        project = Path(tmp) / "wide_tree"
+        spec = gen.wide_tree(project, 1, sys.executable, ROOT / "perfbench" / "cfimodel.py")
+        marker = Path(tmp) / "started"
+        marker.write_text("")
+        since = marker.stat().st_mtime_ns
+        subprocess.run(spec.build_cmd, shell=True, cwd=project, check=True, capture_output=True)
+        files = sum(len(names) for _, _, names in os.walk(project))
+        times = []
+        for _ in range(repeat):
+            started = time.perf_counter()
+            found = repair.cross_dso_bindings(project, since)
+            times.append(time.perf_counter() - started)
+    return {
+        "target": f"perfbench wide_tree after its baseline build (scale 1, seed 1), {files} files",
+        "op": "cross_dso_scan",
+        "symbols": len(found),
+        **_summary(times),
+    }
 
 
 TRACER_CALLS = 200
@@ -360,7 +387,7 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.layer}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        keys = ("mb_per_s", "patches", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
+        keys = ("mb_per_s", "patches", "symbols", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
         extra = {k: r[k] for k in keys if k in r}
         median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
         print(f"{r['target']}: {r['op']} median {median} {extra}")

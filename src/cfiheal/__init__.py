@@ -50,7 +50,6 @@ from .pipeline import HealResult, PipelineFailure, cli_main, heal
 from .repair import (
     RepairLedger,
     VisibilityPatch,
-    apply_visibility_default,
     extract_unresolved_symbols,
     locate_definition,
     repair_until_buildable,

@@ -1,12 +1,13 @@
 """End-to-end healing pipeline and the command-line interface.
 
 heal() drives the whole sequence: validate config, baseline build and suite,
-CFI build with automatic visibility repair, trap-driven escalation rounds
-(re-running only the tests attributed to still-open violations after each
-ignorelist update), a full-suite confirmation pass, the IR census, coverage
-accounting, and report emission. state.json in the report directory is
-rewritten after every phase transition so an interrupted run leaves an
-inspectable trail.
+CFI build with automatic visibility repair (planned from the baseline's
+cross-DSO bindings, with the linker's diagnostics as the fallback),
+trap-driven escalation rounds (re-running only the tests attributed to
+still-open violations after each ignorelist update), a full-suite
+confirmation pass, the IR census, coverage accounting, and report emission.
+state.json in the report directory is rewritten after every phase
+transition so an interrupted run leaves an inspectable trail.
 
 Exit codes of the heal subcommand: 0 when the run completes with no
 unresolvable violations, 1 when it completes but some violations stayed
@@ -39,7 +40,7 @@ from .harness import (
 )
 from .ignorelist import IgnorelistStore
 from .ircensus import IrSiteCensus, census, census_by_function
-from .repair import RepairLedger, repair_until_buildable, revert_patches
+from .repair import RepairLedger, cross_dso_bindings, repair_until_buildable, revert_patches
 from .report import (
     CoverageCore,
     FunctionRecord,
@@ -234,21 +235,26 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     return details, grouped
 
 
-def _baseline(cfg: ProjectConfig) -> dict[str, TestResult]:
-    """The uninstrumented build and its suite results, by test id."""
+def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestResult], list[str]]:
+    """The uninstrumented build's suite results by test id, and its cross-DSO bindings.
+
+    The bindings come from the files the build wrote: those not older than
+    state.json, which heal() writes just before. Both times are read from
+    the file system's clock, which can lag time.time().
+    """
+    started_ns = (cfg.report_dir / STATE_NAME).stat().st_mtime_ns
     build = run_build(cfg, BuildMode.baseline(), iteration=1)
     if not build.succeeded:
         raise PipelineFailure(f"baseline build failed; see {build.log_path}")
-    return {r.test_id: r for r in run_suite(cfg, build)}
+    planned = cross_dso_bindings(cfg.project_root, started_ns)
+    return {r.test_id: r for r in run_suite(cfg, build)}, planned
 
 
-def _cfi_build(run: _Run, phase: str) -> BuildOutcome:
+def _cfi_build(run: _Run, phase: str, planned: Iterable[str] = ()) -> BuildOutcome:
     """An instrumented build, repaired until it stands; phase is repair's "build" or "test"."""
     mode = BuildMode.cfi(run.cfg.cfi_variants, run.engine.store.path)
     run.built_list = run.engine.store.write()
-    build, _ = repair_until_buildable(
-        run.cfg, mode, run.ledger, phase=phase, start_iteration=run.ledger.build_attempts + 1
-    )
+    build, _ = repair_until_buildable(run.cfg, mode, run.ledger, phase=phase, planned=planned)
     if not build.succeeded:
         raise PipelineFailure(f"instrumented build could not be repaired; see {build.log_path}")
     return build
@@ -371,11 +377,11 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
     with ProjectLock(cfg.report_dir):
         _save_state(cfg, state, phase="building", iteration=0)
         try:
-            baseline = _baseline(cfg)
+            baseline, planned = _baseline(cfg)
             store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
             engine = EscalationEngine(store, cfg.project_root)
             run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
-            cfi_build = _cfi_build(run, "build")
+            cfi_build = _cfi_build(run, "build", planned)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
             for test_id, trap, fault in _traps(run, run_suite(cfg, cfi_build)):

@@ -1,12 +1,26 @@
 """Automatic repair of visibility-induced link failures.
 
 Under -fvisibility=hidden, symbols that used to be exported silently stop
-resolving across shared-object boundaries. The repair loop reads undefined /
-hidden-symbol diagnostics off a failed build, locates each symbol's
-definition in the project tree (one read of each source per pass), and
-prepends an explicit __attribute__((visibility("default"))) to the
-definition's declarator. Every textual insertion is journaled (iteration,
-file, line, symbol) so the whole set of patches can be reverted exactly.
+resolving across shared-object boundaries. Each such binding fails either a
+link or a load, and the uninstrumented baseline build already holds them
+all: cross_dso_bindings reads the .dynsym of every ELF executable and shared
+object that build wrote under the project root (files whose mtime is not
+older than the build's start) and takes each symbol one of them imports and
+another exports. The first instrumented build patches these planned symbols
+in one pass before it runs. A planned symbol with no definition in the tree,
+or whose definition already carries a visibility attribute, is dropped
+silently; it is reported as skipped only if a later build's diagnostics name
+it. The plan can also keep a binding the linker would never report: a project
+library that overrides a system library's symbol keeps its baseline binding.
+
+What the plan misses (code reached through dlopen, symbols pulled in from
+static archives) the diagnostic loop repairs: it reads undefined /
+hidden-symbol diagnostics off a failed build and patches those symbols
+through the same pass. A pass locates each symbol's definition in the
+project tree (one read of each source per pass) and prepends an explicit
+__attribute__((visibility("default"))) to the definition's declarator.
+Every textual insertion is journaled (iteration, file, line, symbol) so the
+whole set of patches can be reverted exactly.
 
 Definitions are recognized, not declarations: the symbol name followed by a
 balanced parameter list whose closing parenthesis leads (possibly through
@@ -16,8 +30,10 @@ semicolon and are never patched.
 
 from __future__ import annotations
 
+import os
 import re
-from collections.abc import Sequence
+import stat
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +46,7 @@ from .build import (
     run_build,
 )
 from .config import ProjectConfig
+from .elf import ET_DYN, ET_EXEC, STB_GLOBAL, STB_WEAK, ElfError, ElfFile
 from .symbols import _demangle_batch, demangle
 
 ATTRIBUTE_TEXT = '__attribute__((visibility("default"))) '
@@ -273,26 +290,18 @@ def _already_default(text: str, name_offset: int) -> bool:
 
 
 def _insert_attribute(site: DefinitionSite) -> str:
-    """Insert the attribute before the definition's name; returns the text inserted."""
+    """Insert the attribute before the definition's name; returns the text inserted.
+
+    Placing the attribute between type and declarator keeps the insertion
+    point independent of where the declaration starts, and is valid GNU C and
+    C++. A declarator that already mentions visibility is left untouched and
+    "" is returned.
+    """
     text = site.file.read_text(errors="replace")
     if _already_default(text, site.name_offset):
         return ""
     site.file.write_text(text[: site.name_offset] + ATTRIBUTE_TEXT + text[site.name_offset :])
     return ATTRIBUTE_TEXT
-
-
-def apply_visibility_default(site: DefinitionSite, symbol: str, iteration: int) -> VisibilityPatch:
-    """Insert the attribute immediately before the definition's name token.
-
-    Placing the attribute between type and declarator keeps the insertion
-    point independent of where the declaration starts, and is valid GNU C and
-    C++. Idempotent: a declarator that already mentions visibility is left
-    untouched and the patch records an empty applied_text.
-    """
-    applied = _insert_attribute(site)
-    return VisibilityPatch(
-        symbol, demangle(symbol), str(site.file), site.line, site.column, applied, iteration
-    )
 
 
 def remove_visibility_default(file: Path, symbol: str) -> bool:
@@ -340,69 +349,136 @@ def revert_patches(cfg: ProjectConfig) -> int:
     return removed
 
 
+def _fresh_elf_files(root: Path, since_ns: int) -> Iterable[Path]:
+    """Regular ELF executables and shared objects under root, modified at or after since_ns."""
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = Path(dirpath, name)
+            try:
+                st = path.lstat()
+                if not stat.S_ISREG(st.st_mode) or st.st_mtime_ns < since_ns:
+                    continue
+                with path.open("rb") as fh:
+                    head = fh.read(18)
+            except OSError:
+                continue
+            if head[:4] == b"\x7fELF" and int.from_bytes(head[16:18], "little") in (ET_EXEC, ET_DYN):
+                yield path
+
+
+def cross_dso_bindings(root: Path, since_ns: int) -> list[str]:
+    """Symbols that one fresh ELF file under root imports and another exports, sorted.
+
+    An import is an undefined global or weak .dynsym entry; an export is a
+    defined one of default visibility. Only files modified at or after
+    since_ns (st_mtime_ns) are read: the outputs of a build that started
+    then. Under -fvisibility=hidden each of these bindings fails a link or a
+    load, so they are the symbols the instrumented build needs exported.
+    """
+    importers: dict[str, set[int]] = {}
+    exporters: dict[str, set[int]] = {}
+    for index, path in enumerate(_fresh_elf_files(root, since_ns)):
+        try:
+            dynamic = ElfFile(path).dynamic_symbols()
+        except (ElfError, OSError):
+            continue
+        for sym in dynamic:
+            if not sym.name or sym.bind not in (STB_GLOBAL, STB_WEAK):
+                continue
+            if sym.shndx == 0:
+                importers.setdefault(sym.name, set()).add(index)
+            elif sym.visibility == "default":
+                exporters.setdefault(sym.name, set()).add(index)
+    return sorted(
+        name
+        for name, users in importers.items()
+        if any(exporters.get(name, set()) - {user} for user in users)
+    )
+
+
+def _patch_pass(
+    cfg: ProjectConfig,
+    ledger: RepairLedger,
+    symbols: Iterable[str],
+    iteration: int,
+    skipped: list[tuple[str, str]],
+) -> int:
+    """Patch the definitions of the symbols not yet patched; returns the number patched.
+
+    A symbol without a definition under the project root, or whose
+    definition already carries a visibility attribute, goes to skipped with
+    the reason. Each patch is journaled; an ambiguous patched site is
+    recorded in the ledger.
+    """
+    patched = ledger.patched_symbols
+    symbols = [s for s in symbols if s not in patched]
+    if not symbols:
+        return 0
+    index = _PassSources(cfg.project_root, symbols)
+    new_patches = 0
+    for symbol in symbols:
+        if symbol in patched:
+            continue
+        site = locate_definition(symbol, cfg.project_root, index)
+        if site is None:
+            skipped.append((symbol, "definition not found under project root"))
+            continue
+        applied = _insert_attribute(site)
+        if not applied:
+            skipped.append((symbol, "definition already carries a visibility attribute"))
+            continue
+        if site.alternates:
+            ledger.ambiguities.append((symbol, site.alternates))
+        index.patched(site.file)
+        file = site.file
+        if file.is_relative_to(cfg.project_root):
+            file = file.relative_to(cfg.project_root)
+        patch = VisibilityPatch(
+            symbol, index.demangled[symbol], str(file), site.line, site.column, applied, iteration
+        )
+        ledger.patches.append(patch)
+        patched.update((patch.symbol, patch.demangled))
+        journal_patch(cfg, patch)
+        new_patches += 1
+    return new_patches
+
+
 def repair_until_buildable(
     cfg: ProjectConfig,
     mode: BuildMode,
     ledger: RepairLedger | None = None,
     *,
     phase: str = "build",
-    start_iteration: int = 1,
+    planned: Iterable[str] = (),
 ) -> tuple[BuildOutcome, RepairLedger]:
-    """Alternate run_build and symbol patching until the build stands.
+    """Patch the planned symbols, then alternate run_build and symbol patching until the build stands.
 
-    Terminates when the build succeeds, when an attempt yields zero new
-    patches (no progress), or when the iteration budget is exhausted. Only
-    attempts that applied at least one patch count as repair iterations.
-    The caller holds the ProjectLock.
+    The planned symbols are patched in one pass before the first build;
+    those the pass cannot patch are dropped without a note. Terminates when
+    the build succeeds, when an attempt yields zero new patches (no
+    progress), or when the iteration budget is exhausted. Only passes that
+    applied at least one patch count as repair iterations, numbered on from
+    the ledger's build attempts. Each build's log is named by its ordinal
+    among the ledger's build attempts. The caller holds the ProjectLock.
     """
     if ledger is None:
         ledger = RepairLedger()
+    iteration = ledger.build_attempts + 1
+    outcome: BuildOutcome | None = None
+    symbols, skipped = planned, []  # what the plan cannot patch goes unnoted
     attempts = 0
-    iteration = start_iteration
     while True:
+        if _patch_pass(cfg, ledger, symbols, iteration, skipped):
+            if phase == "build":
+                ledger.iterations_build_phase += 1
+            else:
+                ledger.iterations_test_phase += 1
+            iteration += 1
+        elif outcome is not None:
+            return outcome, ledger  # no progress
         attempts += 1
         ledger.build_attempts += 1
-        outcome = run_build(cfg, mode, iteration=iteration)
-        if outcome.succeeded:
+        outcome = run_build(cfg, mode, iteration=ledger.build_attempts)
+        if outcome.succeeded or attempts > cfg.max_repair_iterations:
             return outcome, ledger
-        new_patches = 0
-        patched = ledger.patched_symbols
-        symbols = [
-            s for s in extract_unresolved_symbols(outcome.diagnostics) if s not in patched
-        ]
-        index = _PassSources(cfg.project_root, symbols)
-        for symbol in symbols:
-            if symbol in patched:
-                continue
-            site = locate_definition(symbol, cfg.project_root, index)
-            if site is None:
-                ledger.skipped.append((symbol, "definition not found under project root"))
-                continue
-            if site.alternates:
-                ledger.ambiguities.append((symbol, site.alternates))
-            applied = _insert_attribute(site)
-            if not applied:
-                ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
-                continue
-            index.patched(site.file)
-            file = site.file
-            if file.is_relative_to(cfg.project_root):
-                file = file.relative_to(cfg.project_root)
-            patch = VisibilityPatch(
-                symbol, index.demangled[symbol], str(file), site.line, site.column, applied, iteration
-            )
-            ledger.patches.append(patch)
-            patched.update((patch.symbol, patch.demangled))
-            journal_patch(cfg, patch)
-            new_patches += 1
-        if new_patches == 0:
-            return outcome, ledger
-        if phase == "build":
-            ledger.iterations_build_phase += 1
-        else:
-            ledger.iterations_test_phase += 1
-        iteration += 1
-        if attempts >= cfg.max_repair_iterations:
-            ledger.build_attempts += 1
-            final = run_build(cfg, mode, iteration=iteration)
-            return final, ledger
+        symbols, skipped = extract_unresolved_symbols(outcome.diagnostics), ledger.skipped

@@ -266,7 +266,8 @@ def _spawn_traced(
 ) -> int:
     """Spawn the tracee shell, which stops itself before the command; returns its pid.
 
-    The shell is a session leader with `caller_mask` as its signal mask and
+    The shell is a session leader with `caller_mask` as its signal mask,
+    SIGPIPE and SIGXFSZ at their default actions (Python ignores them), and
     /dev/null as fds 0-2. It changes to `cwd` (exit 127 on failure), sends
     itself SIGSTOP, then runs a string command or execs a list command.
     """
@@ -293,6 +294,7 @@ def _spawn_traced(
             file_actions=[(os.POSIX_SPAWN_DUP2, null_fd, fd) for fd in (0, 1, 2)],
             setsid=True,
             setsigmask=caller_mask,
+            setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
         )
     finally:
         os.close(null_fd)

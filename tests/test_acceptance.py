@@ -371,18 +371,21 @@ def test_criterion_7_escalation_minimality(capsys, healed_l3, tmp_path):
 
 
 def test_criterion_8_visibility_repair_convergence(capsys, healed_chain):
-    with criterion(capsys, 8, "chained hidden-symbol breakage repaired in two passes"):
+    with criterion(capsys, 8, "chained hidden-symbol breakage repaired in one planned pass"):
         cfg, result, heal_elapsed = healed_chain
         started = time.monotonic()
 
+        # The baseline's cross-DSO bindings plan both symbols before the
+        # first instrumented build, which then stands.
         ledger = result.ledger
-        assert ledger.iterations_build_phase == 2
+        assert ledger.build_attempts == 1
+        assert ledger.iterations_build_phase == 1
         assert len(ledger.patches) == 2
         first, second = ledger.patches
-        assert (first.iteration, first.symbol) == (1, "foo_api")
-        assert (second.iteration, second.symbol) == (2, "bar_helper")
-        assert first.file.endswith("foo.c")
-        assert second.file.endswith("bar.c")
+        assert (first.iteration, first.symbol) == (1, "bar_helper")
+        assert (second.iteration, second.symbol) == (1, "foo_api")
+        assert first.file.endswith("bar.c")
+        assert second.file.endswith("foo.c")
         assert result.report["tests"]["pass"] == result.report["tests"]["total"] == 1
         assert result.unresolvable == 0
 

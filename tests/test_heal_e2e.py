@@ -5,6 +5,10 @@ self-check) whose builds go through ``cfimodel.py``, a gcc wrapper that
 models clang's CFI checks, so these heals need no clang. Each heal is scored
 by the generator's 12 oracle checks. A check that a known defect fails is a
 strict xfail, so the fix of that defect shows as an unexpected pass.
+
+The visibility repair planned from the baseline's cross-DSO bindings must
+end where a repair driven by linker diagnostics alone ends, in fewer
+builds; the chain fixture is the non-gated twin of acceptance criterion 8.
 """
 
 import shutil
@@ -13,9 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from cfiheal import pipeline
+from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
 from cfiheal.pipeline import heal
-from cfiheal.repair import revert_patches
+from cfiheal.repair import repair_until_buildable, revert_patches
+
+from conftest import copy_fixture, make_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -124,8 +132,8 @@ PINS = {
         ("Fixed", (0, 1, 2, 3, 4)),
         ("Unresolvable", (0, 1, 2, 3, 4)),
     ]),
-    "wide_tree": (3, []),
-    "cxx_static": (6, [
+    "wide_tree": (1, []),
+    "cxx_static": (5, [
         ("Fixed", (0, 1, 2, 3)),
         ("Fixed", (0, 1, 2, 3)),
         ("Fixed", (0, 1, 2, 3)),
@@ -141,3 +149,112 @@ def test_violations_and_builds_are_pinned(healed, workload):
     assert [
         (v.status.value, tuple(level for level, _ in v.attempted)) for v in result.violations
     ] == rows
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_each_cfi_build_leaves_its_own_log(healed, workload):
+    result, _ = healed(workload)
+    report_dir = result.report_paths[0].parent
+    logs = list(report_dir.glob("build-cfi-*.log"))
+    assert len(logs) == result.ledger.build_attempts
+
+
+def _signature(result) -> dict:
+    """What a heal decided, apart from the directory it ran in."""
+    report = result.report
+    return {
+        "patches": sorted((p.symbol, p.file, p.line) for p in result.ledger.patches),
+        "skipped": sorted(result.ledger.skipped),
+        "ambiguities": sorted(result.ledger.ambiguities),
+        "ignorelist": report["ignorelist"],
+        "violations": [
+            {k: v for k, v in row.items() if k != "binary"}
+            for row in report["violations"]["details"]
+        ],
+        "coverage": report["coverage"],
+        "census": report["census"],
+    }
+
+
+# CFI builds of a heal whose repair reads linker diagnostics only.
+DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 7, "wide_tree": 3, "cxx_static": 6}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_planned_heal_matches_a_diagnostic_only_heal(healed, workload, tmp_path, monkeypatch):
+    planned, _ = healed(workload)
+    monkeypatch.setattr(pipeline, "cross_dso_bindings", lambda root, since_ns: [])
+    diagnosed, checks = _heal(workload, tmp_path)
+    assert _signature(diagnosed) == _signature(planned)
+    assert checks["revert_byte_exact"]
+    assert diagnosed.ledger.build_attempts == DIAGNOSTIC_ONLY_BUILDS[workload]
+
+
+@pytest.mark.parametrize("workload", ["wide_tree", "cxx_static"])
+def test_a_plan_short_of_a_symbol_ends_the_same_one_build_later(
+    healed, workload, tmp_path, monkeypatch
+):
+    planned, _ = healed(workload)
+    dropped = min(p.symbol for p in planned.ledger.patches)
+    real = pipeline.cross_dso_bindings
+
+    def short_plan(root, since_ns):
+        plan = real(root, since_ns)
+        assert dropped in plan
+        return [s for s in plan if s != dropped]
+
+    monkeypatch.setattr(pipeline, "cross_dso_bindings", short_plan)
+    mutated, checks = _heal(workload, tmp_path)
+    assert _signature(mutated) == _signature(planned)
+    assert checks["revert_byte_exact"]
+    assert mutated.ledger.build_attempts == planned.ledger.build_attempts + 1
+    assert [p.symbol for p in mutated.ledger.patches if p.iteration == 2] == [dropped]
+
+
+# The chain fixture: app -> libfoo.so -> libbar.so, each link failing under
+# -fvisibility=hidden. GNU ld writes app's rpath as DT_RUNPATH, which does
+# not reach libfoo.so's own dependency on libbar.so.
+
+
+def _heal_chain(tmp_path, monkeypatch):
+    root = copy_fixture("chain", tmp_path)
+    monkeypatch.setenv("LD_LIBRARY_PATH", str(root))
+    cfg = make_config(
+        root,
+        tmp_path / "reports",
+        build_cmd=gen._wrapped_make(sys.executable, PERFBENCH / "cfimodel.py", "app"),
+        extra_compile_flags=(),
+    )
+    result = heal(cfg)
+    assert result.report["tests"]["pass"] == result.report["tests"]["total"] == 1
+    assert result.unresolvable == 0
+    return cfg, result
+
+
+def test_chain_heals_in_one_planned_pass(tmp_path, monkeypatch):
+    cfg, result = _heal_chain(tmp_path, monkeypatch)
+    ledger = result.ledger
+    assert ledger.build_attempts == 1
+    assert ledger.iterations_build_phase == 1
+    assert [(p.iteration, p.symbol, p.file) for p in ledger.patches] == [
+        (1, "bar_helper", "bar.c"),
+        (1, "foo_api", "foo.c"),
+    ]
+    # Another repair over the patched tree has nothing left to patch.
+    mode = BuildMode.cfi(cfg.cfi_variants, cfg.report_dir / "cfi.ignorelist")
+    outcome, again = repair_until_buildable(cfg, mode)
+    assert outcome.succeeded
+    assert again.patches == []
+    assert again.iterations_build_phase == 0
+
+
+def test_chain_without_a_plan_takes_a_build_per_link(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "cross_dso_bindings", lambda root, since_ns: [])
+    _, result = _heal_chain(tmp_path, monkeypatch)
+    ledger = result.ledger
+    assert ledger.build_attempts == 3
+    assert ledger.iterations_build_phase == 2
+    assert [(p.iteration, p.symbol, p.file) for p in ledger.patches] == [
+        (1, "bar_helper", "bar.c"),
+        (2, "foo_api", "foo.c"),
+    ]

@@ -383,7 +383,7 @@ class Rig:
     def run_build(self, cfg, mode, iteration=1):
         return self._layer("run_build", lambda: self._build(mode))
 
-    def repair_until_buildable(self, cfg, mode, ledger=None, *, phase="build", start_iteration=1):
+    def repair_until_buildable(self, cfg, mode, ledger=None, *, phase="build", planned=()):
         ledger = ledger if ledger is not None else RepairLedger()
         ledger.build_attempts += 1
         return self._layer("repair_until_buildable", lambda: (self._build(mode), ledger))

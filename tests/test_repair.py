@@ -1,23 +1,39 @@
 """Symbol extraction, definition location, patching, and reverts."""
 
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from cfiheal import repair
 from cfiheal.build import Diagnostic, DiagnosticKind
 from cfiheal.repair import (
     ATTRIBUTE_TEXT,
     JOURNAL_NAME,
-    apply_visibility_default,
+    VisibilityPatch,
     base_identifier,
+    cross_dso_bindings,
     extract_unresolved_symbols,
     journal_patch,
     locate_definition,
     remove_visibility_default,
     revert_patches,
 )
+from cfiheal.symbols import demangle
 
-from conftest import make_config
+from conftest import HAVE_GCC, make_config
+
+needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+
+
+def apply_visibility_default(site, symbol, iteration) -> VisibilityPatch:
+    """Patch one site the way a repair pass does, as a VisibilityPatch."""
+    applied = repair._insert_attribute(site)
+    return VisibilityPatch(
+        symbol, demangle(symbol), str(site.file), site.line, site.column, applied, iteration
+    )
+
 
 LINE_C = """\
 #include "smartcols.h"
@@ -198,3 +214,46 @@ def test_revert_without_journal_is_noop(tmp_path):
     root.mkdir()
     cfg = make_config(root, tmp_path / "out")
     assert revert_patches(cfg) == 0
+
+
+def _gcc(cwd: Path, *args: str) -> None:
+    subprocess.run(["gcc", *args], cwd=cwd, check=True, capture_output=True)
+
+
+def _build_started(root: Path) -> int:
+    """The mtime of a file written now, as heal() takes it from state.json."""
+    marker = root / "started"
+    marker.write_text("")
+    return marker.stat().st_mtime_ns
+
+
+@needs_gcc
+def test_bindings_skip_a_prebuilt_library_older_than_the_build(tmp_path):
+    (tmp_path / "lib.c").write_text("int old_fn(int x) { return x + 1; }\n")
+    (tmp_path / "app.c").write_text("int old_fn(int);\nint main(void) { return old_fn(-1); }\n")
+    since = _build_started(tmp_path)
+    _gcc(tmp_path, "-shared", "-fPIC", "-o", "libold.so", "lib.c")
+    _gcc(tmp_path, "-o", "app", "app.c", "-L.", "-lold")
+    assert cross_dso_bindings(tmp_path, since) == ["old_fn"]
+    # The same library, prebuilt before the build started.
+    past = since - 60 * 10**9
+    os.utime(tmp_path / "libold.so", ns=(past, past))
+    assert cross_dso_bindings(tmp_path, since) == []
+
+
+@needs_gcc
+def test_bindings_need_an_exporter_other_than_the_importer(tmp_path):
+    # A .dynsym that both imports and exports twin_fn: the undefined twix_fn
+    # renamed in the string tables, as two symbol versions would give.
+    (tmp_path / "s.c").write_text("int twix_fn(int);\nint twin_fn(int x) { return twix_fn(x) + 1; }\n")
+    since = _build_started(tmp_path)
+    _gcc(tmp_path, "-shared", "-fPIC", "-o", "libself.so", "s.c")
+    lib = tmp_path / "libself.so"
+    lib.write_bytes(lib.read_bytes().replace(b"twix_fn\0", b"twin_fn\0"))
+    kinds = sorted(s.shndx == 0 for s in repair.ElfFile(lib).dynamic_symbols() if s.name == "twin_fn")
+    assert kinds == [False, True]
+    assert cross_dso_bindings(tmp_path, since) == []
+    # A second library that exports it makes it a cross-DSO binding.
+    (tmp_path / "t.c").write_text("int twin_fn(int x) { return x; }\n")
+    _gcc(tmp_path, "-shared", "-fPIC", "-o", "libtwin.so", "t.c")
+    assert cross_dso_bindings(tmp_path, since) == ["twin_fn"]

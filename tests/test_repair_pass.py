@@ -9,7 +9,6 @@ ledger, journal bytes and tree.
 
 import re
 import subprocess
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from cfiheal.build import BuildKind, BuildMode, BuildOutcome, Diagnostic, Diagno
 from cfiheal.repair import (
     DefinitionSite,
     RepairLedger,
-    apply_visibility_default,
+    VisibilityPatch,
     base_identifier,
     extract_unresolved_symbols,
     journal_patch,
@@ -151,13 +150,16 @@ def _ref_pass(cfg, names, ledger, iteration):
         if site is None:
             ledger.skipped.append((symbol, "definition not found under project root"))
             continue
-        if site.alternates:
-            ledger.ambiguities.append((symbol, site.alternates))
-        patch = apply_visibility_default(site, symbol, iteration)
-        if not patch.applied_text:
+        applied = repair._insert_attribute(site)
+        if not applied:
             ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
             continue
-        patch = replace(patch, file=str(site.file.relative_to(cfg.project_root)))
+        if site.alternates:
+            ledger.ambiguities.append((symbol, site.alternates))
+        patch = VisibilityPatch(
+            symbol, symbols.demangle(symbol), str(site.file.relative_to(cfg.project_root)),
+            site.line, site.column, applied, iteration,
+        )
         ledger.patches.append(patch)
         journal_patch(cfg, patch)
 

@@ -255,6 +255,17 @@ def test_tracee_inherits_caller_signal_mask(tmp_path, caller_mask):
 
 
 @needs_linux
+def test_tracee_has_sigpipe_and_sigxfsz_at_default(tmp_path):
+    # Python ignores both; subprocess.run restores them, and so must the tracer.
+    assert signal.getsignal(signal.SIGPIPE) is signal.SIG_IGN
+    outcome = run_traced("grep '^SigIgn:' /proc/$$/status > sigign", timeout=10, cwd=tmp_path)
+    assert outcome.kind is OutcomeKind.EXITED and outcome.exit_status == 0
+    ignored = int((tmp_path / "sigign").read_text().split()[1], 16)
+    for sig in (signal.SIGPIPE, signal.SIGXFSZ):
+        assert not ignored & (1 << (sig - 1)), sig.name
+
+
+@needs_linux
 def test_first_stop_wait_honours_timeout(tmp_path, monkeypatch):
     # The spawned tracee is a sleep in its own session: it never stops itself.
     real_spawn = os.posix_spawn
