@@ -35,11 +35,19 @@ on the same commands as the untraced reference. Each repeat makes 200 calls;
 it reports the median per-call wall time, this process's CPU per call
 (``RUSAGE_SELF``, all its threads) and the threads started per call.
 
+``--layer linker`` times ``parse_diagnostics`` over a synthetic build log of
+about 4 MB: compiler command lines, each followed every few units by a GNU ld
+report (``in function``, ``undefined reference``, ``hidden symbol ... is
+referenced by DSO``) or an lld report (``undefined symbol`` or ``undefined
+hidden symbol`` with its ``>>> referenced by`` lines), one unique symbol
+each. It checks that every report parses to its diagnostic, and reports MB/s.
+
 Run from the repository root, stdlib only:
 
     python3 bench/run.py                  # writes BENCH_symbols.json
     python3 bench/run.py --layer census   # writes BENCH_census.json
     python3 bench/run.py --layer tracer   # writes BENCH_tracer.json
+    python3 bench/run.py --layer linker   # writes BENCH_linker.json
     python3 bench/run.py --layer repair --repeat 3 --out /tmp/bench.json
 """
 
@@ -67,7 +75,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 from cfiheal import repair, symbols  # noqa: E402
-from cfiheal.build import BuildKind, BuildMode, BuildOutcome, Diagnostic, DiagnosticKind  # noqa: E402
+from cfiheal.build import (  # noqa: E402
+    BuildKind,
+    BuildMode,
+    BuildOutcome,
+    Diagnostic,
+    DiagnosticKind,
+    parse_diagnostics,
+)
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.ircensus import census_by_function  # noqa: E402
@@ -345,11 +360,73 @@ def bench_tracer(repeat: int) -> list[dict]:
     return results
 
 
+LINKER_MB = 4
+# One failing link each: GNU ld 12 and lld 14 spellings, as in tests/test_build.py.
+LINKER_REPORTS = (
+    "/usr/bin/ld: obj/{u}.o: in function `{u}_main':\n"
+    "src/{u}.c:(.text+0x15): undefined reference to `{sym}'\n"
+    "collect2: error: ld returned 1 exit status\n",
+    "/usr/bin/ld: bin/{u}: hidden symbol `{sym}' in obj/{u}.o is referenced by DSO\n"
+    "/usr/bin/ld: final link failed: bad value\n",
+    "ld.lld: error: undefined symbol: {sym}\n"
+    ">>> referenced by {u}.c\n"
+    ">>>               obj/{u}.o:({u}_main)\n"
+    "clang: error: linker command failed with exit code 1 (use -v to see invocation)\n",
+    "ld.lld: error: undefined hidden symbol: {sym}\n"
+    ">>> referenced by {u}.c\n"
+    ">>>               obj/{u}.o:({u}_main)\n",
+)
+
+
+def _linker_log() -> tuple[str, int]:
+    """The synthetic log and the number of diagnostics naming a planted symbol."""
+    names = gen.Names(random.Random("bench-linker"))
+    parts: list[str] = []
+    size = units = planted = 0
+    while size < LINKER_MB * 1e6:
+        u = names("unit_", 8)
+        part = (
+            f"clang -fsanitize=cfi-icall -fvisibility=hidden -flto -g -O2 -Iinclude "
+            f"-c src/{u}.c -o obj/{u}.o\n"
+        )
+        if units % 3 == 0:  # every third unit fails to link
+            part += LINKER_REPORTS[planted % len(LINKER_REPORTS)].format(u=u, sym=f"{u}_api")
+            planted += 1
+        units += 1
+        parts.append(part)
+        size += len(part)
+    return "".join(parts), planted
+
+
+def bench_linker(repeat: int) -> list[dict]:
+    log, planted = _linker_log()
+    found = [d for d in parse_diagnostics(log) if d.symbol and d.symbol.endswith("_api")]
+    if len(found) != planted:
+        raise RuntimeError(f"parse_diagnostics found {len(found)} of {planted} planted symbols")
+    mb = len(log) / 1e6
+    times = []
+    for _ in range(repeat):
+        started = time.perf_counter()
+        parse_diagnostics(log)
+        times.append(time.perf_counter() - started)
+    summary = _summary(times)
+    return [
+        {
+            "target": f"synthetic GNU ld and lld log, {planted} failing references",
+            "mb": round(mb, 3),
+            "op": "parse_diagnostics",
+            **summary,
+            "mb_per_s": round(mb / summary["median_s"], 2),
+        }
+    ]
+
+
 LAYERS = {
     "symbols": bench_symbols,
     "census": bench_census,
     "repair": bench_repair,
     "tracer": bench_tracer,
+    "linker": bench_linker,
 }
 
 

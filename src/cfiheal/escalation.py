@@ -10,10 +10,21 @@ Each violation owns an independent ladder position. Rungs, narrowest first:
   4  src: the caller's source file
   5  unresolvable: nothing suppressed the trap
 
-A rung whose identity is unknown (no return address captured, no debug info
-for a file rung) is skipped, never guessed. Per-entry minimality is the
-invariant: an entry stays in the final ignorelist only if the violation it
-serves still trapped at every narrower rung that was available.
+A rung is skipped, never guessed, and records why in skipped_levels:
+
+  identity unavailable    no return address captured, no debug info for a
+                          file rung
+  no CFI check in scope   a fun: rung whose function the IR census defines
+                          with no checkable site in any definition; an entry
+                          turns off only the checks in the named function's
+                          body, so it cannot change the build (src: rungs
+                          and names the census does not define are tried)
+  same entry as L<k>      the rung's line is one this violation already
+                          tried at rung k, e.g. a caller in the callee's file
+
+Per-entry minimality is the invariant: an entry stays in the final
+ignorelist only if the violation it serves still trapped at every narrower
+rung that was available.
 
 Function patterns are enforcement names: LLVM's ".cfi"/".cfi_jt" clone
 suffixes and ".llvm.<id>" promotion suffixes are stripped because compile
@@ -140,9 +151,13 @@ def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
 class EscalationEngine:
     """Owns all violations of a run; the store's entries are their claims."""
 
-    def __init__(self, store: IgnorelistStore, project_root: Path):
+    def __init__(
+        self, store: IgnorelistStore, project_root: Path, check_free: frozenset[str] = frozenset()
+    ):
         self.store = store
         self.project_root = project_root
+        # Function names whose fun: rung cannot change the build.
+        self.check_free = check_free
         self.violations: dict[ViolationKey, Violation] = {}
 
     def all_violations(self) -> list[Violation]:
@@ -211,16 +226,23 @@ class EscalationEngine:
         if violation.status is not ViolationStatus.OPEN:
             return None
         level = violation.ladder_level
+        tried = {line: tried_level for tried_level, line in violation.attempted}
         while level < LadderLevel.UNRESOLVABLE:
             kind_value, pattern = self._scope(violation, level)
+            line = f"{kind_value}:{pattern}"
             if pattern is None:
-                violation.skipped_levels.append((level, "identity unavailable"))
-                level = LadderLevel(level + 1)
-                continue
-            violation.ladder_level = level
-            violation.attempted.append((level, f"{kind_value}:{pattern}"))
-            self._derive_entries()
-            return self.store.entries[kind_value, pattern]
+                reason = "identity unavailable"
+            elif level in FUN_LEVELS and pattern in self.check_free:
+                reason = "no CFI check in scope"
+            elif line in tried:
+                reason = f"same entry as {tried[line].short}"
+            else:
+                violation.ladder_level = level
+                violation.attempted.append((level, line))
+                self._derive_entries()
+                return self.store.entries[kind_value, pattern]
+            violation.skipped_levels.append((level, reason))
+            level = LadderLevel(level + 1)
         violation.ladder_level = LadderLevel.UNRESOLVABLE
         violation.status = ViolationStatus.UNRESOLVABLE
         self._derive_entries()

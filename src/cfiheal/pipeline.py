@@ -2,10 +2,11 @@
 
 heal() drives the whole sequence: validate config, baseline build and suite,
 CFI build with automatic visibility repair (planned from the baseline's
-cross-DSO bindings, with the linker's diagnostics as the fallback),
-trap-driven escalation rounds (re-running only the tests attributed to
-still-open violations after each ignorelist update), a full-suite
-confirmation pass, the IR census, coverage accounting, and report emission.
+cross-DSO bindings, with the linker's diagnostics as the fallback), the IR
+census, taken once that build stands, trap-driven escalation rounds
+(re-running only the tests attributed to still-open violations after each
+ignorelist update, and skipping fun: rungs the census shows hold no check),
+a full-suite confirmation pass, coverage accounting, and report emission.
 state.json in the report directory is rewritten after every phase
 transition so an interrupted run leaves an inspectable trail.
 
@@ -107,6 +108,9 @@ class _Run:
     ledger: RepairLedger
     # The rendered ignorelist the last instrumented build was made with.
     built_list: str | None = None
+    # The IR census, totals and per function, taken once the first
+    # instrumented build stands.
+    census: tuple[IrSiteCensus, dict[str, IrSiteCensus]] | None = None
 
 
 def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
@@ -158,6 +162,21 @@ def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensu
 def _checkable_sites(counts: IrSiteCensus) -> int:
     # Indirect transfers the forward-edge checks can guard at a call site.
     return counts.fp_calls + counts.virtual_calls + counts.jt_lowered
+
+
+# The CFI checks that guard only sites _checkable_sites counts. cfi-nvcall and
+# the cast checks also guard sites with no indirect call.
+_CENSUSED_VARIANTS = frozenset({"cfi-icall", "cfi-vcall", "cfi-mfcall"})
+
+
+def _check_free(variants: Iterable[str], per_function: dict[str, IrSiteCensus]) -> frozenset[str]:
+    """Names the census defines with no checkable site, summed over all their definitions.
+
+    Empty unless every enabled variant is one whose sites the census sees.
+    """
+    if not set(variants) <= _CENSUSED_VARIANTS:
+        return frozenset()
+    return frozenset(name for name, counts in per_function.items() if not _checkable_sites(counts))
 
 
 def _function_records(
@@ -300,9 +319,9 @@ def _confirm(run: _Run, results: list[TestResult]) -> bool:
 
 
 def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
-    """IR census, coverage accounting and the emitted report."""
+    """Coverage accounting from the run's census, and the emitted report."""
     cfg, engine, ledger = run.cfg, run.engine, run.ledger
-    census_total, per_function = _run_census(cfg)
+    census_total, per_function = run.census
     records = _function_records(cfg, run.symbolizer, per_function, ledger)
     coverage = compute_coverage(records, engine.store.active_entries())
 
@@ -382,6 +401,8 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
             engine = EscalationEngine(store, cfg.project_root)
             run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
             cfi_build = _cfi_build(run, "build", planned)
+            run.census = _run_census(cfg)
+            engine.check_free = _check_free(cfg.cfi_variants, run.census[1])
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
             for test_id, trap, fault in _traps(run, run_suite(cfg, cfi_build)):

@@ -306,3 +306,71 @@ def test_reopen_at_the_last_rung_is_unresolvable(engine):
     assert engine.reopen(v) is False
     assert v.status is ViolationStatus.UNRESOLVABLE
     assert rendered(engine) == ""
+
+
+def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"fail", "mid"}))
+    v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
+                   cc=info("entry", "a.c", 3))
+    entry = engine.next_scope(v)
+    assert (v.ladder_level, entry.pattern) == (LadderLevel.CALLERS_CALLER_FUNCTION, "entry")
+    assert v.skipped_levels == [
+        (LadderLevel.CALLEE_FUNCTION, "no CFI check in scope"),
+        (LadderLevel.CALLER_FUNCTION, "no CFI check in scope"),
+    ]
+    engine.record_outcome(v, trap_recurred=True)
+    assert engine.next_scope(v).pattern == "rt.c"
+    assert rendered(engine) == "src:rt.c\n"
+
+
+def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
+    # A check-free set holds function names; a path that spells one is no function.
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"f", "a.c"}))
+    v, _ = observe(engine, callee=info("f", "a.c", 1))
+    assert engine.next_scope(v).pattern == "a.c"
+    assert v.attempted == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
+
+
+def test_a_name_outside_the_check_free_set_is_tried(tmp_path):
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"other"}))
+    v, _ = observe(engine, callee=info("f", "a.c", 1))
+    assert engine.next_scope(v).pattern == "f"
+    assert v.skipped_levels == []
+
+
+def test_a_src_rung_repeating_the_callee_file_is_skipped(engine):
+    # A static helper and its caller share a file: L4 would be L3 again.
+    v, _ = observe(engine, callee=info("f.1", "core.c", 3), caller=info("g.1", "core.c", 9))
+    for _ in range(3):  # fun:f.1, fun:g.1, src:core.c
+        engine.next_scope(v)
+        engine.record_outcome(v, trap_recurred=True)
+    assert engine.next_scope(v) is None
+    assert v.status is ViolationStatus.UNRESOLVABLE
+    assert [line for _, line in v.attempted] == ["fun:f.1", "fun:g.1", "src:core.c"]
+    assert (LadderLevel.CALLER_SOURCE, "same entry as L3") in v.skipped_levels
+    assert rendered(engine) == ""
+
+
+def test_a_recursive_caller_is_not_tried_twice(engine):
+    v, _ = observe(engine, callee=info("walk", "t.c", 4), caller=info("walk", "t.c", 9),
+                   cc=info("main", "m.c", 2))
+    engine.next_scope(v)
+    engine.record_outcome(v, trap_recurred=True)
+    entry = engine.next_scope(v)
+    assert (v.ladder_level, entry.pattern) == (LadderLevel.CALLERS_CALLER_FUNCTION, "main")
+    assert v.skipped_levels == [(LadderLevel.CALLER_FUNCTION, "same entry as L0")]
+
+
+def test_reopen_skips_the_line_it_was_fixed_at(engine):
+    # Fixed at fun:f; the confirmation suite traps again with fun:f built,
+    # so a caller rung naming f again cannot help either.
+    v, _ = observe(engine, callee=info("f", "f.c", 1), caller=info("f", "f.c", 8))
+    engine.next_scope(v)
+    engine.record_outcome(v, trap_recurred=False)
+    assert engine.reopen(v) is True
+    assert engine.next_scope(v).pattern == "f.c"
+    assert v.ladder_level is LadderLevel.CALLEE_SOURCE
+    assert v.skipped_levels[0] == (LadderLevel.CALLER_FUNCTION, "same entry as L0")

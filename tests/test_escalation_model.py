@@ -4,7 +4,9 @@ A hypothesis state machine drives EscalationEngine the way heal() does:
 traps are observed, each escalation round moves every open violation one
 rung and re-tests it against the list that round built, and the
 confirmation suite reopens a Fixed violation that traps again. A simulated
-oracle says which ignorelist lines suppress which violation.
+oracle says which ignorelist lines suppress which violation. Some functions
+hold no CFI check, as the IR census would show, so no line naming one of
+them suppresses anything, and the engine never tries one.
 """
 
 from pathlib import Path
@@ -19,9 +21,12 @@ from cfiheal.symbols import Confidence, SymbolInfo
 from cfiheal.tracing import TrapEvent, TrapSignal
 
 # A small world, so that violations share functions, files and entries often.
-FUNCTIONS = ("f", "g", "h.1")
+FUNCTIONS = ("f", "g", "h.1", "k")
+CHECK_FREE = frozenset({"g", "k"})
 FILES = ("a.c", "lib/b.c")
 LINES = tuple(f"fun:{f}" for f in FUNCTIONS) + tuple(f"src:{f}" for f in FILES)
+CHECK_FREE_LINES = frozenset(f"fun:{f}" for f in CHECK_FREE)
+SUPPRESSING = tuple(line for line in LINES if line not in CHECK_FREE_LINES)
 
 _frames = st.one_of(
     st.none(),
@@ -40,7 +45,9 @@ _frames = st.one_of(
 class EscalationModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.engine = EscalationEngine(IgnorelistStore(Path("cfi.ignorelist")), Path("/project"))
+        self.engine = EscalationEngine(
+            IgnorelistStore(Path("cfi.ignorelist")), Path("/project"), check_free=CHECK_FREE
+        )
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}
         # Violation id -> the rungs at which its trap was seen again.
@@ -64,7 +71,7 @@ class EscalationModel(RuleBasedStateMachine):
         pc=st.integers(0, 3),
         frames=st.tuples(_frames, _frames, _frames),
         test_id=st.sampled_from(("t1", "t2", "t3")),
-        suppressors=st.sets(st.sampled_from(LINES)),
+        suppressors=st.sets(st.sampled_from(SUPPRESSING)),
     )
     def observe(self, pc, frames, test_id, suppressors):
         trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, pc, pc, (), {}, Path("app"), ())
@@ -117,6 +124,18 @@ class EscalationModel(RuleBasedStateMachine):
             if v.status is ViolationStatus.FIXED:
                 narrower = {level for level, _ in v.attempted if level < v.fixed_level}
                 assert narrower <= self.recurred[v.id]
+
+    @invariant()
+    def no_check_free_line_is_tried_or_rendered(self):
+        for v in self.engine.all_violations():
+            assert not {line for _, line in v.attempted} & CHECK_FREE_LINES
+        assert not self.rendered() & CHECK_FREE_LINES
+
+    @invariant()
+    def no_violation_tries_a_line_twice(self):
+        for v in self.engine.all_violations():
+            lines = [line for _, line in v.attempted]
+            assert len(lines) == len(set(lines))
 
     @invariant()
     def render_parse_is_a_fixpoint(self):

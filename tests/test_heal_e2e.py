@@ -9,6 +9,8 @@ strict xfail, so the fix of that defect shows as an unexpected pass.
 The visibility repair planned from the baseline's cross-DSO bindings must
 end where a repair driven by linker diagnostics alone ends, in fewer
 builds; the chain fixture is the non-gated twin of acceptance criterion 8.
+Likewise a ladder that skips the fun: rungs the IR census shows hold no
+check must end where a ladder that tries every rung ends.
 """
 
 import shutil
@@ -115,22 +117,25 @@ def test_suite_fanout_heals_each_planted_violation_once(healed):
     result, checks = healed("suite_fanout")
     assert set(checks) == set(CHECKS)
     # One violation per planted one, and one CFI build per round: the
-    # initial build, then one per rung the violations climb.
+    # initial build, then one per rung the violations climb. Rungs naming a
+    # function with no check are skipped, so the longest climb is 3 rungs.
     assert len(result.violations) == 7
-    assert result.ledger.build_attempts == 7
+    assert result.ledger.build_attempts == 4
 
 
 # Per workload: CFI builds, then each violation's status and the rungs it
 # attempted, by level: the pins hold whatever spelling a pattern has.
+# cxx_static's fun: patterns are spelled demangled, so no census name
+# matches them and none of its rungs is skipped.
 PINS = {
-    "suite_fanout": (7, [
+    "suite_fanout": (4, [
         ("Fixed", (0,)),
-        ("Fixed", (0, 1)),
-        ("Fixed", (0, 1, 2)),
+        ("Fixed", (1,)),
+        ("Fixed", (2,)),
         ("Fixed", (0,)),
-        ("Fixed", (0, 1, 2, 3)),
-        ("Fixed", (0, 1, 2, 3, 4)),
-        ("Unresolvable", (0, 1, 2, 3, 4)),
+        ("Fixed", (0, 3)),
+        ("Fixed", (1, 3, 4)),
+        ("Unresolvable", (3, 4)),
     ]),
     "wide_tree": (1, []),
     "cxx_static": (5, [
@@ -177,7 +182,7 @@ def _signature(result) -> dict:
 
 
 # CFI builds of a heal whose repair reads linker diagnostics only.
-DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 7, "wide_tree": 3, "cxx_static": 6}
+DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 6}
 
 
 @pytest.mark.parametrize("workload", PINS)
@@ -211,14 +216,45 @@ def test_a_plan_short_of_a_symbol_ends_the_same_one_build_later(
     assert [p.symbol for p in mutated.ledger.patches if p.iteration == 2] == [dropped]
 
 
+def _outcome(result) -> dict:
+    """What a heal ended with, apart from the rungs it tried on the way."""
+    report = result.report
+    return {
+        "ignorelist": report["ignorelist"],
+        "violations": [(v.id, v.status.value, v.ladder_level.short) for v in result.violations],
+        "coverage": report["coverage"],
+        "census": report["census"],
+    }
+
+
+# CFI builds of a heal whose ladder tries every rung it has an identity for.
+UNGUIDED_BUILDS = {"suite_fanout": 7, "wide_tree": 1, "cxx_static": 5}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_guided_ladder_ends_where_the_unguided_ladder_ends(
+    healed, workload, tmp_path, monkeypatch
+):
+    guided, guided_checks = healed(workload)
+    monkeypatch.setattr(pipeline, "_check_free", lambda variants, per_function: frozenset())
+    unguided, checks = _heal(workload, tmp_path)
+    assert _outcome(unguided) == _outcome(guided)
+    assert checks == guided_checks
+    assert unguided.ledger.build_attempts == UNGUIDED_BUILDS[workload]
+    # Each rung the guided ladder skipped for want of a check, the unguided one tried in vain.
+    for g, u in zip(guided.violations, unguided.violations):
+        skipped = {level for level, reason in g.skipped_levels if reason == "no CFI check in scope"}
+        assert skipped <= {level for level, _ in u.attempted}
+
+
 # The chain fixture: app -> libfoo.so -> libbar.so, each link failing under
-# -fvisibility=hidden. GNU ld writes app's rpath as DT_RUNPATH, which does
-# not reach libfoo.so's own dependency on libbar.so.
+# -fvisibility=hidden. app links with --disable-new-dtags, so its rpath is a
+# DT_RPATH, which also reaches libfoo.so's own dependency on libbar.so; a
+# DT_RUNPATH would not.
 
 
-def _heal_chain(tmp_path, monkeypatch):
+def _heal_chain(tmp_path):
     root = copy_fixture("chain", tmp_path)
-    monkeypatch.setenv("LD_LIBRARY_PATH", str(root))
     cfg = make_config(
         root,
         tmp_path / "reports",
@@ -231,8 +267,8 @@ def _heal_chain(tmp_path, monkeypatch):
     return cfg, result
 
 
-def test_chain_heals_in_one_planned_pass(tmp_path, monkeypatch):
-    cfg, result = _heal_chain(tmp_path, monkeypatch)
+def test_chain_heals_in_one_planned_pass(tmp_path):
+    cfg, result = _heal_chain(tmp_path)
     ledger = result.ledger
     assert ledger.build_attempts == 1
     assert ledger.iterations_build_phase == 1
@@ -250,7 +286,7 @@ def test_chain_heals_in_one_planned_pass(tmp_path, monkeypatch):
 
 def test_chain_without_a_plan_takes_a_build_per_link(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "cross_dso_bindings", lambda root, since_ns: [])
-    _, result = _heal_chain(tmp_path, monkeypatch)
+    _, result = _heal_chain(tmp_path)
     ledger = result.ledger
     assert ledger.build_attempts == 3
     assert ledger.iterations_build_phase == 2

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -268,6 +268,51 @@ def test_cli_revert_with_no_journal(tmp_path, capsys):
     assert "reverted 0" in capsys.readouterr().out
 
 
+# A static `helper` in two units, one of whose definitions makes an indirect call.
+HELPER_WITH_CALL = """
+define internal i32 @helper(ptr %fp, i32 %x) {
+entry:
+  %r = call i32 %fp(i32 %x)
+  ret i32 %r
+}
+define i32 @plain(i32 %x) {
+entry:
+  ret i32 %x
+}
+"""
+HELPER_WITHOUT = """
+define internal i32 @helper(i32 %x) {
+entry:
+  ret i32 %x
+}
+define i32 @quiet(i32 %x) {
+entry:
+  ret i32 %x
+}
+declare i32 @external(i32)
+"""
+
+
+def test_check_free_names_sum_every_definition(tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "a.ll").write_text(HELPER_WITH_CALL)
+    (root / "b.ll").write_text(HELPER_WITHOUT)
+    _, per_function = _run_census(make_config(root, tmp_path / "reports"))
+    free = pipeline._check_free(("cfi-icall", "cfi-vcall", "cfi-mfcall"), per_function)
+    # helper holds a check in a.ll; a declared or unknown name is not known to hold none.
+    assert free == {"plain", "quiet"}
+
+
+@pytest.mark.parametrize(
+    "variant", ["cfi-nvcall", "cfi-derived-cast", "cfi-unrelated-cast", "cfi-cast-strict", "cfi"]
+)
+def test_check_free_is_empty_when_a_check_guards_sites_the_census_cannot_see(variant):
+    per_function = {"plain": ircensus.IrSiteCensus()}
+    assert pipeline._check_free(("cfi-icall",), per_function) == {"plain"}
+    assert pipeline._check_free(("cfi-icall", variant), per_function) == frozenset()
+
+
 # Fake-layer heal rig. heal() runs with the five layer names pipeline
 # imports replaced: every build stands unless a test breaks it, and each
 # test is a script of traps. A trap fires when its condition entries are in
@@ -483,6 +528,44 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
         "ignorelist": ["fun:f", "src:lib/g.c"],
         "report": result.report,
     }
+
+
+def test_rig_censuses_once_per_heal(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    calls = []
+    real = pipeline._run_census
+
+    def counting(cfg):
+        calls.append(rig.calls["repair_until_buildable"])
+        return real(cfg)
+
+    monkeypatch.setattr(pipeline, "_run_census", counting)
+    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    # Once, right after the first instrumented build, and not again to account.
+    assert calls == [1]
+
+
+# h, t_l3's caller, is defined without an indirect call.
+NO_CHECK_IR = "define i32 @h(i32 %x) {\nentry:\n  ret i32 %x\n}\n"
+
+
+@pytest.mark.parametrize(
+    ("variants", "attempted"),
+    [
+        (("cfi-icall",), ["fun:g", "src:lib/g.c"]),
+        (("cfi-icall", "cfi-nvcall"), ["fun:g", "fun:h", "src:lib/g.c"]),
+    ],
+)
+def test_rig_skips_a_caller_rung_without_a_check(tmp_path, monkeypatch, variants, attempted):
+    rig = Rig(tmp_path, monkeypatch, {"t_l3": SCRIPT["t_l3"]})
+    rig.cfg = replace(rig.cfg, cfi_variants=variants)
+    (rig.cfg.project_root / "h.ll").write_text(NO_CHECK_IR)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    (violation,) = result.violations
+    assert (violation.status.value, violation.ladder_level.short) == ("Fixed", "L3")
+    assert [line for _, line in violation.attempted] == attempted
+    assert result.ledger.build_attempts == 1 + len(attempted)
+    assert result.report["ignorelist"] == ["src:lib/g.c"]
 
 
 def test_rig_clean_suite(tmp_path, monkeypatch):
