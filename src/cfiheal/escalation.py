@@ -26,12 +26,12 @@ Per-entry minimality is the invariant: an entry stays in the final
 ignorelist only if the violation it serves still trapped at every narrower
 rung that was available.
 
-Function patterns are enforcement names: LLVM's ".cfi"/".cfi_jt" clone
-suffixes and ".llvm.<id>" promotion suffixes are stripped because compile
-time ignorelist matching sees the source-level spelling. Link-time collision
-suffixes such as ".1" are kept verbatim; they can never match at compile
-time, which is precisely what justifies escalating past function rungs for
-renamed file-local functions.
+Function patterns are enforcement names: the symbol table's (mangled, for
+C++) spelling with LLVM's ".cfi"/".cfi_jt" clone suffixes and ".llvm.<id>"
+promotion suffixes stripped, because compile time ignorelist matching sees
+the mangled IR spelling. Link-time collision suffixes such as ".1" are kept
+verbatim; they can never match at compile time, which is precisely what
+justifies escalating past function rungs for renamed file-local functions.
 
 A violation is keyed by where its check is in the source: (binary,
 enforcement name of the fault function, DWARF file, line of the fault PC).
@@ -72,7 +72,7 @@ _CLONE_SUFFIX = re.compile(r"\.(?:cfi(?:_jt)?|llvm\.\d+)$")
 
 
 def enforcement_name(function: str) -> str:
-    """Source-level spelling of a possibly compiler-decorated function name."""
+    """Mangled IR spelling of a possibly compiler-decorated function name."""
     name = function
     while True:
         stripped = _CLONE_SUFFIX.sub("", name)

@@ -49,7 +49,7 @@ from .report import (
     emit_report,
     format_duration,
 )
-from .symbols import ResolutionError, SymbolInfo, Symbolizer
+from .symbols import ResolutionError, SymbolInfo, Symbolizer, _demangle_batch
 from .tracing import TraceError, TrapEvent
 
 STATE_NAME = "state.json"
@@ -224,12 +224,20 @@ def _function_records(
 
 
 def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
+    """Violation details and per-file counts, with function names demangled for display.
+
+    One c++filt reads every mangled name, and none starts for C names; if
+    it fails, the names stay mangled.
+    """
+    violations = engine.all_violations()
+    functions, _ = _demangle_batch(
+        [enforcement_name(v.callee.function) if v.callee else "<unresolved>" for v in violations]
+    )
     details = []
     by_file: dict[str, dict] = {}
-    for violation in engine.all_violations():
+    for violation, function in zip(violations, functions):
         callee = violation.callee
         file = _relative_file(callee, engine.project_root)
-        function = enforcement_name(callee.function) if callee else "<unresolved>"
         details.append(
             {
                 "id": violation.id,

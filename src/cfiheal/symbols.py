@@ -16,11 +16,13 @@ The disassembler is pluggable: anything with a
 ``function_candidates(Path) -> list[FunctionSpan]`` method can serve as the
 backend (the shipped one drives objdump). Backends only ever contribute
 heuristic spans; symbol-table spans always win where both exist. A binary's
-view starts with its symbol-table spans, demangled by one c++filt; the
-backend runs only for ``function_boundaries`` or for an address outside every
-symbol-table span. Heuristic spans never overlap symbol-table spans, so a
-symbol-table hit resolves the same either way. File and line of symbol-table
-hits come from one addr2line per batch of addresses not asked before.
+view starts with its symbol-table spans, named as the symbol table spells
+them (mangled for C++, the spelling ignorelist ``fun:`` entries match), so
+building it starts no c++filt. The backend runs only for
+``function_boundaries`` or for an address outside every symbol-table span.
+Heuristic spans never overlap symbol-table spans, so a symbol-table hit
+resolves the same either way. File and line of symbol-table hits come from
+one addr2line per batch of addresses not asked before.
 """
 
 from __future__ import annotations
@@ -383,7 +385,10 @@ class Symbolizer:
         return view
 
     def _build_spans(self, elf: ElfFile, binary: Path) -> list[FunctionSpan]:
-        """Sorted, disjoint symbol-table spans, demangled in one batch."""
+        """Sorted, disjoint symbol-table spans, named as the symbol table spells them.
+
+        `binary` is unused here; perfbench's layer trace reads it to size the view.
+        """
         by_start: dict[int, ElfSymbol] = {}
         for sym in elf.function_symbols():
             if sym.size <= 0:
@@ -392,15 +397,12 @@ class Symbolizer:
             if held is None or (held.bind == 0 and sym.bind != 0):
                 by_start[sym.value] = sym
         ordered = sorted(by_start.values(), key=lambda s: s.value)
-        names, failure = _demangle_batch([sym.name for sym in ordered])
-        if failure:
-            self.warnings.append(f"{binary}: {failure}")
         spans: list[FunctionSpan] = []
         for i, sym in enumerate(ordered):
             end = sym.value + sym.size
             if i + 1 < len(ordered):
                 end = min(end, ordered[i + 1].value)
-            spans.append(FunctionSpan(names[i], sym.value, end))
+            spans.append(FunctionSpan(sym.name, sym.value, end))
         return spans
 
     def _filled(self, view: _BinaryView) -> _SpanIndex:

@@ -27,6 +27,9 @@ from cfiheal.tracing import TrapEvent, TrapSignal
         ("engine_step.1", "engine_step.1"),
         ("x.2.cfi", "x.2"),
         (".cfi", ".cfi"),
+        # C++ names keep their mangled spelling: that is what fun: matches.
+        ("_ZN1a1fEv.cfi", "_ZN1a1fEv"),
+        ("_ZL8stepheiyi.1.cfi_jt", "_ZL8stepheiyi.1"),
     ],
 )
 def test_enforcement_name(decorated, plain):
@@ -139,6 +142,40 @@ def test_full_ladder_sequence(engine, tmp_path):
     assert v.attempted == expected
     # Nothing helped, so nothing stays active.
     assert rendered(engine) == ""
+
+
+CXX_FRAMES = {
+    "callee": info("_ZN3app4stepEi.cfi", "src/step.cpp", 10),
+    "caller": info("_ZN3app5visitEi.llvm.123", "src/visit.cpp", 20),
+    "cc": info("_ZL8stepheiyi.1.cfi_jt", "src/main.cpp", 30),
+}
+
+
+@pytest.mark.parametrize(
+    ("check_free", "spelled"),
+    [
+        (frozenset(), ["fun:_ZN3app4stepEi", "fun:_ZN3app5visitEi", "fun:_ZL8stepheiyi.1"]),
+        # The census keys functions by mangled IR name, so a check-free
+        # caller is skipped on C++ as on C.
+        (frozenset({"_ZN3app5visitEi"}), ["fun:_ZN3app4stepEi", "fun:_ZL8stepheiyi.1"]),
+    ],
+)
+def test_cxx_fun_rungs_are_spelled_mangled(tmp_path, check_free, spelled):
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=check_free)
+    v, _ = observe(engine, **CXX_FRAMES)
+    lines = []
+    while engine.next_scope(v).kind is EntryKind.FUN:
+        lines.append(v.attempted[-1][1])
+        engine.record_outcome(v, trap_recurred=True)
+    assert lines == spelled
+    assert v.ladder_level is LadderLevel.CALLEE_SOURCE
+
+
+def test_violation_key_strips_clone_suffixes_from_mangled_names():
+    plain, clone = (info(name, "a.cpp", 3) for name in ("_ZN1a1fEv", "_ZN1a1fEv.cfi"))
+    assert violation_key(Path("app"), 0x10, plain) == violation_key(Path("app"), 0x20, clone)
+    assert violation_key(Path("app"), 0x10, plain)[1] == "_ZN1a1fEv"
 
 
 def test_fix_at_first_rung(engine):

@@ -3,8 +3,8 @@
 perfbench's generator writes a small C/C++ project (scale 0.3, as in its
 self-check) whose builds go through ``cfimodel.py``, a gcc wrapper that
 models clang's CFI checks, so these heals need no clang. Each heal is scored
-by the generator's 12 oracle checks. A check that a known defect fails is a
-strict xfail, so the fix of that defect shows as an unexpected pass.
+by the generator's 12 oracle checks, and every check passes on every
+workload.
 
 The visibility repair planned from the baseline's cross-DSO bindings must
 end where a repair driven by linker diagnostics alone ends, in fewer
@@ -45,11 +45,6 @@ CHECKS = (
     "exit_status",
     "revert_byte_exact",
 )
-KNOWN_DEFECTS = {
-    ("cxx_static", "ignorelist_minimal"): "fun: entries are spelled demangled",
-    ("cxx_static", "call_site_denominator"): "C++ call sites are missed",
-    ("cxx_static", "per_call_site_sums_to_100"): "C++ call sites are missed: the triple is 0/0/0",
-}
 
 pytestmark = pytest.mark.skipif(
     any(shutil.which(tool) is None for tool in TOOLS), reason=f"requires {', '.join(TOOLS)}"
@@ -97,14 +92,7 @@ def healed(tmp_path_factory):
 @pytest.mark.parametrize(
     ("workload", "check"),
     [
-        pytest.param(
-            workload,
-            check,
-            id=f"{workload}-{check}",
-            marks=[pytest.mark.xfail(reason=KNOWN_DEFECTS[workload, check], strict=True)]
-            if (workload, check) in KNOWN_DEFECTS
-            else [],
-        )
+        pytest.param(workload, check, id=f"{workload}-{check}")
         for workload in gen.GENERATORS
         for check in CHECKS
     ],
@@ -125,8 +113,10 @@ def test_suite_fanout_heals_each_planted_violation_once(healed):
 
 # Per workload: CFI builds, then each violation's status and the rungs it
 # attempted, by level: the pins hold whatever spelling a pattern has.
-# cxx_static's fun: patterns are spelled demangled, so no census name
-# matches them and none of its rungs is skipped.
+# cxx_static's fun: patterns are spelled mangled, as clang and the census
+# spell them: two violations are fixed at L0, and the renamed static
+# (a ".1" suffix, which no compile-time entry matches) skips its
+# check-free caller rungs on its way to L3.
 PINS = {
     "suite_fanout": (4, [
         ("Fixed", (0,)),
@@ -138,10 +128,10 @@ PINS = {
         ("Unresolvable", (3, 4)),
     ]),
     "wide_tree": (1, []),
-    "cxx_static": (5, [
-        ("Fixed", (0, 1, 2, 3)),
-        ("Fixed", (0, 1, 2, 3)),
-        ("Fixed", (0, 1, 2, 3)),
+    "cxx_static": (3, [
+        ("Fixed", (0,)),
+        ("Fixed", (0,)),
+        ("Fixed", (0, 3)),
     ]),
 }
 
@@ -182,7 +172,7 @@ def _signature(result) -> dict:
 
 
 # CFI builds of a heal whose repair reads linker diagnostics only.
-DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 6}
+DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 4}
 
 
 @pytest.mark.parametrize("workload", PINS)

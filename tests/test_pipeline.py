@@ -21,7 +21,7 @@ from cfiheal.report import EnforcementStatus, compute_coverage
 from cfiheal.symbols import Confidence, SymbolInfo, Symbolizer
 from cfiheal.tracing import OutcomeKind, TraceError, TraceOutcome, TrapEvent, TrapSignal
 
-from conftest import HAVE_GCC, copy_fixture, make_config, needs_toolchain
+from conftest import HAVE_GCC, SAMPLE_CXX, copy_fixture, make_config, needs_toolchain
 
 CENSUS_IR = """
 define i32 @driver(i32 %x) {
@@ -622,6 +622,30 @@ def test_rig_check_that_moves_keeps_its_violation(tmp_path, monkeypatch):
     assert result.ledger.build_attempts == 3
 
 
+@pytest.mark.parametrize(
+    ("cxxfilt", "shown"),
+    [(None, "app::step(int)"), (FileNotFoundError("c++filt"), "_ZN3app4stepEi")],
+    ids=["demangled", "cxxfilt-missing"],
+)
+def test_rig_cxx_entry_is_mangled_and_its_report_row_demangled(
+    tmp_path, monkeypatch, cxxfilt, shown
+):
+    # The symbol table spells C++ functions mangled, and so must fun: entries.
+    monkeypatch.setitem(SYMBOLS, 0x7010, ("_ZN3app4stepEi.cfi", "step.cpp"))
+    rig = Rig(tmp_path, monkeypatch, {"t_cxx": [trap(0x7010, [0x1110], ["fun:_ZN3app4stepEi"])]})
+    if cxxfilt is not None:
+        def missing(argv, *args, **kwargs):
+            raise cxxfilt
+
+        monkeypatch.setattr(subprocess, "run", missing)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert violation_rows(result) == [("V1", "Fixed", "L0", "L0", ("t_cxx",))]
+    assert result.report["ignorelist"] == ["fun:_ZN3app4stepEi"]
+    written = json.loads((rig.reports / "report.json").read_text())
+    (row,) = written["violations"]["details"]
+    assert (row["function"], row["attempted"]) == (shown, ["fun:_ZN3app4stepEi"])
+
+
 def test_rig_locked_project_leaves_the_running_state_alone(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
     rig.reports.mkdir()
@@ -722,7 +746,10 @@ def test_function_records_never_disassemble(gcc_binaries):
     exes = (gcc_binaries["c"], gcc_binaries["cxx"])
     root = exes[0].parent
     cfg = make_config(root, root / "reports", executables=tuple(e.name for e in exes))
-    per_function = {"alpha": ircensus.IrSiteCensus(fp_calls=2)}
+    per_function = {
+        "alpha": ircensus.IrSiteCensus(fp_calls=2),
+        "_ZN3geo7measureERKNS_5ShapeEi": ircensus.IrSiteCensus(virtual_calls=1),
+    }
     records = pipeline._function_records(
         cfg, Symbolizer(backend=_NoDisassembly()), per_function, RepairLedger()
     )
@@ -730,9 +757,23 @@ def test_function_records_never_disassemble(gcc_binaries):
         cfg, _BoundariesSymbolizer(), per_function, RepairLedger()
     )
     by_name = {r.name: r for r in records}
-    assert {"alpha", "beta", "gamma_fn", "main", "twice(int)"} <= set(by_name)
+    assert {"alpha", "beta", "gamma_fn", "main", "_ZL5twicei"} <= set(by_name)
     assert by_name["alpha"].call_sites == 2
     assert Path(by_name["alpha"].file).name == "sample.c"
+    # C++ functions are named as the census keys them: mangled.
+    assert by_name["_ZN3geo7measureERKNS_5ShapeEi"].call_sites == 1
+
+
+@pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+def test_function_records_count_exported_cxx_functions_default(tmp_path):
+    # -rdynamic exports every global function through .dynsym, mangled.
+    subprocess.run(["g++", "-g", "-O0", "-rdynamic", "-o", str(tmp_path / "app"),
+                    str(SAMPLE_CXX)], check=True, capture_output=True)
+    cfg = make_config(tmp_path, tmp_path / "reports")
+    records = pipeline._function_records(cfg, Symbolizer(), {}, RepairLedger())
+    visibility = {r.name: r.visibility for r in records}
+    assert visibility["_ZN3geo7measureERKNS_5ShapeEi"] == "default"
+    assert visibility["_ZL5twicei"] == "hidden"  # file-local: never exported
 
 
 def test_account_phase_starts_one_addr2line_per_executable(gcc_binaries, monkeypatch):
