@@ -12,8 +12,16 @@ binary it times, on a fresh ``Symbolizer`` each repeat:
 Targets are ``libstdc++.so.6`` (found through ``g++ -print-file-name``), the
 C++ symbolizer fixture of the test suite, built with
 ``g++ -g -O0 -fno-omit-frame-pointer``, and the ``bin/app`` of perfbench's
-cxx_static workload at scale 1, seed 1, built by its own ``make``. Each
-result also counts the subprocesses the operation started, by program.
+cxx_static workload at scale 1, seed 1, built by its own ``make``.
+
+It also times ``symbolize_trap_in_main``: the pipeline's ``_symbolize_trap``
+on the trap of a ``gcc -O0 -g -fno-omit-frame-pointer`` binary whose
+``main`` runs ``__builtin_trap()``, caught once by ``run_traced``. The call
+gets the binary's directory as project root, as ``heal`` passes it, so the
+caller frame in the C library is left unresolved.
+``symbolize_trap_in_main_all_frames`` is the same call without a project
+root, which resolves that frame too. Each result also counts the
+subprocesses the operation started, by program.
 
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
@@ -86,9 +94,11 @@ from cfiheal.build import (  # noqa: E402
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.ircensus import census_by_function  # noqa: E402
-from cfiheal.tracing import OutcomeKind, run_traced  # noqa: E402
+from cfiheal.pipeline import _symbolize_trap  # noqa: E402
+from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
+TRAP_IN_MAIN = "int main(void) { __builtin_trap(); }\n"
 
 
 class _SpawnCounter:
@@ -153,6 +163,35 @@ def _summary(times: list[float]) -> dict:
     }
 
 
+def _trap_in_main(tmp: Path) -> tuple[Path, Path, TrapEvent]:
+    """(project directory, binary, trap) of a gcc binary whose main traps."""
+    project = tmp / "trap-in-main"
+    project.mkdir()
+    (project / "main.c").write_text(TRAP_IN_MAIN)
+    subprocess.run(
+        ["gcc", "-O0", "-g", "-fno-omit-frame-pointer", "-o", "app", "main.c"],
+        cwd=project,
+        check=True,
+        capture_output=True,
+    )
+    outcome = run_traced([str(project / "app")], 30)
+    if outcome.trap is None:
+        raise RuntimeError(f"the trap-in-main binary did not trap: {outcome}")
+    return project, project / "app", outcome.trap
+
+
+def _symbols_row(target: str, binary: Path, op: str, call, repeat: int, **extra) -> dict:
+    times, spawns = _time(call, repeat)
+    return {
+        "target": target,
+        "mb": round(binary.stat().st_size / 1e6, 3),
+        **extra,
+        "op": op,
+        **_summary(times),
+        "spawns_per_call": {k: v / repeat for k, v in sorted(spawns.items())},
+    }
+
+
 def bench_symbols(repeat: int) -> list[dict]:
     results = []
     with tempfile.TemporaryDirectory(prefix="bench-symbols-") as tmp:
@@ -164,19 +203,17 @@ def bench_symbols(repeat: int) -> list[dict]:
                 "resolve_symtab_hit": lambda s: s.resolve(binary, probe),
                 "resolve_span_starts": lambda s: s.resolve_many(binary, starts),
             }
-            spans = symbols.Symbolizer().function_boundaries(binary)
+            spans = len(symbols.Symbolizer().function_boundaries(binary))
             for op, call in ops.items():
-                times, spawns = _time(call, repeat)
-                results.append(
-                    {
-                        "target": target,
-                        "mb": round(binary.stat().st_size / 1e6, 3),
-                        "spans": len(spans),
-                        "op": op,
-                        **_summary(times),
-                        "spawns_per_call": {k: v / repeat for k, v in sorted(spawns.items())},
-                    }
-                )
+                results.append(_symbols_row(target, binary, op, call, repeat, spans=spans))
+        project, binary, trap = _trap_in_main(Path(tmp))
+        ops = {
+            "symbolize_trap_in_main": lambda s: _symbolize_trap(s, trap, project_root=project),
+            "symbolize_trap_in_main_all_frames": lambda s: _symbolize_trap(s, trap),
+        }
+        for op, call in ops.items():
+            target = "gcc -O0 -g binary trapping in main"
+            results.append(_symbols_row(target, binary, op, call, repeat))
     return results
 
 

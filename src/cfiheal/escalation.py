@@ -13,7 +13,15 @@ Each violation owns an independent ladder position. Rungs, narrowest first:
 A rung is skipped, never guessed, and records why in skipped_levels:
 
   identity unavailable    no return address captured, no debug info for a
-                          file rung
+                          file rung, only a disassembly label for a function
+                          rung
+  outside the project     a frame in a binary outside project_root, which the
+                          pipeline leaves unsymbolized, or a file rung whose
+                          source resolves outside it; the project's build
+                          compiles neither
+  link-time name          a fun: rung whose enforcement name ends in
+                          ".<digits>" (".__uniq.<n>" aside): a link-time
+                          collision suffix, which no compile-time name carries
   no CFI check in scope   a fun: rung whose function the IR census defines
                           with no checkable site in any definition; an entry
                           turns off only the checks in the named function's
@@ -30,8 +38,9 @@ Function patterns are enforcement names: the symbol table's (mangled, for
 C++) spelling with LLVM's ".cfi"/".cfi_jt" clone suffixes and ".llvm.<id>"
 promotion suffixes stripped, because compile time ignorelist matching sees
 the mangled IR spelling. Link-time collision suffixes such as ".1" are kept
-verbatim; they can never match at compile time, which is precisely what
-justifies escalating past function rungs for renamed file-local functions.
+verbatim in names and keys; a fun: entry carrying one can never match at
+compile time, so its rung is skipped and a renamed file-local function
+climbs straight to its caller's rungs.
 
 A violation is keyed by where its check is in the source: (binary,
 enforcement name of the fault function, DWARF file, line of the fault PC).
@@ -65,10 +74,12 @@ from .ignorelist import (
     IgnorelistStore,
     LadderLevel,
 )
-from .symbols import SymbolInfo
+from .symbols import Confidence, SymbolInfo
 from .tracing import TrapEvent
 
 _CLONE_SUFFIX = re.compile(r"\.(?:cfi(?:_jt)?|llvm\.\d+)$")
+# A link-time collision suffix; clang's ".__uniq.<n>" is part of the IR name.
+_LINK_TIME_SUFFIX = re.compile(r"(?<!\.__uniq)\.\d+$")
 
 
 def enforcement_name(function: str) -> str:
@@ -79,6 +90,12 @@ def enforcement_name(function: str) -> str:
         if stripped == name or not stripped:
             return name
         name = stripped
+
+
+def link_time_suffix(name: str) -> str:
+    """The ".<digits>" collision suffix the linker gave `name`, or "" if it has none."""
+    found = _LINK_TIME_SUFFIX.search(name)
+    return found.group() if found else ""
 
 
 ViolationKey = tuple[str | int, ...]
@@ -196,14 +213,34 @@ class EscalationEngine:
         self.violations[key] = violation
         return violation, True
 
-    def _scope(self, violation: Violation, level: LadderLevel) -> tuple[str, str | None]:
-        """(entry kind, pattern) the violation asks for at a rung; pattern None if unknown."""
-        if level in FUN_LEVELS:
+    def _scope(
+        self, violation: Violation, level: LadderLevel
+    ) -> tuple[str, str | None, str | None]:
+        """(entry kind, pattern, reason to skip) the violation asks for at a rung.
+
+        The pattern is None when the rung has no identity. The reason is None
+        when the frame alone gives no cause to skip the rung.
+        """
+        fun = level in FUN_LEVELS
+        if fun:
             # Function rungs 0..2 name the fault frame and its two callers, in order.
             info = (violation.callee, violation.caller, violation.callers_caller)[level]
-            return EntryKind.FUN.value, enforcement_name(info.function) if info else None
-        info = violation.callee if level is LadderLevel.CALLEE_SOURCE else violation.caller
-        return EntryKind.SRC.value, _relative_file(info, self.project_root)
+        else:
+            info = violation.callee if level is LadderLevel.CALLEE_SOURCE else violation.caller
+        kind = (EntryKind.FUN if fun else EntryKind.SRC).value
+        if info is not None and info.confidence is Confidence.OUTSIDE_PROJECT:
+            return kind, None, "outside the project"
+        if not fun:
+            file = _relative_file(info, self.project_root)
+            if file is None:
+                return kind, None, "identity unavailable"
+            return kind, file, "outside the project" if Path(file).is_absolute() else None
+        if info is None or info.confidence is Confidence.BOUNDARY_HEURISTIC:
+            return kind, None, "identity unavailable"
+        name = enforcement_name(info.function)
+        if link_time_suffix(name):
+            return kind, name, "link-time name"
+        return kind, name, "no CFI check in scope" if name in self.check_free else None
 
     def _derive_entries(self) -> None:
         """Set the store's entries to the claims, each naming the violations that hold it."""
@@ -228,15 +265,11 @@ class EscalationEngine:
         level = violation.ladder_level
         tried = {line: tried_level for tried_level, line in violation.attempted}
         while level < LadderLevel.UNRESOLVABLE:
-            kind_value, pattern = self._scope(violation, level)
+            kind_value, pattern, reason = self._scope(violation, level)
             line = f"{kind_value}:{pattern}"
-            if pattern is None:
-                reason = "identity unavailable"
-            elif level in FUN_LEVELS and pattern in self.check_free:
-                reason = "no CFI check in scope"
-            elif line in tried:
+            if reason is None and line in tried:
                 reason = f"same entry as {tried[line].short}"
-            else:
+            if reason is None:
                 violation.ladder_level = level
                 violation.attempted.append((level, line))
                 self._derive_entries()

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
 from .escalation import EscalationEngine, Violation, ViolationKey, ViolationStatus
-from .escalation import _relative_file, enforcement_name, violation_key
+from .escalation import _relative_file, enforcement_name, link_time_suffix, violation_key
 from .harness import (
     FailureClass,
     HarnessError,
@@ -49,8 +49,8 @@ from .report import (
     emit_report,
     format_duration,
 )
-from .symbols import ResolutionError, SymbolInfo, Symbolizer, _demangle_batch
-from .tracing import TraceError, TrapEvent
+from .symbols import Confidence, ResolutionError, SymbolInfo, Symbolizer, _demangle_batch
+from .tracing import TraceError, TrapEvent, region_for
 
 STATE_NAME = "state.json"
 
@@ -79,14 +79,41 @@ def _save_state(cfg: ProjectConfig, state: dict, **changes) -> None:
     path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
 
 
+def _outside_frame(
+    trap: TrapEvent, address: int, root: Path | None
+) -> tuple[Path, int, SymbolInfo] | None:
+    """A frame for an address mapped from a binary outside `root`, left unresolved; else None.
+
+    The frame keeps the runtime address and is labelled with the binary's
+    file name. Pseudo-mappings such as ``[vdso]`` lie outside every project.
+    """
+    region = region_for(trap.memory_map, address)
+    if root is None or region is None or region.path is None:
+        return None
+    path = Path(region.path)
+    if path.is_absolute() and path.resolve().is_relative_to(root):
+        return None
+    return path, address, SymbolInfo(path.name, None, None, Confidence.OUTSIDE_PROJECT)
+
+
 def _symbolize_trap(
-    symbolizer: Symbolizer, trap: TrapEvent
+    symbolizer: Symbolizer, trap: TrapEvent, *, project_root: Path | None = None
 ) -> tuple[Path, int, SymbolInfo | None, SymbolInfo | None, SymbolInfo | None]:
-    """Fault key plus callee/caller/caller's-caller identities (None = unknown)."""
+    """Fault key plus callee/caller/caller's-caller identities (None = unknown).
+
+    Given `project_root`, a frame mapped from a binary outside it is not
+    resolved, so that binary gets no view: its identity is the binary's
+    file name at confidence OutsideProject.
+    """
     # A return address follows the call; when the call ends its function, it
     # is already the next function's first byte, so callers resolve at ret - 1.
     addrs = [trap.fault_pc] + [ret - 1 for ret in trap.return_addresses[:2]]
-    hit, *frames = symbolizer.resolve_runtime_many(addrs, trap.memory_map)
+    root = project_root.resolve() if project_root is not None else None
+    outside = [_outside_frame(trap, address, root) for address in addrs]
+    inside = iter(symbolizer.resolve_runtime_many(
+        [address for address, frame in zip(addrs, outside) if frame is None], trap.memory_map
+    ))
+    hit, *frames = [frame or next(inside) for frame in outside]
     if hit is not None:
         binary, static, callee = hit
     else:
@@ -123,7 +150,9 @@ def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, Trap
         base = run.baseline.get(result.test_id)
         if base is not None and base.passed and result.cfi_trapped:
             trap = result.outcome.trap
-            yield result.test_id, trap, _symbolize_trap(run.symbolizer, trap)
+            yield result.test_id, trap, _symbolize_trap(
+                run.symbolizer, trap, project_root=run.cfg.project_root
+            )
 
 
 def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
@@ -227,15 +256,20 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     """Violation details and per-file counts, with function names demangled for display.
 
     One c++filt reads every mangled name, and none starts for C names; if
-    it fails, the names stay mangled.
+    it fails, the names stay mangled. A link-time suffix is cut off before
+    demangling and appended verbatim after it.
     """
     violations = engine.all_violations()
+    names = [
+        enforcement_name(v.callee.function) if v.callee else "<unresolved>" for v in violations
+    ]
+    suffixes = [link_time_suffix(name) for name in names]
     functions, _ = _demangle_batch(
-        [enforcement_name(v.callee.function) if v.callee else "<unresolved>" for v in violations]
+        [name[: len(name) - len(suffix)] for name, suffix in zip(names, suffixes)]
     )
     details = []
     by_file: dict[str, dict] = {}
-    for violation, function in zip(violations, functions):
+    for violation, function, suffix in zip(violations, functions, suffixes):
         callee = violation.callee
         file = _relative_file(callee, engine.project_root)
         details.append(
@@ -243,7 +277,7 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
                 "id": violation.id,
                 "binary": str(violation.binary),
                 "fault_pc": hex(violation.static_fault_pc),
-                "function": function,
+                "function": function + suffix,
                 "file": file,
                 "line": callee.line if callee else None,
                 "status": violation.status.value,

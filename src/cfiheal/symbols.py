@@ -6,7 +6,13 @@ Resolution layers, best first:
   2. symbol-table spans without line info (confidence SymbolTable),
   3. disassembly-derived boundary heuristics for stripped regions
      (confidence BoundaryHeuristic; such functions exist only as synthetic
-     range labels and never carry file or line).
+     range labels and never carry file or line, and no ignorelist entry
+     names them).
+
+A frame in a binary outside the project is not resolved at all: the
+pipeline labels it with the binary's file name (confidence OutsideProject)
+before any view of that binary is built, because no entry the project's
+build honours can name it. Such a frame starts no addr2line and no objdump.
 
 Runtime addresses from a trap are translated to static addresses through the
 faulting mapping's file offset and the binary's PT_LOAD headers, which stays
@@ -43,6 +49,7 @@ class Confidence(Enum):
     DEBUGINFO = "Debuginfo"
     SYMBOL_TABLE = "SymbolTable"
     BOUNDARY_HEURISTIC = "BoundaryHeuristic"
+    OUTSIDE_PROJECT = "OutsideProject"
 
 
 class ResolutionError(LookupError):

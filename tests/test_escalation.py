@@ -147,17 +147,17 @@ def test_full_ladder_sequence(engine, tmp_path):
 CXX_FRAMES = {
     "callee": info("_ZN3app4stepEi.cfi", "src/step.cpp", 10),
     "caller": info("_ZN3app5visitEi.llvm.123", "src/visit.cpp", 20),
-    "cc": info("_ZL8stepheiyi.1.cfi_jt", "src/main.cpp", 30),
+    "cc": info("_ZL8stepheiyi.cfi_jt", "src/main.cpp", 30),
 }
 
 
 @pytest.mark.parametrize(
     ("check_free", "spelled"),
     [
-        (frozenset(), ["fun:_ZN3app4stepEi", "fun:_ZN3app5visitEi", "fun:_ZL8stepheiyi.1"]),
+        (frozenset(), ["fun:_ZN3app4stepEi", "fun:_ZN3app5visitEi", "fun:_ZL8stepheiyi"]),
         # The census keys functions by mangled IR name, so a check-free
         # caller is skipped on C++ as on C.
-        (frozenset({"_ZN3app5visitEi"}), ["fun:_ZN3app4stepEi", "fun:_ZL8stepheiyi.1"]),
+        (frozenset({"_ZN3app5visitEi"}), ["fun:_ZN3app4stepEi", "fun:_ZL8stepheiyi"]),
     ],
 )
 def test_cxx_fun_rungs_are_spelled_mangled(tmp_path, check_free, spelled):
@@ -193,11 +193,11 @@ def test_fix_at_first_rung(engine):
 def test_ineffective_rungs_are_retired(engine):
     v, _ = observe(
         engine,
-        callee=info("engine_step.1", "two.c", 12),
+        callee=info("engine_step", "two.c", 12),
         caller=info("run_two", "two.c", 16),
     )
     e0 = engine.next_scope(v)
-    assert e0.pattern == "engine_step.1"
+    assert e0.pattern == "engine_step"
     engine.record_outcome(v, trap_recurred=True)
     e1 = engine.next_scope(v)
     assert e1.pattern == "run_two"
@@ -242,18 +242,18 @@ def test_no_identities_at_all(engine):
 
 def test_absolute_source_paths_become_project_relative(engine, tmp_path):
     src = tmp_path / "lib" / "core.c"
-    v, _ = observe(engine, callee=info("f.1", str(src), 5))
+    v, _ = observe(engine, callee=info("f", str(src), 5))
     engine.next_scope(v)
-    engine.record_outcome(v, trap_recurred=True)  # fun:f.1 fails
+    engine.record_outcome(v, trap_recurred=True)  # fun:f fails
     entry = engine.next_scope(v)
     assert v.ladder_level is LadderLevel.CALLEE_SOURCE
     assert entry.pattern == "lib/core.c"
 
 
 def test_shared_entry_survives_while_any_claimant_needs_it(engine):
-    # Two violations in the same file, both with renamed-static callees.
-    a, _ = observe(engine, pc=0x1000, callee=info("f.1", "core.c", 3), test_id="t1")
-    b, _ = observe(engine, pc=0x2000, callee=info("g.1", "core.c", 9), test_id="t2")
+    # Two violations in the same file whose function rungs both fail.
+    a, _ = observe(engine, pc=0x1000, callee=info("f", "core.c", 3), test_id="t1")
+    b, _ = observe(engine, pc=0x2000, callee=info("g", "core.c", 9), test_id="t2")
 
     engine.next_scope(a)
     engine.record_outcome(a, trap_recurred=True)
@@ -380,13 +380,13 @@ def test_a_name_outside_the_check_free_set_is_tried(tmp_path):
 
 def test_a_src_rung_repeating_the_callee_file_is_skipped(engine):
     # A static helper and its caller share a file: L4 would be L3 again.
-    v, _ = observe(engine, callee=info("f.1", "core.c", 3), caller=info("g.1", "core.c", 9))
-    for _ in range(3):  # fun:f.1, fun:g.1, src:core.c
+    v, _ = observe(engine, callee=info("f", "core.c", 3), caller=info("g", "core.c", 9))
+    for _ in range(3):  # fun:f, fun:g, src:core.c
         engine.next_scope(v)
         engine.record_outcome(v, trap_recurred=True)
     assert engine.next_scope(v) is None
     assert v.status is ViolationStatus.UNRESOLVABLE
-    assert [line for _, line in v.attempted] == ["fun:f.1", "fun:g.1", "src:core.c"]
+    assert [line for _, line in v.attempted] == ["fun:f", "fun:g", "src:core.c"]
     assert (LadderLevel.CALLER_SOURCE, "same entry as L3") in v.skipped_levels
     assert rendered(engine) == ""
 
@@ -411,3 +411,55 @@ def test_reopen_skips_the_line_it_was_fixed_at(engine):
     assert engine.next_scope(v).pattern == "f.c"
     assert v.ladder_level is LadderLevel.CALLEE_SOURCE
     assert v.skipped_levels[0] == (LadderLevel.CALLER_FUNCTION, "same entry as L0")
+
+
+@pytest.mark.parametrize(
+    ("name", "renamed"),
+    [
+        ("f.1", True),
+        ("_ZL8stepheiyi.12", True),
+        ("x.2.cfi", True),
+        ("_ZL3foov.__uniq.123", False),
+        ("f.constprop", False),
+        ("f", False),
+    ],
+)
+def test_fun_rungs_with_a_link_time_name_are_skipped(engine, name, renamed):
+    v, _ = observe(engine, callee=info(name, "core.c", 3), caller=info("g", "core.c", 9))
+    entry = engine.next_scope(v)
+    skipped = [(LadderLevel.CALLEE_FUNCTION, "link-time name")] if renamed else []
+    assert v.skipped_levels == skipped
+    assert entry.pattern == ("g" if renamed else enforcement_name(name))
+
+
+def test_frames_outside_the_project_give_no_rung(engine):
+    outside = SymbolInfo("libc.so.6", None, None, Confidence.OUTSIDE_PROJECT)
+    v, _ = observe(engine, callee=info("main", "m.c", 4), caller=outside)
+    lines = []
+    while engine.next_scope(v) is not None:
+        lines.append(v.attempted[-1][1])
+        engine.record_outcome(v, trap_recurred=True)
+    assert lines == ["fun:main", "src:m.c"]
+    assert v.skipped_levels == [
+        (LadderLevel.CALLER_FUNCTION, "outside the project"),
+        (LadderLevel.CALLERS_CALLER_FUNCTION, "identity unavailable"),
+        (LadderLevel.CALLER_SOURCE, "outside the project"),
+    ]
+
+
+def test_a_source_file_outside_the_project_gives_no_rung(engine, tmp_path):
+    v, _ = observe(engine, callee=info("f", "/usr/include/x.h", 3),
+                   caller=info("g", str(tmp_path / "src" / "g.c"), 9))
+    for _ in range(2):  # fun:f, fun:g
+        engine.next_scope(v)
+        engine.record_outcome(v, trap_recurred=True)
+    assert engine.next_scope(v).pattern == "src/g.c"
+    assert (LadderLevel.CALLEE_SOURCE, "outside the project") in v.skipped_levels
+
+
+def test_a_disassembly_label_gives_no_rung(engine):
+    label = SymbolInfo("fn_0x1139", None, None, Confidence.BOUNDARY_HEURISTIC)
+    v, _ = observe(engine, callee=label, caller=label)
+    assert engine.next_scope(v) is None
+    assert v.status is ViolationStatus.UNRESOLVABLE
+    assert {reason for _, reason in v.skipped_levels} == {"identity unavailable"}

@@ -10,7 +10,8 @@ The visibility repair planned from the baseline's cross-DSO bindings must
 end where a repair driven by linker diagnostics alone ends, in fewer
 builds; the chain fixture is the non-gated twin of acceptance criterion 8.
 Likewise a ladder that skips the fun: rungs the IR census shows hold no
-check must end where a ladder that tries every rung ends.
+check, or whose name carries a link-time suffix, must end where a ladder
+that tries those rungs ends.
 """
 
 import shutil
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from cfiheal import pipeline
+from cfiheal import escalation, pipeline
 from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
 from cfiheal.pipeline import heal
@@ -113,25 +114,27 @@ def test_suite_fanout_heals_each_planted_violation_once(healed):
 
 # Per workload: CFI builds, then each violation's status and the rungs it
 # attempted, by level: the pins hold whatever spelling a pattern has.
-# cxx_static's fun: patterns are spelled mangled, as clang and the census
-# spell them: two violations are fixed at L0, and the renamed static
-# (a ".1" suffix, which no compile-time entry matches) skips its
-# check-free caller rungs on its way to L3.
+# A renamed static (a ".1" suffix, which no compile-time entry matches)
+# never gets a fun: rung: suite_fanout's V5 fault function and V6 caller
+# are such statics. cxx_static's fun: patterns are spelled mangled, as
+# clang and the census spell them: two violations are fixed at L0, and the
+# renamed static skips its own rung and its check-free caller rungs on its
+# way to L3, so the heal takes one CFI build per rung climbed after L0.
 PINS = {
     "suite_fanout": (4, [
         ("Fixed", (0,)),
         ("Fixed", (1,)),
         ("Fixed", (2,)),
         ("Fixed", (0,)),
-        ("Fixed", (0, 3)),
-        ("Fixed", (1, 3, 4)),
+        ("Fixed", (3,)),
+        ("Fixed", (3, 4)),
         ("Unresolvable", (3, 4)),
     ]),
     "wide_tree": (1, []),
-    "cxx_static": (3, [
+    "cxx_static": (2, [
         ("Fixed", (0,)),
         ("Fixed", (0,)),
-        ("Fixed", (0, 3)),
+        ("Fixed", (3,)),
     ]),
 }
 
@@ -172,7 +175,7 @@ def _signature(result) -> dict:
 
 
 # CFI builds of a heal whose repair reads linker diagnostics only.
-DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 4}
+DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 3}
 
 
 @pytest.mark.parametrize("workload", PINS)
@@ -217,8 +220,14 @@ def _outcome(result) -> dict:
     }
 
 
-# CFI builds of a heal whose ladder tries every rung it has an identity for.
-UNGUIDED_BUILDS = {"suite_fanout": 7, "wide_tree": 1, "cxx_static": 5}
+def _tried_in_vain(violation) -> set:
+    """The rungs a violation tried and did not end fixed at."""
+    return {level for level, _ in violation.attempted if level != violation.fixed_level}
+
+
+# CFI builds of a heal whose ladder tries every rung that has an identity and
+# no link-time name.
+UNGUIDED_BUILDS = {"suite_fanout": 7, "wide_tree": 1, "cxx_static": 4}
 
 
 @pytest.mark.parametrize("workload", PINS)
@@ -234,7 +243,27 @@ def test_guided_ladder_ends_where_the_unguided_ladder_ends(
     # Each rung the guided ladder skipped for want of a check, the unguided one tried in vain.
     for g, u in zip(guided.violations, unguided.violations):
         skipped = {level for level, reason in g.skipped_levels if reason == "no CFI check in scope"}
-        assert skipped <= {level for level, _ in u.attempted}
+        assert skipped <= _tried_in_vain(u)
+
+
+# CFI builds of a heal whose ladder also tries fun: rungs with a link-time name.
+LINK_TIME_TRIED_BUILDS = {"suite_fanout": 4, "wide_tree": 1, "cxx_static": 3}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_skipping_link_time_names_ends_where_trying_them_ends(
+    healed, workload, tmp_path, monkeypatch
+):
+    skipping, skipping_checks = healed(workload)
+    monkeypatch.setattr(escalation, "link_time_suffix", lambda name: "")
+    trying, checks = _heal(workload, tmp_path)
+    assert _outcome(trying) == _outcome(skipping)
+    assert checks == skipping_checks
+    assert trying.ledger.build_attempts == LINK_TIME_TRIED_BUILDS[workload]
+    # Each rung skipped for its link-time name, the heal that tries them tried in vain.
+    for s, t in zip(skipping.violations, trying.violations):
+        skipped = {level for level, reason in s.skipped_levels if reason == "link-time name"}
+        assert skipped <= _tried_in_vain(t)
 
 
 # The chain fixture: app -> libfoo.so -> libbar.so, each link failing under

@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import shutil
 import subprocess
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -830,3 +831,22 @@ def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
     details, by_file = pipeline._violation_rows(engine)
     assert [d["file"] for d in details] == ["src/a.c", "/usr/include/x.h"]
     assert [g["file"] for g in by_file] == ["/usr/include/x.h", "src/a.c"]
+
+
+@pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
+def test_violation_rows_append_a_link_time_suffix_after_demangling(tmp_path):
+    # c++filt alone would show _ZL8stepkyuui.1 as "stepkyuu(int) [clone .1]".
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), tmp_path)
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
+    names = ("_ZL8stepkyuui.1", "_ZN3app4stepEi.cfi", "engine_step.1", "_ZL3foov.__uniq.77")
+    for pc, name in enumerate(names):
+        callee = SymbolInfo(name, "a.cpp", pc + 1, Confidence.DEBUGINFO)
+        engine.observe(trap, Path("app"), pc, callee, None, None, name)
+    details, _ = pipeline._violation_rows(engine)
+    assert [d["function"] for d in details] == [
+        "stepkyuu(int).1",
+        "app::step(int)",
+        "engine_step.1",
+        subprocess.run(["c++filt", "_ZL3foov.__uniq.77"], capture_output=True, text=True,
+                       check=True).stdout.strip(),
+    ]

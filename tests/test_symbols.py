@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
 from cfiheal.escalation import EscalationEngine
-from cfiheal.ignorelist import IgnorelistStore
+from cfiheal.ignorelist import IgnorelistStore, LadderLevel
 from cfiheal.symbols import (
     Confidence,
     FunctionSpan,
@@ -25,9 +25,9 @@ from cfiheal.symbols import (
     demangle,
     runtime_to_static,
 )
-from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal
+from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal, region_for, run_traced
 
-from conftest import SAMPLE_CXX, needs_toolchain
+from conftest import HAVE_GCC, SAMPLE_CXX, needs_linux, needs_toolchain
 from test_elf import nm_functions
 
 
@@ -610,6 +610,61 @@ def test_trap_frames_start_one_addr2line(gcc_binaries, monkeypatch, unmapped):
         assert callers_caller.confidence is Confidence.DEBUGINFO
     assert run.programs.count("addr2line") == 1
     assert symbolizer.warnings == []
+
+
+class _StubBackend:
+    """A two-byte heuristic candidate around each given address, with no disassembly."""
+
+    def __init__(self, addresses):
+        self.addresses = addresses
+
+    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
+        return [FunctionSpan("stub", a - 1, a + 1, source="heuristic") for a in self.addresses]
+
+
+@needs_linux
+@pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "main.c").write_text("int main(void) { __builtin_trap(); }\n")
+    subprocess.run(["gcc", "-O0", "-g", "-fno-omit-frame-pointer", "-o", "app", "main.c"],
+                   cwd=project, check=True, capture_output=True)
+    trap = run_traced([str(project / "app")], 30).trap
+    assert trap.return_addresses, "main's frame links to its caller in the C library"
+    library = region_for(trap.memory_map, trap.return_addresses[0]).path
+    assert not Path(library).resolve().is_relative_to(project.resolve())
+
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    symbolizer = Symbolizer()
+    fault = pipeline._symbolize_trap(symbolizer, trap, project_root=project)
+    binary, _, callee, caller, _ = fault
+    assert binary == project / "app"
+    assert (callee.function, Path(callee.source_file).name) == ("main", "main.c")
+    assert caller == SymbolInfo(Path(library).name, None, None, Confidence.OUTSIDE_PROJECT)
+    assert run.programs == ["addr2line"]
+    assert list(symbolizer._cache) == [str(binary)]
+
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), project)
+    violation, _ = engine.observe(trap, *fault, "t")
+    lines = []
+    while engine.next_scope(violation) is not None:
+        lines.append(violation.attempted[-1][1])
+        engine.record_outcome(violation, trap_recurred=True)
+    assert lines == ["fun:main", "src:main.c"]
+    outside = [level for level, reason in violation.skipped_levels
+               if reason == "outside the project"]
+    assert outside == [LadderLevel.CALLER_FUNCTION, LadderLevel.CALLER_SOURCE]
+
+    # Without a project root every frame is resolved, the library's too.
+    ret = trap.return_addresses[0] - 1
+    static = runtime_to_static(ElfFile(Path(library)), ret, trap.memory_map, Path(library))
+    symbolizer = Symbolizer(backend=_StubBackend([static]))
+    _, _, callee, caller, _ = pipeline._symbolize_trap(symbolizer, trap)
+    assert callee.function == "main"
+    assert caller.confidence in (Confidence.SYMBOL_TABLE, Confidence.BOUNDARY_HEURISTIC)
+    assert library in symbolizer._cache
 
 
 @pytest.mark.parametrize("build", ["stripped", "no -g"])
