@@ -20,8 +20,14 @@ on the trap of a ``gcc -O0 -g -fno-omit-frame-pointer`` binary whose
 gets the binary's directory as project root, as ``heal`` passes it, so the
 caller frame in the C library is left unresolved.
 ``symbolize_trap_in_main_all_frames`` is the same call without a project
-root, which resolves that frame too. Each result also counts the
-subprocesses the operation started, by program.
+root, which resolves that frame too.
+
+``definitions_by_file`` times the table of function definitions by file
+that a ``src:`` rung reads, one ``llvm-dwarfdump --debug-info`` streamed
+per binary view, on the cxx_static ``bin/app`` and on the ``bin/tool_b`` of
+perfbench's suite_fanout workload at scale 1, seed 1, built by its own
+``make``. Each result also counts the subprocesses the operation started,
+by program.
 
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
@@ -102,11 +108,11 @@ TRAP_IN_MAIN = "int main(void) { __builtin_trap(); }\n"
 
 
 class _SpawnCounter:
-    """Counts the programs symbols.py starts through subprocess.run."""
+    """Counts the programs symbols.py starts, all through subprocess.Popen."""
 
     def __init__(self) -> None:
         self.counts: Counter = Counter()
-        self.real = subprocess.run
+        self.real = subprocess.Popen
 
     def __call__(self, argv, *args, **kwargs):
         self.counts[Path(argv[0]).name] += 1
@@ -135,6 +141,13 @@ def _targets(tmp: Path) -> list[tuple[str, Path]]:
     return targets
 
 
+def _suite_fanout_tool_b(tmp: Path) -> Path:
+    project = tmp / "suite_fanout"
+    spec = gen.suite_fanout(project, 1, sys.executable, ROOT / "perfbench" / "cfimodel.py")
+    subprocess.run(spec.build_cmd, shell=True, cwd=project, check=True, capture_output=True)
+    return project / "bin" / "tool_b"
+
+
 def _symtab_probe(binary: Path) -> int:
     """Start of the median-address sized function symbol."""
     starts = sorted({s.value for s in ElfFile(binary).function_symbols() if s.size > 0})
@@ -143,7 +156,7 @@ def _symtab_probe(binary: Path) -> int:
 
 def _time(op, repeat: int) -> tuple[list[float], Counter]:
     counter = _SpawnCounter()
-    symbols.subprocess.run = counter
+    symbols.subprocess.Popen = counter
     try:
         times = []
         for _ in range(repeat):
@@ -151,7 +164,7 @@ def _time(op, repeat: int) -> tuple[list[float], Counter]:
             op(symbols.Symbolizer())
             times.append(time.perf_counter() - started)
     finally:
-        symbols.subprocess.run = counter.real
+        symbols.subprocess.Popen = counter.real
     return times, counter.counts
 
 
@@ -195,7 +208,8 @@ def _symbols_row(target: str, binary: Path, op: str, call, repeat: int, **extra)
 def bench_symbols(repeat: int) -> list[dict]:
     results = []
     with tempfile.TemporaryDirectory(prefix="bench-symbols-") as tmp:
-        for target, binary in _targets(Path(tmp)):
+        targets = _targets(Path(tmp))
+        for target, binary in targets:
             probe = _symtab_probe(binary)
             starts = [s.start for s in symbols.Symbolizer()._symtab_spans(binary)]
             ops = {
@@ -214,6 +228,16 @@ def bench_symbols(repeat: int) -> list[dict]:
         for op, call in ops.items():
             target = "gcc -O0 -g binary trapping in main"
             results.append(_symbols_row(target, binary, op, call, repeat))
+        dwarf_targets = [(target, binary) for target, binary in targets if "cxx_static" in target]
+        dwarf_targets.append(
+            ("perfbench suite_fanout bin/tool_b (scale 1, seed 1)", _suite_fanout_tool_b(Path(tmp)))
+        )
+        for target, binary in dwarf_targets:
+            files = len(symbols.Symbolizer().definitions_by_file(binary) or {})
+            call = lambda s: s.definitions_by_file(binary)  # noqa: E731
+            results.append(
+                _symbols_row(target, binary, "definitions_by_file", call, repeat, files=files)
+            )
     return results
 
 
@@ -278,7 +302,7 @@ def bench_repair(repeat: int) -> list[dict]:
         real_build = repair.run_build
         times, patches = [], 0
         counter = _SpawnCounter()
-        symbols.subprocess.run = counter
+        symbols.subprocess.Popen = counter
         try:
             for r in range(repeat):
                 project = Path(tmp) / f"project{r}"
@@ -300,7 +324,7 @@ def bench_repair(repeat: int) -> list[dict]:
                 shutil.rmtree(project)
         finally:
             repair.run_build = real_build
-            symbols.subprocess.run = counter.real
+            symbols.subprocess.Popen = counter.real
     return [
         {
             "target": f"{REPAIR_SYMBOLS} undefined symbols over {REPAIR_FILES} generated .c files",
@@ -501,7 +525,7 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.layer}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        keys = ("mb_per_s", "patches", "symbols", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
+        keys = ("mb_per_s", "patches", "symbols", "files", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
         extra = {k: r[k] for k in keys if k in r}
         median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
         print(f"{r['target']}: {r['op']} median {median} {extra}")

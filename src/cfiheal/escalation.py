@@ -23,10 +23,12 @@ A rung is skipped, never guessed, and records why in skipped_levels:
                           ".<digits>" (".__uniq.<n>" aside): a link-time
                           collision suffix, which no compile-time name carries
   no CFI check in scope   a fun: rung whose function the IR census defines
-                          with no checkable site in any definition; an entry
-                          turns off only the checks in the named function's
-                          body, so it cannot change the build (src: rungs
-                          and names the census does not define are tried)
+                          with no checkable site in any definition, or a
+                          src: rung whose file the binary's DWARF shows
+                          defines only such functions; an entry turns off
+                          only the checks in the bodies it names, so it
+                          cannot change the build (names the census does
+                          not define, and files no unit compiles, are tried)
   same entry as L<k>      the rung's line is one this violation already
                           tried at rung k, e.g. a caller in the callee's file
 
@@ -66,6 +68,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .ignorelist import (
     FUN_LEVELS,
@@ -74,7 +77,7 @@ from .ignorelist import (
     IgnorelistStore,
     LadderLevel,
 )
-from .symbols import Confidence, SymbolInfo
+from .symbols import Confidence, DefinitionTable, SymbolInfo
 from .tracing import TrapEvent
 
 _CLONE_SUFFIX = re.compile(r"\.(?:cfi(?:_jt)?|llvm\.\d+)$")
@@ -106,6 +109,24 @@ def violation_key(binary: Path, static_fault_pc: int, callee: SymbolInfo | None)
     if callee is not None and callee.source_file is not None and callee.line is not None:
         return (str(binary), enforcement_name(callee.function), callee.source_file, callee.line)
     return (str(binary), static_fault_pc)
+
+
+def file_holds_no_check(
+    file: str, tables: Iterable[DefinitionTable | None], check_free: frozenset[str]
+) -> bool:
+    """True if `file` is some unit's primary file and every definition of it is check-free.
+
+    `tables` are the definitions by file of the binaries a trap mapped. A
+    failed dump (None), a definition with no name or file (None), a name
+    outside `check_free`, or a file that no unit compiles, such as a header,
+    keeps the answer False.
+    """
+    names: set[str | None] = set()
+    for table in tables:
+        if table is None:
+            return False
+        names |= table.get(file, frozenset())
+    return bool(names) and names <= check_free
 
 
 class ViolationStatus(Enum):
@@ -169,12 +190,18 @@ class EscalationEngine:
     """Owns all violations of a run; the store's entries are their claims."""
 
     def __init__(
-        self, store: IgnorelistStore, project_root: Path, check_free: frozenset[str] = frozenset()
+        self,
+        store: IgnorelistStore,
+        project_root: Path,
+        check_free: frozenset[str] = frozenset(),
+        file_check_free: Callable[[Violation, str], bool] = lambda violation, file: False,
     ):
         self.store = store
         self.project_root = project_root
         # Function names whose fun: rung cannot change the build.
         self.check_free = check_free
+        # Whether a violation's src: rung on a project-relative file cannot change the build.
+        self.file_check_free = file_check_free
         self.violations: dict[ViolationKey, Violation] = {}
 
     def all_violations(self) -> list[Violation]:
@@ -234,7 +261,10 @@ class EscalationEngine:
             file = _relative_file(info, self.project_root)
             if file is None:
                 return kind, None, "identity unavailable"
-            return kind, file, "outside the project" if Path(file).is_absolute() else None
+            if Path(file).is_absolute():
+                return kind, file, "outside the project"
+            holds_none = self.file_check_free(violation, file)
+            return kind, file, "no CFI check in scope" if holds_none else None
         if info is None or info.confidence is Confidence.BOUNDARY_HEURISTIC:
             return kind, None, "identity unavailable"
         name = enforcement_name(info.function)

@@ -20,6 +20,7 @@ Classification compares a baseline result with a CFI result per test:
 
 from __future__ import annotations
 
+import os
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
@@ -114,8 +115,13 @@ def enumerate_tests(cfg: ProjectConfig) -> list[TestCase]:
     return cases
 
 
-def run_case(cfg: ProjectConfig, case: TestCase) -> TestResult:
-    outcome = run_traced(case.command, cfg.test_timeout, cwd=cfg.project_root)
+def run_case(cfg: ProjectConfig, case: TestCase, env: dict[str, str] | None = None) -> TestResult:
+    """Run one test traced, in `env` (a copy of os.environ, taken once per batch of tests).
+
+    Spawning with a plain dict spares posix_spawn reading os.environ anew
+    for every test; None reads it.
+    """
+    outcome = run_traced(case.command, cfg.test_timeout, cwd=cfg.project_root, env=env)
     return TestResult(case.test_id, outcome)
 
 
@@ -123,7 +129,8 @@ def run_suite(cfg: ProjectConfig, build: BuildOutcome) -> list[TestResult]:
     """Run every enumerated test under trap supervision, in enumeration order."""
     if not build.succeeded:
         raise HarnessError("refusing to run the suite against a failed build")
-    return [run_case(cfg, case) for case in enumerate_tests(cfg)]
+    env = dict(os.environ)
+    return [run_case(cfg, case, env) for case in enumerate_tests(cfg)]
 
 
 def classify(baseline: TestResult, cfi: TestResult) -> FailureClass:

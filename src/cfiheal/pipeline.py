@@ -5,7 +5,8 @@ CFI build with automatic visibility repair (planned from the baseline's
 cross-DSO bindings, with the linker's diagnostics as the fallback), the IR
 census, taken once that build stands, trap-driven escalation rounds
 (re-running only the tests attributed to still-open violations after each
-ignorelist update, and skipping fun: rungs the census shows hold no check),
+ignorelist update, and skipping fun: rungs the census shows hold no check,
+and src: rungs whose file, by the binary's DWARF, defines only such functions),
 a full-suite confirmation pass, coverage accounting, and report emission.
 state.json in the report directory is rewritten after every phase
 transition so an interrupted run leaves an inspectable trail.
@@ -18,7 +19,9 @@ unresolvable, 2 when the pipeline itself failed. Usage errors exit 64.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,8 +30,17 @@ from typing import Iterable, Iterator
 
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
-from .escalation import EscalationEngine, Violation, ViolationKey, ViolationStatus
-from .escalation import _relative_file, enforcement_name, link_time_suffix, violation_key
+from .escalation import (
+    EscalationEngine,
+    Violation,
+    ViolationKey,
+    ViolationStatus,
+    _relative_file,
+    enforcement_name,
+    file_holds_no_check,
+    link_time_suffix,
+    violation_key,
+)
 from .harness import (
     FailureClass,
     HarnessError,
@@ -88,12 +100,15 @@ def _outside_frame(
     file name. Pseudo-mappings such as ``[vdso]`` lie outside every project.
     """
     region = region_for(trap.memory_map, address)
-    if root is None or region is None or region.path is None:
+    if root is None or region is None or region.path is None or _in_project(region.path, root):
         return None
     path = Path(region.path)
-    if path.is_absolute() and path.resolve().is_relative_to(root):
-        return None
     return path, address, SymbolInfo(path.name, None, None, Confidence.OUTSIDE_PROJECT)
+
+
+def _in_project(path: str, root: Path) -> bool:
+    """Whether a mapping's path names a file under the resolved `root`."""
+    return Path(path).is_absolute() and Path(path).resolve().is_relative_to(root)
 
 
 def _symbolize_trap(
@@ -175,7 +190,8 @@ def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensu
     for path in _collect_ir_files(cfg):
         try:
             text = path.read_text(errors="replace")
-        except OSError:
+        except OSError as exc:
+            diagnostics.append(f"{path.name}: unreadable: {exc}\n")
             continue
         sidecar: list[tuple[int, str]] = []
         for name, counts in census_by_function(text, sidecar).items():
@@ -206,6 +222,32 @@ def _check_free(variants: Iterable[str], per_function: dict[str, IrSiteCensus]) 
     if not set(variants) <= _CENSUSED_VARIANTS:
         return frozenset()
     return frozenset(name for name, counts in per_function.items() if not _checkable_sites(counts))
+
+
+def _file_check_free(run: _Run, violation: Violation, file: str) -> bool:
+    """Whether the violation's src: rung on `file` cannot change the build.
+
+    It cannot when every function the file defines, by the DWARF of the
+    project binaries the violation's trap mapped, is one the census shows
+    holds no check. No DWARF is read when a frame of the violation that
+    resolved in the file names a function the census defines with a check.
+    """
+    check_free = run.engine.check_free
+    if not check_free:
+        return False
+    root = run.cfg.project_root.resolve()
+    for frame in (violation.callee, violation.caller, violation.callers_caller):
+        if _relative_file(frame, root) == file:
+            name = enforcement_name(frame.function)
+            if name in run.census[1] and name not in check_free:
+                return False
+    mapped = {r.path for r in violation.trap.memory_map if r.path and "x" in r.perms}
+    tables = (
+        run.symbolizer.definitions_by_file(Path(path))
+        for path in sorted(mapped)
+        if _in_project(path, root)
+    )
+    return file_holds_no_check(str(root / file), tables, check_free)
 
 
 def _function_records(
@@ -338,7 +380,8 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     missing = [tid for tid in affected if tid not in cases]
     if missing:
         raise PipelineFailure(f"tests disappeared from enumeration during healing: {missing}")
-    rerun = [run_case(run.cfg, cases[tid]) for tid in affected]
+    env = dict(os.environ)
+    rerun = [run_case(run.cfg, cases[tid], env) for tid in affected]
     recurred: set[ViolationKey] = set()
     for test_id, trap, fault in _traps(run, rerun):
         key = violation_key(*fault[:3])
@@ -445,6 +488,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
             cfi_build = _cfi_build(run, "build", planned)
             run.census = _run_census(cfg)
             engine.check_free = _check_free(cfg.cfi_variants, run.census[1])
+            engine.file_check_free = functools.partial(_file_check_free, run)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
             for test_id, trap, fault in _traps(run, run_suite(cfg, cfi_build)):

@@ -29,11 +29,17 @@ building it starts no c++filt. The backend runs only for
 Heuristic spans never overlap symbol-table spans, so a symbol-table hit
 resolves the same either way. File and line of symbol-table hits come from
 one addr2line per batch of addresses not asked before.
+
+The functions each source file defines, which a src: rung asks about, come
+from one streamed llvm-dwarfdump of the binary, kept with its view.
 """
 
 from __future__ import annotations
 
 import bisect
+import codecs
+import functools
+import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -189,6 +195,118 @@ class LineTable:
             )
         self.binary = None
         return failure
+
+
+# Unit file -> names of the functions defined for it; None stands for a
+# definition with no readable name or declaration file.
+DefinitionTable = dict[str, frozenset[str | None]]
+
+# A DIE header of llvm-dwarfdump's --debug-info listing, "0x0000002e:   DW_TAG_subprogram",
+# and the DIE offset a reference attribute names, '(0x000002a7 "helper")'.
+_DWARF_DIE = re.compile(r"0x([0-9a-f]+):\s+(\w+)")
+_DWARF_REF = re.compile(r"0x([0-9a-f]+)")
+_DWARF_KEPT = frozenset({
+    "DW_AT_name", "DW_AT_linkage_name", "DW_AT_MIPS_linkage_name", "DW_AT_decl_file",
+    "DW_AT_comp_dir", "DW_AT_specification", "DW_AT_abstract_origin", "DW_AT_declaration",
+    "DW_AT_low_pc", "DW_AT_ranges", "DW_AT_inline",
+})
+_DWARF_UNITS = frozenset({"DW_TAG_compile_unit", "DW_TAG_partial_unit"})
+_DWARF_NAMES = ("DW_AT_linkage_name", "DW_AT_MIPS_linkage_name", "DW_AT_name")
+
+
+def _dwarf_string(value: str | None) -> str | None:
+    """The text of a quoted, escaped attribute value; None for a missing or unquoted one."""
+    if value is None or len(value) < 2 or value[0] != '"' or value[-1] != '"':
+        return None
+    text = value[1:-1]
+    if "\\" in text:
+        text = codecs.escape_decode(text.encode())[0].decode(errors="replace")
+    return text
+
+
+def _dwarf_dies(binary: Path) -> list[tuple[str, int, dict[str, str]]] | None:
+    """(tag, offset, kept attributes) of each unit and subprogram DIE; None if the dump fails.
+
+    The dump is parsed as it streams; only these DIEs and attributes are
+    kept, so the dump itself is never held in memory.
+    """
+    dies: list[tuple[str, int, dict[str, str]]] = []
+    attrs: dict[str, str] | None = None
+    try:
+        with subprocess.Popen(
+            ["llvm-dwarfdump", "--debug-info", str(binary)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, errors="replace",
+        ) as proc:
+            for raw in proc.stdout:
+                if raw.startswith("0x"):
+                    die = _DWARF_DIE.match(raw)
+                    attrs = None
+                    if die is not None and (
+                        die.group(2) == "DW_TAG_subprogram" or die.group(2) in _DWARF_UNITS
+                    ):
+                        attrs = {}
+                        dies.append((die.group(2), int(die.group(1), 16), attrs))
+                elif attrs is not None:
+                    key, found, value = raw.strip().partition("\t(")
+                    if found and key in _DWARF_KEPT:
+                        attrs[key] = value[:-1] if value.endswith(")") else value
+    except OSError:
+        return None
+    return dies if proc.returncode == 0 else None
+
+
+def read_definitions(binary: Path) -> DefinitionTable | None:
+    """Function definitions by file from one ``llvm-dwarfdump --debug-info``; None if it fails.
+
+    Each unit's primary file (its name under its compilation directory, as
+    a real path) maps to the definitions in that unit plus every definition
+    elsewhere whose declaration file it is. A definition is a subprogram
+    with code or an abstract instance, so functions that were only ever
+    inlined count. Names (linkage name first) and files are followed
+    through DW_AT_abstract_origin and DW_AT_specification. A file no unit
+    has as its primary file, such as a header, is not a key.
+    """
+    dies = _dwarf_dies(binary)
+    if dies is None:
+        return None
+    by_offset = {offset: attrs for tag, offset, attrs in dies}
+
+    def first(attrs: dict[str, str], keys: Sequence[str]) -> str | None:
+        """The first of `keys` found on the DIE or the DIEs it refers to."""
+        links = [attrs]
+        while len(links) < 8:  # a longer chain is a malformed reference cycle
+            ref = _DWARF_REF.match(
+                links[-1].get("DW_AT_abstract_origin") or links[-1].get("DW_AT_specification") or ""
+            )
+            held = by_offset.get(int(ref.group(1), 16)) if ref else None
+            if held is None:
+                break
+            links.append(held)
+        return next((_dwarf_string(a[k]) for k in keys for a in links if k in a), None)
+
+    real = functools.lru_cache(maxsize=None)(os.path.realpath)
+    in_unit: dict[str, set[str | None]] = {}
+    declared_in: dict[str, set[str | None]] = {}
+    unit: set[str | None] | None = None
+    comp_dir = ""
+    for tag, _, attrs in dies:
+        if tag in _DWARF_UNITS:
+            comp_dir = _dwarf_string(attrs.get("DW_AT_comp_dir")) or ""
+            name = _dwarf_string(attrs.get("DW_AT_name"))
+            unit = in_unit.setdefault(real(os.path.join(comp_dir, name)), set()) if name else None
+            continue
+        if "DW_AT_declaration" in attrs or not attrs.keys() & {
+            "DW_AT_low_pc", "DW_AT_ranges", "DW_AT_inline"
+        }:
+            continue
+        name = first(attrs, _DWARF_NAMES)
+        file = first(attrs, ("DW_AT_decl_file",))
+        if file is not None:
+            file = real(os.path.join(comp_dir, file))
+            declared_in.setdefault(file, set()).add(name)
+        if unit is not None:
+            unit.add(name if file is not None else None)
+    return {file: frozenset(names | declared_in.get(file, ())) for file, names in in_unit.items()}
 
 
 class DisassemblyBackend(Protocol):
@@ -357,6 +475,9 @@ class _BinaryView:
     symtab: _SpanIndex
     # Symtab spans plus heuristic gap fill; built on the first need for it.
     filled: _SpanIndex | None = None
+    # read_definitions of the binary, once `dumped`; None if the dump failed.
+    definitions: DefinitionTable | None = None
+    dumped: bool = False
 
 
 class Symbolizer:
@@ -425,6 +546,18 @@ class Symbolizer:
         """The binary's symbol-table spans alone, so no disassembly runs."""
         view = self._view(binary)
         return view.symtab.spans if view else []
+
+    def definitions_by_file(self, binary: Path) -> DefinitionTable | None:
+        """read_definitions of the binary, from one dump per view; None if it fails."""
+        view = self._view(binary)
+        if view is None:
+            return None
+        if not view.dumped:
+            view.definitions = read_definitions(view.elf.path)
+            view.dumped = True
+            if view.definitions is None:
+                self.warnings.append(f"{binary}: llvm-dwarfdump failed, no src: rung skipped")
+        return view.definitions
 
     def function_boundaries(self, binary: Path) -> list[FunctionSpan]:
         """Sorted, non-overlapping spans; empty (with a warning) if unparseable."""

@@ -8,6 +8,7 @@ from cfiheal.escalation import (
     EscalationEngine,
     ViolationStatus,
     enforcement_name,
+    file_holds_no_check,
     violation_key,
 )
 from cfiheal.ignorelist import EntryKind, IgnorelistStore, LadderLevel, render
@@ -368,6 +369,62 @@ def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "a.c"
     assert v.attempted == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
+
+
+def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
+    asked = []
+
+    def file_check_free(violation, file):
+        asked.append((violation.id, file))
+        return file == "rt.c"
+
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"fail", "mid", "entry"}),
+                              file_check_free=file_check_free)
+    v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
+                   cc=info("entry", "a.c", 3))
+    assert engine.next_scope(v).pattern == "a.c"
+    assert v.attempted == [(LadderLevel.CALLER_SOURCE, "src:a.c")]
+    assert v.skipped_levels[3] == (LadderLevel.CALLEE_SOURCE, "no CFI check in scope")
+    assert asked == [("V1", "rt.c"), ("V1", "a.c")]
+
+
+F = "src/rt.c"
+
+
+@pytest.mark.parametrize(
+    ("tables", "skipped"),
+    [
+        pytest.param([{F: frozenset({"fail", "slow"})}], True, id="every definition check-free"),
+        pytest.param([{F: frozenset({"fail"})}, {"src/a.c": frozenset({"x"})}], True,
+                     id="a second binary without the file"),
+        pytest.param([{F: frozenset({"fail", "other"})}], False, id="a name the census lacks"),
+        pytest.param([{F: frozenset({"fail", None})}], False, id="a definition without a file"),
+        pytest.param([{F: frozenset({"fail"})}, None], False, id="a failed dump"),
+        pytest.param([{"src/a.c": frozenset({"fail"})}], False, id="a header-only file"),
+        pytest.param([{F: frozenset()}], False, id="no definitions"),
+        pytest.param([], False, id="no project binary mapped"),
+    ],
+)
+def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_free(
+    tmp_path, tables, skipped
+):
+    check_free = frozenset({"fail", "slow"})
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, check_free=check_free,
+                              file_check_free=lambda v, file: file_holds_no_check(
+                                  file, tables, check_free))
+    v, _ = observe(engine, callee=info("fail", F, 1), caller=info("slow", F, 2))
+    entry = engine.next_scope(v)
+    if skipped:
+        assert entry is None
+        assert v.status is ViolationStatus.UNRESOLVABLE
+        assert v.skipped_levels[3:] == [
+            (LadderLevel.CALLEE_SOURCE, "no CFI check in scope"),
+            (LadderLevel.CALLER_SOURCE, "no CFI check in scope"),
+        ]
+    else:
+        assert entry.line == f"src:{F}"
 
 
 def test_a_name_outside_the_check_free_set_is_tried(tmp_path):

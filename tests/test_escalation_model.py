@@ -5,8 +5,9 @@ traps are observed, each escalation round moves every open violation one
 rung and re-tests it against the list that round built, and the
 confirmation suite reopens a Fixed violation that traps again. A simulated
 oracle says which ignorelist lines suppress which violation. Some functions
-hold no CFI check, as the IR census would show, and one carries a link-time
-suffix, which no compile-time name has, so no line naming one of them
+hold no CFI check, as the IR census would show, one carries a link-time
+suffix, which no compile-time name has, and one file defines only functions
+without a check, as its DWARF would show, so no line naming one of them
 suppresses anything, and the engine never tries one.
 """
 
@@ -24,9 +25,12 @@ from cfiheal.tracing import TrapEvent, TrapSignal
 # A small world, so that violations share functions, files and entries often.
 FUNCTIONS = ("f", "g", "h.1", "k")
 CHECK_FREE = frozenset({"g", "k"})
-FILES = ("a.c", "lib/b.c")
+FILES = ("a.c", "lib/b.c", "lib/c.c")
+CHECK_FREE_FILES = frozenset({"lib/c.c"})
 LINES = tuple(f"fun:{f}" for f in FUNCTIONS) + tuple(f"src:{f}" for f in FILES)
-UNTRIED_LINES = frozenset(f"fun:{f}" for f in CHECK_FREE | {"h.1"})
+UNTRIED_LINES = frozenset(f"fun:{f}" for f in CHECK_FREE | {"h.1"}) | frozenset(
+    f"src:{f}" for f in CHECK_FREE_FILES
+)
 SUPPRESSING = tuple(line for line in LINES if line not in UNTRIED_LINES)
 
 _frames = st.one_of(
@@ -47,7 +51,10 @@ class EscalationModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engine = EscalationEngine(
-            IgnorelistStore(Path("cfi.ignorelist")), Path("/project"), check_free=CHECK_FREE
+            IgnorelistStore(Path("cfi.ignorelist")),
+            Path("/project"),
+            check_free=CHECK_FREE,
+            file_check_free=lambda violation, file: file in CHECK_FREE_FILES,
         )
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}

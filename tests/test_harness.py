@@ -2,6 +2,7 @@
 
 import pytest
 
+from cfiheal import harness
 from cfiheal.build import BuildKind, BuildMode, BuildOutcome
 from cfiheal.harness import (
     FailureClass,
@@ -15,7 +16,7 @@ from cfiheal.harness import (
 )
 from cfiheal.tracing import OutcomeKind, TraceOutcome, TrapEvent, TrapSignal
 
-from conftest import make_config
+from conftest import make_config, needs_linux
 
 
 def enum_config(tmp_path, script: str):
@@ -84,6 +85,35 @@ def test_run_suite_refuses_failed_build(tmp_path):
     )
     with pytest.raises(HarnessError, match="failed build"):
         run_suite(cfg, failed)
+
+
+@needs_linux
+def test_run_suite_spawns_every_test_in_one_copy_of_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CFIHEAL_SUITE_MARK", "set before the suite")
+    cfg = enum_config(
+        tmp_path,
+        "printf 'TEST\\tt_one\\ttest \"$CFIHEAL_SUITE_MARK\" = \"set before the suite\"\\n'\n"
+        "printf 'TEST\\tt_two\\ttest -n \"$CFIHEAL_SUITE_MARK\"\\n'\n",
+    )
+    envs = []
+    real = harness.run_traced
+
+    def recording(cmd, timeout, **kwargs):
+        envs.append(kwargs["env"])
+        return real(cmd, timeout, **kwargs)
+
+    monkeypatch.setattr(harness, "run_traced", recording)
+    built = BuildOutcome(
+        succeeded=True,
+        mode=BuildMode(BuildKind.BASELINE),
+        diagnostics=(),
+        produced_executables=(),
+        log_path=tmp_path / "x.log",
+        wall_time=0.1,
+    )
+    results = run_suite(cfg, built)
+    assert [(r.test_id, r.passed) for r in results] == [("t_one", True), ("t_two", True)]
+    assert type(envs[0]) is dict and envs[0] is envs[1]
 
 
 # Synthetic outcomes for the classification matrix.

@@ -10,8 +10,9 @@ The visibility repair planned from the baseline's cross-DSO bindings must
 end where a repair driven by linker diagnostics alone ends, in fewer
 builds; the chain fixture is the non-gated twin of acceptance criterion 8.
 Likewise a ladder that skips the fun: rungs the IR census shows hold no
-check, or whose name carries a link-time suffix, must end where a ladder
-that tries those rungs ends.
+check, or whose name carries a link-time suffix, and the src: rungs whose
+file the DWARF shows defines only functions without a check, must end
+where a ladder that tries those rungs ends.
 """
 
 import shutil
@@ -20,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from cfiheal import escalation, pipeline
+from cfiheal import escalation, pipeline, symbols
 from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
+from cfiheal.ignorelist import FUN_LEVELS
 from cfiheal.pipeline import heal
 from cfiheal.repair import repair_until_buildable, revert_patches
 
@@ -78,13 +80,28 @@ def _heal(workload: str, box: Path):
 
 
 @pytest.fixture(scope="module")
-def healed(tmp_path_factory):
+def dwarf_reads() -> dict[str, list[str]]:
+    """Per workload, the file name of each binary whose DWARF its shared heal read."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def healed(tmp_path_factory, dwarf_reads):
     """One heal per workload, shared by the module's tests."""
     done: dict = {}
 
     def get(workload: str):
         if workload not in done:
-            done[workload] = _heal(workload, tmp_path_factory.mktemp(workload))
+            reads = dwarf_reads.setdefault(workload, [])
+            real = symbols.read_definitions
+
+            def recording(binary):
+                reads.append(Path(binary).name)
+                return real(binary)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(symbols, "read_definitions", recording)
+                done[workload] = _heal(workload, tmp_path_factory.mktemp(workload))
         return done[workload]
 
     return get
@@ -107,28 +124,34 @@ def test_suite_fanout_heals_each_planted_violation_once(healed):
     assert set(checks) == set(CHECKS)
     # One violation per planted one, and one CFI build per round: the
     # initial build, then one per rung the violations climb. Rungs naming a
-    # function with no check are skipped, so the longest climb is 3 rungs.
+    # function or a file with no check are skipped, so every violation
+    # settles in the first round, whose list is the final one: no rebuild
+    # follows it.
     assert len(result.violations) == 7
-    assert result.ledger.build_attempts == 4
+    assert all(len(v.attempted) <= 1 for v in result.violations)
+    assert result.ledger.build_attempts == 2
 
 
 # Per workload: CFI builds, then each violation's status and the rungs it
 # attempted, by level: the pins hold whatever spelling a pattern has.
 # A renamed static (a ".1" suffix, which no compile-time entry matches)
 # never gets a fun: rung: suite_fanout's V5 fault function and V6 caller
-# are such statics. cxx_static's fun: patterns are spelled mangled, as
-# clang and the census spell them: two violations are fixed at L0, and the
-# renamed static skips its own rung and its check-free caller rungs on its
-# way to L3, so the heal takes one CFI build per rung climbed after L0.
+# are such statics. Nor does a file whose functions hold no check get a
+# src: rung: V6's fault file and both files of V7's src: rungs are such
+# files, so V7 ends Unresolvable without a build. cxx_static's fun:
+# patterns are spelled mangled, as clang and the census spell them: two
+# violations are fixed at L0, and the renamed static skips its own rung and
+# its check-free caller rungs on its way to L3, so the heal takes one CFI
+# build per rung climbed after L0.
 PINS = {
-    "suite_fanout": (4, [
+    "suite_fanout": (2, [
         ("Fixed", (0,)),
         ("Fixed", (1,)),
         ("Fixed", (2,)),
         ("Fixed", (0,)),
         ("Fixed", (3,)),
-        ("Fixed", (3, 4)),
-        ("Unresolvable", (3, 4)),
+        ("Fixed", (4,)),
+        ("Unresolvable", ()),
     ]),
     "wide_tree": (1, []),
     "cxx_static": (2, [
@@ -175,7 +198,7 @@ def _signature(result) -> dict:
 
 
 # CFI builds of a heal whose repair reads linker diagnostics only.
-DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 4, "wide_tree": 3, "cxx_static": 3}
+DIAGNOSTIC_ONLY_BUILDS = {"suite_fanout": 2, "wide_tree": 3, "cxx_static": 3}
 
 
 @pytest.mark.parametrize("workload", PINS)
@@ -246,8 +269,43 @@ def test_guided_ladder_ends_where_the_unguided_ladder_ends(
         assert skipped <= _tried_in_vain(u)
 
 
+# Binaries whose DWARF a heal reads: only a src: rung that no frame of its
+# violation settles reads it, and each binary once per view of it.
+DWARF_READS = {"suite_fanout": ["tool_b"], "wide_tree": [], "cxx_static": []}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_dwarf_is_read_only_for_src_rungs_no_frame_settles(healed, dwarf_reads, workload):
+    healed(workload)
+    assert dwarf_reads[workload] == DWARF_READS[workload]
+
+
+# CFI builds of a heal whose ladder tries src: rungs whose file holds no check.
+FILES_TRIED_BUILDS = {"suite_fanout": 4, "wide_tree": 1, "cxx_static": 2}
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_skipping_check_free_files_ends_where_trying_them_ends(
+    healed, workload, tmp_path, monkeypatch
+):
+    skipping, skipping_checks = healed(workload)
+    monkeypatch.setattr(pipeline, "_file_check_free", lambda run, violation, file: False)
+    trying, checks = _heal(workload, tmp_path)
+    assert _outcome(trying) == _outcome(skipping)
+    assert checks == skipping_checks
+    assert trying.ledger.build_attempts == FILES_TRIED_BUILDS[workload]
+    # Each src: rung skipped for want of a check, the heal that tries them tried in vain.
+    for s, t in zip(skipping.violations, trying.violations):
+        skipped = {
+            level
+            for level, reason in s.skipped_levels
+            if reason == "no CFI check in scope" and level not in FUN_LEVELS
+        }
+        assert skipped <= _tried_in_vain(t)
+
+
 # CFI builds of a heal whose ladder also tries fun: rungs with a link-time name.
-LINK_TIME_TRIED_BUILDS = {"suite_fanout": 4, "wide_tree": 1, "cxx_static": 3}
+LINK_TIME_TRIED_BUILDS = {"suite_fanout": 3, "wide_tree": 1, "cxx_static": 3}
 
 
 @pytest.mark.parametrize("workload", PINS)

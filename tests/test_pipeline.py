@@ -20,7 +20,14 @@ from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
 from cfiheal.repair import RepairLedger
 from cfiheal.report import EnforcementStatus, compute_coverage
 from cfiheal.symbols import Confidence, SymbolInfo, Symbolizer
-from cfiheal.tracing import OutcomeKind, TraceError, TraceOutcome, TrapEvent, TrapSignal
+from cfiheal.tracing import (
+    MemoryRegion,
+    OutcomeKind,
+    TraceError,
+    TraceOutcome,
+    TrapEvent,
+    TrapSignal,
+)
 
 from conftest import HAVE_GCC, SAMPLE_CXX, copy_fixture, make_config, needs_toolchain
 
@@ -50,6 +57,72 @@ def test_census_diagnostics_sidecar_names_file_and_line(tmp_path):
     assert total.fp_calls == 1
     sidecar = reports / "ir-census-diagnostics.txt"
     assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
+
+
+def test_census_diagnostics_sidecar_names_an_unreadable_path(tmp_path):
+    root = tmp_path / "proj"
+    (root / "x.ll").mkdir(parents=True)
+    (root / "clean.ll").write_text(CENSUS_IR)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    total, _ = _run_census(make_config(root, reports))
+    assert total.fp_calls == 1
+    sidecar = (reports / "ir-census-diagnostics.txt").read_text()
+    assert sidecar.startswith("x.ll: unreadable: [Errno 21] Is a directory")
+    assert sidecar.count("\n") == 1
+
+
+class _TableSymbolizer:
+    """Serves fixed definition tables by binary path, recording each asked."""
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.asked: list[str] = []
+
+    def definitions_by_file(self, binary):
+        self.asked.append(str(binary))
+        return self.tables.get(str(binary))
+
+
+def _src_rung_run(tmp_path, tables, per_function, check_free):
+    root = (tmp_path / "proj").resolve()
+    (root / "bin").mkdir(parents=True)
+    app, data = str(root / "bin" / "app"), str(root / "data.bin")
+    regions = (
+        MemoryRegion(0x1000, 0x2000, "r--p", 0, app),
+        MemoryRegion(0x2000, 0x3000, "r-xp", 0x1000, app),
+        MemoryRegion(0x4000, 0x5000, "r--p", 0, data),
+        MemoryRegion(0x6000, 0x7000, "r-xp", 0, "/usr/lib/libc.so.6"),
+        MemoryRegion(0x8000, 0x9000, "r-xp", 0, "[vdso]"),
+    )
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2100, 0x2100, (0x2200,), {}, Path(app),
+                     regions)
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), root,
+                              check_free=check_free)
+    symbolizer = _TableSymbolizer({app: tables})
+    run = pipeline._Run(make_config(root, tmp_path / "reports"), symbolizer, {}, engine,
+                        RepairLedger(), census=(None, per_function))
+    frames = (SymbolInfo("fail", str(root / "rt.c"), 1, Confidence.DEBUGINFO),
+              SymbolInfo("mid", str(root / "a.c"), 2, Confidence.DEBUGINFO), None)
+    violation, _ = engine.observe(trap, Path(app), 0x1100, *frames, "t")
+    return run, violation, symbolizer
+
+
+def test_a_src_rung_reads_the_dwarf_of_the_project_binaries_the_trap_mapped(tmp_path):
+    root = (tmp_path / "proj").resolve()
+    checked = ircensus.IrSiteCensus(fp_calls=1)
+    per_function = {"fail": ircensus.IrSiteCensus(), "mid": checked}
+    table = {str(root / "rt.c"): frozenset({"fail"}), str(root / "a.c"): frozenset({"mid"})}
+    run, violation, symbolizer = _src_rung_run(tmp_path, table, per_function, frozenset({"fail"}))
+    assert pipeline._file_check_free(run, violation, "rt.c")
+    assert symbolizer.asked == [str(root / "bin" / "app")]
+    # The caller resolved in a.c names a function with a check: no DWARF is read.
+    assert not pipeline._file_check_free(run, violation, "a.c")
+    assert len(symbolizer.asked) == 1
+    # Without the census's check-free names nothing is skipped, and nothing read.
+    run.engine.check_free = frozenset()
+    assert not pipeline._file_check_free(run, violation, "rt.c")
+    assert len(symbolizer.asked) == 1
 
 
 def test_run_census_walks_each_file_once(tmp_path, monkeypatch):
@@ -437,7 +510,7 @@ class Rig:
     def enumerate_tests(self, cfg):
         return self._layer("enumerate_tests", self._cases)
 
-    def run_case(self, cfg, case):
+    def run_case(self, cfg, case, env=None):
         return self._layer("run_case", lambda: self._run(case.test_id))
 
     def run_suite(self, cfg, build):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
-from cfiheal.escalation import EscalationEngine
+from cfiheal.escalation import EscalationEngine, file_holds_no_check
 from cfiheal.ignorelist import IgnorelistStore, LadderLevel
 from cfiheal.symbols import (
     Confidence,
@@ -761,3 +761,94 @@ def test_gap_fill_sweep_equals_quadratic_loop(symtab, heuristic, disjoint):
     else:
         cands = [FunctionSpan(f"c{s}", s, s + n, source="heuristic") for s, n in heuristic]
     assert _outcome(_fill_gaps, spans, cands) == _outcome(_fill_gaps_reference, spans, cands)
+
+
+needs_dwarfdump = pytest.mark.skipif(
+    not HAVE_GCC or shutil.which("llvm-dwarfdump") is None, reason="requires gcc and llvm-dwarfdump"
+)
+
+INLINE_HEADER = "static inline int bump(int x) { return x + 1; }\n"
+INLINED_CHECK = """#include "bump.h"
+typedef int (*int_fn)(int);
+static inline __attribute__((always_inline)) int dispatch(int_fn f, int x) { return f(x); }
+static int twice(int x) { return 2 * x; }
+int_fn volatile slot = twice;
+int api(int x) { return dispatch(slot, x) + bump(x); }
+"""
+INLINED_MAIN = "int api(int);\nint main(int argc, char **argv) { (void)argv; return api(argc); }\n"
+
+
+@pytest.fixture
+def inlined_check(tmp_path) -> Path:
+    """A gcc -O2 -g binary whose indirect call sits in an always_inline helper."""
+    (tmp_path / "bump.h").write_text(INLINE_HEADER)
+    (tmp_path / "api.c").write_text(INLINED_CHECK)
+    (tmp_path / "main.c").write_text(INLINED_MAIN)
+    subprocess.run(["gcc", "-O2", "-g", "-o", "app", "api.c", "main.c"],
+                   cwd=tmp_path, check=True, capture_output=True)
+    return tmp_path / "app"
+
+
+@needs_dwarfdump
+def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
+    root = inlined_check.parent.resolve()
+    assert "dispatch" not in nm_functions(inlined_check)  # inlined away
+    table = Symbolizer().definitions_by_file(inlined_check)
+    # The unit's own functions, the helper only ever inlined, and the header's inline.
+    assert table == {
+        f"{root}/api.c": {"api", "dispatch", "twice", "bump"},
+        f"{root}/main.c": {"main"},
+    }
+    # The helper holds the indirect call; the census of the other names does not
+    # make the file check-free, and the header, which no unit compiles, never is.
+    assert not file_holds_no_check(f"{root}/api.c", [table], frozenset({"api", "twice", "bump"}))
+    assert file_holds_no_check(f"{root}/api.c", [table],
+                               frozenset({"api", "twice", "bump", "dispatch"}))
+    assert not file_holds_no_check(f"{root}/bump.h", [table], frozenset({"bump"}))
+
+
+@needs_dwarfdump
+def test_cxx_definitions_are_named_by_linkage_name(gcc_binaries):
+    table = Symbolizer().definitions_by_file(gcc_binaries["cxx"])
+    (names,) = table.values()
+    assert "_ZN3geo7measureERKNS_5ShapeEi" in names
+    assert "main" in names
+
+
+class _CountingPopen:
+    """Wraps subprocess.Popen, counting the programs started."""
+
+    def __init__(self):
+        self.programs: list[str] = []
+        self.real = subprocess.Popen
+
+    def __call__(self, argv, *args, **kwargs):
+        self.programs.append(argv[0])
+        return self.real(argv, *args, **kwargs)
+
+
+@needs_dwarfdump
+def test_definitions_come_from_one_dump_per_view(inlined_check, monkeypatch):
+    popen = _CountingPopen()
+    monkeypatch.setattr(symbols.subprocess, "Popen", popen)
+    symbolizer = Symbolizer()
+    first = symbolizer.definitions_by_file(inlined_check)
+    assert symbolizer.definitions_by_file(inlined_check) is first
+    assert popen.programs == ["llvm-dwarfdump"]
+    # A rebuilt binary is a new view, dumped again.
+    inlined_check.write_bytes(inlined_check.read_bytes() + b"\0")
+    assert symbolizer.definitions_by_file(inlined_check) == first
+    assert popen.programs == ["llvm-dwarfdump"] * 2
+
+
+def test_a_missing_dwarf_tool_gives_no_definitions(gcc_binaries, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    symbolizer = Symbolizer()
+    assert symbolizer.definitions_by_file(gcc_binaries["c"]) is None
+    assert symbolizer.definitions_by_file(gcc_binaries["c"]) is None
+    assert len(symbolizer.warnings) == 1 and "llvm-dwarfdump" in symbolizer.warnings[0]
+
+
+@needs_dwarfdump
+def test_a_failed_dump_gives_no_definitions(gcc_binaries):
+    assert symbols.read_definitions(gcc_binaries["source"]) is None  # not an object file
