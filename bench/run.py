@@ -31,7 +31,10 @@ by program.
 
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
-call per module, and reports MB/s.
+call per module: on each module's text, read beforehand, and on each file
+streamed through ``read_ir_lines``. Each row reports MB/s and the largest
+tracemalloc peak of one call, in MB; the text of the first row is allocated
+before its call, so its peak leaves the text out.
 
 ``--layer repair`` times one pass of ``repair_until_buildable``: a build
 (faked, so no compiler runs) fails on 1,000 undefined C symbols, defined in
@@ -80,6 +83,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -99,7 +103,7 @@ from cfiheal.build import (  # noqa: E402
 )
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
-from cfiheal.ircensus import census_by_function  # noqa: E402
+from cfiheal.ircensus import census_by_function, read_ir_lines  # noqa: E402
 from cfiheal.pipeline import _symbolize_trap  # noqa: E402
 from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced  # noqa: E402
 
@@ -244,28 +248,47 @@ def bench_symbols(repeat: int) -> list[dict]:
 CENSUS_MB = 4
 
 
+def _census_row(target: str, mb: float, op: str, calls: list, repeat: int) -> dict:
+    """Times the calls together, then takes the tracemalloc peak of each alone."""
+    times = []
+    for _ in range(repeat):
+        started = time.perf_counter()
+        for call in calls:
+            call()
+        times.append(time.perf_counter() - started)
+    peak = 0
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    summary = _summary(times)
+    return {
+        "target": target,
+        "mb": round(mb, 3),
+        "op": op,
+        **summary,
+        "mb_per_s": round(mb / summary["median_s"], 2),
+        "peak_mb": round(peak / 1e6, 2),
+    }
+
+
 def bench_census(repeat: int) -> list[dict]:
     with tempfile.TemporaryDirectory(prefix="bench-census-") as tmp:
         writer = gen.ProjectWriter(Path(tmp))
         gen._ir_bulk(writer, gen.Names(random.Random("bench-census")), CENSUS_MB)
-        texts = [p.read_text() for p in sorted(Path(tmp).rglob("*.ll"))]
-    mb = sum(len(t) for t in texts) / 1e6
-    times = []
-    for _ in range(repeat):
-        started = time.perf_counter()
-        for text in texts:
-            census_by_function(text, [])
-        times.append(time.perf_counter() - started)
-    summary = _summary(times)
-    return [
-        {
-            "target": f"gen._ir_bulk IR, {len(texts)} modules",
-            "mb": round(mb, 3),
-            "op": "census_by_function",
-            **summary,
-            "mb_per_s": round(mb / summary["median_s"], 2),
-        }
-    ]
+        paths = sorted(Path(tmp).rglob("*.ll"))
+        texts = [p.read_text() for p in paths]
+        mb = sum(len(t) for t in texts) / 1e6
+        target = f"gen._ir_bulk IR, {len(texts)} modules"
+        in_memory = [lambda t=t: census_by_function(t, []) for t in texts]
+        streamed = [lambda p=p: census_by_function(read_ir_lines(p), []) for p in paths]
+        return [
+            _census_row(target, mb, "census_by_function", in_memory, repeat),
+            _census_row(target, mb, "census_by_function(read_ir_lines)", streamed, repeat),
+        ]
 
 
 REPAIR_SYMBOLS, REPAIR_FILES = 1000, 2000

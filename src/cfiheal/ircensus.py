@@ -24,19 +24,26 @@ chains within one function body are followed; phi, select and integer
 round-trips are opaque and classify as fp_calls.
 
 The parser is line-oriented and assumes compiler-emitted textual IR (one
-instruction per line). Lines that look like call sites but defeat the
-grammar are skipped and reported through the optional diagnostics sink
-rather than being silently miscounted.
+instruction per line). It walks a module's lines once, in order, and holds
+only the current function's: module facts (function names, code-pointer
+tables, module asm) are gathered on the way, and the few sites that need a
+fact found later are settled when the module ends. So a module's lines can
+be streamed from its file (``read_ir_lines``). Lines that look like call
+sites but defeat the grammar are skipped and reported through the optional
+diagnostics sink rather than being silently miscounted.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from pathlib import Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrSiteCensus:
     fp_calls: int = 0
     virtual_calls: int = 0
@@ -46,16 +53,22 @@ class IrSiteCensus:
     inline_asm: int = 0
 
     def __add__(self, other: "IrSiteCensus") -> "IrSiteCensus":
-        return IrSiteCensus(
-            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(IrSiteCensus))
-        )
+        return IrSiteCensus.sum_of((self, other))
 
     def total(self) -> int:
-        return sum(getattr(self, f.name) for f in fields(IrSiteCensus))
+        return sum(_values(self))
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(IrSiteCensus)}
+        return dict(zip(_FIELDS, _values(self)))
 
+    @staticmethod
+    def sum_of(censuses: Iterable["IrSiteCensus"]) -> "IrSiteCensus":
+        """The field-by-field sum of censuses, in one pass."""
+        return IrSiteCensus(*map(sum, zip(*map(_values, censuses))))
+
+
+_FIELDS = tuple(f.name for f in fields(IrSiteCensus))
+_values = attrgetter(*_FIELDS)
 
 _TOKEN = re.compile(r"[%@][-\w.$]+|[%@]\"[^\"]*\"")
 _DEFINE = re.compile(r"^define\b[^@]*@([-\w.$]+|\"[^\"]*\")\s*\(")
@@ -178,25 +191,24 @@ def _parse_def(rhs: str) -> tuple[str, str | None]:
 class _FunctionScope:
     """Register definitions of the function body currently being scanned.
 
-    Definitions are recorded lazily: a classification first records the
-    body's assignment lines up to and including the call's own line, so it
-    sees what recording every line in order would show, and a definition is
-    parsed only when a classification follows it.
+    The walk hands the scope each of the body's lines that start with "%".
+    Definitions are recorded lazily: a classification first records the lines
+    handed since the last one, the call's own line included, so it sees what
+    recording every line in order would show, and a definition is parsed
+    only when a classification follows it.
     """
 
-    def __init__(self, lines: list[str], start: int) -> None:
-        self.lines = lines
-        self.recorded_to = start
+    def __init__(self) -> None:
+        self.pending: list[str] = []
         self.defs: dict[str, str | tuple[str, str | None]] = {}
 
-    def record_to(self, end: int) -> None:
-        """Record the assignments of lines[recorded_to:end] as raw right-hand sides."""
-        for raw in self.lines[self.recorded_to : end]:
-            line = raw.strip()
+    def record(self) -> None:
+        """Record the assignments of the pending lines as raw right-hand sides."""
+        for line in self.pending:
             assign = _ASSIGN.match(line)
             if assign:
                 self.defs[assign.group(1).strip('"')] = line[assign.end() :]
-        self.recorded_to = end
+        self.pending.clear()
 
     def _def(self, reg: str) -> tuple[str, str | None]:
         found = self.defs.get(reg)
@@ -215,8 +227,13 @@ class _FunctionScope:
             hops -= 1
         return token
 
-    def classify_callee(self, callee: str, tables: set[str]) -> str:
-        """The category of an indirect callee register: virtual_calls, jt_lowered or fp_calls."""
+    def classify_callee(self, callee: str) -> str:
+        """The category of an indirect callee register: virtual_calls or fp_calls.
+
+        A callee loaded from a global, directly or through getelementptrs,
+        gives that global's name instead, "@" included: the call is
+        jt_lowered if the global is a code-pointer table, fp_calls if not.
+        """
         token = self._resolve_alias(callee)
         if not token or not token.startswith("%"):
             return "fp_calls"
@@ -227,7 +244,7 @@ class _FunctionScope:
         if pointer is None:
             return "fp_calls"
         if pointer.startswith("@"):
-            return "jt_lowered" if pointer[1:].strip('"') in tables else "fp_calls"
+            return pointer
         if pointer.startswith("%"):
             pkind, pbase = self._def(pointer[1:])
             seen_gep = 0
@@ -236,7 +253,7 @@ class _FunctionScope:
                 if base is None:
                     return "fp_calls"
                 if base.startswith("@"):
-                    return "jt_lowered" if base[1:].strip('"') in tables else "fp_calls"
+                    return base
                 pkind, pbase = self._def(base[1:])
                 seen_gep += 1
             if pkind == "load":
@@ -244,58 +261,61 @@ class _FunctionScope:
         return "fp_calls"
 
 
-def _collect_module_facts(lines: list[str]) -> tuple[set[str], set[str], int]:
-    """Function names, code-pointer-table globals, module-asm line count."""
-    functions: set[str] = set()
-    candidates: list[tuple[str, str]] = []
-    module_asm = 0
-    for raw in lines:
-        line = raw.strip()
-        first = line[:1]
-        if first == "@":
-            m = _GLOBAL.match(line)
-            if m:
-                rhs = line[m.end() :]
-                # A table refers to a function (an @) or takes a blockaddress(.
-                if ("constant" in rhs or "global" in rhs) and ("@" in rhs or "(" in rhs):
-                    candidates.append((m.group(1).strip('"'), rhs))
-        elif first == "d":
-            m = _DEFINE.match(line) or _DECLARE.match(line)
-            if m:
-                functions.add(m.group(1).strip('"'))
-        elif first == "m" and line.startswith("module asm"):
-            module_asm += 1
-    tables: set[str] = set()
-    for name, rhs in candidates:
-        refs = {t[1:].strip('"') for t in _TOKEN.findall(rhs) if t.startswith("@")}
-        if "blockaddress(" in rhs.replace(" ", "") or (refs & functions):
-            tables.add(name)
-    return functions, tables, module_asm
-
-
 def census(
-    ir_text: str, diagnostics: list[tuple[int, str]] | None = None
+    ir_text: str | Iterable[str], diagnostics: list[tuple[int, str]] | None = None
 ) -> IrSiteCensus:
     """Whole-module census; see the module docstring for the category rules."""
-    return sum(census_by_function(ir_text, diagnostics).values(), IrSiteCensus())
+    return IrSiteCensus.sum_of(census_by_function(ir_text, diagnostics).values())
 
 
 def census_by_function(
-    ir_text: str, diagnostics: list[tuple[int, str]] | None = None
+    ir_text: str | Iterable[str], diagnostics: list[tuple[int, str]] | None = None
 ) -> dict[str, IrSiteCensus]:
-    """Per-function census; module-level sites land under the empty name."""
-    return {name: IrSiteCensus(**counts) for name, counts in _walk(ir_text, diagnostics).items()}
+    """Per-function census of a module's text or of its lines, as str.splitlines gives them.
+
+    Module-level sites land under the empty name.
+    """
+    lines = ir_text.splitlines() if isinstance(ir_text, str) else ir_text
+    return {name: IrSiteCensus(**counts) for name, counts in _walk(lines, diagnostics).items()}
 
 
-def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, Counter]:
-    """Site counts by category, per function name ('' for module scope)."""
-    lines = ir_text.splitlines()
-    functions, tables, module_asm = _collect_module_facts(lines)
+def read_ir_lines(path: Path, block_size: int = 1 << 16) -> Iterator[str]:
+    """The lines of path's text as str.splitlines gives them, read a block at a time.
 
-    tally: dict[str, Counter] = {"": Counter(inline_asm=module_asm)}
+    Undecodable bytes are replaced, as ``Path.read_text(errors="replace")``
+    replaces them. A block is cut after its last "\n", which always ends a
+    line; the rest is carried into the next block.
+    """
+    with open(path, errors="replace", newline="") as handle:
+        carry = ""
+        while block := handle.read(block_size):
+            text = carry + block
+            cut = text.rfind("\n") + 1
+            yield from text[:cut].splitlines()
+            carry = text[cut:]
+        yield from carry.splitlines()
+
+
+def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> dict[str, Counter]:
+    """Site counts by category, per function name ('' for module scope), in one pass.
+
+    Module facts (function names, code-pointer tables, module asm) are
+    gathered from every line as the walk reads it. A store whose value names
+    an @ and a call through a pointer loaded from a global need facts that
+    may come later in the module; each is counted at once if the facts read
+    so far settle it, and held with its function until the module ends if
+    not. Only functions closed by a "}" line count.
+    """
+    functions: set[str] = set()
+    tables: set[str] = set()
+    maybe_tables: list[tuple[str, set[str]]] = []  # globals naming no function seen yet
+    held: list[tuple[str, list[set[str]], list[str]]] = []  # (function, stores, loads) to settle
+    tally: dict[str, Counter] = {"": Counter(inline_asm=0)}
     current: str | None = None
-    scope = _FunctionScope(lines, 0)
+    scope = _FunctionScope()
     counts: Counter = Counter()
+    late_stores: list[set[str]] = []  # names stored, none of them a function yet
+    late_loads: list[str] = []  # globals called through, none of them a table yet
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -303,26 +323,56 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
             continue
         first = line[0]
         if first == "%":
-            if current is None or not (
+            if current is None:
+                continue
+            scope.pending.append(line)
+            if not (
                 "call" in line
                 or "invoke" in line
                 or "store " in line
                 or "switch " in line
                 or "indirectbr " in line
             ):
-                continue  # not a site; scope.record_to reads its assignment if a call needs it
+                continue  # not a site; scope.record reads its assignment if a call needs it
             assign = _ASSIGN.match(line)
             body = line[assign.end() :] if assign else line
-        elif current is None:
-            if first == "d":
-                m = _DEFINE.match(line)
-                if m and line.endswith("{"):
-                    current = m.group(1).strip('"')
-                    scope = _FunctionScope(lines, lineno)
+        elif first == "@":
+            m = _GLOBAL.match(line)
+            if m:
+                rhs = line[m.end() :]
+                # A table refers to a function (an @) or takes a blockaddress(.
+                if ("constant" in rhs or "global" in rhs) and ("@" in rhs or "(" in rhs):
+                    name = m.group(1).strip('"')
+                    refs = {t[1:].strip('"') for t in _TOKEN.findall(rhs) if t.startswith("@")}
+                    if "blockaddress(" in rhs.replace(" ", "") or (refs & functions):
+                        tables.add(name)
+                    elif refs:
+                        maybe_tables.append((name, refs))
+            continue
+        elif first == "d":
+            m = _DEFINE.match(line)
+            if m:
+                name = m.group(1).strip('"')
+                functions.add(name)
+                if current is None and line.endswith("{"):
+                    current = name
+                    scope = _FunctionScope()
                     counts = Counter()
+                    late_stores, late_loads = [], []
+            else:
+                m = _DECLARE.match(line)
+                if m:
+                    functions.add(m.group(1).strip('"'))
+            continue
+        elif first == "m" and line.startswith("module asm"):
+            tally[""]["inline_asm"] += 1
+            continue
+        elif current is None:
             continue
         elif first == "}" and line == "}":
             tally.setdefault(current, Counter()).update(counts)
+            if late_stores or late_loads:
+                held.append((current, late_stores, late_loads))
             current = None
             continue
         else:
@@ -344,6 +394,8 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
                 }
                 if "blockaddress(" in pieces[0].replace(" ", "") or (value_refs & functions):
                     counts["callback_stores"] += 1
+                elif value_refs:
+                    late_stores.append(value_refs)
             continue
 
         m = _CALL_OP.match(body)
@@ -359,7 +411,19 @@ def _walk(ir_text: str, diagnostics: list[tuple[int, str]] | None) -> dict[str, 
         elif callee.startswith("@"):
             pass  # direct call, not a site
         else:
-            scope.record_to(lineno)
-            counts[scope.classify_callee(callee, tables)] += 1
+            scope.record()
+            site = scope.classify_callee(callee)
+            if not site.startswith("@"):
+                counts[site] += 1
+            elif site[1:].strip('"') in tables:
+                counts["jt_lowered"] += 1
+            else:
+                late_loads.append(site[1:].strip('"'))
 
+    tables.update(name for name, refs in maybe_tables if refs & functions)
+    for name, stores, loads in held:
+        settled = tally[name]
+        settled["callback_stores"] += sum(1 for refs in stores if refs & functions)
+        for table in loads:
+            settled["jt_lowered" if table in tables else "fp_calls"] += 1
     return tally

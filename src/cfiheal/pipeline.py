@@ -52,7 +52,7 @@ from .harness import (
     run_suite,
 )
 from .ignorelist import IgnorelistStore
-from .ircensus import IrSiteCensus, census, census_by_function
+from .ircensus import IrSiteCensus, census, census_by_function, read_ir_lines
 from .repair import RepairLedger, cross_dso_bindings, repair_until_buildable, revert_patches
 from .report import (
     CoverageCore,
@@ -184,24 +184,26 @@ def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
 
 
 def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensus]]:
-    total = IrSiteCensus()
+    """Census of every IR file, each streamed; a file counts once read to its end."""
+    totals: list[IrSiteCensus] = []
     per_function: dict[str, IrSiteCensus] = {}
     diagnostics: list[str] = []
     for path in _collect_ir_files(cfg):
+        sidecar: list[tuple[int, str]] = []
         try:
-            text = path.read_text(errors="replace")
+            by_function = census_by_function(read_ir_lines(path), sidecar)
         except OSError as exc:
             diagnostics.append(f"{path.name}: unreadable: {exc}\n")
             continue
-        sidecar: list[tuple[int, str]] = []
-        for name, counts in census_by_function(text, sidecar).items():
-            total = total + counts
+        totals.append(IrSiteCensus.sum_of(by_function.values()))
+        for name, counts in by_function.items():
             if name:
-                per_function[name] = per_function.get(name, IrSiteCensus()) + counts
+                known = per_function.get(name)
+                per_function[name] = counts if known is None else known + counts
         diagnostics.extend(f"{path.name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
     if diagnostics:
         (cfg.report_dir / "ir-census-diagnostics.txt").write_text("".join(diagnostics))
-    return total, per_function
+    return IrSiteCensus.sum_of(totals), per_function
 
 
 def _checkable_sites(counts: IrSiteCensus) -> int:
@@ -618,9 +620,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if not files:
             print("error: no .ll files found", file=sys.stderr)
             return 2
-        total = IrSiteCensus()
-        for path in files:
-            total = total + census(path.read_text(errors="replace"))
+        total = IrSiteCensus.sum_of(census(read_ir_lines(path)) for path in files)
         for key, value in total.as_dict().items():
             print(f"{key}\t{value}")
         print(f"total\t{total.total()}")

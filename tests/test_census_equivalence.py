@@ -6,6 +6,9 @@ scanned one character at a time. Its one change is the opcode fix: a call is
 matched only at the start of the right-hand side, so an operand named
 ``%call`` is no call. The census must give the same per-function counts and
 the same diagnostics on any input.
+
+A file censused a block at a time, through ``read_ir_lines``, must give the
+same counts and diagnostics as its whole text read at once.
 """
 
 import re
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfiheal import ircensus
-from cfiheal.ircensus import IrSiteCensus, census_by_function
+from cfiheal.ircensus import IrSiteCensus, census_by_function, read_ir_lines
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -509,6 +512,7 @@ def test_odd_line_breaks_count_like_splitlines():
         (["%s = getelementptr ptr, ptr %vt, i64 1", "%vf = load ptr, ptr %s",
           "call void %vf()", "%vt = load ptr, ptr %p"], "fp_calls"),
         (["%x = load ptr, ptr @tbl", "%fp = bitcast ptr %x to ptr", "call void %fp()"], "jt_lowered"),
+        (["%fp = load ptr, ptr @tbl", "musttail call void %fp()"], "jt_lowered"),
     ],
 )
 def test_definitions_count_as_of_the_call(body, category):
@@ -564,3 +568,58 @@ def test_census_matches_the_reference_on_benchmark_ir(workload, tmp_path):
     assert files
     for path in files:
         assert_same_census(path.read_text())
+
+
+# ----------------------------------------------------------------- streamed
+
+def assert_streams_like_read_text(path, block_size=7):
+    """Blocks of block_size characters give the lines and census of the whole text."""
+    whole = path.read_text(errors="replace")
+    assert list(read_ir_lines(path, block_size)) == whole.splitlines()
+    got_diag, want_diag = [], []
+    got = census_by_function(read_ir_lines(path, block_size), got_diag)
+    assert got == census_by_function(whole, want_diag)
+    assert got_diag == want_diag
+
+
+@settings(max_examples=150, deadline=None)
+@given(ir_module(), st.integers(1, 16))
+def test_streamed_census_matches_the_whole_text(tmp_path_factory, ir_text, block_size):
+    path = tmp_path_factory.mktemp("streamed") / "m.ll"
+    path.write_bytes(ir_text.encode())
+    assert_streams_like_read_text(path, block_size)
+
+
+_BAD_CALL = "define void @f(ptr %fp) {\n  call void %fp\n  call void %fp()\n}\n"
+# In the first two cases a 7-character block ends where the case name says.
+_STREAM_CASES = {
+    "empty line at a block start": b"; abcd\n\n" + _BAD_CALL.encode(),
+    "crlf split across blocks": b"; abcd\r\n" + _BAD_CALL.replace("\n", "\r\n").encode(),
+    "vt, nel and line separator": (
+        "define void @f(ptr %fp) {\x0b  call void %fp\x85\x85  call void %fp()\u2028}\u2028"
+        "define void @g(ptr %fp) {\x0c\x1c\x1d\x1e\u2029  call void %fp\n}"
+    ).encode(),
+    "lone cr lines": _BAD_CALL.replace("\n", "\r").encode() + b"\r",
+    "invalid utf-8": b"; \xff\xfe\xe2\x82\n" + _BAD_CALL.encode() + b"\xc3",
+    "invalid utf-8 across a read": b";" * 8190 + b"\xe2\x82\xac\xe2\x82A\n" + _BAD_CALL.encode(),
+    "no trailing newline": _BAD_CALL.rstrip("\n").encode(),
+    "empty file": b"",
+}
+
+
+@pytest.mark.parametrize("data", _STREAM_CASES.values(), ids=_STREAM_CASES.keys())
+@pytest.mark.parametrize("block_size", [1, 7, 1 << 16])
+def test_streamed_census_cases(tmp_path, data, block_size):
+    path = tmp_path / "m.ll"
+    path.write_bytes(data)
+    assert_streams_like_read_text(path, block_size)
+
+
+@pytest.mark.parametrize("case, lineno", [("empty line at a block start", 4),
+                                          ("crlf split across blocks", 3)])
+def test_streamed_diagnostics_keep_their_line_numbers(tmp_path, case, lineno):
+    path = tmp_path / "m.ll"
+    path.write_bytes(_STREAM_CASES[case])
+    diagnostics: list[tuple[int, str]] = []
+    assert census_by_function(read_ir_lines(path, 7), diagnostics)["f"].fp_calls == 1
+    assert diagnostics == [(lineno, "call instruction without an argument list")]

@@ -3,8 +3,11 @@
 import fcntl
 import json
 import os
+import random
 import shutil
 import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +33,8 @@ from cfiheal.tracing import (
 )
 
 from conftest import HAVE_GCC, SAMPLE_CXX, copy_fixture, make_config, needs_toolchain
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CENSUS_IR = """
 define i32 @driver(i32 %x) {
@@ -142,6 +147,54 @@ def test_run_census_walks_each_file_once(tmp_path, monkeypatch):
     assert len(walked) == 2
     assert (total.fp_calls, total.callback_stores) == (2, 2)
     assert per_function["driver"].total() == 4
+
+
+def test_run_census_counts_nothing_of_a_file_that_fails_partway(tmp_path, monkeypatch):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "a.ll").write_text(CENSUS_IR)
+    (root / "b.ll").write_text(CENSUS_IR + "define void @g(ptr %fp) {\n  call void %fp\n}\n")
+    real_read = pipeline.read_ir_lines
+
+    def failing_read(path):
+        yield from real_read(path)
+        if path.name == "b.ll":
+            raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(pipeline, "read_ir_lines", failing_read)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    total, per_function = _run_census(make_config(root, reports))
+    assert (total.fp_calls, total.callback_stores) == (1, 1)
+    assert per_function["driver"].total() == 2 and "g" not in per_function
+    sidecar = (reports / "ir-census-diagnostics.txt").read_text()
+    assert sidecar == "b.ll: unreadable: [Errno 5] Input/output error\n"
+
+
+def test_run_census_holds_one_function_not_the_whole_file(tmp_path):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    writer = gen.ProjectWriter(tmp_path / "bulk")
+    gen._ir_bulk(writer, gen.Names(random.Random("census-memory")), 4)
+    root = tmp_path / "proj"
+    root.mkdir()
+    with open(root / "whole.ll", "wb") as whole:  # four bulk modules as one module
+        for part in sorted((tmp_path / "bulk").rglob("*.ll")):
+            whole.write(part.read_bytes())
+    size = (root / "whole.ll").stat().st_size
+    assert size >= 4_000_000
+    tracemalloc.start()
+    try:
+        total, _ = _run_census(make_config(root, tmp_path / "reports"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.as_dict() == writer.census
+    # Reading the file whole holds its text and its list of lines: about 4x.
+    assert peak < 2 * size
 
 
 def write_config(root, report_dir) -> "Path":
