@@ -50,7 +50,10 @@ wide_tree workload at scale 1, seed 1, after its baseline build (its own
 shell test shaped like perfbench's suite_fanout tests, with ``subprocess.run``
 on the same commands as the untraced reference. Each repeat makes 200 calls;
 it reports the median per-call wall time, this process's CPU per call
-(``RUSAGE_SELF``, all its threads) and the threads started per call.
+(``RUSAGE_SELF``, all its threads) and the threads started per call. The
+two-exec test also runs 200 times as one ``run_traced_many`` batch, at jobs 1
+and at the number of CPUs this process may run on; those rows report wall
+time and CPU per test.
 
 ``--layer linker`` times ``parse_diagnostics`` over a synthetic build log of
 about 4 MB: compiler command lines, each followed every few units by a GNU ld
@@ -105,7 +108,7 @@ from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.ircensus import census_by_function, read_ir_lines  # noqa: E402
 from cfiheal.pipeline import _symbolize_trap  # noqa: E402
-from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced  # noqa: E402
+from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced, run_traced_many  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
 TRAP_IN_MAIN = "int main(void) { __builtin_trap(); }\n"
@@ -402,11 +405,37 @@ def _untraced(cmd) -> None:
     )
 
 
+def _one_by_one(call):
+    """TRACER_CALLS calls of `call`, one after the other."""
+
+    def run(cmd) -> None:
+        for _ in range(TRACER_CALLS):
+            call(cmd)
+
+    return run
+
+
+def _batched(jobs: int):
+    """TRACER_CALLS runs of the command as one run_traced_many batch of `jobs`."""
+
+    def run(cmd) -> None:
+        for outcome in run_traced_many([cmd] * TRACER_CALLS, 10, jobs=jobs):
+            if outcome.kind is not OutcomeKind.EXITED or outcome.exit_status != 0:
+                raise RuntimeError(f"{cmd!r}: {outcome}")
+
+    return run
+
+
 def bench_tracer(repeat: int) -> list[dict]:
     results = []
     real_start = threading.Thread.start
+    usable_cpus = len(os.sched_getaffinity(0))
     for target, cmd in TRACER_COMMANDS.items():
-        for op, call in (("run_traced", _traced), ("subprocess.run", _untraced)):
+        ops = [("run_traced", _one_by_one(_traced)), ("subprocess.run", _one_by_one(_untraced))]
+        if target == "2-exec shell test":
+            for jobs in sorted({1, usable_cpus}):
+                ops.append((f"run_traced_many jobs={jobs}", _batched(jobs)))
+        for op, run in ops:
             started = 0
 
             def counting_start(thread):
@@ -414,15 +443,14 @@ def bench_tracer(repeat: int) -> list[dict]:
                 started += 1
                 real_start(thread)
 
-            call(cmd)  # warm-up
+            run(cmd)  # warm-up
             walls, cpus = [], []
             threading.Thread.start = counting_start
             try:
                 for _ in range(repeat):
                     before = resource.getrusage(resource.RUSAGE_SELF)
                     t0 = time.perf_counter()
-                    for _ in range(TRACER_CALLS):
-                        call(cmd)
+                    run(cmd)
                     walls.append((time.perf_counter() - t0) / TRACER_CALLS)
                     after = resource.getrusage(resource.RUSAGE_SELF)
                     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime

@@ -82,6 +82,7 @@ from .tracing import (
     TrapSignal,
     correct_pc,
     run_traced,
+    run_traced_many,
     unwind_frames,
 )
 

@@ -25,10 +25,11 @@ import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 from .build import BuildOutcome
 from .config import ProjectConfig
-from .tracing import OutcomeKind, TraceOutcome, TrapSignal, run_traced
+from .tracing import OutcomeKind, TraceOutcome, TrapSignal, run_traced_many
 
 
 class HarnessError(RuntimeError):
@@ -115,22 +116,28 @@ def enumerate_tests(cfg: ProjectConfig) -> list[TestCase]:
     return cases
 
 
-def run_case(cfg: ProjectConfig, case: TestCase, env: dict[str, str] | None = None) -> TestResult:
-    """Run one test traced, in `env` (a copy of os.environ, taken once per batch of tests).
+def run_cases(cfg: ProjectConfig, cases: Sequence[TestCase]) -> list[TestResult]:
+    """Run `cases` traced in one batch, one per usable CPU at a time; results in input order.
 
-    Spawning with a plain dict spares posix_spawn reading os.environ anew
-    for every test; None reads it.
+    The CPUs are those this process may run on, so `taskset -c 0` runs the
+    tests one at a time. Every test is spawned in one copy of os.environ,
+    taken here, which spares posix_spawn reading it anew for each test.
     """
-    outcome = run_traced(case.command, cfg.test_timeout, cwd=cfg.project_root, env=env)
-    return TestResult(case.test_id, outcome)
+    outcomes = run_traced_many(
+        [case.command for case in cases],
+        cfg.test_timeout,
+        cwd=cfg.project_root,
+        env=dict(os.environ),
+        jobs=len(os.sched_getaffinity(0)),
+    )
+    return [TestResult(case.test_id, outcome) for case, outcome in zip(cases, outcomes)]
 
 
 def run_suite(cfg: ProjectConfig, build: BuildOutcome) -> list[TestResult]:
     """Run every enumerated test under trap supervision, in enumeration order."""
     if not build.succeeded:
         raise HarnessError("refusing to run the suite against a failed build")
-    env = dict(os.environ)
-    return [run_case(cfg, case, env) for case in enumerate_tests(cfg)]
+    return run_cases(cfg, enumerate_tests(cfg))
 
 
 def classify(baseline: TestResult, cfi: TestResult) -> FailureClass:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,7 +47,7 @@ from .harness import (
     TestResult,
     diff_suites,
     enumerate_tests,
-    run_case,
+    run_cases,
     run_suite,
 )
 from .ignorelist import IgnorelistStore
@@ -382,8 +381,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     missing = [tid for tid in affected if tid not in cases]
     if missing:
         raise PipelineFailure(f"tests disappeared from enumeration during healing: {missing}")
-    env = dict(os.environ)
-    rerun = [run_case(run.cfg, cases[tid], env) for tid in affected]
+    rerun = run_cases(run.cfg, [cases[tid] for tid in affected])
     recurred: set[ViolationKey] = set()
     for test_id, trap, fault in _traps(run, rerun):
         key = violation_key(*fault[:3])

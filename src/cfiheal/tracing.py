@@ -21,15 +21,21 @@ return address lives at [FP + 8] and the caller's frame pointer at [FP].
 The walk is bounded at depth two and truncates on any failed memory read or
 non-monotonic frame chain, so instrumented builds must keep frame pointers.
 
-All ptrace requests for one tracee tree are issued from a single control
-context. The monitor sleeps until something happens: while run_traced runs,
-SIGCHLD is blocked in the calling thread only, and when a drain of the
-monitor's PIDs finds nothing it waits in sigtimedwait for the next SIGCHLD,
-up to the remaining timeout. The caller's mask is restored on return, and the
-tracee is spawned with it, so tested programs see the caller's mask.
-SIGCHLD is process-directed, so a library caller's other thread may take a
-wake-up meant for this monitor; each wait is therefore capped at _WAKE_CAP
-seconds, after which the monitor drains again.
+One monitor in the calling thread supervises a batch of commands, up to
+`jobs` tracee trees at a time (run_traced_many; run_traced is the batch of
+one). Every pid of every live tree maps to the tree that owns it, so all
+ptrace requests for a tree are issued from that one control context, and
+each tree keeps its own deadline, counted from its own spawn, its own first
+trap and its own kill. Outcomes come back in input order. The monitor
+sleeps until something happens: while a batch runs, SIGCHLD is blocked in
+the calling thread only, and when a drain of every live tree's pids finds
+nothing it waits in sigtimedwait for the next SIGCHLD, up to the nearest
+deadline. Because each sleep follows a full drain, a wake-up consumed while
+killing one tree cannot hide another tree's status. The caller's mask is
+restored on return, and every tracee is spawned with it, so tested programs
+see the caller's mask. SIGCHLD is process-directed, so a library caller's
+other thread may take a wake-up meant for this monitor; each wait is
+therefore capped at _WAKE_CAP seconds, after which the monitor drains again.
 
 A fork the monitor has not yet drained leaves a child it does not know, which
 killpg(root) misses if its parent left the root's process group. So before
@@ -329,10 +335,15 @@ def _event_of(status: int) -> int:
 
 
 class _Tree:
-    """The live tracees of one run, as far as the monitor has drained them."""
+    """The live tracees of one command, as far as the monitor has drained them."""
 
-    def __init__(self, root: int):
+    def __init__(self, index: int, root: int, started: float, timeout: float):
+        self.index = index  # the command's place in the batch
         self.root = root
+        self.started = started
+        self.deadline = started + timeout
+        # False until the root's first stop, where the monitor seizes it.
+        self.seized = False
         self.pids = {root}
         # In a ptrace-stop whose status was consumed and that was not resumed.
         self.stopped: set[int] = set()
@@ -434,76 +445,110 @@ def run_traced(
     the entire tree and covers the wait for the tracee's first stop. SIGCHLD
     is blocked in the calling thread while the call runs; the tracee starts
     with the caller's mask, which is restored on every exit. The call starts
-    no thread.
+    no thread. It is the batch of one of run_traced_many.
     """
+    return run_traced_many([cmd], timeout, cwd=cwd, env=env)[0]
+
+
+def run_traced_many(
+    cmds: Sequence[str | Sequence[str]],
+    timeout: float,
+    *,
+    cwd: Path | None = None,
+    env: dict | None = None,
+    jobs: int = 1,
+) -> list[TraceOutcome]:
+    """Run each command as run_traced does, up to `jobs` at once; outcomes in input order.
+
+    One monitor in the calling thread supervises every live tree. Each tree
+    keeps its own deadline, counted from its own spawn, its own first trap
+    and its own stop-then-kill; a tree that ends frees its slot for the next
+    command. SIGCHLD is blocked once for the whole batch. If the monitor
+    raises, every live tree is killed before the exception propagates.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    outcomes: list[TraceOutcome | None] = [None] * len(cmds)
+    live: list[_Tree] = []
+
+    def finish(tree: _Tree, kind: OutcomeKind, **kw) -> None:
+        _slay_tree(tree)
+        outcomes[tree.index] = TraceOutcome(
+            kind=kind, wall_time=time.monotonic() - tree.started, **kw
+        )
+        live.remove(tree)
+
     caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGCHLD,))
+    spawned = 0
     try:
-        return _supervise(cmd, timeout, cwd, env, caller_mask)
+        while True:
+            while len(live) < jobs and spawned < len(cmds):
+                started = time.monotonic()
+                root = _spawn_traced(cmds[spawned], cwd, env, caller_mask)
+                live.append(_Tree(spawned, root, started, timeout))
+                spawned += 1
+            if not live:
+                return outcomes
+            now = time.monotonic()
+            overdue = [tree for tree in live if now >= tree.deadline]
+            for tree in overdue:
+                finish(tree, OutcomeKind.TIMED_OUT)
+            if overdue:
+                continue
+            # One drain covers every live tree, and the wait inside it starts
+            # only after that drain: a wake-up one tree's kill consumed cannot
+            # hide another tree's status.
+            owner = {pid: tree for tree in live for pid in tree.pids}
+            ready = _wait_own(owner, min(tree.deadline for tree in live))
+            # Book the whole drain before acting on it: the statuses after a
+            # trap are consumed too, and the kill must know their children.
+            booked = [(owner[pid], pid, status) for pid, status in ready]
+            stops = [tree.note(pid, status) for tree, pid, status in booked]
+            for (tree, pid, status), is_stop in zip(booked, stops):
+                if tree in live and (ended := _act(tree, pid, status, is_stop)):
+                    finish(tree, **ended)
+    except BaseException:
+        # Lost root, a failed ptrace request, an error while capturing a trap,
+        # KeyboardInterrupt: leave no tracee behind.
+        for tree in live:
+            _slay_tree(tree)
+        raise
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
 
 
-def _supervise(
-    cmd: str | Sequence[str],
-    timeout: float,
-    cwd: Path | None,
-    env: dict | None,
-    caller_mask: set[signal.Signals],
-) -> TraceOutcome:
-    started = time.monotonic()
-    deadline = started + timeout
-    root = _spawn_traced(cmd, cwd, env, caller_mask)
-    tree = _Tree(root)
-
-    def finish(kind: OutcomeKind, **kw) -> TraceOutcome:
-        _slay_tree(tree)
-        return TraceOutcome(kind=kind, wall_time=time.monotonic() - started, **kw)
-
-    try:
+def _act(tree: _Tree, pid: int, status: int | None, is_stop: bool) -> dict | None:
+    """Act on one booked wait status; the outcome fields if it ends the tree's run."""
+    if not tree.seized:
         # First stop: the shell's own SIGSTOP, before the command (or its exit,
         # if the cd failed). Seize it there; its ptrace-stop comes next.
-        ready = _wait_own((root,), deadline)
-        if not ready:
-            return finish(OutcomeKind.TIMED_OUT)
-        status = ready[0][1]
         if status is None:
             raise TraceError("tracee vanished before first stop")
-        if not tree.note(root, status):
-            return finish(**_ended(status))
-        _ptrace(PTRACE_SEIZE, root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-        tree.stopped.discard(root)
-        os.kill(root, signal.SIGCONT)
-
-        while True:
-            if time.monotonic() >= deadline:
-                return finish(OutcomeKind.TIMED_OUT)
-            ready = _wait_own(tree.pids, deadline)
-            # Book the whole drain before acting on it: the statuses after a
-            # trap are consumed too, and the kill must know their children.
-            stops = [tree.note(pid, status) for pid, status in ready]
-            for (pid, status), is_stop in zip(ready, stops):
-                if not is_stop:
-                    if pid != root:
-                        continue
-                    if status is None:
-                        raise TraceError("lost the root tracee without a wait status")
-                    return finish(**_ended(status))
-                stop_signal = os.WSTOPSIG(status)
-                try:
-                    if _event_of(status) or stop_signal == signal.SIGSTOP:
-                        # An event, a new descendant's auto-attach stop, or a
-                        # job-control stop, which this monitor suppresses.
-                        tree.resume(pid)
-                    elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
-                        return finish(OutcomeKind.TRAPPED, trap=_capture_trap(pid, stop_signal))
-                    else:
-                        tree.resume(pid, stop_signal)
-                except PtraceError:
-                    # The task died between the wait and the request; the next
-                    # drain will reap it.
-                    continue
-    except BaseException:
-        # Lost root, a failed ptrace request, an error while capturing a trap,
-        # KeyboardInterrupt: leave no tracee behind.
-        _slay_tree(tree)
-        raise
+        if not is_stop:
+            return _ended(status)
+        _ptrace(PTRACE_SEIZE, pid, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
+        tree.seized = True
+        tree.stopped.discard(pid)
+        os.kill(pid, signal.SIGCONT)
+        return None
+    if not is_stop:
+        if pid != tree.root:
+            return None
+        if status is None:
+            raise TraceError("lost the root tracee without a wait status")
+        return _ended(status)
+    stop_signal = os.WSTOPSIG(status)
+    try:
+        if _event_of(status) or stop_signal == signal.SIGSTOP:
+            # An event, a new descendant's auto-attach stop, or a job-control
+            # stop, which this monitor suppresses.
+            tree.resume(pid)
+        elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
+            return {"kind": OutcomeKind.TRAPPED, "trap": _capture_trap(pid, stop_signal)}
+        else:
+            tree.resume(pid, stop_signal)
+    except PtraceError:
+        # The task died between the wait and the request; the next drain will
+        # reap it.
+        pass
+    return None

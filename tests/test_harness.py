@@ -2,7 +2,7 @@
 
 import pytest
 
-from cfiheal import harness
+from cfiheal import harness, tracing
 from cfiheal.build import BuildKind, BuildMode, BuildOutcome
 from cfiheal.harness import (
     FailureClass,
@@ -95,14 +95,19 @@ def test_run_suite_spawns_every_test_in_one_copy_of_the_environment(tmp_path, mo
         "printf 'TEST\\tt_one\\ttest \"$CFIHEAL_SUITE_MARK\" = \"set before the suite\"\\n'\n"
         "printf 'TEST\\tt_two\\ttest -n \"$CFIHEAL_SUITE_MARK\"\\n'\n",
     )
-    envs = []
-    real = harness.run_traced
+    batches, envs = [], []
+    real_many, real_spawn = harness.run_traced_many, tracing._spawn_traced
 
-    def recording(cmd, timeout, **kwargs):
-        envs.append(kwargs["env"])
-        return real(cmd, timeout, **kwargs)
+    def recording_batch(cmds, timeout, **kwargs):
+        batches.append(list(cmds))
+        return real_many(cmds, timeout, **kwargs)
 
-    monkeypatch.setattr(harness, "run_traced", recording)
+    def recording_spawn(cmd, cwd, env, caller_mask):
+        envs.append(env)
+        return real_spawn(cmd, cwd, env, caller_mask)
+
+    monkeypatch.setattr(harness, "run_traced_many", recording_batch)
+    monkeypatch.setattr(tracing, "_spawn_traced", recording_spawn)
     built = BuildOutcome(
         succeeded=True,
         mode=BuildMode(BuildKind.BASELINE),
@@ -113,6 +118,8 @@ def test_run_suite_spawns_every_test_in_one_copy_of_the_environment(tmp_path, mo
     )
     results = run_suite(cfg, built)
     assert [(r.test_id, r.passed) for r in results] == [("t_one", True), ("t_two", True)]
+    # One batch for the suite, and one environment for every test in it.
+    assert len(batches) == 1 and len(envs) == 2
     assert type(envs[0]) is dict and envs[0] is envs[1]
 
 

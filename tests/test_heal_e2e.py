@@ -15,13 +15,15 @@ file the DWARF shows defines only functions without a check, must end
 where a ladder that tries those rungs ends.
 """
 
+import json
+import os
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from cfiheal import escalation, pipeline, symbols
+from cfiheal import escalation, harness, pipeline, symbols
 from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
 from cfiheal.ignorelist import FUN_LEVELS
@@ -322,6 +324,31 @@ def test_skipping_link_time_names_ends_where_trying_them_ends(
     for s, t in zip(skipping.violations, trying.violations):
         skipped = {level for level, reason in s.skipped_levels if reason == "link-time name"}
         assert skipped <= _tried_in_vain(t)
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_one_cpu_and_two_cpu_heals_write_the_same_report(workload, tmp_path, monkeypatch):
+    # Both heals run in the same directory, so paths in the report agree too.
+    box, reports, jobs = tmp_path / "box", [], []
+    real = harness.run_traced_many
+
+    def recording(cmds, timeout, **kwargs):
+        jobs.append(kwargs["jobs"])
+        return real(cmds, timeout, **kwargs)
+
+    monkeypatch.setattr(harness, "run_traced_many", recording)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        box.mkdir()
+        jobs.clear()
+        _, checks = _heal(workload, box)
+        assert all(checks.values())
+        assert set(jobs) == {len(cpus)}
+        report = json.loads((box / "report" / "report.json").read_text())
+        assert report.pop("duration")
+        reports.append(report)
+        shutil.rmtree(box)
+    assert reports[0] == reports[1]
 
 
 # The chain fixture: app -> libfoo.so -> libbar.so, each link failing under

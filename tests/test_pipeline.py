@@ -447,7 +447,7 @@ def test_check_free_is_empty_when_a_check_guards_sites_the_census_cannot_see(var
 # suppressing entries is; the first trap that fires ends the test. A fake
 # symbolizer maps the scripted addresses to functions.
 
-LAYERS = ("run_build", "repair_until_buildable", "enumerate_tests", "run_case", "run_suite")
+LAYERS = ("run_build", "repair_until_buildable", "enumerate_tests", "run_cases", "run_suite")
 
 SYMBOLS = {
     0x1010: ("f", "f.c"),
@@ -563,8 +563,8 @@ class Rig:
     def enumerate_tests(self, cfg):
         return self._layer("enumerate_tests", self._cases)
 
-    def run_case(self, cfg, case, env=None):
-        return self._layer("run_case", lambda: self._run(case.test_id))
+    def run_cases(self, cfg, cases):
+        return self._layer("run_cases", lambda: [self._run(c.test_id) for c in cases])
 
     def run_suite(self, cfg, build):
         return self._layer("run_suite", lambda: [self._run(c.test_id) for c in self._cases()])
@@ -601,10 +601,11 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
     assert (rig.reports / "cfi.ignorelist").read_text() == "fun:f\nsrc:lib/g.c\n"
     # One instrumented build, one rebuild per escalation round, and one more
     # because the last round retired src:w.c after its rebuild: the
-    # confirmation suite runs on a build of the final list.
+    # confirmation suite runs on a build of the final list. Each round re-runs
+    # its affected tests in one batch.
     assert result.ledger.build_attempts == 7
     assert rig.calls == Counter(run_build=1, repair_until_buildable=7, enumerate_tests=5,
-                                run_case=9, run_suite=3)
+                                run_cases=5, run_suite=3)
     assert rig.built == {"fun:f", "src:lib/g.c"}
     assert (result.unresolvable, result.open_violations) == (1, 0)
     assert result.diff.per_test["t_unres"] is FailureClass.CFI_POLICY_VIOLATION
@@ -799,7 +800,7 @@ FAILURE_SITES = {
     "rebuild": (("repair_until_buildable", 2),
                 lambda: (BuildOutcome(False, None, (), (), None, 0.0), RepairLedger())),
     "round enumeration": (("enumerate_tests", 1), raising(HarnessError("enumeration timed out"))),
-    "round re-run": (("run_case", 1), raising(TraceError("lost the tracee"))),
+    "round re-run": (("run_cases", 1), raising(TraceError("lost the tracee"))),
     "vanished tests": (("enumerate_tests", 1), lambda: [TestCase("t_pass", "run t_pass")]),
     "confirmation suite": (("run_suite", 3), raising(HarnessError("enumeration timed out"))),
 }
@@ -820,7 +821,7 @@ def test_rig_failure_saves_failed_state(tmp_path, monkeypatch, site):
 @pytest.mark.parametrize("exc", [HarnessError("enumeration timed out"), TraceError("lost it")])
 def test_rig_cli_harness_error_in_round_exits_2(tmp_path, monkeypatch, capsys, exc):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
-    rig.overrides[("run_case", 2)] = raising(exc)
+    rig.overrides[("run_cases", 2)] = raising(exc)
     assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == 2
     assert str(exc) in capsys.readouterr().err
     assert rig.state()["phase"] == "failed"

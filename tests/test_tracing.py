@@ -1,6 +1,7 @@
 """PC correction, frame-pointer unwinding, and live ptrace capture."""
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from cfiheal.tracing import (
     TrapSignal,
     correct_pc,
     run_traced,
+    run_traced_many,
     unwind_frames,
 )
 
@@ -230,10 +232,16 @@ def _current_mask():
     return signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
 
+def _kinds(cmd, timeout, cwd) -> list[OutcomeKind]:
+    """The outcome kind of one run_traced, then of each run of a jobs-2 batch of cmd twice."""
+    batch = run_traced_many([cmd, cmd], timeout, cwd=cwd, jobs=2)
+    return [run_traced(cmd, timeout=timeout, cwd=cwd).kind, *(o.kind for o in batch)]
+
+
 @needs_linux
 @pytest.mark.parametrize("cmd, timeout, kind", [_CLEAN, _TRAP, _TIMEOUT])
 def test_run_traced_restores_signal_mask(tmp_path, caller_mask, cmd, timeout, kind):
-    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+    assert _kinds(cmd, timeout, tmp_path) == [kind] * 3
     assert _current_mask() == _CALLER_MASK
 
 
@@ -297,7 +305,7 @@ def test_run_traced_never_forks(tmp_path, monkeypatch, cmd, timeout, kind):
         raise AssertionError("run_traced must not fork the calling process")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+    assert _kinds(cmd, timeout, tmp_path) == [kind] * 3
 
 
 @needs_linux
@@ -345,7 +353,7 @@ def test_run_traced_never_sleep_polls(tmp_path, monkeypatch, cmd, timeout, kind)
         raise AssertionError("run_traced must block on SIGCHLD, not sleep-poll")
 
     monkeypatch.setattr(tracing.time, "sleep", no_sleep)
-    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+    assert _kinds(cmd, timeout, tmp_path) == [kind] * 3
 
 
 @needs_linux
@@ -355,7 +363,7 @@ def test_run_traced_starts_no_thread(tmp_path, monkeypatch, cmd, timeout, kind):
         raise AssertionError("run_traced must not start a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert run_traced(cmd, timeout=timeout, cwd=tmp_path).kind is kind
+    assert _kinds(cmd, timeout, tmp_path) == [kind] * 3
 
 
 def _dead(pid: int) -> bool:
@@ -375,17 +383,17 @@ def _dead(pid: int) -> bool:
 )
 def test_no_process_survives(tmp_path, finale, timeout, kind):
     # The grandchild leaves the tracee's session, so killpg(root) misses it.
-    pid_file = tmp_path / "grandchild.pid"
+    # Each tracee shell names its grandchild's pid file after its own pid.
     cmd = (
-        "/usr/bin/setsid sh -c 'echo $$ > grandchild.pid.tmp; "
-        "mv grandchild.pid.tmp grandchild.pid; exec sleep 30' & "
-        "while [ ! -s grandchild.pid ]; do sleep 0.01; done; "
+        "p=$$; /usr/bin/setsid sh -c \"echo \\$\\$ > grandchild.$p.tmp; "
+        "mv grandchild.$p.tmp grandchild.$p.pid; exec sleep 30\" & "
+        "while [ ! -s grandchild.$p.pid ]; do sleep 0.01; done; "
         + finale
     )
-    outcome = run_traced(cmd, timeout=timeout, cwd=tmp_path)
-    assert outcome.kind is kind
-    grandchild = int(pid_file.read_text())
-    assert _dead(grandchild)
+    assert _kinds(cmd, timeout, tmp_path) == [kind] * 3
+    grandchildren = [int(f.read_text()) for f in tmp_path.glob("grandchild.*.pid")]
+    assert len(grandchildren) == 3
+    assert all(map(_dead, grandchildren))
 
 
 @needs_linux
@@ -426,6 +434,114 @@ def test_monitor_exception_kills_the_tree(tmp_path, monkeypatch):
     assert time.monotonic() - started < 10
     for name in ("sleeper.pid", "shell.pid"):
         assert _dead(int((tmp_path / name).read_text()))
+
+
+@needs_linux
+def test_monitor_exception_kills_every_live_tree(tmp_path, monkeypatch):
+    def broken_maps(pid):
+        raise RuntimeError("maps unreadable")
+
+    monkeypatch.setattr(tracing, "read_memory_maps", broken_maps)
+    # The trapping tree traps only once the waiting tree has written its pids.
+    waiting = (
+        "sleep 30 & echo $! > waiting.sleeper.tmp; mv waiting.sleeper.tmp waiting.sleeper; "
+        "echo $$ > waiting.shell.tmp; mv waiting.shell.tmp waiting.shell; wait"
+    )
+    trapping = (
+        "while [ ! -s waiting.shell ]; do sleep 0.01; done; "
+        "sleep 30 & echo $! > trapping.sleeper.tmp; mv trapping.sleeper.tmp trapping.sleeper; "
+        "echo $$ > trapping.shell.tmp; mv trapping.shell.tmp trapping.shell; kill -ILL $$"
+    )
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="maps unreadable"):
+        run_traced_many([waiting, trapping], 10, cwd=tmp_path, jobs=2)
+    assert time.monotonic() - started < 10
+    for name in ("waiting.sleeper", "waiting.shell", "trapping.sleeper", "trapping.shell"):
+        assert _dead(int((tmp_path / name).read_text())), name
+
+
+@pytest.fixture(scope="module")
+def gcc_trap(tmp_path_factory) -> Path:
+    """A non-PIE gcc binary whose main executes ud2."""
+    if shutil.which("gcc") is None:
+        pytest.skip("requires gcc")
+    tmp = tmp_path_factory.mktemp("gcc-trap")
+    (tmp / "trap.c").write_text("int main(void) { __builtin_trap(); }\n")
+    subprocess.run(
+        ["gcc", "-O0", "-no-pie", "-fno-omit-frame-pointer", "-o", "trap", "trap.c"],
+        cwd=tmp,
+        check=True,
+        capture_output=True,
+    )
+    return tmp / "trap"
+
+
+def _observed(outcome) -> tuple:
+    """What a run reports, less its wall time and the addresses ASLR moves."""
+    trap = outcome.trap
+    return (
+        outcome.kind,
+        outcome.exit_status,
+        outcome.term_signal,
+        trap and (trap.signal, trap.fault_pc, len(trap.return_addresses), trap.binary),
+    )
+
+
+_EXITED, _SIGNALLED, _TRAPPED, _TIMED_OUT = (
+    OutcomeKind.EXITED, OutcomeKind.SIGNALLED, OutcomeKind.TRAPPED, OutcomeKind.TIMED_OUT
+)
+
+
+@needs_linux
+@pytest.mark.parametrize(
+    "where, kinds",
+    [
+        pytest.param(
+            "cwd", [_EXITED, _EXITED, _SIGNALLED, _TRAPPED, _TIMED_OUT, _EXITED], id="cwd"
+        ),
+        pytest.param("missing", [_EXITED] * 6, id="missing-cwd"),
+    ],
+)
+def test_batch_matches_one_run_per_command(tmp_path, gcc_trap, where, kinds):
+    cwd = tmp_path if where == "cwd" else tmp_path / where
+    cmds = ["exit 0", "exit 7", 'sh -c "kill -SEGV $$"', [str(gcc_trap)], "sleep 30", ["true"]]
+    singles = [_observed(run_traced(cmd, timeout=0.5, cwd=cwd)) for cmd in cmds]
+    assert [kind for kind, *_ in singles] == kinds
+    for jobs in (1, 2, 3):
+        batch = run_traced_many(cmds, 0.5, cwd=cwd, jobs=jobs)
+        assert [_observed(outcome) for outcome in batch] == singles, jobs
+
+
+@needs_linux
+def test_timed_out_tree_holds_up_no_other(tmp_path):
+    slow, quick, after = run_traced_many(["sleep 30", "exit 0", "exit 3"], 2.0, cwd=tmp_path, jobs=2)
+    assert slow.kind is OutcomeKind.TIMED_OUT
+    assert (quick.kind, quick.exit_status) == (OutcomeKind.EXITED, 0)
+    assert (after.kind, after.exit_status) == (OutcomeKind.EXITED, 3)
+    assert quick.wall_time < 1.0 and after.wall_time < 1.0
+
+
+@needs_linux
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_batch_never_exceeds_jobs_live_roots(tmp_path, monkeypatch, jobs):
+    real_spawn = tracing._spawn_traced
+    roots, live_at_spawn = [], []
+
+    def counting(cmd, cwd, env, caller_mask):
+        live_at_spawn.append(sum(not _dead(pid) for pid in roots))
+        roots.append(real_spawn(cmd, cwd, env, caller_mask))
+        return roots[-1]
+
+    monkeypatch.setattr(tracing, "_spawn_traced", counting)
+    outcomes = run_traced_many(["sleep 0.1"] * 6, 10, cwd=tmp_path, jobs=jobs)
+    assert [(o.kind, o.exit_status) for o in outcomes] == [(OutcomeKind.EXITED, 0)] * 6
+    # Every slot fills, and a root is spawned only into a free one.
+    assert max(live_at_spawn) == jobs - 1
+
+
+def test_batch_needs_a_job():
+    with pytest.raises(ValueError, match="jobs"):
+        run_traced_many(["true"], 10, jobs=0)
 
 
 def _marked(marker: str) -> list[int]:
