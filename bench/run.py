@@ -32,9 +32,13 @@ by program.
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
 call per module: on each module's text, read beforehand, and on each file
-streamed through ``read_ir_lines``. Each row reports MB/s and the largest
-tracemalloc peak of one call, in MB; the text of the first row is allocated
-before its call, so its peak leaves the text out.
+streamed through ``read_ir_lines``. A third row times the check that
+stays on heal's critical path once the census has run in the background:
+``_Census.current`` lists the same IR files again and reads each one's
+bytes and CRC-32 (``pipeline._fingerprint``), all in one call. Each row
+reports MB/s and the largest tracemalloc peak of one call, in MB; the text
+of the first row is allocated before its call, so its peak leaves the text
+out.
 
 ``--layer repair`` times one pass of ``repair_until_buildable``: a build
 (faked, so no compiler runs) fails on 1,000 undefined C symbols, defined in
@@ -107,7 +111,7 @@ from cfiheal.build import (  # noqa: E402
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.ircensus import census_by_function, read_ir_lines  # noqa: E402
-from cfiheal.pipeline import _symbolize_trap  # noqa: E402
+from cfiheal.pipeline import _symbolize_trap, _take_census  # noqa: E402
 from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced, run_traced_many  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
@@ -288,9 +292,21 @@ def bench_census(repeat: int) -> list[dict]:
         target = f"gen._ir_bulk IR, {len(texts)} modules"
         in_memory = [lambda t=t: census_by_function(t, []) for t in texts]
         streamed = [lambda p=p: census_by_function(read_ir_lines(p), []) for p in paths]
+        cfg = ProjectConfig(
+            project_root=Path(tmp),
+            build_cmd="true",
+            test_cmd="true",
+            executables=("app",),
+            cfi_variants=("cfi-icall",),
+            report_dir=Path(tmp) / "reports",
+        )
+        taken = _take_census(cfg)
+        assert taken.current(cfg)
         return [
             _census_row(target, mb, "census_by_function", in_memory, repeat),
             _census_row(target, mb, "census_by_function(read_ir_lines)", streamed, repeat),
+            _census_row(target, mb, "_Census.current (list + CRC-32)", [lambda: taken.current(cfg)],
+                        repeat),
         ]
 
 

@@ -35,12 +35,15 @@ diagnostics sink rather than being silently miscounted.
 
 from __future__ import annotations
 
+import io
+import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
+from typing import BinaryIO
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,14 +282,17 @@ def census_by_function(
     return {name: IrSiteCensus(**counts) for name, counts in _walk(lines, diagnostics).items()}
 
 
-def read_ir_lines(path: Path, block_size: int = 1 << 16) -> Iterator[str]:
-    """The lines of path's text as str.splitlines gives them, read a block at a time.
+def read_ir_lines(source: Path | BinaryIO, block_size: int = 1 << 16) -> Iterator[str]:
+    """The lines of a file's text as str.splitlines gives them, read a block at a time.
 
-    Undecodable bytes are replaced, as ``Path.read_text(errors="replace")``
-    replaces them. A block is cut after its last "\n", which always ends a
-    line; the rest is carried into the next block.
+    `source` is the file's path or a binary reader open on it, which is
+    closed once read. Undecodable bytes are replaced, as
+    ``Path.read_text(errors="replace")`` replaces them. A block is cut after
+    its last "\n", which always ends a line; the rest is carried into the
+    next block.
     """
-    with open(path, errors="replace", newline="") as handle:
+    binary = open(source, "rb") if isinstance(source, (str, os.PathLike)) else source
+    with io.TextIOWrapper(binary, errors="replace", newline="") as handle:
         carry = ""
         while block := handle.read(block_size):
             text = carry + block

@@ -3,13 +3,23 @@
 heal() drives the whole sequence: validate config, baseline build and suite,
 CFI build with automatic visibility repair (planned from the baseline's
 cross-DSO bindings, with the linker's diagnostics as the fallback), the IR
-census, taken once that build stands, trap-driven escalation rounds
+census of the IR present once that build stands, trap-driven escalation rounds
 (re-running only the tests attributed to still-open violations after each
 ignorelist update, and skipping fun: rungs the census shows hold no check,
 and src: rungs whose file, by the binary's DWARF, defines only such functions),
 a full-suite confirmation pass, coverage accounting, and report emission.
 state.json in the report directory is rewritten after every phase
 transition so an interrupted run leaves an inspectable trail.
+
+On a process that may use two CPUs or more, the census is read ahead, by
+one background thread started as soon as the project lock is held, while
+the builds before it wait on their children. It notes each file's byte
+count and CRC-32 over the very bytes it decoded.
+Once the first instrumented build stands, the files are listed and
+checksummed again: the census is kept if nothing changed, and taken again
+at once if anything did or the thread took none. On one CPU the census
+is taken only then. Only the main thread writes the diagnostics sidecar,
+and the thread is joined before heal() returns or raises.
 
 Exit codes of the heal subcommand: 0 when the run completes with no
 unresolvable violations, 1 when it completes but some violations stayed
@@ -20,12 +30,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
+import signal
 import sys
+import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
@@ -149,8 +164,8 @@ class _Run:
     ledger: RepairLedger
     # The rendered ignorelist the last instrumented build was made with.
     built_list: str | None = None
-    # The IR census, totals and per function, taken once the first
-    # instrumented build stands.
+    # The IR census, totals and per function, of the IR present once the
+    # first instrumented build stands.
     census: tuple[IrSiteCensus, dict[str, IrSiteCensus]] | None = None
 
 
@@ -182,27 +197,155 @@ def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
     return files
 
 
-def _run_census(cfg: ProjectConfig) -> tuple[IrSiteCensus, dict[str, IrSiteCensus]]:
-    """Census of every IR file, each streamed; a file counts once read to its end."""
+class _Crc32Reader(io.RawIOBase):
+    """A file's bytes as they are read, counted and summed by CRC-32 on the way."""
+
+    def __init__(self, file: BinaryIO) -> None:
+        self._file = file
+        self.size = 0
+        self.crc = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        with memoryview(buffer)[:n] as read:
+            self.crc = zlib.crc32(read, self.crc)
+        self.size += n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+# What a census saw of a file: (bytes, CRC-32) of all it read, or why it could not read it all.
+_Fingerprint = tuple[int, int] | str
+
+
+def _fingerprint(path: Path) -> _Fingerprint:
+    """The fingerprint a census reading path now would take."""
+    block = bytearray(1 << 16)
+    try:
+        with _Crc32Reader(open(path, "rb")) as reader:
+            while reader.readinto(block):
+                pass
+    except OSError as exc:
+        return f"unreadable: {exc}"
+    return reader.size, reader.crc
+
+
+@dataclass
+class _Census:
+    """A census of the IR files, with each file's fingerprint as the census read it."""
+
+    total: IrSiteCensus
+    per_function: dict[str, IrSiteCensus]
+    diagnostics: list[str]
+    read: list[tuple[Path, _Fingerprint]]
+
+    def current(self, cfg: ProjectConfig) -> bool:
+        """Whether the IR files are still the ones this census read, byte for byte."""
+        return [path for path, _ in self.read] == _collect_ir_files(cfg) and all(
+            _fingerprint(path) == seen for path, seen in self.read
+        )
+
+
+def _take_census(cfg: ProjectConfig, stop: threading.Event | None = None) -> _Census | None:
+    """Census of every IR file, each streamed; a file counts once read to its end.
+
+    Returns None if `stop` is set before the last file is read.
+    """
     totals: list[IrSiteCensus] = []
     per_function: dict[str, IrSiteCensus] = {}
     diagnostics: list[str] = []
+    read: list[tuple[Path, _Fingerprint]] = []
     for path in _collect_ir_files(cfg):
+        if stop is not None and stop.is_set():
+            return None
         sidecar: list[tuple[int, str]] = []
         try:
-            by_function = census_by_function(read_ir_lines(path), sidecar)
+            reader = _Crc32Reader(open(path, "rb"))
+            by_function = census_by_function(read_ir_lines(reader), sidecar)
         except OSError as exc:
             diagnostics.append(f"{path.name}: unreadable: {exc}\n")
+            read.append((path, f"unreadable: {exc}"))
             continue
+        read.append((path, (reader.size, reader.crc)))
         totals.append(IrSiteCensus.sum_of(by_function.values()))
         for name, counts in by_function.items():
             if name:
                 known = per_function.get(name)
                 per_function[name] = counts if known is None else known + counts
         diagnostics.extend(f"{path.name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
-    if diagnostics:
-        (cfg.report_dir / "ir-census-diagnostics.txt").write_text("".join(diagnostics))
-    return IrSiteCensus.sum_of(totals), per_function
+    return _Census(IrSiteCensus.sum_of(totals), per_function, diagnostics, read)
+
+
+class _CensusAhead(threading.Thread):
+    """The census, taken in the background while the builds before it run.
+
+    It starts only when the process may use a second CPU, and it only saves
+    time: a census it did not take is taken once the build stands, where a
+    real fault raises. As a context manager it starts on entry and is
+    stopped and joined on exit, so no census thread outlives the block.
+    """
+
+    def __init__(self, cfg: ProjectConfig) -> None:
+        super().__init__(name="cfiheal-census")
+        self.cfg = cfg
+        self.stop = threading.Event()
+        self.census: _Census | None = None
+
+    def run(self) -> None:
+        try:
+            self.census = _take_census(self.cfg, self.stop)
+        except Exception:
+            # The build runs beside the walk and may remove a directory under it.
+            pass
+
+    def result(self) -> _Census | None:
+        """The census taken ahead, or None if it was not taken."""
+        if self.ident is not None:
+            self.join()
+        return self.census
+
+    def __enter__(self) -> "_CensusAhead":
+        # Only a CPU the builds leave idle makes the thread pay: on one CPU it
+        # takes CPU from the build's compilers and the GIL from heal().
+        if len(os.sched_getaffinity(0)) < 2:
+            return self
+        # SIGCHLD is process-directed: one delivered to the census thread would
+        # be lost to the monitor of run_traced_many, which waits for it in
+        # sigtimedwait. Blocked around start(), it is in the thread's mask
+        # from its first instruction.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
+        try:
+            self.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop.set()
+        self.result()
+
+
+def _run_census(
+    cfg: ProjectConfig, ahead: _Census | None = None
+) -> tuple[IrSiteCensus, dict[str, IrSiteCensus]]:
+    """The census of the IR files as they are now, with its diagnostics sidecar.
+
+    A census taken `ahead` is kept only if the same files are there and each
+    holds exactly the bytes it read; otherwise every file is censused again.
+    """
+    census = ahead if ahead is not None and ahead.current(cfg) else _take_census(cfg)
+    sidecar = cfg.report_dir / "ir-census-diagnostics.txt"
+    if census.diagnostics:
+        sidecar.write_text("".join(census.diagnostics))
+    else:
+        sidecar.unlink(missing_ok=True)
+    return census.total, census.per_function
 
 
 def _checkable_sites(counts: IrSiteCensus) -> int:
@@ -478,7 +621,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
     symbolizer = symbolizer or Symbolizer()
     started = time.monotonic()
     state: dict = {}
-    with ProjectLock(cfg.report_dir):
+    with ProjectLock(cfg.report_dir), _CensusAhead(cfg) as ahead:
         _save_state(cfg, state, phase="building", iteration=0)
         try:
             baseline, planned = _baseline(cfg)
@@ -486,7 +629,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
             engine = EscalationEngine(store, cfg.project_root)
             run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
             cfi_build = _cfi_build(run, "build", planned)
-            run.census = _run_census(cfg)
+            run.census = _run_census(cfg, ahead.result())
             engine.check_free = _check_free(cfg.cfi_variants, run.census[1])
             engine.file_check_free = functools.partial(_file_check_free, run)
 

@@ -6,7 +6,9 @@ import os
 import random
 import shutil
 import subprocess
+import signal
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from cfiheal import ircensus, pipeline
-from cfiheal.build import BuildKind, BuildOutcome, OrchestrationError, ProjectLock
+from cfiheal.build import BuildKind, BuildMode, BuildOutcome, OrchestrationError, ProjectLock
 from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
 from cfiheal.escalation import EscalationEngine
 from cfiheal.ignorelist import EntryKind, IgnorelistEntry, IgnorelistStore, LadderLevel
@@ -154,19 +156,27 @@ def test_run_census_counts_nothing_of_a_file_that_fails_partway(tmp_path, monkey
     root.mkdir()
     (root / "a.ll").write_text(CENSUS_IR)
     (root / "b.ll").write_text(CENSUS_IR + "define void @g(ptr %fp) {\n  call void %fp\n}\n")
-    real_read = pipeline.read_ir_lines
+    real_readinto = pipeline._Crc32Reader.readinto
 
-    def failing_read(path):
-        yield from real_read(path)
-        if path.name == "b.ll":
+    def failing_readinto(reader, buffer):
+        n = real_readinto(reader, buffer)
+        if not n and reader._file.name.endswith("b.ll"):  # every byte read, then a failure
             raise OSError(5, "Input/output error")
+        return n
 
-    monkeypatch.setattr(pipeline, "read_ir_lines", failing_read)
+    monkeypatch.setattr(pipeline._Crc32Reader, "readinto", failing_readinto)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     reports = tmp_path / "reports"
     reports.mkdir()
-    total, per_function = _run_census(make_config(root, reports))
+    cfg = make_config(root, reports)
+    with pipeline._CensusAhead(cfg) as ahead:
+        taken = ahead.result()
+        total, per_function = _run_census(cfg, taken)
     assert (total.fp_calls, total.callback_stores) == (1, 1)
     assert per_function["driver"].total() == 2 and "g" not in per_function
+    # The check fails on b.ll as the census did, so the census is kept.
+    assert (total, per_function) == (taken.total, taken.per_function)
+    assert taken.read[1] == (root / "b.ll", "unreadable: [Errno 5] Input/output error")
     sidecar = (reports / "ir-census-diagnostics.txt").read_text()
     assert sidecar == "b.ll: unreadable: [Errno 5] Input/output error\n"
 
@@ -523,6 +533,8 @@ class Rig:
         self.overrides: dict = {}
         for name in LAYERS:
             monkeypatch.setattr(pipeline, name, getattr(self, name))
+        # A second CPU, so heal() reads the census ahead on any host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pipeline, "Symbolizer", FakeSymbolizer)
 
     def _layer(self, name, real):
@@ -660,17 +672,184 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
 
 def test_rig_censuses_once_per_heal(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
-    calls = []
-    real = pipeline._run_census
+    (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
+    taken, joined = [], []
+    real_take, real_run = pipeline._take_census, pipeline._run_census
 
-    def counting(cfg):
-        calls.append(rig.calls["repair_until_buildable"])
-        return real(cfg)
+    def counting_take(cfg, stop=None):
+        taken.append(threading.current_thread())
+        return real_take(cfg, stop)
 
-    monkeypatch.setattr(pipeline, "_run_census", counting)
+    def counting_run(cfg, ahead=None):
+        joined.append(rig.calls["repair_until_buildable"])
+        return real_run(cfg, ahead)
+
+    monkeypatch.setattr(pipeline, "_take_census", counting_take)
+    monkeypatch.setattr(pipeline, "_run_census", counting_run)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    # Once, in the background; kept right after the first instrumented build,
+    # since the IR is unchanged, and not taken again to account.
+    assert len(taken) == 1 and taken[0] is not threading.main_thread()
+    assert joined == [1]
+    assert result.report["census"]["total"] == 2
+
+
+def _rewrite_ir(root, changes):
+    """Change the IR as a build would: a.ll in place at the same length, or a new b.ll."""
+    if "rewrite" in changes:
+        # The store now names no function: one callback store fewer.
+        text = (root / "a.ll").read_text()
+        (root / "a.ll").write_text(text.replace("@work, i32", "@wor2, i32"))
+        assert len((root / "a.ll").read_text()) == len(text)
+    if "add" in changes:
+        (root / "b.ll").write_text(NO_CHECK_IR + CENSUS_IR.replace("@", "@b_"))
+
+
+@pytest.mark.parametrize("changes", [("rewrite",), ("add",), ("rewrite", "add")])
+def test_rig_build_that_rewrites_the_ir_is_censused_after_it(tmp_path, monkeypatch, changes):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    root = rig.cfg.project_root
+    (root / "a.ll").write_text(CENSUS_IR)
+    ahead_done = threading.Event()
+    real_take = pipeline._take_census
+
+    def signalling_take(cfg, stop=None):
+        try:
+            return real_take(cfg, stop)
+        finally:
+            ahead_done.set()
+
+    def rewriting_build():
+        assert ahead_done.wait(30)  # the background census has read the old IR
+        _rewrite_ir(root, changes)
+        return rig._build(BuildMode.cfi(rig.cfg.cfi_variants, rig.reports / "cfi.ignorelist")), \
+            RepairLedger()
+
+    accounted = []
+    real_records = pipeline._function_records
+
+    def recording_records(cfg, symbolizer, per_function, ledger):
+        accounted.append(per_function)
+        return real_records(cfg, symbolizer, per_function, ledger)
+
+    monkeypatch.setattr(pipeline, "_take_census", signalling_take)
+    monkeypatch.setattr(pipeline, "_function_records", recording_records)
+    rig.overrides[("repair_until_buildable", 1)] = rewriting_build
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+
+    fresh = real_take(rig.cfg)
+    assert fresh.total != ircensus.census(CENSUS_IR)
+    assert result.report["census"] == {**fresh.total.as_dict(), "total": fresh.total.total()}
+    assert accounted == [fresh.per_function]
+
+
+ODD_IR = "define void @f(void ()* %fp) {\nentry:\n  call void %fp\n  ret void\n}\n"
+
+
+def test_rig_clean_rerun_removes_the_previous_census_diagnostics(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
+    (rig.cfg.project_root / "odd.ll").write_text(ODD_IR)
+    sidecar = rig.reports / "ir-census-diagnostics.txt"
     heal(rig.cfg, symbolizer=FakeSymbolizer())
-    # Once, right after the first instrumented build, and not again to account.
-    assert calls == [1]
+    assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
+    (rig.cfg.project_root / "odd.ll").write_text(CENSUS_IR)
+    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert not sidecar.exists()
+
+
+def _bulk_ir(root, modules=20):
+    for m in range(modules):
+        (root / f"m{m:02d}.ll").write_text(CENSUS_IR.replace("@", f"@m{m}_") * 50)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [lambda: BuildOutcome(False, None, (), (), None, 0.0), raising(RuntimeError("make died"))],
+    ids=["failed", "raised"],
+)
+def test_rig_failed_baseline_leaves_no_census_thread(tmp_path, monkeypatch, failure):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    _bulk_ir(rig.cfg.project_root)
+    rig.overrides[("run_build", 1)] = failure
+    before = threading.enumerate()
+    with pytest.raises((PipelineFailure, RuntimeError)):
+        heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_rig_census_runs_with_sigchld_blocked_in_its_thread(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
+    (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
+    masks = []
+    real = pipeline.census_by_function
+
+    def recording(lines, diagnostics=None):
+        masks.append((threading.current_thread(), signal.pthread_sigmask(signal.SIG_BLOCK, ())))
+        return real(lines, diagnostics)
+
+    monkeypatch.setattr(pipeline, "census_by_function", recording)
+    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    ((thread, mask),) = masks
+    assert thread is not threading.current_thread()
+    assert signal.SIGCHLD in mask
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == caller_mask
+
+
+def test_rig_census_exception_surfaces_from_heal(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
+    (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
+
+    def broken(lines, diagnostics=None):
+        raise ValueError("census bug")
+
+    monkeypatch.setattr(pipeline, "census_by_function", broken)
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="census bug"):
+        heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert [t for t in threading.enumerate() if t not in before] == []
+    # It surfaced from the census taken again after the first instrumented build.
+    assert rig.calls["repair_until_buildable"] == 1
+
+
+def test_rig_one_cpu_censuses_after_the_build_without_a_thread(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
+    taken = []
+    real_take = pipeline._take_census
+
+    def counting_take(cfg, stop=None):
+        taken.append((threading.current_thread(), rig.calls["repair_until_buildable"]))
+        return real_take(cfg, stop)
+
+    monkeypatch.setattr(pipeline, "_take_census", counting_take)
+    monkeypatch.setattr(pipeline._CensusAhead, "start", lambda self: pytest.fail("started"))
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert taken == [(threading.main_thread(), 1)]
+    assert result.report["census"]["total"] == 2
+
+
+def test_rig_census_ahead_that_raises_is_taken_again(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
+    (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
+    listed = []
+    real_collect = pipeline._collect_ir_files
+
+    def vanishing_collect(cfg):
+        # The build removes a directory while the thread walks the tree.
+        listed.append(threading.current_thread())
+        if len(listed) == 1:
+            raise FileNotFoundError(2, "No such file or directory", "conftest.dir")
+        return real_collect(cfg)
+
+    monkeypatch.setattr(pipeline, "_collect_ir_files", vanishing_collect)
+    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    assert listed[0] is not threading.main_thread()
+    assert listed[1:] == [threading.main_thread()]
+    fresh = pipeline._take_census(rig.cfg)
+    assert result.report["census"] == {**fresh.total.as_dict(), "total": fresh.total.total()}
+    assert json.loads((rig.reports / "state.json").read_text())["phase"] == "done"
 
 
 # h, t_l3's caller, is defined without an indirect call.
