@@ -32,13 +32,17 @@ by program.
 ``--layer census`` times ``census_by_function`` over textual IR shaped like
 the bulk IR of perfbench's workloads (``perfbench/gen.py:_ir_bulk``), one
 call per module: on each module's text, read beforehand, and on each file
-streamed through ``read_ir_lines``. A third row times the check that
+streamed through ``read_ir_lines``. ``_walk`` times the walk alone, over
+each module's lines split beforehand, so parsing shows apart from decoding.
+A row on C++-shaped IR (``gen._cxx_namespace``, mangled names and the
+virtual-call idiom, about 1 MB) streams each file too, so a fast path that
+only suits the bulk shape shows up. The last row times the check that
 stays on heal's critical path once the census has run in the background:
 ``_Census.current`` lists the same IR files again and reads each one's
 bytes and CRC-32 (``pipeline._fingerprint``), all in one call. Each row
 reports MB/s and the largest tracemalloc peak of one call, in MB; the text
-of the first row is allocated before its call, so its peak leaves the text
-out.
+or lines of the first and third rows are allocated before their calls, so
+their peaks leave them out.
 
 ``--layer repair`` times one pass of ``repair_until_buildable``: a build
 (faked, so no compiler runs) fails on 1,000 undefined C symbols, defined in
@@ -99,7 +103,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from cfiheal import repair, symbols  # noqa: E402
+from cfiheal import ircensus, repair, symbols  # noqa: E402
 from cfiheal.build import (  # noqa: E402
     BuildKind,
     BuildMode,
@@ -282,16 +286,44 @@ def _census_row(target: str, mb: float, op: str, calls: list, repeat: int) -> di
     }
 
 
+CENSUS_CXX_MB = 1
+
+
+def _cxx_ir(root: Path) -> list[Path]:
+    """Files of C++-shaped IR, about CENSUS_CXX_MB MB, one module of 40 namespaces each."""
+    names = gen.Names(random.Random("bench-census-cxx"))
+    roles = ("icall", "vcall", "renamed", None)
+    paths: list[Path] = []
+    size = 0
+    while size < CENSUS_CXX_MB * 1e6:
+        ir = gen.IrModule()
+        for k in range(40):
+            gen._cxx_namespace(names("n", 5), names, 10, roles[k % len(roles)], ir)
+        path = root / f"cxx{len(paths):03d}.ll"
+        path.write_text(ir.text())
+        size += path.stat().st_size
+        paths.append(path)
+    return paths
+
+
 def bench_census(repeat: int) -> list[dict]:
-    with tempfile.TemporaryDirectory(prefix="bench-census-") as tmp:
+    with (
+        tempfile.TemporaryDirectory(prefix="bench-census-") as tmp,
+        tempfile.TemporaryDirectory(prefix="bench-census-cxx-") as cxx_tmp,
+    ):
         writer = gen.ProjectWriter(Path(tmp))
         gen._ir_bulk(writer, gen.Names(random.Random("bench-census")), CENSUS_MB)
         paths = sorted(Path(tmp).rglob("*.ll"))
         texts = [p.read_text() for p in paths]
+        lines = [t.splitlines() for t in texts]
         mb = sum(len(t) for t in texts) / 1e6
         target = f"gen._ir_bulk IR, {len(texts)} modules"
         in_memory = [lambda t=t: census_by_function(t, []) for t in texts]
         streamed = [lambda p=p: census_by_function(read_ir_lines(p), []) for p in paths]
+        walked = [lambda ls=ls: ircensus._walk(ls, []) for ls in lines]
+        cxx_paths = _cxx_ir(Path(cxx_tmp))
+        cxx_mb = sum(len(p.read_text()) for p in cxx_paths) / 1e6
+        cxx_streamed = [lambda p=p: census_by_function(read_ir_lines(p), []) for p in cxx_paths]
         cfg = ProjectConfig(
             project_root=Path(tmp),
             build_cmd="true",
@@ -305,6 +337,9 @@ def bench_census(repeat: int) -> list[dict]:
         return [
             _census_row(target, mb, "census_by_function", in_memory, repeat),
             _census_row(target, mb, "census_by_function(read_ir_lines)", streamed, repeat),
+            _census_row(target, mb, "_walk (lines split beforehand)", walked, repeat),
+            _census_row(f"gen._cxx_namespace IR, {len(cxx_paths)} modules", cxx_mb,
+                        "census_by_function(read_ir_lines)", cxx_streamed, repeat),
             _census_row(target, mb, "_Census.current (list + CRC-32)", [lambda: taken.current(cfg)],
                         repeat),
         ]

@@ -31,6 +31,12 @@ fact found later are settled when the module ends. So a module's lines can
 be streamed from its file (``read_ir_lines``). Lines that look like call
 sites but defeat the grammar are skipped and reported through the optional
 diagnostics sink rather than being silently miscounted.
+
+Each line is parsed once, fast forms first: one regex each matches the
+call, load, getelementptr and store shapes compilers emit (plain registers,
+flat operands, no quote or bracket where it could move a comma), and any
+line they do not match goes to the general parser, the only fallback, which
+gives the same result on every line.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from __future__ import annotations
 import io
 import os
 import re
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -98,6 +103,28 @@ _ARGS_OPEN = re.compile(r"[ \t]*\(")
 _PLAIN_CALLEE = re.compile(
     r'[^"%@()\[\]{}<>]*([%@][-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
 )
+# Fast forms: one match each for the shapes compilers emit. A line none of
+# them matches takes the general path, which gives the same result on it.
+# "%r = [tail ]call <words> %callee(<flat args>)<flat tail>": the call tail is
+# one _PLAIN_CALLEE with a register callee. The walk tries it only on lines
+# holding "call" and no "asm".
+_FAST_CALL = re.compile(
+    r'%[-\w.$]+ = (?:tail )?call [^"%@()\[\]{}<>]*'
+    r'(%[-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
+)
+# "load <words>, ptr <token>" and "getelementptr <words> [<n x ty>], ptr <token>",
+# then a comma or the end: a flat first piece, and a second piece that is ptr and
+# one token, so the token is that piece's last value token.
+_FAST_DEF = re.compile(
+    r'(load|getelementptr)[^",()\[\]{}<>]*(?:\[[^",()\[\]{}<>]*\][^",()\[\]{}<>]*)?'
+    r', ptr ([%@](?:[-\w.$]+|"[^"]*"))(?:,|\Z)'
+)
+# "store <words> [@name]," : a flat value piece whose only @ token, if any, ends it.
+# A quoted name holds no space, so the general path's "volatile " removal leaves it whole.
+_FAST_STORE = re.compile(r'store [^"@,()\[\]{}<>]*?(@[-\w.$]+|@"[^" ]*")?,')
+# The assignment lines of the scope's pending lines joined by "\n": _ASSIGN at
+# each line start, with whitespace that never crosses a line.
+_ASSIGNS = re.compile(r'^%([-\w.$]+|"[^"\n]*")[^\S\n]*=[^\S\n]*(.*)', re.M)
 
 
 def _split_top(text: str) -> list[str]:
@@ -179,6 +206,13 @@ def _parse_def(rhs: str) -> tuple[str, str | None]:
     pointer names its first global). Leading getelementptr keywords sit in
     the first piece and so never change the second.
     """
+    fast = _FAST_DEF.match(rhs)
+    if fast:
+        op, token = fast.groups()
+        if op == "getelementptr":
+            return "gep", token
+        if "getelementptr" not in token:  # else the general path takes its first global
+            return "load", token
     if rhs.startswith("load"):
         pointer = _second_piece(rhs[len("load") :])
         if "getelementptr" in pointer:
@@ -189,6 +223,18 @@ def _parse_def(rhs: str) -> tuple[str, str | None]:
     if rhs.startswith(("bitcast", "addrspacecast")):
         return "alias", _last_value_token(rhs.split(" to ")[0])
     return "opaque", None
+
+
+def _stored_value(store: str) -> tuple[set[str], bool]:
+    """The @ names in a store's value operand, and whether it takes a blockaddress."""
+    fast = _FAST_STORE.match(store)
+    if fast:
+        ref = fast.group(1)
+        return ({ref[1:].strip('"')} if ref else set()), False
+    pieces = _split_top(store[len("store ") :].replace("volatile ", "", 1))
+    value = pieces[0] if pieces else ""
+    refs = {t[1:].strip('"') for t in _TOKEN.findall(value) if t.startswith("@")}
+    return refs, "blockaddress(" in value.replace(" ", "")
 
 
 class _FunctionScope:
@@ -207,13 +253,12 @@ class _FunctionScope:
 
     def record(self) -> None:
         """Record the assignments of the pending lines as raw right-hand sides."""
-        for line in self.pending:
-            assign = _ASSIGN.match(line)
-            if assign:
-                self.defs[assign.group(1).strip('"')] = line[assign.end() :]
+        for name, rhs in _ASSIGNS.findall("\n".join(self.pending)):
+            self.defs[name.strip('"')] = rhs
         self.pending.clear()
 
     def _def(self, reg: str) -> tuple[str, str | None]:
+        reg = reg.strip('"')  # %"vf" and %vf name the same register
         found = self.defs.get(reg)
         if found is None:
             return "opaque", None
@@ -221,14 +266,17 @@ class _FunctionScope:
             found = self.defs[reg] = _parse_def(found)
         return found
 
-    def _resolve_alias(self, token: str | None, hops: int = 8) -> str | None:
-        while token and token.startswith("%") and hops:
+    def _resolve(self, token: str | None, hops: int = 8) -> tuple[str | None, str, str | None]:
+        """The token reached by following up to `hops` bitcasts, and its definition.
+
+        The definition is ("opaque", None) unless the token reached is a register.
+        """
+        while token and token.startswith("%"):
             kind, operand = self._def(token[1:])
-            if kind != "alias":
-                break
-            token = operand
-            hops -= 1
-        return token
+            if kind != "alias" or not hops:
+                return token, kind, operand
+            token, hops = operand, hops - 1
+        return token, "opaque", None
 
     def classify_callee(self, callee: str) -> str:
         """The category of an indirect callee register: virtual_calls or fp_calls.
@@ -237,31 +285,23 @@ class _FunctionScope:
         gives that global's name instead, "@" included: the call is
         jt_lowered if the global is a code-pointer table, fp_calls if not.
         """
-        token = self._resolve_alias(callee)
-        if not token or not token.startswith("%"):
+        token, kind, pointer = self._resolve(callee)
+        if not token or not token.startswith("%") or kind != "load":
             return "fp_calls"
-        kind, pointer = self._def(token[1:])
-        if kind != "load":
-            return "fp_calls"
-        pointer = self._resolve_alias(pointer)
+        pointer, pkind, pbase = self._resolve(pointer)
         if pointer is None:
             return "fp_calls"
         if pointer.startswith("@"):
             return pointer
-        if pointer.startswith("%"):
-            pkind, pbase = self._def(pointer[1:])
-            seen_gep = 0
-            while pkind == "gep" and seen_gep < 8:
-                base = self._resolve_alias(pbase)
-                if base is None:
-                    return "fp_calls"
-                if base.startswith("@"):
-                    return base
-                pkind, pbase = self._def(base[1:])
-                seen_gep += 1
-            if pkind == "load":
-                return "virtual_calls"
-        return "fp_calls"
+        seen_gep = 0
+        while pkind == "gep" and seen_gep < 8:
+            base, pkind, pbase = self._resolve(pbase)
+            if base is None:
+                return "fp_calls"
+            if base.startswith("@"):
+                return base
+            seen_gep += 1
+        return "virtual_calls" if pkind == "load" else "fp_calls"
 
 
 def census(
@@ -302,7 +342,9 @@ def read_ir_lines(source: Path | BinaryIO, block_size: int = 1 << 16) -> Iterato
         yield from carry.splitlines()
 
 
-def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> dict[str, Counter]:
+def _walk(
+    lines: Iterable[str], diagnostics: list[tuple[int, str]] | None
+) -> dict[str, dict[str, int]]:
     """Site counts by category, per function name ('' for module scope), in one pass.
 
     Module facts (function names, code-pointer tables, module asm) are
@@ -316,10 +358,10 @@ def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> di
     tables: set[str] = set()
     maybe_tables: list[tuple[str, set[str]]] = []  # globals naming no function seen yet
     held: list[tuple[str, list[set[str]], list[str]]] = []  # (function, stores, loads) to settle
-    tally: dict[str, Counter] = {"": Counter(inline_asm=0)}
+    tally: dict[str, dict[str, int]] = {"": dict.fromkeys(_FIELDS, 0)}
     current: str | None = None
     scope = _FunctionScope()
-    counts: Counter = Counter()
+    counts = dict.fromkeys(_FIELDS, 0)
     late_stores: list[set[str]] = []  # names stored, none of them a function yet
     late_loads: list[str] = []  # globals called through, none of them a table yet
 
@@ -332,21 +374,22 @@ def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> di
             if current is None:
                 continue
             scope.pending.append(line)
-            if not (
-                "call" in line
-                or "invoke" in line
-                or "store " in line
-                or "switch " in line
-                or "indirectbr " in line
-            ):
+            if "call" in line:
+                fast = "asm" not in line and _FAST_CALL.fullmatch(line)
+                callee = fast.group(1) if fast else None
+            elif "invoke" in line or "store " in line or "switch " in line or "indirectbr " in line:
+                callee = None
+            else:
                 continue  # not a site; scope.record reads its assignment if a call needs it
-            assign = _ASSIGN.match(line)
-            body = line[assign.end() :] if assign else line
+            if callee is None:
+                assign = _ASSIGN.match(line)
+                body = line[assign.end() :] if assign else line
         elif first == "@":
-            m = _GLOBAL.match(line)
+            # A table's right-hand side refers to a function (an @) or takes a blockaddress(,
+            # so a line with neither a "(" nor a second "@" is no table.
+            m = ("(" in line or line.find("@", 1) > 0) and _GLOBAL.match(line)
             if m:
                 rhs = line[m.end() :]
-                # A table refers to a function (an @) or takes a blockaddress(.
                 if ("constant" in rhs or "global" in rhs) and ("@" in rhs or "(" in rhs):
                     name = m.group(1).strip('"')
                     refs = {t[1:].strip('"') for t in _TOKEN.findall(rhs) if t.startswith("@")}
@@ -363,7 +406,7 @@ def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> di
                 if current is None and line.endswith("{"):
                     current = name
                     scope = _FunctionScope()
-                    counts = Counter()
+                    counts = dict.fromkeys(_FIELDS, 0)
                     late_stores, late_loads = [], []
             else:
                 m = _DECLARE.match(line)
@@ -376,55 +419,60 @@ def _walk(lines: Iterable[str], diagnostics: list[tuple[int, str]] | None) -> di
         elif current is None:
             continue
         elif first == "}" and line == "}":
-            tally.setdefault(current, Counter()).update(counts)
+            settled = tally.get(current)
+            if settled is None:
+                tally[current] = counts
+            else:
+                for key, count in counts.items():
+                    settled[key] += count
             if late_stores or late_loads:
                 held.append((current, late_stores, late_loads))
             current = None
             continue
         else:
             body = line  # comments included: no site opcode starts with ";"
-        if not body.startswith(_SITE_OPS):
-            continue
+            callee = None
 
-        if body.startswith("switch "):
-            counts["jt_switch"] += 1
-            continue
-        if body.startswith("indirectbr "):
-            counts["jt_lowered"] += 1
-            continue
-        if body.startswith("store "):
-            pieces = _split_top(body[len("store "):].replace("volatile ", "", 1))
-            if pieces:
-                value_refs = {
-                    t[1:].strip('"') for t in _TOKEN.findall(pieces[0]) if t.startswith("@")
-                }
-                if "blockaddress(" in pieces[0].replace(" ", "") or (value_refs & functions):
+        if callee is None:
+            if not body.startswith(_SITE_OPS):
+                continue
+            if body.startswith("switch "):
+                counts["jt_switch"] += 1
+                continue
+            if body.startswith("indirectbr "):
+                counts["jt_lowered"] += 1
+                continue
+            if body.startswith("store "):
+                value_refs, blockaddress = _stored_value(body)
+                if blockaddress or (value_refs & functions):
                     counts["callback_stores"] += 1
                 elif value_refs:
                     late_stores.append(value_refs)
-            continue
+                continue
 
-        m = _CALL_OP.match(body)
-        if not m:
-            continue
-        rest = body[m.end():]
-        callee = _callee_token(rest)
-        if callee == "asm":
-            counts["inline_asm"] += 1
-        elif callee is None:
-            if "(" not in rest and diagnostics is not None:
-                diagnostics.append((lineno, "call instruction without an argument list"))
-        elif callee.startswith("@"):
-            pass  # direct call, not a site
+            m = _CALL_OP.match(body)
+            if not m:
+                continue
+            rest = body[m.end():]
+            callee = _callee_token(rest)
+            if callee == "asm":
+                counts["inline_asm"] += 1
+                continue
+            if callee is None:
+                if "(" not in rest and diagnostics is not None:
+                    diagnostics.append((lineno, "call instruction without an argument list"))
+                continue
+            if callee.startswith("@"):
+                continue  # direct call, not a site
+
+        scope.record()
+        site = scope.classify_callee(callee)
+        if not site.startswith("@"):
+            counts[site] += 1
+        elif site[1:].strip('"') in tables:
+            counts["jt_lowered"] += 1
         else:
-            scope.record()
-            site = scope.classify_callee(callee)
-            if not site.startswith("@"):
-                counts[site] += 1
-            elif site[1:].strip('"') in tables:
-                counts["jt_lowered"] += 1
-            else:
-                late_loads.append(site[1:].strip('"'))
+            late_loads.append(site[1:].strip('"'))
 
     tables.update(name for name, refs in maybe_tables if refs & functions)
     for name, stores, loads in held:

@@ -150,6 +150,18 @@ entry:
 }
 """
 
+# The virtual idiom through quoted registers; %"vf" and %vf name the same one.
+QUOTED_VIRT = """
+define i32 @quoted_virtual(ptr %obj) {
+entry:
+  %"v t" = load ptr, ptr %obj, align 8
+  %"v s" = getelementptr inbounds ptr, ptr %"v t", i64 2
+  %vf = load ptr, ptr %"v s", align 8
+  %r = call i32 %"vf"(ptr %obj)
+  ret i32 %r
+}
+"""
+
 
 BAD_CALL = """
 define void @f(void ()* %fp) {
@@ -164,7 +176,7 @@ ALL_CASES = {
     "fp": FP, "virt": VIRT, "lowered": LOWERED, "constexpr_gep": CONSTEXPR_GEP,
     "indirectbr": INDIRECTBR, "blockaddr": BLOCKADDR, "switch": SWITCH, "asm": ASM,
     "bitcast_direct": BITCAST_DIRECT, "invoke": INVOKE, "alias_direct": ALIAS_DIRECT,
-    "opaque_ptr": OPAQUE_PTR, "bad_call": BAD_CALL,
+    "opaque_ptr": OPAQUE_PTR, "quoted_virt": QUOTED_VIRT, "bad_call": BAD_CALL,
 }
 
 
@@ -201,6 +213,10 @@ def test_fp_call_with_callback_store():
 
 def test_virtual_dispatch():
     assert tuple_of(VIRT) == (0, 1, 0, 0, 0, 0)
+
+
+def test_virtual_dispatch_through_quoted_registers():
+    assert tuple_of(QUOTED_VIRT) == (0, 1, 0, 0, 0, 0)
 
 
 def test_lowered_jump_table_beats_fp():
