@@ -36,13 +36,15 @@ streamed through ``read_ir_lines``. ``_walk`` times the walk alone, over
 each module's lines split beforehand, so parsing shows apart from decoding.
 A row on C++-shaped IR (``gen._cxx_namespace``, mangled names and the
 virtual-call idiom, about 1 MB) streams each file too, so a fast path that
-only suits the bulk shape shows up. The last row times the check that
-stays on heal's critical path once the census has run in the background:
-``_Census.current`` lists the same IR files again and reads each one's
-bytes and CRC-32 (``pipeline._fingerprint``), all in one call. Each row
-reports MB/s and the largest tracemalloc peak of one call, in MB; the text
-or lines of the first and third rows are allocated before their calls, so
-their peaks leave them out.
+only suits the bulk shape shows up, and so does a row on IR shaped like
+clang's for plain C (about 1 MB): direct calls ``%r = call i32 @f(...)``
+between loads, stores and adds, and no indirect site. The last row times
+the check that stays on heal's critical path once the census has run in
+the background: ``_Census.current`` lists the same IR files again and reads
+each one's bytes and CRC-32 (``pipeline._fingerprint``), all in one call.
+Each row reports MB/s and the largest tracemalloc peak of one call, in MB;
+the text or lines of the first and third rows are allocated before their
+calls, so their peaks leave them out.
 
 ``--layer repair`` times one pass of ``repair_until_buildable``: a build
 (faked, so no compiler runs) fails on 1,000 undefined C symbols, defined in
@@ -70,12 +72,24 @@ referenced by DSO``) or an lld report (``undefined symbol`` or ``undefined
 hidden symbol`` with its ``>>> referenced by`` lines), one unique symbol
 each. It checks that every report parses to its diagnostic, and reports MB/s.
 
+``--layer build`` times ``run_build`` (clean, then build) in baseline and
+CFI modes on perfbench's suite_fanout and cxx_static projects at scale 1,
+seed 1, first at one CPU (this process's ``os.sched_setaffinity``, which the
+build inherits and ``run_build`` sizes make's jobserver by) and then at
+every CPU this process may use, alternating the two each repeat. The CFI
+builds use an empty ignorelist, on a tree whose visibility one untimed
+``repair_until_buildable`` patched first, so every timed build stands. Each
+row reports wall time and the CPU its child processes used
+(``RUSAGE_CHILDREN``), both medians; ``makeflags`` is the ``MAKEFLAGS`` the
+environment already set, which ``run_build`` passes through instead.
+
 Run from the repository root, stdlib only:
 
     python3 bench/run.py                  # writes BENCH_symbols.json
     python3 bench/run.py --layer census   # writes BENCH_census.json
     python3 bench/run.py --layer tracer   # writes BENCH_tracer.json
     python3 bench/run.py --layer linker   # writes BENCH_linker.json
+    python3 bench/run.py --layer build    # writes BENCH_build.json
     python3 bench/run.py --layer repair --repeat 3 --out /tmp/bench.json
 """
 
@@ -111,6 +125,7 @@ from cfiheal.build import (  # noqa: E402
     Diagnostic,
     DiagnosticKind,
     parse_diagnostics,
+    run_build,
 )
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
@@ -306,6 +321,35 @@ def _cxx_ir(root: Path) -> list[Path]:
     return paths
 
 
+CENSUS_DIRECT_MB = 1
+
+
+def _direct_call_ir(root: Path) -> list[Path]:
+    """Files of IR shaped like clang's for plain C, about CENSUS_DIRECT_MB MB, with no site."""
+    names = gen.Names(random.Random("bench-census-direct"))
+    callees = [names("fn_", 8) for _ in range(50)]
+    paths: list[Path] = []
+    size = 0
+    while size < CENSUS_DIRECT_MB * 1e6:
+        out = [f"declare i32 @{c}(i32 noundef)\n" for c in callees]
+        for _ in range(100):
+            out.append(f"define dso_local i32 @{names('f_', 8)}(i32 noundef %x) #0 {{\nentry:\n")
+            out.append("  %p = alloca i32, align 4\n  store i32 %x, ptr %p, align 4\n")
+            for k in range(20):
+                out.append(
+                    f"  %v{k} = load i32, ptr %p, align 4\n"
+                    f"  %call{k} = call i32 @{callees[(k * 7) % len(callees)]}(i32 noundef %v{k})\n"
+                    f"  %add{k} = add nsw i32 %call{k}, {k}\n"
+                    f"  store i32 %add{k}, ptr %p, align 4\n"
+                )
+            out.append("  %r = load i32, ptr %p, align 4\n  ret i32 %r\n}\n\n")
+        path = root / f"direct{len(paths):03d}.ll"
+        path.write_text("".join(out))
+        size += path.stat().st_size
+        paths.append(path)
+    return paths
+
+
 def bench_census(repeat: int) -> list[dict]:
     with (
         tempfile.TemporaryDirectory(prefix="bench-census-") as tmp,
@@ -324,6 +368,11 @@ def bench_census(repeat: int) -> list[dict]:
         cxx_paths = _cxx_ir(Path(cxx_tmp))
         cxx_mb = sum(len(p.read_text()) for p in cxx_paths) / 1e6
         cxx_streamed = [lambda p=p: census_by_function(read_ir_lines(p), []) for p in cxx_paths]
+        direct_paths = _direct_call_ir(Path(cxx_tmp))
+        direct_mb = sum(len(p.read_text()) for p in direct_paths) / 1e6
+        direct_streamed = [
+            lambda p=p: census_by_function(read_ir_lines(p), []) for p in direct_paths
+        ]
         cfg = ProjectConfig(
             project_root=Path(tmp),
             build_cmd="true",
@@ -340,6 +389,8 @@ def bench_census(repeat: int) -> list[dict]:
             _census_row(target, mb, "_walk (lines split beforehand)", walked, repeat),
             _census_row(f"gen._cxx_namespace IR, {len(cxx_paths)} modules", cxx_mb,
                         "census_by_function(read_ir_lines)", cxx_streamed, repeat),
+            _census_row(f"direct-call C IR, {len(direct_paths)} modules", direct_mb,
+                        "census_by_function(read_ir_lines)", direct_streamed, repeat),
             _census_row(target, mb, "_Census.current (list + CRC-32)", [lambda: taken.current(cfg)],
                         repeat),
         ]
@@ -584,7 +635,72 @@ def bench_linker(repeat: int) -> list[dict]:
     ]
 
 
+BUILD_WORKLOADS = ("suite_fanout", "cxx_static")
+
+
+def _children_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def bench_build(repeat: int) -> list[dict]:
+    usable = os.sched_getaffinity(0)
+    cpu_sets = [{min(usable)}] + ([usable] if len(usable) > 1 else [])
+    results = []
+    with tempfile.TemporaryDirectory(prefix="bench-build-") as tmp:
+        for workload in BUILD_WORKLOADS:
+            project = Path(tmp) / workload
+            wrapper = ROOT / "perfbench" / "cfimodel.py"
+            spec = gen.GENERATORS[workload](project, 1, sys.executable, wrapper)
+            cfg = ProjectConfig(
+                project_root=project,
+                build_cmd=spec.build_cmd,
+                test_cmd=spec.test_cmd,
+                executables=tuple(spec.executables),
+                cfi_variants=tuple(spec.cfi_variants),
+                report_dir=Path(tmp) / f"{workload}-report",
+                clean_cmd=spec.clean_cmd,
+            )
+            ignorelist = cfg.report_dir / "cfi.ignorelist"
+            ignorelist.parent.mkdir(parents=True)
+            ignorelist.write_text("")
+            modes = {
+                "baseline": BuildMode.baseline(),
+                "cfi": BuildMode.cfi(cfg.cfi_variants, ignorelist),
+            }
+            if not repair.repair_until_buildable(cfg, modes["cfi"])[0].succeeded:
+                raise RuntimeError(f"{workload}: the CFI build does not stand after repair")
+            for label, mode in modes.items():
+                walls: dict[int, list[float]] = {len(cpus): [] for cpus in cpu_sets}
+                child: dict[int, list[float]] = {len(cpus): [] for cpus in cpu_sets}
+                for _ in range(repeat):
+                    for cpus in cpu_sets:
+                        os.sched_setaffinity(0, cpus)
+                        try:
+                            cpu_before, started = _children_cpu(), time.perf_counter()
+                            outcome = run_build(cfg, mode)
+                            walls[len(cpus)].append(time.perf_counter() - started)
+                            child[len(cpus)].append(_children_cpu() - cpu_before)
+                        finally:
+                            os.sched_setaffinity(0, usable)
+                        if not outcome.succeeded:
+                            raise RuntimeError(f"{label} build failed: {outcome.log_path}")
+                for cpus in cpu_sets:
+                    results.append(
+                        {
+                            "target": f"perfbench {workload} (scale 1, seed 1)",
+                            "op": f"run_build {label}",
+                            "cpus": len(cpus),
+                            "makeflags": os.environ.get("MAKEFLAGS"),
+                            **_summary(walls[len(cpus)]),
+                            "child_cpu_s": round(statistics.median(child[len(cpus)]), 4),
+                        }
+                    )
+    return results
+
+
 LAYERS = {
+    "build": bench_build,
     "symbols": bench_symbols,
     "census": bench_census,
     "repair": bench_repair,
@@ -627,7 +743,8 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.layer}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        keys = ("mb_per_s", "patches", "symbols", "files", "spawns_per_call", "cpu_ms_per_call", "threads_per_call")
+        keys = ("mb_per_s", "patches", "symbols", "files", "spawns_per_call", "cpu_ms_per_call",
+                "threads_per_call", "cpus", "child_cpu_s")
         extra = {k: r[k] for k in keys if k in r}
         median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
         print(f"{r['target']}: {r['op']} median {median} {extra}")

@@ -307,9 +307,14 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
     Flags reach the project through conventional environment variables
     (CC/CXX pinned to clang/clang++, CFLAGS/CXXFLAGS/LDFLAGS carrying the
     composed flag string) and through a literal {FLAGS} placeholder in
-    build_cmd when present. The interleaved stdout+stderr log is preserved
-    verbatim at <report_dir>/build-<mode>-<iteration>.log, capped at 64 MiB
-    with an explicit truncation marker. Success additionally requires every
+    build_cmd when present. Unless MAKEFLAGS is already set, even to "",
+    every step gets MAKEFLAGS="-j<N> -k -Otarget", N being the CPUs this
+    process may run on, as run_cases sizes the test batch: -k makes the set
+    of failed links depend on the build graph rather than on timing, and
+    -Otarget keeps each recipe's linker lines together. The interleaved
+    stdout+stderr log is preserved verbatim at
+    <report_dir>/build-<mode>-<iteration>.log, capped at 64 MiB with an
+    explicit truncation marker. Success additionally requires every
     configured executable to exist under the project root. The caller holds
     the ProjectLock.
     """
@@ -335,6 +340,7 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
             "LDFLAGS": flag_str,
         }
     )
+    env.setdefault("MAKEFLAGS", f"-j{len(os.sched_getaffinity(0))} -k -Otarget")
     build_cmd = cfg.build_cmd.replace("{FLAGS}", flag_str)
 
     cfg.report_dir.mkdir(parents=True, exist_ok=True)

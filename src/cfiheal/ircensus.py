@@ -33,10 +33,10 @@ sites but defeat the grammar are skipped and reported through the optional
 diagnostics sink rather than being silently miscounted.
 
 Each line is parsed once, fast forms first: one regex each matches the
-call, load, getelementptr and store shapes compilers emit (plain registers,
-flat operands, no quote or bracket where it could move a comma), and any
-line they do not match goes to the general parser, the only fallback, which
-gives the same result on every line.
+call (through a register or direct), load, getelementptr and store shapes
+compilers emit (plain names, flat operands, no quote or bracket where it
+could move a comma), and any line they do not match goes to the general
+parser, the only fallback, which gives the same result on every line.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ _PLAIN_CALLEE = re.compile(
 # Fast forms: one match each for the shapes compilers emit. A line none of
 # them matches takes the general path, which gives the same result on it.
 # "%r = [tail ]call <words> %callee(<flat args>)<flat tail>": the call tail is
-# one _PLAIN_CALLEE with a register callee. The walk tries it only on lines
-# holding "call" and no "asm".
+# one _PLAIN_CALLEE, whose callee is a register or, for a direct call, an @
+# name. The walk tries it only on lines holding "call" and no "asm".
 _FAST_CALL = re.compile(
     r'%[-\w.$]+ = (?:tail )?call [^"%@()\[\]{}<>]*'
-    r'(%[-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
+    r'([%@][-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
 )
 # "load <words>, ptr <token>" and "getelementptr <words> [<n x ty>], ptr <token>",
 # then a comma or the end: a flat first piece, and a second piece that is ptr and
@@ -377,6 +377,8 @@ def _walk(
             if "call" in line:
                 fast = "asm" not in line and _FAST_CALL.fullmatch(line)
                 callee = fast.group(1) if fast else None
+                if callee and callee[0] == "@":
+                    continue  # direct call, not a site
             elif "invoke" in line or "store " in line or "switch " in line or "indirectbr " in line:
                 callee = None
             else:

@@ -13,8 +13,10 @@ transition so an interrupted run leaves an inspectable trail.
 
 On a process that may use two CPUs or more, the census is read ahead, by
 one background thread started as soon as the project lock is held, while
-the builds before it wait on their children. It notes each file's byte
-count and CRC-32 over the very bytes it decoded.
+the builds before it wait on their children. Those builds run make's jobs
+on the same CPUs, so only a build whose targets form a chain leaves one
+idle for the thread. It notes each file's byte count and CRC-32 over the
+very bytes it decoded.
 Once the first instrumented build stands, the files are listed and
 checksummed again: the census is kept if nothing changed, and taken again
 at once if anything did or the thread took none. On one CPU the census
@@ -311,8 +313,9 @@ class _CensusAhead(threading.Thread):
         return self.census
 
     def __enter__(self) -> "_CensusAhead":
-        # Only a CPU the builds leave idle makes the thread pay: on one CPU it
-        # takes CPU from the build's compilers and the GIL from heal().
+        # On one CPU the thread takes CPU from the build's compilers and the
+        # GIL from heal(). On more, make's jobserver spreads a build over them
+        # too, but a chain of targets still runs one job at a time.
         if len(os.sched_getaffinity(0)) < 2:
             return self
         # SIGCHLD is process-directed: one delivered to the census thread would

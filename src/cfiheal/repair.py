@@ -454,12 +454,15 @@ def repair_until_buildable(
     """Patch the planned symbols, then alternate run_build and symbol patching until the build stands.
 
     The planned symbols are patched in one pass before the first build;
-    those the pass cannot patch are dropped without a note. Terminates when
-    the build succeeds, when an attempt yields zero new patches (no
-    progress), or when the iteration budget is exhausted. Only passes that
-    applied at least one patch count as repair iterations, numbered on from
-    the ledger's build attempts. Each build's log is named by its ordinal
-    among the ledger's build attempts. The caller holds the ProjectLock.
+    those the pass cannot patch are dropped without a note. A failed
+    build's symbols are patched in sorted order, as the plan's are, so the
+    patches do not depend on the order in which parallel links failed.
+    Terminates when the build succeeds, when an attempt yields zero new
+    patches (no progress), or when the iteration budget is exhausted. Only
+    passes that applied at least one patch count as repair iterations,
+    numbered on from the ledger's build attempts. Each build's log is named
+    by its ordinal among the ledger's build attempts. The caller holds the
+    ProjectLock.
     """
     if ledger is None:
         ledger = RepairLedger()
@@ -481,4 +484,4 @@ def repair_until_buildable(
         outcome = run_build(cfg, mode, iteration=ledger.build_attempts)
         if outcome.succeeded or attempts > cfg.max_repair_iterations:
             return outcome, ledger
-        symbols, skipped = extract_unresolved_symbols(outcome.diagnostics), ledger.skipped
+        symbols, skipped = sorted(extract_unresolved_symbols(outcome.diagnostics)), ledger.skipped

@@ -5,6 +5,7 @@ The parser fixtures below are verbatim captures from ld.lld 14 and GNU ld
 as captured.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from cfiheal import harness
 from cfiheal.build import (
     LOG_CAP_BYTES,
     TRUNCATION_MARKER,
@@ -24,6 +26,7 @@ from cfiheal.build import (
     parse_diagnostics,
     run_build,
 )
+from cfiheal.tracing import OutcomeKind, TraceOutcome
 
 from conftest import copy_fixture, make_config, needs_toolchain
 
@@ -301,3 +304,77 @@ def test_run_build_caps_log(tmp_path):
     size = outcome.log_path.stat().st_size
     assert size <= LOG_CAP_BYTES + len(TRUNCATION_MARKER) + 2
     assert TRUNCATION_MARKER.strip() in outcome.raw_log[-4096:]
+
+
+# ------------------------------------------------- make's jobserver, no clang
+
+# Each step prints the MAKEFLAGS it sees, and whether it is set at all.
+_SHOW_MAKEFLAGS = "printf '%s [%s] %s\\n' {step} \"$MAKEFLAGS\" \"${{MAKEFLAGS+set}}\""
+_STEPS = ("clean", "configure", "build")
+
+
+def _makeflags_seen(tmp_path, mode_kind):
+    """Run one build whose steps print their MAKEFLAGS; returns what each step saw."""
+    root = tmp_path / "project"
+    root.mkdir(exist_ok=True)
+    cfg = make_config(
+        root,
+        tmp_path / "out",
+        clean_cmd=_SHOW_MAKEFLAGS.format(step="clean"),
+        configure_cmd=_SHOW_MAKEFLAGS.format(step="configure"),
+        build_cmd=_SHOW_MAKEFLAGS.format(step="build") + " && touch app",
+    )
+    if mode_kind is BuildKind.BASELINE:
+        mode = BuildMode.baseline()
+    else:
+        ignorelist = tmp_path / "out" / "cfi.ignorelist"
+        ignorelist.parent.mkdir(parents=True, exist_ok=True)
+        ignorelist.write_text("")
+        mode = BuildMode.cfi(("cfi-icall",), ignorelist)
+    outcome = run_build(cfg, mode)
+    assert outcome.succeeded
+    seen = {}
+    for line in outcome.raw_log.splitlines():
+        step, _, rest = line.partition(" ")
+        if step in _STEPS:
+            seen[step] = rest
+    assert set(seen) == set(_STEPS)
+    return seen
+
+
+@pytest.mark.parametrize("mode_kind", list(BuildKind))
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_every_step_gets_a_jobserver_sized_by_the_usable_cpus(
+    tmp_path, monkeypatch, mode_kind, cpus
+):
+    monkeypatch.delenv("MAKEFLAGS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    seen = _makeflags_seen(tmp_path, mode_kind)
+    assert seen == {step: f"[-j{len(cpus)} -k -Otarget] set" for step in _STEPS}
+    assert "MAKEFLAGS" not in os.environ
+
+
+@pytest.mark.parametrize("mode_kind", list(BuildKind))
+@pytest.mark.parametrize("value", ["", "-j1", " -s  --no-print-directory ", "w -- X=1"])
+def test_a_makeflags_already_set_passes_through(tmp_path, monkeypatch, mode_kind, value):
+    monkeypatch.setenv("MAKEFLAGS", value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = _makeflags_seen(tmp_path, mode_kind)
+    assert seen == {step: f"[{value}] set" for step in _STEPS}
+    assert os.environ["MAKEFLAGS"] == value
+
+
+def test_the_tests_get_no_makeflags_from_a_build(tmp_path, monkeypatch):
+    monkeypatch.delenv("MAKEFLAGS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    envs = []
+
+    def recording(cmds, timeout, **kwargs):
+        envs.append(kwargs["env"])
+        return [TraceOutcome(OutcomeKind.EXITED, 0) for _ in cmds]
+
+    monkeypatch.setattr(harness, "run_traced_many", recording)
+    _makeflags_seen(tmp_path, BuildKind.CFI)
+    cfg = make_config(tmp_path / "project", tmp_path / "out")
+    harness.run_cases(cfg, [harness.TestCase("t", "true")])
+    assert len(envs) == 1 and "MAKEFLAGS" not in envs[0]

@@ -630,6 +630,21 @@ _near_call = _edited(
               " to label %ok unwind label %bad"],
     ),
 )
+# Direct calls, the commonest call lines of compiled C: "%r = call i32 @f(i32 %x)".
+_near_direct_call = _edited(
+    "{lhs}{prefix}call {ty} {callee}({args}){tail}",
+    dict(lhs="%r = ", prefix="", ty="i32", callee="@f", args="i32 %x", tail=""),
+    dict(
+        lhs=["", "%r=", "%r  = ", '%"r s" = ', "%asm.r = ", "%f = ", "%call = "],
+        prefix=["tail ", "musttail ", "notail ", "tail  "],
+        ty=["void", "ptr", "{ i32, i32 }", "i32 (i32, ...)", "noundef i32"],
+        callee=["%f", "@g", '@"f"', '@"a(b"', '@"a, b"', "@asm.f", "@f.1", "@tbl",
+                "@llvm.memcpy.p0.p0.i64", "@f @g", "bitcast (ptr @f to ptr)"],
+        args=["", "ptr @g", 'ptr @"a, b"', "ptr %asm.x", "i32 %x)(", "ptr noundef %fp, i32 1",
+              "{ i32, i32 } %agg"],
+        tail=[" #0", ", !dbg !7", ' [ "deopt"(i32 1) ]', " ; asm", " asm", " ; @g(", " #2, !srcloc !4"],
+    ),
+)
 _near_load = _edited(
     "{lhs}load {vol}{ty}, {pty}{pointer}{order}{tail}",
     dict(lhs="%vf = ", vol="", ty="ptr", pty="ptr ", pointer="%slot", order="", tail=", align 8"),
@@ -686,7 +701,8 @@ _near_global_line = _edited(
 @st.composite
 def near_miss_module(draw):
     body = draw(st.lists(
-        st.one_of(_near_call, _near_load, _near_gep, _near_store, _chain_link), max_size=12
+        st.one_of(_near_call, _near_direct_call, _near_load, _near_gep, _near_store, _chain_link),
+        max_size=12,
     ))
     globals_ = st.lists(_near_global_line, max_size=3)
     ir = [
@@ -721,6 +737,8 @@ def test_near_miss_definitions_match_the_reference(rhs):
     [
         "%r = call i32 %fp(i32 %x)",
         "%r = tail call ptr %vf(ptr %obj, i32 1) #3, !dbg !9",
+        "%r = call i32 @f(i32 %x)",
+        "%call = tail call noalias ptr @malloc(i64 noundef 8) #4, !dbg !12",
         "%v = load ptr, ptr %obj, align 8",
         '%v = load ptr, ptr @"m.slot0", align 8, !tbaa !3',
         "%s = getelementptr inbounds ptr, ptr %vt, i64 2",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from cfiheal import escalation, harness, pipeline, symbols
+from cfiheal import build, escalation, harness, pipeline, symbols
 from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
 from cfiheal.ignorelist import FUN_LEVELS
@@ -329,21 +329,29 @@ def test_skipping_link_time_names_ends_where_trying_them_ends(
 @pytest.mark.parametrize("workload", PINS)
 def test_one_cpu_and_two_cpu_heals_write_the_same_report(workload, tmp_path, monkeypatch):
     # Both heals run in the same directory, so paths in the report agree too.
-    box, reports, jobs = tmp_path / "box", [], []
-    real = harness.run_traced_many
+    box, reports, jobs, makeflags = tmp_path / "box", [], [], []
+    real, real_step = harness.run_traced_many, build._run_step
 
     def recording(cmds, timeout, **kwargs):
         jobs.append(kwargs["jobs"])
         return real(cmds, timeout, **kwargs)
 
+    def recording_step(cmd, cwd, env, sink, used):
+        makeflags.append(env.get("MAKEFLAGS"))
+        return real_step(cmd, cwd, env, sink, used)
+
+    monkeypatch.delenv("MAKEFLAGS", raising=False)
     monkeypatch.setattr(harness, "run_traced_many", recording)
+    monkeypatch.setattr(build, "_run_step", recording_step)
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         box.mkdir()
         jobs.clear()
+        makeflags.clear()
         _, checks = _heal(workload, box)
         assert all(checks.values())
         assert set(jobs) == {len(cpus)}
+        assert makeflags and set(makeflags) == {f"-j{len(cpus)} -k -Otarget"}
         report = json.loads((box / "report" / "report.json").read_text())
         assert report.pop("duration")
         reports.append(report)
@@ -398,3 +406,42 @@ def test_chain_without_a_plan_takes_a_build_per_link(tmp_path, monkeypatch):
         (1, "bar_helper", "bar.c"),
         (2, "foo_api", "foo.c"),
     ]
+
+
+# The twin fixture: app_a and app_b each link one hidden symbol of the shared
+# libbase.so. The two links are independent, so under make's -k both fail in
+# the same build, in whatever order the jobs end; the repair patches both
+# symbols in one pass, in sorted order. A build that stopped at the first
+# failed link took one build per link.
+
+
+def test_twin_links_heal_in_one_diagnostic_pass_at_any_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.delenv("MAKEFLAGS", raising=False)
+    monkeypatch.setattr(pipeline, "cross_dso_bindings", lambda root, since_ns: [])
+    box, reports = tmp_path / "box", []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        box.mkdir()
+        root = copy_fixture("twin", box)
+        cfg = make_config(
+            root,
+            box / "reports",
+            build_cmd=gen._wrapped_make(sys.executable, PERFBENCH / "cfimodel.py", "all"),
+            executables=("app_a", "app_b"),
+            extra_compile_flags=(),
+        )
+        result = heal(cfg)
+        assert result.report["tests"]["pass"] == result.report["tests"]["total"] == 2
+        assert result.unresolvable == 0
+        ledger = result.ledger
+        assert ledger.build_attempts == 2
+        assert ledger.iterations_build_phase == 1
+        assert [(p.iteration, p.symbol, p.file) for p in ledger.patches] == [
+            (1, "base_a", "base.c"),
+            (1, "base_b", "base.c"),
+        ]
+        report = json.loads((box / "reports" / "report.json").read_text())
+        assert report.pop("duration")
+        reports.append(report)
+        shutil.rmtree(box)
+    assert reports[0] == reports[1]

@@ -3,8 +3,9 @@
 ``_ref_pass`` is the pass as it was before the per-pass index: one
 ``locate_definition`` per symbol, each walking and reading the whole tree,
 and one ``demangle`` (one c++filt per mangled name) in the lookup and another
-in the patch. ``repair_until_buildable`` must leave the same patches,
-ledger, journal bytes and tree.
+in the patch, over a failed build's symbols in sorted order.
+``repair_until_buildable`` must leave the same patches, ledger, journal bytes
+and tree.
 """
 
 import re
@@ -14,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from cfiheal import repair, symbols
-from cfiheal.build import BuildKind, BuildMode, BuildOutcome, Diagnostic, DiagnosticKind
+from cfiheal.build import (
+    BuildKind,
+    BuildMode,
+    BuildOutcome,
+    Diagnostic,
+    DiagnosticKind,
+    parse_diagnostics,
+)
 from cfiheal.repair import (
     DefinitionSite,
     RepairLedger,
@@ -143,7 +151,8 @@ def _ref_locate(symbol, root):
 
 
 def _ref_pass(cfg, names, ledger, iteration):
-    for symbol in extract_unresolved_symbols(_failing(names).diagnostics):
+    # A failed build's symbols are patched in sorted order, whatever order its log gives.
+    for symbol in sorted(extract_unresolved_symbols(_failing(names).diagnostics)):
         if symbol in ledger.patched_symbols:
             continue
         site = _ref_locate(symbol, cfg.project_root)
@@ -262,3 +271,39 @@ def test_definition_offsets_skip_preprocessor_lines_only(tmp_path):
     text = "  #  define f(x) {\nint f(int x) { return x; }\n#if f(1) {\n"
     assert repair._definition_offsets(text, call) == [text.index("f(int")]
     assert repair._definition_offsets(text, call) == _ref_definition_offsets(text, "f")
+
+
+# A failed build under make -k -Otarget: the two failing links of the twin
+# fixture, one recipe's linker lines per block, in the order their jobs ended.
+TWIN_BLOCKS = (
+    "/usr/bin/ld: /tmp/ccKDpAgj.o: in function `main':\n"
+    "app_a.c:(.text+0xa): undefined reference to `base_a'\n"
+    "collect2: error: ld returned 1 exit status\n"
+    "make: *** [Makefile:13: app_a] Error 1\n",
+    "/usr/bin/ld: /tmp/ccmzOl6g.o: in function `main':\n"
+    "app_b.c:(.text+0xa): undefined reference to `base_b'\n"
+    "collect2: error: ld returned 1 exit status\n"
+    "make: *** [Makefile:16: app_b] Error 1\n",
+)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["a-first", "b-first"])
+def test_target_blocks_in_either_order_give_the_same_patches(tmp_path, monkeypatch, order):
+    root = tmp_path / "twin"
+    root.mkdir()
+    (root / "base.c").write_text(
+        "int base_a(int x) { return x + 1; }\n\nint base_b(int x) { return x * 2; }\n"
+    )
+    cfg = make_config(root, tmp_path / "out")
+    log = "".join(TWIN_BLOCKS[i] for i in order) + "make: Target 'all' not remade because of errors.\n"
+    failed = BuildOutcome(False, MODE, tuple(parse_diagnostics(log)), (), None, 0.0)
+    outcomes = iter([failed, BuildOutcome(True, MODE, (), (), None, 0.0)])
+    monkeypatch.setattr(repair, "run_build", lambda cfg, mode, iteration: next(outcomes))
+    _, ledger = repair_until_buildable(cfg, MODE)
+    assert [(p.iteration, p.symbol, p.file, p.line) for p in ledger.patches] == [
+        (1, "base_a", "base.c", 1),
+        (1, "base_b", "base.c", 3),
+    ]
+    assert ledger.build_attempts == 2
+    journal = (cfg.report_dir / repair.JOURNAL_NAME).read_text()
+    assert journal == "1\tbase.c\t1\tbase_a\n1\tbase.c\t3\tbase_b\n"
