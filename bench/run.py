@@ -3,9 +3,8 @@
 ``--layer symbols`` (the default) times the symbolizer. For each target
 binary it times, on a fresh ``Symbolizer`` each repeat:
 
-- ``function_boundaries``: the full span list, with the disassembly heuristic;
 - ``resolve_symtab_hit``: one ``resolve`` at the start of a symbol-table
-  function, the cost of a trap address that never needs the heuristic;
+  function, the cost of one trap address;
 - ``resolve_span_starts``: one ``resolve_many`` over every symbol-table span
   start, the shape of the account phase's file lookup.
 
@@ -241,13 +240,12 @@ def bench_symbols(repeat: int) -> list[dict]:
         targets = _targets(Path(tmp))
         for target, binary in targets:
             probe = _symtab_probe(binary)
-            starts = [s.start for s in symbols.Symbolizer()._symtab_spans(binary)]
+            starts = [s.start for s in symbols.Symbolizer().function_boundaries(binary)]
             ops = {
-                "function_boundaries": lambda s: s.function_boundaries(binary),
                 "resolve_symtab_hit": lambda s: s.resolve(binary, probe),
                 "resolve_span_starts": lambda s: s.resolve_many(binary, starts),
             }
-            spans = len(symbols.Symbolizer().function_boundaries(binary))
+            spans = len(starts)
             for op, call in ops.items():
                 results.append(_symbols_row(target, binary, op, call, repeat, spans=spans))
         project, binary, trap = _trap_in_main(Path(tmp))

@@ -67,7 +67,6 @@ from .report import (
 from .symbols import (
     Confidence,
     FunctionSpan,
-    ObjdumpBackend,
     ResolutionError,
     SymbolInfo,
     Symbolizer,

@@ -12,9 +12,9 @@ Each violation owns an independent ladder position. Rungs, narrowest first:
 
 A rung is skipped, never guessed, and records why in skipped_levels:
 
-  identity unavailable    no return address captured, no debug info for a
-                          file rung, only a disassembly label for a function
-                          rung
+  identity unavailable    no return address captured, no symbol at the
+                          frame's address (a stripped binary), or no debug
+                          info for a file rung
   outside the project     a frame in a binary outside project_root, which the
                           pipeline leaves unsymbolized, or a file rung whose
                           source resolves outside it; the project's build
@@ -265,7 +265,7 @@ class EscalationEngine:
                 return kind, file, "outside the project"
             holds_none = self.file_check_free(violation, file)
             return kind, file, "no CFI check in scope" if holds_none else None
-        if info is None or info.confidence is Confidence.BOUNDARY_HEURISTIC:
+        if info is None:
             return kind, None, "identity unavailable"
         name = enforcement_name(info.function)
         if link_time_suffix(name):

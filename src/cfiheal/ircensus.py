@@ -105,11 +105,11 @@ _PLAIN_CALLEE = re.compile(
 )
 # Fast forms: one match each for the shapes compilers emit. A line none of
 # them matches takes the general path, which gives the same result on it.
-# "%r = [tail ]call <words> %callee(<flat args>)<flat tail>": the call tail is
-# one _PLAIN_CALLEE, whose callee is a register or, for a direct call, an @
-# name. The walk tries it only on lines holding "call" and no "asm".
+# "[%r = ][tail ]call <words> %callee(<flat args>)<flat tail>": the call tail
+# is one _PLAIN_CALLEE, whose callee is a register or, for a direct call, an
+# @ name. The walk tries it only on lines holding "call" and no "asm".
 _FAST_CALL = re.compile(
-    r'%[-\w.$]+ = (?:tail )?call [^"%@()\[\]{}<>]*'
+    r'(?:%[-\w.$]+ = )?(?:tail )?call [^"%@()\[\]{}<>]*'
     r'([%@][-\w.$]+)[ \t]*\([^"()\[\]{}<>]*\)[^"()\[\]{}<>]*'
 )
 # "load <words>, ptr <token>" and "getelementptr <words> [<n x ty>], ptr <token>",
@@ -433,7 +433,10 @@ def _walk(
             continue
         else:
             body = line  # comments included: no site opcode starts with ";"
-            callee = None
+            fast = "call " in line and "asm" not in line and _FAST_CALL.fullmatch(line)
+            callee = fast.group(1) if fast else None
+            if callee and callee[0] == "@":
+                continue  # direct call, not a site
 
         if callee is None:
             if not body.startswith(_SITE_OPS):

@@ -166,9 +166,8 @@ class _Run:
     ledger: RepairLedger
     # The rendered ignorelist the last instrumented build was made with.
     built_list: str | None = None
-    # The IR census, totals and per function, of the IR present once the
-    # first instrumented build stands.
-    census: tuple[IrSiteCensus, dict[str, IrSiteCensus]] | None = None
+    # The IR census of the IR present once the first instrumented build stands.
+    census: _Census | None = None
 
 
 def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
@@ -334,9 +333,7 @@ class _CensusAhead(threading.Thread):
         self.result()
 
 
-def _run_census(
-    cfg: ProjectConfig, ahead: _Census | None = None
-) -> tuple[IrSiteCensus, dict[str, IrSiteCensus]]:
+def _run_census(cfg: ProjectConfig, ahead: _Census | None = None) -> _Census:
     """The census of the IR files as they are now, with its diagnostics sidecar.
 
     A census taken `ahead` is kept only if the same files are there and each
@@ -348,7 +345,7 @@ def _run_census(
         sidecar.write_text("".join(census.diagnostics))
     else:
         sidecar.unlink(missing_ok=True)
-    return census.total, census.per_function
+    return census
 
 
 def _checkable_sites(counts: IrSiteCensus) -> int:
@@ -386,7 +383,7 @@ def _file_check_free(run: _Run, violation: Violation, file: str) -> bool:
     for frame in (violation.callee, violation.caller, violation.callers_caller):
         if _relative_file(frame, root) == file:
             name = enforcement_name(frame.function)
-            if name in run.census[1] and name not in check_free:
+            if name in run.census.per_function and name not in check_free:
                 return False
     mapped = {r.path for r in violation.trap.memory_map if r.path and "x" in r.perms}
     tables = (
@@ -421,7 +418,7 @@ def _function_records(
             for s in elf.dynamic_symbols()
             if s.name and s.is_func and s.shndx != 0 and s.visibility == "default"
         }
-        spans = symbolizer._symtab_spans(exe)
+        spans = symbolizer.function_boundaries(exe)
         try:
             files = [i.source_file for i in symbolizer.resolve_many(exe, [s.start for s in spans])]
         except ResolutionError:
@@ -552,8 +549,7 @@ def _confirm(run: _Run, results: list[TestResult]) -> bool:
 def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
     """Coverage accounting from the run's census, and the emitted report."""
     cfg, engine, ledger = run.cfg, run.engine, run.ledger
-    census_total, per_function = run.census
-    records = _function_records(cfg, run.symbolizer, per_function, ledger)
+    records = _function_records(cfg, run.symbolizer, run.census.per_function, ledger)
     coverage = compute_coverage(records, engine.store.active_entries())
 
     counts = engine.counts()
@@ -566,7 +562,7 @@ def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
             "per_function": coverage.per_function.as_dict(),
             "per_call_site": coverage.per_call_site.as_dict(),
         },
-        "census": {**census_total.as_dict(), "total": census_total.total()},
+        "census": {**run.census.total.as_dict(), "total": run.census.total.total()},
         "violations": {
             "total": counts["total"],
             "fixed": counts["fixed"],
@@ -633,7 +629,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
             run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
             cfi_build = _cfi_build(run, "build", planned)
             run.census = _run_census(cfg, ahead.result())
-            engine.check_free = _check_free(cfg.cfi_variants, run.census[1])
+            engine.check_free = _check_free(cfg.cfi_variants, run.census.per_function)
             engine.file_check_free = functools.partial(_file_check_free, run)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ignorelist import EntryKind, IgnorelistEntry
 
@@ -108,17 +108,15 @@ def _matches_ignorelist(record: FunctionRecord, entries: Sequence[IgnorelistEntr
 def compute_coverage(
     functions: Sequence[FunctionRecord],
     entries: Sequence[IgnorelistEntry],
-    patched_symbols: Iterable[str] = (),
 ) -> CoverageCore:
     """Status per function plus reconciled per-function/per-call-site triples."""
-    patched = set(patched_symbols)
     statuses: dict[str, EnforcementStatus] = {}
     fn_counts = [0, 0, 0]
     site_counts = [0, 0, 0]
     for record in functions:
         if _matches_ignorelist(record, entries):
             status = EnforcementStatus.IGNORED
-        elif record.patched or record.name in patched or record.visibility == "default":
+        elif record.patched or record.visibility == "default":
             status = EnforcementStatus.DEFAULT_VISIBILITY
         else:
             status = EnforcementStatus.PROTECTED

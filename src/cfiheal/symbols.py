@@ -3,32 +3,27 @@
 Resolution layers, best first:
   1. symbol-table function spans plus file and line from binutils addr2line
      (confidence Debuginfo),
-  2. symbol-table spans without line info (confidence SymbolTable),
-  3. disassembly-derived boundary heuristics for stripped regions
-     (confidence BoundaryHeuristic; such functions exist only as synthetic
-     range labels and never carry file or line, and no ignorelist entry
-     names them).
+  2. symbol-table spans without line info (confidence SymbolTable).
+
+An address no symbol-table span covers, as anywhere in a stripped binary,
+gets no symbol info: resolve raises ResolutionError, and resolve_runtime
+still gives the binary and the static address, which key a trap there the
+same way under any load address. No name is made up for such an address,
+because no ignorelist entry the compiler honours could name it.
 
 A frame in a binary outside the project is not resolved at all: the
 pipeline labels it with the binary's file name (confidence OutsideProject)
 before any view of that binary is built, because no entry the project's
-build honours can name it. Such a frame starts no addr2line and no objdump.
+build honours can name it. Such a frame starts no addr2line.
 
 Runtime addresses from a trap are translated to static addresses through the
 faulting mapping's file offset and the binary's PT_LOAD headers, which stays
 correct when segment file offsets and virtual addresses disagree.
 
-The disassembler is pluggable: anything with a
-``function_candidates(Path) -> list[FunctionSpan]`` method can serve as the
-backend (the shipped one drives objdump). Backends only ever contribute
-heuristic spans; symbol-table spans always win where both exist. A binary's
-view starts with its symbol-table spans, named as the symbol table spells
+A binary's view is its symbol-table spans, named as the symbol table spells
 them (mangled for C++, the spelling ignorelist ``fun:`` entries match), so
-building it starts no c++filt. The backend runs only for
-``function_boundaries`` or for an address outside every symbol-table span.
-Heuristic spans never overlap symbol-table spans, so a symbol-table hit
-resolves the same either way. File and line of symbol-table hits come from
-one addr2line per batch of addresses not asked before.
+building it starts no subprocess. File and line of hits come from one
+addr2line per batch of addresses not asked before.
 
 The functions each source file defines, which a src: rung asks about, come
 from one streamed llvm-dwarfdump of the binary, kept with its view.
@@ -45,7 +40,7 @@ import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .elf import ElfError, ElfFile, ElfSymbol
 from .tracing import MemoryRegion
@@ -54,7 +49,6 @@ from .tracing import MemoryRegion
 class Confidence(Enum):
     DEBUGINFO = "Debuginfo"
     SYMBOL_TABLE = "SymbolTable"
-    BOUNDARY_HEURISTIC = "BoundaryHeuristic"
     OUTSIDE_PROJECT = "OutsideProject"
 
 
@@ -79,7 +73,6 @@ class FunctionSpan:
     name: str
     start: int
     end: int
-    source: str = "symtab"  # "symtab" or "heuristic"
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -309,12 +302,6 @@ def read_definitions(binary: Path) -> DefinitionTable | None:
     return {file: frozenset(names | declared_in.get(file, ())) for file, names in in_unit.items()}
 
 
-class DisassemblyBackend(Protocol):
-    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
-        """Heuristic function spans recovered from a disassembly pass."""
-        ...
-
-
 _OBJDUMP_SECTION = re.compile(r"^Disassembly of section (\S+):")
 _OBJDUMP_LABEL = re.compile(r"^([0-9a-f]+) <(.+)>:$")
 _OBJDUMP_INSN = re.compile(r"^\s+([0-9a-f]+):\t((?:[0-9a-f]{2} )+)\s*\t?(.*)$")
@@ -327,7 +314,7 @@ _DIRECT_CALL = re.compile(r"\S+\s+([0-9a-f]+)\b")
 
 
 class ObjdumpBackend:
-    """Reference disassembly backend built on binutils objdump.
+    """Reference disassembly backend built on binutils objdump; the Symbolizer never calls it.
 
     A function starts in .text at a listed prologue after a break in the
     flow, at the ELF entry point (gcc's ``_start`` opens with ``xor``), or at
@@ -399,7 +386,7 @@ class ObjdumpBackend:
             end = ordered[i + 1] if i + 1 < len(ordered) else section_last_end
             if end > start:
                 name = starts[start] or f"fn_0x{start:x}"
-                spans.append(FunctionSpan(name, start, end, source="heuristic"))
+                spans.append(FunctionSpan(name, start, end))
         return spans
 
 
@@ -413,47 +400,6 @@ def runtime_to_static(
             file_offset = region.offset + (runtime_addr - region.start)
             return elf.file_offset_to_vaddr(file_offset)
     return None
-
-
-def _fill_gaps(symtab: list[FunctionSpan], candidates: list[FunctionSpan]) -> list[FunctionSpan]:
-    """Symtab spans plus the parts of heuristic candidates no symtab span covers.
-
-    `symtab` is sorted and disjoint. One sweep over it and the candidates
-    sorted by start: a candidate starting inside a run of abutting symtab spans
-    restarts where the run ends, and every candidate stops where the next
-    symtab span starts. Without symtab spans the candidates come back as they
-    are, sorted.
-    """
-    ordered = sorted(candidates, key=lambda s: s.start)
-    if not symtab:
-        return ordered
-    spans = list(symtab)
-    n = len(symtab)
-    i = 0  # first symtab span ending after the candidate's start
-    run_after = run_end = 0  # the last run walked: index past it, and its end
-    for cand in ordered:
-        start = cand.start
-        while i < n and symtab[i].end <= start:
-            i += 1
-        after = i
-        if i < n and symtab[i].start <= start:
-            if i >= run_after:
-                run_after = i + 1
-                while run_after < n and symtab[run_after].start == symtab[run_after - 1].end:
-                    run_after += 1
-                run_end = symtab[run_after - 1].end
-            start, after = run_end, run_after
-        end = min(cand.end, symtab[after].start) if after < n else cand.end
-        if end > start:
-            spans.append(FunctionSpan(f"fn_0x{start:x}", start, end, source="heuristic"))
-    spans.sort(key=lambda s: s.start)
-    trimmed: list[FunctionSpan] = []
-    for span in spans:
-        if trimmed and span.start < trimmed[-1].end:
-            prev = trimmed[-1]
-            trimmed[-1] = FunctionSpan(prev.name, prev.start, span.start, prev.source)
-        trimmed.append(span)
-    return trimmed
 
 
 class _SpanIndex:
@@ -472,19 +418,16 @@ class _SpanIndex:
 class _BinaryView:
     elf: ElfFile
     lines: LineTable
-    symtab: _SpanIndex
-    # Symtab spans plus heuristic gap fill; built on the first need for it.
-    filled: _SpanIndex | None = None
+    spans: _SpanIndex
     # read_definitions of the binary, once `dumped`; None if the dump failed.
     definitions: DefinitionTable | None = None
     dumped: bool = False
 
 
 class Symbolizer:
-    """Per-binary caches over the resolution layers; results are deterministic."""
+    """Per-binary caches of symbol-table spans and lines; results are deterministic."""
 
-    def __init__(self, backend: DisassemblyBackend | None = None):
-        self.backend = backend or ObjdumpBackend()
+    def __init__(self) -> None:
         self.warnings: list[str] = []
         # One view per path, with the (mtime_ns, size) it was built from.
         self._cache: dict[str, tuple[tuple[int, int], _BinaryView | None]] = {}
@@ -533,20 +476,6 @@ class Symbolizer:
             spans.append(FunctionSpan(sym.name, sym.value, end))
         return spans
 
-    def _filled(self, view: _BinaryView) -> _SpanIndex:
-        if view.filled is None:
-            candidates = self.backend.function_candidates(view.elf.path)
-            view.filled = _SpanIndex(_fill_gaps(view.symtab.spans, candidates))
-        return view.filled
-
-    def _span_at(self, view: _BinaryView, address: int) -> FunctionSpan | None:
-        return view.symtab.at(address) or self._filled(view).at(address)
-
-    def _symtab_spans(self, binary: Path) -> list[FunctionSpan]:
-        """The binary's symbol-table spans alone, so no disassembly runs."""
-        view = self._view(binary)
-        return view.symtab.spans if view else []
-
     def definitions_by_file(self, binary: Path) -> DefinitionTable | None:
         """read_definitions of the binary, from one dump per view; None if it fails."""
         view = self._view(binary)
@@ -560,9 +489,9 @@ class Symbolizer:
         return view.definitions
 
     def function_boundaries(self, binary: Path) -> list[FunctionSpan]:
-        """Sorted, non-overlapping spans; empty (with a warning) if unparseable."""
+        """Sorted, disjoint symbol-table spans; empty (with a warning) if unparseable."""
         view = self._view(binary)
-        return list(self._filled(view).spans) if view else []
+        return list(view.spans.spans) if view else []
 
     def resolve(self, binary: Path, address: int) -> SymbolInfo:
         """Symbol info for a static address; raises ResolutionError on a miss."""
@@ -578,37 +507,35 @@ class Symbolizer:
             raise ResolutionError(f"cannot parse binary {binary}")
         spans = []
         for address in addresses:
-            span = self._span_at(view, address)
+            span = view.spans.at(address)
             if span is None:
                 raise ResolutionError(f"address 0x{address:x} is outside all function spans")
             spans.append(span)
-        # Heuristic spans carry no file or line, so only symtab hits are asked.
-        asked = [a for a, span in zip(addresses, spans) if span.source == "symtab"]
-        found, failure = view.lines.lookup(asked)
+        found, failure = view.lines.lookup(addresses)
         if failure:
             self.warnings.append(f"{binary}: {failure}")
-        where = dict(zip(asked, found))
-        infos = []
-        for address, span in zip(addresses, spans):
-            hit = where.get(address)
-            if hit is not None:
-                infos.append(SymbolInfo(span.name, *hit, Confidence.DEBUGINFO))
-            elif span.source == "heuristic":
-                infos.append(SymbolInfo(span.name, None, None, Confidence.BOUNDARY_HEURISTIC))
-            else:
-                infos.append(SymbolInfo(span.name, None, None, Confidence.SYMBOL_TABLE))
-        return infos
+        return [
+            SymbolInfo(span.name, *hit, Confidence.DEBUGINFO)
+            if hit is not None
+            else SymbolInfo(span.name, None, None, Confidence.SYMBOL_TABLE)
+            for span, hit in zip(spans, found)
+        ]
 
     def resolve_runtime(
         self, runtime_addr: int, regions: Sequence[MemoryRegion]
-    ) -> tuple[Path, int, SymbolInfo] | None:
+    ) -> tuple[Path, int, SymbolInfo | None] | None:
         """Resolve a runtime address through its mapping; None if unattributable."""
         return self.resolve_runtime_many([runtime_addr], regions)[0]
 
     def resolve_runtime_many(
         self, runtime_addrs: Sequence[int], regions: Sequence[MemoryRegion]
-    ) -> list[tuple[Path, int, SymbolInfo] | None]:
-        """resolve_runtime per address, with one resolve_many per binary."""
+    ) -> list[tuple[Path, int, SymbolInfo | None] | None]:
+        """resolve_runtime per address, with one resolve_many per binary.
+
+        An address that no span of its binary covers gives the binary and
+        the static address with no symbol info.
+        """
+        results: list[tuple[Path, int, SymbolInfo | None] | None] = [None] * len(runtime_addrs)
         found: dict[Path, list[tuple[int, int]]] = {}  # binary -> (index, static) hits
         for i, runtime_addr in enumerate(runtime_addrs):
             region = next(
@@ -622,9 +549,12 @@ class Symbolizer:
             if view is None:
                 continue
             static = runtime_to_static(view.elf, runtime_addr, regions, binary)
-            if static is not None and self._span_at(view, static) is not None:
+            if static is None:
+                continue
+            if view.spans.at(static) is None:
+                results[i] = (binary, static, None)
+            else:
                 found.setdefault(binary, []).append((i, static))
-        results: list[tuple[Path, int, SymbolInfo] | None] = [None] * len(runtime_addrs)
         for binary, hits in found.items():
             try:
                 infos = self.resolve_many(binary, [static for _, static in hits])

@@ -645,6 +645,22 @@ _near_direct_call = _edited(
         tail=[" #0", ", !dbg !7", ' [ "deopt"(i32 1) ]', " ; asm", " asm", " ; @g(", " #2, !srcloc !4"],
     ),
 )
+# Calls without an assignment, as clang emits each call of a void function:
+# "call void @f(i32 %x)", a line the walk reads outside its "%" branch.
+_near_bare_call = _edited(
+    "{prefix}{op} {ty} {callee}({args}){tail}",
+    dict(prefix="", op="call", ty="void", callee="@f", args="i32 %x", tail=""),
+    dict(
+        prefix=["tail ", "musttail ", "notail ", "tail  ", "%r = ", "; ", "store "],
+        op=["callbr", "invoke", "call ", "calls"],
+        ty=["i32", "ptr", "{ i32, i32 }", "void (i32, ...)", "noundef i32"],
+        callee=["%fp", '%"fp"', "%vf", "%asm.x", "@g", '@"a(b"', '@"a, b"', "@asm.f", "@f @g",
+                "bitcast (ptr @f to ptr)", 'asm sideeffect "nop", ""'],
+        args=["", "ptr @g", 'ptr @"a, b"', "ptr %asm.x", "i32 %x)(", "ptr noundef %fp, i32 1"],
+        tail=[" #0", ", !dbg !7", ' [ "deopt"(i32 1) ]', " ; asm", " asm", " ; @g(",
+              " #2, !srcloc !4", " to label %ok unwind label %bad"],
+    ),
+)
 _near_load = _edited(
     "{lhs}load {vol}{ty}, {pty}{pointer}{order}{tail}",
     dict(lhs="%vf = ", vol="", ty="ptr", pty="ptr ", pointer="%slot", order="", tail=", align 8"),
@@ -701,7 +717,8 @@ _near_global_line = _edited(
 @st.composite
 def near_miss_module(draw):
     body = draw(st.lists(
-        st.one_of(_near_call, _near_direct_call, _near_load, _near_gep, _near_store, _chain_link),
+        st.one_of(_near_call, _near_direct_call, _near_bare_call, _near_load, _near_gep,
+                  _near_store, _chain_link),
         max_size=12,
     ))
     globals_ = st.lists(_near_global_line, max_size=3)
@@ -739,6 +756,8 @@ def test_near_miss_definitions_match_the_reference(rhs):
         "%r = tail call ptr %vf(ptr %obj, i32 1) #3, !dbg !9",
         "%r = call i32 @f(i32 %x)",
         "%call = tail call noalias ptr @malloc(i64 noundef 8) #4, !dbg !12",
+        "call void @f(i32 %x)",
+        "tail call void %fp(ptr %obj) #3, !dbg !9",
         "%v = load ptr, ptr %obj, align 8",
         '%v = load ptr, ptr @"m.slot0", align 8, !tbaa !3',
         "%s = getelementptr inbounds ptr, ptr %vt, i64 2",

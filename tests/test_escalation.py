@@ -514,9 +514,11 @@ def test_a_source_file_outside_the_project_gives_no_rung(engine, tmp_path):
     assert (LadderLevel.CALLEE_SOURCE, "outside the project") in v.skipped_levels
 
 
-def test_a_disassembly_label_gives_no_rung(engine):
-    label = SymbolInfo("fn_0x1139", None, None, Confidence.BOUNDARY_HEURISTIC)
-    v, _ = observe(engine, callee=label, caller=label)
+def test_frames_without_a_symbol_give_no_rung(engine):
+    # A stripped binary's frames: each rung is skipped for want of an identity.
+    v, _ = observe(engine, callee=None, caller=None)
     assert engine.next_scope(v) is None
     assert v.status is ViolationStatus.UNRESOLVABLE
-    assert {reason for _, reason in v.skipped_levels} == {"identity unavailable"}
+    assert v.skipped_levels == [
+        (level, "identity unavailable") for level in list(LadderLevel)[:5]
+    ]

@@ -60,7 +60,7 @@ def test_census_diagnostics_sidecar_names_file_and_line(tmp_path):
     (root / "clean.ll").write_text(CENSUS_IR)
     reports = tmp_path / "reports"
     reports.mkdir()
-    total, _ = _run_census(make_config(root, reports))
+    total = _run_census(make_config(root, reports)).total
     assert total.fp_calls == 1
     sidecar = reports / "ir-census-diagnostics.txt"
     assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
@@ -72,7 +72,7 @@ def test_census_diagnostics_sidecar_names_an_unreadable_path(tmp_path):
     (root / "clean.ll").write_text(CENSUS_IR)
     reports = tmp_path / "reports"
     reports.mkdir()
-    total, _ = _run_census(make_config(root, reports))
+    total = _run_census(make_config(root, reports)).total
     assert total.fp_calls == 1
     sidecar = (reports / "ir-census-diagnostics.txt").read_text()
     assert sidecar.startswith("x.ll: unreadable: [Errno 21] Is a directory")
@@ -108,7 +108,8 @@ def _src_rung_run(tmp_path, tables, per_function, check_free):
                               check_free=check_free)
     symbolizer = _TableSymbolizer({app: tables})
     run = pipeline._Run(make_config(root, tmp_path / "reports"), symbolizer, {}, engine,
-                        RepairLedger(), census=(None, per_function))
+                        RepairLedger(),
+                        census=pipeline._Census(ircensus.IrSiteCensus(), per_function, [], []))
     frames = (SymbolInfo("fail", str(root / "rt.c"), 1, Confidence.DEBUGINFO),
               SymbolInfo("mid", str(root / "a.c"), 2, Confidence.DEBUGINFO), None)
     violation, _ = engine.observe(trap, Path(app), 0x1100, *frames, "t")
@@ -145,7 +146,8 @@ def test_run_census_walks_each_file_once(tmp_path, monkeypatch):
         return real_walk(text, diagnostics)
 
     monkeypatch.setattr(ircensus, "_walk", counting_walk)
-    total, per_function = _run_census(make_config(root, tmp_path / "reports"))
+    taken = _run_census(make_config(root, tmp_path / "reports"))
+    total, per_function = taken.total, taken.per_function
     assert len(walked) == 2
     assert (total.fp_calls, total.callback_stores) == (2, 2)
     assert per_function["driver"].total() == 4
@@ -171,11 +173,11 @@ def test_run_census_counts_nothing_of_a_file_that_fails_partway(tmp_path, monkey
     cfg = make_config(root, reports)
     with pipeline._CensusAhead(cfg) as ahead:
         taken = ahead.result()
-        total, per_function = _run_census(cfg, taken)
-    assert (total.fp_calls, total.callback_stores) == (1, 1)
-    assert per_function["driver"].total() == 2 and "g" not in per_function
+        kept = _run_census(cfg, taken)
+    assert (kept.total.fp_calls, kept.total.callback_stores) == (1, 1)
+    assert kept.per_function["driver"].total() == 2 and "g" not in kept.per_function
     # The check fails on b.ll as the census did, so the census is kept.
-    assert (total, per_function) == (taken.total, taken.per_function)
+    assert kept is taken
     assert taken.read[1] == (root / "b.ll", "unreadable: [Errno 5] Input/output error")
     sidecar = (reports / "ir-census-diagnostics.txt").read_text()
     assert sidecar == "b.ll: unreadable: [Errno 5] Input/output error\n"
@@ -198,7 +200,7 @@ def test_run_census_holds_one_function_not_the_whole_file(tmp_path):
     assert size >= 4_000_000
     tracemalloc.start()
     try:
-        total, _ = _run_census(make_config(root, tmp_path / "reports"))
+        total = _run_census(make_config(root, tmp_path / "reports")).total
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -435,7 +437,7 @@ def test_check_free_names_sum_every_definition(tmp_path):
     root.mkdir()
     (root / "a.ll").write_text(HELPER_WITH_CALL)
     (root / "b.ll").write_text(HELPER_WITHOUT)
-    _, per_function = _run_census(make_config(root, tmp_path / "reports"))
+    per_function = _run_census(make_config(root, tmp_path / "reports")).per_function
     free = pipeline._check_free(("cfi-icall", "cfi-vcall", "cfi-mfcall"), per_function)
     # helper holds a check in a.ll; a declared or unknown name is not known to hold none.
     assert free == {"plain", "quiet"}
@@ -1037,32 +1039,24 @@ def test_symbolize_trap_resolves_callers_at_return_address_minus_one():
     assert symbolizer.asked == [0x2010, 0x103F, 0x105F]
 
 
-class _NoDisassembly:
-    def function_candidates(self, binary):
-        raise AssertionError("the account phase must not disassemble")
-
-
-class _BoundariesSymbolizer(Symbolizer):
-    """The account phase's former span source: every boundary, symtab spans kept."""
-
-    def _symtab_spans(self, binary):
-        return [s for s in self.function_boundaries(binary) if s.source == "symtab"]
-
-
-def test_function_records_never_disassemble(gcc_binaries):
-    exes = (gcc_binaries["c"], gcc_binaries["cxx"])
+def test_function_records_never_disassemble(gcc_binaries, monkeypatch):
+    exes = (gcc_binaries["c"], gcc_binaries["cxx"], gcc_binaries["stripped"])
     root = exes[0].parent
     cfg = make_config(root, root / "reports", executables=tuple(e.name for e in exes))
     per_function = {
         "alpha": ircensus.IrSiteCensus(fp_calls=2),
         "_ZN3geo7measureERKNS_5ShapeEi": ircensus.IrSiteCensus(virtual_calls=1),
     }
-    records = pipeline._function_records(
-        cfg, Symbolizer(backend=_NoDisassembly()), per_function, RepairLedger()
-    )
-    assert records == pipeline._function_records(
-        cfg, _BoundariesSymbolizer(), per_function, RepairLedger()
-    )
+    started: list[str] = []
+    real = subprocess.run
+
+    def recording_run(argv, *args, **kwargs):
+        started.append(argv[0])
+        return real(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    records = pipeline._function_records(cfg, Symbolizer(), per_function, RepairLedger())
+    assert started == ["addr2line", "addr2line"]  # the stripped copy has no spans and no lines
     by_name = {r.name: r for r in records}
     assert {"alpha", "beta", "gamma_fn", "main", "_ZL5twicei"} <= set(by_name)
     assert by_name["alpha"].call_sites == 2
@@ -1156,3 +1150,16 @@ def test_violation_rows_append_a_link_time_suffix_after_demangling(tmp_path):
         subprocess.run(["c++filt", "_ZL3foov.__uniq.77"], capture_output=True, text=True,
                        check=True).stdout.strip(),
     ]
+
+
+def test_the_traced_benchmark_installs_its_hooks():
+    # perfbench's layer trace patches cfiheal's layers by name; a renamed or
+    # removed name it looks up fails its install. A fresh interpreter keeps
+    # the patches out of this session.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from layertrace import Tracer; Tracer().install()"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

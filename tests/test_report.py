@@ -111,11 +111,6 @@ def test_src_entry_does_not_match_basename_infix():
     assert core.statuses["f"] is EnforcementStatus.PROTECTED
 
 
-def test_patched_symbols_argument():
-    core = compute_coverage(FUNCTIONS, [], patched_symbols={"alpha"})
-    assert core.statuses["alpha"] is EnforcementStatus.DEFAULT_VISIBILITY
-
-
 def test_coverage_triples_reconcile():
     core = compute_coverage(FUNCTIONS, [fun_entry("beta")])
     fn = core.per_function

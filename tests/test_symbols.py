@@ -6,12 +6,10 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
-from cfiheal.escalation import EscalationEngine, file_holds_no_check
+from cfiheal.escalation import EscalationEngine, ViolationStatus, file_holds_no_check
 from cfiheal.ignorelist import IgnorelistStore, LadderLevel
 from cfiheal.symbols import (
     Confidence,
@@ -21,7 +19,6 @@ from cfiheal.symbols import (
     SymbolInfo,
     Symbolizer,
     _demangle_batch,
-    _fill_gaps,
     demangle,
     runtime_to_static,
 )
@@ -159,16 +156,18 @@ def test_resolve_without_debuginfo_falls_back_to_symtab(tmp_path, sample_binarie
     _check_symtab_fallback("clang", sample_binaries["source"], tmp_path / "nodebug")
 
 
-@needs_toolchain
-def test_resolve_stripped_uses_heuristic(sample_binaries):
-    binary = sample_binaries["stripped"]
+def _check_stripped_misses(binary: Path, probes) -> None:
     symbolizer = Symbolizer()
-    entry = ElfFile(binary).e_entry
-    info = symbolizer.resolve(binary, entry)
-    assert info.confidence is Confidence.BOUNDARY_HEURISTIC
-    assert info.source_file is None
-    spans = symbolizer.function_boundaries(binary)
-    assert any(s.contains(entry) for s in spans)
+    assert symbolizer.function_boundaries(binary) == []
+    for probe in probes:
+        with pytest.raises(ResolutionError):
+            symbolizer.resolve(binary, probe)
+
+
+@needs_toolchain
+def test_resolve_stripped_misses(sample_binaries):
+    binary = sample_binaries["stripped"]
+    _check_stripped_misses(binary, [ElfFile(binary).e_entry])
 
 
 @needs_toolchain
@@ -185,7 +184,6 @@ def test_objdump_backend_covers_entry(sample_binaries):
     assert spans
     entry = ElfFile(binary).e_entry
     assert any(s.contains(entry) for s in spans)
-    assert all(s.source == "heuristic" for s in spans)
 
 
 @needs_toolchain
@@ -274,29 +272,29 @@ def _gcc_sample_starts(gcc_binaries) -> dict[str, int]:
 
 # The stripped probes are the sample's own functions, placed by nm on the
 # unstripped build.
-def test_gcc_resolve_stripped_uses_heuristic(gcc_binaries):
-    binary = gcc_binaries["stripped"]
-    symbolizer = Symbolizer()
-    for addr in _gcc_sample_starts(gcc_binaries).values():
-        for probe in (addr, addr + 4):
-            info = symbolizer.resolve(binary, probe)
-            assert info == SymbolInfo(f"fn_0x{addr:x}", None, None, Confidence.BOUNDARY_HEURISTIC)
-    starts = {s.start for s in symbolizer.function_boundaries(binary)}
-    assert set(_gcc_sample_starts(gcc_binaries).values()) <= starts
+def test_gcc_resolve_stripped_misses(gcc_binaries):
+    starts = _gcc_sample_starts(gcc_binaries).values()
+    _check_stripped_misses(gcc_binaries["stripped"], [a + d for a in starts for d in (0, 4)])
 
 
 def test_gcc_objdump_backend_finds_function_starts(gcc_binaries):
     spans = ObjdumpBackend().function_candidates(gcc_binaries["stripped"])
-    assert all(s.source == "heuristic" for s in spans)
     assert set(_gcc_sample_starts(gcc_binaries).values()) <= {s.start for s in spans}
 
 
-def test_gcc_resolve_stripped_entry_point(gcc_binaries):
-    # gcc's _start opens with `xor %ebp,%ebp`, no listed prologue.
+def test_gcc_resolve_stripped_entry_point(gcc_binaries, monkeypatch):
+    # Mapped at a load base, the entry point keeps its binary and static address.
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["stripped"]
-    entry = ElfFile(binary).e_entry
-    info = Symbolizer().resolve(binary, entry)
-    assert info == SymbolInfo(f"fn_0x{entry:x}", None, None, Confidence.BOUNDARY_HEURISTIC)
+    elf = ElfFile(binary)
+    offset = elf.vaddr_to_file_offset(elf.e_entry)
+    seg = next(s for s in elf.load_segments if s.offset <= offset < s.offset + s.filesz)
+    base = 0x560000000000
+    region = MemoryRegion(base, base + seg.filesz, "r-xp", seg.offset, str(binary))
+    resolved = Symbolizer().resolve_runtime(base + offset - seg.offset, (region,))
+    assert resolved == (binary, elf.e_entry, None)
+    assert run.programs == []
 
 
 FAKE_OBJDUMP = """\
@@ -411,9 +409,9 @@ def test_gcc_span_starts_match_addr2line(gcc_binaries, tmp_path, build):
         binary = tmp_path / "sample-cxx-O1"
         subprocess.run(["g++", "-g", "-O1", "-fno-omit-frame-pointer", "-o", str(binary),
                         str(SAMPLE_CXX)], check=True, capture_output=True)
-    symbolizer = Symbolizer(backend=_RaisingBackend())
+    symbolizer = Symbolizer()
     checked = 0
-    for span in symbolizer._symtab_spans(binary):
+    for span in symbolizer.function_boundaries(binary):
         oracle = addr2line_location(binary, span.start)
         if oracle is None:
             continue
@@ -459,20 +457,6 @@ class _RecordingRun:
         return self.real(argv, *args, **kwargs)
 
 
-class _RaisingBackend:
-    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
-        raise AssertionError("a symtab hit must not disassemble")
-
-
-class _RecordingBackend:
-    def __init__(self):
-        self.calls: list[Path] = []
-
-    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
-        self.calls.append(binary)
-        return []
-
-
 def test_view_build_starts_no_cxxfilt(gcc_binaries, monkeypatch):
     run = _RecordingRun()
     monkeypatch.setattr(symbols.subprocess, "run", run)
@@ -481,14 +465,13 @@ def test_view_build_starts_no_cxxfilt(gcc_binaries, monkeypatch):
     for span in spans:
         symbolizer.resolve(gcc_binaries["cxx"], span.start)
     assert any(span.name.startswith("_Z") for span in spans)
-    assert "c++filt" not in run.programs
-    assert run.programs.count("objdump") == 1
+    assert set(run.programs) == {"addr2line"}
 
 
 def test_report_column_starts_one_cxxfilt_and_none_for_c(gcc_binaries, monkeypatch, tmp_path):
     run = _RecordingRun()
     monkeypatch.setattr(symbols.subprocess, "run", run)
-    symbolizer = Symbolizer(backend=_RaisingBackend())
+    symbolizer = Symbolizer()
     c_functions = _symtab_functions(gcc_binaries["c"])
     column = _report_functions(symbolizer, gcc_binaries["c"], list(c_functions), tmp_path / "c")
     assert column == list(c_functions.values())
@@ -498,25 +481,26 @@ def test_report_column_starts_one_cxxfilt_and_none_for_c(gcc_binaries, monkeypat
     assert run.programs.count("c++filt") == 1
 
 
-def test_symtab_hits_never_disassemble(gcc_binaries):
+def test_symtab_hits_never_disassemble(gcc_binaries, monkeypatch):
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["cxx"]
-    symbolizer = Symbolizer(backend=_RaisingBackend())
-    for addr in _symtab_functions(binary):
-        info = symbolizer.resolve(binary, addr)
-        assert info.confidence is not Confidence.BOUNDARY_HEURISTIC
+    symbolizer = Symbolizer()
+    for addr, name in _symtab_functions(binary).items():
+        assert symbolizer.resolve(binary, addr).function == name
+    assert set(run.programs) == {"addr2line"}
 
 
-def test_symtab_miss_disassembles_once(gcc_binaries):
-    backend = _RecordingBackend()
-    symbolizer = Symbolizer(backend=backend)
-    binary = gcc_binaries["c"]
-    symbolizer.resolve(binary, nm_functions(binary)["alpha"])
-    assert backend.calls == []
-    for _ in range(2):
-        with pytest.raises(ResolutionError):
-            symbolizer.resolve(binary, 0x2)
-    symbolizer.function_boundaries(binary)
-    assert backend.calls == [binary]
+def test_symtab_miss_starts_no_subprocess(gcc_binaries, monkeypatch):
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    symbolizer = Symbolizer()
+    for binary in (gcc_binaries["c"], gcc_binaries["stripped"]):
+        for _ in range(2):
+            with pytest.raises(ResolutionError):
+                symbolizer.resolve(binary, 0x2)
+        symbolizer.function_boundaries(binary)
+    assert run.programs == []
 
 
 @pytest.mark.parametrize(
@@ -533,7 +517,7 @@ def test_failed_batch_leaves_names_mangled(gcc_binaries, monkeypatch, tmp_path, 
     run = _RecordingRun(failure)
     monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["cxx"]
-    symbolizer = Symbolizer(backend=_RecordingBackend())
+    symbolizer = Symbolizer()
     functions = _symtab_functions(binary)
     column = _report_functions(symbolizer, binary, list(functions), tmp_path)
     assert column == list(functions.values())
@@ -554,7 +538,7 @@ def test_failed_addr2line_leaves_lines_unknown(gcc_binaries, monkeypatch, failur
     run = _RecordingRun(failure, program="addr2line")
     monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["c"]
-    symbolizer = Symbolizer(backend=_RaisingBackend())
+    symbolizer = Symbolizer()
     starts = sorted(_symtab_functions(binary))
     infos = symbolizer.resolve_many(binary, starts)
     infos += [symbolizer.resolve(binary, addr) for addr in starts]
@@ -570,7 +554,7 @@ def test_addr2line_once_per_batch_and_cached(gcc_binaries, monkeypatch):
     run = _RecordingRun()
     monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["cxx"]
-    symbolizer = Symbolizer(backend=_RaisingBackend())
+    symbolizer = Symbolizer()
     starts = sorted(_symtab_functions(binary))
     batch = symbolizer.resolve_many(binary, starts)
     assert run.programs.count("addr2line") == 1
@@ -598,7 +582,7 @@ def test_trap_frames_start_one_addr2line(gcc_binaries, monkeypatch, unmapped):
     returns = [runtime[1] + 1, 0x10 if unmapped else runtime[2] + 1]
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, runtime[0], runtime[0], tuple(returns),
                      {}, binary, (region,))
-    symbolizer = Symbolizer(backend=_RaisingBackend())
+    symbolizer = Symbolizer()
     found, static, callee, caller, callers_caller = pipeline._symbolize_trap(symbolizer, trap)
     assert (found, static) == (binary, statics[0])
     assert (callee.function, caller.function) == ("alpha", "beta")
@@ -610,16 +594,6 @@ def test_trap_frames_start_one_addr2line(gcc_binaries, monkeypatch, unmapped):
         assert callers_caller.confidence is Confidence.DEBUGINFO
     assert run.programs.count("addr2line") == 1
     assert symbolizer.warnings == []
-
-
-class _StubBackend:
-    """A two-byte heuristic candidate around each given address, with no disassembly."""
-
-    def __init__(self, addresses):
-        self.addresses = addresses
-
-    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
-        return [FunctionSpan("stub", a - 1, a + 1, source="heuristic") for a in self.addresses]
 
 
 @needs_linux
@@ -657,14 +631,64 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
                if reason == "outside the project"]
     assert outside == [LadderLevel.CALLER_FUNCTION, LadderLevel.CALLER_SOURCE]
 
-    # Without a project root every frame is resolved, the library's too.
+    # Without a project root every frame is resolved, the library's too: by
+    # its symbol table, or, where no span covers it, to no symbol at all.
     ret = trap.return_addresses[0] - 1
     static = runtime_to_static(ElfFile(Path(library)), ret, trap.memory_map, Path(library))
-    symbolizer = Symbolizer(backend=_StubBackend([static]))
+    symbolizer = Symbolizer()
     _, _, callee, caller, _ = pipeline._symbolize_trap(symbolizer, trap)
     assert callee.function == "main"
-    assert caller.confidence in (Confidence.SYMBOL_TABLE, Confidence.BOUNDARY_HEURISTIC)
-    assert library in symbolizer._cache
+    assert caller is None or caller.confidence is Confidence.SYMBOL_TABLE
+    assert symbolizer.resolve_runtime(ret, trap.memory_map) == (Path(library), static, caller)
+    assert "objdump" not in run.programs
+
+
+STRIPPED_TRAP = """\
+__attribute__((noinline)) void fault(void) { __builtin_trap(); }
+__attribute__((noinline)) void relay(void) { fault(); }
+int main(void) { relay(); return 0; }
+"""
+
+
+@needs_linux
+@pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+def test_a_trap_in_a_stripped_pie_keys_by_its_static_address(tmp_path, monkeypatch):
+    if Path("/proc/sys/kernel/randomize_va_space").read_text().strip() == "0":
+        pytest.skip("needs address space layout randomization")
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "main.c").write_text(STRIPPED_TRAP)
+    subprocess.run(["gcc", "-O0", "-fno-omit-frame-pointer", "-fPIE", "-pie", "-o", "app",
+                    "main.c"], cwd=project, check=True, capture_output=True)
+    fault_span = nm_functions(project / "app")["fault"]
+    subprocess.run(["strip", "app"], cwd=project, check=True, capture_output=True)
+    traps = [run_traced([str(project / "app")], 30).trap for _ in range(2)]
+    assert traps[0].fault_pc != traps[1].fault_pc, "each run loads the PIE at its own base"
+
+    run = _RecordingRun()
+    monkeypatch.setattr(symbols.subprocess, "run", run)
+    popen = _CountingPopen()
+    monkeypatch.setattr(symbols.subprocess, "Popen", popen)
+    symbolizer = Symbolizer()
+    faults = [pipeline._symbolize_trap(symbolizer, trap, project_root=project) for trap in traps]
+    assert run.programs == popen.programs == []
+    for binary, static, *frames in faults:
+        assert binary == project / "app"
+        assert fault_span <= static < fault_span + 16  # the ud2 in fault's body
+        assert frames == [None, None, None]
+    assert faults[0][:2] == faults[1][:2]
+
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), project)
+    for trap, fault, test_id in zip(traps, faults, ("t1", "t2")):
+        engine.observe(trap, *fault, test_id)
+    (violation,) = engine.all_violations()
+    assert violation.key == (str(project / "app"), faults[0][1])
+    assert violation.test_ids == ("t1", "t2")
+    assert engine.next_scope(violation) is None
+    assert violation.status is ViolationStatus.UNRESOLVABLE
+    assert violation.skipped_levels == [
+        (level, "identity unavailable") for level in list(LadderLevel)[:5]
+    ]
 
 
 @pytest.mark.parametrize("build", ["stripped", "no -g"])
@@ -687,7 +711,7 @@ def test_no_debug_line_starts_no_addr2line(gcc_binaries, monkeypatch, tmp_path, 
 def test_rebuilt_binary_replaces_its_view(gcc_binaries, tmp_path):
     binary = tmp_path / "app"
     shutil.copy2(gcc_binaries["c"], binary)
-    symbolizer = Symbolizer(backend=_RecordingBackend())
+    symbolizer = Symbolizer()
     alpha = nm_functions(binary)["alpha"]
     assert symbolizer.resolve(binary, alpha).function == "alpha"
     shutil.copy2(gcc_binaries["cxx"], binary)  # a different size: a new key
@@ -696,71 +720,6 @@ def test_rebuilt_binary_replaces_its_view(gcc_binaries, tmp_path):
     symbolizer.resolve(gcc_binaries["c"], alpha)
     assert len(symbolizer._cache) == 2
     assert symbolizer._view(binary).elf.path == binary
-
-
-def _fill_gaps_reference(symtab, heuristic):
-    """The quadratic gap fill the sweep replaced, kept as its oracle."""
-    if not symtab:
-        return sorted(heuristic, key=lambda s: s.start)
-    spans = list(symtab)
-    covered = [(s.start, s.end) for s in symtab]
-    for cand in heuristic:
-        start, end = cand.start, cand.end
-        for cov_start, cov_end in covered:
-            if start >= cov_end or end <= cov_start:
-                continue
-            if start < cov_start:
-                end = cov_start
-            else:
-                start = max(start, cov_end)
-            if end <= start:
-                break
-        if end > start and not any(cs <= start < ce for cs, ce in covered):
-            spans.append(FunctionSpan(f"fn_0x{start:x}", start, end, source="heuristic"))
-    spans.sort(key=lambda s: s.start)
-    trimmed = []
-    for span in spans:
-        if trimmed and span.start < trimmed[-1].end:
-            prev = trimmed[-1]
-            trimmed[-1] = FunctionSpan(prev.name, prev.start, span.start, prev.source)
-        trimmed.append(span)
-    return [s for s in trimmed if s.end > s.start]
-
-
-def _symtab_like(raw: list[tuple[int, int]]) -> list[FunctionSpan]:
-    """Sorted, disjoint spans the way the view builds them from symbols."""
-    by_start = dict(sorted(raw))
-    starts = sorted(by_start)
-    spans = []
-    for i, start in enumerate(starts):
-        end = start + by_start[start]
-        if i + 1 < len(starts):
-            end = min(end, starts[i + 1])
-        spans.append(FunctionSpan(f"f{start}", start, end))
-    return spans
-
-
-def _outcome(fill, symtab, heuristic):
-    try:
-        return fill(symtab, heuristic)
-    except ValueError:
-        return ValueError
-
-
-_INTERVALS = st.lists(st.tuples(st.integers(0, 80), st.integers(1, 12)), max_size=14)
-
-
-@settings(max_examples=400, deadline=None)
-@given(symtab=_INTERVALS, heuristic=_INTERVALS, disjoint=st.booleans())
-def test_gap_fill_sweep_equals_quadratic_loop(symtab, heuristic, disjoint):
-    spans = _symtab_like(symtab)
-    if disjoint:  # what ObjdumpBackend returns: each candidate ends where the next starts
-        starts = sorted({s for s, _ in heuristic})
-        ends = starts[1:] + [starts[-1] + 5] if starts else []
-        cands = [FunctionSpan(f"c{a}", a, b, source="heuristic") for a, b in zip(starts, ends)]
-    else:
-        cands = [FunctionSpan(f"c{s}", s, s + n, source="heuristic") for s, n in heuristic]
-    assert _outcome(_fill_gaps, spans, cands) == _outcome(_fill_gaps_reference, spans, cands)
 
 
 needs_dwarfdump = pytest.mark.skipif(
