@@ -157,10 +157,6 @@ class Violation:
         return violation_key(self.binary, self.static_fault_pc, self.callee)
 
     @property
-    def fixed_level(self) -> LadderLevel | None:
-        return self.ladder_level if self.status is ViolationStatus.FIXED else None
-
-    @property
     def claim(self) -> tuple[LadderLevel, str] | None:
         """(rung, ignorelist line) this violation holds: its current rung once tried."""
         if self.status is ViolationStatus.UNRESOLVABLE or not self.attempted:

@@ -69,7 +69,14 @@ from .harness import (
 )
 from .ignorelist import IgnorelistStore
 from .ircensus import IrSiteCensus, census, census_by_function, read_ir_lines
-from .repair import RepairLedger, cross_dso_bindings, repair_until_buildable, revert_patches
+from .repair import (
+    JOURNAL_NAME,
+    RepairError,
+    RepairLedger,
+    cross_dso_bindings,
+    repair_until_buildable,
+    revert_patches,
+)
 from .report import (
     CoverageCore,
     FunctionRecord,
@@ -100,11 +107,13 @@ class HealResult:
 
 
 def _save_state(cfg: ProjectConfig, state: dict, **changes) -> None:
-    """Apply changes to state, then rewrite state.json from it."""
+    """Apply changes to state, then replace state.json with it, never leaving it half written."""
     state.update(changes)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.report_dir / STATE_NAME
-    path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
+    temporary = path.with_name(f".{STATE_NAME}.tmp")
+    temporary.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
+    os.replace(temporary, path)
 
 
 def _outside_frame(
@@ -711,8 +720,17 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.revert:
-            removed = revert_patches(cfg)
+            try:
+                removed = revert_patches(cfg)
+            except (RepairError, OrchestrationError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             print(f"reverted {removed} visibility patch(es)")
+            journal = cfg.report_dir / JOURNAL_NAME
+            if journal.exists():
+                left = len(journal.read_text().splitlines())
+                print(f"error: {left} journal row(s) not reverted; kept in {journal}", file=sys.stderr)
+                return 1
             return 0
         try:
             result = heal(cfg)
@@ -771,7 +789,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         if not state_path.is_file():
             print(f"error: no {STATE_NAME} in {args.state_dir}", file=sys.stderr)
             return 2
-        state = json.loads(state_path.read_text())
+        try:
+            state = json.loads(state_path.read_text())
+        except ValueError as exc:
+            print(f"error: {state_path} is not valid JSON: {exc}", file=sys.stderr)
+            return 2
         report = state.get("report")
         if not report:
             print("error: state file has no completed report", file=sys.stderr)

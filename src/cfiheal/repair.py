@@ -18,9 +18,9 @@ static archives) the diagnostic loop repairs: it reads undefined /
 hidden-symbol diagnostics off a failed build and patches those symbols
 through the same pass. A pass locates each symbol's definition in the
 project tree (one read of each source per pass) and prepends an explicit
-__attribute__((visibility("default"))) to the definition's declarator.
-Every textual insertion is journaled (iteration, file, line, symbol) so the
-whole set of patches can be reverted exactly.
+__attribute__((visibility("default"))) to the definition's declarator,
+writing each patched file once. Every insertion is journaled (iteration,
+file, line, symbol) so the whole set of patches can be reverted exactly.
 
 Definitions are recognized, not declarations: the symbol name followed by a
 balanced parameter list whose closing parenthesis leads (possibly through
@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import re
 import stat
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,7 +77,6 @@ class VisibilityPatch:
     file: str
     line: int
     column: int
-    applied_text: str
     iteration: int
 
 
@@ -114,30 +113,18 @@ def extract_unresolved_symbols(diagnostics: tuple[Diagnostic, ...] | list[Diagno
     return symbols
 
 
-_ATTR_SKIP = re.compile(r"\s*__attribute__\s*\(\(", re.S)
+_ATTR_SKIP = re.compile(r"\s*__attribute__\s*\(\(")
+_SPACE = re.compile(r"\s*")
+_PAREN = re.compile(r"[()]")
 
 
 def _skip_attributes(text: str, pos: int) -> int:
     """Advance past whitespace and __attribute__((...)) blocks."""
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        m = _ATTR_SKIP.match(text, pos)
-        if not m:
-            return pos
-        depth = 0
-        i = m.end() - 2
-        while i < len(text):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    pos = i + 1
-                    break
-            i += 1
-        else:
-            return pos
+    while m := _ATTR_SKIP.match(text, pos):
+        if (close := _closing_paren(text, m.end() - 2)) == len(text):
+            break
+        pos = close + 1
+    return _SPACE.match(text, pos).end()
 
 
 def _call_pattern(name: str) -> re.Pattern:
@@ -167,185 +154,158 @@ def _closing_paren(text: str, open_at: int) -> int:
     if close >= 0 and text.find("(", open_at + 1, close) < 0:
         return close  # a flat parameter list
     depth = 0
-    i = open_at
-    while i < len(text):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        i += 1
-    return i
+    for m in _PAREN.finditer(text, open_at):
+        depth += 1 if m.group() == "(" else -1
+        if depth == 0:
+            return m.start()
+    return len(text)
 
 
 def _iter_sources(root: Path) -> list[Path]:
-    files = [
-        p
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix in _SOURCE_SUFFIXES and not p.is_symlink()
-    ]
-    return sorted(files, key=lambda p: str(p.relative_to(root)))
+    files = [p for p in root.rglob("*") if p.suffix in _SOURCE_SUFFIXES and not p.is_symlink()]
+    return sorted((p for p in files if p.is_file()), key=lambda p: str(p.relative_to(root)))
 
 
 # Whole words of ASCII letters, digits and underscores.
 _WORD = re.compile(r"\w+", re.ASCII)
 
 
-class _PassSources:
-    """Where one repair pass's symbols are defined, from one read of each source.
+def _scan_definitions(
+    root: Path, names: Iterable[str]
+) -> tuple[dict[str, list[tuple[Path, int]]], dict[Path, str]]:
+    """Where each name is defined under root, from one walk and one read of each source.
 
-    One walk of the tree and one read per file test every symbol's identifier
-    at once; a mangled symbol is demangled by the pass's one c++filt. A file
-    the pass patches is read again before the next lookup, so its offsets
-    stay exact. Hits are kept per identifier and file, and no text is kept.
+    Returns each name's definitions as (file, offset), in path order, and the
+    text of each file that holds one. An ASCII name can be defined only in a
+    text that has its leading word as a whole word; any other name is looked
+    for as a substring.
     """
-
-    def __init__(self, root: Path, symbols: Sequence[str]) -> None:
-        self.root = root
-        self.demangled = dict(zip(symbols, _demangle_batch(list(symbols))[0]))
-        names = {base_identifier(d) for d in self.demangled.values()}
-        self.calls = {name: _call_pattern(name) for name in names}
-        # An ASCII name can be defined only in a text that has its leading
-        # word as a whole word; any other name is looked for as a substring.
-        self.by_word: dict[str, list[str]] = {}
-        self.unworded: list[str] = []
-        for name in names:
-            word = _WORD.match(name) if name.isascii() else None
-            if word:
-                self.by_word.setdefault(word.group(), []).append(name)
-            else:
-                self.unworded.append(name)
-        # identifier -> {file index: [(offset, line, column), ...]}, and back
-        self.hits: dict[str, dict[int, list[tuple[int, int, int]]]] = {n: {} for n in names}
-        self.found_in: dict[int, list[str]] = {}
-        self.files = _iter_sources(root)
-        self.position = {path: i for i, path in enumerate(self.files)}
-        self.stale: set[int] = set()
-        for index in range(len(self.files)):
-            self._scan(index)
-
-    def _scan(self, index: int) -> None:
-        """Read one file and record the definitions in it, in place of earlier ones."""
-        for name in self.found_in.pop(index, ()):
-            del self.hits[name][index]
+    calls = {name: _call_pattern(name) for name in names}
+    by_word: dict[str, list[str]] = {}
+    unworded: list[str] = []
+    for name in calls:
+        word = _WORD.match(name) if name.isascii() else None
+        if word:
+            by_word.setdefault(word.group(), []).append(name)
+        else:
+            unworded.append(name)
+    hits: dict[str, list[tuple[Path, int]]] = {name: [] for name in calls}
+    texts: dict[Path, str] = {}
+    for path in _iter_sources(root):
         try:
-            text = self.files[index].read_text(errors="replace")
+            text = path.read_text(errors="replace")
         except OSError:
-            return
-        words = set(_WORD.findall(text))
-        names = [n for w in words & self.by_word.keys() for n in self.by_word[w]]
-        names += [n for n in self.unworded if n in text]
-        for name in names:
-            offsets = _definition_offsets(text, self.calls[name])
-            if offsets:
-                self.hits[name][index] = [
-                    (o, text.count("\n", 0, o) + 1, o - (text.rfind("\n", 0, o) + 1) + 1)
-                    for o in offsets
-                ]
-                self.found_in.setdefault(index, []).append(name)
-
-    def patched(self, path: Path) -> None:
-        """Note that the pass changed path; it is read again before the next lookup."""
-        if path in self.position:
-            self.stale.add(self.position[path])
-
-    def definitions(self, symbol: str) -> list[tuple[Path, int, int, int]]:
-        """(file, offset, line, column) of each definition of symbol, in path order."""
-        for index in self.stale:
-            self._scan(index)
-        self.stale.clear()
-        found = self.hits[base_identifier(self.demangled[symbol])]
-        return [(self.files[i], *hit) for i in sorted(found) for hit in found[i]]
+            continue
+        names_here = [n for w in set(_WORD.findall(text)) & by_word.keys() for n in by_word[w]]
+        names_here += [n for n in unworded if n in text]
+        for name in names_here:
+            for offset in _definition_offsets(text, calls[name]):
+                hits[name].append((path, offset))
+                texts[path] = text
+    return hits, texts
 
 
-def locate_definition(
-    symbol: str, root: Path, index: _PassSources | None = None
-) -> DefinitionSite | None:
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of offset in text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _site(root: Path, hits: list[tuple[Path, int]], texts: dict[Path, str]) -> DefinitionSite:
+    """The first of hits as a DefinitionSite; the others become its alternates."""
+    path, offset = hits[0]
+    alternates = tuple(f"{p.relative_to(root)}:{_line_column(texts[p], o)[0]}" for p, o in hits[1:])
+    return DefinitionSite(path, *_line_column(texts[path], offset), offset, alternates)
+
+
+def locate_definition(symbol: str, root: Path) -> DefinitionSite | None:
     """First definition of symbol under root, in deterministic path order.
 
     Further candidates are reported through DefinitionSite.alternates so the
-    caller can record the ambiguity. A repair pass passes the index it built
-    for root and its symbols; without one, the tree is read for symbol alone.
+    caller can record the ambiguity.
     """
-    if index is None:
-        index = _PassSources(root, [symbol])
-    hits = index.definitions(symbol)
-    if not hits:
-        return None
-    path, offset, line, column = hits[0]
-    alternates = tuple(f"{p.relative_to(root)}:{ln}" for p, _, ln, _ in hits[1:])
-    return DefinitionSite(path, line, column, offset, alternates)
+    name = base_identifier(demangle(symbol))
+    hits, texts = _scan_definitions(root, [name])
+    return _site(root, hits[name], texts) if hits[name] else None
 
 
-def _already_default(text: str, name_offset: int) -> bool:
-    """True if the declarator already carries a visibility attribute."""
+def _already_default(text: str, name_offset: int, planned: Iterable[int] = ()) -> bool:
+    """True if the declarator already carries a visibility attribute.
+
+    planned holds the offsets in text before which the attribute is to be
+    inserted; one inside the declarator counts as carried.
+    """
     start = max(
         text.rfind(";", 0, name_offset),
         text.rfind("}", 0, name_offset),
         text.rfind("{", 0, name_offset),
     )
     prefix = text[start + 1 : name_offset]
-    return "visibility" in prefix
+    return "visibility" in prefix or any(start < p <= name_offset for p in planned)
 
 
-def _insert_attribute(site: DefinitionSite) -> str:
-    """Insert the attribute before the definition's name; returns the text inserted.
+def _with_attributes(text: str, offsets: Iterable[int]) -> str:
+    """text with the attribute inserted before each of offsets (definition names).
 
-    Placing the attribute between type and declarator keeps the insertion
-    point independent of where the declaration starts, and is valid GNU C and
-    C++. A declarator that already mentions visibility is left untouched and
-    "" is returned.
+    Between type and declarator, the insertion point does not depend on where
+    the declaration starts, and the attribute is valid GNU C and C++.
     """
-    text = site.file.read_text(errors="replace")
-    if _already_default(text, site.name_offset):
-        return ""
-    site.file.write_text(text[: site.name_offset] + ATTRIBUTE_TEXT + text[site.name_offset :])
-    return ATTRIBUTE_TEXT
+    bounds = [0, *sorted(offsets), len(text)]
+    return ATTRIBUTE_TEXT.join(text[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def remove_visibility_default(file: Path, symbol: str) -> bool:
-    """Remove one journaled insertion before symbol's definition; True if removed."""
-    text = file.read_text(errors="replace")
+def _without_attribute(text: str, name: str) -> str | None:
+    """text less the inserted attribute before the first definition of name that has one."""
     start_at = len(ATTRIBUTE_TEXT)
-    for offset in _definition_offsets(text, _call_pattern(base_identifier(demangle(symbol)))):
+    for offset in _definition_offsets(text, _call_pattern(name)):
         if offset >= start_at and text.startswith(ATTRIBUTE_TEXT, offset - start_at):
-            file.write_text(text[: offset - start_at] + text[offset:])
-            return True
-    return False
+            return text[: offset - start_at] + text[offset:]
+    return None
 
 
-def _journal_path(cfg: ProjectConfig) -> Path:
-    return cfg.report_dir / JOURNAL_NAME
-
-
-def journal_patch(cfg: ProjectConfig, patch: VisibilityPatch) -> None:
-    path = _journal_path(cfg)
+def journal_patches(cfg: ProjectConfig, patches: Iterable[VisibilityPatch]) -> None:
+    """Append one journal row per patch, in one write."""
+    path = cfg.report_dir / JOURNAL_NAME
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a") as fh:
-        fh.write(f"{patch.iteration}\t{patch.file}\t{patch.line}\t{patch.symbol}\n")
+        fh.write("".join(f"{p.iteration}\t{p.file}\t{p.line}\t{p.symbol}\n" for p in patches))
 
 
 def revert_patches(cfg: ProjectConfig) -> int:
-    """Undo every journaled insertion; returns the number of removals."""
-    path = _journal_path(cfg)
+    """Undo the journaled insertions; returns the number of removals.
+
+    Each file is read and written once. Rows whose insertion cannot be found
+    stay in the journal, which is removed once it is empty.
+    """
+    path = cfg.report_dir / JOURNAL_NAME
     if not path.exists():
         return 0
-    removed = 0
     with ProjectLock(cfg.report_dir):
+        rows: dict[Path, list[tuple[int, str, str]]] = {}
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             if not raw.strip():
                 continue
             parts = raw.split("\t")
             if len(parts) != 4:
                 raise RepairError(f"journal line {lineno} is malformed: {raw!r}")
-            _, file_str, _, symbol = parts
-            file = Path(file_str)
-            if not file.is_absolute():
-                file = cfg.project_root / file
-            if file.is_file() and remove_visibility_default(file, symbol):
-                removed += 1
-        path.unlink()
+            file = cfg.project_root / parts[1]  # an absolute row path stays as it is
+            rows.setdefault(file, []).append((lineno, raw, parts[3]))
+        symbols = sorted({symbol for file_rows in rows.values() for *_, symbol in file_rows})
+        names = {s: base_identifier(d) for s, d in zip(symbols, _demangle_batch(symbols)[0])}
+        removed, left = 0, []
+        for file, file_rows in rows.items():
+            text = original = file.read_text(errors="replace") if file.is_file() else None
+            for lineno, raw, symbol in file_rows:
+                stripped = None if text is None else _without_attribute(text, names[symbol])
+                if stripped is None:
+                    left.append((lineno, raw))
+                else:
+                    text, removed = stripped, removed + 1
+            if text != original:
+                file.write_text(text)
+        if left:
+            path.write_text("".join(raw + "\n" for _, raw in sorted(left)))
+        else:
+            path.unlink()
     return removed
 
 
@@ -405,42 +365,52 @@ def _patch_pass(
 ) -> int:
     """Patch the definitions of the symbols not yet patched; returns the number patched.
 
-    A symbol without a definition under the project root, or whose
+    One scan of the tree finds every symbol's definitions. The symbols are
+    decided in order against it, as if each earlier patch were already in
+    place; then each patched file is written once and the journal appended
+    once. A symbol without a definition under the project root, or whose
     definition already carries a visibility attribute, goes to skipped with
-    the reason. Each patch is journaled; an ambiguous patched site is
-    recorded in the ledger.
+    the reason. An ambiguous patched site is recorded in the ledger.
     """
     patched = ledger.patched_symbols
     symbols = [s for s in symbols if s not in patched]
     if not symbols:
         return 0
-    index = _PassSources(cfg.project_root, symbols)
-    new_patches = 0
+    root = cfg.project_root
+    demangled = dict(zip(symbols, _demangle_batch(symbols)[0]))
+    hits, texts = _scan_definitions(root, {base_identifier(d) for d in demangled.values()})
+    planned: dict[Path, list[int]] = {}  # file -> offsets to insert before, in its text
+    new_patches: list[VisibilityPatch] = []
     for symbol in symbols:
         if symbol in patched:
             continue
-        site = locate_definition(symbol, cfg.project_root, index)
-        if site is None:
+        found = hits[base_identifier(demangled[symbol])]
+        if not found:
             skipped.append((symbol, "definition not found under project root"))
             continue
-        applied = _insert_attribute(site)
-        if not applied:
+        site = _site(root, found, texts)
+        earlier = planned.get(site.file, [])
+        if _already_default(texts[site.file], site.name_offset, earlier):
             skipped.append((symbol, "definition already carries a visibility attribute"))
             continue
         if site.alternates:
             ledger.ambiguities.append((symbol, site.alternates))
-        index.patched(site.file)
-        file = site.file
-        if file.is_relative_to(cfg.project_root):
-            file = file.relative_to(cfg.project_root)
+        # Earlier insertions on the site's line shift its column.
+        offset = site.name_offset
+        shift = len(ATTRIBUTE_TEXT) * sum(offset - site.column < p < offset for p in earlier)
+        planned.setdefault(site.file, []).append(offset)
         patch = VisibilityPatch(
-            symbol, index.demangled[symbol], str(file), site.line, site.column, applied, iteration
+            symbol, demangled[symbol], str(site.file.relative_to(root)), site.line,
+            site.column + shift, iteration,
         )
-        ledger.patches.append(patch)
+        new_patches.append(patch)
         patched.update((patch.symbol, patch.demangled))
-        journal_patch(cfg, patch)
-        new_patches += 1
-    return new_patches
+    if new_patches:
+        journal_patches(cfg, new_patches)
+    for path, offsets in planned.items():
+        path.write_text(_with_attributes(texts[path], offsets))
+    ledger.patches.extend(new_patches)
+    return len(new_patches)
 
 
 def repair_until_buildable(

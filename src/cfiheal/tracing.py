@@ -3,7 +3,9 @@
 CFI violations on x86_64 execute ud2 and raise SIGILL in the faulting task.
 The monitor never forks itself. It spawns the command with posix_spawn as a
 session-leader /bin/sh that stops itself before the command, seizes that
-shell with PTRACE_SEIZE while it is stopped, follows every descendant
+shell with PTRACE_SEIZE while it is stopped, resumes it with PTRACE_CONT
+from the ptrace-stop the seize leaves it in (no SIGCONT, so no
+signal-delivery stop and no group-stop-end stop), follows every descendant
 (fork/vfork/clone/exec), and converts the first SIGILL or genuine SIGTRAP
 stop anywhere in the tree into a TrapEvent carrying the corrected fault PC,
 up to two frame-pointer-unwound return addresses, a register snapshot, and
@@ -521,15 +523,14 @@ def _act(tree: _Tree, pid: int, status: int | None, is_stop: bool) -> dict | Non
     """Act on one booked wait status; the outcome fields if it ends the tree's run."""
     if not tree.seized:
         # First stop: the shell's own SIGSTOP, before the command (or its exit,
-        # if the cd failed). Seize it there; its ptrace-stop comes next.
+        # if the cd failed). Seize it there; its ptrace-stop comes next, and
+        # PTRACE_CONT from that stop runs the command. No SIGCONT is sent.
         if status is None:
             raise TraceError("tracee vanished before first stop")
         if not is_stop:
             return _ended(status)
         _ptrace(PTRACE_SEIZE, pid, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
         tree.seized = True
-        tree.stopped.discard(pid)
-        os.kill(pid, signal.SIGCONT)
         return None
     if not is_stop:
         if pid != tree.root:

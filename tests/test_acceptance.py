@@ -297,7 +297,7 @@ def test_criterion_6_heal_single_function_entry(capsys, healed_l0, tmp_path):
         assert len(result.violations) == 1
         violation = result.violations[0]
         assert violation.status is ViolationStatus.FIXED
-        assert violation.fixed_level is LadderLevel.CALLEE_FUNCTION
+        assert violation.ladder_level is LadderLevel.CALLEE_FUNCTION
         assert result.report["ignorelist"] == ["fun:run_cb"]
         list_path = cfg.report_dir / "cfi.ignorelist"
         assert list_path.read_text() == "fun:run_cb\n"
@@ -336,7 +336,7 @@ def test_criterion_7_escalation_minimality(capsys, healed_l3, tmp_path):
         assert len(result.violations) == 1
         violation = result.violations[0]
         assert violation.status is ViolationStatus.FIXED
-        assert violation.fixed_level is LadderLevel.CALLEE_SOURCE
+        assert violation.ladder_level is LadderLevel.CALLEE_SOURCE
         attempted = [line for _, line in violation.attempted]
         assert attempted == [
             "fun:engine_step.1",

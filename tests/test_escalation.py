@@ -185,7 +185,7 @@ def test_fix_at_first_rung(engine):
     assert entry.pattern == "run_cb"
     engine.record_outcome(v, trap_recurred=False)
     assert v.status is ViolationStatus.FIXED
-    assert v.fixed_level is LadderLevel.CALLEE_FUNCTION
+    assert v.ladder_level is LadderLevel.CALLEE_FUNCTION
     assert rendered(engine) == "fun:run_cb\n"
     # A fixed violation asks for nothing further.
     assert engine.next_scope(v) is None
@@ -210,7 +210,7 @@ def test_ineffective_rungs_are_retired(engine):
     engine.record_outcome(v, trap_recurred=False)
 
     assert v.status is ViolationStatus.FIXED
-    assert v.fixed_level is LadderLevel.CALLEE_SOURCE
+    assert v.ladder_level is LadderLevel.CALLEE_SOURCE
     assert (LadderLevel.CALLERS_CALLER_FUNCTION, "identity unavailable") in v.skipped_levels
     assert rendered(engine) == "src:two.c\n"
 
@@ -311,11 +311,10 @@ def test_reopen_releases_the_entry_it_was_fixed_at(engine):
 
     # The confirmation suite sees the trap again: fun:f did not hold.
     assert engine.reopen(v) is True
-    assert (v.status, v.fixed_level, v.ladder_level) == (
-        ViolationStatus.OPEN, None, LadderLevel.CALLER_FUNCTION)
+    assert (v.status, v.ladder_level) == (ViolationStatus.OPEN, LadderLevel.CALLER_FUNCTION)
     engine.next_scope(v)
     engine.record_outcome(v, trap_recurred=False)
-    assert v.fixed_level is LadderLevel.CALLER_FUNCTION
+    assert (v.status, v.ladder_level) == (ViolationStatus.FIXED, LadderLevel.CALLER_FUNCTION)
     assert rendered(engine) == "fun:g\n"
 
 
@@ -340,7 +339,7 @@ def test_reopen_at_the_last_rung_is_unresolvable(engine):
         engine.record_outcome(v, trap_recurred=True)
     engine.next_scope(v)
     engine.record_outcome(v, trap_recurred=False)
-    assert v.fixed_level is LadderLevel.CALLER_SOURCE
+    assert (v.status, v.ladder_level) == (ViolationStatus.FIXED, LadderLevel.CALLER_SOURCE)
     assert engine.reopen(v) is False
     assert v.status is ViolationStatus.UNRESOLVABLE
     assert rendered(engine) == ""

@@ -124,13 +124,13 @@ class EscalationModel(RuleBasedStateMachine):
         rendered = self.rendered()
         for v in self.engine.all_violations():
             if v.status is ViolationStatus.FIXED:
-                assert dict(v.attempted)[v.fixed_level] in rendered
+                assert dict(v.attempted)[v.ladder_level] in rendered
 
     @invariant()
     def fixed_violations_recurred_at_every_narrower_rung(self):
         for v in self.engine.all_violations():
             if v.status is ViolationStatus.FIXED:
-                narrower = {level for level, _ in v.attempted if level < v.fixed_level}
+                narrower = {level for level, _ in v.attempted if level < v.ladder_level}
                 assert narrower <= self.recurred[v.id]
 
     @invariant()

@@ -40,7 +40,7 @@ import oracle  # noqa: E402
 
 SCALE = 0.3
 SEED = 1
-TOOLS = ("gcc", "g++", "make", "objdump", "c++filt")
+TOOLS = ("gcc", "g++", "make", "c++filt")
 CHECKS = (
     "ignorelist_minimal",
     *(f"census.{key}" for key in gen.CATEGORIES),
@@ -247,7 +247,8 @@ def _outcome(result) -> dict:
 
 def _tried_in_vain(violation) -> set:
     """The rungs a violation tried and did not end fixed at."""
-    return {level for level, _ in violation.attempted if level != violation.fixed_level}
+    fixed = violation.status is escalation.ViolationStatus.FIXED
+    return {level for level, _ in violation.attempted if not fixed or level != violation.ladder_level}
 
 
 # CFI builds of a heal whose ladder tries every rung that has an identity and

@@ -407,6 +407,53 @@ def test_cli_revert_with_no_journal(tmp_path, capsys):
     assert "reverted 0" in capsys.readouterr().out
 
 
+def test_cli_report_truncated_state(tmp_path, capsys):
+    (tmp_path / "state.json").write_text('{"phase": "done", "report": {"schema')
+    assert cli_main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+    assert "Traceback" not in err
+
+
+def test_state_is_replaced_not_rewritten_in_place(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path / "proj", tmp_path / "reports")
+    state: dict = {}
+    pipeline._save_state(cfg, state, phase="building")
+    before = (cfg.report_dir / "state.json").read_bytes()
+
+    def crash(src, dst):
+        raise OSError("killed before the rename")
+
+    # A run that dies while saving leaves the previous state.json whole.
+    monkeypatch.setattr(pipeline.os, "replace", crash)
+    with pytest.raises(OSError):
+        pipeline._save_state(cfg, state, phase="testing", filler="x" * 100_000)
+    assert (cfg.report_dir / "state.json").read_bytes() == before
+    monkeypatch.undo()
+    pipeline._save_state(cfg, state, phase="done")
+    assert json.loads((cfg.report_dir / "state.json").read_text())["phase"] == "done"
+    assert sorted(p.name for p in cfg.report_dir.iterdir()) == ["state.json"]
+
+
+def test_cli_revert_reports_the_rows_it_left(tmp_path, capsys):
+    root = copy_fixture("hello", tmp_path / "proj")
+    reports = tmp_path / "reports"
+    cfg_path = write_config(root, reports)
+    source = next(root.rglob("*.c"))
+    reports.mkdir()
+    (reports / "repair-journal.tsv").write_text(f"1\t{source.relative_to(root)}\t1\tno_such_fn\n")
+    assert cli_main(["heal", str(cfg_path), "--revert"]) == 1
+    out, err = capsys.readouterr()
+    assert "reverted 0" in out
+    assert "1 journal row(s) not reverted" in err
+    assert (reports / "repair-journal.tsv").exists()
+
+    # A journal that is not cfiheal's is a usage failure, not a traceback.
+    (reports / "repair-journal.tsv").write_text("garbage row\n")
+    assert cli_main(["heal", str(cfg_path), "--revert"]) == 2
+    assert "error: journal line 1 is malformed" in capsys.readouterr().err
+
+
 # A static `helper` in two units, one of whose definitions makes an indirect call.
 HELPER_WITH_CALL = """
 define internal i32 @helper(ptr %fp, i32 %x) {
@@ -589,8 +636,7 @@ class Rig:
 
 def violation_rows(result):
     return [
-        (v.id, v.status.value, v.ladder_level.short,
-         v.fixed_level.short if v.fixed_level is not None else None, v.test_ids)
+        (v.id, v.status.value, v.ladder_level.short, v.test_ids)
         for v in result.violations
     ]
 
@@ -600,9 +646,9 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
     result = heal(rig.cfg, symbolizer=FakeSymbolizer())
 
     assert violation_rows(result) == [
-        ("V1", "Fixed", "L0", "L0", ("t_l0",)),
-        ("V2", "Fixed", "L3", "L3", ("t_l3",)),
-        ("V3", "Unresolvable", "L5", None, ("t_unres",)),
+        ("V1", "Fixed", "L0", ("t_l0",)),
+        ("V2", "Fixed", "L3", ("t_l3",)),
+        ("V3", "Unresolvable", "L5", ("t_unres",)),
     ]
     assert [v.attempted for v in result.violations] == [
         [(LadderLevel.CALLEE_FUNCTION, "fun:f")],
@@ -906,8 +952,8 @@ def test_rig_confirmation_reopen_releases_the_ineffective_entry(tmp_path, monkey
     rig = Rig(tmp_path, monkeypatch, script)
     result = heal(rig.cfg, symbolizer=FakeSymbolizer())
     assert violation_rows(result) == [
-        ("V1", "Fixed", "L1", "L1", ("t_l0", "t_q")),
-        ("V2", "Fixed", "L1", "L1", ("t_q",)),
+        ("V1", "Fixed", "L1", ("t_l0", "t_q")),
+        ("V2", "Fixed", "L1", ("t_q",)),
     ]
     assert rig.calls["run_suite"] == 4
     # fun:f was V1's rung before the reopen; nothing claims it any more.
@@ -922,7 +968,7 @@ def test_rig_check_that_moves_keeps_its_violation(tmp_path, monkeypatch):
     result = heal(rig.cfg, symbolizer=FakeSymbolizer())
     # fun:m moved the check to 0x6014, where it trapped again: one violation,
     # climbing past fun:m, which does nothing and leaves the list.
-    assert violation_rows(result) == [("V1", "Fixed", "L1", "L1", ("t_m",))]
+    assert violation_rows(result) == [("V1", "Fixed", "L1", ("t_m",))]
     assert result.violations[0].attempted == [
         (LadderLevel.CALLEE_FUNCTION, "fun:m"), (LadderLevel.CALLER_FUNCTION, "fun:main"),
     ]
@@ -948,7 +994,7 @@ def test_rig_cxx_entry_is_mangled_and_its_report_row_demangled(
 
         monkeypatch.setattr(subprocess, "run", missing)
     result = heal(rig.cfg, symbolizer=FakeSymbolizer())
-    assert violation_rows(result) == [("V1", "Fixed", "L0", "L0", ("t_cxx",))]
+    assert violation_rows(result) == [("V1", "Fixed", "L0", ("t_cxx",))]
     assert result.report["ignorelist"] == ["fun:_ZN3app4stepEi"]
     written = json.loads((rig.reports / "report.json").read_text())
     (row,) = written["violations"]["details"]

@@ -15,9 +15,8 @@ from cfiheal.repair import (
     base_identifier,
     cross_dso_bindings,
     extract_unresolved_symbols,
-    journal_patch,
+    journal_patches,
     locate_definition,
-    remove_visibility_default,
     revert_patches,
 )
 from cfiheal.symbols import demangle
@@ -27,12 +26,21 @@ from conftest import HAVE_GCC, make_config
 needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
 
 
-def apply_visibility_default(site, symbol, iteration) -> VisibilityPatch:
-    """Patch one site the way a repair pass does, as a VisibilityPatch."""
-    applied = repair._insert_attribute(site)
-    return VisibilityPatch(
-        symbol, demangle(symbol), str(site.file), site.line, site.column, applied, iteration
-    )
+def apply_visibility_default(site, symbol, iteration) -> VisibilityPatch | None:
+    """Patch one site the way a repair pass does; None if it already carries the attribute."""
+    text = site.file.read_text()
+    if repair._already_default(text, site.name_offset):
+        return None
+    site.file.write_text(repair._with_attributes(text, [site.name_offset]))
+    return VisibilityPatch(symbol, demangle(symbol), str(site.file), site.line, site.column, iteration)
+
+
+def remove_visibility_default(file, symbol) -> bool:
+    """Remove the insertion before symbol's definition, as a revert does; True if removed."""
+    text = repair._without_attribute(file.read_text(), base_identifier(demangle(symbol)))
+    if text is not None:
+        file.write_text(text)
+    return text is not None
 
 
 LINE_C = """\
@@ -161,8 +169,7 @@ def test_apply_and_remove_roundtrip(tmp_path):
     target.write_text(source)
 
     site = locate_definition("grow", root)
-    patch = apply_visibility_default(site, "grow", iteration=1)
-    assert patch.applied_text == ATTRIBUTE_TEXT
+    assert apply_visibility_default(site, "grow", iteration=1) is not None
     patched = target.read_text()
     assert patched == source.replace("int grow", f"int {ATTRIBUTE_TEXT}grow")
 
@@ -177,11 +184,9 @@ def test_apply_is_idempotent(tmp_path):
     target = root / "g.c"
     target.write_text("int grow(int x) { return x; }\n")
 
-    first = apply_visibility_default(locate_definition("grow", root), "grow", 1)
-    assert first.applied_text == ATTRIBUTE_TEXT
+    assert apply_visibility_default(locate_definition("grow", root), "grow", 1) is not None
     before = target.read_text()
-    second = apply_visibility_default(locate_definition("grow", root), "grow", 2)
-    assert second.applied_text == ""
+    assert apply_visibility_default(locate_definition("grow", root), "grow", 2) is None
     assert target.read_text() == before
 
 
@@ -196,7 +201,7 @@ def test_journal_and_revert(tmp_path):
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     for it, name in enumerate(["first_fn", "second_fn"], start=1):
         patch = apply_visibility_default(locate_definition(name, root), name, it)
-        journal_patch(cfg, patch)
+        journal_patches(cfg, [patch])
 
     journal = cfg.report_dir / JOURNAL_NAME
     rows = [ln.split("\t") for ln in journal.read_text().splitlines()]
@@ -214,6 +219,58 @@ def test_revert_without_journal_is_noop(tmp_path):
     root.mkdir()
     cfg = make_config(root, tmp_path / "out")
     assert revert_patches(cfg) == 0
+
+
+def _patched_tree(tmp_path):
+    """Three patches in two files, journaled; returns the config and the pristine sources."""
+    root = tmp_path / "p"
+    root.mkdir()
+    (root / "a.c").write_text("int one(void) { return 1; }\nint two(void) { return 2; }\n")
+    (root / "b.c").write_text("int three(void) { return 3; }\n")
+    pristine = {p.name: p.read_text() for p in root.glob("*.c")}
+    cfg = make_config(root, tmp_path / "out")
+    patches = [
+        apply_visibility_default(locate_definition(name, root), name, 1)
+        for name in ("one", "two", "three")
+    ]
+    journal_patches(cfg, patches)
+    return cfg, pristine
+
+
+def test_revert_keeps_the_rows_it_cannot_apply(tmp_path):
+    cfg, pristine = _patched_tree(tmp_path)
+    root = cfg.project_root
+    a_c = root / "a.c"
+    a_c.write_text(a_c.read_text().replace("two(", "renamed_two("))
+    journal = cfg.report_dir / JOURNAL_NAME
+    two_row = journal.read_text().splitlines()[1]
+
+    assert revert_patches(cfg) == 2
+    assert (root / "b.c").read_text() == pristine["b.c"]
+    assert a_c.read_text() == pristine["a.c"].replace("int two", f"int {ATTRIBUTE_TEXT}renamed_two")
+    assert journal.read_text() == two_row + "\n"
+
+    # Once the definition has its name back, the kept row reverts it.
+    a_c.write_text(a_c.read_text().replace("renamed_two(", "two("))
+    assert revert_patches(cfg) == 1
+    assert {p.name: p.read_text() for p in root.glob("*.c")} == pristine
+    assert not journal.exists()
+
+
+def test_revert_writes_each_file_at_most_once(tmp_path, monkeypatch):
+    cfg, pristine = _patched_tree(tmp_path)
+    writes: dict[str, int] = {}
+    real_open = Path.open
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if mode[0] in "wa":
+            writes[path.name] = writes.get(path.name, 0) + 1
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert revert_patches(cfg) == 3
+    assert writes == {"a.c": 1, "b.c": 1}
+    assert {p.name: p.read_text() for p in cfg.project_root.glob("*.c")} == pristine
 
 
 def _gcc(cwd: Path, *args: str) -> None:

@@ -1,9 +1,10 @@
 """One repair pass against the per-symbol lookups it replaced.
 
-``_ref_pass`` is the pass as it was before the per-pass index: one
+``_ref_pass`` is the pass as it was before the per-pass scan: one
 ``locate_definition`` per symbol, each walking and reading the whole tree,
 and one ``demangle`` (one c++filt per mangled name) in the lookup and another
-in the patch, over a failed build's symbols in sorted order.
+in the patch, over a failed build's symbols in sorted order, with each patch
+read and written on its own and journaled on its own.
 ``repair_until_buildable`` must leave the same patches, ledger, journal bytes
 and tree.
 """
@@ -29,7 +30,6 @@ from cfiheal.repair import (
     VisibilityPatch,
     base_identifier,
     extract_unresolved_symbols,
-    journal_patch,
     repair_until_buildable,
 )
 
@@ -66,7 +66,9 @@ TREE = {
     "README.txt": "int alpha(void) { return 0; }\n",
 }
 PASSES = [
-    ["alpha", "beta", "mu", "gamma_fn", "delta", "epsilon", "zeta", "_Z5thetai", "_ZN2ns4iotaEv"],
+    # theta's site is _Z5thetai's, which sorts first.
+    ["alpha", "beta", "mu", "gamma_fn", "delta", "epsilon", "zeta", "_Z5thetai", "theta",
+     "_ZN2ns4iotaEv"],
     ["lambda", "alpha", "_Z5kappav", "missing_fn", "nested_fn", "größe"],
 ]
 
@@ -150,6 +152,20 @@ def _ref_locate(symbol, root):
     return DefinitionSite(path, line, column, offset, alternates)
 
 
+def _ref_insert_attribute(site):
+    text = site.file.read_text(errors="replace")
+    if repair._already_default(text, site.name_offset):
+        return ""
+    site.file.write_text(text[: site.name_offset] + ATTR + text[site.name_offset :])
+    return ATTR
+
+
+def _ref_journal(cfg, patch):
+    cfg.report_dir.mkdir(parents=True, exist_ok=True)
+    with (cfg.report_dir / repair.JOURNAL_NAME).open("a") as fh:
+        fh.write(f"{patch.iteration}\t{patch.file}\t{patch.line}\t{patch.symbol}\n")
+
+
 def _ref_pass(cfg, names, ledger, iteration):
     # A failed build's symbols are patched in sorted order, whatever order its log gives.
     for symbol in sorted(extract_unresolved_symbols(_failing(names).diagnostics)):
@@ -159,18 +175,17 @@ def _ref_pass(cfg, names, ledger, iteration):
         if site is None:
             ledger.skipped.append((symbol, "definition not found under project root"))
             continue
-        applied = repair._insert_attribute(site)
-        if not applied:
+        if not _ref_insert_attribute(site):
             ledger.skipped.append((symbol, "definition already carries a visibility attribute"))
             continue
         if site.alternates:
             ledger.ambiguities.append((symbol, site.alternates))
         patch = VisibilityPatch(
             symbol, symbols.demangle(symbol), str(site.file.relative_to(cfg.project_root)),
-            site.line, site.column, applied, iteration,
+            site.line, site.column, iteration,
         )
         ledger.patches.append(patch)
-        journal_patch(cfg, patch)
+        _ref_journal(cfg, patch)
 
 
 # -------------------------------------------------------------------- tests
@@ -217,6 +232,7 @@ def test_pass_matches_the_per_symbol_path(tmp_path, monkeypatch, cxxfilt):
     assert ("größe", "lib/u.c", 1, 5) in patched
     assert ("epsilon", "definition not found under project root") in ledger.skipped
     assert ("zeta", "definition already carries a visibility attribute") in ledger.skipped
+    assert ("theta", "definition already carries a visibility attribute") in ledger.skipped
     assert ("missing_fn", "definition not found under project root") in ledger.skipped
     assert ledger.iterations_build_phase == 2
 
@@ -227,28 +243,37 @@ def test_pass_starts_one_cxxfilt(tmp_path, monkeypatch, cxxfilt):
 
 
 def test_each_source_is_read_once_per_pass(tmp_path, monkeypatch, cxxfilt):
-    reads: dict[str, int] = {}
-    inserts: dict[str, int] = {}
-    real_read, real_insert = Path.read_text, repair._insert_attribute
+    root = tmp_path / "new"
+    _write_tree(root)
+    cfg = make_config(root, tmp_path / "new-out")
+    outcomes = iter([_failing(names) for names in PASSES] + [BuildOutcome(True, MODE, (), (), None, 0.0)])
+    # Path.open calls per (file name, mode letter), one dict per pass.
+    passes: list[dict[tuple[str, str], int]] = [{}]
+    real_open = Path.open
 
-    def counting_read(self, *args, **kwargs):
-        reads[self.name] = reads.get(self.name, 0) + 1
-        return real_read(self, *args, **kwargs)
+    def counting_open(path, mode="r", *args, **kwargs):
+        key = (path.name, mode[0])
+        passes[-1][key] = passes[-1].get(key, 0) + 1
+        return real_open(path, mode, *args, **kwargs)
 
-    def counting_insert(site):
-        inserts[site.file.name] = inserts.get(site.file.name, 0) + 1
-        return real_insert(site)
+    def build(cfg, mode, iteration):
+        passes.append({})
+        return next(outcomes)
 
-    monkeypatch.setattr(Path, "read_text", counting_read)
-    monkeypatch.setattr(repair, "_insert_attribute", counting_insert)
-    _run_new(tmp_path, monkeypatch, PASSES[:1])
-    assert inserts == {"a.c": 2, "b.c": 2, "d.c": 1, "v.c": 1, "t.cc": 2}
-    for name in (Path(rel).name for rel in TREE if rel.endswith((".c", ".cc"))):
-        # One read by the pass's index. An insertion reads its file, and a
-        # patched file is read again before the pass's next lookup.
-        assert reads[name] <= 1 + 2 * inserts.get(name, 0), name
-        if name not in inserts:
-            assert reads[name] == 1, name
+    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(repair, "run_build", build)
+    _, ledger = repair_until_buildable(cfg, MODE)
+    # Nothing is planned before the first build, and the last build stands.
+    assert len(passes) == 4 and passes[0] == passes[3] == {}
+    sources = {Path(rel).name for rel in TREE if rel.endswith((".c", ".cc"))}
+    for iteration, counts in enumerate(passes[1:3], start=1):
+        patched = {Path(p.file).name for p in ledger.patches if p.iteration == iteration}
+        assert counts == {
+            **{(name, "r"): 1 for name in sources},
+            **{(name, "w"): 1 for name in patched},
+            (repair.JOURNAL_NAME, "a"): 1,
+        }
+    assert {Path(p.file).name for p in ledger.patches if p.iteration == 1} == {"a.c", "b.c", "d.c", "t.cc"}
 
 
 def test_locate_definition_without_an_index_reads_the_tree(tmp_path, cxxfilt):
@@ -257,13 +282,12 @@ def test_locate_definition_without_an_index_reads_the_tree(tmp_path, cxxfilt):
     assert (site.file.name, site.line, site.column) == ("t.cc", 2, 20)
 
 
-def test_remove_attribute_at_the_start_of_a_file(tmp_path):
-    target = tmp_path / "s.c"
-    target.write_text(f"{ATTR}grow(int x) {{ return x; }}\n")
-    assert repair.remove_visibility_default(target, "grow")
-    assert target.read_text() == "grow(int x) { return x; }\n"
-    target.write_text(f"grow(int x) {{ return x; }}\n// {ATTR}")  # ends as an insertion would
-    assert not repair.remove_visibility_default(target, "grow")
+def test_remove_attribute_at_the_start_of_a_file():
+    assert repair._without_attribute(f"{ATTR}grow(int x) {{ return x; }}\n", "grow") == (
+        "grow(int x) { return x; }\n"
+    )
+    # Text that ends as an insertion would.
+    assert repair._without_attribute(f"grow(int x) {{ return x; }}\n// {ATTR}", "grow") is None
 
 
 def test_definition_offsets_skip_preprocessor_lines_only(tmp_path):
