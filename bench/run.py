@@ -62,7 +62,12 @@ it reports the median per-call wall time, this process's CPU per call
 (``RUSAGE_SELF``, all its threads) and the threads started per call. The
 two-exec test also runs 200 times as one ``run_traced_many`` batch, at jobs 1
 and at the number of CPUs this process may run on; those rows report wall
-time and CPU per test.
+time and CPU per test. The last row runs one suite_fanout-sized batch the way
+a heal does: ``harness.run_cases`` on 130 two-exec tests, each with its own
+arguments, the project root as working directory. The traced two-exec rows
+also report the wait statuses the monitor consumed per test, counted by
+wrapping ``os.waitpid`` during the untimed warm-up, and the monitor's CPU per
+status, the CPU per test divided by that count.
 
 ``--layer linker`` times ``parse_diagnostics`` over a synthetic build log of
 about 4 MB: compiler command lines, each followed every few units by a GNU ld
@@ -128,6 +133,7 @@ from cfiheal.build import (  # noqa: E402
 )
 from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
+from cfiheal.harness import TestCase, run_cases  # noqa: E402
 from cfiheal.ircensus import census_by_function, read_ir_lines  # noqa: E402
 from cfiheal.pipeline import _symbolize_trap, _take_census  # noqa: E402
 from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced, run_traced_many  # noqa: E402
@@ -490,6 +496,8 @@ TRACER_COMMANDS = {
     "/bin/true": ["/bin/true"],
     "2-exec shell test": "/bin/true a 7 >/dev/null && /bin/true b 7 >/dev/null",
 }
+# One suite_fanout batch: its test count.
+SUITE_TESTS = 130
 
 
 def _traced(cmd) -> None:
@@ -526,49 +534,103 @@ def _batched(jobs: int):
     return run
 
 
+def _suite(project: Path):
+    """SUITE_TESTS two-exec tests, each with its own arguments, through harness.run_cases."""
+    cfg = ProjectConfig(
+        project_root=project,
+        build_cmd="true",
+        test_cmd="true",
+        executables=(),
+        cfi_variants=(),
+        report_dir=project / "report",
+    )
+    cases = [
+        TestCase(f"t{i}", f"/bin/true a {i} >/dev/null && /bin/true b {i} >/dev/null")
+        for i in range(SUITE_TESTS)
+    ]
+
+    def run(cmd) -> None:
+        for result in run_cases(cfg, cases):
+            if not result.passed:
+                raise RuntimeError(f"{result.test_id}: {result.outcome}")
+
+    return run
+
+
+def _count_statuses(run, cmd) -> int:
+    """Run once, counting the wait statuses consumed through os.waitpid."""
+    real_waitpid = os.waitpid
+    statuses = 0
+
+    def counting(pid, options):
+        nonlocal statuses
+        wpid, status = real_waitpid(pid, options)
+        statuses += wpid != 0
+        return wpid, status
+
+    os.waitpid = counting
+    try:
+        run(cmd)
+    finally:
+        os.waitpid = real_waitpid
+    return statuses
+
+
 def bench_tracer(repeat: int) -> list[dict]:
     results = []
     real_start = threading.Thread.start
     usable_cpus = len(os.sched_getaffinity(0))
-    for target, cmd in TRACER_COMMANDS.items():
-        ops = [("run_traced", _one_by_one(_traced)), ("subprocess.run", _one_by_one(_untraced))]
-        if target == "2-exec shell test":
-            for jobs in sorted({1, usable_cpus}):
-                ops.append((f"run_traced_many jobs={jobs}", _batched(jobs)))
-        for op, run in ops:
-            started = 0
+    with tempfile.TemporaryDirectory(prefix="bench-tracer-") as project:
+        for target, cmd in TRACER_COMMANDS.items():
+            two_exec = target == "2-exec shell test"
+            # (op, run, calls per repeat, traced)
+            ops = [
+                ("run_traced", _one_by_one(_traced), TRACER_CALLS, True),
+                ("subprocess.run", _one_by_one(_untraced), TRACER_CALLS, False),
+            ]
+            if two_exec:
+                for jobs in sorted({1, usable_cpus}):
+                    ops.append((f"run_traced_many jobs={jobs}", _batched(jobs), TRACER_CALLS, True))
+                ops.append(
+                    (f"run_cases {SUITE_TESTS} tests jobs={usable_cpus}",
+                     _suite(Path(project)), SUITE_TESTS, True)
+                )
+            for op, run, calls, traced in ops:
+                started = 0
 
-            def counting_start(thread):
-                nonlocal started
-                started += 1
-                real_start(thread)
+                def counting_start(thread):
+                    nonlocal started
+                    started += 1
+                    real_start(thread)
 
-            run(cmd)  # warm-up
-            walls, cpus = [], []
-            threading.Thread.start = counting_start
-            try:
-                for _ in range(repeat):
-                    before = resource.getrusage(resource.RUSAGE_SELF)
-                    t0 = time.perf_counter()
-                    run(cmd)
-                    walls.append((time.perf_counter() - t0) / TRACER_CALLS)
-                    after = resource.getrusage(resource.RUSAGE_SELF)
-                    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-                    cpus.append(cpu / TRACER_CALLS)
-            finally:
-                threading.Thread.start = real_start
-            results.append(
-                {
+                statuses = _count_statuses(run, cmd) / calls  # doubles as the warm-up
+                walls, cpus = [], []
+                threading.Thread.start = counting_start
+                try:
+                    for _ in range(repeat):
+                        before = resource.getrusage(resource.RUSAGE_SELF)
+                        t0 = time.perf_counter()
+                        run(cmd)
+                        walls.append((time.perf_counter() - t0) / calls)
+                        after = resource.getrusage(resource.RUSAGE_SELF)
+                        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+                        cpus.append(cpu / calls)
+                finally:
+                    threading.Thread.start = real_start
+                row = {
                     "target": target,
                     "op": op,
-                    "calls_per_repeat": TRACER_CALLS,
+                    "calls_per_repeat": calls,
                     "median_ms": round(statistics.median(walls) * 1e3, 3),
                     "min_ms": round(min(walls) * 1e3, 3),
                     "max_ms": round(max(walls) * 1e3, 3),
                     "cpu_ms_per_call": round(statistics.median(cpus) * 1e3, 3),
-                    "threads_per_call": started / (repeat * TRACER_CALLS),
+                    "threads_per_call": started / (repeat * calls),
                 }
-            )
+                if two_exec and traced:
+                    row["wait_statuses_per_call"] = round(statuses, 2)
+                    row["cpu_us_per_status"] = round(statistics.median(cpus) * 1e6 / statuses, 1)
+                results.append(row)
     return results
 
 
@@ -742,7 +804,8 @@ def main() -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
         keys = ("mb_per_s", "patches", "symbols", "files", "spawns_per_call", "cpu_ms_per_call",
-                "threads_per_call", "cpus", "child_cpu_s")
+                "threads_per_call", "wait_statuses_per_call", "cpu_us_per_status", "cpus",
+                "child_cpu_s")
         extra = {k: r[k] for k in keys if k in r}
         median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
         print(f"{r['target']}: {r['op']} median {median} {extra}")

@@ -121,7 +121,9 @@ def run_cases(cfg: ProjectConfig, cases: Sequence[TestCase]) -> list[TestResult]
 
     The CPUs are those this process may run on, so `taskset -c 0` runs the
     tests one at a time. Every test is spawned in one copy of os.environ,
-    taken here, which spares posix_spawn reading it anew for each test.
+    taken here, which run_traced_many encodes to bytes once for the batch:
+    os.posix_spawn converts its env mapping on every call, joining each name
+    to its value, and would encode a mapping of str anew for each test too.
     """
     outcomes = run_traced_many(
         [case.command for case in cases],

@@ -2,17 +2,20 @@
 
 CFI violations on x86_64 execute ud2 and raise SIGILL in the faulting task.
 The monitor never forks itself. It spawns the command with posix_spawn as a
-session-leader /bin/sh that stops itself before the command, seizes that
-shell with PTRACE_SEIZE while it is stopped, resumes it with PTRACE_CONT
-from the ptrace-stop the seize leaves it in (no SIGCONT, so no
-signal-delivery stop and no group-stop-end stop), follows every descendant
-(fork/vfork/clone/exec), and converts the first SIGILL or genuine SIGTRAP
-stop anywhere in the tree into a TrapEvent carrying the corrected fault PC,
-up to two frame-pointer-unwound return addresses, a register snapshot, and
-the faulting task's memory map. The tracee tree is terminated after the trap;
-execution never resumes past a violation. The tracee's stdin, stdout and
-stderr are one read-write /dev/null descriptor: no output is read or kept, so
-no tracee blocks on a full pipe and the monitor runs no thread of its own.
+session-leader /bin/sh that stops itself before the command, and seizes that
+shell with PTRACE_SEIZE as soon as posix_spawn returns. The shell's own
+SIGSTOP then arrives as one signal-delivery stop, which the monitor
+suppresses; a shell that stopped before the seize reports one
+PTRACE_EVENT_STOP instead, and PTRACE_CONT from it runs the command (no
+SIGCONT is ever sent). The monitor follows every descendant through its
+fork, vfork and clone events, but not its execs, and converts the first
+SIGILL or genuine SIGTRAP stop anywhere in the tree into a TrapEvent carrying
+the corrected fault PC, up to two frame-pointer-unwound return addresses, a
+register snapshot, and the faulting task's memory map. The tracee tree is
+terminated after the trap; execution never resumes past a violation. The
+tracee's stdin, stdout and stderr are one read-write /dev/null descriptor:
+no output is read or kept, so no tracee blocks on a full pipe and the
+monitor runs no thread of its own.
 
 Program-counter correction is trap-flavor specific: SIGILL stops report the
 faulting instruction address directly, while SIGTRAP from an int3 byte
@@ -25,15 +28,21 @@ non-monotonic frame chain, so instrumented builds must keep frame pointers.
 
 One monitor in the calling thread supervises a batch of commands, up to
 `jobs` tracee trees at a time (run_traced_many; run_traced is the batch of
-one). Every pid of every live tree maps to the tree that owns it, so all
-ptrace requests for a tree are issued from that one control context, and
-each tree keeps its own deadline, counted from its own spawn, its own first
-trap and its own kill. Outcomes come back in input order. The monitor
-sleeps until something happens: while a batch runs, SIGCHLD is blocked in
-the calling thread only, and when a drain of every live tree's pids finds
-nothing it waits in sigtimedwait for the next SIGCHLD, up to the nearest
-deadline. Because each sleep follows a full drain, a wake-up consumed while
-killing one tree cannot hide another tree's status. The caller's mask is
+one). Every pid of every live tree maps to the tree that owns it, a map kept
+as events add pids and deaths remove them, so all ptrace requests for a tree
+are issued from that one control context, and each tree keeps its own
+deadline, counted from its own spawn, its own first trap and its own kill.
+Outcomes come back in input order. The batch builds what its spawns share
+once: the shell's cd/kill -STOP prefix, the /dev/null descriptor with its
+file actions, and the environment, encoded to bytes. The monitor sleeps
+until something happens: while a batch runs, SIGCHLD is blocked in the
+calling thread only, and the monitor waits in sigtimedwait for the next
+SIGCHLD, up to the nearest deadline, then drains every live tree's pids.
+Each sleep follows such a drain, so a wake-up consumed while killing one
+tree cannot hide another tree's status, and a status that arrives after a
+drain leaves SIGCHLD pending for the next sleep. A pid a fork event adds is
+drained at once: its first stop's SIGCHLD may have come with its parent's.
+The caller's mask is
 restored on return, and every tracee is spawned with it, so tested programs
 see the caller's mask. SIGCHLD is process-directed, so a library caller's
 other thread may take a wake-up meant for this monitor; each wait is
@@ -43,7 +52,11 @@ A fork the monitor has not yet drained leaves a child it does not know, which
 killpg(root) misses if its parent left the root's process group. So before
 the kill each running tracee gets SIGSTOP, and each fork, vfork or clone event
 drained meanwhile adds its child, until every tracee is in a ptrace-stop,
-dead, or a vfork parent blocked on a child that has not exec'd.
+dead, or a vfork parent still blocked on its child. Exec is not followed, so
+that last case is decided at kill time: a parent is blocked while its live
+vfork child still shares its memory (kcmp KCMP_VM), that is, has not exec'd.
+A tree whose every pid was reaped is neither stopped nor killed: its root's
+pid may already name another process group.
 
 Concurrent monitors in one process stay isolated because each drains only its
 own PIDs with WNOHANG|WUNTRACED|__WALL (never waitpid(-1)); a SIGCHLD one
@@ -75,24 +88,25 @@ PTRACE_SEIZE = 0x4206
 PTRACE_O_TRACEFORK = 0x2
 PTRACE_O_TRACEVFORK = 0x4
 PTRACE_O_TRACECLONE = 0x8
-PTRACE_O_TRACEEXEC = 0x10
 PTRACE_O_EXITKILL = 0x100000
 
 PTRACE_EVENT_FORK = 1
 PTRACE_EVENT_VFORK = 2
 PTRACE_EVENT_CLONE = 3
-PTRACE_EVENT_EXEC = 4
+_FORK_EVENTS = frozenset((PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE))
 
-_FOLLOW_OPTIONS = (
-    PTRACE_O_TRACEFORK
-    | PTRACE_O_TRACEVFORK
-    | PTRACE_O_TRACECLONE
-    | PTRACE_O_TRACEEXEC
-    | PTRACE_O_EXITKILL
-)
+# Exec is not followed: a seized tracee gets no SIGTRAP after execve, and the
+# exec event's one former use, the vfork check, is made at kill time.
+_FOLLOW_OPTIONS = PTRACE_O_TRACEFORK | PTRACE_O_TRACEVFORK | PTRACE_O_TRACECLONE | PTRACE_O_EXITKILL
 
 _WALL = 0x40000000
+_WAIT_FLAGS = os.WNOHANG | os.WUNTRACED | _WALL
+_SIGCHLD = (signal.SIGCHLD,)
+# Python ignores both; a tracee starts with them at their default actions.
+_SIGDEF = (signal.SIGPIPE, signal.SIGXFSZ)
 _SYS_TKILL = 200  # x86_64: a thread-directed signal, so each thread stops
+_SYS_KCMP = 312  # x86_64
+_KCMP_VM = 1
 _WORD_MASK = (1 << 64) - 1
 
 # Longest single wait for SIGCHLD, in seconds: bounds the delay when another
@@ -121,6 +135,10 @@ _libc.ptrace.restype = ctypes.c_long
 _libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
 _libc.syscall.restype = ctypes.c_long
 _libc.syscall.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long]
+# A second handle on syscall(2), declared with kcmp's five arguments.
+_kcmp = _libc["syscall"]
+_kcmp.restype = ctypes.c_long
+_kcmp.argtypes = [ctypes.c_long] * 6
 
 
 class TraceError(RuntimeError):
@@ -266,117 +284,175 @@ def region_for(regions: Sequence[MemoryRegion], addr: int) -> MemoryRegion | Non
     return None
 
 
+class _SpawnKit:
+    """What every spawn of one batch shares: the shell's prefix, /dev/null as fds 0-2, the mask."""
+
+    def __init__(self, cwd: Path | None, caller_mask: set[signal.Signals]):
+        prefix = ""
+        if cwd is not None:
+            prefix = f"cd -P -- {shlex.quote(str(Path(cwd).absolute()))} || exit 127\n"
+        self.prefix = prefix + "kill -STOP $$\n"
+        self.caller_mask = caller_mask
+        self.null_fd = os.open(os.devnull, os.O_RDWR)
+        self.file_actions = [(os.POSIX_SPAWN_DUP2, self.null_fd, fd) for fd in (0, 1, 2)]
+
+    def close(self) -> None:
+        os.close(self.null_fd)
+
+
+def _env_block(env: Mapping[str, str] | None) -> dict[bytes, bytes]:
+    """The tracee environment as bytes, which posix_spawn passes on without encoding."""
+    if env is None:
+        return dict(os.environb)
+    return {os.fsencode(key): os.fsencode(value) for key, value in env.items()}
+
+
 def _spawn_traced(
     cmd: str | Sequence[str],
     cwd: Path | None,
-    env: dict | None,
-    caller_mask: set[signal.Signals],
+    env: Mapping[bytes, bytes],
+    kit: _SpawnKit,
 ) -> int:
     """Spawn the tracee shell, which stops itself before the command; returns its pid.
 
-    The shell is a session leader with `caller_mask` as its signal mask,
-    SIGPIPE and SIGXFSZ at their default actions (Python ignores them), and
-    /dev/null as fds 0-2. It changes to `cwd` (exit 127 on failure), sends
-    itself SIGSTOP, then runs a string command or execs a list command.
+    The shell is a session leader with the caller's signal mask, SIGPIPE and
+    SIGXFSZ at their default actions, /dev/null as fds 0-2 and `env` as its
+    environment. It changes to `cwd` (exit 127 on failure), sends itself
+    SIGSTOP, then runs a string command or execs a list command, which must
+    be executable, found on the PATH of `env` (os.defpath without one).
     """
-    prefix = ""
-    if cwd is not None:
-        prefix = f"cd -P -- {shlex.quote(str(Path(cwd).absolute()))} || exit 127\n"
     if isinstance(cmd, str):
-        argv = ["/bin/sh", "-c", f"{prefix}kill -STOP $$\n{cmd}"]
+        argv = ["/bin/sh", "-c", kit.prefix + cmd]
     else:
         if not cmd:
             raise TraceError("empty command")
         program = cmd[0]
         if os.sep not in program:
-            program = shutil.which(program, path=(env or os.environ).get("PATH", os.defpath))
+            path = env.get(b"PATH")
+            program = shutil.which(program, path=os.defpath if path is None else os.fsdecode(path))
         if program is None or not os.access(os.path.join(cwd or "", program), os.X_OK):
             raise TraceError(f"command not executable: {cmd[0]}")
-        argv = ["/bin/sh", "-c", f'{prefix}kill -STOP $$\nexec "$@"', "sh", *cmd]
-    null_fd = os.open(os.devnull, os.O_RDWR)
-    try:
-        return os.posix_spawn(
-            "/bin/sh",
-            argv,
-            os.environ if env is None else env,
-            file_actions=[(os.POSIX_SPAWN_DUP2, null_fd, fd) for fd in (0, 1, 2)],
-            setsid=True,
-            setsigmask=caller_mask,
-            setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
-        )
-    finally:
-        os.close(null_fd)
+        argv = ["/bin/sh", "-c", kit.prefix + 'exec "$@"', "sh", *cmd]
+    return os.posix_spawn(
+        "/bin/sh",
+        argv,
+        env,
+        file_actions=kit.file_actions,
+        setsid=True,
+        setsigmask=kit.caller_mask,
+        setsigdef=_SIGDEF,
+    )
+
+
+def _drain(pids: Iterable[int]) -> list[tuple[int, int | None]]:
+    """The (pid, status) pairs `pids` have ready, status None for a pid no longer a waitable child.
+
+    The stop of a child not yet traced is reported too.
+    """
+    ready: list[tuple[int, int | None]] = []
+    for pid in pids:
+        try:
+            wpid, status = os.waitpid(pid, _WAIT_FLAGS)
+        except ChildProcessError:
+            ready.append((pid, None))
+            continue
+        if wpid:
+            ready.append((pid, status))
+    return ready
 
 
 def _wait_own(pids: Iterable[int], deadline: float) -> list[tuple[int, int | None]]:
     """Drain `pids` only, sleeping on SIGCHLD between empty drains.
 
-    Returns the (pid, status) pairs of the first non-empty drain, with status
-    None for a pid that is no longer a waitable child, or [] if `deadline`
-    passes first. The stop of a child not yet traced is reported too.
+    Returns the first non-empty drain, or [] if `deadline` passes first.
     SIGCHLD must be blocked in the calling thread.
     """
     while True:
-        ready: list[tuple[int, int | None]] = []
-        for pid in pids:
-            try:
-                wpid, status = os.waitpid(pid, os.WNOHANG | os.WUNTRACED | _WALL)
-            except ChildProcessError:
-                ready.append((pid, None))
-                continue
-            if wpid == pid:
-                ready.append((pid, status))
+        ready = _drain(pids)
         left = deadline - time.monotonic()
         if ready or left <= 0:
             return ready
-        signal.sigtimedwait((signal.SIGCHLD,), min(left, _WAKE_CAP))
+        signal.sigtimedwait(_SIGCHLD, min(left, _WAKE_CAP))
 
 
 def _event_of(status: int) -> int:
     return (status >> 16) & 0xFF
 
 
+def _stopped(status: int | None) -> bool:
+    """Whether a drained status is a stop, which leaves its task in a ptrace-stop once seized."""
+    return status is not None and os.WIFSTOPPED(status)
+
+
 class _Tree:
     """The live tracees of one command, as far as the monitor has drained them."""
 
-    def __init__(self, index: int, root: int, started: float, timeout: float):
+    def __init__(
+        self, index: int, root: int, started: float, timeout: float, owner: dict[int, _Tree]
+    ):
         self.index = index  # the command's place in the batch
         self.root = root
         self.started = started
         self.deadline = started + timeout
-        # False until the root's first stop, where the monitor seizes it.
+        # False until the root is seized: at its spawn, or at its first stop
+        # if the seize at its spawn failed.
         self.seized = False
         self.pids = {root}
+        # The monitor's pid -> tree map, which this tree keeps for its own pids.
+        self.owner = owner
+        owner[root] = self
         # In a ptrace-stop whose status was consumed and that was not resumed.
         self.stopped: set[int] = set()
-        # vfork child -> its parent, blocked until the child execs or exits.
+        # vfork child -> its parent, while the child lives.
         self.vfork_parent: dict[int, int] = {}
 
-    def note(self, pid: int, status: int | None) -> bool:
-        """Book one wait status of `pid`; True if it left `pid` in a ptrace-stop."""
-        if status is None or not os.WIFSTOPPED(status):
+    def seize(self) -> None:
+        """Seize the root right after its spawn; if that fails, _act retries at its first stop."""
+        try:
+            _ptrace(PTRACE_SEIZE, self.root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
+        except PtraceError:  # as when it exited before the seize: its status comes next
+            return
+        self.seized = True
+
+    def note(self, pid: int, status: int | None) -> int:
+        """Book one wait status of `pid`; the pid of the child it adds, or 0."""
+        if not _stopped(status):
             self.pids.discard(pid)
+            self.owner.pop(pid, None)
             self.stopped.discard(pid)
             self.vfork_parent.pop(pid, None)
-            return False
+            return 0
         self.stopped.add(pid)
         event = _event_of(status)
-        if event == PTRACE_EVENT_EXEC:
-            self.vfork_parent.pop(pid, None)
-        elif event in (PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE):
-            msg = ctypes.c_ulong()
-            try:
-                _ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg))
-            except PtraceError:  # killed since the stop: its death comes next
-                return True
-            self.pids.add(msg.value)
-            if event == PTRACE_EVENT_VFORK:
-                self.vfork_parent[msg.value] = pid
-        return True
+        if event not in _FORK_EVENTS:
+            return 0
+        msg = ctypes.c_ulong()
+        if _libc.ptrace(PTRACE_GETEVENTMSG, pid, None, ctypes.byref(msg)) == -1:
+            return 0  # killed since the stop: its death comes next
+        child = msg.value
+        self.pids.add(child)
+        self.owner[child] = self
+        if event == PTRACE_EVENT_VFORK:
+            self.vfork_parent[child] = pid
+        return child
 
     def resume(self, pid: int, sig: int = 0) -> None:
+        """PTRACE_CONT, delivering `sig`; a task that died since its stop is reaped by a later drain."""
         self.stopped.discard(pid)
-        _ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(sig))
+        _libc.ptrace(PTRACE_CONT, pid, None, sig)
+
+    def blocked_in_vfork(self) -> set[int]:
+        """Parents whose vfork child still shares their memory: they cannot stop until it execs."""
+        return {
+            parent
+            for child, parent in self.vfork_parent.items()
+            if _kcmp(_SYS_KCMP, child, parent, _KCMP_VM, 0, 0) == 0
+        }
+
+    def forget(self) -> None:
+        """Drop the pids left unreaped from the monitor's map."""
+        for pid in self.pids:
+            self.owner.pop(pid, None)
 
 
 def _settle(tree: _Tree, waiting: Callable[[], set[int]], cap: float) -> None:
@@ -388,10 +464,16 @@ def _settle(tree: _Tree, waiting: Callable[[], set[int]], cap: float) -> None:
 
 
 def _slay_tree(tree: _Tree) -> None:
-    """Stop the tree and drain the forks it reports, then kill and reap it."""
+    """Stop the tree and drain the forks it reports, then kill and reap it.
+
+    A tree with no pid left is skipped: its root's pid was reaped, so a
+    killpg(root) could reach a process group that reuses it.
+    """
+    if not tree.pids:
+        return
     for pid in tree.pids - tree.stopped:
         _libc.syscall(_SYS_TKILL, pid, signal.SIGSTOP)
-    _settle(tree, lambda: tree.pids - tree.stopped - set(tree.vfork_parent.values()), _DRAIN_CAP)
+    _settle(tree, lambda: tree.pids - tree.stopped - tree.blocked_in_vfork(), _DRAIN_CAP)
     try:
         os.killpg(tree.root, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
@@ -472,43 +554,62 @@ def run_traced_many(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     outcomes: list[TraceOutcome | None] = [None] * len(cmds)
     live: list[_Tree] = []
+    owner: dict[int, _Tree] = {}
 
     def finish(tree: _Tree, kind: OutcomeKind, **kw) -> None:
         _slay_tree(tree)
+        tree.forget()
         outcomes[tree.index] = TraceOutcome(
             kind=kind, wall_time=time.monotonic() - tree.started, **kw
         )
         live.remove(tree)
 
-    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGCHLD,))
+    spawn_env = _env_block(env)
+    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGCHLD)
+    kit = None
     spawned = 0
+    # True while a kill may have consumed wake-ups since the last drain of
+    # every live tree: the monitor drains before it sleeps again.
+    due = False
     try:
+        kit = _SpawnKit(cwd, caller_mask)
         while True:
             while len(live) < jobs and spawned < len(cmds):
                 started = time.monotonic()
-                root = _spawn_traced(cmds[spawned], cwd, env, caller_mask)
-                live.append(_Tree(spawned, root, started, timeout))
+                root = _spawn_traced(cmds[spawned], cwd, spawn_env, kit)
+                live.append(_Tree(spawned, root, started, timeout, owner))
+                live[-1].seize()
                 spawned += 1
             if not live:
                 return outcomes
             now = time.monotonic()
-            overdue = [tree for tree in live if now >= tree.deadline]
-            for tree in overdue:
-                finish(tree, OutcomeKind.TIMED_OUT)
-            if overdue:
+            nearest = min(tree.deadline for tree in live)
+            if now >= nearest:
+                for tree in [tree for tree in live if now >= tree.deadline]:
+                    finish(tree, OutcomeKind.TIMED_OUT)
+                due = True
                 continue
-            # One drain covers every live tree, and the wait inside it starts
-            # only after that drain: a wake-up one tree's kill consumed cannot
-            # hide another tree's status.
-            owner = {pid: tree for tree in live for pid in tree.pids}
-            ready = _wait_own(owner, min(tree.deadline for tree in live))
-            # Book the whole drain before acting on it: the statuses after a
-            # trap are consumed too, and the kill must know their children.
-            booked = [(owner[pid], pid, status) for pid, status in ready]
-            stops = [tree.note(pid, status) for tree, pid, status in booked]
-            for (tree, pid, status), is_stop in zip(booked, stops):
-                if tree in live and (ended := _act(tree, pid, status, is_stop)):
-                    finish(tree, **ended)
+            # Sleep, then drain every live tree. A status that comes after
+            # its pid was drained leaves SIGCHLD pending, so the next sleep
+            # returns at once; only a kill, which waits on SIGCHLD itself,
+            # makes a drain due before the sleep.
+            if not due:
+                signal.sigtimedwait(_SIGCHLD, min(nearest - now, _WAKE_CAP))
+            due = False
+            ready = _drain(owner)
+            while ready:
+                # Book the whole drain before acting on it: the statuses after
+                # a trap are consumed too, and the kill must know their children.
+                booked = [(owner[pid], pid, status) for pid, status in ready]
+                adopted = [child for tree, pid, status in booked if (child := tree.note(pid, status))]
+                for tree, pid, status in booked:
+                    if tree in live and (ended := _act(tree, pid, status)):
+                        finish(tree, **ended)
+                        due = True
+                # A fork event adds a pid the drain did not cover, and the
+                # SIGCHLD of that child's first stop may have come with its
+                # parent's: drain the new pids (of trees still live) before sleeping.
+                ready = _drain([pid for pid in adopted if pid in owner])
     except BaseException:
         # Lost root, a failed ptrace request, an error while capturing a trap,
         # KeyboardInterrupt: leave no tracee behind.
@@ -516,15 +617,18 @@ def run_traced_many(
             _slay_tree(tree)
         raise
     finally:
+        if kit is not None:
+            kit.close()
         signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
 
 
-def _act(tree: _Tree, pid: int, status: int | None, is_stop: bool) -> dict | None:
+def _act(tree: _Tree, pid: int, status: int | None) -> dict | None:
     """Act on one booked wait status; the outcome fields if it ends the tree's run."""
+    is_stop = _stopped(status)
     if not tree.seized:
-        # First stop: the shell's own SIGSTOP, before the command (or its exit,
-        # if the cd failed). Seize it there; its ptrace-stop comes next, and
-        # PTRACE_CONT from that stop runs the command. No SIGCONT is sent.
+        # The seize at the spawn failed, so this is the root's first status:
+        # its exit, or the shell's own SIGSTOP, where the seize is retried.
+        # Its ptrace-stop comes next, and PTRACE_CONT from it runs the command.
         if status is None:
             raise TraceError("tracee vanished before first stop")
         if not is_stop:
@@ -539,17 +643,15 @@ def _act(tree: _Tree, pid: int, status: int | None, is_stop: bool) -> dict | Non
             raise TraceError("lost the root tracee without a wait status")
         return _ended(status)
     stop_signal = os.WSTOPSIG(status)
-    try:
-        if _event_of(status) or stop_signal == signal.SIGSTOP:
-            # An event, a new descendant's auto-attach stop, or a job-control
-            # stop, which this monitor suppresses.
-            tree.resume(pid)
-        elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
+    if _event_of(status) or stop_signal == signal.SIGSTOP:
+        # An event, a new descendant's first stop, or a job-control stop (the
+        # shell's own SIGSTOP among them), which this monitor suppresses.
+        tree.resume(pid)
+    elif stop_signal in (signal.SIGILL, signal.SIGTRAP):
+        try:
             return {"kind": OutcomeKind.TRAPPED, "trap": _capture_trap(pid, stop_signal)}
-        else:
-            tree.resume(pid, stop_signal)
-    except PtraceError:
-        # The task died between the wait and the request; the next drain will
-        # reap it.
-        pass
+        except PtraceError:
+            pass  # the task died since the wait; the next drain reaps it
+    else:
+        tree.resume(pid, stop_signal)
     return None

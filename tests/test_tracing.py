@@ -151,6 +151,25 @@ def test_run_traced_missing_program(tmp_path):
 
 
 @needs_linux
+def test_list_command_is_looked_up_on_the_tracee_path(tmp_path, monkeypatch):
+    # The program is on the caller's PATH only; an empty env has no PATH, so
+    # the tracee could not find it either.
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    tool = bindir / "cfiheal-path-probe"
+    tool.write_text("#!/bin/sh\nexit 3\n")
+    tool.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', os.defpath)}")
+    with pytest.raises(TraceError):
+        run_traced([tool.name], timeout=10, cwd=tmp_path, env={})
+    found = run_traced([tool.name], timeout=10, cwd=tmp_path, env={"PATH": str(bindir)})
+    assert (found.kind, found.exit_status) == (OutcomeKind.EXITED, 3)
+    # Without a PATH the lookup falls back to os.defpath, as the shell does.
+    default = run_traced(["true"], timeout=10, cwd=tmp_path, env={})
+    assert (default.kind, default.exit_status) == (OutcomeKind.EXITED, 0)
+
+
+@needs_linux
 def test_run_traced_signalled(tmp_path):
     outcome = run_traced('sh -c "kill -SEGV $$"', timeout=10, cwd=tmp_path)
     assert outcome.kind is OutcomeKind.SIGNALLED
@@ -599,3 +618,38 @@ def test_trap_drain_stops_each_thread(tmp_path, monkeypatch):
     outcome = run_traced([sys.executable, "-c", script], timeout=10, cwd=tmp_path)
     assert outcome.kind is OutcomeKind.TRAPPED
     assert outcome.wall_time < 2.0
+
+
+@needs_linux
+def test_two_exec_test_costs_at_most_ten_wait_statuses(tmp_path, monkeypatch):
+    # One stop for the shell's own SIGSTOP, a vfork event, the child's first
+    # stop and a SIGCHLD stop per command, and three exits.
+    real_waitpid = os.waitpid
+    counts = []
+
+    def counting(pid, options):
+        wpid, status = real_waitpid(pid, options)
+        counts[-1] += wpid != 0
+        return wpid, status
+
+    monkeypatch.setattr(os, "waitpid", counting)
+    for _ in range(5):
+        counts.append(0)
+        outcome = run_traced("/bin/true && /bin/true", timeout=10, cwd=tmp_path)
+        assert (outcome.kind, outcome.exit_status) == (OutcomeKind.EXITED, 0)
+    assert max(counts) <= 10, counts
+
+
+@needs_linux
+def test_reaped_tree_is_not_killed(tmp_path, monkeypatch):
+    # Nothing is left after a clean exit, and the root's reaped pid may by now
+    # name another process group.
+    kills = []
+    monkeypatch.setattr(os, "killpg", lambda *args: kills.append(("killpg", *args)))
+    monkeypatch.setattr(os, "kill", lambda *args: kills.append(("kill", *args)))
+    single = run_traced("/bin/true && /bin/true", timeout=10, cwd=tmp_path)
+    batch = run_traced_many(["exit 0", "exit 3", ["true"]], 10, cwd=tmp_path, jobs=2)
+    assert [(o.kind, o.exit_status) for o in (single, *batch)] == [
+        (OutcomeKind.EXITED, 0), (OutcomeKind.EXITED, 0), (OutcomeKind.EXITED, 3), (OutcomeKind.EXITED, 0)
+    ]
+    assert kills == []
