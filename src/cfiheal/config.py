@@ -70,7 +70,8 @@ def _where(mark) -> str:
     return f" at line {mark.line + 1}, column {mark.column + 1}"
 
 
-def _want_str(raw: dict, key: str, optional: bool = False) -> str | None:
+def _want_str(raw: dict, key: str) -> str | None:
+    """The string at `key`, or None if the key is absent."""
     if key not in raw:
         return None
     value = raw[key]
@@ -129,17 +130,13 @@ def parse_config(text: str) -> ProjectConfig:
     if budget < 1:
         raise ConfigError("max_repair_iterations must be at least 1")
 
-    for key in ("project_root", "build_cmd", "test_cmd", "report_dir"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{key} must be a string")
-
     return ProjectConfig(
-        project_root=Path(raw["project_root"]),
-        build_cmd=raw["build_cmd"],
-        test_cmd=raw["test_cmd"],
+        project_root=Path(_want_str(raw, "project_root")),
+        build_cmd=_want_str(raw, "build_cmd"),
+        test_cmd=_want_str(raw, "test_cmd"),
         executables=_want_str_list(raw, "executables"),
         cfi_variants=variants,
-        report_dir=Path(raw["report_dir"]),
+        report_dir=Path(_want_str(raw, "report_dir")),
         configure_cmd=_want_str(raw, "configure_cmd"),
         clean_cmd=_want_str(raw, "clean_cmd"),
         extra_compile_flags=_want_str_list(raw, "extra_compile_flags"),

@@ -22,13 +22,12 @@ A rung is skipped, never guessed, and records why in skipped_levels:
   link-time name          a fun: rung whose enforcement name ends in
                           ".<digits>" (".__uniq.<n>" aside): a link-time
                           collision suffix, which no compile-time name carries
-  no CFI check in scope   a fun: rung whose function the IR census defines
-                          with no checkable site in any definition, or a
-                          src: rung whose file the binary's DWARF shows
-                          defines only such functions; an entry turns off
-                          only the checks in the bodies it names, so it
-                          cannot change the build (names the census does
-                          not define, and files no unit compiles, are tried)
+  no CFI check in scope   the engine's holds_no_check predicate says the
+                          rung's line cannot change the build: an entry
+                          turns off only the checks in the bodies it names,
+                          and there are none. heal() builds the predicate
+                          from the IR census and the binaries' DWARF; the
+                          engine asks it only of a rung no reason above skips
   same entry as L<k>      the rung's line is one this violation already
                           tried at rung k, e.g. a caller in the callee's file
 
@@ -68,7 +67,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .ignorelist import (
     FUN_LEVELS,
@@ -77,7 +76,7 @@ from .ignorelist import (
     IgnorelistStore,
     LadderLevel,
 )
-from .symbols import Confidence, DefinitionTable, SymbolInfo
+from .symbols import Confidence, SymbolInfo
 from .tracing import TrapEvent
 
 _CLONE_SUFFIX = re.compile(r"\.(?:cfi(?:_jt)?|llvm\.\d+)$")
@@ -109,24 +108,6 @@ def violation_key(binary: Path, static_fault_pc: int, callee: SymbolInfo | None)
     if callee is not None and callee.source_file is not None and callee.line is not None:
         return (str(binary), enforcement_name(callee.function), callee.source_file, callee.line)
     return (str(binary), static_fault_pc)
-
-
-def file_holds_no_check(
-    file: str, tables: Iterable[DefinitionTable | None], check_free: frozenset[str]
-) -> bool:
-    """True if `file` is some unit's primary file and every definition of it is check-free.
-
-    `tables` are the definitions by file of the binaries a trap mapped. A
-    failed dump (None), a definition with no name or file (None), a name
-    outside `check_free`, or a file that no unit compiles, such as a header,
-    keeps the answer False.
-    """
-    names: set[str | None] = set()
-    for table in tables:
-        if table is None:
-            return False
-        names |= table.get(file, frozenset())
-    return bool(names) and names <= check_free
 
 
 class ViolationStatus(Enum):
@@ -164,10 +145,6 @@ class Violation:
         level, line = self.attempted[-1]
         return (level, line) if level == self.ladder_level else None
 
-    @property
-    def test_id(self) -> str:
-        return self.test_ids[0]
-
 
 def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
     if info is None or info.source_file is None:
@@ -189,15 +166,12 @@ class EscalationEngine:
         self,
         store: IgnorelistStore,
         project_root: Path,
-        check_free: frozenset[str] = frozenset(),
-        file_check_free: Callable[[Violation, str], bool] = lambda violation, file: False,
+        holds_no_check: Callable[[Violation, str], bool] = lambda violation, line: False,
     ):
         self.store = store
         self.project_root = project_root
-        # Function names whose fun: rung cannot change the build.
-        self.check_free = check_free
-        # Whether a violation's src: rung on a project-relative file cannot change the build.
-        self.file_check_free = file_check_free
+        # Whether a violation's rung on an ignorelist line cannot change the build.
+        self.holds_no_check = holds_no_check
         self.violations: dict[ViolationKey, Violation] = {}
 
     def all_violations(self) -> list[Violation]:
@@ -257,16 +231,11 @@ class EscalationEngine:
             file = _relative_file(info, self.project_root)
             if file is None:
                 return kind, None, "identity unavailable"
-            if Path(file).is_absolute():
-                return kind, file, "outside the project"
-            holds_none = self.file_check_free(violation, file)
-            return kind, file, "no CFI check in scope" if holds_none else None
+            return kind, file, "outside the project" if Path(file).is_absolute() else None
         if info is None:
             return kind, None, "identity unavailable"
         name = enforcement_name(info.function)
-        if link_time_suffix(name):
-            return kind, name, "link-time name"
-        return kind, name, "no CFI check in scope" if name in self.check_free else None
+        return kind, name, "link-time name" if link_time_suffix(name) else None
 
     def _derive_entries(self) -> None:
         """Set the store's entries to the claims, each naming the violations that hold it."""
@@ -293,6 +262,8 @@ class EscalationEngine:
         while level < LadderLevel.UNRESOLVABLE:
             kind_value, pattern, reason = self._scope(violation, level)
             line = f"{kind_value}:{pattern}"
+            if reason is None and self.holds_no_check(violation, line):
+                reason = "no CFI check in scope"
             if reason is None and line in tried:
                 reason = f"same entry as {tried[line].short}"
             if reason is None:

@@ -3,11 +3,16 @@
 heal() drives the whole sequence: validate config, baseline build and suite,
 CFI build with automatic visibility repair (planned from the baseline's
 cross-DSO bindings, with the linker's diagnostics as the fallback), the IR
-census of the IR present once that build stands, trap-driven escalation rounds
-(re-running only the tests attributed to still-open violations after each
-ignorelist update, and skipping fun: rungs the census shows hold no check,
-and src: rungs whose file, by the binary's DWARF, defines only such functions),
-a full-suite confirmation pass, coverage accounting, and report emission.
+census of the IR present once that build stands, the full instrumented suite,
+trap-driven escalation rounds (re-running only the tests attributed to
+still-open violations after each ignorelist update, and skipping the rungs
+whose line holds no CFI check, as one predicate built from the census and the
+binaries' DWARF says), a full-suite confirmation pass after the rounds,
+coverage accounting, and report emission. Every full instrumented suite is
+observed the same way: a new or reopened violation starts more rounds, while
+the budget lasts, and the last suite is the one reported. So a heal whose
+first instrumented suite traps nothing runs the suite twice, baseline and
+instrumented, and no round.
 state.json in the report directory is rewritten after every phase
 transition so an interrupted run leaves an inspectable trail.
 
@@ -31,7 +36,6 @@ unresolvable, 2 when the pipeline itself failed. Usage errors exit 64.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
@@ -42,7 +46,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run_build
 from .config import ConfigError, ProjectConfig, load_config, validate_config
@@ -53,7 +57,6 @@ from .escalation import (
     ViolationStatus,
     _relative_file,
     enforcement_name,
-    file_holds_no_check,
     link_time_suffix,
     violation_key,
 )
@@ -173,10 +176,8 @@ class _Run:
     baseline: dict[str, TestResult]
     engine: EscalationEngine
     ledger: RepairLedger
-    # The rendered ignorelist the last instrumented build was made with.
-    built_list: str | None = None
     # The IR census of the IR present once the first instrumented build stands.
-    census: _Census | None = None
+    census: _Census
 
 
 def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
@@ -377,30 +378,41 @@ def _check_free(variants: Iterable[str], per_function: dict[str, IrSiteCensus]) 
     return frozenset(name for name, counts in per_function.items() if not _checkable_sites(counts))
 
 
-def _file_check_free(run: _Run, violation: Violation, file: str) -> bool:
-    """Whether the violation's src: rung on `file` cannot change the build.
+def _no_check_in_scope(
+    cfg: ProjectConfig, per_function: dict[str, IrSiteCensus], symbolizer: Symbolizer
+) -> Callable[[Violation, str], bool]:
+    """The engine's holds_no_check: whether a violation's ignorelist line cannot change the build.
 
-    It cannot when every function the file defines, by the DWARF of the
-    project binaries the violation's trap mapped, is one the census shows
-    holds no check. No DWARF is read when a frame of the violation that
-    resolved in the file names a function the census defines with a check.
+    A fun: line cannot when the census defines its function with no
+    checkable site (_check_free). A src: line cannot when every function its
+    file defines, by the DWARF of the project binaries the violation's trap
+    mapped, is such a function. A failed dump, a definition with no name or
+    file, or a file that no unit compiles, such as a header, keeps the line.
+    No DWARF is read when a frame of the violation that resolved in the file
+    names a function the census defines with a check.
     """
-    check_free = run.engine.check_free
-    if not check_free:
-        return False
-    root = run.cfg.project_root.resolve()
-    for frame in (violation.callee, violation.caller, violation.callers_caller):
-        if _relative_file(frame, root) == file:
-            name = enforcement_name(frame.function)
-            if name in run.census.per_function and name not in check_free:
+    check_free = _check_free(cfg.cfi_variants, per_function)
+    root = cfg.project_root.resolve()
+
+    def holds_no_check(violation: Violation, line: str) -> bool:
+        kind, _, pattern = line.partition(":")
+        if kind == "fun" or not check_free:
+            return pattern in check_free
+        for frame in (violation.callee, violation.caller, violation.callers_caller):
+            if _relative_file(frame, root) == pattern:
+                name = enforcement_name(frame.function)
+                if name in per_function and name not in check_free:
+                    return False
+        names: set[str | None] = set()
+        mapped = {r.path for r in violation.trap.memory_map if r.path and "x" in r.perms}
+        for path in sorted(p for p in mapped if _in_project(p, root)):
+            table = symbolizer.definitions_by_file(Path(path))
+            if table is None:
                 return False
-    mapped = {r.path for r in violation.trap.memory_map if r.path and "x" in r.perms}
-    tables = (
-        run.symbolizer.definitions_by_file(Path(path))
-        for path in sorted(mapped)
-        if _in_project(path, root)
-    )
-    return file_holds_no_check(str(root / file), tables, check_free)
+            names |= table.get(str(root / pattern), frozenset())
+        return bool(names) and names <= check_free
+
+    return holds_no_check
 
 
 def _function_records(
@@ -506,11 +518,21 @@ def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestResult], list[str]]:
     return {r.test_id: r for r in run_suite(cfg, build)}, planned
 
 
-def _cfi_build(run: _Run, phase: str, planned: Iterable[str] = ()) -> BuildOutcome:
-    """An instrumented build, repaired until it stands; phase is repair's "build" or "test"."""
-    mode = BuildMode.cfi(run.cfg.cfi_variants, run.engine.store.path)
-    run.built_list = run.engine.store.write()
-    build, _ = repair_until_buildable(run.cfg, mode, run.ledger, phase=phase, planned=planned)
+def _cfi_build(
+    cfg: ProjectConfig,
+    store: IgnorelistStore,
+    ledger: RepairLedger,
+    phase: str,
+    planned: Iterable[str] = (),
+) -> BuildOutcome:
+    """An instrumented build with the store's list, repaired until it stands.
+
+    The phase is repair's "build" or "test". The list on disk at the store's
+    path is the one the last instrumented build was made with.
+    """
+    mode = BuildMode.cfi(cfg.cfi_variants, store.path)
+    store.write()
+    build, _ = repair_until_buildable(cfg, mode, ledger, phase=phase, planned=planned)
     if not build.succeeded:
         raise PipelineFailure(f"instrumented build could not be repaired; see {build.log_path}")
     return build
@@ -527,7 +549,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     pending = [v for v in engine.open_violations() if engine.next_scope(v) is not None]
     if not pending:
         return None
-    build = _cfi_build(run, "test")
+    build = _cfi_build(run.cfg, engine.store, run.ledger, "test")
     affected = sorted({tid for v in pending for tid in v.test_ids})
     cases = {c.test_id: c for c in enumerate_tests(run.cfg)}
     missing = [tid for tid in affected if tid not in cases]
@@ -546,7 +568,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
 
 
 def _confirm(run: _Run, results: list[TestResult]) -> bool:
-    """Observe the full suite's traps; True if a violation is new or open again."""
+    """Observe a full suite's traps; True if a violation is new or open again."""
     reopened = False
     for test_id, trap, fault in _traps(run, results):
         violation, is_new = run.engine.observe(trap, *fault, test_id)
@@ -634,19 +656,17 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
         try:
             baseline, planned = _baseline(cfg)
             store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
-            engine = EscalationEngine(store, cfg.project_root)
-            run = _Run(cfg, symbolizer, baseline, engine, RepairLedger())
-            cfi_build = _cfi_build(run, "build", planned)
-            run.census = _run_census(cfg, ahead.result())
-            engine.check_free = _check_free(cfg.cfi_variants, run.census.per_function)
-            engine.file_check_free = functools.partial(_file_check_free, run)
+            ledger = RepairLedger()
+            cfi_build = _cfi_build(cfg, store, ledger, "build", planned)
+            census = _run_census(cfg, ahead.result())
+            holds_no_check = _no_check_in_scope(cfg, census.per_function, symbolizer)
+            engine = EscalationEngine(store, cfg.project_root, holds_no_check)
+            run = _Run(cfg, symbolizer, baseline, engine, ledger, census)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
-            for test_id, trap, fault in _traps(run, run_suite(cfg, cfi_build)):
-                engine.observe(trap, *fault, test_id)
-
+            results = run_suite(cfg, cfi_build)
             rounds = 0
-            while True:
+            while _confirm(run, results) and rounds < cfg.max_repair_iterations:
                 while engine.open_violations() and rounds < cfg.max_repair_iterations:
                     rounds += 1
                     cfi_build = _escalation_round(run) or cfi_build
@@ -658,14 +678,12 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
                         ignorelist=[e.line for e in store.active_entries()],
                     )
                 # The last round may have dropped entries after its rebuild.
-                if store.render() != run.built_list:
-                    cfi_build = _cfi_build(run, "test")
-                final_results = run_suite(cfg, cfi_build)
-                if not _confirm(run, final_results) or rounds >= cfg.max_repair_iterations:
-                    break
+                if store.render() != store.path.read_text():
+                    cfi_build = _cfi_build(cfg, store, ledger, "test")
+                results = run_suite(cfg, cfi_build)
 
             _save_state(cfg, state, phase="reporting")
-            diff = diff_suites(list(baseline.values()), final_results)
+            diff = diff_suites(list(baseline.values()), results)
             result = _account(run, diff, started)
             _save_state(cfg, state, phase="done", report=result.report)
             return result

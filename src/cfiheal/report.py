@@ -271,18 +271,10 @@ def render_html(report: dict) -> str:
     )
 
 
-def emit_report(
-    report: dict, report_dir: Path, formats: Sequence[str] = ("json", "html")
-) -> list[Path]:
-    """Write the requested projections; returns the paths written."""
+def emit_report(report: dict, report_dir: Path) -> list[Path]:
+    """Write report.json and report.html; returns the paths written."""
     report_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "json" in formats:
-        path = report_dir / "report.json"
-        path.write_text(render_json(report))
-        written.append(path)
-    if "html" in formats:
-        path = report_dir / "report.html"
-        path.write_text(render_html(report))
-        written.append(path)
-    return written
+    json_path, html_path = report_dir / "report.json", report_dir / "report.html"
+    json_path.write_text(render_json(report))
+    html_path.write_text(render_html(report))
+    return [json_path, html_path]

@@ -88,6 +88,31 @@ class FunctionSpan:
 _CXXFILT_WORD = re.compile(r"_Z[\w.$]*", re.ASCII)
 
 
+def _filter(
+    argv: list[str], items: Sequence[str], noun: str, fallback: str
+) -> tuple[list[str], str | None]:
+    """The output lines of `argv` reading `items` one a line on stdin, one line per item.
+
+    If the tool is missing, times out, fails or answers with the wrong number
+    of lines, the lines are empty and the second item says why, naming the
+    items by `noun` and what is left of them by `fallback`.
+    """
+    payload = "".join(item + "\n" for item in items).encode()
+    try:
+        proc = subprocess.run(argv, input=payload, capture_output=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return [], f"{argv[0]} failed, {fallback}: {exc}"
+    lines = proc.stdout.decode(errors="replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if proc.returncode != 0 or len(lines) != len(items):
+        return [], (
+            f"{argv[0]} exited {proc.returncode} with {len(lines)} lines for "
+            f"{len(items)} {noun}; {fallback}"
+        )
+    return lines, None
+
+
 def _demangle_batch(names: Sequence[str]) -> tuple[list[str], str | None]:
     """Demangled spellings of `names` from one c++filt reading them over stdin.
 
@@ -100,19 +125,9 @@ def _demangle_batch(names: Sequence[str]) -> tuple[list[str], str | None]:
     todo = [i for i, name in enumerate(names) if _CXXFILT_WORD.fullmatch(name)]
     if not todo:
         return out, None
-    payload = "".join(names[i] + "\n" for i in todo).encode()
-    try:
-        proc = subprocess.run(["c++filt"], input=payload, capture_output=True, timeout=60)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return out, f"c++filt failed, names left mangled: {exc}"
-    lines = proc.stdout.decode(errors="replace").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if proc.returncode != 0 or len(lines) != len(todo):
-        return out, (
-            f"c++filt exited {proc.returncode} with {len(lines)} lines for "
-            f"{len(todo)} names; names left mangled"
-        )
+    lines, failure = _filter(["c++filt"], [names[i] for i in todo], "names", "names left mangled")
+    if failure is not None:
+        return out, failure
     for i, line in zip(todo, lines):
         out[i] = line.strip() or names[i]
     return out, None
@@ -167,26 +182,14 @@ class LineTable:
 
     def _ask(self, todo: list[int]) -> str | None:
         """Cache addr2line's answers for `todo`; on a failure stop asking and say why."""
-        payload = "".join(f"{a:#x}\n" for a in todo).encode()
-        try:
-            proc = subprocess.run(
-                ["addr2line", "-e", str(self.binary)],
-                input=payload, capture_output=True, timeout=60,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            failure = f"addr2line failed, lines left unknown: {exc}"
+        lines, failure = _filter(
+            ["addr2line", "-e", str(self.binary)], [f"{a:#x}" for a in todo],
+            "addresses", "lines left unknown",
+        )
+        if failure is None:
+            self._known.update(zip(todo, map(_parse_location, lines)))
         else:
-            lines = proc.stdout.decode(errors="replace").split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            if proc.returncode == 0 and len(lines) == len(todo):
-                self._known.update(zip(todo, map(_parse_location, lines)))
-                return None
-            failure = (
-                f"addr2line exited {proc.returncode} with {len(lines)} lines for "
-                f"{len(todo)} addresses; lines left unknown"
-            )
-        self.binary = None
+            self.binary = None
         return failure
 
 

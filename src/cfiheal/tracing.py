@@ -7,15 +7,18 @@ shell with PTRACE_SEIZE as soon as posix_spawn returns. The shell's own
 SIGSTOP then arrives as one signal-delivery stop, which the monitor
 suppresses; a shell that stopped before the seize reports one
 PTRACE_EVENT_STOP instead, and PTRACE_CONT from it runs the command (no
-SIGCONT is ever sent). The monitor follows every descendant through its
-fork, vfork and clone events, but not its execs, and converts the first
-SIGILL or genuine SIGTRAP stop anywhere in the tree into a TrapEvent carrying
-the corrected fault PC, up to two frame-pointer-unwound return addresses, a
-register snapshot, and the faulting task's memory map. The tracee tree is
-terminated after the trap; execution never resumes past a violation. The
-tracee's stdin, stdout and stderr are one read-write /dev/null descriptor:
-no output is read or kept, so no tracee blocks on a full pipe and the
-monitor runs no thread of its own.
+SIGCONT is ever sent). A shell the seize fails on is killed and reaped at
+once: one that had already exited gives its exit status, and a live one,
+which the host does not let this process trace, raises TraceError. The
+monitor follows every descendant through its fork, vfork and clone events,
+but not its execs, and converts the first SIGILL or genuine SIGTRAP stop
+anywhere in the tree into a TrapEvent carrying the corrected fault PC, up
+to two frame-pointer-unwound return addresses, a register snapshot, and the
+faulting task's memory map. The tracee tree is terminated after the trap;
+execution never resumes past a violation. The tracee's stdin, stdout and
+stderr are one read-write /dev/null descriptor: no output is read or kept,
+so no tracee blocks on a full pipe and the monitor runs no thread of its
+own.
 
 Program-counter correction is trap-flavor specific: SIGILL stops report the
 faulting instruction address directly, while SIGTRAP from an int3 byte
@@ -394,9 +397,6 @@ class _Tree:
         self.root = root
         self.started = started
         self.deadline = started + timeout
-        # False until the root is seized: at its spawn, or at its first stop
-        # if the seize at its spawn failed.
-        self.seized = False
         self.pids = {root}
         # The monitor's pid -> tree map, which this tree keeps for its own pids.
         self.owner = owner
@@ -406,13 +406,24 @@ class _Tree:
         # vfork child -> its parent, while the child lives.
         self.vfork_parent: dict[int, int] = {}
 
-    def seize(self) -> None:
-        """Seize the root right after its spawn; if that fails, _act retries at its first stop."""
+    def seize(self) -> dict | None:
+        """Seize the root right after its spawn; the outcome fields if it exited first.
+
+        A failed seize is decided here: the root is killed and reaped. One
+        that had already exited, as when it could not enter its cwd, gives
+        its exit status; one the kill ended could not be traced, and
+        TraceError is raised.
+        """
         try:
             _ptrace(PTRACE_SEIZE, self.root, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-        except PtraceError:  # as when it exited before the seize: its status comes next
-            return
-        self.seized = True
+        except PtraceError as exc:
+            os.kill(self.root, signal.SIGKILL)
+            _, status = os.waitpid(self.root, 0)
+            self.note(self.root, status)
+            if os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL:
+                raise TraceError(f"cannot trace the command: PTRACE_SEIZE failed: {exc}") from exc
+            return _ended(status)
+        return None
 
     def note(self, pid: int, status: int | None) -> int:
         """Book one wait status of `pid`; the pid of the child it adds, or 0."""
@@ -578,8 +589,9 @@ def run_traced_many(
                 started = time.monotonic()
                 root = _spawn_traced(cmds[spawned], cwd, spawn_env, kit)
                 live.append(_Tree(spawned, root, started, timeout, owner))
-                live[-1].seize()
                 spawned += 1
+                if ended := live[-1].seize():
+                    finish(live[-1], **ended)
             if not live:
                 return outcomes
             now = time.monotonic()
@@ -624,19 +636,7 @@ def run_traced_many(
 
 def _act(tree: _Tree, pid: int, status: int | None) -> dict | None:
     """Act on one booked wait status; the outcome fields if it ends the tree's run."""
-    is_stop = _stopped(status)
-    if not tree.seized:
-        # The seize at the spawn failed, so this is the root's first status:
-        # its exit, or the shell's own SIGSTOP, where the seize is retried.
-        # Its ptrace-stop comes next, and PTRACE_CONT from it runs the command.
-        if status is None:
-            raise TraceError("tracee vanished before first stop")
-        if not is_stop:
-            return _ended(status)
-        _ptrace(PTRACE_SEIZE, pid, None, ctypes.c_void_p(_FOLLOW_OPTIONS))
-        tree.seized = True
-        return None
-    if not is_stop:
+    if not _stopped(status):
         if pid != tree.root:
             return None
         if status is None:

@@ -6,6 +6,8 @@ their own copy via copy_fixture.
 
 from __future__ import annotations
 
+import errno
+import os
 import platform
 import shutil
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from cfiheal import tracing
 from cfiheal.config import ProjectConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -117,6 +120,48 @@ def make_config(root: Path, report_dir: Path, **overrides) -> ProjectConfig:
     )
     defaults.update(overrides)
     return ProjectConfig(**defaults)
+
+
+class TableSymbolizer:
+    """Serves fixed definition tables by binary path, recording each asked."""
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.asked: list[str] = []
+
+    def definitions_by_file(self, binary):
+        self.asked.append(str(binary))
+        return self.tables.get(str(binary))
+
+
+def refuse_seize(monkeypatch, exited_first: bool = False) -> list[int]:
+    """Make every PTRACE_SEIZE fail with EPERM, as on a host that forbids tracing one's children.
+
+    Returns the pids refused. With `exited_first`, each refusal waits for
+    its tracee to exit first, leaving it unreaped.
+    """
+    real = tracing._ptrace
+    refused: list[int] = []
+
+    def refusing(request, pid, addr, data):
+        if request != tracing.PTRACE_SEIZE:
+            return real(request, pid, addr, data)
+        refused.append(pid)
+        if exited_first:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        raise tracing.PtraceError(request, pid, errno.EPERM)
+
+    monkeypatch.setattr(tracing, "_ptrace", refusing)
+    return refused
+
+
+def reaped(pid: int) -> bool:
+    """Whether `pid`, once a child of this process, was reaped: neither it nor its zombie is left."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def linker_map_symbol(map_path: Path, name: str) -> int:

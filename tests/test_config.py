@@ -102,6 +102,22 @@ def test_wrong_type_rejected():
         parse_config(MINIMAL + "max_repair_iterations: 0\n")
 
 
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("project_root", "5"), ("build_cmd", "[make]"), ("test_cmd", "{a: 1}"),
+     ("report_dir", "null"), ("clean_cmd", "true")],
+)
+def test_a_string_key_with_another_type_is_rejected(key, value):
+    text = "".join(
+        f"{key}: {value}\n" if line.startswith(f"{key}:") else line + "\n"
+        for line in MINIMAL.splitlines()
+    )
+    if key not in MINIMAL:
+        text += f"{key}: {value}\n"
+    with pytest.raises(ConfigError, match=f"^{key} must be a string, got "):
+        parse_config(text)
+
+
 def test_all_seven_variants_accepted():
     listed = ", ".join(CFI_VARIANTS)
     cfg = parse_config(MINIMAL.replace("[cfi-icall]", f"[{listed}]"))

@@ -4,16 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from cfiheal.escalation import (
-    EscalationEngine,
-    ViolationStatus,
-    enforcement_name,
-    file_holds_no_check,
-    violation_key,
-)
+from cfiheal import pipeline
+from cfiheal.escalation import EscalationEngine, ViolationStatus, enforcement_name, violation_key
 from cfiheal.ignorelist import EntryKind, IgnorelistStore, LadderLevel, render
+from cfiheal.ircensus import IrSiteCensus
 from cfiheal.symbols import Confidence, SymbolInfo
-from cfiheal.tracing import TrapEvent, TrapSignal
+from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal
+
+from conftest import TableSymbolizer, make_config
 
 
 @pytest.mark.parametrize(
@@ -42,7 +40,7 @@ def info(function: str, source: str | None = None, line: int | None = None) -> S
     return SymbolInfo(function=function, source_file=source, line=line, confidence=conf)
 
 
-def trap_at(pc: int) -> TrapEvent:
+def trap_at(pc: int, memory_map: tuple[MemoryRegion, ...] = ()) -> TrapEvent:
     return TrapEvent(
         signal=TrapSignal.ILLEGAL_INSTRUCTION,
         raw_pc=pc,
@@ -50,8 +48,21 @@ def trap_at(pc: int) -> TrapEvent:
         return_addresses=(),
         registers={},
         binary=Path("app"),
-        memory_map=(),
+        memory_map=memory_map,
     )
+
+
+def functions_without_checks(names):
+    """A holds_no_check that answers True for the fun: lines of `names` only."""
+    lines = {f"fun:{name}" for name in names}
+    return lambda violation, line: line in lines
+
+
+def census_predicate(root: Path, check_free, tables=None):
+    """heal()'s holds_no_check, for a census that defines `check_free` without a check."""
+    per_function = {name: IrSiteCensus() for name in check_free}
+    cfg = make_config(root, root / "reports")
+    return pipeline._no_check_in_scope(cfg, per_function, TableSymbolizer(tables or {}))
 
 
 @pytest.fixture
@@ -64,9 +75,9 @@ def rendered(engine) -> str:
 
 
 def observe(engine, pc=0x1000, callee=None, caller=None, cc=None, test_id="t1",
-            binary=Path("app")):
+            binary=Path("app"), memory_map=()):
     return engine.observe(
-        trap=trap_at(pc),
+        trap=trap_at(pc, memory_map),
         binary=binary,
         static_fault_pc=pc,
         callee=callee,
@@ -163,7 +174,7 @@ CXX_FRAMES = {
 )
 def test_cxx_fun_rungs_are_spelled_mangled(tmp_path, check_free, spelled):
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=check_free)
+    engine = EscalationEngine(store, tmp_path, functions_without_checks(check_free))
     v, _ = observe(engine, **CXX_FRAMES)
     lines = []
     while engine.next_scope(v).kind is EntryKind.FUN:
@@ -347,7 +358,7 @@ def test_reopen_at_the_last_rung_is_unresolvable(engine):
 
 def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"fail", "mid"}))
+    engine = EscalationEngine(store, tmp_path, functions_without_checks({"fail", "mid"}))
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     entry = engine.next_scope(v)
@@ -364,7 +375,7 @@ def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
 def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
     # A check-free set holds function names; a path that spells one is no function.
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"f", "a.c"}))
+    engine = EscalationEngine(store, tmp_path, census_predicate(tmp_path, {"f", "a.c"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "a.c"
     assert v.attempted == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
@@ -373,19 +384,34 @@ def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
 def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
     asked = []
 
-    def file_check_free(violation, file):
-        asked.append((violation.id, file))
-        return file == "rt.c"
+    def holds_no_check(violation, line):
+        asked.append((violation.id, line))
+        return line in {"fun:fail", "fun:mid", "fun:entry", "src:rt.c"}
 
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"fail", "mid", "entry"}),
-                              file_check_free=file_check_free)
+    engine = EscalationEngine(store, tmp_path, holds_no_check)
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     assert engine.next_scope(v).pattern == "a.c"
     assert v.attempted == [(LadderLevel.CALLER_SOURCE, "src:a.c")]
     assert v.skipped_levels[3] == (LadderLevel.CALLEE_SOURCE, "no CFI check in scope")
-    assert asked == [("V1", "rt.c"), ("V1", "a.c")]
+    # Each rung is asked once, narrowest first, with its full line.
+    assert asked == [("V1", line) for line in ("fun:fail", "fun:mid", "fun:entry", "src:rt.c",
+                                               "src:a.c")]
+
+
+def test_no_check_is_asked_only_of_rungs_no_frame_reason_skips(tmp_path):
+    asked = []
+    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
+    engine = EscalationEngine(store, tmp_path, lambda violation, line: asked.append(line))
+    outside = SymbolInfo("libc.so.6", None, None, Confidence.OUTSIDE_PROJECT)
+    v, _ = observe(engine, callee=info("f.1", "/elsewhere/f.c", 1), caller=outside)
+    assert engine.next_scope(v) is None
+    assert [reason for _, reason in v.skipped_levels] == [
+        "link-time name", "outside the project", "identity unavailable", "outside the project",
+        "outside the project",
+    ]
+    assert asked == []
 
 
 F = "src/rt.c"
@@ -408,12 +434,22 @@ F = "src/rt.c"
 def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_free(
     tmp_path, tables, skipped
 ):
-    check_free = frozenset({"fail", "slow"})
+    root = tmp_path.resolve()
+    binaries = [str(root / "bin" / f"app{i}") for i in range(len(tables))]
+    served = {
+        binary: None if table is None else {str(root / file): names for file, names in table.items()}
+        for binary, table in zip(binaries, tables)
+    }
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=check_free,
-                              file_check_free=lambda v, file: file_holds_no_check(
-                                  file, tables, check_free))
-    v, _ = observe(engine, callee=info("fail", F, 1), caller=info("slow", F, 2))
+    engine = EscalationEngine(store, tmp_path, census_predicate(root, {"fail", "slow"}, served))
+    # Each binary maps a data region before its code; only code counts.
+    regions = tuple(
+        MemoryRegion(base, base + 0x1000, perms, 0, binary)
+        for i, binary in enumerate(binaries)
+        for base, perms in ((0x10000 * (i + 1), "r--p"), (0x10000 * (i + 1) + 0x1000, "r-xp"))
+    )
+    v, _ = observe(engine, callee=info("fail", F, 1), caller=info("slow", F, 2),
+                   memory_map=regions)
     entry = engine.next_scope(v)
     if skipped:
         assert entry is None
@@ -428,7 +464,7 @@ def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_fre
 
 def test_a_name_outside_the_check_free_set_is_tried(tmp_path):
     store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, check_free=frozenset({"other"}))
+    engine = EscalationEngine(store, tmp_path, functions_without_checks({"other"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "f"
     assert v.skipped_levels == []

@@ -28,9 +28,11 @@ CHECK_FREE = frozenset({"g", "k"})
 FILES = ("a.c", "lib/b.c", "lib/c.c")
 CHECK_FREE_FILES = frozenset({"lib/c.c"})
 LINES = tuple(f"fun:{f}" for f in FUNCTIONS) + tuple(f"src:{f}" for f in FILES)
-UNTRIED_LINES = frozenset(f"fun:{f}" for f in CHECK_FREE | {"h.1"}) | frozenset(
+# The lines heal()'s holds_no_check predicate would say cannot change the build.
+NO_CHECK_LINES = frozenset(f"fun:{f}" for f in CHECK_FREE) | frozenset(
     f"src:{f}" for f in CHECK_FREE_FILES
 )
+UNTRIED_LINES = NO_CHECK_LINES | {"fun:h.1"}
 SUPPRESSING = tuple(line for line in LINES if line not in UNTRIED_LINES)
 
 _frames = st.one_of(
@@ -53,8 +55,7 @@ class EscalationModel(RuleBasedStateMachine):
         self.engine = EscalationEngine(
             IgnorelistStore(Path("cfi.ignorelist")),
             Path("/project"),
-            check_free=CHECK_FREE,
-            file_check_free=lambda violation, file: file in CHECK_FREE_FILES,
+            lambda violation, line: line in NO_CHECK_LINES,
         )
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}

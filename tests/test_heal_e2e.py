@@ -261,7 +261,7 @@ def test_guided_ladder_ends_where_the_unguided_ladder_ends(
     healed, workload, tmp_path, monkeypatch
 ):
     guided, guided_checks = healed(workload)
-    monkeypatch.setattr(pipeline, "_check_free", lambda variants, per_function: frozenset())
+    monkeypatch.setattr(pipeline, "_no_check_in_scope", lambda *census: lambda v, line: False)
     unguided, checks = _heal(workload, tmp_path)
     assert _outcome(unguided) == _outcome(guided)
     assert checks == guided_checks
@@ -292,7 +292,13 @@ def test_skipping_check_free_files_ends_where_trying_them_ends(
     healed, workload, tmp_path, monkeypatch
 ):
     skipping, skipping_checks = healed(workload)
-    monkeypatch.setattr(pipeline, "_file_check_free", lambda run, violation, file: False)
+    guided = pipeline._no_check_in_scope
+
+    def functions_only(*census):
+        holds_no_check = guided(*census)
+        return lambda v, line: line.startswith("fun:") and holds_no_check(v, line)
+
+    monkeypatch.setattr(pipeline, "_no_check_in_scope", functions_only)
     trying, checks = _heal(workload, tmp_path)
     assert _outcome(trying) == _outcome(skipping)
     assert checks == skipping_checks

@@ -34,7 +34,17 @@ from cfiheal.tracing import (
     TrapSignal,
 )
 
-from conftest import HAVE_GCC, SAMPLE_CXX, copy_fixture, make_config, needs_toolchain
+from conftest import (
+    HAVE_GCC,
+    SAMPLE_CXX,
+    TableSymbolizer,
+    copy_fixture,
+    make_config,
+    needs_linux,
+    needs_toolchain,
+    reaped,
+    refuse_seize,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,19 +89,7 @@ def test_census_diagnostics_sidecar_names_an_unreadable_path(tmp_path):
     assert sidecar.count("\n") == 1
 
 
-class _TableSymbolizer:
-    """Serves fixed definition tables by binary path, recording each asked."""
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.asked: list[str] = []
-
-    def definitions_by_file(self, binary):
-        self.asked.append(str(binary))
-        return self.tables.get(str(binary))
-
-
-def _src_rung_run(tmp_path, tables, per_function, check_free):
+def _src_rung_run(tmp_path, tables, per_function, variants=("cfi-icall",)):
     root = (tmp_path / "proj").resolve()
     (root / "bin").mkdir(parents=True)
     app, data = str(root / "bin" / "app"), str(root / "data.bin")
@@ -104,16 +102,14 @@ def _src_rung_run(tmp_path, tables, per_function, check_free):
     )
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2100, 0x2100, (0x2200,), {}, Path(app),
                      regions)
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), root,
-                              check_free=check_free)
-    symbolizer = _TableSymbolizer({app: tables})
-    run = pipeline._Run(make_config(root, tmp_path / "reports"), symbolizer, {}, engine,
-                        RepairLedger(),
-                        census=pipeline._Census(ircensus.IrSiteCensus(), per_function, [], []))
+    symbolizer = TableSymbolizer({app: tables})
+    cfg = make_config(root, tmp_path / "reports", cfi_variants=variants)
+    holds_no_check = pipeline._no_check_in_scope(cfg, per_function, symbolizer)
+    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), root)
     frames = (SymbolInfo("fail", str(root / "rt.c"), 1, Confidence.DEBUGINFO),
               SymbolInfo("mid", str(root / "a.c"), 2, Confidence.DEBUGINFO), None)
     violation, _ = engine.observe(trap, Path(app), 0x1100, *frames, "t")
-    return run, violation, symbolizer
+    return holds_no_check, violation, symbolizer
 
 
 def test_a_src_rung_reads_the_dwarf_of_the_project_binaries_the_trap_mapped(tmp_path):
@@ -121,16 +117,22 @@ def test_a_src_rung_reads_the_dwarf_of_the_project_binaries_the_trap_mapped(tmp_
     checked = ircensus.IrSiteCensus(fp_calls=1)
     per_function = {"fail": ircensus.IrSiteCensus(), "mid": checked}
     table = {str(root / "rt.c"): frozenset({"fail"}), str(root / "a.c"): frozenset({"mid"})}
-    run, violation, symbolizer = _src_rung_run(tmp_path, table, per_function, frozenset({"fail"}))
-    assert pipeline._file_check_free(run, violation, "rt.c")
+    holds_no_check, violation, symbolizer = _src_rung_run(tmp_path, table, per_function)
+    assert holds_no_check(violation, "src:rt.c")
     assert symbolizer.asked == [str(root / "bin" / "app")]
     # The caller resolved in a.c names a function with a check: no DWARF is read.
-    assert not pipeline._file_check_free(run, violation, "a.c")
+    assert not holds_no_check(violation, "src:a.c")
+    assert len(symbolizer.asked) == 1
+    # A fun: line is decided by the census alone.
+    assert holds_no_check(violation, "fun:fail") and not holds_no_check(violation, "fun:mid")
     assert len(symbolizer.asked) == 1
     # Without the census's check-free names nothing is skipped, and nothing read.
-    run.engine.check_free = frozenset()
-    assert not pipeline._file_check_free(run, violation, "rt.c")
-    assert len(symbolizer.asked) == 1
+    holds_no_check, violation, symbolizer = _src_rung_run(
+        tmp_path / "again", table, per_function, ("cfi-icall", "cfi-nvcall")
+    )
+    assert not holds_no_check(violation, "src:rt.c")
+    assert not holds_no_check(violation, "fun:fail")
+    assert symbolizer.asked == []
 
 
 def test_run_census_walks_each_file_once(tmp_path, monkeypatch):
@@ -289,6 +291,29 @@ def test_heal_cli_exit_codes(tmp_path, capsys):
     assert rc == 0
     assert "0 violation(s)" in out
     assert "0 unresolvable" in out
+
+
+@needs_linux
+def test_a_host_that_forbids_tracing_fails_the_heal(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "cfi.yaml").write_text(
+        f"project_root: {root}\n"
+        "build_cmd: cp /bin/true app\n"
+        "test_cmd: printf 'TEST\\tt1\\ttrue\\n'\n"
+        "executables: [app]\n"
+        "cfi_variants: [cfi-icall]\n"
+        f"report_dir: {tmp_path / 'reports'}\n"
+    )
+    refused = refuse_seize(monkeypatch)
+    with pytest.raises(PipelineFailure, match="PTRACE_SEIZE failed"):
+        heal(pipeline.load_config(root / "cfi.yaml"))
+    assert cli_main(["heal", str(root / "cfi.yaml")]) == 2
+    assert "pipeline failure: test harness failed" in capsys.readouterr().err
+    state = json.loads((tmp_path / "reports" / "state.json").read_text())
+    assert state["phase"] == "failed" and "PTRACE_SEIZE failed" in state["reason"]
+    # The baseline suite's one test, once per heal: each shell killed and reaped.
+    assert len(refused) == 2 and all(map(reaped, refused))
 
 
 def test_cli_no_command_is_usage_error(capsys):
@@ -928,7 +953,9 @@ def test_rig_clean_suite(tmp_path, monkeypatch):
     result = heal(rig.cfg, symbolizer=FakeSymbolizer())
     assert result.violations == []
     assert result.ledger.build_attempts == 1
-    assert rig.calls == Counter(run_build=1, repair_until_buildable=1, run_suite=3)
+    # The baseline suite and the first instrumented one: a suite that traps
+    # nothing new is the one reported, not run again on the same build.
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=1, run_suite=2)
     assert rig.state()["phase"] == "done"
     assert rig.state()["ignorelist"] == []
 
@@ -1206,6 +1233,18 @@ def test_the_traced_benchmark_installs_its_hooks():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
     proc = subprocess.run(
         [sys.executable, "-c", "from layertrace import Tracer; Tracer().install()"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmark_self_check_imports():
+    # perfbench/selfcheck.py imports cfiheal's internals by name, and no other
+    # test runs it; a fresh interpreter imports it as its script would.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import selfcheck"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -246,9 +246,3 @@ def test_emit_report_writes_both_formats(tmp_path):
     assert all(p.exists() for p in paths)
     assert paths[0].read_text() == render_json(SAMPLE_REPORT)
     assert paths[1].read_text() == render_html(SAMPLE_REPORT)
-
-
-def test_emit_report_json_only(tmp_path):
-    paths = emit_report(SAMPLE_REPORT, tmp_path, formats=("json",))
-    assert [p.name for p in paths] == ["report.json"]
-    assert not (tmp_path / "report.html").exists()

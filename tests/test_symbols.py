@@ -9,11 +9,13 @@ import pytest
 
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
-from cfiheal.escalation import EscalationEngine, ViolationStatus, file_holds_no_check
+from cfiheal.escalation import EscalationEngine, ViolationStatus
 from cfiheal.ignorelist import IgnorelistStore, LadderLevel
+from cfiheal.ircensus import IrSiteCensus
 from cfiheal.symbols import (
     Confidence,
     FunctionSpan,
+    LineTable,
     ObjdumpBackend,
     ResolutionError,
     SymbolInfo,
@@ -24,7 +26,7 @@ from cfiheal.symbols import (
 )
 from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal, region_for, run_traced
 
-from conftest import HAVE_GCC, SAMPLE_CXX, needs_linux, needs_toolchain
+from conftest import HAVE_GCC, SAMPLE_CXX, make_config, needs_linux, needs_toolchain
 from test_elf import nm_functions
 
 
@@ -423,6 +425,45 @@ def test_gcc_span_starts_match_addr2line(gcc_binaries, tmp_path, build):
     assert symbolizer.warnings == []
 
 
+# A stand-in for a stdin filter (c++filt, addr2line) that fails one way, or None for a missing one.
+FAILING_TOOLS = [
+    pytest.param(None, "failed, {left}: [Errno 2] No such file or directory: '{tool}'",
+                 id="missing tool"),
+    pytest.param('while read -r line; do echo "$line"; done; exit 3',
+                 "exited 3 with 2 lines for 2 {noun}; {left}", id="non-zero exit"),
+    pytest.param("while read -r line; do :; done; echo one",
+                 "exited 0 with 1 lines for 2 {noun}; {left}", id="wrong line count"),
+]
+
+
+def _only_tool_on_path(tmp_path, monkeypatch, name, body):
+    """Make PATH a directory holding only `name`, a shell script running `body`, if any."""
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    if body is not None:
+        (tools / name).write_text(f"#!/bin/sh\n{body}\n")
+        (tools / name).chmod(0o755)
+    monkeypatch.setenv("PATH", str(tools))
+
+
+@pytest.mark.parametrize(("body", "failure"), FAILING_TOOLS)
+def test_demangle_batch_that_fails_leaves_names_mangled(tmp_path, monkeypatch, body, failure):
+    _only_tool_on_path(tmp_path, monkeypatch, "c++filt", body)
+    names = ["_ZN3app4stepEi", "main", "_ZN3app5visitEi"]
+    why = failure.format(tool="c++filt", noun="names", left="names left mangled")
+    assert _demangle_batch(names) == (names, f"c++filt {why}")
+
+
+@pytest.mark.parametrize(("body", "failure"), FAILING_TOOLS)
+def test_line_table_that_fails_leaves_lines_unknown(tmp_path, monkeypatch, body, failure):
+    _only_tool_on_path(tmp_path, monkeypatch, "addr2line", body)
+    table = LineTable(tmp_path / "app")
+    why = failure.format(tool="addr2line", noun="addresses", left="lines left unknown")
+    assert table.lookup([0x20, 0x10, 0x20]) == ([None] * 3, f"addr2line {why}")
+    # A failed binary is not asked again.
+    assert table.lookup([0x30]) == ([None], None)
+
+
 def test_demangle_batch_agrees_with_per_name_cxxfilt():
     if shutil.which("c++filt") is None:
         pytest.skip("requires c++filt")
@@ -752,18 +793,30 @@ def inlined_check(tmp_path) -> Path:
 def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
     root = inlined_check.parent.resolve()
     assert "dispatch" not in nm_functions(inlined_check)  # inlined away
-    table = Symbolizer().definitions_by_file(inlined_check)
+    symbolizer = Symbolizer()
+    table = symbolizer.definitions_by_file(inlined_check)
     # The unit's own functions, the helper only ever inlined, and the header's inline.
     assert table == {
         f"{root}/api.c": {"api", "dispatch", "twice", "bump"},
         f"{root}/main.c": {"main"},
     }
+
+    def holds_no_check(line, check_free):
+        """heal()'s predicate, for a trap in the binary and a census defining `check_free`."""
+        cfg = make_config(root, root / "reports")
+        per_function = {name: IrSiteCensus() for name in check_free}
+        code = MemoryRegion(0x1000, 0x2000, "r-xp", 0, str(inlined_check))
+        trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x1000, 0x1000, (), {}, inlined_check,
+                         (code,))
+        engine = EscalationEngine(IgnorelistStore(root / "cfi.ignorelist"), root)
+        violation, _ = engine.observe(trap, inlined_check, 0x1000, None, None, None, "t")
+        return pipeline._no_check_in_scope(cfg, per_function, symbolizer)(violation, line)
+
     # The helper holds the indirect call; the census of the other names does not
     # make the file check-free, and the header, which no unit compiles, never is.
-    assert not file_holds_no_check(f"{root}/api.c", [table], frozenset({"api", "twice", "bump"}))
-    assert file_holds_no_check(f"{root}/api.c", [table],
-                               frozenset({"api", "twice", "bump", "dispatch"}))
-    assert not file_holds_no_check(f"{root}/bump.h", [table], frozenset({"bump"}))
+    assert not holds_no_check("src:api.c", {"api", "twice", "bump"})
+    assert holds_no_check("src:api.c", {"api", "twice", "bump", "dispatch"})
+    assert not holds_no_check("src:bump.h", {"bump"})
 
 
 @needs_dwarfdump

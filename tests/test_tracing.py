@@ -25,7 +25,7 @@ from cfiheal.tracing import (
     unwind_frames,
 )
 
-from conftest import linker_map_symbol, needs_linux
+from conftest import linker_map_symbol, needs_linux, reaped, refuse_seize
 
 
 def test_correct_pc_table():
@@ -653,3 +653,25 @@ def test_reaped_tree_is_not_killed(tmp_path, monkeypatch):
         (OutcomeKind.EXITED, 0), (OutcomeKind.EXITED, 0), (OutcomeKind.EXITED, 3), (OutcomeKind.EXITED, 0)
     ]
     assert kills == []
+
+
+@needs_linux
+def test_a_root_that_cannot_be_seized_is_killed_and_raises(tmp_path, monkeypatch):
+    refused = refuse_seize(monkeypatch)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+    with pytest.raises(TraceError, match="PTRACE_SEIZE failed"):
+        run_traced("exit 0", timeout=10, cwd=tmp_path)
+    with pytest.raises(TraceError, match="PTRACE_SEIZE failed"):
+        run_traced_many(["exit 0", ["true"], "exit 3"], 10, cwd=tmp_path, jobs=2)
+    # The batch stops at its first refusal; every refused shell was killed and reaped.
+    assert len(refused) == 2 and all(map(reaped, refused))
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == mask
+
+
+@needs_linux
+@pytest.mark.parametrize("cmd", ["exit 0", ["true"]])
+def test_a_root_that_exited_before_its_seize_gives_its_exit_status(tmp_path, monkeypatch, cmd):
+    refused = refuse_seize(monkeypatch, exited_first=True)
+    outcome = run_traced(cmd, timeout=10, cwd=tmp_path / "missing")
+    assert (outcome.kind, outcome.exit_status) == (OutcomeKind.EXITED, 127)
+    assert len(refused) == 1 and reaped(refused[0])
