@@ -97,7 +97,6 @@ class BuildOutcome:
     produced_executables: tuple[Path, ...]
     log_path: Path | None
     wall_time: float
-    raw_log: str = ""
 
 
 def compose_flags(mode: BuildMode, extra_compile_flags: tuple[str, ...] = ()) -> list[str]:
@@ -360,10 +359,10 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
             break
     wall_time = time.monotonic() - started
 
-    raw_log = b"".join(sink).decode("utf-8", errors="replace")
-    log_path.write_bytes(b"".join(sink))
+    log = b"".join(sink)
+    log_path.write_bytes(log)
 
-    diagnostics = parse_diagnostics(raw_log) if rc != 0 else []
+    diagnostics = parse_diagnostics(log.decode("utf-8", errors="replace")) if rc != 0 else []
     produced: list[Path] = []
     missing: list[str] = []
     if rc == 0:
@@ -389,5 +388,4 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
         produced_executables=tuple(produced),
         log_path=log_path,
         wall_time=wall_time,
-        raw_log=raw_log,
     )

@@ -14,13 +14,9 @@ from pathlib import Path
 ET_EXEC = 2
 ET_DYN = 3
 PT_LOAD = 1
-SHT_SYMTAB = 2
-SHT_STRTAB = 3
-SHT_DYNSYM = 11
 
-STB_LOCAL, STB_GLOBAL, STB_WEAK = 0, 1, 2
+STB_GLOBAL, STB_WEAK = 1, 2
 STT_FUNC = 2
-STV_DEFAULT, STV_INTERNAL, STV_HIDDEN, STV_PROTECTED = 0, 1, 2, 3
 
 _VIS_NAMES = {0: "default", 1: "internal", 2: "hidden", 3: "protected"}
 

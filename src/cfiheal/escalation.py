@@ -53,12 +53,12 @@ which keeps the first fault address it saw. Two checks on one source line of
 one function share a key, as two checks sharing one trap site share an
 address.
 
-The ignorelist is derived, never edited. A violation's claim is the rung it
-holds: its current rung once tried, while Open or Fixed; an Unresolvable
-violation holds none. After every state change the engine sets the store's
-entries to the claims, each naming the violations that hold it, so an entry
-that no violation holds any more leaves the list, and one that two
-violations hold stays while either does.
+The ignorelist is derived, never edited. A violation's claim is the line of
+the rung it holds: its current rung once tried, while Open or Fixed; an
+Unresolvable violation holds none. After every state change the engine sets
+the store's entries to the claims, each naming the violations that hold it,
+so an entry that no violation holds any more leaves the list, and one that
+two violations hold stays while either does.
 """
 
 from __future__ import annotations
@@ -138,12 +138,12 @@ class Violation:
         return violation_key(self.binary, self.static_fault_pc, self.callee)
 
     @property
-    def claim(self) -> tuple[LadderLevel, str] | None:
-        """(rung, ignorelist line) this violation holds: its current rung once tried."""
+    def claim(self) -> str | None:
+        """The ignorelist line this violation holds: its current rung's, once tried."""
         if self.status is ViolationStatus.UNRESOLVABLE or not self.attempted:
             return None
         level, line = self.attempted[-1]
-        return (level, line) if level == self.ladder_level else None
+        return line if level == self.ladder_level else None
 
 
 def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
@@ -243,13 +243,12 @@ class EscalationEngine:
         for violation in self.violations.values():
             if violation.claim is None:
                 continue
-            level, line = violation.claim
-            kind_value, pattern = line.split(":", 1)
+            kind_value, pattern = violation.claim.split(":", 1)
             held = entries.get((kind_value, pattern))
             entries[kind_value, pattern] = (
                 replace(held, origin_violations=held.origin_violations + (violation.id,))
                 if held is not None
-                else IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,), level)
+                else IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,))
             )
         self.store.entries = entries
 

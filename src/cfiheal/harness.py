@@ -1,13 +1,14 @@
 """Test harness: enumerate the suite, run it traced, classify divergence.
 
-Enumeration protocol: test_cmd runs once (shell, project root as cwd) and
-prints one line per test on stdout:
+Enumeration protocol: test_cmd runs once per heal, right after the baseline
+build (shell, project root as cwd), and prints one line per test on stdout:
 
     TEST<TAB><test_id><TAB><command ...>
 
 The command is the remainder of the line and runs through the shell with the
 project root as working directory. Lines not matching the protocol are
-ignored; an enumeration yielding zero tests is a harness error.
+ignored; an enumeration yielding zero tests is a harness error. Every suite
+and re-run of a heal takes its tests from that one enumeration.
 
 Classification compares a baseline result with a CFI result per test:
 
@@ -135,11 +136,13 @@ def run_cases(cfg: ProjectConfig, cases: Sequence[TestCase]) -> list[TestResult]
     return [TestResult(case.test_id, outcome) for case, outcome in zip(cases, outcomes)]
 
 
-def run_suite(cfg: ProjectConfig, build: BuildOutcome) -> list[TestResult]:
-    """Run every enumerated test under trap supervision, in enumeration order."""
+def run_suite(
+    cfg: ProjectConfig, build: BuildOutcome, cases: Sequence[TestCase]
+) -> list[TestResult]:
+    """Run `cases` against `build` under trap supervision, in their order."""
     if not build.succeeded:
         raise HarnessError("refusing to run the suite against a failed build")
-    return run_cases(cfg, enumerate_tests(cfg))
+    return run_cases(cfg, cases)
 
 
 def classify(baseline: TestResult, cfi: TestResult) -> FailureClass:

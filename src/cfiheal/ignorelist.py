@@ -35,7 +35,6 @@ class LadderLevel(IntEnum):
 FUN_LEVELS = frozenset(
     {LadderLevel.CALLEE_FUNCTION, LadderLevel.CALLER_FUNCTION, LadderLevel.CALLERS_CALLER_FUNCTION}
 )
-SRC_LEVELS = frozenset({LadderLevel.CALLEE_SOURCE, LadderLevel.CALLER_SOURCE})
 
 
 class EntryKind(Enum):
@@ -50,24 +49,14 @@ class IgnorelistEntry:
     kind: EntryKind
     pattern: str
     origin_violations: tuple[str, ...] = ()
-    level: LadderLevel = LadderLevel.CALLEE_FUNCTION
 
     def __post_init__(self) -> None:
         if not self.pattern or self.pattern != self.pattern.strip():
             raise ValueError(f"ignorelist pattern must be non-empty and trimmed: {self.pattern!r}")
-        # Kind and rung family must agree; a fun: entry cannot claim a src rung.
-        if self.kind is EntryKind.FUN and self.level not in FUN_LEVELS:
-            raise ValueError(f"fun: entry with non-function level {self.level.short}")
-        if self.kind is EntryKind.SRC and self.level not in SRC_LEVELS:
-            raise ValueError(f"src: entry with non-source level {self.level.short}")
 
     @property
     def line(self) -> str:
         return f"{self.kind.value}:{self.pattern}"
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.kind.value, self.pattern)
 
 
 def render(entries: Iterable[IgnorelistEntry]) -> str:
@@ -78,10 +67,9 @@ def render(entries: Iterable[IgnorelistEntry]) -> str:
 def parse(text: str) -> list[IgnorelistEntry]:
     """Parse rendered ignorelist text back into structural entries.
 
-    Parsing recovers kind and pattern only; provenance (origins, exact rung)
-    is not stored in the file format, so parsed entries carry the lowest rung
-    of the matching family. Blank lines and #-comments are tolerated on input
-    even though render never emits them.
+    Parsing recovers kind and pattern only; the origins are not stored in
+    the file format. Blank lines and #-comments are tolerated on input even
+    though render never emits them.
     """
     entries: list[IgnorelistEntry] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -91,14 +79,9 @@ def parse(text: str) -> list[IgnorelistEntry]:
         prefix, sep, pattern = line.partition(":")
         if not sep or not pattern.strip():
             raise ValueError(f"ignorelist line {lineno}: malformed entry {rawline!r}")
-        if prefix == "fun":
-            entries.append(IgnorelistEntry(EntryKind.FUN, pattern.strip()))
-        elif prefix == "src":
-            entries.append(
-                IgnorelistEntry(EntryKind.SRC, pattern.strip(), level=LadderLevel.CALLEE_SOURCE)
-            )
-        else:
+        if prefix not in ("fun", "src"):
             raise ValueError(f"ignorelist line {lineno}: unknown entry kind {prefix!r}")
+        entries.append(IgnorelistEntry(EntryKind(prefix), pattern.strip()))
     return entries
 
 

@@ -1,18 +1,20 @@
 """End-to-end healing pipeline and the command-line interface.
 
-heal() drives the whole sequence: validate config, baseline build and suite,
-CFI build with automatic visibility repair (planned from the baseline's
-cross-DSO bindings, with the linker's diagnostics as the fallback), the IR
-census of the IR present once that build stands, the full instrumented suite,
-trap-driven escalation rounds (re-running only the tests attributed to
-still-open violations after each ignorelist update, and skipping the rungs
-whose line holds no CFI check, as one predicate built from the census and the
-binaries' DWARF says), a full-suite confirmation pass after the rounds,
-coverage accounting, and report emission. Every full instrumented suite is
-observed the same way: a new or reopened violation starts more rounds, while
-the budget lasts, and the last suite is the one reported. So a heal whose
-first instrumented suite traps nothing runs the suite twice, baseline and
-instrumented, and no round.
+heal() drives the whole sequence: validate config, baseline build, the
+suite's one enumeration and the baseline suite, CFI build with automatic
+visibility repair (planned from the baseline's cross-DSO bindings, with the
+linker's diagnostics as the fallback), the IR census of the IR present once
+that build stands, the full instrumented suite, trap-driven escalation
+rounds (re-running only the tests attributed to still-open violations after
+each ignorelist update, and skipping the rungs whose line holds no CFI
+check, as one predicate built from the census and the binaries' DWARF says),
+a full-suite confirmation pass after the rounds, coverage accounting, and
+report emission. Every suite and re-run takes its tests from the one
+enumeration, by id. Every full instrumented suite is observed the same way:
+a new or reopened violation starts more rounds, while the budget lasts, and
+the last suite is the one reported. So a heal whose first instrumented
+suite traps nothing runs the suite twice, baseline and instrumented, and no
+round.
 state.json in the report directory is rewritten after every phase
 transition so an interrupted run leaves an inspectable trail.
 
@@ -64,7 +66,9 @@ from .harness import (
     FailureClass,
     HarnessError,
     SuiteDiff,
+    TestCase,
     TestResult,
+    classify,
     diff_suites,
     enumerate_tests,
     run_cases,
@@ -83,6 +87,7 @@ from .repair import (
 from .report import (
     CoverageCore,
     FunctionRecord,
+    SCHEMA_VERSION,
     compute_coverage,
     emit_report,
     format_duration,
@@ -173,6 +178,8 @@ class _Run:
 
     cfg: ProjectConfig
     symbolizer: Symbolizer
+    # The suite as test_cmd enumerated it once, right after the baseline build.
+    cases: dict[str, TestCase]
     baseline: dict[str, TestResult]
     engine: EscalationEngine
     ledger: RepairLedger
@@ -181,14 +188,13 @@ class _Run:
 
 
 def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
-    """(test id, trap, symbolized fault) for each CFI trap in a test whose baseline passed.
+    """(test id, trap, symbolized fault) for each result classify calls a CFI policy violation.
 
     The symbolized fault is what _symbolize_trap returns, the arguments
     EscalationEngine.observe takes between the trap and the test id.
     """
     for result in results:
-        base = run.baseline.get(result.test_id)
-        if base is not None and base.passed and result.cfi_trapped:
+        if classify(run.baseline[result.test_id], result) is FailureClass.CFI_POLICY_VIOLATION:
             trap = result.outcome.trap
             yield result.test_id, trap, _symbolize_trap(
                 run.symbolizer, trap, project_root=run.cfg.project_root
@@ -503,19 +509,22 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     return details, grouped
 
 
-def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestResult], list[str]]:
-    """The uninstrumented build's suite results by test id, and its cross-DSO bindings.
+def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestCase], dict[str, TestResult], list[str]]:
+    """The suite and the baseline build's results, each by test id, and its cross-DSO bindings.
 
-    The bindings come from the files the build wrote: those not older than
-    state.json, which heal() writes just before. Both times are read from
-    the file system's clock, which can lag time.time().
+    The suite is enumerated here, once per heal. The bindings come from the
+    files the build wrote: those not older than state.json, which heal()
+    writes just before. Both times are read from the file system's clock,
+    which can lag time.time().
     """
     started_ns = (cfg.report_dir / STATE_NAME).stat().st_mtime_ns
     build = run_build(cfg, BuildMode.baseline(), iteration=1)
     if not build.succeeded:
         raise PipelineFailure(f"baseline build failed; see {build.log_path}")
     planned = cross_dso_bindings(cfg.project_root, started_ns)
-    return {r.test_id: r for r in run_suite(cfg, build)}, planned
+    cases = {case.test_id: case for case in enumerate_tests(cfg)}
+    results = run_suite(cfg, build, list(cases.values()))
+    return cases, {r.test_id: r for r in results}, planned
 
 
 def _cfi_build(
@@ -551,11 +560,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
         return None
     build = _cfi_build(run.cfg, engine.store, run.ledger, "test")
     affected = sorted({tid for v in pending for tid in v.test_ids})
-    cases = {c.test_id: c for c in enumerate_tests(run.cfg)}
-    missing = [tid for tid in affected if tid not in cases]
-    if missing:
-        raise PipelineFailure(f"tests disappeared from enumeration during healing: {missing}")
-    rerun = run_cases(run.cfg, [cases[tid] for tid in affected])
+    rerun = run_cases(run.cfg, [run.cases[tid] for tid in affected])
     recurred: set[ViolationKey] = set()
     for test_id, trap, fault in _traps(run, rerun):
         key = violation_key(*fault[:3])
@@ -587,7 +592,7 @@ def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
     details, by_file = _violation_rows(engine)
     duration = time.monotonic() - started
     report = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "duration": format_duration(duration),
         "coverage": {
             "per_function": coverage.per_function.as_dict(),
@@ -638,7 +643,7 @@ def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
     )
 
 
-def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealResult:
+def heal(cfg: ProjectConfig) -> HealResult:
     """Run the full healing pipeline; raises PipelineFailure on hard errors.
 
     A run that fails once it holds the project lock leaves state.json at
@@ -648,23 +653,23 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
     findings = validate_config(cfg)
     if findings:
         raise PipelineFailure("invalid configuration: " + "; ".join(findings))
-    symbolizer = symbolizer or Symbolizer()
+    symbolizer = Symbolizer()
     started = time.monotonic()
     state: dict = {}
     with ProjectLock(cfg.report_dir), _CensusAhead(cfg) as ahead:
         _save_state(cfg, state, phase="building", iteration=0)
         try:
-            baseline, planned = _baseline(cfg)
+            cases, baseline, planned = _baseline(cfg)
             store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
             ledger = RepairLedger()
             cfi_build = _cfi_build(cfg, store, ledger, "build", planned)
             census = _run_census(cfg, ahead.result())
             holds_no_check = _no_check_in_scope(cfg, census.per_function, symbolizer)
             engine = EscalationEngine(store, cfg.project_root, holds_no_check)
-            run = _Run(cfg, symbolizer, baseline, engine, ledger, census)
+            run = _Run(cfg, symbolizer, cases, baseline, engine, ledger, census)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
-            results = run_suite(cfg, cfi_build)
+            results = run_suite(cfg, cfi_build, list(cases.values()))
             rounds = 0
             while _confirm(run, results) and rounds < cfg.max_repair_iterations:
                 while engine.open_violations() and rounds < cfg.max_repair_iterations:
@@ -680,7 +685,7 @@ def heal(cfg: ProjectConfig, *, symbolizer: Symbolizer | None = None) -> HealRes
                 # The last round may have dropped entries after its rebuild.
                 if store.render() != store.path.read_text():
                     cfi_build = _cfi_build(cfg, store, ledger, "test")
-                results = run_suite(cfg, cfi_build)
+                results = run_suite(cfg, cfi_build, list(cases.values()))
 
             _save_state(cfg, state, phase="reporting")
             diff = diff_suites(list(baseline.values()), results)

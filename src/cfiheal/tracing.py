@@ -80,10 +80,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-PTRACE_PEEKTEXT = 1
 PTRACE_PEEKDATA = 2
 PTRACE_CONT = 7
-PTRACE_KILL = 8
 PTRACE_GETREGS = 12
 PTRACE_GETEVENTMSG = 0x4201
 PTRACE_SEIZE = 0x4206

@@ -427,9 +427,7 @@ def test_criterion_9_coverage_arithmetic(capsys):
     with criterion(capsys, 9, "coverage triples match published shares, sum to 100.00"):
         started = time.monotonic()
         records = synthetic_function_table()
-        entry = IgnorelistEntry(
-            EntryKind.SRC, "quiet/ign.c", ("V1",), LadderLevel.CALLEE_SOURCE
-        )
+        entry = IgnorelistEntry(EntryKind.SRC, "quiet/ign.c", ("V1",))
         core = compute_coverage(records, [entry])
 
         assert core.per_function.counts == (8629, 1054, 317)
@@ -474,12 +472,7 @@ def random_entries(rng: random.Random) -> list[IgnorelistEntry]:
         pattern = "".join(
             rng.choice(PATTERN_CHARS) for _ in range(rng.randrange(1, 20))
         )
-        level = (
-            LadderLevel.CALLEE_FUNCTION
-            if kind is EntryKind.FUN
-            else LadderLevel.CALLEE_SOURCE
-        )
-        entries.append(IgnorelistEntry(kind, pattern, ("V1",), level))
+        entries.append(IgnorelistEntry(kind, pattern, ("V1",)))
     return entries
 
 

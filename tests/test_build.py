@@ -303,7 +303,7 @@ def test_run_build_caps_log(tmp_path):
     assert outcome.succeeded
     size = outcome.log_path.stat().st_size
     assert size <= LOG_CAP_BYTES + len(TRUNCATION_MARKER) + 2
-    assert TRUNCATION_MARKER.strip() in outcome.raw_log[-4096:]
+    assert TRUNCATION_MARKER.strip().encode() in outcome.log_path.read_bytes()[-4096:]
 
 
 # ------------------------------------------------- make's jobserver, no clang
@@ -334,7 +334,7 @@ def _makeflags_seen(tmp_path, mode_kind):
     outcome = run_build(cfg, mode)
     assert outcome.succeeded
     seen = {}
-    for line in outcome.raw_log.splitlines():
+    for line in outcome.log_path.read_text().splitlines():
         step, _, rest = line.partition(" ")
         if step in _STEPS:
             seen[step] = rest

@@ -84,7 +84,7 @@ def test_run_suite_refuses_failed_build(tmp_path):
         wall_time=0.1,
     )
     with pytest.raises(HarnessError, match="failed build"):
-        run_suite(cfg, failed)
+        run_suite(cfg, failed, enumerate_tests(cfg))
 
 
 @needs_linux
@@ -116,7 +116,7 @@ def test_run_suite_spawns_every_test_in_one_copy_of_the_environment(tmp_path, mo
         log_path=tmp_path / "x.log",
         wall_time=0.1,
     )
-    results = run_suite(cfg, built)
+    results = run_suite(cfg, built, enumerate_tests(cfg))
     assert [(r.test_id, r.passed) for r in results] == [("t_one", True), ("t_two", True)]
     # One batch for the suite, and one environment for every test in it.
     assert len(batches) == 1 and len(envs) == 2

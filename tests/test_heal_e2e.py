@@ -17,6 +17,7 @@ where a ladder that tries those rungs ends.
 
 import json
 import os
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -57,7 +58,10 @@ pytestmark = pytest.mark.skipif(
 
 
 def _heal(workload: str, box: Path):
-    """Heal a fresh project of the workload; returns the result and the oracle's checks."""
+    """Heal a fresh project of the workload; returns the result and the oracle's checks.
+
+    Each run of the workload's test_cmd appends a line to box/test_cmd.runs.
+    """
     pristine = box / "pristine"
     spec = gen.GENERATORS[workload](
         pristine, SEED, sys.executable, PERFBENCH / "cfimodel.py", SCALE
@@ -67,7 +71,7 @@ def _heal(workload: str, box: Path):
     cfg = ProjectConfig(
         project_root=project,
         build_cmd=spec["build_cmd"],
-        test_cmd=spec["test_cmd"],
+        test_cmd=f"echo run >> {shlex.quote(str(box / 'test_cmd.runs'))}; {spec['test_cmd']}",
         executables=tuple(spec["executables"]),
         cfi_variants=tuple(spec["cfi_variants"]),
         report_dir=box / "report",
@@ -172,6 +176,16 @@ def test_violations_and_builds_are_pinned(healed, workload):
     assert [
         (v.status.value, tuple(level for level, _ in v.attempted)) for v in result.violations
     ] == rows
+
+
+@pytest.mark.parametrize("workload", PINS)
+def test_test_cmd_runs_once_per_heal(healed, workload):
+    # suite_fanout and cxx_static run an escalation round and a confirmation
+    # suite, wide_tree only its first instrumented suite: every suite and
+    # re-run takes its tests from the one enumeration.
+    result, _ = healed(workload)
+    box = result.report_paths[0].parents[1]
+    assert (box / "test_cmd.runs").read_text() == "run\n"
 
 
 @pytest.mark.parametrize("workload", PINS)

@@ -19,9 +19,7 @@ def fun(pattern, **kw):
 
 
 def src(pattern, **kw):
-    return IgnorelistEntry(
-        kind=EntryKind.SRC, pattern=pattern, level=LadderLevel.CALLEE_SOURCE, **kw
-    )
+    return IgnorelistEntry(kind=EntryKind.SRC, pattern=pattern, **kw)
 
 
 def test_entry_line():
@@ -31,13 +29,6 @@ def test_entry_line():
 
 def test_levels_short_names():
     assert [lv.short for lv in LadderLevel] == ["L0", "L1", "L2", "L3", "L4", "L5"]
-
-
-def test_kind_level_family_enforced():
-    with pytest.raises(ValueError):
-        IgnorelistEntry(kind=EntryKind.FUN, pattern="f", level=LadderLevel.CALLEE_SOURCE)
-    with pytest.raises(ValueError):
-        IgnorelistEntry(kind=EntryKind.SRC, pattern="f.c", level=LadderLevel.CALLER_FUNCTION)
 
 
 def test_empty_pattern_rejected():
@@ -71,7 +62,7 @@ def test_store_write_mirrors_entries(tmp_path):
     path = tmp_path / "cfi.ignorelist"
     store = IgnorelistStore(path)
     assert store.write() == "" and path.read_text() == ""
-    store.entries = {e.key: e for e in (src("cold.c"), fun("hot"))}
+    store.entries = {(e.kind.value, e.pattern): e for e in (src("cold.c"), fun("hot"))}
     assert store.write() == "fun:hot\nsrc:cold.c\n"
     assert path.read_text() == "fun:hot\nsrc:cold.c\n"
     assert [e.line for e in store.active_entries()] == ["fun:hot", "src:cold.c"]
@@ -87,10 +78,7 @@ _pattern = st.text(
 @st.composite
 def entries(draw):
     kind = draw(st.sampled_from([EntryKind.FUN, EntryKind.SRC]))
-    level = (
-        LadderLevel.CALLEE_FUNCTION if kind is EntryKind.FUN else LadderLevel.CALLEE_SOURCE
-    )
-    return IgnorelistEntry(kind=kind, pattern=draw(_pattern), level=level)
+    return IgnorelistEntry(kind=kind, pattern=draw(_pattern))
 
 
 @settings(max_examples=120, deadline=None)

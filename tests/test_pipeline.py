@@ -652,8 +652,8 @@ class Rig:
     def run_cases(self, cfg, cases):
         return self._layer("run_cases", lambda: [self._run(c.test_id) for c in cases])
 
-    def run_suite(self, cfg, build):
-        return self._layer("run_suite", lambda: [self._run(c.test_id) for c in self._cases()])
+    def run_suite(self, cfg, build, cases):
+        return self._layer("run_suite", lambda: [self._run(c.test_id) for c in cases])
 
     def state(self) -> dict:
         return json.loads((self.reports / "state.json").read_text())
@@ -668,7 +668,7 @@ def violation_rows(result):
 
 def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
 
     assert violation_rows(result) == [
         ("V1", "Fixed", "L0", ("t_l0",)),
@@ -689,7 +689,7 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
     # confirmation suite runs on a build of the final list. Each round re-runs
     # its affected tests in one batch.
     assert result.ledger.build_attempts == 7
-    assert rig.calls == Counter(run_build=1, repair_until_buildable=7, enumerate_tests=5,
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=7, enumerate_tests=1,
                                 run_cases=5, run_suite=3)
     assert rig.built == {"fun:f", "src:lib/g.c"}
     assert (result.unresolvable, result.open_violations) == (1, 0)
@@ -743,6 +743,23 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
     }
 
 
+def test_rig_enumerates_the_suite_once_per_heal(tmp_path, monkeypatch):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    enumerated_after = []
+
+    def enumerate_once():
+        enumerated_after.append(Counter(rig.calls))
+        return rig._cases()
+
+    rig.overrides[("enumerate_tests", 1)] = enumerate_once
+    heal(rig.cfg)
+    # Right after the baseline build; every suite, escalation round and the
+    # confirmation take their tests from that one enumeration.
+    assert enumerated_after == [Counter(run_build=1, enumerate_tests=1)]
+    assert rig.calls["enumerate_tests"] == 1
+    assert rig.calls["run_cases"] == 5 and rig.calls["run_suite"] == 3
+
+
 def test_rig_censuses_once_per_heal(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
     (rig.cfg.project_root / "a.ll").write_text(CENSUS_IR)
@@ -759,7 +776,7 @@ def test_rig_censuses_once_per_heal(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_take_census", counting_take)
     monkeypatch.setattr(pipeline, "_run_census", counting_run)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     # Once, in the background; kept right after the first instrumented build,
     # since the IR is unchanged, and not taken again to account.
     assert len(taken) == 1 and taken[0] is not threading.main_thread()
@@ -808,7 +825,7 @@ def test_rig_build_that_rewrites_the_ir_is_censused_after_it(tmp_path, monkeypat
     monkeypatch.setattr(pipeline, "_take_census", signalling_take)
     monkeypatch.setattr(pipeline, "_function_records", recording_records)
     rig.overrides[("repair_until_buildable", 1)] = rewriting_build
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
 
     fresh = real_take(rig.cfg)
     assert fresh.total != ircensus.census(CENSUS_IR)
@@ -823,10 +840,10 @@ def test_rig_clean_rerun_removes_the_previous_census_diagnostics(tmp_path, monke
     rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
     (rig.cfg.project_root / "odd.ll").write_text(ODD_IR)
     sidecar = rig.reports / "ir-census-diagnostics.txt"
-    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    heal(rig.cfg)
     assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
     (rig.cfg.project_root / "odd.ll").write_text(CENSUS_IR)
-    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    heal(rig.cfg)
     assert not sidecar.exists()
 
 
@@ -846,7 +863,7 @@ def test_rig_failed_baseline_leaves_no_census_thread(tmp_path, monkeypatch, fail
     rig.overrides[("run_build", 1)] = failure
     before = threading.enumerate()
     with pytest.raises((PipelineFailure, RuntimeError)):
-        heal(rig.cfg, symbolizer=FakeSymbolizer())
+        heal(rig.cfg)
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
@@ -862,7 +879,7 @@ def test_rig_census_runs_with_sigchld_blocked_in_its_thread(tmp_path, monkeypatc
 
     monkeypatch.setattr(pipeline, "census_by_function", recording)
     caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    heal(rig.cfg, symbolizer=FakeSymbolizer())
+    heal(rig.cfg)
     ((thread, mask),) = masks
     assert thread is not threading.current_thread()
     assert signal.SIGCHLD in mask
@@ -879,7 +896,7 @@ def test_rig_census_exception_surfaces_from_heal(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "census_by_function", broken)
     before = threading.enumerate()
     with pytest.raises(ValueError, match="census bug"):
-        heal(rig.cfg, symbolizer=FakeSymbolizer())
+        heal(rig.cfg)
     assert [t for t in threading.enumerate() if t not in before] == []
     # It surfaced from the census taken again after the first instrumented build.
     assert rig.calls["repair_until_buildable"] == 1
@@ -898,7 +915,7 @@ def test_rig_one_cpu_censuses_after_the_build_without_a_thread(tmp_path, monkeyp
 
     monkeypatch.setattr(pipeline, "_take_census", counting_take)
     monkeypatch.setattr(pipeline._CensusAhead, "start", lambda self: pytest.fail("started"))
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     assert taken == [(threading.main_thread(), 1)]
     assert result.report["census"]["total"] == 2
 
@@ -917,7 +934,7 @@ def test_rig_census_ahead_that_raises_is_taken_again(tmp_path, monkeypatch):
         return real_collect(cfg)
 
     monkeypatch.setattr(pipeline, "_collect_ir_files", vanishing_collect)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     assert listed[0] is not threading.main_thread()
     assert listed[1:] == [threading.main_thread()]
     fresh = pipeline._take_census(rig.cfg)
@@ -940,7 +957,7 @@ def test_rig_skips_a_caller_rung_without_a_check(tmp_path, monkeypatch, variants
     rig = Rig(tmp_path, monkeypatch, {"t_l3": SCRIPT["t_l3"]})
     rig.cfg = replace(rig.cfg, cfi_variants=variants)
     (rig.cfg.project_root / "h.ll").write_text(NO_CHECK_IR)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     (violation,) = result.violations
     assert (violation.status.value, violation.ladder_level.short) == ("Fixed", "L3")
     assert [line for _, line in violation.attempted] == attempted
@@ -950,12 +967,13 @@ def test_rig_skips_a_caller_rung_without_a_check(tmp_path, monkeypatch, variants
 
 def test_rig_clean_suite(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, {"t_pass": [], "t_basefail": [trap(0x5010)]})
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     assert result.violations == []
     assert result.ledger.build_attempts == 1
     # The baseline suite and the first instrumented one: a suite that traps
     # nothing new is the one reported, not run again on the same build.
-    assert rig.calls == Counter(run_build=1, repair_until_buildable=1, run_suite=2)
+    assert rig.calls == Counter(run_build=1, repair_until_buildable=1, enumerate_tests=1,
+                                run_suite=2)
     assert rig.state()["phase"] == "done"
     assert rig.state()["ignorelist"] == []
 
@@ -977,7 +995,7 @@ def test_rig_confirmation_reopen_releases_the_ineffective_entry(tmp_path, monkey
                 trap(0x1010, [0x2010], ["fun:g"], only_with=["fun:main"])],
     }
     rig = Rig(tmp_path, monkeypatch, script)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     assert violation_rows(result) == [
         ("V1", "Fixed", "L1", ("t_l0", "t_q")),
         ("V2", "Fixed", "L1", ("t_q",)),
@@ -992,7 +1010,7 @@ def test_rig_check_that_moves_keeps_its_violation(tmp_path, monkeypatch):
     # stay. Only fun:main, the caller's rung, suppresses it.
     script = {"t_m": [trap(0x6010, [0x1110], ["fun:main"], drift=4)]}
     rig = Rig(tmp_path, monkeypatch, script)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     # fun:m moved the check to 0x6014, where it trapped again: one violation,
     # climbing past fun:m, which does nothing and leaves the list.
     assert violation_rows(result) == [("V1", "Fixed", "L1", ("t_m",))]
@@ -1020,7 +1038,7 @@ def test_rig_cxx_entry_is_mangled_and_its_report_row_demangled(
             raise cxxfilt
 
         monkeypatch.setattr(subprocess, "run", missing)
-    result = heal(rig.cfg, symbolizer=FakeSymbolizer())
+    result = heal(rig.cfg)
     assert violation_rows(result) == [("V1", "Fixed", "L0", ("t_cxx",))]
     assert result.report["ignorelist"] == ["fun:_ZN3app4stepEi"]
     written = json.loads((rig.reports / "report.json").read_text())
@@ -1038,7 +1056,7 @@ def test_rig_locked_project_leaves_the_running_state_alone(tmp_path, monkeypatch
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         with pytest.raises(OrchestrationError):
-            heal(rig.cfg, symbolizer=FakeSymbolizer())
+            heal(rig.cfg)
     finally:
         os.close(fd)
     assert (rig.reports / "state.json").read_text() == running
@@ -1047,15 +1065,14 @@ def test_rig_locked_project_leaves_the_running_state_alone(tmp_path, monkeypatch
 
 FAILURE_SITES = {
     "baseline build": (("run_build", 1), lambda: BuildOutcome(False, None, (), (), None, 0.0)),
-    "baseline suite": (("run_suite", 1), raising(HarnessError("no TEST lines"))),
+    "enumeration": (("enumerate_tests", 1), raising(HarnessError("no TEST lines"))),
+    "baseline suite": (("run_suite", 1), raising(TraceError("lost the tracee"))),
     "instrumented build": (("repair_until_buildable", 1),
                            lambda: (BuildOutcome(False, None, (), (), None, 0.0), RepairLedger())),
     "instrumented suite": (("run_suite", 2), raising(TraceError("fork failed"))),
     "rebuild": (("repair_until_buildable", 2),
                 lambda: (BuildOutcome(False, None, (), (), None, 0.0), RepairLedger())),
-    "round enumeration": (("enumerate_tests", 1), raising(HarnessError("enumeration timed out"))),
     "round re-run": (("run_cases", 1), raising(TraceError("lost the tracee"))),
-    "vanished tests": (("enumerate_tests", 1), lambda: [TestCase("t_pass", "run t_pass")]),
     "confirmation suite": (("run_suite", 3), raising(HarnessError("enumeration timed out"))),
 }
 
@@ -1066,7 +1083,7 @@ def test_rig_failure_saves_failed_state(tmp_path, monkeypatch, site):
     key, layer = FAILURE_SITES[site]
     rig.overrides[key] = layer
     with pytest.raises(PipelineFailure) as excinfo:
-        heal(rig.cfg, symbolizer=FakeSymbolizer())
+        heal(rig.cfg)
     state = rig.state()
     assert state["phase"] == "failed"
     assert state["reason"] == str(excinfo.value)
@@ -1188,8 +1205,7 @@ def test_src_entry_ignores_the_first_function_of_its_unit(tmp_path):
     expected = {"a_one": "a.c", "a_two": "a.c", "b_one": "b.c", "b_two": "b.c", "main": "b.c"}
     files = {r.name: r.file and Path(r.file).name for r in records if r.name in expected}
     assert files == expected
-    coverage = compute_coverage(records, [IgnorelistEntry(EntryKind.SRC, "b.c",
-                                                          level=LadderLevel.CALLEE_SOURCE)])
+    coverage = compute_coverage(records, [IgnorelistEntry(EntryKind.SRC, "b.c")])
     ignored = {n for n, status in coverage.statuses.items() if status is EnforcementStatus.IGNORED}
     assert ignored == {"b_one", "b_two", "main"}
 
