@@ -25,7 +25,7 @@ from .config import (
     render_config,
     validate_config,
 )
-from .escalation import EscalationEngine, Violation, ViolationStatus, enforcement_name
+from .escalation import EscalationEngine, Fault, Violation, ViolationStatus, enforcement_name
 from .harness import (
     FailureClass,
     HarnessError,
@@ -40,7 +40,6 @@ from .harness import (
 from .ignorelist import (
     EntryKind,
     IgnorelistEntry,
-    IgnorelistStore,
     LadderLevel,
     parse,
     render,
@@ -51,7 +50,6 @@ from .repair import (
     RepairLedger,
     VisibilityPatch,
     extract_unresolved_symbols,
-    locate_definition,
     repair_until_buildable,
     revert_patches,
 )
@@ -70,7 +68,6 @@ from .symbols import (
     ResolutionError,
     SymbolInfo,
     Symbolizer,
-    demangle,
     runtime_to_static,
 )
 from .tracing import (

@@ -22,7 +22,7 @@ _VIS_NAMES = {0: "default", 1: "internal", 2: "hidden", 3: "protected"}
 
 
 class ElfError(ValueError):
-    """The file is not a supported ELF object."""
+    """The file is not a supported ELF object, or a table it names lies outside it."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,12 @@ class ElfFile:
             e_shnum,
             e_shstrndx,
         ) = struct.unpack_from("<HHIQQQIHHHHHH", data, 16)
+        for table, offset, count, stride, size in (
+            ("program header", e_phoff, e_phnum, e_phentsize, 56),
+            ("section header", e_shoff, e_shnum, e_shentsize, 64),
+        ):
+            if count and offset + (count - 1) * stride + size > len(data):
+                raise ElfError(f"{table} table lies outside the file: {path}")
 
         self.load_segments: list[LoadSegment] = []
         for i in range(e_phnum):
@@ -127,10 +133,12 @@ class ElfFile:
         _, _, offset, size, link = entry
         if link >= len(self._headers):
             return []
+        if offset + size > len(self._data):
+            raise ElfError(f"{sect} lies outside the file: {self.path}")
         _, _, _, str_off, str_size, _ = self._headers[link]
         strtab = self._data[str_off : str_off + str_size]
         out: list[ElfSymbol] = []
-        for pos in range(offset, offset + size, 24):
+        for pos in range(offset, offset + size - 23, 24):
             st_name, st_info, st_other, st_shndx, st_value, st_size = struct.unpack_from(
                 "<IBBHQQ", self._data, pos
             )

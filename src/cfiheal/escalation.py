@@ -53,29 +53,22 @@ which keeps the first fault address it saw. Two checks on one source line of
 one function share a key, as two checks sharing one trap site share an
 address.
 
-The ignorelist is derived, never edited. A violation's claim is the line of
+The ignorelist is computed, never set. A violation's claim is the entry of
 the rung it holds: its current rung once tried, while Open or Fixed; an
-Unresolvable violation holds none. After every state change the engine sets
-the store's entries to the claims, each naming the violations that hold it,
-so an entry that no violation holds any more leaves the list, and one that
-two violations hold stays while either does.
+Unresolvable violation holds none. The list is the distinct claims, so an
+entry that no violation holds any more leaves it, and one that two
+violations hold stays while either does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .ignorelist import (
-    FUN_LEVELS,
-    EntryKind,
-    IgnorelistEntry,
-    IgnorelistStore,
-    LadderLevel,
-)
+from .ignorelist import FUN_LEVELS, EntryKind, IgnorelistEntry, LadderLevel
 from .symbols import Confidence, SymbolInfo
 from .tracing import TrapEvent
 
@@ -100,14 +93,27 @@ def link_time_suffix(name: str) -> str:
     return found.group() if found else ""
 
 
-ViolationKey = tuple[str | int, ...]
+class Fault(NamedTuple):
+    """A symbolized trap: its binary, static fault address and frames (None = unknown)."""
 
+    binary: Path
+    static_pc: int
+    callee: SymbolInfo | None
+    caller: SymbolInfo | None
+    callers_caller: SymbolInfo | None
 
-def violation_key(binary: Path, static_fault_pc: int, callee: SymbolInfo | None) -> ViolationKey:
-    """A trap's violation identity: its check's source site, else its fault address."""
-    if callee is not None and callee.source_file is not None and callee.line is not None:
-        return (str(binary), enforcement_name(callee.function), callee.source_file, callee.line)
-    return (str(binary), static_fault_pc)
+    @property
+    def frames(self) -> tuple[SymbolInfo | None, SymbolInfo | None, SymbolInfo | None]:
+        """The fault function's frame, then its caller's and its caller's caller's."""
+        return self.callee, self.caller, self.callers_caller
+
+    @property
+    def key(self) -> tuple[str | int, ...]:
+        """The violation identity: the check's source site, else the fault address."""
+        callee = self.callee
+        if callee is not None and callee.source_file is not None and callee.line is not None:
+            return (str(self.binary), enforcement_name(callee.function), callee.source_file, callee.line)
+        return (str(self.binary), self.static_pc)
 
 
 class ViolationStatus(Enum):
@@ -121,29 +127,21 @@ class Violation:
     """One distinct CFI policy violation and its ladder state."""
 
     id: str
-    binary: Path
-    static_fault_pc: int
+    fault: Fault
     trap: TrapEvent
-    callee: SymbolInfo | None
-    caller: SymbolInfo | None
-    callers_caller: SymbolInfo | None
     test_ids: tuple[str, ...]
     ladder_level: LadderLevel = LadderLevel.CALLEE_FUNCTION
     status: ViolationStatus = ViolationStatus.OPEN
-    attempted: list[tuple[LadderLevel, str]] = field(default_factory=list)
+    attempted: list[tuple[LadderLevel, IgnorelistEntry]] = field(default_factory=list)
     skipped_levels: list[tuple[LadderLevel, str]] = field(default_factory=list)
 
     @property
-    def key(self) -> ViolationKey:
-        return violation_key(self.binary, self.static_fault_pc, self.callee)
-
-    @property
-    def claim(self) -> str | None:
-        """The ignorelist line this violation holds: its current rung's, once tried."""
+    def claim(self) -> IgnorelistEntry | None:
+        """The ignorelist entry this violation holds: its current rung's, once tried."""
         if self.status is ViolationStatus.UNRESOLVABLE or not self.attempted:
             return None
-        level, line = self.attempted[-1]
-        return line if level == self.ladder_level else None
+        level, entry = self.attempted[-1]
+        return entry if level == self.ladder_level else None
 
 
 def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
@@ -160,19 +158,17 @@ def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
 
 
 class EscalationEngine:
-    """Owns all violations of a run; the store's entries are their claims."""
+    """Owns all violations of a run; the ignorelist is their claims."""
 
     def __init__(
         self,
-        store: IgnorelistStore,
         project_root: Path,
         holds_no_check: Callable[[Violation, str], bool] = lambda violation, line: False,
     ):
-        self.store = store
         self.project_root = project_root
         # Whether a violation's rung on an ignorelist line cannot change the build.
         self.holds_no_check = holds_no_check
-        self.violations: dict[ViolationKey, Violation] = {}
+        self.violations: dict[tuple[str | int, ...], Violation] = {}
 
     def all_violations(self) -> list[Violation]:
         return list(self.violations.values())
@@ -180,101 +176,67 @@ class EscalationEngine:
     def open_violations(self) -> list[Violation]:
         return [v for v in self.all_violations() if v.status is ViolationStatus.OPEN]
 
-    def observe(
-        self,
-        trap: TrapEvent,
-        binary: Path,
-        static_fault_pc: int,
-        callee: SymbolInfo | None,
-        caller: SymbolInfo | None,
-        callers_caller: SymbolInfo | None,
-        test_id: str,
-    ) -> tuple[Violation, bool]:
+    def entries(self) -> list[IgnorelistEntry]:
+        """The ignorelist: the violations' distinct claims, sorted by line."""
+        claims = {v.claim for v in self.violations.values()} - {None}
+        return sorted(claims, key=lambda entry: entry.line)
+
+    def observe(self, trap: TrapEvent, fault: Fault, test_id: str) -> tuple[Violation, bool]:
         """Register a trap; returns (violation, is_new). Duplicates merge."""
-        key = violation_key(binary, static_fault_pc, callee)
-        existing = self.violations.get(key)
+        existing = self.violations.get(fault.key)
         if existing is not None:
             if test_id not in existing.test_ids:
                 existing.test_ids = existing.test_ids + (test_id,)
             return existing, False
-        violation = Violation(
-            id=f"V{len(self.violations) + 1}",
-            binary=binary,
-            static_fault_pc=static_fault_pc,
-            trap=trap,
-            callee=callee,
-            caller=caller,
-            callers_caller=callers_caller,
-            test_ids=(test_id,),
-        )
-        self.violations[key] = violation
+        violation = Violation(f"V{len(self.violations) + 1}", fault, trap, (test_id,))
+        self.violations[fault.key] = violation
         return violation, True
 
     def _scope(
         self, violation: Violation, level: LadderLevel
-    ) -> tuple[str, str | None, str | None]:
-        """(entry kind, pattern, reason to skip) the violation asks for at a rung.
+    ) -> tuple[IgnorelistEntry, None] | tuple[None, str]:
+        """The entry the violation asks for at a rung, or the reason the frame gives to skip it.
 
-        The pattern is None when the rung has no identity. The reason is None
-        when the frame alone gives no cause to skip the rung.
+        Function rungs 0..2 name frames 0..2; file rungs 3..4 name the files of frames 0..1.
         """
         fun = level in FUN_LEVELS
-        if fun:
-            # Function rungs 0..2 name the fault frame and its two callers, in order.
-            info = (violation.callee, violation.caller, violation.callers_caller)[level]
-        else:
-            info = violation.callee if level is LadderLevel.CALLEE_SOURCE else violation.caller
-        kind = (EntryKind.FUN if fun else EntryKind.SRC).value
+        info = violation.fault.frames[level if fun else level - LadderLevel.CALLEE_SOURCE]
         if info is not None and info.confidence is Confidence.OUTSIDE_PROJECT:
-            return kind, None, "outside the project"
+            return None, "outside the project"
         if not fun:
             file = _relative_file(info, self.project_root)
             if file is None:
-                return kind, None, "identity unavailable"
-            return kind, file, "outside the project" if Path(file).is_absolute() else None
+                return None, "identity unavailable"
+            if Path(file).is_absolute():
+                return None, "outside the project"
+            return IgnorelistEntry(EntryKind.SRC, file), None
         if info is None:
-            return kind, None, "identity unavailable"
+            return None, "identity unavailable"
         name = enforcement_name(info.function)
-        return kind, name, "link-time name" if link_time_suffix(name) else None
-
-    def _derive_entries(self) -> None:
-        """Set the store's entries to the claims, each naming the violations that hold it."""
-        entries: dict[tuple[str, str], IgnorelistEntry] = {}
-        for violation in self.violations.values():
-            if violation.claim is None:
-                continue
-            kind_value, pattern = violation.claim.split(":", 1)
-            held = entries.get((kind_value, pattern))
-            entries[kind_value, pattern] = (
-                replace(held, origin_violations=held.origin_violations + (violation.id,))
-                if held is not None
-                else IgnorelistEntry(EntryKind(kind_value), pattern, (violation.id,))
-            )
-        self.store.entries = entries
+        if link_time_suffix(name):
+            return None, "link-time name"
+        return IgnorelistEntry(EntryKind.FUN, name), None
 
     def next_scope(self, violation: Violation) -> IgnorelistEntry | None:
         """Advance to the next available rung; None finalizes Unresolvable."""
         if violation.status is not ViolationStatus.OPEN:
             return None
         level = violation.ladder_level
-        tried = {line: tried_level for tried_level, line in violation.attempted}
+        tried = {entry: tried_level for tried_level, entry in violation.attempted}
         while level < LadderLevel.UNRESOLVABLE:
-            kind_value, pattern, reason = self._scope(violation, level)
-            line = f"{kind_value}:{pattern}"
-            if reason is None and self.holds_no_check(violation, line):
+            entry, reason = self._scope(violation, level)
+            if reason is None and self.holds_no_check(violation, entry.line):
                 reason = "no CFI check in scope"
-            if reason is None and line in tried:
-                reason = f"same entry as {tried[line].short}"
+            if reason is None and entry in tried:
+                reason = f"same entry as {tried[entry].short}"
             if reason is None:
                 violation.ladder_level = level
-                violation.attempted.append((level, line))
-                self._derive_entries()
-                return self.store.entries[kind_value, pattern]
+                violation.attempted.append((level, entry))
+                return entry
             violation.skipped_levels.append((level, reason))
             level = LadderLevel(level + 1)
         violation.ladder_level = LadderLevel.UNRESOLVABLE
         violation.status = ViolationStatus.UNRESOLVABLE
-        self._derive_entries()
         return None
 
     def record_outcome(self, violation: Violation, trap_recurred: bool) -> Violation:
@@ -286,7 +248,6 @@ class EscalationEngine:
         else:
             violation.ladder_level = LadderLevel.UNRESOLVABLE
             violation.status = ViolationStatus.UNRESOLVABLE
-        self._derive_entries()
         return violation
 
     def reopen(self, violation: Violation) -> bool:

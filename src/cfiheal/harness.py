@@ -76,7 +76,6 @@ class TestResult:
 class SuiteDiff:
     per_test: dict[str, FailureClass]
     counts: dict[FailureClass, int]
-    unmatched: tuple[str, ...]
 
 
 def enumerate_tests(cfg: ProjectConfig) -> list[TestCase]:
@@ -161,19 +160,14 @@ def classify(baseline: TestResult, cfi: TestResult) -> FailureClass:
 
 
 def diff_suites(baseline: list[TestResult], cfi: list[TestResult]) -> SuiteDiff:
-    """Classify the whole suite; tests present on only one side are unmatched."""
-    base_by_id = {r.test_id: r for r in baseline}
+    """Classify the whole suite; a test present on only one side is left out."""
     cfi_by_id = {r.test_id: r for r in cfi}
-    per_test: dict[str, FailureClass] = {}
-    for test_id, base in base_by_id.items():
-        other = cfi_by_id.get(test_id)
-        if other is None:
-            continue
-        per_test[test_id] = classify(base, other)
+    per_test = {
+        base.test_id: classify(base, cfi_by_id[base.test_id])
+        for base in baseline
+        if base.test_id in cfi_by_id
+    }
     counts = {cls: 0 for cls in FailureClass}
     for cls in per_test.values():
         counts[cls] += 1
-    unmatched = tuple(
-        sorted(set(base_by_id) ^ set(cfi_by_id))
-    )
-    return SuiteDiff(per_test=per_test, counts=counts, unmatched=unmatched)
+    return SuiteDiff(per_test=per_test, counts=counts)

@@ -4,16 +4,15 @@ Entry kinds map one-to-one onto ladder rung families: ``fun:`` entries come
 from function-granular rungs (0..2), ``src:`` entries from file-granular
 rungs (3..4). The rendered file is the exact text handed to the compiler via
 -fsanitize-ignorelist=, so rendering is deterministic: sorted by kind then
-pattern, one entry per line, no duplicates, no comments. Nothing edits the
-store's entries in place: the escalation engine sets them from the rungs its
-violations hold, so every entry in the store is live.
+pattern, one entry per line, no duplicates, no comments. No list is stored:
+the escalation engine computes it from the rungs its violations hold, so
+every entry in it is live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from pathlib import Path
 from typing import Iterable
 
 
@@ -44,11 +43,10 @@ class EntryKind(Enum):
 
 @dataclass(frozen=True)
 class IgnorelistEntry:
-    """One suppression line plus the violations that hold it."""
+    """One suppression line: its kind and its pattern."""
 
     kind: EntryKind
     pattern: str
-    origin_violations: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.pattern or self.pattern != self.pattern.strip():
@@ -67,9 +65,8 @@ def render(entries: Iterable[IgnorelistEntry]) -> str:
 def parse(text: str) -> list[IgnorelistEntry]:
     """Parse rendered ignorelist text back into structural entries.
 
-    Parsing recovers kind and pattern only; the origins are not stored in
-    the file format. Blank lines and #-comments are tolerated on input even
-    though render never emits them.
+    Blank lines and #-comments are tolerated on input even though render
+    never emits them.
     """
     entries: list[IgnorelistEntry] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -84,27 +81,3 @@ def parse(text: str) -> list[IgnorelistEntry]:
         entries.append(IgnorelistEntry(EntryKind(prefix), pattern.strip()))
     return entries
 
-
-@dataclass
-class IgnorelistStore:
-    """The live entry set plus its on-disk mirror.
-
-    EscalationEngine sets entries after every change of its violations;
-    write() is called before every instrumented build.
-    """
-
-    path: Path
-    entries: dict[tuple[str, str], IgnorelistEntry] = field(default_factory=dict)
-
-    def active_entries(self) -> list[IgnorelistEntry]:
-        return sorted(self.entries.values(), key=lambda e: e.line)
-
-    def render(self) -> str:
-        return render(self.entries.values())
-
-    def write(self) -> str:
-        """Write the rendered list to path; returns the text written."""
-        text = self.render()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(text)
-        return text

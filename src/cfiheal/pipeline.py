@@ -54,13 +54,12 @@ from .build import BuildMode, BuildOutcome, OrchestrationError, ProjectLock, run
 from .config import ConfigError, ProjectConfig, load_config, validate_config
 from .escalation import (
     EscalationEngine,
+    Fault,
     Violation,
-    ViolationKey,
     ViolationStatus,
     _relative_file,
     enforcement_name,
     link_time_suffix,
-    violation_key,
 )
 from .harness import (
     FailureClass,
@@ -74,7 +73,7 @@ from .harness import (
     run_cases,
     run_suite,
 )
-from .ignorelist import IgnorelistStore
+from .ignorelist import render
 from .ircensus import IrSiteCensus, census, census_by_function, read_ir_lines
 from .repair import (
     JOURNAL_NAME,
@@ -96,6 +95,7 @@ from .symbols import Confidence, ResolutionError, SymbolInfo, Symbolizer, _deman
 from .tracing import TraceError, TrapEvent, region_for
 
 STATE_NAME = "state.json"
+IGNORELIST_NAME = "cfi.ignorelist"
 
 
 class PipelineFailure(RuntimeError):
@@ -146,8 +146,8 @@ def _in_project(path: str, root: Path) -> bool:
 
 def _symbolize_trap(
     symbolizer: Symbolizer, trap: TrapEvent, *, project_root: Path | None = None
-) -> tuple[Path, int, SymbolInfo | None, SymbolInfo | None, SymbolInfo | None]:
-    """Fault key plus callee/caller/caller's-caller identities (None = unknown).
+) -> Fault:
+    """The trap's binary, static fault address and callee/caller/caller's-caller frames.
 
     Given `project_root`, a frame mapped from a binary outside it is not
     resolved, so that binary gets no view: its identity is the binary's
@@ -169,7 +169,7 @@ def _symbolize_trap(
         static = trap.fault_pc
         callee = None
     callers = [frame[2] if frame else None for frame in frames] + [None, None]
-    return binary, static, callee, callers[0], callers[1]
+    return Fault(binary, static, callee, callers[0], callers[1])
 
 
 @dataclass
@@ -187,12 +187,8 @@ class _Run:
     census: _Census
 
 
-def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, tuple]]:
-    """(test id, trap, symbolized fault) for each result classify calls a CFI policy violation.
-
-    The symbolized fault is what _symbolize_trap returns, the arguments
-    EscalationEngine.observe takes between the trap and the test id.
-    """
+def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, TrapEvent, Fault]]:
+    """(test id, trap, fault) for each result classify calls a CFI policy violation."""
     for result in results:
         if classify(run.baseline[result.test_id], result) is FailureClass.CFI_POLICY_VIOLATION:
             trap = result.outcome.trap
@@ -404,7 +400,7 @@ def _no_check_in_scope(
         kind, _, pattern = line.partition(":")
         if kind == "fun" or not check_free:
             return pattern in check_free
-        for frame in (violation.callee, violation.caller, violation.callers_caller):
+        for frame in violation.fault.frames:
             if _relative_file(frame, root) == pattern:
                 name = enforcement_name(frame.function)
                 if name in per_function and name not in check_free:
@@ -435,14 +431,14 @@ def _function_records(
         if not exe.is_file():
             continue
         try:
-            elf = ElfFile(exe)
+            dynamic = ElfFile(exe).dynamic_symbols()
         except (ElfError, OSError):
             continue
         # Exported functions (reachable through the dynamic symbol table)
         # are the ones a default-visibility escape leaves unprotected.
         exported = {
             s.name
-            for s in elf.dynamic_symbols()
+            for s in dynamic
             if s.name and s.is_func and s.shndx != 0 and s.visibility == "default"
         }
         spans = symbolizer.function_boundaries(exe)
@@ -474,7 +470,8 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     """
     violations = engine.all_violations()
     names = [
-        enforcement_name(v.callee.function) if v.callee else "<unresolved>" for v in violations
+        enforcement_name(v.fault.callee.function) if v.fault.callee else "<unresolved>"
+        for v in violations
     ]
     suffixes = [link_time_suffix(name) for name in names]
     functions, _ = _demangle_batch(
@@ -483,20 +480,20 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     details = []
     by_file: dict[str, dict] = {}
     for violation, function, suffix in zip(violations, functions, suffixes):
-        callee = violation.callee
+        binary, static_pc, callee, _, _ = violation.fault
         file = _relative_file(callee, engine.project_root)
         details.append(
             {
                 "id": violation.id,
-                "binary": str(violation.binary),
-                "fault_pc": hex(violation.static_fault_pc),
+                "binary": str(binary),
+                "fault_pc": hex(static_pc),
                 "function": function + suffix,
                 "file": file,
                 "line": callee.line if callee else None,
                 "status": violation.status.value,
                 "level": violation.ladder_level.short,
                 "tests": list(violation.test_ids),
-                "attempted": [line for _, line in violation.attempted],
+                "attempted": [entry.line for _, entry in violation.attempted],
             }
         )
         bucket = by_file.setdefault(file or "<unknown>", {"count": 0, "tests": set()})
@@ -529,18 +526,20 @@ def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestCase], dict[str, TestRe
 
 def _cfi_build(
     cfg: ProjectConfig,
-    store: IgnorelistStore,
+    ignorelist: str,
     ledger: RepairLedger,
     phase: str,
     planned: Iterable[str] = (),
 ) -> BuildOutcome:
-    """An instrumented build with the store's list, repaired until it stands.
+    """An instrumented build with the rendered ignorelist, repaired until it stands.
 
-    The phase is repair's "build" or "test". The list on disk at the store's
-    path is the one the last instrumented build was made with.
+    The phase is repair's "build" or "test". The list is written to
+    <report_dir>/cfi.ignorelist, which only this function writes during a
+    heal, so the file is the list the last instrumented build was made with.
     """
-    mode = BuildMode.cfi(cfg.cfi_variants, store.path)
-    store.write()
+    path = cfg.report_dir / IGNORELIST_NAME
+    path.write_text(ignorelist)
+    mode = BuildMode.cfi(cfg.cfi_variants, path)
     build, _ = repair_until_buildable(cfg, mode, ledger, phase=phase, planned=planned)
     if not build.succeeded:
         raise PipelineFailure(f"instrumented build could not be repaired; see {build.log_path}")
@@ -558,17 +557,16 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     pending = [v for v in engine.open_violations() if engine.next_scope(v) is not None]
     if not pending:
         return None
-    build = _cfi_build(run.cfg, engine.store, run.ledger, "test")
+    build = _cfi_build(run.cfg, render(engine.entries()), run.ledger, "test")
     affected = sorted({tid for v in pending for tid in v.test_ids})
     rerun = run_cases(run.cfg, [run.cases[tid] for tid in affected])
-    recurred: set[ViolationKey] = set()
+    recurred = set()
     for test_id, trap, fault in _traps(run, rerun):
-        key = violation_key(*fault[:3])
-        recurred.add(key)
-        if key not in engine.violations:
-            engine.observe(trap, *fault, test_id)
+        recurred.add(fault.key)
+        if fault.key not in engine.violations:
+            engine.observe(trap, fault, test_id)
     for violation in pending:
-        engine.record_outcome(violation, violation.key in recurred)
+        engine.record_outcome(violation, violation.fault.key in recurred)
     return build
 
 
@@ -576,7 +574,7 @@ def _confirm(run: _Run, results: list[TestResult]) -> bool:
     """Observe a full suite's traps; True if a violation is new or open again."""
     reopened = False
     for test_id, trap, fault in _traps(run, results):
-        violation, is_new = run.engine.observe(trap, *fault, test_id)
+        violation, is_new = run.engine.observe(trap, fault, test_id)
         if is_new or (violation.status is ViolationStatus.FIXED and run.engine.reopen(violation)):
             reopened = True
     return reopened
@@ -586,7 +584,8 @@ def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
     """Coverage accounting from the run's census, and the emitted report."""
     cfg, engine, ledger = run.cfg, run.engine, run.ledger
     records = _function_records(cfg, run.symbolizer, run.census.per_function, ledger)
-    coverage = compute_coverage(records, engine.store.active_entries())
+    entries = engine.entries()
+    coverage = compute_coverage(records, entries)
 
     counts = engine.counts()
     details, by_file = _violation_rows(engine)
@@ -607,7 +606,7 @@ def _account(run: _Run, diff: SuiteDiff, started: float) -> HealResult:
             "by_file": by_file,
             "details": details,
         },
-        "ignorelist": [e.line for e in engine.store.active_entries()],
+        "ignorelist": [e.line for e in entries],
         "repair": {
             "patches": [
                 {
@@ -660,12 +659,11 @@ def heal(cfg: ProjectConfig) -> HealResult:
         _save_state(cfg, state, phase="building", iteration=0)
         try:
             cases, baseline, planned = _baseline(cfg)
-            store = IgnorelistStore(cfg.report_dir / "cfi.ignorelist")
             ledger = RepairLedger()
-            cfi_build = _cfi_build(cfg, store, ledger, "build", planned)
+            cfi_build = _cfi_build(cfg, "", ledger, "build", planned)
             census = _run_census(cfg, ahead.result())
             holds_no_check = _no_check_in_scope(cfg, census.per_function, symbolizer)
-            engine = EscalationEngine(store, cfg.project_root, holds_no_check)
+            engine = EscalationEngine(cfg.project_root, holds_no_check)
             run = _Run(cfg, symbolizer, cases, baseline, engine, ledger, census)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
@@ -680,11 +678,12 @@ def heal(cfg: ProjectConfig) -> HealResult:
                         state,
                         iteration=rounds,
                         violations=engine.counts(),
-                        ignorelist=[e.line for e in store.active_entries()],
+                        ignorelist=[e.line for e in engine.entries()],
                     )
                 # The last round may have dropped entries after its rebuild.
-                if store.render() != store.path.read_text():
-                    cfi_build = _cfi_build(cfg, store, ledger, "test")
+                ignorelist = render(engine.entries())
+                if ignorelist != (cfg.report_dir / IGNORELIST_NAME).read_text():
+                    cfi_build = _cfi_build(cfg, ignorelist, ledger, "test")
                 results = run_suite(cfg, cfi_build, list(cases.values()))
 
             _save_state(cfg, state, phase="reporting")
@@ -776,9 +775,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.mode == "baseline":
             mode = BuildMode.baseline()
         else:
-            path = cfg.report_dir / "cfi.ignorelist"
+            path = cfg.report_dir / IGNORELIST_NAME
             if not path.exists():
-                IgnorelistStore(path).write()
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text("")
             mode = BuildMode.cfi(cfg.cfi_variants, path)
         try:
             with ProjectLock(cfg.report_dir):

@@ -47,7 +47,7 @@ from .build import (
 )
 from .config import ProjectConfig
 from .elf import ET_DYN, ET_EXEC, STB_GLOBAL, STB_WEAK, ElfError, ElfFile
-from .symbols import _demangle_batch, demangle
+from .symbols import _demangle_batch
 
 ATTRIBUTE_TEXT = '__attribute__((visibility("default"))) '
 JOURNAL_NAME = "repair-journal.tsv"
@@ -215,17 +215,6 @@ def _site(root: Path, hits: list[tuple[Path, int]], texts: dict[Path, str]) -> D
     path, offset = hits[0]
     alternates = tuple(f"{p.relative_to(root)}:{_line_column(texts[p], o)[0]}" for p, o in hits[1:])
     return DefinitionSite(path, *_line_column(texts[path], offset), offset, alternates)
-
-
-def locate_definition(symbol: str, root: Path) -> DefinitionSite | None:
-    """First definition of symbol under root, in deterministic path order.
-
-    Further candidates are reported through DefinitionSite.alternates so the
-    caller can record the ambiguity.
-    """
-    name = base_identifier(demangle(symbol))
-    hits, texts = _scan_definitions(root, [name])
-    return _site(root, hits[name], texts) if hits[name] else None
 
 
 def _already_default(text: str, name_offset: int, planned: Iterable[int] = ()) -> bool:

@@ -6,7 +6,7 @@ Resolution layers, best first:
   2. symbol-table spans without line info (confidence SymbolTable).
 
 An address no symbol-table span covers, as anywhere in a stripped binary,
-gets no symbol info: resolve raises ResolutionError, and resolve_runtime
+gets no symbol info: resolve raises ResolutionError, and resolve_runtime_many
 still gives the binary and the static address, which key a trap there the
 same way under any load address. No name is made up for such an address,
 because no ignorelist entry the compiler honours could name it.
@@ -131,11 +131,6 @@ def _demangle_batch(names: Sequence[str]) -> tuple[list[str], str | None]:
     for i, line in zip(todo, lines):
         out[i] = line.strip() or names[i]
     return out, None
-
-
-def demangle(symbol: str) -> str:
-    """Demangled spelling via c++filt; non-mangled names pass through."""
-    return _demangle_batch([symbol])[0][0]
 
 
 # addr2line's " (discriminator N)" after a line number.
@@ -450,10 +445,10 @@ class Symbolizer:
         view = None
         try:
             elf = ElfFile(binary)
+            spans = self._build_spans(elf, binary)
         except (ElfError, OSError) as exc:
             self.warnings.append(f"unparseable binary {binary}: {exc}")
         else:
-            spans = self._build_spans(elf, binary)
             view = _BinaryView(elf, LineTable.from_elf(elf), _SpanIndex(spans))
         self._cache[str(binary)] = (stamp, view)
         return view
@@ -524,19 +519,14 @@ class Symbolizer:
             for span, hit in zip(spans, found)
         ]
 
-    def resolve_runtime(
-        self, runtime_addr: int, regions: Sequence[MemoryRegion]
-    ) -> tuple[Path, int, SymbolInfo | None] | None:
-        """Resolve a runtime address through its mapping; None if unattributable."""
-        return self.resolve_runtime_many([runtime_addr], regions)[0]
-
     def resolve_runtime_many(
         self, runtime_addrs: Sequence[int], regions: Sequence[MemoryRegion]
     ) -> list[tuple[Path, int, SymbolInfo | None] | None]:
-        """resolve_runtime per address, with one resolve_many per binary.
+        """(binary, static address, symbol info) per runtime address, through its mapping.
 
-        An address that no span of its binary covers gives the binary and
-        the static address with no symbol info.
+        One resolve_many asks for each binary's addresses. An address that
+        no span of its binary covers gives the binary and the static address
+        with no symbol info; an address that cannot be attributed gives None.
         """
         results: list[tuple[Path, int, SymbolInfo | None] | None] = [None] * len(runtime_addrs)
         found: dict[Path, list[tuple[int, int]]] = {}  # binary -> (index, static) hits

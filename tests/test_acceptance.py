@@ -337,7 +337,7 @@ def test_criterion_7_escalation_minimality(capsys, healed_l3, tmp_path):
         violation = result.violations[0]
         assert violation.status is ViolationStatus.FIXED
         assert violation.ladder_level is LadderLevel.CALLEE_SOURCE
-        attempted = [line for _, line in violation.attempted]
+        attempted = [entry.line for _, entry in violation.attempted]
         assert attempted == [
             "fun:engine_step.1",
             "fun:run_two",
@@ -427,7 +427,7 @@ def test_criterion_9_coverage_arithmetic(capsys):
     with criterion(capsys, 9, "coverage triples match published shares, sum to 100.00"):
         started = time.monotonic()
         records = synthetic_function_table()
-        entry = IgnorelistEntry(EntryKind.SRC, "quiet/ign.c", ("V1",))
+        entry = IgnorelistEntry(EntryKind.SRC, "quiet/ign.c")
         core = compute_coverage(records, [entry])
 
         assert core.per_function.counts == (8629, 1054, 317)
@@ -472,7 +472,7 @@ def random_entries(rng: random.Random) -> list[IgnorelistEntry]:
         pattern = "".join(
             rng.choice(PATTERN_CHARS) for _ in range(rng.randrange(1, 20))
         )
-        entries.append(IgnorelistEntry(kind, pattern, ("V1",)))
+        entries.append(IgnorelistEntry(kind, pattern))
     return entries
 
 

@@ -1,6 +1,7 @@
 """ELF reader and file/line lookup against binutils oracles."""
 
 import re
+import struct
 import subprocess
 from pathlib import Path
 
@@ -64,6 +65,63 @@ def test_rejects_truncated(tmp_path):
     stub.write_bytes(b"\x7fELF\x02\x01\x01\x00")
     with pytest.raises(ElfError):
         ElfFile(stub)
+
+
+def elf_image(*, shoff: int = 120, phoff: int = 0, phnum: int = 0, dynsym=(96, 24)) -> bytes:
+    """A small ET_DYN image: .shstrtab, .dynstr and a .dynsym at (offset, size).
+
+    The section headers start at `shoff`; with the default layout they end the
+    file, at byte 376.
+    """
+    head = bytearray(64)
+    head[:7] = b"\x7fELF\x02\x01\x01"
+    struct.pack_into("<HHIQQQIHHHHHH", head, 16, ET_DYN, 62, 1, 0, phoff, shoff, 0, 64, 56,
+                     phnum, 64, 4, 1)
+    shstrtab = b"\0.shstrtab\0.dynsym\0.dynstr\0"
+    body = bytes(head) + shstrtab + b"\0" + bytes(4) + bytes(24)
+    sections = [
+        (0, 0, 0, 0, 0),
+        (1, 3, 64, len(shstrtab), 0),  # .shstrtab
+        (11, 11, *dynsym, 3),  # .dynsym, its names in .dynstr
+        (19, 3, 91, 1, 0),  # .dynstr
+    ]
+    table = b"".join(
+        struct.pack("<IIQQQQIIQQ", name, kind, 0, 0, offset, size, link, 0, 1, 0)
+        for name, kind, offset, size, link in sections
+    )
+    return body + table
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        pytest.param(elf_image(shoff=4096)[:64], id="section headers past a bare header"),
+        pytest.param(elf_image(shoff=200), id="section headers past the end"),
+        pytest.param(elf_image(phoff=4096, phnum=1), id="program headers"),
+    ],
+)
+def test_rejects_a_header_table_outside_the_file(tmp_path, image):
+    path = tmp_path / "libbad.so"
+    path.write_bytes(image)
+    with pytest.raises(ElfError, match="lies outside the file"):
+        ElfFile(path)
+
+
+def test_rejects_a_symbol_table_outside_the_file(tmp_path):
+    path = tmp_path / "libbad.so"
+    path.write_bytes(elf_image())
+    assert [s.name for s in ElfFile(path).dynamic_symbols()] == [""]
+    path.write_bytes(elf_image(dynsym=(360, 48)))
+    elf = ElfFile(path)
+    for read in (elf.dynamic_symbols, elf.symbols, elf.function_symbols):
+        with pytest.raises(ElfError, match=".dynsym lies outside the file"):
+            read()
+    # The symbolizer gives such a binary no view, and says why.
+    symbolizer = Symbolizer()
+    assert symbolizer.function_boundaries(path) == []
+    assert symbolizer.warnings == [
+        f"unparseable binary {path}: .dynsym lies outside the file: {path}"
+    ]
 
 
 @needs_toolchain

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from cfiheal import pipeline
-from cfiheal.escalation import EscalationEngine, ViolationStatus, enforcement_name, violation_key
-from cfiheal.ignorelist import EntryKind, IgnorelistStore, LadderLevel, render
+from cfiheal.escalation import EscalationEngine, Fault, ViolationStatus, enforcement_name
+from cfiheal.ignorelist import EntryKind, LadderLevel, render
 from cfiheal.ircensus import IrSiteCensus
 from cfiheal.symbols import Confidence, SymbolInfo
 from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal
@@ -67,24 +67,21 @@ def census_predicate(root: Path, check_free, tables=None):
 
 @pytest.fixture
 def engine(tmp_path):
-    return EscalationEngine(IgnorelistStore(tmp_path / "cfi-ignorelist.txt"), tmp_path)
+    return EscalationEngine(tmp_path)
 
 
 def rendered(engine) -> str:
-    return render(engine.store.entries.values())
+    return render(engine.entries())
+
+
+def tried(violation) -> list:
+    """The violation's attempted rungs, each with its entry's line."""
+    return [(level, entry.line) for level, entry in violation.attempted]
 
 
 def observe(engine, pc=0x1000, callee=None, caller=None, cc=None, test_id="t1",
             binary=Path("app"), memory_map=()):
-    return engine.observe(
-        trap=trap_at(pc, memory_map),
-        binary=binary,
-        static_fault_pc=pc,
-        callee=callee,
-        caller=caller,
-        callers_caller=cc,
-        test_id=test_id,
-    )
+    return engine.observe(trap_at(pc, memory_map), Fault(binary, pc, callee, caller, cc), test_id)
 
 
 def test_observe_dedups_by_binary_and_pc(engine):
@@ -110,8 +107,8 @@ def test_observe_keys_by_check_site_across_moved_addresses(engine):
     v1, _ = observe(engine, pc=0x1000, callee=info("f.cfi", "a.c", 7), test_id="t1")
     v2, new = observe(engine, pc=0x1010, callee=info("f", "a.c", 7), test_id="t2")
     assert v2 is v1 and not new
-    assert v1.static_fault_pc == 0x1000
-    assert v1.key == violation_key(Path("app"), 0x1010, info("f", "a.c", 7))
+    assert v1.fault.static_pc == 0x1000
+    assert v1.fault.key == Fault(Path("app"), 0x1010, info("f", "a.c", 7), None, None).key
     # Another line, function or binary is another check.
     for pc, callee, binary in ((0x1020, info("f", "a.c", 8), "app"),
                                (0x1030, info("g", "a.c", 7), "app"),
@@ -126,7 +123,7 @@ def test_observe_without_a_line_keys_by_address(engine, callee):
     v1, _ = observe(engine, pc=0x1000, callee=callee)
     v2, new = observe(engine, pc=0x1010, callee=callee)
     assert new and v2 is not v1
-    assert v1.key == (str(Path("app")), 0x1000)
+    assert v1.fault.key == (str(Path("app")), 0x1000)
 
 
 def test_full_ladder_sequence(engine, tmp_path):
@@ -146,12 +143,12 @@ def test_full_ladder_sequence(engine, tmp_path):
         entry = engine.next_scope(v)
         assert entry is not None
         assert v.ladder_level is level
-        assert f"{entry.kind.value}:{entry.pattern}" == line
+        assert entry.line == line
         engine.record_outcome(v, trap_recurred=True)
 
     assert engine.next_scope(v) is None
     assert v.status is ViolationStatus.UNRESOLVABLE
-    assert v.attempted == expected
+    assert tried(v) == expected
     # Nothing helped, so nothing stays active.
     assert rendered(engine) == ""
 
@@ -173,21 +170,23 @@ CXX_FRAMES = {
     ],
 )
 def test_cxx_fun_rungs_are_spelled_mangled(tmp_path, check_free, spelled):
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, functions_without_checks(check_free))
+    engine = EscalationEngine(tmp_path, functions_without_checks(check_free))
     v, _ = observe(engine, **CXX_FRAMES)
     lines = []
     while engine.next_scope(v).kind is EntryKind.FUN:
-        lines.append(v.attempted[-1][1])
+        lines.append(v.attempted[-1][1].line)
         engine.record_outcome(v, trap_recurred=True)
     assert lines == spelled
     assert v.ladder_level is LadderLevel.CALLEE_SOURCE
 
 
 def test_violation_key_strips_clone_suffixes_from_mangled_names():
-    plain, clone = (info(name, "a.cpp", 3) for name in ("_ZN1a1fEv", "_ZN1a1fEv.cfi"))
-    assert violation_key(Path("app"), 0x10, plain) == violation_key(Path("app"), 0x20, clone)
-    assert violation_key(Path("app"), 0x10, plain)[1] == "_ZN1a1fEv"
+    plain, clone = (
+        Fault(Path("app"), pc, info(name, "a.cpp", 3), None, None).key
+        for pc, name in ((0x10, "_ZN1a1fEv"), (0x20, "_ZN1a1fEv.cfi"))
+    )
+    assert plain == clone
+    assert plain[1] == "_ZN1a1fEv"
 
 
 def test_fix_at_first_rung(engine):
@@ -274,7 +273,7 @@ def test_shared_entry_survives_while_any_claimant_needs_it(engine):
 
     ea = engine.next_scope(a)
     eb = engine.next_scope(b)
-    # Both escalate to the same src entry; the store holds it once.
+    # Both escalate to the same src entry; the list holds it once.
     assert ea.pattern == eb.pattern == "core.c"
     assert rendered(engine) == "src:core.c\n"
 
@@ -357,8 +356,7 @@ def test_reopen_at_the_last_rung_is_unresolvable(engine):
 
 
 def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, functions_without_checks({"fail", "mid"}))
+    engine = EscalationEngine(tmp_path, functions_without_checks({"fail", "mid"}))
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     entry = engine.next_scope(v)
@@ -374,11 +372,10 @@ def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
 
 def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
     # A check-free set holds function names; a path that spells one is no function.
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, census_predicate(tmp_path, {"f", "a.c"}))
+    engine = EscalationEngine(tmp_path, census_predicate(tmp_path, {"f", "a.c"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "a.c"
-    assert v.attempted == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
+    assert tried(v) == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
 
 
 def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
@@ -388,12 +385,11 @@ def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
         asked.append((violation.id, line))
         return line in {"fun:fail", "fun:mid", "fun:entry", "src:rt.c"}
 
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, holds_no_check)
+    engine = EscalationEngine(tmp_path, holds_no_check)
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     assert engine.next_scope(v).pattern == "a.c"
-    assert v.attempted == [(LadderLevel.CALLER_SOURCE, "src:a.c")]
+    assert tried(v) == [(LadderLevel.CALLER_SOURCE, "src:a.c")]
     assert v.skipped_levels[3] == (LadderLevel.CALLEE_SOURCE, "no CFI check in scope")
     # Each rung is asked once, narrowest first, with its full line.
     assert asked == [("V1", line) for line in ("fun:fail", "fun:mid", "fun:entry", "src:rt.c",
@@ -402,8 +398,7 @@ def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
 
 def test_no_check_is_asked_only_of_rungs_no_frame_reason_skips(tmp_path):
     asked = []
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, lambda violation, line: asked.append(line))
+    engine = EscalationEngine(tmp_path, lambda violation, line: asked.append(line))
     outside = SymbolInfo("libc.so.6", None, None, Confidence.OUTSIDE_PROJECT)
     v, _ = observe(engine, callee=info("f.1", "/elsewhere/f.c", 1), caller=outside)
     assert engine.next_scope(v) is None
@@ -440,8 +435,7 @@ def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_fre
         binary: None if table is None else {str(root / file): names for file, names in table.items()}
         for binary, table in zip(binaries, tables)
     }
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, census_predicate(root, {"fail", "slow"}, served))
+    engine = EscalationEngine(tmp_path, census_predicate(root, {"fail", "slow"}, served))
     # Each binary maps a data region before its code; only code counts.
     regions = tuple(
         MemoryRegion(base, base + 0x1000, perms, 0, binary)
@@ -463,8 +457,7 @@ def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_fre
 
 
 def test_a_name_outside_the_check_free_set_is_tried(tmp_path):
-    store = IgnorelistStore(tmp_path / "cfi.ignorelist")
-    engine = EscalationEngine(store, tmp_path, functions_without_checks({"other"}))
+    engine = EscalationEngine(tmp_path, functions_without_checks({"other"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "f"
     assert v.skipped_levels == []
@@ -478,7 +471,7 @@ def test_a_src_rung_repeating_the_callee_file_is_skipped(engine):
         engine.record_outcome(v, trap_recurred=True)
     assert engine.next_scope(v) is None
     assert v.status is ViolationStatus.UNRESOLVABLE
-    assert [line for _, line in v.attempted] == ["fun:f", "fun:g", "src:core.c"]
+    assert [line for _, line in tried(v)] == ["fun:f", "fun:g", "src:core.c"]
     assert (LadderLevel.CALLER_SOURCE, "same entry as L3") in v.skipped_levels
     assert rendered(engine) == ""
 
@@ -529,7 +522,7 @@ def test_frames_outside_the_project_give_no_rung(engine):
     v, _ = observe(engine, callee=info("main", "m.c", 4), caller=outside)
     lines = []
     while engine.next_scope(v) is not None:
-        lines.append(v.attempted[-1][1])
+        lines.append(v.attempted[-1][1].line)
         engine.record_outcome(v, trap_recurred=True)
     assert lines == ["fun:main", "src:m.c"]
     assert v.skipped_levels == [

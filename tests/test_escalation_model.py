@@ -17,8 +17,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from cfiheal.escalation import EscalationEngine, ViolationStatus
-from cfiheal.ignorelist import IgnorelistStore, parse, render
+from cfiheal.escalation import EscalationEngine, Fault, ViolationStatus
+from cfiheal.ignorelist import parse, render
 from cfiheal.symbols import Confidence, SymbolInfo
 from cfiheal.tracing import TrapEvent, TrapSignal
 
@@ -53,9 +53,7 @@ class EscalationModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engine = EscalationEngine(
-            IgnorelistStore(Path("cfi.ignorelist")),
-            Path("/project"),
-            lambda violation, line: line in NO_CHECK_LINES,
+            Path("/project"), lambda violation, line: line in NO_CHECK_LINES
         )
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}
@@ -63,7 +61,7 @@ class EscalationModel(RuleBasedStateMachine):
         self.recurred: dict[str, set[int]] = {}
 
     def rendered(self) -> set[str]:
-        return set(self.engine.store.render().split())
+        return set(render(self.engine.entries()).split())
 
     def held(self) -> dict[str, set[str]]:
         """Line -> ids of the violations that hold it: their current rung, once tried."""
@@ -71,9 +69,9 @@ class EscalationModel(RuleBasedStateMachine):
         for v in self.engine.all_violations():
             if v.status is ViolationStatus.UNRESOLVABLE or not v.attempted:
                 continue
-            level, line = v.attempted[-1]
+            level, entry = v.attempted[-1]
             if level == v.ladder_level:
-                holders.setdefault(line, set()).add(v.id)
+                holders.setdefault(entry.line, set()).add(v.id)
         return holders
 
     @rule(
@@ -84,7 +82,7 @@ class EscalationModel(RuleBasedStateMachine):
     )
     def observe(self, pc, frames, test_id, suppressors):
         trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, pc, pc, (), {}, Path("app"), ())
-        violation, new = self.engine.observe(trap, Path("app"), pc, *frames, test_id)
+        violation, new = self.engine.observe(trap, Fault(Path("app"), pc, *frames), test_id)
         if new:
             self.suppressors[violation.id] = suppressors
             self.recurred[violation.id] = set()
@@ -114,18 +112,18 @@ class EscalationModel(RuleBasedStateMachine):
 
     @invariant()
     def list_is_exactly_the_held_entries(self):
-        held = self.held()
-        entries = {e.line: e for e in self.engine.store.active_entries()}
-        assert set(entries) == set(held)
-        for line, entry in entries.items():
-            assert set(entry.origin_violations) == held[line]
+        # The list is the distinct claims, each once, and renders every one of them.
+        claims = {v.claim for v in self.engine.all_violations()} - {None}
+        assert {claim.line for claim in claims} == set(self.held())
+        assert self.engine.entries() == sorted(claims, key=lambda entry: entry.line)
+        assert self.rendered() == set(self.held())
 
     @invariant()
     def fixed_entries_are_rendered(self):
         rendered = self.rendered()
         for v in self.engine.all_violations():
             if v.status is ViolationStatus.FIXED:
-                assert dict(v.attempted)[v.ladder_level] in rendered
+                assert dict(v.attempted)[v.ladder_level].line in rendered
 
     @invariant()
     def fixed_violations_recurred_at_every_narrower_rung(self):
@@ -137,18 +135,18 @@ class EscalationModel(RuleBasedStateMachine):
     @invariant()
     def no_untried_line_is_tried_or_rendered(self):
         for v in self.engine.all_violations():
-            assert not {line for _, line in v.attempted} & UNTRIED_LINES
+            assert not {entry.line for _, entry in v.attempted} & UNTRIED_LINES
         assert not self.rendered() & UNTRIED_LINES
 
     @invariant()
     def no_violation_tries_a_line_twice(self):
         for v in self.engine.all_violations():
-            lines = [line for _, line in v.attempted]
+            lines = [entry.line for _, entry in v.attempted]
             assert len(lines) == len(set(lines))
 
     @invariant()
     def render_parse_is_a_fixpoint(self):
-        text = self.engine.store.render()
+        text = render(self.engine.entries())
         assert render(parse(text)) == text
 
 

@@ -196,6 +196,16 @@ def test_each_cfi_build_leaves_its_own_log(healed, workload):
     assert len(logs) == result.ledger.build_attempts
 
 
+@pytest.mark.parametrize("workload", PINS)
+def test_the_final_ignorelist_file_is_the_reported_list(healed, workload):
+    # The confirmation suite ran on a build of the final list, so the file
+    # the last instrumented build read holds exactly the reported entries.
+    result, _ = healed(workload)
+    report_dir = result.report_paths[0].parent
+    listed = "".join(line + "\n" for line in result.report["ignorelist"])
+    assert (report_dir / "cfi.ignorelist").read_text() == listed
+
+
 def _signature(result) -> dict:
     """What a heal decided, apart from the directory it ran in."""
     report = result.report

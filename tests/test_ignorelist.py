@@ -1,25 +1,29 @@
-"""Ignorelist entries, rendering normal form, parsing, and the store."""
+"""Ignorelist entries, rendering normal form, parsing, and the file a CFI build reads."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfiheal import pipeline
+from cfiheal.build import BuildOutcome
 from cfiheal.ignorelist import (
     EntryKind,
     IgnorelistEntry,
-    IgnorelistStore,
     LadderLevel,
     parse,
     render,
 )
+from cfiheal.repair import RepairLedger
+
+from conftest import make_config
 
 
-def fun(pattern, **kw):
-    return IgnorelistEntry(kind=EntryKind.FUN, pattern=pattern, **kw)
+def fun(pattern):
+    return IgnorelistEntry(kind=EntryKind.FUN, pattern=pattern)
 
 
-def src(pattern, **kw):
-    return IgnorelistEntry(kind=EntryKind.SRC, pattern=pattern, **kw)
+def src(pattern):
+    return IgnorelistEntry(kind=EntryKind.SRC, pattern=pattern)
 
 
 def test_entry_line():
@@ -51,21 +55,29 @@ def test_parse_tolerates_comments_and_blanks():
 
 
 def test_parse_rejects_junk_lines():
-    # The store owns this file; silent tolerance would hide corruption.
+    # cfiheal owns this file; silent tolerance would hide corruption.
     with pytest.raises(ValueError, match="line 1"):
         parse("nonsense\nfun:ok\n")
     with pytest.raises(ValueError, match="unknown entry kind"):
         parse("type:whatever\n")
 
 
-def test_store_write_mirrors_entries(tmp_path):
-    path = tmp_path / "cfi.ignorelist"
-    store = IgnorelistStore(path)
-    assert store.write() == "" and path.read_text() == ""
-    store.entries = {(e.kind.value, e.pattern): e for e in (src("cold.c"), fun("hot"))}
-    assert store.write() == "fun:hot\nsrc:cold.c\n"
-    assert path.read_text() == "fun:hot\nsrc:cold.c\n"
-    assert [e.line for e in store.active_entries()] == ["fun:hot", "src:cold.c"]
+def test_store_write_mirrors_entries(tmp_path, monkeypatch):
+    # No list is stored: each instrumented build writes the rendered entries
+    # it is given to <report_dir>/cfi.ignorelist and builds with that file.
+    cfg = make_config(tmp_path, tmp_path / "reports")
+    cfg.report_dir.mkdir()
+    built = []
+
+    def repair(cfg, mode, ledger, *, phase, planned):
+        built.append(mode.ignorelist_path.read_text())
+        return BuildOutcome(True, mode, (), (), None, 0.0), ledger
+
+    monkeypatch.setattr(pipeline, "repair_until_buildable", repair)
+    for entries in ([], [src("cold.c"), fun("hot"), fun("hot")]):
+        pipeline._cfi_build(cfg, render(entries), RepairLedger(), "test")
+    assert built == ["", "fun:hot\nsrc:cold.c\n"]
+    assert (cfg.report_dir / "cfi.ignorelist").read_text() == "fun:hot\nsrc:cold.c\n"
 
 
 _pattern = st.text(

@@ -19,8 +19,8 @@ import pytest
 from cfiheal import ircensus, pipeline
 from cfiheal.build import BuildKind, BuildMode, BuildOutcome, OrchestrationError, ProjectLock
 from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
-from cfiheal.escalation import EscalationEngine
-from cfiheal.ignorelist import EntryKind, IgnorelistEntry, IgnorelistStore, LadderLevel
+from cfiheal.escalation import EscalationEngine, Fault
+from cfiheal.ignorelist import EntryKind, IgnorelistEntry, LadderLevel, render
 from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
 from cfiheal.repair import RepairLedger
 from cfiheal.report import EnforcementStatus, compute_coverage
@@ -105,10 +105,10 @@ def _src_rung_run(tmp_path, tables, per_function, variants=("cfi-icall",)):
     symbolizer = TableSymbolizer({app: tables})
     cfg = make_config(root, tmp_path / "reports", cfi_variants=variants)
     holds_no_check = pipeline._no_check_in_scope(cfg, per_function, symbolizer)
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), root)
+    engine = EscalationEngine(root)
     frames = (SymbolInfo("fail", str(root / "rt.c"), 1, Confidence.DEBUGINFO),
               SymbolInfo("mid", str(root / "a.c"), 2, Confidence.DEBUGINFO), None)
-    violation, _ = engine.observe(trap, Path(app), 0x1100, *frames, "t")
+    violation, _ = engine.observe(trap, Fault(Path(app), 0x1100, *frames), "t")
     return holds_no_check, violation, symbolizer
 
 
@@ -578,13 +578,13 @@ SCRIPT = {
 class FakeSymbolizer:
     """Each SYMBOLS address stands for a function spanning 16 bytes either side of it."""
 
-    def resolve_runtime(self, addr, regions):
-        function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
-        return Path("app"), addr, SymbolInfo(function, source, LINES.get(function),
-                                             Confidence.DEBUGINFO)
-
     def resolve_runtime_many(self, addrs, regions):
-        return [self.resolve_runtime(addr, regions) for addr in addrs]
+        found = []
+        for addr in addrs:
+            function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
+            found.append((Path("app"), addr,
+                          SymbolInfo(function, source, LINES.get(function), Confidence.DEBUGINFO)))
+        return found
 
 
 def raising(exc):
@@ -602,6 +602,7 @@ class Rig:
         self.cfg = make_config(root, self.reports)
         self.script = script
         self.built: frozenset[str] | None = None  # None: the last build was the baseline
+        self.engine: EscalationEngine | None = None  # the heal's, once it has one
         self.calls: Counter = Counter()
         # (layer, n) -> callable run instead of the n-th call of that layer.
         self.overrides: dict = {}
@@ -610,6 +611,11 @@ class Rig:
         # A second CPU, so heal() reads the census ahead on any host.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pipeline, "Symbolizer", FakeSymbolizer)
+        monkeypatch.setattr(pipeline, "EscalationEngine", self._engine)
+
+    def _engine(self, *args) -> EscalationEngine:
+        self.engine = EscalationEngine(*args)
+        return self.engine
 
     def _layer(self, name, real):
         self.calls[name] += 1
@@ -618,7 +624,10 @@ class Rig:
 
     def _build(self, mode) -> BuildOutcome:
         if mode.kind is BuildKind.CFI:
-            self.built = frozenset(mode.ignorelist_path.read_text().split())
+            listed = mode.ignorelist_path.read_text()
+            # Each instrumented build reads the list the engine holds at that moment.
+            assert listed == (render(self.engine.entries()) if self.engine else "")
+            self.built = frozenset(listed.split())
         else:
             self.built = None
         return BuildOutcome(True, mode, (), (), None, 0.0)
@@ -675,7 +684,8 @@ def test_rig_heals_l0_l3_and_marks_unresolvable(tmp_path, monkeypatch):
         ("V2", "Fixed", "L3", ("t_l3",)),
         ("V3", "Unresolvable", "L5", ("t_unres",)),
     ]
-    assert [v.attempted for v in result.violations] == [
+    assert [[(level, entry.line) for level, entry in v.attempted]
+            for v in result.violations] == [
         [(LadderLevel.CALLEE_FUNCTION, "fun:f")],
         [(LadderLevel.CALLEE_FUNCTION, "fun:g"), (LadderLevel.CALLER_FUNCTION, "fun:h"),
          (LadderLevel.CALLEE_SOURCE, "src:lib/g.c")],
@@ -960,7 +970,7 @@ def test_rig_skips_a_caller_rung_without_a_check(tmp_path, monkeypatch, variants
     result = heal(rig.cfg)
     (violation,) = result.violations
     assert (violation.status.value, violation.ladder_level.short) == ("Fixed", "L3")
-    assert [line for _, line in violation.attempted] == attempted
+    assert [entry.line for _, entry in violation.attempted] == attempted
     assert result.ledger.build_attempts == 1 + len(attempted)
     assert result.report["ignorelist"] == ["src:lib/g.c"]
 
@@ -1014,7 +1024,7 @@ def test_rig_check_that_moves_keeps_its_violation(tmp_path, monkeypatch):
     # fun:m moved the check to 0x6014, where it trapped again: one violation,
     # climbing past fun:m, which does nothing and leaves the list.
     assert violation_rows(result) == [("V1", "Fixed", "L1", ("t_m",))]
-    assert result.violations[0].attempted == [
+    assert [(level, entry.line) for level, entry in result.violations[0].attempted] == [
         (LadderLevel.CALLEE_FUNCTION, "fun:m"), (LadderLevel.CALLER_FUNCTION, "fun:main"),
     ]
     assert result.report["ignorelist"] == ["fun:main"]
@@ -1106,15 +1116,13 @@ class SpanSymbolizer:
     def __init__(self):
         self.asked: list[int] = []
 
-    def resolve_runtime(self, addr, regions):
-        self.asked.append(addr)
-        for name, start, end in self.SPANS:
-            if start <= addr < end:
-                return Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO)
-        return None
-
     def resolve_runtime_many(self, addrs, regions):
-        return [self.resolve_runtime(addr, regions) for addr in addrs]
+        self.asked.extend(addrs)
+        return [
+            next((Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO))
+                 for name, start, end in self.SPANS if start <= addr < end)
+            for addr in addrs
+        ]
 
 
 def test_symbolize_trap_resolves_callers_at_return_address_minus_one():
@@ -1212,11 +1220,11 @@ def test_src_entry_ignores_the_first_function_of_its_unit(tmp_path):
 
 def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
     # addr2line joins a unit's file to its compile directory.
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), tmp_path)
+    engine = EscalationEngine(tmp_path)
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
     for pc, file in ((0x2010, tmp_path / "src" / "a.c"), (0x3010, "/usr/include/x.h")):
         callee = SymbolInfo("f", str(file), 3, Confidence.DEBUGINFO)
-        engine.observe(trap, Path("app"), pc, callee, None, None, hex(pc))
+        engine.observe(trap, Fault(Path("app"), pc, callee, None, None), hex(pc))
     details, by_file = pipeline._violation_rows(engine)
     assert [d["file"] for d in details] == ["src/a.c", "/usr/include/x.h"]
     assert [g["file"] for g in by_file] == ["/usr/include/x.h", "src/a.c"]
@@ -1225,12 +1233,12 @@ def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
 @pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
 def test_violation_rows_append_a_link_time_suffix_after_demangling(tmp_path):
     # c++filt alone would show _ZL8stepkyuui.1 as "stepkyuu(int) [clone .1]".
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), tmp_path)
+    engine = EscalationEngine(tmp_path)
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
     names = ("_ZL8stepkyuui.1", "_ZN3app4stepEi.cfi", "engine_step.1", "_ZL3foov.__uniq.77")
     for pc, name in enumerate(names):
         callee = SymbolInfo(name, "a.cpp", pc + 1, Confidence.DEBUGINFO)
-        engine.observe(trap, Path("app"), pc, callee, None, None, name)
+        engine.observe(trap, Fault(Path("app"), pc, callee, None, None), name)
     details, _ = pipeline._violation_rows(engine)
     assert [d["function"] for d in details] == [
         "stepkyuu(int).1",
@@ -1264,3 +1272,16 @@ def test_the_benchmark_self_check_imports():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_symbolized_trap_unpacks_as_the_benchmark_self_check_reads_it():
+    # perfbench/selfcheck.py unpacks _symbolize_trap's result by position.
+    selfcheck = (PERFBENCH / "selfcheck.py").read_text()
+    assert "_, _, callee, caller, callers_caller = _symbolize_trap(" in selfcheck
+    event = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010,
+                      (0x1040, 0x1060), {}, Path("app"), ())
+    fault = pipeline._symbolize_trap(SpanSymbolizer(), event)
+    binary, static, callee, caller, callers_caller = fault
+    assert (binary, static) == (fault.binary, fault.static_pc) == (Path("app"), 0x2010)
+    assert (callee, caller, callers_caller) == fault.frames
+    assert [f.function for f in fault.frames] == ["callee", "caller", "next_fn"]

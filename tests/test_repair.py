@@ -16,14 +16,24 @@ from cfiheal.repair import (
     cross_dso_bindings,
     extract_unresolved_symbols,
     journal_patches,
-    locate_definition,
     revert_patches,
 )
-from cfiheal.symbols import demangle
+from cfiheal.symbols import _demangle_batch
 
 from conftest import HAVE_GCC, make_config
+from test_elf import elf_image
 
 needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
+
+
+def locate_definition(symbol, root):
+    """The first definition site of a C symbol, from one scan as a repair pass makes it."""
+    hits, texts = repair._scan_definitions(root, [symbol])
+    return repair._site(root, hits[symbol], texts) if hits[symbol] else None
+
+
+def demangle(symbol):
+    return _demangle_batch([symbol])[0][0]
 
 
 def apply_visibility_default(site, symbol, iteration) -> VisibilityPatch | None:
@@ -282,6 +292,12 @@ def _build_started(root: Path) -> int:
     marker = root / "started"
     marker.write_text("")
     return marker.stat().st_mtime_ns
+
+
+def test_bindings_skip_a_file_whose_tables_lie_outside_it(tmp_path):
+    (tmp_path / "libheader.so").write_bytes(elf_image(shoff=4096)[:64])
+    (tmp_path / "libsymbols.so").write_bytes(elf_image(dynsym=(360, 48)))
+    assert cross_dso_bindings(tmp_path, 0) == []
 
 
 @needs_gcc

@@ -1,9 +1,8 @@
 """One repair pass against the per-symbol lookups it replaced.
 
 ``_ref_pass`` is the pass as it was before the per-pass scan: one
-``locate_definition`` per symbol, each walking and reading the whole tree,
-and one ``demangle`` (one c++filt per mangled name) in the lookup and another
-in the patch, over a failed build's symbols in sorted order, with each patch
+definition lookup per symbol, each walking and reading the whole tree,
+and one c++filt per mangled name in the lookup and another in the patch, over a failed build's symbols in sorted order, with each patch
 read and written on its own and journaled on its own.
 ``repair_until_buildable`` must leave the same patches, ledger, journal bytes
 and tree.
@@ -132,8 +131,12 @@ def _ref_definition_offsets(text, name):
     return offsets
 
 
+def _ref_demangle(symbol):
+    return symbols._demangle_batch([symbol])[0][0]
+
+
 def _ref_locate(symbol, root):
-    name = base_identifier(symbols.demangle(symbol))
+    name = base_identifier(_ref_demangle(symbol))
     hits = []
     for path in repair._iter_sources(root):
         text = path.read_text(errors="replace")
@@ -181,7 +184,7 @@ def _ref_pass(cfg, names, ledger, iteration):
         if site.alternates:
             ledger.ambiguities.append((symbol, site.alternates))
         patch = VisibilityPatch(
-            symbol, symbols.demangle(symbol), str(site.file.relative_to(cfg.project_root)),
+            symbol, _ref_demangle(symbol), str(site.file.relative_to(cfg.project_root)),
             site.line, site.column, iteration,
         )
         ledger.patches.append(patch)
@@ -278,7 +281,9 @@ def test_each_source_is_read_once_per_pass(tmp_path, monkeypatch, cxxfilt):
 
 def test_locate_definition_without_an_index_reads_the_tree(tmp_path, cxxfilt):
     _write_tree(tmp_path)
-    site = repair.locate_definition("_ZN2ns4iotaEv", tmp_path)
+    (name,), _ = symbols._demangle_batch(["_ZN2ns4iotaEv"])
+    hits, texts = repair._scan_definitions(tmp_path, [base_identifier(name)])
+    site = repair._site(tmp_path, hits[base_identifier(name)], texts)
     assert (site.file.name, site.line, site.column) == ("t.cc", 2, 20)
 
 

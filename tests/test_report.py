@@ -55,11 +55,11 @@ def test_reconcile_sums_to_exactly_one_hundred(counts):
 
 
 def fun_entry(pattern: str) -> IgnorelistEntry:
-    return IgnorelistEntry(EntryKind.FUN, pattern, ("V1",))
+    return IgnorelistEntry(EntryKind.FUN, pattern)
 
 
 def src_entry(pattern: str) -> IgnorelistEntry:
-    return IgnorelistEntry(EntryKind.SRC, pattern, ("V1",))
+    return IgnorelistEntry(EntryKind.SRC, pattern)
 
 
 FUNCTIONS = [

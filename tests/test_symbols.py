@@ -9,8 +9,8 @@ import pytest
 
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
-from cfiheal.escalation import EscalationEngine, ViolationStatus
-from cfiheal.ignorelist import IgnorelistStore, LadderLevel
+from cfiheal.escalation import EscalationEngine, Fault, ViolationStatus
+from cfiheal.ignorelist import LadderLevel
 from cfiheal.ircensus import IrSiteCensus
 from cfiheal.symbols import (
     Confidence,
@@ -21,7 +21,6 @@ from cfiheal.symbols import (
     SymbolInfo,
     Symbolizer,
     _demangle_batch,
-    demangle,
     runtime_to_static,
 )
 from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal, region_for, run_traced
@@ -71,8 +70,8 @@ def test_parse_addr2line_answer(answer, location):
 
 
 def test_demangle_passthrough_for_c_names():
-    assert demangle("scols_line_refer_data") == "scols_line_refer_data"
-    assert demangle("engine_step.1") == "engine_step.1"
+    names = ["scols_line_refer_data", "engine_step.1"]
+    assert _demangle_batch(names) == (names, None)
 
 
 @pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
@@ -81,7 +80,8 @@ def test_demangle_cxx_name_matches_cxxfilt():
     oracle = subprocess.run(
         ["c++filt", mangled], check=True, capture_output=True, text=True
     ).stdout.strip()
-    assert demangle(mangled) == oracle == "Widget::resize(int, int)"
+    assert _demangle_batch([mangled]) == ([oracle], None)
+    assert oracle == "Widget::resize(int, int)"
 
 
 def test_function_span_contains():
@@ -231,7 +231,7 @@ def test_resolve_runtime_end_to_end(sample_binaries):
         MemoryRegion(start=0x7FFF0000, end=0x80000000, perms="rw-p", offset=0, path="[stack]"),
     )
     runtime = base + (file_off - seg.offset)
-    resolved = Symbolizer().resolve_runtime(runtime, regions)
+    (resolved,) = Symbolizer().resolve_runtime_many([runtime], regions)
     assert resolved is not None
     resolved_binary, resolved_static, info = resolved
     assert resolved_binary == binary
@@ -244,7 +244,7 @@ def test_resolve_runtime_unmapped_returns_none(sample_binaries):
     regions = (
         MemoryRegion(start=0x1000, end=0x2000, perms="rw-p", offset=0, path=None),
     )
-    assert Symbolizer().resolve_runtime(0x1800, regions) is None
+    assert Symbolizer().resolve_runtime_many([0x1800], regions) == [None]
 
 
 # gcc twins of the symbolizer tests above, plus C++ naming and view-build cost.
@@ -294,8 +294,8 @@ def test_gcc_resolve_stripped_entry_point(gcc_binaries, monkeypatch):
     seg = next(s for s in elf.load_segments if s.offset <= offset < s.offset + s.filesz)
     base = 0x560000000000
     region = MemoryRegion(base, base + seg.filesz, "r-xp", seg.offset, str(binary))
-    resolved = Symbolizer().resolve_runtime(base + offset - seg.offset, (region,))
-    assert resolved == (binary, elf.e_entry, None)
+    resolved = Symbolizer().resolve_runtime_many([base + offset - seg.offset], (region,))
+    assert resolved == [(binary, elf.e_entry, None)]
     assert run.programs == []
 
 
@@ -356,10 +356,11 @@ def _symtab_functions(binary: Path) -> dict[int, str]:
 
 def _report_functions(symbolizer: Symbolizer, binary: Path, addrs, tmp_path) -> list[str]:
     """The report's function column for one violation trapping at each address."""
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), tmp_path)
+    engine = EscalationEngine(tmp_path)
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0, 0, (), {}, binary, ())
     for addr in addrs:
-        engine.observe(trap, binary, addr, symbolizer.resolve(binary, addr), None, None, hex(addr))
+        fault = Fault(binary, addr, symbolizer.resolve(binary, addr), None, None)
+        engine.observe(trap, fault, hex(addr))
     assert len(engine.violations) == len(addrs)
     return [row["function"] for row in pipeline._violation_rows(engine)[0]]
 
@@ -471,7 +472,7 @@ def test_demangle_batch_agrees_with_per_name_cxxfilt():
         "main", "_ZN3geo7measureERKNS_5ShapeEi", "_Z3foov.cold", "_Z3foov@GLIBC_2.2.5",
         "_ZN3foo3barEv@@V1", "_Z3foo v", "_Zgarbage", "_Z", "engine_step.1", "_ZL5twicei",
     ]
-    per_name = [demangle(name) for name in names]
+    per_name = [_demangle_batch([name])[0][0] for name in names]
     assert _demangle_batch(names) == (per_name, None)
     for name, got in zip(names, per_name):
         oracle = subprocess.run(["c++filt", name], capture_output=True, text=True)
@@ -661,11 +662,11 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
     assert run.programs == ["addr2line"]
     assert list(symbolizer._cache) == [str(binary)]
 
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), project)
-    violation, _ = engine.observe(trap, *fault, "t")
+    engine = EscalationEngine(project)
+    violation, _ = engine.observe(trap, fault, "t")
     lines = []
     while engine.next_scope(violation) is not None:
-        lines.append(violation.attempted[-1][1])
+        lines.append(violation.attempted[-1][1].line)
         engine.record_outcome(violation, trap_recurred=True)
     assert lines == ["fun:main", "src:main.c"]
     outside = [level for level, reason in violation.skipped_levels
@@ -680,7 +681,7 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
     _, _, callee, caller, _ = pipeline._symbolize_trap(symbolizer, trap)
     assert callee.function == "main"
     assert caller is None or caller.confidence is Confidence.SYMBOL_TABLE
-    assert symbolizer.resolve_runtime(ret, trap.memory_map) == (Path(library), static, caller)
+    assert symbolizer.resolve_runtime_many([ret], trap.memory_map) == [(Path(library), static, caller)]
     assert "objdump" not in run.programs
 
 
@@ -719,11 +720,11 @@ def test_a_trap_in_a_stripped_pie_keys_by_its_static_address(tmp_path, monkeypat
         assert frames == [None, None, None]
     assert faults[0][:2] == faults[1][:2]
 
-    engine = EscalationEngine(IgnorelistStore(tmp_path / "cfi.ignorelist"), project)
+    engine = EscalationEngine(project)
     for trap, fault, test_id in zip(traps, faults, ("t1", "t2")):
-        engine.observe(trap, *fault, test_id)
+        engine.observe(trap, fault, test_id)
     (violation,) = engine.all_violations()
-    assert violation.key == (str(project / "app"), faults[0][1])
+    assert violation.fault.key == (str(project / "app"), faults[0][1])
     assert violation.test_ids == ("t1", "t2")
     assert engine.next_scope(violation) is None
     assert violation.status is ViolationStatus.UNRESOLVABLE
@@ -808,8 +809,8 @@ def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
         code = MemoryRegion(0x1000, 0x2000, "r-xp", 0, str(inlined_check))
         trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x1000, 0x1000, (), {}, inlined_check,
                          (code,))
-        engine = EscalationEngine(IgnorelistStore(root / "cfi.ignorelist"), root)
-        violation, _ = engine.observe(trap, inlined_check, 0x1000, None, None, None, "t")
+        engine = EscalationEngine(root)
+        violation, _ = engine.observe(trap, Fault(inlined_check, 0x1000, None, None, None), "t")
         return pipeline._no_check_in_scope(cfg, per_function, symbolizer)(violation, line)
 
     # The helper holds the indirect call; the census of the other names does not
