@@ -68,7 +68,6 @@ from .symbols import (
     ResolutionError,
     SymbolInfo,
     Symbolizer,
-    runtime_to_static,
 )
 from .tracing import (
     MemoryRegion,

@@ -322,7 +322,7 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
         if not mode.ignorelist_path.exists():
             raise OrchestrationError(
                 f"ignorelist file does not exist: {mode.ignorelist_path} "
-                "(write the store before building)"
+                "(write the ignorelist to that path before building)"
             )
     if not cfg.project_root.is_dir():
         raise OrchestrationError(f"project root missing: {cfg.project_root}")

@@ -16,14 +16,14 @@ A rung is skipped, never guessed, and records why in skipped_levels:
                           frame's address (a stripped binary), or no debug
                           info for a file rung
   outside the project     a frame in a binary outside project_root, which the
-                          pipeline leaves unsymbolized, or a file rung whose
+                          symbolizer leaves unresolved, or a file rung whose
                           source resolves outside it; the project's build
                           compiles neither
   link-time name          a fun: rung whose enforcement name ends in
                           ".<digits>" (".__uniq.<n>" aside): a link-time
                           collision suffix, which no compile-time name carries
   no CFI check in scope   the engine's holds_no_check predicate says the
-                          rung's line cannot change the build: an entry
+                          rung's entry cannot change the build: an entry
                           turns off only the checks in the bodies it names,
                           and there are none. heal() builds the predicate
                           from the IR census and the binaries' DWARF; the
@@ -163,10 +163,10 @@ class EscalationEngine:
     def __init__(
         self,
         project_root: Path,
-        holds_no_check: Callable[[Violation, str], bool] = lambda violation, line: False,
+        holds_no_check: Callable[[Violation, IgnorelistEntry], bool] = lambda v, entry: False,
     ):
         self.project_root = project_root
-        # Whether a violation's rung on an ignorelist line cannot change the build.
+        # Whether a violation's rung on an ignorelist entry cannot change the build.
         self.holds_no_check = holds_no_check
         self.violations: dict[tuple[str | int, ...], Violation] = {}
 
@@ -225,7 +225,7 @@ class EscalationEngine:
         tried = {entry: tried_level for tried_level, entry in violation.attempted}
         while level < LadderLevel.UNRESOLVABLE:
             entry, reason = self._scope(violation, level)
-            if reason is None and self.holds_no_check(violation, entry.line):
+            if reason is None and self.holds_no_check(violation, entry):
                 reason = "no CFI check in scope"
             if reason is None and entry in tried:
                 reason = f"same entry as {tried[entry].short}"

@@ -73,7 +73,7 @@ from .harness import (
     run_cases,
     run_suite,
 )
-from .ignorelist import render
+from .ignorelist import EntryKind, IgnorelistEntry, render
 from .ircensus import IrSiteCensus, census, census_by_function, read_ir_lines
 from .repair import (
     JOURNAL_NAME,
@@ -91,8 +91,8 @@ from .report import (
     emit_report,
     format_duration,
 )
-from .symbols import Confidence, ResolutionError, SymbolInfo, Symbolizer, _demangle_batch
-from .tracing import TraceError, TrapEvent, region_for
+from .symbols import ResolutionError, Symbolizer, _demangle_batch, _in_project
+from .tracing import TraceError, TrapEvent
 
 STATE_NAME = "state.json"
 IGNORELIST_NAME = "cfi.ignorelist"
@@ -124,26 +124,6 @@ def _save_state(cfg: ProjectConfig, state: dict, **changes) -> None:
     os.replace(temporary, path)
 
 
-def _outside_frame(
-    trap: TrapEvent, address: int, root: Path | None
-) -> tuple[Path, int, SymbolInfo] | None:
-    """A frame for an address mapped from a binary outside `root`, left unresolved; else None.
-
-    The frame keeps the runtime address and is labelled with the binary's
-    file name. Pseudo-mappings such as ``[vdso]`` lie outside every project.
-    """
-    region = region_for(trap.memory_map, address)
-    if root is None or region is None or region.path is None or _in_project(region.path, root):
-        return None
-    path = Path(region.path)
-    return path, address, SymbolInfo(path.name, None, None, Confidence.OUTSIDE_PROJECT)
-
-
-def _in_project(path: str, root: Path) -> bool:
-    """Whether a mapping's path names a file under the resolved `root`."""
-    return Path(path).is_absolute() and Path(path).resolve().is_relative_to(root)
-
-
 def _symbolize_trap(
     symbolizer: Symbolizer, trap: TrapEvent, *, project_root: Path | None = None
 ) -> Fault:
@@ -156,12 +136,7 @@ def _symbolize_trap(
     # A return address follows the call; when the call ends its function, it
     # is already the next function's first byte, so callers resolve at ret - 1.
     addrs = [trap.fault_pc] + [ret - 1 for ret in trap.return_addresses[:2]]
-    root = project_root.resolve() if project_root is not None else None
-    outside = [_outside_frame(trap, address, root) for address in addrs]
-    inside = iter(symbolizer.resolve_runtime_many(
-        [address for address, frame in zip(addrs, outside) if frame is None], trap.memory_map
-    ))
-    hit, *frames = [frame or next(inside) for frame in outside]
+    hit, *frames = symbolizer.resolve_runtime_many(addrs, trap.memory_map, project_root)
     if hit is not None:
         binary, static, callee = hit
     else:
@@ -382,8 +357,8 @@ def _check_free(variants: Iterable[str], per_function: dict[str, IrSiteCensus]) 
 
 def _no_check_in_scope(
     cfg: ProjectConfig, per_function: dict[str, IrSiteCensus], symbolizer: Symbolizer
-) -> Callable[[Violation, str], bool]:
-    """The engine's holds_no_check: whether a violation's ignorelist line cannot change the build.
+) -> Callable[[Violation, IgnorelistEntry], bool]:
+    """The engine's holds_no_check: whether a violation's ignorelist entry cannot change the build.
 
     A fun: line cannot when the census defines its function with no
     checkable site (_check_free). A src: line cannot when every function its
@@ -396,12 +371,11 @@ def _no_check_in_scope(
     check_free = _check_free(cfg.cfi_variants, per_function)
     root = cfg.project_root.resolve()
 
-    def holds_no_check(violation: Violation, line: str) -> bool:
-        kind, _, pattern = line.partition(":")
-        if kind == "fun" or not check_free:
-            return pattern in check_free
+    def holds_no_check(violation: Violation, entry: IgnorelistEntry) -> bool:
+        if entry.kind is EntryKind.FUN or not check_free:
+            return entry.pattern in check_free
         for frame in violation.fault.frames:
-            if _relative_file(frame, root) == pattern:
+            if _relative_file(frame, root) == entry.pattern:
                 name = enforcement_name(frame.function)
                 if name in per_function and name not in check_free:
                     return False
@@ -411,7 +385,7 @@ def _no_check_in_scope(
             table = symbolizer.definitions_by_file(Path(path))
             if table is None:
                 return False
-            names |= table.get(str(root / pattern), frozenset())
+            names |= table.get(str(root / entry.pattern), frozenset())
         return bool(names) and names <= check_free
 
     return holds_no_check
@@ -525,22 +499,18 @@ def _baseline(cfg: ProjectConfig) -> tuple[dict[str, TestCase], dict[str, TestRe
 
 
 def _cfi_build(
-    cfg: ProjectConfig,
-    ignorelist: str,
-    ledger: RepairLedger,
-    phase: str,
-    planned: Iterable[str] = (),
+    cfg: ProjectConfig, ignorelist: str, ledger: RepairLedger, planned: Iterable[str] = ()
 ) -> BuildOutcome:
     """An instrumented build with the rendered ignorelist, repaired until it stands.
 
-    The phase is repair's "build" or "test". The list is written to
-    <report_dir>/cfi.ignorelist, which only this function writes during a
-    heal, so the file is the list the last instrumented build was made with.
+    The list is written to <report_dir>/cfi.ignorelist, which only this
+    function writes during a heal, so the file is the list the last
+    instrumented build was made with.
     """
     path = cfg.report_dir / IGNORELIST_NAME
     path.write_text(ignorelist)
     mode = BuildMode.cfi(cfg.cfi_variants, path)
-    build, _ = repair_until_buildable(cfg, mode, ledger, phase=phase, planned=planned)
+    build, _ = repair_until_buildable(cfg, mode, ledger, planned=planned)
     if not build.succeeded:
         raise PipelineFailure(f"instrumented build could not be repaired; see {build.log_path}")
     return build
@@ -557,7 +527,7 @@ def _escalation_round(run: _Run) -> BuildOutcome | None:
     pending = [v for v in engine.open_violations() if engine.next_scope(v) is not None]
     if not pending:
         return None
-    build = _cfi_build(run.cfg, render(engine.entries()), run.ledger, "test")
+    build = _cfi_build(run.cfg, render(engine.entries()), run.ledger)
     affected = sorted({tid for v in pending for tid in v.test_ids})
     rerun = run_cases(run.cfg, [run.cases[tid] for tid in affected])
     recurred = set()
@@ -660,7 +630,7 @@ def heal(cfg: ProjectConfig) -> HealResult:
         try:
             cases, baseline, planned = _baseline(cfg)
             ledger = RepairLedger()
-            cfi_build = _cfi_build(cfg, "", ledger, "build", planned)
+            cfi_build = _cfi_build(cfg, "", ledger, planned)
             census = _run_census(cfg, ahead.result())
             holds_no_check = _no_check_in_scope(cfg, census.per_function, symbolizer)
             engine = EscalationEngine(cfg.project_root, holds_no_check)
@@ -683,7 +653,7 @@ def heal(cfg: ProjectConfig) -> HealResult:
                 # The last round may have dropped entries after its rebuild.
                 ignorelist = render(engine.entries())
                 if ignorelist != (cfg.report_dir / IGNORELIST_NAME).read_text():
-                    cfi_build = _cfi_build(cfg, ignorelist, ledger, "test")
+                    cfi_build = _cfi_build(cfg, ignorelist, ledger)
                 results = run_suite(cfg, cfi_build, list(cases.values()))
 
             _save_state(cfg, state, phase="reporting")

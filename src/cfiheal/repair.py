@@ -407,7 +407,6 @@ def repair_until_buildable(
     mode: BuildMode,
     ledger: RepairLedger | None = None,
     *,
-    phase: str = "build",
     planned: Iterable[str] = (),
 ) -> tuple[BuildOutcome, RepairLedger]:
     """Patch the planned symbols, then alternate run_build and symbol patching until the build stands.
@@ -419,19 +418,21 @@ def repair_until_buildable(
     Terminates when the build succeeds, when an attempt yields zero new
     patches (no progress), or when the iteration budget is exhausted. Only
     passes that applied at least one patch count as repair iterations,
-    numbered on from the ledger's build attempts. Each build's log is named
-    by its ordinal among the ledger's build attempts. The caller holds the
-    ProjectLock.
+    numbered on from the ledger's build attempts. They count toward the
+    build phase when the ledger has no build attempt yet, else toward the
+    test phase. Each build's log is named by its ordinal among the ledger's
+    build attempts. The caller holds the ProjectLock.
     """
     if ledger is None:
         ledger = RepairLedger()
+    build_phase = ledger.build_attempts == 0
     iteration = ledger.build_attempts + 1
     outcome: BuildOutcome | None = None
     symbols, skipped = planned, []  # what the plan cannot patch goes unnoted
     attempts = 0
     while True:
         if _patch_pass(cfg, ledger, symbols, iteration, skipped):
-            if phase == "build":
+            if build_phase:
                 ledger.iterations_build_phase += 1
             else:
                 ledger.iterations_test_phase += 1

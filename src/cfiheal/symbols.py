@@ -11,10 +11,11 @@ still gives the binary and the static address, which key a trap there the
 same way under any load address. No name is made up for such an address,
 because no ignorelist entry the compiler honours could name it.
 
-A frame in a binary outside the project is not resolved at all: the
-pipeline labels it with the binary's file name (confidence OutsideProject)
-before any view of that binary is built, because no entry the project's
-build honours can name it. Such a frame starts no addr2line.
+A frame in a binary outside the project is not resolved at all: given the
+project root, resolve_runtime_many labels it with the binary's file name
+(confidence OutsideProject) and builds no view of that binary, because no
+entry the project's build honours can name it. Such a frame starts no
+addr2line.
 
 Runtime addresses from a trap are translated to static addresses through the
 faulting mapping's file offset and the binary's PT_LOAD headers, which stays
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .elf import ElfError, ElfFile, ElfSymbol
-from .tracing import MemoryRegion
+from .tracing import MemoryRegion, region_for
 
 
 class Confidence(Enum):
@@ -388,16 +389,9 @@ class ObjdumpBackend:
         return spans
 
 
-def runtime_to_static(
-    elf: ElfFile, runtime_addr: int, regions: Sequence[MemoryRegion], binary: Path
-) -> int | None:
-    """Static vaddr for a runtime address, or None when untranslatable."""
-    binary_str = str(binary)
-    for region in regions:
-        if region.contains(runtime_addr) and region.path == binary_str:
-            file_offset = region.offset + (runtime_addr - region.start)
-            return elf.file_offset_to_vaddr(file_offset)
-    return None
+def _in_project(path: str, root: Path) -> bool:
+    """Whether a mapping's path names a file under the resolved `root`."""
+    return Path(path).is_absolute() and Path(path).resolve().is_relative_to(root)
 
 
 class _SpanIndex:
@@ -520,28 +514,36 @@ class Symbolizer:
         ]
 
     def resolve_runtime_many(
-        self, runtime_addrs: Sequence[int], regions: Sequence[MemoryRegion]
+        self,
+        runtime_addrs: Sequence[int],
+        regions: Sequence[MemoryRegion],
+        project_root: Path | None = None,
     ) -> list[tuple[Path, int, SymbolInfo | None] | None]:
         """(binary, static address, symbol info) per runtime address, through its mapping.
 
-        One resolve_many asks for each binary's addresses. An address that
+        Given `project_root`, an address mapped from outside it (``[vdso]``
+        too) keeps its runtime address, labelled with the binary's file name
+        at confidence OutsideProject, and that binary gets no view. One
+        resolve_many asks for each other binary's addresses. An address that
         no span of its binary covers gives the binary and the static address
         with no symbol info; an address that cannot be attributed gives None.
         """
+        root = project_root.resolve() if project_root is not None else None
         results: list[tuple[Path, int, SymbolInfo | None] | None] = [None] * len(runtime_addrs)
         found: dict[Path, list[tuple[int, int]]] = {}  # binary -> (index, static) hits
         for i, runtime_addr in enumerate(runtime_addrs):
-            region = next(
-                (r for r in regions if r.contains(runtime_addr) and r.path and "x" in r.perms),
-                None,
-            )
+            region = region_for(regions, runtime_addr)
             if region is None or region.path is None:
                 continue
             binary = Path(region.path)
-            view = self._view(binary)
+            if root is not None and not _in_project(region.path, root):
+                info = SymbolInfo(binary.name, None, None, Confidence.OUTSIDE_PROJECT)
+                results[i] = (binary, runtime_addr, info)
+                continue
+            view = self._view(binary) if "x" in region.perms else None
             if view is None:
                 continue
-            static = runtime_to_static(view.elf, runtime_addr, regions, binary)
+            static = view.elf.file_offset_to_vaddr(region.offset + runtime_addr - region.start)
             if static is None:
                 continue
             if view.spans.at(static) is None:

@@ -259,6 +259,18 @@ def test_run_build_cfi_requires_ignorelist_file(tmp_path):
         run_build(cfg, mode)
 
 
+def test_a_cfi_build_without_its_ignorelist_file_names_the_file_to_write(tmp_path):
+    # The check comes before any command runs, so no toolchain is needed.
+    cfg = make_config(tmp_path, tmp_path / "out")
+    missing = tmp_path / "out" / "cfi.ignorelist"
+    with pytest.raises(OrchestrationError) as raised:
+        run_build(cfg, BuildMode.cfi(("cfi-icall",), missing))
+    assert str(raised.value) == (
+        f"ignorelist file does not exist: {missing} "
+        "(write the ignorelist to that path before building)"
+    )
+
+
 @needs_toolchain
 def test_run_build_cfi_injects_flags(tmp_path):
     root = copy_fixture("hello", tmp_path)

@@ -55,7 +55,7 @@ def trap_at(pc: int, memory_map: tuple[MemoryRegion, ...] = ()) -> TrapEvent:
 def functions_without_checks(names):
     """A holds_no_check that answers True for the fun: lines of `names` only."""
     lines = {f"fun:{name}" for name in names}
-    return lambda violation, line: line in lines
+    return lambda violation, entry: entry.line in lines
 
 
 def census_predicate(root: Path, check_free, tables=None):
@@ -381,9 +381,9 @@ def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
 def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
     asked = []
 
-    def holds_no_check(violation, line):
-        asked.append((violation.id, line))
-        return line in {"fun:fail", "fun:mid", "fun:entry", "src:rt.c"}
+    def holds_no_check(violation, entry):
+        asked.append((violation.id, entry.line))
+        return entry.line in {"fun:fail", "fun:mid", "fun:entry", "src:rt.c"}
 
     engine = EscalationEngine(tmp_path, holds_no_check)
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
@@ -398,7 +398,7 @@ def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
 
 def test_no_check_is_asked_only_of_rungs_no_frame_reason_skips(tmp_path):
     asked = []
-    engine = EscalationEngine(tmp_path, lambda violation, line: asked.append(line))
+    engine = EscalationEngine(tmp_path, lambda violation, entry: asked.append(entry.line))
     outside = SymbolInfo("libc.so.6", None, None, Confidence.OUTSIDE_PROJECT)
     v, _ = observe(engine, callee=info("f.1", "/elsewhere/f.c", 1), caller=outside)
     assert engine.next_scope(v) is None

@@ -53,7 +53,7 @@ class EscalationModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engine = EscalationEngine(
-            Path("/project"), lambda violation, line: line in NO_CHECK_LINES
+            Path("/project"), lambda violation, entry: entry.line in NO_CHECK_LINES
         )
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}

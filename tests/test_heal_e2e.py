@@ -27,7 +27,7 @@ import pytest
 from cfiheal import build, escalation, harness, pipeline, symbols
 from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
-from cfiheal.ignorelist import FUN_LEVELS
+from cfiheal.ignorelist import FUN_LEVELS, EntryKind
 from cfiheal.pipeline import heal
 from cfiheal.repair import repair_until_buildable, revert_patches
 
@@ -285,7 +285,7 @@ def test_guided_ladder_ends_where_the_unguided_ladder_ends(
     healed, workload, tmp_path, monkeypatch
 ):
     guided, guided_checks = healed(workload)
-    monkeypatch.setattr(pipeline, "_no_check_in_scope", lambda *census: lambda v, line: False)
+    monkeypatch.setattr(pipeline, "_no_check_in_scope", lambda *census: lambda v, entry: False)
     unguided, checks = _heal(workload, tmp_path)
     assert _outcome(unguided) == _outcome(guided)
     assert checks == guided_checks
@@ -320,7 +320,7 @@ def test_skipping_check_free_files_ends_where_trying_them_ends(
 
     def functions_only(*census):
         holds_no_check = guided(*census)
-        return lambda v, line: line.startswith("fun:") and holds_no_check(v, line)
+        return lambda v, entry: entry.kind is EntryKind.FUN and holds_no_check(v, entry)
 
     monkeypatch.setattr(pipeline, "_no_check_in_scope", functions_only)
     trying, checks = _heal(workload, tmp_path)

@@ -69,13 +69,13 @@ def test_store_write_mirrors_entries(tmp_path, monkeypatch):
     cfg.report_dir.mkdir()
     built = []
 
-    def repair(cfg, mode, ledger, *, phase, planned):
+    def repair(cfg, mode, ledger, *, planned):
         built.append(mode.ignorelist_path.read_text())
         return BuildOutcome(True, mode, (), (), None, 0.0), ledger
 
     monkeypatch.setattr(pipeline, "repair_until_buildable", repair)
     for entries in ([], [src("cold.c"), fun("hot"), fun("hot")]):
-        pipeline._cfi_build(cfg, render(entries), RepairLedger(), "test")
+        pipeline._cfi_build(cfg, render(entries), RepairLedger())
     assert built == ["", "fun:hot\nsrc:cold.c\n"]
     assert (cfg.report_dir / "cfi.ignorelist").read_text() == "fun:hot\nsrc:cold.c\n"
 

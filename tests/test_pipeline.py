@@ -20,7 +20,7 @@ from cfiheal import ircensus, pipeline
 from cfiheal.build import BuildKind, BuildMode, BuildOutcome, OrchestrationError, ProjectLock
 from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
 from cfiheal.escalation import EscalationEngine, Fault
-from cfiheal.ignorelist import EntryKind, IgnorelistEntry, LadderLevel, render
+from cfiheal.ignorelist import EntryKind, IgnorelistEntry, LadderLevel, parse, render
 from cfiheal.pipeline import PipelineFailure, _run_census, cli_main, heal
 from cfiheal.repair import RepairLedger
 from cfiheal.report import EnforcementStatus, compute_coverage
@@ -112,26 +112,32 @@ def _src_rung_run(tmp_path, tables, per_function, variants=("cfi-icall",)):
     return holds_no_check, violation, symbolizer
 
 
+def _entry(line):
+    (entry,) = parse(line)
+    return entry
+
+
 def test_a_src_rung_reads_the_dwarf_of_the_project_binaries_the_trap_mapped(tmp_path):
     root = (tmp_path / "proj").resolve()
     checked = ircensus.IrSiteCensus(fp_calls=1)
     per_function = {"fail": ircensus.IrSiteCensus(), "mid": checked}
     table = {str(root / "rt.c"): frozenset({"fail"}), str(root / "a.c"): frozenset({"mid"})}
     holds_no_check, violation, symbolizer = _src_rung_run(tmp_path, table, per_function)
-    assert holds_no_check(violation, "src:rt.c")
+    assert holds_no_check(violation, _entry("src:rt.c"))
     assert symbolizer.asked == [str(root / "bin" / "app")]
     # The caller resolved in a.c names a function with a check: no DWARF is read.
-    assert not holds_no_check(violation, "src:a.c")
+    assert not holds_no_check(violation, _entry("src:a.c"))
     assert len(symbolizer.asked) == 1
     # A fun: line is decided by the census alone.
-    assert holds_no_check(violation, "fun:fail") and not holds_no_check(violation, "fun:mid")
+    assert holds_no_check(violation, _entry("fun:fail"))
+    assert not holds_no_check(violation, _entry("fun:mid"))
     assert len(symbolizer.asked) == 1
     # Without the census's check-free names nothing is skipped, and nothing read.
     holds_no_check, violation, symbolizer = _src_rung_run(
         tmp_path / "again", table, per_function, ("cfi-icall", "cfi-nvcall")
     )
-    assert not holds_no_check(violation, "src:rt.c")
-    assert not holds_no_check(violation, "fun:fail")
+    assert not holds_no_check(violation, _entry("src:rt.c"))
+    assert not holds_no_check(violation, _entry("fun:fail"))
     assert symbolizer.asked == []
 
 
@@ -578,7 +584,7 @@ SCRIPT = {
 class FakeSymbolizer:
     """Each SYMBOLS address stands for a function spanning 16 bytes either side of it."""
 
-    def resolve_runtime_many(self, addrs, regions):
+    def resolve_runtime_many(self, addrs, regions, project_root=None):
         found = []
         for addr in addrs:
             function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
@@ -650,7 +656,7 @@ class Rig:
     def run_build(self, cfg, mode, iteration=1):
         return self._layer("run_build", lambda: self._build(mode))
 
-    def repair_until_buildable(self, cfg, mode, ledger=None, *, phase="build", planned=()):
+    def repair_until_buildable(self, cfg, mode, ledger=None, *, planned=()):
         ledger = ledger if ledger is not None else RepairLedger()
         ledger.build_attempts += 1
         return self._layer("repair_until_buildable", lambda: (self._build(mode), ledger))
@@ -1116,7 +1122,7 @@ class SpanSymbolizer:
     def __init__(self):
         self.asked: list[int] = []
 
-    def resolve_runtime_many(self, addrs, regions):
+    def resolve_runtime_many(self, addrs, regions, project_root=None):
         self.asked.extend(addrs)
         return [
             next((Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO))

@@ -10,7 +10,7 @@ import pytest
 from cfiheal import pipeline, symbols
 from cfiheal.elf import ElfFile
 from cfiheal.escalation import EscalationEngine, Fault, ViolationStatus
-from cfiheal.ignorelist import LadderLevel
+from cfiheal.ignorelist import LadderLevel, parse
 from cfiheal.ircensus import IrSiteCensus
 from cfiheal.symbols import (
     Confidence,
@@ -21,7 +21,6 @@ from cfiheal.symbols import (
     SymbolInfo,
     Symbolizer,
     _demangle_batch,
-    runtime_to_static,
 )
 from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal, region_for, run_traced
 
@@ -189,7 +188,7 @@ def test_objdump_backend_covers_entry(sample_binaries):
 
 
 @needs_toolchain
-def test_runtime_to_static_through_region(sample_binaries):
+def test_runtime_address_to_static_through_region(sample_binaries):
     binary = sample_binaries["dwarf4"]
     elf = ElfFile(binary)
     static = nm_functions(binary)["alpha"]
@@ -207,7 +206,8 @@ def test_runtime_to_static_through_region(sample_binaries):
         path=str(binary),
     )
     runtime = base + (file_off - seg.offset)
-    assert runtime_to_static(elf, runtime, (region,), binary) == static
+    (resolved,) = Symbolizer().resolve_runtime_many([runtime], (region,))
+    assert resolved[:2] == (binary, static)
 
 
 @needs_toolchain
@@ -638,6 +638,56 @@ def test_trap_frames_start_one_addr2line(gcc_binaries, monkeypatch, unmapped):
     assert symbolizer.warnings == []
 
 
+ELSEWHERE = 0x7FFF0000  # where the trap's caller returns to, outside the sample's code
+
+
+def _trap_with_caller_in(gcc_binaries, mapping):
+    """A trap in the gcc sample's alpha whose caller returns into `mapping`, or into no mapping."""
+    binary = gcc_binaries["c"]
+    elf = ElfFile(binary)
+    static = nm_functions(binary)["alpha"] + 1
+    offset = elf.vaddr_to_file_offset(static)
+    seg = next(s for s in elf.load_segments if s.offset <= offset < s.offset + s.filesz)
+    base = 0x560000000000
+    code = MemoryRegion(base, base + seg.filesz, "r-xp", seg.offset, str(binary))
+    regions = (code,) if mapping is None else (code, mapping)
+    runtime = base + offset - seg.offset
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, runtime, runtime, (ELSEWHERE + 0x11,), {},
+                     binary, regions)
+    return trap, binary, static
+
+
+def _elsewhere(perms, path):
+    return MemoryRegion(ELSEWHERE, ELSEWHERE + 0x2000, perms, 0, path)
+
+
+@pytest.mark.parametrize(
+    "mapping, caller",
+    [
+        (lambda binary: _elsewhere("r-xp", "[vdso]"),
+         SymbolInfo("[vdso]", None, None, Confidence.OUTSIDE_PROJECT)),
+        (lambda binary: _elsewhere("r-xp", None), None),
+        (lambda binary: _elsewhere("r--p", str(binary)), None),
+        (lambda binary: None, None),
+    ],
+    ids=["vdso", "anonymous", "project-without-x", "unmapped"],
+)
+def test_a_trap_frame_in_no_project_code_resolves_to_nothing(gcc_binaries, mapping, caller):
+    trap, binary, static = _trap_with_caller_in(gcc_binaries, mapping(gcc_binaries["c"]))
+    symbolizer = Symbolizer()
+    fault = pipeline._symbolize_trap(symbolizer, trap, project_root=binary.parent)
+    assert (fault.binary, fault.static_pc, fault.callee.function) == (binary, static, "alpha")
+    assert (fault.caller, fault.callers_caller) == (caller, None)
+    assert list(symbolizer._cache) == [str(binary)]
+
+
+def test_without_a_project_root_no_frame_is_outside_the_project(gcc_binaries):
+    trap, binary, static = _trap_with_caller_in(gcc_binaries, _elsewhere("r-xp", "[vdso]"))
+    fault = pipeline._symbolize_trap(Symbolizer(), trap)
+    assert (fault.binary, fault.static_pc, fault.callee.function) == (binary, static, "alpha")
+    assert (fault.caller, fault.callers_caller) == (None, None)
+
+
 @needs_linux
 @pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
 def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
@@ -676,7 +726,8 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
     # Without a project root every frame is resolved, the library's too: by
     # its symbol table, or, where no span covers it, to no symbol at all.
     ret = trap.return_addresses[0] - 1
-    static = runtime_to_static(ElfFile(Path(library)), ret, trap.memory_map, Path(library))
+    region = region_for(trap.memory_map, ret)
+    static = ElfFile(Path(library)).file_offset_to_vaddr(region.offset + ret - region.start)
     symbolizer = Symbolizer()
     _, _, callee, caller, _ = pipeline._symbolize_trap(symbolizer, trap)
     assert callee.function == "main"
@@ -811,7 +862,8 @@ def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
                          (code,))
         engine = EscalationEngine(root)
         violation, _ = engine.observe(trap, Fault(inlined_check, 0x1000, None, None, None), "t")
-        return pipeline._no_check_in_scope(cfg, per_function, symbolizer)(violation, line)
+        (entry,) = parse(line)
+        return pipeline._no_check_in_scope(cfg, per_function, symbolizer)(violation, entry)
 
     # The helper holds the indirect call; the census of the other names does not
     # make the file check-free, and the header, which no unit compiles, never is.
