@@ -16,10 +16,10 @@ cxx_static workload at scale 1, seed 1, built by its own ``make``.
 It also times ``symbolize_trap_in_main``: the pipeline's ``_symbolize_trap``
 on the trap of a ``gcc -O0 -g -fno-omit-frame-pointer`` binary whose
 ``main`` runs ``__builtin_trap()``, caught once by ``run_traced``. The call
-gets the binary's directory as project root, as ``heal`` passes it, so the
-caller frame in the C library is left unresolved.
-``symbolize_trap_in_main_all_frames`` is the same call without a project
-root, which resolves that frame too.
+gets ``Symbolizer(project)``, rooted at the binary's directory as ``heal``
+roots it, so the caller frame in the C library is left unresolved.
+``symbolize_trap_in_main_all_frames`` is the same call on a ``Symbolizer()``
+without a project root, which resolves that frame too.
 
 ``definitions_by_file`` times the table of function definitions by file
 that a ``src:`` rung reads, one ``llvm-dwarfdump --debug-info`` streamed
@@ -189,14 +189,15 @@ def _symtab_probe(binary: Path) -> int:
     return starts[len(starts) // 2]
 
 
-def _time(op, repeat: int) -> tuple[list[float], Counter]:
+def _time(op, repeat: int, root: Path | None = None) -> tuple[list[float], Counter]:
+    """Times of op on a fresh Symbolizer(root) per repeat, and the programs it started."""
     counter = _SpawnCounter()
     symbols.subprocess.Popen = counter
     try:
         times = []
         for _ in range(repeat):
             started = time.perf_counter()
-            op(symbols.Symbolizer())
+            op(symbols.Symbolizer(root))
             times.append(time.perf_counter() - started)
     finally:
         symbols.subprocess.Popen = counter.real
@@ -228,8 +229,10 @@ def _trap_in_main(tmp: Path) -> tuple[Path, Path, TrapEvent]:
     return project, project / "app", outcome.trap
 
 
-def _symbols_row(target: str, binary: Path, op: str, call, repeat: int, **extra) -> dict:
-    times, spawns = _time(call, repeat)
+def _symbols_row(
+    target: str, binary: Path, op: str, call, repeat: int, root: Path | None = None, **extra
+) -> dict:
+    times, spawns = _time(call, repeat, root)
     return {
         "target": target,
         "mb": round(binary.stat().st_size / 1e6, 3),
@@ -255,13 +258,11 @@ def bench_symbols(repeat: int) -> list[dict]:
             for op, call in ops.items():
                 results.append(_symbols_row(target, binary, op, call, repeat, spans=spans))
         project, binary, trap = _trap_in_main(Path(tmp))
-        ops = {
-            "symbolize_trap_in_main": lambda s: _symbolize_trap(s, trap, project_root=project),
-            "symbolize_trap_in_main_all_frames": lambda s: _symbolize_trap(s, trap),
-        }
-        for op, call in ops.items():
-            target = "gcc -O0 -g binary trapping in main"
-            results.append(_symbols_row(target, binary, op, call, repeat))
+        target = "gcc -O0 -g binary trapping in main"
+        for op, root in (("symbolize_trap_in_main", project),
+                         ("symbolize_trap_in_main_all_frames", None)):
+            call = lambda s: _symbolize_trap(s, trap)  # noqa: E731
+            results.append(_symbols_row(target, binary, op, call, repeat, root=root))
         dwarf_targets = [(target, binary) for target, binary in targets if "cxx_static" in target]
         dwarf_targets.append(
             ("perfbench suite_fanout bin/tool_b (scale 1, seed 1)", _suite_fanout_tool_b(Path(tmp)))

@@ -15,10 +15,10 @@ A rung is skipped, never guessed, and records why in skipped_levels:
   identity unavailable    no return address captured, no symbol at the
                           frame's address (a stripped binary), or no debug
                           info for a file rung
-  outside the project     a frame in a binary outside project_root, which the
+  outside the project     a frame in a binary outside the project, which the
                           symbolizer leaves unresolved, or a file rung whose
-                          source resolves outside it; the project's build
-                          compiles neither
+                          source the symbolizer spells absolute, outside the
+                          project; the project's build compiles neither
   link-time name          a fun: rung whose enforcement name ends in
                           ".<digits>" (".__uniq.<n>" aside): a link-time
                           collision suffix, which no compile-time name carries
@@ -144,28 +144,13 @@ class Violation:
         return entry if level == self.ladder_level else None
 
 
-def _relative_file(info: SymbolInfo | None, project_root: Path) -> str | None:
-    if info is None or info.source_file is None:
-        return None
-    path = Path(info.source_file)
-    if path.is_absolute():
-        try:
-            resolved_root = project_root.resolve()
-            return str(path.resolve().relative_to(resolved_root))
-        except ValueError:
-            return str(path)
-    return str(path)
-
-
 class EscalationEngine:
     """Owns all violations of a run; the ignorelist is their claims."""
 
     def __init__(
         self,
-        project_root: Path,
         holds_no_check: Callable[[Violation, IgnorelistEntry], bool] = lambda v, entry: False,
     ):
-        self.project_root = project_root
         # Whether a violation's rung on an ignorelist entry cannot change the build.
         self.holds_no_check = holds_no_check
         self.violations: dict[tuple[str | int, ...], Violation] = {}
@@ -204,12 +189,12 @@ class EscalationEngine:
         if info is not None and info.confidence is Confidence.OUTSIDE_PROJECT:
             return None, "outside the project"
         if not fun:
-            file = _relative_file(info, self.project_root)
-            if file is None:
+            # The symbolizer spells a project file relative to the project root.
+            if info is None or info.source_file is None:
                 return None, "identity unavailable"
-            if Path(file).is_absolute():
+            if Path(info.source_file).is_absolute():
                 return None, "outside the project"
-            return IgnorelistEntry(EntryKind.SRC, file), None
+            return IgnorelistEntry(EntryKind.SRC, info.source_file), None
         if info is None:
             return None, "identity unavailable"
         name = enforcement_name(info.function)

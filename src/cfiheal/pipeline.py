@@ -57,7 +57,6 @@ from .escalation import (
     Fault,
     Violation,
     ViolationStatus,
-    _relative_file,
     enforcement_name,
     link_time_suffix,
 )
@@ -81,6 +80,7 @@ from .repair import (
     RepairLedger,
     cross_dso_bindings,
     repair_until_buildable,
+    replace_file,
     revert_patches,
 )
 from .report import (
@@ -91,7 +91,7 @@ from .report import (
     emit_report,
     format_duration,
 )
-from .symbols import ResolutionError, Symbolizer, _demangle_batch, _in_project
+from .symbols import ResolutionError, Symbolizer, _demangle_batch
 from .tracing import TraceError, TrapEvent
 
 STATE_NAME = "state.json"
@@ -118,25 +118,15 @@ def _save_state(cfg: ProjectConfig, state: dict, **changes) -> None:
     """Apply changes to state, then replace state.json with it, never leaving it half written."""
     state.update(changes)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.report_dir / STATE_NAME
-    temporary = path.with_name(f".{STATE_NAME}.tmp")
-    temporary.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-    os.replace(temporary, path)
+    replace_file(cfg.report_dir / STATE_NAME, json.dumps(state, indent=2, sort_keys=True) + "\n")
 
 
-def _symbolize_trap(
-    symbolizer: Symbolizer, trap: TrapEvent, *, project_root: Path | None = None
-) -> Fault:
-    """The trap's binary, static fault address and callee/caller/caller's-caller frames.
-
-    Given `project_root`, a frame mapped from a binary outside it is not
-    resolved, so that binary gets no view: its identity is the binary's
-    file name at confidence OutsideProject.
-    """
+def _symbolize_trap(symbolizer: Symbolizer, trap: TrapEvent) -> Fault:
+    """The trap's binary, static fault address and callee/caller/caller's-caller frames."""
     # A return address follows the call; when the call ends its function, it
     # is already the next function's first byte, so callers resolve at ret - 1.
     addrs = [trap.fault_pc] + [ret - 1 for ret in trap.return_addresses[:2]]
-    hit, *frames = symbolizer.resolve_runtime_many(addrs, trap.memory_map, project_root)
+    hit, *frames = symbolizer.resolve_runtime_many(addrs, trap.memory_map)
     if hit is not None:
         binary, static, callee = hit
     else:
@@ -167,9 +157,7 @@ def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, Trap
     for result in results:
         if classify(run.baseline[result.test_id], result) is FailureClass.CFI_POLICY_VIOLATION:
             trap = result.outcome.trap
-            yield result.test_id, trap, _symbolize_trap(
-                run.symbolizer, trap, project_root=run.cfg.project_root
-            )
+            yield result.test_id, trap, _symbolize_trap(run.symbolizer, trap)
 
 
 def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
@@ -362,30 +350,30 @@ def _no_check_in_scope(
 
     A fun: line cannot when the census defines its function with no
     checkable site (_check_free). A src: line cannot when every function its
-    file defines, by the DWARF of the project binaries the violation's trap
-    mapped, is such a function. A failed dump, a definition with no name or
-    file, or a file that no unit compiles, such as a header, keeps the line.
+    file defines, by the DWARF of the binaries the violation's trap mapped
+    (the symbolizer reads only the project's), is such a function. A failed
+    dump, a definition with no name or file, or a file that no unit
+    compiles, such as a header, keeps the line.
     No DWARF is read when a frame of the violation that resolved in the file
     names a function the census defines with a check.
     """
     check_free = _check_free(cfg.cfi_variants, per_function)
-    root = cfg.project_root.resolve()
 
     def holds_no_check(violation: Violation, entry: IgnorelistEntry) -> bool:
         if entry.kind is EntryKind.FUN or not check_free:
             return entry.pattern in check_free
         for frame in violation.fault.frames:
-            if _relative_file(frame, root) == entry.pattern:
+            if frame is not None and frame.source_file == entry.pattern:
                 name = enforcement_name(frame.function)
                 if name in per_function and name not in check_free:
                     return False
         names: set[str | None] = set()
         mapped = {r.path for r in violation.trap.memory_map if r.path and "x" in r.perms}
-        for path in sorted(p for p in mapped if _in_project(p, root)):
+        for path in sorted(mapped):
             table = symbolizer.definitions_by_file(Path(path))
             if table is None:
                 return False
-            names |= table.get(str(root / entry.pattern), frozenset())
+            names |= table.get(entry.pattern, frozenset())
         return bool(names) and names <= check_free
 
     return holds_no_check
@@ -455,7 +443,7 @@ def _violation_rows(engine: EscalationEngine) -> tuple[list[dict], list[dict]]:
     by_file: dict[str, dict] = {}
     for violation, function, suffix in zip(violations, functions, suffixes):
         binary, static_pc, callee, _, _ = violation.fault
-        file = _relative_file(callee, engine.project_root)
+        file = callee.source_file if callee else None
         details.append(
             {
                 "id": violation.id,
@@ -618,11 +606,13 @@ def heal(cfg: ProjectConfig) -> HealResult:
     A run that fails once it holds the project lock leaves state.json at
     phase "failed", with the PipelineFailure message as "reason"; test
     harness and tracer errors from any phase surface as PipelineFailure.
+    A KeyboardInterrupt or SystemExit there leaves it at phase
+    "interrupted" and is re-raised.
     """
     findings = validate_config(cfg)
     if findings:
         raise PipelineFailure("invalid configuration: " + "; ".join(findings))
-    symbolizer = Symbolizer()
+    symbolizer = Symbolizer(cfg.project_root)
     started = time.monotonic()
     state: dict = {}
     with ProjectLock(cfg.report_dir), _CensusAhead(cfg) as ahead:
@@ -633,7 +623,7 @@ def heal(cfg: ProjectConfig) -> HealResult:
             cfi_build = _cfi_build(cfg, "", ledger, planned)
             census = _run_census(cfg, ahead.result())
             holds_no_check = _no_check_in_scope(cfg, census.per_function, symbolizer)
-            engine = EscalationEngine(cfg.project_root, holds_no_check)
+            engine = EscalationEngine(holds_no_check)
             run = _Run(cfg, symbolizer, cases, baseline, engine, ledger, census)
 
             _save_state(cfg, state, phase="testing", ignorelist=[])
@@ -665,6 +655,9 @@ def heal(cfg: ProjectConfig) -> HealResult:
             reason = str(exc) if isinstance(exc, PipelineFailure) else f"test harness failed: {exc}"
             _save_state(cfg, state, phase="failed", reason=reason)
             raise PipelineFailure(reason) from exc
+        except (KeyboardInterrupt, SystemExit):
+            _save_state(cfg, state, phase="interrupted")
+            raise
 
 
 class _Parser(argparse.ArgumentParser):

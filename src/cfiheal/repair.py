@@ -19,8 +19,9 @@ hidden-symbol diagnostics off a failed build and patches those symbols
 through the same pass. A pass locates each symbol's definition in the
 project tree (one read of each source per pass) and prepends an explicit
 __attribute__((visibility("default"))) to the definition's declarator,
-writing each patched file once. Every insertion is journaled (iteration,
-file, line, symbol) so the whole set of patches can be reverted exactly.
+writing each patched file once, through a new file renamed over it. Every
+insertion is journaled (iteration, file, line, symbol) so the whole set of
+patches can be reverted exactly.
 
 Definitions are recognized, not declarations: the symbol name followed by a
 balanced parameter list whose closing parenthesis leads (possibly through
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import os
 import re
+import secrets
+import shutil
 import stat
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -251,6 +254,21 @@ def _without_attribute(text: str, name: str) -> str | None:
     return None
 
 
+def replace_file(path: Path, text: str) -> None:
+    """Replace path by a file of text, with path's mode, written beside it under a new name."""
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}")
+    stream = temporary.open("x")  # never an existing file, which the except would remove
+    try:
+        with stream:
+            stream.write(text)
+        if path.exists():
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def journal_patches(cfg: ProjectConfig, patches: Iterable[VisibilityPatch]) -> None:
     """Append one journal row per patch, in one write."""
     path = cfg.report_dir / JOURNAL_NAME
@@ -290,7 +308,7 @@ def revert_patches(cfg: ProjectConfig) -> int:
                 else:
                     text, removed = stripped, removed + 1
             if text != original:
-                file.write_text(text)
+                replace_file(file, text)
         if left:
             path.write_text("".join(raw + "\n" for _, raw in sorted(left)))
         else:
@@ -397,7 +415,7 @@ def _patch_pass(
     if new_patches:
         journal_patches(cfg, new_patches)
     for path, offsets in planned.items():
-        path.write_text(_with_attributes(texts[path], offsets))
+        replace_file(path, _with_attributes(texts[path], offsets))
     ledger.patches.extend(new_patches)
     return len(new_patches)
 

@@ -96,13 +96,11 @@ def reconcile_percentages(counts: Sequence[int]) -> tuple[float, ...]:
 
 
 def _matches_ignorelist(record: FunctionRecord, entries: Sequence[IgnorelistEntry]) -> bool:
-    for entry in entries:
-        if entry.kind is EntryKind.FUN and record.name == entry.pattern:
-            return True
-        if entry.kind is EntryKind.SRC and record.file is not None:
-            if record.file == entry.pattern or record.file.endswith("/" + entry.pattern):
-                return True
-    return False
+    """Whether an entry names the record's function, or its file as the symbolizer spells it."""
+    return any(
+        entry.pattern == (record.name if entry.kind is EntryKind.FUN else record.file)
+        for entry in entries
+    )
 
 
 def compute_coverage(

@@ -11,11 +11,12 @@ still gives the binary and the static address, which key a trap there the
 same way under any load address. No name is made up for such an address,
 because no ignorelist entry the compiler honours could name it.
 
-A frame in a binary outside the project is not resolved at all: given the
-project root, resolve_runtime_many labels it with the binary's file name
-(confidence OutsideProject) and builds no view of that binary, because no
-entry the project's build honours can name it. Such a frame starts no
-addr2line.
+Given the project root, the Symbolizer alone decides what is the project's:
+a file under the resolved root, spelled relative to it as src: entries name
+it. A frame in a binary outside the project is not resolved at all:
+resolve_runtime_many labels it with the binary's file name (confidence
+OutsideProject) and builds no view of it, because no entry the project's
+build honours can name it.
 
 Runtime addresses from a trap are translated to static addresses through the
 faulting mapping's file offset and the binary's PT_LOAD headers, which stays
@@ -389,11 +390,6 @@ class ObjdumpBackend:
         return spans
 
 
-def _in_project(path: str, root: Path) -> bool:
-    """Whether a mapping's path names a file under the resolved `root`."""
-    return Path(path).is_absolute() and Path(path).resolve().is_relative_to(root)
-
-
 class _SpanIndex:
     """Sorted spans with a bisect lookup by address."""
 
@@ -411,7 +407,7 @@ class _BinaryView:
     elf: ElfFile
     lines: LineTable
     spans: _SpanIndex
-    # read_definitions of the binary, once `dumped`; None if the dump failed.
+    # read_definitions of the binary, spelled by _spell, once `dumped`; None if the dump failed.
     definitions: DefinitionTable | None = None
     dumped: bool = False
 
@@ -419,10 +415,24 @@ class _BinaryView:
 class Symbolizer:
     """Per-binary caches of symbol-table spans and lines; results are deterministic."""
 
-    def __init__(self) -> None:
+    def __init__(self, project_root: Path | None = None) -> None:
         self.warnings: list[str] = []
+        self._root = Path(project_root).resolve() if project_root is not None else None
         # One view per path, with the (mtime_ns, size) it was built from.
         self._cache: dict[str, tuple[tuple[int, int], _BinaryView | None]] = {}
+        self._spelled: dict[str, str] = {}  # path string -> its _spell
+
+    def _spell(self, file: str) -> str:
+        """An absolute `file` under the resolved root, relative to it; any other as given."""
+        if self._root is not None and os.path.isabs(file) and file not in self._spelled:
+            real = Path(file).resolve()
+            inside = real.is_relative_to(self._root)
+            self._spelled[file] = str(real.relative_to(self._root)) if inside else file
+        return self._spelled.get(file, file)
+
+    def _in_project(self, path: str) -> bool:
+        """Whether a mapping's path names a file under the root; any path does without one."""
+        return self._root is None or (os.path.isabs(path) and not os.path.isabs(self._spell(path)))
 
     def _view(self, binary: Path) -> _BinaryView | None:
         binary = Path(binary)
@@ -469,15 +479,22 @@ class Symbolizer:
         return spans
 
     def definitions_by_file(self, binary: Path) -> DefinitionTable | None:
-        """read_definitions of the binary, from one dump per view; None if it fails."""
+        """read_definitions of the binary, spelled as source_file is, from one dump per view.
+
+        None if the dump fails; empty, with no view, for a binary outside the project.
+        """
+        if not self._in_project(str(binary)):
+            return {}
         view = self._view(binary)
         if view is None:
             return None
         if not view.dumped:
-            view.definitions = read_definitions(view.elf.path)
+            table = read_definitions(view.elf.path)
             view.dumped = True
-            if view.definitions is None:
+            if table is None:
                 self.warnings.append(f"{binary}: llvm-dwarfdump failed, no src: rung skipped")
+            else:
+                view.definitions = {self._spell(file): names for file, names in table.items()}
         return view.definitions
 
     def function_boundaries(self, binary: Path) -> list[FunctionSpan]:
@@ -507,28 +524,24 @@ class Symbolizer:
         if failure:
             self.warnings.append(f"{binary}: {failure}")
         return [
-            SymbolInfo(span.name, *hit, Confidence.DEBUGINFO)
+            SymbolInfo(span.name, self._spell(hit[0]), hit[1], Confidence.DEBUGINFO)
             if hit is not None
             else SymbolInfo(span.name, None, None, Confidence.SYMBOL_TABLE)
             for span, hit in zip(spans, found)
         ]
 
     def resolve_runtime_many(
-        self,
-        runtime_addrs: Sequence[int],
-        regions: Sequence[MemoryRegion],
-        project_root: Path | None = None,
+        self, runtime_addrs: Sequence[int], regions: Sequence[MemoryRegion]
     ) -> list[tuple[Path, int, SymbolInfo | None] | None]:
         """(binary, static address, symbol info) per runtime address, through its mapping.
 
-        Given `project_root`, an address mapped from outside it (``[vdso]``
-        too) keeps its runtime address, labelled with the binary's file name
-        at confidence OutsideProject, and that binary gets no view. One
-        resolve_many asks for each other binary's addresses. An address that
-        no span of its binary covers gives the binary and the static address
-        with no symbol info; an address that cannot be attributed gives None.
+        An address mapped from outside the project (``[vdso]`` too) keeps its
+        runtime address, labelled with the binary's file name at confidence
+        OutsideProject, and that binary gets no view. One resolve_many asks
+        for each other binary's addresses. An address that no span of its
+        binary covers gives the binary and the static address with no symbol
+        info; an address that cannot be attributed gives None.
         """
-        root = project_root.resolve() if project_root is not None else None
         results: list[tuple[Path, int, SymbolInfo | None] | None] = [None] * len(runtime_addrs)
         found: dict[Path, list[tuple[int, int]]] = {}  # binary -> (index, static) hits
         for i, runtime_addr in enumerate(runtime_addrs):
@@ -536,7 +549,7 @@ class Symbolizer:
             if region is None or region.path is None:
                 continue
             binary = Path(region.path)
-            if root is not None and not _in_project(region.path, root):
+            if not self._in_project(region.path):
                 info = SymbolInfo(binary.name, None, None, Confidence.OUTSIDE_PROJECT)
                 results[i] = (binary, runtime_addr, info)
                 continue

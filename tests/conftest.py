@@ -9,6 +9,7 @@ from __future__ import annotations
 import errno
 import os
 import platform
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -123,15 +124,32 @@ def make_config(root: Path, report_dir: Path, **overrides) -> ProjectConfig:
 
 
 class TableSymbolizer:
-    """Serves fixed definition tables by binary path, recording each asked."""
+    """Serves fixed definition tables by binary path, recording each asked.
 
-    def __init__(self, tables):
+    As the Symbolizer, it answers an empty table, unrecorded, for a binary
+    outside `root`, and None for a project binary it serves no table for.
+    """
+
+    def __init__(self, tables, root: Path):
         self.tables = tables
+        self.root = Path(root).resolve()
         self.asked: list[str] = []
 
     def definitions_by_file(self, binary):
+        path = Path(binary)
+        if not path.is_absolute() or not path.resolve().is_relative_to(self.root):
+            return {}
         self.asked.append(str(binary))
         return self.tables.get(str(binary))
+
+
+def opened_as(path: Path, mode: str) -> tuple[str, str]:
+    """(file name, mode letter) of a Path.open, counting the creation of a
+    file's temporary replacement, .<name>.<8 hex digits>, as a write of it."""
+    temporary = re.fullmatch(r"\.(.+)\.[0-9a-f]{8}", path.name)
+    if temporary and mode[0] == "x":
+        return temporary[1], "w"
+    return path.name, mode[0]
 
 
 def refuse_seize(monkeypatch, exited_first: bool = False) -> list[int]:
@@ -248,6 +266,25 @@ def gcc_binaries(tmp_path_factory) -> dict[str, Path]:
     shutil.copy2(out["c"], out["stripped"])
     subprocess.run(["strip", str(out["stripped"])], check=True, capture_output=True)
     return out
+
+
+@pytest.fixture
+def outside_source_app(tmp_path) -> tuple[Path, Path]:
+    """(project, binary): a gcc -g app linking the project's src/a.c, whose main
+    calls helper, with another src/a.c outside the project that defines helper."""
+    if not HAVE_GCC:
+        pytest.skip("requires gcc")
+    project, elsewhere = tmp_path / "project", tmp_path / "elsewhere"
+    for root, text in ((project, "int helper(int);\nint main(void) { return helper(1); }\n"),
+                       (elsewhere, "int helper(int x) { return x - 1; }\n")):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "a.c").write_text(text)
+    subprocess.run(
+        ["gcc", "-g", "-O0", "-fno-omit-frame-pointer", "-o", "app", "src/a.c",
+         "../elsewhere/src/a.c"],
+        cwd=project, check=True, capture_output=True,
+    )
+    return project, project / "app"
 
 
 @pytest.fixture(scope="session")

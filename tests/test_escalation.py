@@ -8,7 +8,7 @@ from cfiheal import pipeline
 from cfiheal.escalation import EscalationEngine, Fault, ViolationStatus, enforcement_name
 from cfiheal.ignorelist import EntryKind, LadderLevel, render
 from cfiheal.ircensus import IrSiteCensus
-from cfiheal.symbols import Confidence, SymbolInfo
+from cfiheal.symbols import Confidence, SymbolInfo, Symbolizer
 from cfiheal.tracing import MemoryRegion, TrapEvent, TrapSignal
 
 from conftest import TableSymbolizer, make_config
@@ -62,12 +62,12 @@ def census_predicate(root: Path, check_free, tables=None):
     """heal()'s holds_no_check, for a census that defines `check_free` without a check."""
     per_function = {name: IrSiteCensus() for name in check_free}
     cfg = make_config(root, root / "reports")
-    return pipeline._no_check_in_scope(cfg, per_function, TableSymbolizer(tables or {}))
+    return pipeline._no_check_in_scope(cfg, per_function, TableSymbolizer(tables or {}, root))
 
 
 @pytest.fixture
-def engine(tmp_path):
-    return EscalationEngine(tmp_path)
+def engine():
+    return EscalationEngine()
 
 
 def rendered(engine) -> str:
@@ -169,8 +169,8 @@ CXX_FRAMES = {
         (frozenset({"_ZN3app5visitEi"}), ["fun:_ZN3app4stepEi", "fun:_ZL8stepheiyi"]),
     ],
 )
-def test_cxx_fun_rungs_are_spelled_mangled(tmp_path, check_free, spelled):
-    engine = EscalationEngine(tmp_path, functions_without_checks(check_free))
+def test_cxx_fun_rungs_are_spelled_mangled(check_free, spelled):
+    engine = EscalationEngine(functions_without_checks(check_free))
     v, _ = observe(engine, **CXX_FRAMES)
     lines = []
     while engine.next_scope(v).kind is EntryKind.FUN:
@@ -252,8 +252,8 @@ def test_no_identities_at_all(engine):
 
 
 def test_absolute_source_paths_become_project_relative(engine, tmp_path):
-    src = tmp_path / "lib" / "core.c"
-    v, _ = observe(engine, callee=info("f", str(src), 5))
+    src = Symbolizer(tmp_path)._spell(str(tmp_path / "lib" / "core.c"))
+    v, _ = observe(engine, callee=info("f", src, 5))
     engine.next_scope(v)
     engine.record_outcome(v, trap_recurred=True)  # fun:f fails
     entry = engine.next_scope(v)
@@ -355,8 +355,8 @@ def test_reopen_at_the_last_rung_is_unresolvable(engine):
     assert rendered(engine) == ""
 
 
-def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
-    engine = EscalationEngine(tmp_path, functions_without_checks({"fail", "mid"}))
+def test_rungs_whose_function_holds_no_check_are_skipped():
+    engine = EscalationEngine(functions_without_checks({"fail", "mid"}))
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     entry = engine.next_scope(v)
@@ -372,20 +372,20 @@ def test_rungs_whose_function_holds_no_check_are_skipped(tmp_path):
 
 def test_src_rungs_are_tried_whatever_the_check_free_names(tmp_path):
     # A check-free set holds function names; a path that spells one is no function.
-    engine = EscalationEngine(tmp_path, census_predicate(tmp_path, {"f", "a.c"}))
+    engine = EscalationEngine(census_predicate(tmp_path, {"f", "a.c"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "a.c"
     assert tried(v) == [(LadderLevel.CALLEE_SOURCE, "src:a.c")]
 
 
-def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
+def test_src_rungs_whose_file_holds_no_check_are_skipped():
     asked = []
 
     def holds_no_check(violation, entry):
         asked.append((violation.id, entry.line))
         return entry.line in {"fun:fail", "fun:mid", "fun:entry", "src:rt.c"}
 
-    engine = EscalationEngine(tmp_path, holds_no_check)
+    engine = EscalationEngine(holds_no_check)
     v, _ = observe(engine, callee=info("fail", "rt.c", 1), caller=info("mid", "a.c", 2),
                    cc=info("entry", "a.c", 3))
     assert engine.next_scope(v).pattern == "a.c"
@@ -396,9 +396,9 @@ def test_src_rungs_whose_file_holds_no_check_are_skipped(tmp_path):
                                                "src:a.c")]
 
 
-def test_no_check_is_asked_only_of_rungs_no_frame_reason_skips(tmp_path):
+def test_no_check_is_asked_only_of_rungs_no_frame_reason_skips():
     asked = []
-    engine = EscalationEngine(tmp_path, lambda violation, entry: asked.append(entry.line))
+    engine = EscalationEngine(lambda violation, entry: asked.append(entry.line))
     outside = SymbolInfo("libc.so.6", None, None, Confidence.OUTSIDE_PROJECT)
     v, _ = observe(engine, callee=info("f.1", "/elsewhere/f.c", 1), caller=outside)
     assert engine.next_scope(v) is None
@@ -431,11 +431,8 @@ def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_fre
 ):
     root = tmp_path.resolve()
     binaries = [str(root / "bin" / f"app{i}") for i in range(len(tables))]
-    served = {
-        binary: None if table is None else {str(root / file): names for file, names in table.items()}
-        for binary, table in zip(binaries, tables)
-    }
-    engine = EscalationEngine(tmp_path, census_predicate(root, {"fail", "slow"}, served))
+    served = dict(zip(binaries, tables))
+    engine = EscalationEngine(census_predicate(root, {"fail", "slow"}, served))
     # Each binary maps a data region before its code; only code counts.
     regions = tuple(
         MemoryRegion(base, base + 0x1000, perms, 0, binary)
@@ -456,8 +453,8 @@ def test_a_src_rung_is_skipped_only_if_every_definition_of_its_file_is_check_fre
         assert entry.line == f"src:{F}"
 
 
-def test_a_name_outside_the_check_free_set_is_tried(tmp_path):
-    engine = EscalationEngine(tmp_path, functions_without_checks({"other"}))
+def test_a_name_outside_the_check_free_set_is_tried():
+    engine = EscalationEngine(functions_without_checks({"other"}))
     v, _ = observe(engine, callee=info("f", "a.c", 1))
     assert engine.next_scope(v).pattern == "f"
     assert v.skipped_levels == []
@@ -533,8 +530,9 @@ def test_frames_outside_the_project_give_no_rung(engine):
 
 
 def test_a_source_file_outside_the_project_gives_no_rung(engine, tmp_path):
-    v, _ = observe(engine, callee=info("f", "/usr/include/x.h", 3),
-                   caller=info("g", str(tmp_path / "src" / "g.c"), 9))
+    spell = Symbolizer(tmp_path)._spell
+    v, _ = observe(engine, callee=info("f", spell("/usr/include/x.h"), 3),
+                   caller=info("g", spell(str(tmp_path / "src" / "g.c")), 9))
     for _ in range(2):  # fun:f, fun:g
         engine.next_scope(v)
         engine.record_outcome(v, trap_recurred=True)

@@ -52,9 +52,7 @@ _frames = st.one_of(
 class EscalationModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.engine = EscalationEngine(
-            Path("/project"), lambda violation, entry: entry.line in NO_CHECK_LINES
-        )
+        self.engine = EscalationEngine(lambda violation, entry: entry.line in NO_CHECK_LINES)
         # The oracle: violation id -> the lines that suppress its trap.
         self.suppressors: dict[str, set[str]] = {}
         # Violation id -> the rungs at which its trap was seen again.

@@ -29,7 +29,7 @@ from cfiheal.build import BuildMode
 from cfiheal.config import ProjectConfig
 from cfiheal.ignorelist import FUN_LEVELS, EntryKind
 from cfiheal.pipeline import heal
-from cfiheal.repair import repair_until_buildable, revert_patches
+from cfiheal.repair import JOURNAL_NAME, repair_until_buildable, revert_patches
 
 from conftest import copy_fixture, make_config
 
@@ -57,10 +57,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _heal(workload: str, box: Path):
-    """Heal a fresh project of the workload; returns the result and the oracle's checks.
+def _project(workload: str, box: Path, linked: bool = False):
+    """(spec, pristine copy, config) of a fresh project of the workload.
 
     Each run of the workload's test_cmd appends a line to box/test_cmd.runs.
+    If `linked`, the config reaches the project through a symlink.
     """
     pristine = box / "pristine"
     spec = gen.GENERATORS[workload](
@@ -68,8 +69,10 @@ def _heal(workload: str, box: Path):
     ).to_json()
     project = box / "project"
     shutil.copytree(pristine, project, symlinks=True)
+    if linked:
+        (box / "link").symlink_to(project)
     cfg = ProjectConfig(
-        project_root=project,
+        project_root=box / "link" if linked else project,
         build_cmd=spec["build_cmd"],
         test_cmd=f"echo run >> {shlex.quote(str(box / 'test_cmd.runs'))}; {spec['test_cmd']}",
         executables=tuple(spec["executables"]),
@@ -78,9 +81,15 @@ def _heal(workload: str, box: Path):
         clean_cmd=spec["clean_cmd"],
         test_timeout=60.0,
     )
+    return spec, pristine, cfg
+
+
+def _heal(workload: str, box: Path, linked: bool = False):
+    """Heal a fresh project of the workload; returns the result and the oracle's checks."""
+    spec, pristine, cfg = _project(workload, box, linked)
     result = heal(cfg)
     revert_patches(cfg)
-    reverted = oracle.sources_identical(project, pristine, spec["sources"])
+    reverted = oracle.sources_identical(cfg.project_root, pristine, spec["sources"])
     exit_status = 1 if result.unresolvable else 0
     return result, oracle.check(spec, result.report, exit_status, reverted)
 
@@ -388,6 +397,42 @@ def test_one_cpu_and_two_cpu_heals_write_the_same_report(workload, tmp_path, mon
         reports.append(report)
         shutil.rmtree(box)
     assert reports[0] == reports[1]
+
+
+def test_a_second_heal_changes_nothing_and_revert_still_restores(tmp_path):
+    # cxx_static heals with visibility repairs and a non-empty list.
+    spec, pristine, cfg = _project("cxx_static", tmp_path)
+    first = heal(cfg)
+    assert first.ledger.patches and first.report["ignorelist"]
+
+    def tree() -> dict:
+        files = [cfg.report_dir / name for name in (pipeline.IGNORELIST_NAME, JOURNAL_NAME)]
+        files += [cfg.project_root / rel for rel in spec["sources"]]
+        return {str(path): path.read_bytes() for path in files}
+
+    healed_once = tree()
+    second = heal(cfg)
+    assert second.ledger.patches == []
+    assert second.report["ignorelist"] == first.report["ignorelist"]
+    assert tree() == healed_once
+    revert_patches(cfg)
+    assert oracle.sources_identical(cfg.project_root, pristine, spec["sources"])
+    assert not (cfg.report_dir / JOURNAL_NAME).exists()
+
+
+def test_a_symlinked_project_root_heals_to_the_same_list(healed, tmp_path):
+    # suite_fanout climbs to src: rungs, which name files relative to the root.
+    direct, direct_checks = healed("suite_fanout")
+    linked, checks = _heal("suite_fanout", tmp_path, linked=True)
+    assert _signature(linked) == _signature(direct)
+    assert checks == direct_checks
+    # Each check keys one violation, its file spelled as in the direct heal.
+    assert [v.fault.key[1:] for v in linked.violations] == [
+        v.fault.key[1:] for v in direct.violations
+    ]
+    frames = [f for v in linked.violations for f in v.fault.frames if f and f.source_file]
+    files = {f.source_file for f in frames}
+    assert files and not any(Path(f).is_absolute() for f in files)
 
 
 # The chain fixture: app -> libfoo.so -> libbar.so, each link failing under

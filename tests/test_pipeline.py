@@ -102,12 +102,12 @@ def _src_rung_run(tmp_path, tables, per_function, variants=("cfi-icall",)):
     )
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2100, 0x2100, (0x2200,), {}, Path(app),
                      regions)
-    symbolizer = TableSymbolizer({app: tables})
+    symbolizer = TableSymbolizer({app: tables}, root)
     cfg = make_config(root, tmp_path / "reports", cfi_variants=variants)
     holds_no_check = pipeline._no_check_in_scope(cfg, per_function, symbolizer)
-    engine = EscalationEngine(root)
-    frames = (SymbolInfo("fail", str(root / "rt.c"), 1, Confidence.DEBUGINFO),
-              SymbolInfo("mid", str(root / "a.c"), 2, Confidence.DEBUGINFO), None)
+    engine = EscalationEngine()
+    frames = (SymbolInfo("fail", "rt.c", 1, Confidence.DEBUGINFO),
+              SymbolInfo("mid", "a.c", 2, Confidence.DEBUGINFO), None)
     violation, _ = engine.observe(trap, Fault(Path(app), 0x1100, *frames), "t")
     return holds_no_check, violation, symbolizer
 
@@ -121,7 +121,7 @@ def test_a_src_rung_reads_the_dwarf_of_the_project_binaries_the_trap_mapped(tmp_
     root = (tmp_path / "proj").resolve()
     checked = ircensus.IrSiteCensus(fp_calls=1)
     per_function = {"fail": ircensus.IrSiteCensus(), "mid": checked}
-    table = {str(root / "rt.c"): frozenset({"fail"}), str(root / "a.c"): frozenset({"mid"})}
+    table = {"rt.c": frozenset({"fail"}), "a.c": frozenset({"mid"})}
     holds_no_check, violation, symbolizer = _src_rung_run(tmp_path, table, per_function)
     assert holds_no_check(violation, _entry("src:rt.c"))
     assert symbolizer.asked == [str(root / "bin" / "app")]
@@ -584,7 +584,10 @@ SCRIPT = {
 class FakeSymbolizer:
     """Each SYMBOLS address stands for a function spanning 16 bytes either side of it."""
 
-    def resolve_runtime_many(self, addrs, regions, project_root=None):
+    def __init__(self, project_root=None):
+        pass
+
+    def resolve_runtime_many(self, addrs, regions):
         found = []
         for addr in addrs:
             function, source = next(SYMBOLS[k] for k in SYMBOLS if k - 0x10 <= addr < k + 0x10)
@@ -1105,6 +1108,17 @@ def test_rig_failure_saves_failed_state(tmp_path, monkeypatch, site):
     assert state["reason"] == str(excinfo.value)
 
 
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_rig_interrupted_heal_says_so(tmp_path, monkeypatch, exc):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    # The first instrumented build is interrupted while the census may still be read ahead.
+    rig.overrides[("repair_until_buildable", 1)] = raising(exc())
+    with pytest.raises(exc):
+        heal(rig.cfg)
+    assert rig.state()["phase"] == "interrupted"
+    assert "cfiheal-census" not in [thread.name for thread in threading.enumerate()]
+
+
 @pytest.mark.parametrize("exc", [HarnessError("enumeration timed out"), TraceError("lost it")])
 def test_rig_cli_harness_error_in_round_exits_2(tmp_path, monkeypatch, capsys, exc):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
@@ -1122,7 +1136,7 @@ class SpanSymbolizer:
     def __init__(self):
         self.asked: list[int] = []
 
-    def resolve_runtime_many(self, addrs, regions, project_root=None):
+    def resolve_runtime_many(self, addrs, regions):
         self.asked.extend(addrs)
         return [
             next((Path("app"), addr, SymbolInfo(name, "a.c", None, Confidence.DEBUGINFO))
@@ -1215,21 +1229,33 @@ def test_src_entry_ignores_the_first_function_of_its_unit(tmp_path):
     subprocess.run(["gcc", "-g", "-O0", "-fno-omit-frame-pointer", "-o", "app", "a.c", "b.c"],
                    cwd=tmp_path, check=True, capture_output=True)
     cfg = make_config(tmp_path, tmp_path / "reports")
-    records = pipeline._function_records(cfg, Symbolizer(), {}, RepairLedger())
+    records = pipeline._function_records(cfg, Symbolizer(tmp_path), {}, RepairLedger())
     expected = {"a_one": "a.c", "a_two": "a.c", "b_one": "b.c", "b_two": "b.c", "main": "b.c"}
-    files = {r.name: r.file and Path(r.file).name for r in records if r.name in expected}
+    files = {r.name: r.file for r in records if r.name in expected}
     assert files == expected
     coverage = compute_coverage(records, [IgnorelistEntry(EntryKind.SRC, "b.c")])
     ignored = {n for n, status in coverage.statuses.items() if status is EnforcementStatus.IGNORED}
     assert ignored == {"b_one", "b_two", "main"}
 
 
+def test_a_src_entry_ignores_no_function_of_a_file_outside_the_project(outside_source_app):
+    # helper's file is outside the project, though its path ends in /src/a.c.
+    project, _ = outside_source_app
+    cfg = make_config(project, project / "reports")
+    records = pipeline._function_records(cfg, Symbolizer(project), {}, RepairLedger())
+    coverage = compute_coverage(records, [IgnorelistEntry(EntryKind.SRC, "src/a.c")])
+    ignored = {n for n, status in coverage.statuses.items() if status is EnforcementStatus.IGNORED}
+    assert ignored == {"main"}
+
+
 def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
-    # addr2line joins a unit's file to its compile directory.
-    engine = EscalationEngine(tmp_path)
+    # addr2line joins a unit's file to its compile directory; the symbolizer
+    # spells it relative to the project root when it lies under it.
+    engine = EscalationEngine()
+    spell = Symbolizer(tmp_path)._spell
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
     for pc, file in ((0x2010, tmp_path / "src" / "a.c"), (0x3010, "/usr/include/x.h")):
-        callee = SymbolInfo("f", str(file), 3, Confidence.DEBUGINFO)
+        callee = SymbolInfo("f", spell(str(file)), 3, Confidence.DEBUGINFO)
         engine.observe(trap, Fault(Path("app"), pc, callee, None, None), hex(pc))
     details, by_file = pipeline._violation_rows(engine)
     assert [d["file"] for d in details] == ["src/a.c", "/usr/include/x.h"]
@@ -1237,9 +1263,9 @@ def test_violation_rows_spell_files_relative_to_the_project(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
-def test_violation_rows_append_a_link_time_suffix_after_demangling(tmp_path):
+def test_violation_rows_append_a_link_time_suffix_after_demangling():
     # c++filt alone would show _ZL8stepkyuui.1 as "stepkyuu(int) [clone .1]".
-    engine = EscalationEngine(tmp_path)
+    engine = EscalationEngine()
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x2010, 0x2010, (), {}, Path("app"), ())
     names = ("_ZL8stepkyuui.1", "_ZN3app4stepEi.cfi", "engine_step.1", "_ZL3foov.__uniq.77")
     for pc, name in enumerate(names):

@@ -20,7 +20,7 @@ from cfiheal.repair import (
 )
 from cfiheal.symbols import _demangle_batch
 
-from conftest import HAVE_GCC, make_config
+from conftest import HAVE_GCC, make_config, opened_as
 from test_elf import elf_image
 
 needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="requires gcc")
@@ -273,14 +273,65 @@ def test_revert_writes_each_file_at_most_once(tmp_path, monkeypatch):
     real_open = Path.open
 
     def counting_open(path, mode="r", *args, **kwargs):
-        if mode[0] in "wa":
-            writes[path.name] = writes.get(path.name, 0) + 1
+        name, letter = opened_as(path, mode)
+        if letter in "wa":
+            writes[name] = writes.get(name, 0) + 1
         return real_open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", counting_open)
     assert revert_patches(cfg) == 3
     assert writes == {"a.c": 1, "b.c": 1}
     assert {p.name: p.read_text() for p in cfg.project_root.glob("*.c")} == pristine
+
+
+def _cut_before_rename(monkeypatch) -> list[str]:
+    """Make every os.replace fail once its temporary file exists, as a kill there would.
+
+    Returns the temporary files the failed renames left.
+    """
+    left: list[str] = []
+
+    def cut(src, dst):
+        assert Path(src).is_file() and Path(src).parent == Path(dst).parent
+        left.append(Path(src).name)
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", cut)
+    return left
+
+
+@pytest.mark.parametrize("step", ["patch", "revert"])
+def test_a_write_cut_before_its_rename_leaves_every_source_whole(tmp_path, monkeypatch, step):
+    if step == "patch":
+        root = tmp_path / "p"
+        root.mkdir()
+        (root / "a.c").write_text("int one(void) { return 1; }\nint two(void) { return 2; }\n")
+        (root / "b.c").write_text("int three(void) { return 3; }\n")
+        cfg = make_config(root, tmp_path / "out")
+    else:
+        cfg, _ = _patched_tree(tmp_path)
+    before = {p.name: p.read_bytes() for p in cfg.project_root.glob("*.c")}
+    left = _cut_before_rename(monkeypatch)
+    with pytest.raises(OSError, match="killed before the rename"):
+        if step == "patch":
+            repair._patch_pass(cfg, repair.RepairLedger(), ["one", "two", "three"], 1, [])
+        else:
+            revert_patches(cfg)
+    assert left
+    assert {p.name: p.read_bytes() for p in cfg.project_root.iterdir()} == before
+
+
+def test_a_patched_source_keeps_its_mode(tmp_path):
+    root = tmp_path / "p"
+    root.mkdir()
+    source = root / "a.c"
+    source.write_text("int one(void) { return 1; }\n")
+    source.chmod(0o640)
+    cfg = make_config(root, tmp_path / "out")
+    assert repair._patch_pass(cfg, repair.RepairLedger(), ["one"], 1, []) == 1
+    assert ATTRIBUTE_TEXT in source.read_text()
+    assert source.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in root.iterdir()) == ["a.c"]
 
 
 def _gcc(cwd: Path, *args: str) -> None:

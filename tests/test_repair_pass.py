@@ -32,7 +32,7 @@ from cfiheal.repair import (
     repair_until_buildable,
 )
 
-from conftest import make_config
+from conftest import make_config, opened_as
 
 MODE = BuildMode(BuildKind.CFI, ("cfi-icall",), Path("ignorelist.txt"))
 ATTR = '__attribute__((visibility("default"))) '
@@ -255,7 +255,7 @@ def test_each_source_is_read_once_per_pass(tmp_path, monkeypatch, cxxfilt):
     real_open = Path.open
 
     def counting_open(path, mode="r", *args, **kwargs):
-        key = (path.name, mode[0])
+        key = opened_as(path, mode)
         passes[-1][key] = passes[-1].get(key, 0) + 1
         return real_open(path, mode, *args, **kwargs)
 

@@ -90,13 +90,26 @@ def test_ignored_wins_over_default_visibility():
     assert core.statuses["gamma"] is EnforcementStatus.IGNORED
 
 
-def test_src_entry_matches_by_suffix_path():
-    core = compute_coverage(FUNCTIONS, [src_entry("a.c")])
+def test_src_entry_matches_its_project_relative_path_only():
+    core = compute_coverage(FUNCTIONS, [src_entry("lib/a.c")])
     assert core.statuses["alpha"] is EnforcementStatus.IGNORED
     assert core.statuses["beta"] is EnforcementStatus.IGNORED
     assert core.statuses["gamma"] is EnforcementStatus.DEFAULT_VISIBILITY
     # A record with no file can never match a src entry.
     assert core.statuses["nofile"] is EnforcementStatus.PROTECTED
+    # src:a.c names the file a.c at the project root, not lib/a.c.
+    core = compute_coverage(FUNCTIONS, [src_entry("a.c")])
+    assert core.per_function.counts == (3, 2, 0)
+
+
+def test_src_entry_ignores_no_file_outside_the_project():
+    # The symbolizer spells a file outside the project absolute; that it
+    # ends in /src/a.c does not make it the project's src/a.c.
+    records = [FunctionRecord("inside", "src/a.c", 1, "hidden"),
+               FunctionRecord("outside", "/elsewhere/src/a.c", 1, "hidden")]
+    core = compute_coverage(records, [src_entry("src/a.c")])
+    assert core.statuses == {"inside": EnforcementStatus.IGNORED,
+                             "outside": EnforcementStatus.PROTECTED}
 
 
 def test_src_entry_exact_path_match():

@@ -354,9 +354,9 @@ def _symtab_functions(binary: Path) -> dict[int, str]:
     return out
 
 
-def _report_functions(symbolizer: Symbolizer, binary: Path, addrs, tmp_path) -> list[str]:
+def _report_functions(symbolizer: Symbolizer, binary: Path, addrs) -> list[str]:
     """The report's function column for one violation trapping at each address."""
-    engine = EscalationEngine(tmp_path)
+    engine = EscalationEngine()
     trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0, 0, (), {}, binary, ())
     for addr in addrs:
         fault = Fault(binary, addr, symbolizer.resolve(binary, addr), None, None)
@@ -366,14 +366,14 @@ def _report_functions(symbolizer: Symbolizer, binary: Path, addrs, tmp_path) -> 
 
 
 @pytest.mark.skipif(shutil.which("c++filt") is None, reason="requires c++filt")
-def test_gcc_cxx_report_column_matches_per_name_cxxfilt(gcc_binaries, tmp_path):
+def test_gcc_cxx_report_column_matches_per_name_cxxfilt(gcc_binaries):
     binary = gcc_binaries["cxx"]
     symbolizer = Symbolizer()
     functions = _symtab_functions(binary)
     assert sum(name.startswith("_Z") for name in functions.values()) >= 6
     for addr, mangled in functions.items():
         assert symbolizer.resolve(binary, addr).function == mangled
-    column = _report_functions(symbolizer, binary, list(functions), tmp_path)
+    column = _report_functions(symbolizer, binary, list(functions))
     for mangled, shown in zip(functions.values(), column):
         oracle = subprocess.run(
             ["c++filt", mangled], check=True, capture_output=True, text=True
@@ -510,16 +510,16 @@ def test_view_build_starts_no_cxxfilt(gcc_binaries, monkeypatch):
     assert set(run.programs) == {"addr2line"}
 
 
-def test_report_column_starts_one_cxxfilt_and_none_for_c(gcc_binaries, monkeypatch, tmp_path):
+def test_report_column_starts_one_cxxfilt_and_none_for_c(gcc_binaries, monkeypatch):
     run = _RecordingRun()
     monkeypatch.setattr(symbols.subprocess, "run", run)
     symbolizer = Symbolizer()
     c_functions = _symtab_functions(gcc_binaries["c"])
-    column = _report_functions(symbolizer, gcc_binaries["c"], list(c_functions), tmp_path / "c")
+    column = _report_functions(symbolizer, gcc_binaries["c"], list(c_functions))
     assert column == list(c_functions.values())
     assert "c++filt" not in run.programs
     cxx_functions = _symtab_functions(gcc_binaries["cxx"])
-    _report_functions(symbolizer, gcc_binaries["cxx"], list(cxx_functions), tmp_path / "cxx")
+    _report_functions(symbolizer, gcc_binaries["cxx"], list(cxx_functions))
     assert run.programs.count("c++filt") == 1
 
 
@@ -555,13 +555,13 @@ def test_symtab_miss_starts_no_subprocess(gcc_binaries, monkeypatch):
     ],
     ids=["missing", "timeout", "nonzero", "short"],
 )
-def test_failed_batch_leaves_names_mangled(gcc_binaries, monkeypatch, tmp_path, failure):
+def test_failed_batch_leaves_names_mangled(gcc_binaries, monkeypatch, failure):
     run = _RecordingRun(failure)
     monkeypatch.setattr(symbols.subprocess, "run", run)
     binary = gcc_binaries["cxx"]
     symbolizer = Symbolizer()
     functions = _symtab_functions(binary)
-    column = _report_functions(symbolizer, binary, list(functions), tmp_path)
+    column = _report_functions(symbolizer, binary, list(functions))
     assert column == list(functions.values())
     assert run.programs.count("c++filt") == 1 and "objdump" not in run.programs
 
@@ -674,8 +674,8 @@ def _elsewhere(perms, path):
 )
 def test_a_trap_frame_in_no_project_code_resolves_to_nothing(gcc_binaries, mapping, caller):
     trap, binary, static = _trap_with_caller_in(gcc_binaries, mapping(gcc_binaries["c"]))
-    symbolizer = Symbolizer()
-    fault = pipeline._symbolize_trap(symbolizer, trap, project_root=binary.parent)
+    symbolizer = Symbolizer(binary.parent)
+    fault = pipeline._symbolize_trap(symbolizer, trap)
     assert (fault.binary, fault.static_pc, fault.callee.function) == (binary, static, "alpha")
     assert (fault.caller, fault.callers_caller) == (caller, None)
     assert list(symbolizer._cache) == [str(binary)]
@@ -703,16 +703,16 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
 
     run = _RecordingRun()
     monkeypatch.setattr(symbols.subprocess, "run", run)
-    symbolizer = Symbolizer()
-    fault = pipeline._symbolize_trap(symbolizer, trap, project_root=project)
+    symbolizer = Symbolizer(project)
+    fault = pipeline._symbolize_trap(symbolizer, trap)
     binary, _, callee, caller, _ = fault
     assert binary == project / "app"
-    assert (callee.function, Path(callee.source_file).name) == ("main", "main.c")
+    assert (callee.function, callee.source_file) == ("main", "main.c")
     assert caller == SymbolInfo(Path(library).name, None, None, Confidence.OUTSIDE_PROJECT)
     assert run.programs == ["addr2line"]
     assert list(symbolizer._cache) == [str(binary)]
 
-    engine = EscalationEngine(project)
+    engine = EscalationEngine()
     violation, _ = engine.observe(trap, fault, "t")
     lines = []
     while engine.next_scope(violation) is not None:
@@ -734,6 +734,24 @@ def test_a_trap_in_main_resolves_only_the_project_binary(tmp_path, monkeypatch):
     assert caller is None or caller.confidence is Confidence.SYMBOL_TABLE
     assert symbolizer.resolve_runtime_many([ret], trap.memory_map) == [(Path(library), static, caller)]
     assert "objdump" not in run.programs
+
+
+def test_a_frame_in_a_file_outside_the_root_skips_its_src_rung(outside_source_app):
+    project, app = outside_source_app
+    functions = nm_functions(app)
+    helper, main = Symbolizer(project).resolve_many(app, [functions["helper"], functions["main"]])
+    assert main.source_file == "src/a.c"
+    # Outside the root, the file keeps the absolute spelling addr2line printed.
+    assert Path(helper.source_file).is_absolute() and helper.source_file.endswith("/src/a.c")
+    engine = EscalationEngine()
+    trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0, 0, (), {}, app, ())
+    violation, _ = engine.observe(trap, Fault(app, functions["helper"], helper, main, None), "t")
+    lines = []
+    while engine.next_scope(violation) is not None:
+        lines.append(violation.attempted[-1][1].line)
+        engine.record_outcome(violation, trap_recurred=True)
+    assert lines == ["fun:helper", "fun:main", "src:src/a.c"]
+    assert (LadderLevel.CALLEE_SOURCE, "outside the project") in violation.skipped_levels
 
 
 STRIPPED_TRAP = """\
@@ -762,8 +780,8 @@ def test_a_trap_in_a_stripped_pie_keys_by_its_static_address(tmp_path, monkeypat
     monkeypatch.setattr(symbols.subprocess, "run", run)
     popen = _CountingPopen()
     monkeypatch.setattr(symbols.subprocess, "Popen", popen)
-    symbolizer = Symbolizer()
-    faults = [pipeline._symbolize_trap(symbolizer, trap, project_root=project) for trap in traps]
+    symbolizer = Symbolizer(project)
+    faults = [pipeline._symbolize_trap(symbolizer, trap) for trap in traps]
     assert run.programs == popen.programs == []
     for binary, static, *frames in faults:
         assert binary == project / "app"
@@ -771,7 +789,7 @@ def test_a_trap_in_a_stripped_pie_keys_by_its_static_address(tmp_path, monkeypat
         assert frames == [None, None, None]
     assert faults[0][:2] == faults[1][:2]
 
-    engine = EscalationEngine(project)
+    engine = EscalationEngine()
     for trap, fault, test_id in zip(traps, faults, ("t1", "t2")):
         engine.observe(trap, fault, test_id)
     (violation,) = engine.all_violations()
@@ -845,12 +863,12 @@ def inlined_check(tmp_path) -> Path:
 def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
     root = inlined_check.parent.resolve()
     assert "dispatch" not in nm_functions(inlined_check)  # inlined away
-    symbolizer = Symbolizer()
+    symbolizer = Symbolizer(root)
     table = symbolizer.definitions_by_file(inlined_check)
     # The unit's own functions, the helper only ever inlined, and the header's inline.
     assert table == {
-        f"{root}/api.c": {"api", "dispatch", "twice", "bump"},
-        f"{root}/main.c": {"main"},
+        "api.c": {"api", "dispatch", "twice", "bump"},
+        "main.c": {"main"},
     }
 
     def holds_no_check(line, check_free):
@@ -860,7 +878,7 @@ def test_definitions_by_file_count_inlined_and_header_functions(inlined_check):
         code = MemoryRegion(0x1000, 0x2000, "r-xp", 0, str(inlined_check))
         trap = TrapEvent(TrapSignal.ILLEGAL_INSTRUCTION, 0x1000, 0x1000, (), {}, inlined_check,
                          (code,))
-        engine = EscalationEngine(root)
+        engine = EscalationEngine()
         violation, _ = engine.observe(trap, Fault(inlined_check, 0x1000, None, None, None), "t")
         (entry,) = parse(line)
         return pipeline._no_check_in_scope(cfg, per_function, symbolizer)(violation, entry)
@@ -904,6 +922,14 @@ def test_definitions_come_from_one_dump_per_view(inlined_check, monkeypatch):
     inlined_check.write_bytes(inlined_check.read_bytes() + b"\0")
     assert symbolizer.definitions_by_file(inlined_check) == first
     assert popen.programs == ["llvm-dwarfdump"] * 2
+
+
+def test_a_binary_outside_the_project_defines_no_project_file(gcc_binaries, tmp_path, monkeypatch):
+    popen = _CountingPopen()
+    monkeypatch.setattr(symbols.subprocess, "Popen", popen)
+    symbolizer = Symbolizer(tmp_path)
+    assert symbolizer.definitions_by_file(gcc_binaries["c"]) == {}
+    assert popen.programs == [] and symbolizer._cache == {}
 
 
 def test_a_missing_dwarf_tool_gives_no_definitions(gcc_binaries, monkeypatch):
