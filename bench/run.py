@@ -21,6 +21,12 @@ roots it, so the caller frame in the C library is left unresolved.
 ``symbolize_trap_in_main_all_frames`` is the same call on a ``Symbolizer()``
 without a project root, which resolves that frame too.
 
+``function_boundaries`` on a large debug-built binary times the view a
+trap's first frame builds: the ``gcc -O0 -g`` trap-in-main binary with a
+16 MiB non-alloc section added by ``objcopy --add-section``. Besides its
+times it reports ``view_mb``, the tracemalloc size of what the
+``Symbolizer`` holds afterwards, and ``peak_mb``, the peak of the call.
+
 ``definitions_by_file`` times the table of function definitions by file
 that a ``src:`` rung reads, one ``llvm-dwarfdump --debug-info`` streamed
 per binary view, on the cxx_static ``bin/app`` and on the ``bin/tool_b`` of
@@ -74,7 +80,11 @@ about 4 MB: compiler command lines, each followed every few units by a GNU ld
 report (``in function``, ``undefined reference``, ``hidden symbol ... is
 referenced by DSO``) or an lld report (``undefined symbol`` or ``undefined
 hidden symbol`` with its ``>>> referenced by`` lines), one unique symbol
-each. It checks that every report parses to its diagnostic, and reports MB/s.
+each. A second row times ``run_build`` of one step that prints that log,
+written to a file, and fails: the build's own log is written as the step
+prints it and its diagnostics parsed back from it. Each row checks that every
+report parses to its diagnostic, and reports MB/s and the tracemalloc peak
+of one call, in MB; the first row's log text is allocated before its calls.
 
 ``--layer build`` times ``run_build`` (clean, then build) in baseline and
 CFI modes on perfbench's suite_fanout and cxx_static projects at scale 1,
@@ -263,6 +273,7 @@ def bench_symbols(repeat: int) -> list[dict]:
                          ("symbolize_trap_in_main_all_frames", None)):
             call = lambda s: _symbolize_trap(s, trap)  # noqa: E731
             results.append(_symbols_row(target, binary, op, call, repeat, root=root))
+        results.append(_padded_view_row(Path(tmp), binary, repeat))
         dwarf_targets = [(target, binary) for target, binary in targets if "cxx_static" in target]
         dwarf_targets.append(
             ("perfbench suite_fanout bin/tool_b (scale 1, seed 1)", _suite_fanout_tool_b(Path(tmp)))
@@ -276,10 +287,36 @@ def bench_symbols(repeat: int) -> list[dict]:
     return results
 
 
+PADDING_MIB = 16
+
+
+def _padded_view_row(tmp: Path, binary: Path, repeat: int) -> dict:
+    """function_boundaries on binary padded by PADDING_MIB MiB, with the MB its view holds."""
+    padding, padded = tmp / "padding.bin", tmp / "padded-app"
+    padding.write_bytes(bytes(PADDING_MIB << 20))
+    subprocess.run(
+        ["objcopy", f"--add-section=.padding={padding}", str(binary), str(padded)],
+        check=True,
+        capture_output=True,
+    )
+    padding.unlink()
+    symbolizer = symbols.Symbolizer()
+    tracemalloc.start()
+    try:
+        spans = len(symbolizer.function_boundaries(padded))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    target = f"gcc -O0 -g binary trapping in main, padded by {PADDING_MIB} MiB"
+    call = lambda s: s.function_boundaries(padded)  # noqa: E731
+    return _symbols_row(target, padded, "function_boundaries", call, repeat, spans=spans,
+                        view_mb=round(held / 1e6, 3), peak_mb=round(peak / 1e6, 3))
+
+
 CENSUS_MB = 4
 
 
-def _census_row(target: str, mb: float, op: str, calls: list, repeat: int) -> dict:
+def _throughput_row(target: str, mb: float, op: str, calls: list, repeat: int) -> dict:
     """Times the calls together, then takes the tracemalloc peak of each alone."""
     times = []
     for _ in range(repeat):
@@ -389,15 +426,15 @@ def bench_census(repeat: int) -> list[dict]:
         taken = _take_census(cfg)
         assert taken.current(cfg)
         return [
-            _census_row(target, mb, "census_by_function", in_memory, repeat),
-            _census_row(target, mb, "census_by_function(read_ir_lines)", streamed, repeat),
-            _census_row(target, mb, "_walk (lines split beforehand)", walked, repeat),
-            _census_row(f"gen._cxx_namespace IR, {len(cxx_paths)} modules", cxx_mb,
-                        "census_by_function(read_ir_lines)", cxx_streamed, repeat),
-            _census_row(f"direct-call C IR, {len(direct_paths)} modules", direct_mb,
-                        "census_by_function(read_ir_lines)", direct_streamed, repeat),
-            _census_row(target, mb, "_Census.current (list + CRC-32)", [lambda: taken.current(cfg)],
-                        repeat),
+            _throughput_row(target, mb, "census_by_function", in_memory, repeat),
+            _throughput_row(target, mb, "census_by_function(read_ir_lines)", streamed, repeat),
+            _throughput_row(target, mb, "_walk (lines split beforehand)", walked, repeat),
+            _throughput_row(f"gen._cxx_namespace IR, {len(cxx_paths)} modules", cxx_mb,
+                            "census_by_function(read_ir_lines)", cxx_streamed, repeat),
+            _throughput_row(f"direct-call C IR, {len(direct_paths)} modules", direct_mb,
+                            "census_by_function(read_ir_lines)", direct_streamed, repeat),
+            _throughput_row(target, mb, "_Census.current (list + CRC-32)",
+                            [lambda: taken.current(cfg)], repeat),
         ]
 
 
@@ -675,25 +712,30 @@ def _linker_log() -> tuple[str, int]:
 
 def bench_linker(repeat: int) -> list[dict]:
     log, planted = _linker_log()
-    found = [d for d in parse_diagnostics(log) if d.symbol and d.symbol.endswith("_api")]
-    if len(found) != planted:
-        raise RuntimeError(f"parse_diagnostics found {len(found)} of {planted} planted symbols")
     mb = len(log) / 1e6
-    times = []
-    for _ in range(repeat):
-        started = time.perf_counter()
-        parse_diagnostics(log)
-        times.append(time.perf_counter() - started)
-    summary = _summary(times)
-    return [
-        {
-            "target": f"synthetic GNU ld and lld log, {planted} failing references",
-            "mb": round(mb, 3),
-            "op": "parse_diagnostics",
-            **summary,
-            "mb_per_s": round(mb / summary["median_s"], 2),
+    target = f"synthetic GNU ld and lld log, {planted} failing references"
+    with tempfile.TemporaryDirectory(prefix="bench-linker-") as tmp:
+        (Path(tmp) / "build.log").write_text(log)
+        cfg = ProjectConfig(
+            project_root=Path(tmp),
+            build_cmd="cat build.log; exit 1",
+            test_cmd="true",
+            executables=("app",),
+            cfi_variants=("cfi-icall",),
+            report_dir=Path(tmp) / "reports",
+        )
+        ops = {
+            "parse_diagnostics": lambda: parse_diagnostics(log),
+            "run_build (a step printing the log, then failing)":
+                lambda: list(run_build(cfg, BuildMode.baseline()).diagnostics),
         }
-    ]
+        rows = []
+        for op, call in ops.items():
+            found = [d for d in call() if d.symbol and d.symbol.endswith("_api")]
+            if len(found) != planted:
+                raise RuntimeError(f"{op} found {len(found)} of {planted} planted symbols")
+            rows.append(_throughput_row(target, mb, op, [call], repeat))
+    return rows
 
 
 BUILD_WORKLOADS = ("suite_fanout", "cxx_static")
@@ -804,9 +846,9 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.layer}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:
-        keys = ("mb_per_s", "patches", "symbols", "files", "spawns_per_call", "cpu_ms_per_call",
-                "threads_per_call", "wait_statuses_per_call", "cpu_us_per_status", "cpus",
-                "child_cpu_s")
+        keys = ("mb_per_s", "peak_mb", "view_mb", "patches", "symbols", "files", "spawns_per_call",
+                "cpu_ms_per_call", "threads_per_call", "wait_statuses_per_call",
+                "cpu_us_per_status", "cpus", "child_cpu_s")
         extra = {k: r[k] for k in keys if k in r}
         median = f"{r['median_s']:.4f} s" if "median_s" in r else f"{r['median_ms']:.3f} ms"
         print(f"{r['target']}: {r['op']} median {median} {extra}")

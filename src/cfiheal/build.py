@@ -32,8 +32,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO, Iterable
 
 from .config import ProjectConfig
+from .ircensus import read_ir_lines
 
 LOG_CAP_BYTES = 64 * 1024 * 1024
 TRUNCATION_MARKER = "\n[build log truncated at 64 MiB]\n"
@@ -158,11 +160,16 @@ def parse_diagnostics(raw_log: str) -> list[Diagnostic]:
     No deduplication happens here; a caller wanting distinct symbols must
     collapse them itself. Order follows the log.
     """
+    return _parse_lines(raw_log.splitlines())
+
+
+def _parse_lines(lines: Iterable[str]) -> list[Diagnostic]:
+    """The diagnostics of a log given as its lines, which are read once, in order."""
     diagnostics: list[Diagnostic] = []
     pending_obj: str | None = None
     awaiting_ref: int | None = None
 
-    for raw_line in raw_log.splitlines():
+    for raw_line in lines:
         line = raw_line.rstrip()
         if not line:
             continue
@@ -270,8 +277,10 @@ class ProjectLock:
         os.close(self._fd)  # closing the descriptor releases the flock
 
 
-def _run_step(cmd: str, cwd: Path, env: dict[str, str], sink: list[bytes], used: int) -> tuple[int, int]:
-    """Run one shell step, appending capped output to sink; returns (rc, used)."""
+def _run_step(
+    cmd: str, cwd: Path, env: dict[str, str], log: BinaryIO, used: int
+) -> tuple[int, int]:
+    """Run one shell step, writing its capped output to log as it comes; returns (rc, used)."""
     proc = subprocess.Popen(
         cmd,
         shell=True,
@@ -282,19 +291,16 @@ def _run_step(cmd: str, cwd: Path, env: dict[str, str], sink: list[bytes], used:
     )
     assert proc.stdout is not None
     truncated = used > LOG_CAP_BYTES
-    while True:
-        chunk = proc.stdout.read(65536)
-        if not chunk:
-            break
+    while chunk := proc.stdout.read(65536):
         used += len(chunk)
         if not truncated:
             if used <= LOG_CAP_BYTES:
-                sink.append(chunk)
+                log.write(chunk)
             else:
                 keep = len(chunk) - (used - LOG_CAP_BYTES)
                 if keep > 0:
-                    sink.append(chunk[:keep])
-                sink.append(TRUNCATION_MARKER.encode())
+                    log.write(chunk[:keep])
+                log.write(TRUNCATION_MARKER.encode())
                 truncated = True
     proc.stdout.close()
     return proc.wait(), used
@@ -311,11 +317,13 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
     process may run on, as run_cases sizes the test batch: -k makes the set
     of failed links depend on the build graph rather than on timing, and
     -Otarget keeps each recipe's linker lines together. The interleaved
-    stdout+stderr log is preserved verbatim at
-    <report_dir>/build-<mode>-<iteration>.log, capped at 64 MiB with an
-    explicit truncation marker. Success additionally requires every
-    configured executable to exist under the project root. The caller holds
-    the ProjectLock.
+    stdout+stderr log is written verbatim to
+    <report_dir>/build-<mode>-<iteration>.log as the steps print it, capped
+    at 64 MiB with an explicit truncation marker; a failed build's
+    diagnostics are parsed from that file a line at a time, so the log is
+    never held in memory. Success additionally requires every configured
+    executable to exist under the project root. The caller holds the
+    ProjectLock.
     """
     if mode.kind is BuildKind.CFI:
         assert mode.ignorelist_path is not None
@@ -345,24 +353,21 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.report_dir / f"build-{mode.kind.value}-{iteration}.log"
 
-    sink: list[bytes] = []
     used = 0
     started = time.monotonic()
     rc = 0
-    for step in (cfg.clean_cmd, cfg.configure_cmd, build_cmd):
-        if not step:
-            continue
-        sink.append(f"$ {step}\n".encode())
-        used += len(sink[-1])
-        rc, used = _run_step(step, cfg.project_root, env, sink, used)
-        if rc != 0:
-            break
+    with log_path.open("wb") as log:
+        for step in (cfg.clean_cmd, cfg.configure_cmd, build_cmd):
+            if not step:
+                continue
+            header = f"$ {step}\n".encode()
+            log.write(header)
+            rc, used = _run_step(step, cfg.project_root, env, log, used + len(header))
+            if rc != 0:
+                break
     wall_time = time.monotonic() - started
 
-    log = b"".join(sink)
-    log_path.write_bytes(log)
-
-    diagnostics = parse_diagnostics(log.decode("utf-8", errors="replace")) if rc != 0 else []
+    diagnostics = _parse_lines(read_ir_lines(log_path)) if rc != 0 else []
     produced: list[Path] = []
     missing: list[str] = []
     if rc == 0:

@@ -7,6 +7,7 @@ address symbolization needs; file and line come from binutils addr2line
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,71 +58,88 @@ class LoadSegment:
 
 
 class ElfFile:
-    """Parsed view of one ELF binary; all data is read eagerly."""
+    """Parsed view of one ELF binary that holds only its headers.
+
+    The constructor reads the ELF header, the program and section headers and
+    .shstrtab. A symbol table and its strings, or a section's bytes, are read
+    from the file when asked for and not kept, so a view never holds the
+    whole binary.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        data = self.path.read_bytes()
-        if len(data) < 64 or data[:4] != b"\x7fELF":
-            raise ElfError(f"not an ELF file: {path}")
-        if data[4] != 2 or data[5] != 1:
-            raise ElfError(f"only 64-bit little-endian ELF is supported: {path}")
-        self._data = data
-        (
-            self.e_type,
-            _machine,
-            _version,
-            self.e_entry,
-            e_phoff,
-            e_shoff,
-            _flags,
-            _ehsize,
-            e_phentsize,
-            e_phnum,
-            e_shentsize,
-            e_shnum,
-            e_shstrndx,
-        ) = struct.unpack_from("<HHIQQQIHHHHHH", data, 16)
-        for table, offset, count, stride, size in (
-            ("program header", e_phoff, e_phnum, e_phentsize, 56),
-            ("section header", e_shoff, e_shnum, e_shentsize, 64),
-        ):
-            if count and offset + (count - 1) * stride + size > len(data):
-                raise ElfError(f"{table} table lies outside the file: {path}")
+        with self.path.open("rb") as fh:
+            fd = fh.fileno()
+            self._size = os.fstat(fd).st_size
+            head = os.pread(fd, 64, 0)
+            if len(head) < 64 or head[:4] != b"\x7fELF":
+                raise ElfError(f"not an ELF file: {path}")
+            if head[4] != 2 or head[5] != 1:
+                raise ElfError(f"only 64-bit little-endian ELF is supported: {path}")
+            (
+                self.e_type,
+                _machine,
+                _version,
+                self.e_entry,
+                e_phoff,
+                e_shoff,
+                _flags,
+                _ehsize,
+                e_phentsize,
+                e_phnum,
+                e_shentsize,
+                e_shnum,
+                e_shstrndx,
+            ) = struct.unpack_from("<HHIQQQIHHHHHH", head, 16)
+            tables = []
+            for table, offset, count, stride, size in (
+                ("program header", e_phoff, e_phnum, e_phentsize, 56),
+                ("section header", e_shoff, e_shnum, e_shentsize, 64),
+            ):
+                length = (count - 1) * stride + size if count else 0
+                if count and offset + length > self._size:
+                    raise ElfError(f"{table} table lies outside the file: {path}")
+                tables.append(self._read(fd, offset, length))
+            program_headers, section_headers = tables
 
-        self.load_segments: list[LoadSegment] = []
-        for i in range(e_phnum):
-            off = e_phoff + i * e_phentsize
-            p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = (
-                struct.unpack_from("<IIQQQQQQ", data, off)
-            )
-            if p_type == PT_LOAD:
-                self.load_segments.append(
-                    LoadSegment(p_offset, p_vaddr, p_filesz, p_memsz, p_flags)
+            self.load_segments: list[LoadSegment] = []
+            for i in range(e_phnum):
+                p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = (
+                    struct.unpack_from("<IIQQQQQQ", program_headers, i * e_phentsize)
                 )
+                if p_type == PT_LOAD:
+                    self.load_segments.append(
+                        LoadSegment(p_offset, p_vaddr, p_filesz, p_memsz, p_flags)
+                    )
 
-        self._sections: dict[str, tuple[int, int, int, int, int]] = {}
-        headers = []
-        for i in range(e_shnum):
-            off = e_shoff + i * e_shentsize
-            sh_name, sh_type, _flags2, sh_addr, sh_offset, sh_size, sh_link, _info, _align2, _entsz = (
-                struct.unpack_from("<IIQQQQIIQQ", data, off)
-            )
-            headers.append((sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link))
-        if headers and e_shstrndx < len(headers):
-            _, _, _, str_off, str_size, _ = headers[e_shstrndx]
-            shstr = data[str_off : str_off + str_size]
-            for sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link in headers:
-                name = _cstr(shstr, sh_name)
-                self._sections[name] = (sh_type, sh_addr, sh_offset, sh_size, sh_link)
+            self._sections: dict[str, tuple[int, int, int, int, int]] = {}
+            headers = []
+            for i in range(e_shnum):
+                sh_name, sh_type, _flags2, sh_addr, sh_offset, sh_size, sh_link, _info, _align2, _entsz = (
+                    struct.unpack_from("<IIQQQQIIQQ", section_headers, i * e_shentsize)
+                )
+                headers.append((sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link))
+            if headers and e_shstrndx < len(headers):
+                _, _, _, str_off, str_size, _ = headers[e_shstrndx]
+                shstr = self._read(fd, str_off, str_size)
+                for sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link in headers:
+                    name = _cstr(shstr, sh_name)
+                    self._sections[name] = (sh_type, sh_addr, sh_offset, sh_size, sh_link)
         self._headers = headers
 
+    def _read(self, fd: int, offset: int, size: int) -> bytes:
+        """The file's bytes [offset, offset + size), cut where the file ends."""
+        size = min(size, self._size - offset)
+        return os.pread(fd, size, offset) if size > 0 else b""
+
     def section(self, name: str) -> bytes | None:
+        """The section's bytes, read from the file now; None if there is no such section."""
         entry = self._sections.get(name)
         if entry is None:
             return None
         _, _, offset, size, _ = entry
-        return self._data[offset : offset + size]
+        with self.path.open("rb") as fh:
+            return self._read(fh.fileno(), offset, size)
 
     def has_section(self, name: str) -> bool:
         return name in self._sections
@@ -133,18 +151,18 @@ class ElfFile:
         _, _, offset, size, link = entry
         if link >= len(self._headers):
             return []
-        if offset + size > len(self._data):
+        if offset + size > self._size:
             raise ElfError(f"{sect} lies outside the file: {self.path}")
         _, _, _, str_off, str_size, _ = self._headers[link]
-        strtab = self._data[str_off : str_off + str_size]
-        out: list[ElfSymbol] = []
-        for pos in range(offset, offset + size - 23, 24):
-            st_name, st_info, st_other, st_shndx, st_value, st_size = struct.unpack_from(
-                "<IBBHQQ", self._data, pos
+        with self.path.open("rb") as fh:
+            table = self._read(fh.fileno(), offset, size - size % 24)
+            strtab = self._read(fh.fileno(), str_off, str_size)
+        return [
+            ElfSymbol(_cstr(strtab, st_name), st_value, st_size, st_info, st_other, st_shndx)
+            for st_name, st_info, st_other, st_shndx, st_value, st_size in struct.iter_unpack(
+                "<IBBHQQ", table
             )
-            name = _cstr(strtab, st_name)
-            out.append(ElfSymbol(name, st_value, st_size, st_info, st_other, st_shndx))
-        return out
+        ]
 
     def symbols(self) -> list[ElfSymbol]:
         """Symbols from .symtab and .dynsym, deduplicated by (name, value)."""

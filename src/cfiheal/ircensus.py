@@ -326,20 +326,21 @@ def read_ir_lines(source: Path | BinaryIO, block_size: int = 1 << 16) -> Iterato
     """The lines of a file's text as str.splitlines gives them, read a block at a time.
 
     `source` is the file's path or a binary reader open on it, which is
-    closed once read. Undecodable bytes are replaced, as
-    ``Path.read_text(errors="replace")`` replaces them. A block is cut after
-    its last "\n", which always ends a line; the rest is carried into the
-    next block.
+    closed once read. The text is UTF-8 with undecodable bytes replaced, as
+    ``bytes.decode("utf-8", errors="replace")`` gives it. A block is cut
+    after its last "\n", which always ends a line; the rest is carried into
+    the next block, and a line longer than a block is joined once it ends.
     """
     binary = open(source, "rb") if isinstance(source, (str, os.PathLike)) else source
-    with io.TextIOWrapper(binary, errors="replace", newline="") as handle:
-        carry = ""
+    with io.TextIOWrapper(binary, encoding="utf-8", errors="replace", newline="") as handle:
+        carry: list[str] = []
         while block := handle.read(block_size):
-            text = carry + block
-            cut = text.rfind("\n") + 1
-            yield from text[:cut].splitlines()
-            carry = text[cut:]
-        yield from carry.splitlines()
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield from ("".join(carry) + block[:cut]).splitlines()
+                carry.clear()
+            carry.append(block[cut:])
+        yield from "".join(carry).splitlines()
 
 
 def _walk(

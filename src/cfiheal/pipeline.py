@@ -317,7 +317,7 @@ def _run_census(cfg: ProjectConfig, ahead: _Census | None = None) -> _Census:
     census = ahead if ahead is not None and ahead.current(cfg) else _take_census(cfg)
     sidecar = cfg.report_dir / "ir-census-diagnostics.txt"
     if census.diagnostics:
-        sidecar.write_text("".join(census.diagnostics))
+        replace_file(sidecar, "".join(census.diagnostics))
     else:
         sidecar.unlink(missing_ok=True)
     return census
@@ -496,7 +496,7 @@ def _cfi_build(
     instrumented build was made with.
     """
     path = cfg.report_dir / IGNORELIST_NAME
-    path.write_text(ignorelist)
+    replace_file(path, ignorelist)
     mode = BuildMode.cfi(cfg.cfi_variants, path)
     build, _ = repair_until_buildable(cfg, mode, ledger, planned=planned)
     if not build.succeeded:

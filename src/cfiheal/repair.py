@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import re
-import secrets
 import shutil
 import stat
 from collections.abc import Iterable
@@ -256,7 +255,7 @@ def _without_attribute(text: str, name: str) -> str | None:
 
 def replace_file(path: Path, text: str) -> None:
     """Replace path by a file of text, with path's mode, written beside it under a new name."""
-    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}")
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
     stream = temporary.open("x")  # never an existing file, which the except would remove
     try:
         with stream:
@@ -310,7 +309,7 @@ def revert_patches(cfg: ProjectConfig) -> int:
             if text != original:
                 replace_file(file, text)
         if left:
-            path.write_text("".join(raw + "\n" for _, raw in sorted(left)))
+            replace_file(path, "".join(raw + "\n" for _, raw in sorted(left)))
         else:
             path.unlink()
     return removed

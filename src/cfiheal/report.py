@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .ignorelist import EntryKind, IgnorelistEntry
+from .repair import replace_file
 
 SCHEMA_VERSION = "1"
 
@@ -273,6 +274,6 @@ def emit_report(report: dict, report_dir: Path) -> list[Path]:
     """Write report.json and report.html; returns the paths written."""
     report_dir.mkdir(parents=True, exist_ok=True)
     json_path, html_path = report_dir / "report.json", report_dir / "report.html"
-    json_path.write_text(render_json(report))
-    html_path.write_text(render_html(report))
+    replace_file(json_path, render_json(report))
+    replace_file(html_path, render_html(report))
     return [json_path, html_path]

@@ -5,15 +5,19 @@ The parser fixtures below are verbatim captures from ld.lld 14 and GNU ld
 as captured.
 """
 
+import io
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfiheal import harness
+from cfiheal import build, harness
 from cfiheal.build import (
     LOG_CAP_BYTES,
     TRUNCATION_MARKER,
@@ -26,6 +30,7 @@ from cfiheal.build import (
     parse_diagnostics,
     run_build,
 )
+from cfiheal.ircensus import read_ir_lines
 from cfiheal.tracing import OutcomeKind, TraceOutcome
 
 from conftest import copy_fixture, make_config, needs_toolchain
@@ -316,6 +321,89 @@ def test_run_build_caps_log(tmp_path):
     size = outcome.log_path.stat().st_size
     assert size <= LOG_CAP_BYTES + len(TRUNCATION_MARKER) + 2
     assert TRUNCATION_MARKER.strip().encode() in outcome.log_path.read_bytes()[-4096:]
+
+
+def test_a_log_past_the_cap_is_cut_with_its_marker(tmp_path):
+    # The same cap as test_run_build_caps_log, with no compiler.
+    root = tmp_path / "project"
+    root.mkdir()
+    spam = "head -c 70000000 /dev/zero | tr '\\0' x"
+    cfg = make_config(root, tmp_path / "out", clean_cmd="", build_cmd=f"{spam}; touch app")
+    outcome = run_build(cfg, BuildMode.baseline())
+    assert outcome.succeeded
+    head = f"$ {cfg.build_cmd}\n".encode()
+    assert outcome.log_path.stat().st_size == LOG_CAP_BYTES + len(TRUNCATION_MARKER)
+    with outcome.log_path.open("rb") as log:
+        assert log.read(len(head) + 3) == head + b"xxx"
+        log.seek(-len(TRUNCATION_MARKER) - 3, os.SEEK_END)
+        assert log.read() == b"xxx" + TRUNCATION_MARKER.encode()
+
+
+# 18.8 MB of compile lines, then a GNU ld report, a line that is no UTF-8 and
+# ends in "\r\n", and a failed link.
+_LOUD_FAILING_LINK = r"""yes "cc -O2 -g -fvisibility=hidden -fno-omit-frame-pointer -Wall -Wextra \
+-Iinclude -Ithird_party/include -DNDEBUG -D_FORTIFY_SOURCE=2 -c src/unit.c -o obj/unit.o" |
+    head -n 120000
+printf '%s\n' "/usr/bin/ld: obj/main.o: in function \`main':" \
+    "src/main.c:(.text+0x15): undefined reference to \`missing_api'"
+printf 'ld: \377 error: bad \342\202 byte\r\n'
+exit 1
+"""
+
+
+def test_a_failed_build_streams_its_log_and_parses_it_from_the_file(tmp_path):
+    root = tmp_path / "project"
+    root.mkdir()
+    (root / "build.sh").write_text(_LOUD_FAILING_LINK)
+    cfg = make_config(root, tmp_path / "out", clean_cmd="true", build_cmd="sh build.sh")
+    # The log as the whole-log build wrote it: each step's command line, then its output.
+    expected = b"".join(
+        f"$ {step}\n".encode()
+        + subprocess.run(step, shell=True, cwd=root, stdout=subprocess.PIPE,
+                         stderr=subprocess.STDOUT).stdout
+        for step in (cfg.clean_cmd, cfg.build_cmd)
+    )
+    assert len(expected) >= 16_000_000
+    tracemalloc.start()
+    try:
+        outcome = run_build(cfg, BuildMode.baseline())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not outcome.succeeded
+    assert outcome.log_path.read_bytes() == expected
+    text = expected.decode("utf-8", errors="replace")
+    assert list(outcome.diagnostics) == parse_diagnostics(text)
+    assert [(d.kind, d.symbol, d.source_object) for d in outcome.diagnostics] == [
+        (DiagnosticKind.UNDEFINED_REFERENCE, "missing_api", "src/main.c"),
+        (DiagnosticKind.OTHER, None, None),
+    ]
+    assert peak < 4_000_000
+
+
+_LOG_PIECES = st.sampled_from([
+    b"/usr/bin/ld: obj/a.o: in function `main':\n",
+    b"src/a.c:(.text+0x15): undefined reference to `api'\n",
+    b"/usr/bin/ld: bin/b: hidden symbol `api' in obj/b.o is referenced by DSO\n",
+    b"ld.lld: error: undefined symbol: api\n",
+    b">>> referenced by b.c\n",
+    b">>>               obj/b.o:(main)\n",
+    b"error: ", b"\r\n", b"\r", b"\n", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8",
+    b"\xff", b"\xe2\x82", b"\xe2\x82\xac", b"\xf0\x9f\x98",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(_LOG_PIECES | st.binary(max_size=6), max_size=30),
+    block_size=st.integers(1, 12),
+)
+def test_a_log_read_a_block_at_a_time_parses_as_its_whole_text(pieces, block_size):
+    data = b"".join(pieces)
+    text = data.decode("utf-8", errors="replace")
+    assert list(read_ir_lines(io.BytesIO(data), block_size)) == text.splitlines()
+    streamed = build._parse_lines(read_ir_lines(io.BytesIO(data), block_size))
+    assert streamed == parse_diagnostics(text)
 
 
 # ------------------------------------------------- make's jobserver, no clang

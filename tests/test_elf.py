@@ -1,13 +1,16 @@
 """ELF reader and file/line lookup against binutils oracles."""
 
+import hashlib
 import re
+import shutil
 import struct
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cfiheal.elf import ET_DYN, ET_EXEC, ElfError, ElfFile
+from cfiheal.elf import ET_DYN, ET_EXEC, ElfError, ElfFile, ElfSymbol, LoadSegment, _cstr
 from cfiheal.symbols import ResolutionError, Symbolizer
 
 from conftest import HAVE_CLANG, needs_toolchain
@@ -252,3 +255,199 @@ def test_gcc_line_lookup_between_functions(gcc_binaries):
 
 def test_gcc_no_line_when_stripped(gcc_binaries):
     _check_no_line_when_stripped(gcc_binaries["stripped"])
+
+
+# The header-only reader against the whole-file reader it replaced.
+
+
+class WholeFileElf:
+    """The ELF reader that read its whole file first, kept as the reference."""
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        data = self.path.read_bytes()
+        if len(data) < 64 or data[:4] != b"\x7fELF":
+            raise ElfError(f"not an ELF file: {path}")
+        if data[4] != 2 or data[5] != 1:
+            raise ElfError(f"only 64-bit little-endian ELF is supported: {path}")
+        self._data = data
+        (self.e_type, _, _, self.e_entry, e_phoff, e_shoff, _, _, e_phentsize, e_phnum,
+         e_shentsize, e_shnum, e_shstrndx) = struct.unpack_from("<HHIQQQIHHHHHH", data, 16)
+        for table, offset, count, stride, size in (
+            ("program header", e_phoff, e_phnum, e_phentsize, 56),
+            ("section header", e_shoff, e_shnum, e_shentsize, 64),
+        ):
+            if count and offset + (count - 1) * stride + size > len(data):
+                raise ElfError(f"{table} table lies outside the file: {path}")
+        self.load_segments = []
+        for i in range(e_phnum):
+            p_type, p_flags, p_offset, p_vaddr, _, p_filesz, p_memsz, _ = struct.unpack_from(
+                "<IIQQQQQQ", data, e_phoff + i * e_phentsize
+            )
+            if p_type == 1:
+                self.load_segments.append(
+                    LoadSegment(p_offset, p_vaddr, p_filesz, p_memsz, p_flags)
+                )
+        self._sections = {}
+        headers = []
+        for i in range(e_shnum):
+            sh_name, sh_type, _, sh_addr, sh_offset, sh_size, sh_link, _, _, _ = struct.unpack_from(
+                "<IIQQQQIIQQ", data, e_shoff + i * e_shentsize
+            )
+            headers.append((sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link))
+        if headers and e_shstrndx < len(headers):
+            _, _, _, str_off, str_size, _ = headers[e_shstrndx]
+            shstr = data[str_off : str_off + str_size]
+            for sh_name, sh_type, sh_addr, sh_offset, sh_size, sh_link in headers:
+                name = _cstr(shstr, sh_name)
+                self._sections[name] = (sh_type, sh_addr, sh_offset, sh_size, sh_link)
+        self._headers = headers
+
+    def section(self, name):
+        entry = self._sections.get(name)
+        return None if entry is None else self._data[entry[2] : entry[2] + entry[3]]
+
+    def has_section(self, name):
+        return name in self._sections
+
+    def _read_symbol_table(self, sect):
+        entry = self._sections.get(sect)
+        if entry is None:
+            return []
+        _, _, offset, size, link = entry
+        if link >= len(self._headers):
+            return []
+        if offset + size > len(self._data):
+            raise ElfError(f"{sect} lies outside the file: {self.path}")
+        _, _, _, str_off, str_size, _ = self._headers[link]
+        strtab = self._data[str_off : str_off + str_size]
+        out = []
+        for pos in range(offset, offset + size - 23, 24):
+            st_name, st_info, st_other, st_shndx, st_value, st_size = struct.unpack_from(
+                "<IBBHQQ", self._data, pos
+            )
+            out.append(ElfSymbol(_cstr(strtab, st_name), st_value, st_size, st_info, st_other,
+                                 st_shndx))
+        return out
+
+    def symbols(self):
+        out, seen = [], set()
+        for sect in (".symtab", ".dynsym"):
+            for sym in self._read_symbol_table(sect):
+                if (sym.name, sym.value) not in seen:
+                    seen.add((sym.name, sym.value))
+                    out.append(sym)
+        return out
+
+    def dynamic_symbols(self):
+        return self._read_symbol_table(".dynsym")
+
+
+def _answers(reader, path: Path, names) -> object:
+    """What a reader answers about path, an ElfError's message standing for each answer it stops.
+
+    Section bytes are compared by digest, so that no answer holds a copy of a large section.
+    """
+
+    def ask(question):
+        try:
+            return question()
+        except ElfError as exc:
+            return f"ElfError: {exc}"
+
+    elf = ask(lambda: reader(path))
+    if isinstance(elf, str):
+        return elf
+    digest = lambda b: None if b is None else hashlib.sha256(b).hexdigest()  # noqa: E731
+    return {
+        "e_type": elf.e_type,
+        "e_entry": elf.e_entry,
+        "load_segments": elf.load_segments,
+        "symbols": ask(elf.symbols),
+        "dynamic_symbols": ask(elf.dynamic_symbols),
+        "sections": {n: (elf.has_section(n), digest(elf.section(n))) for n in names},
+    }
+
+
+def _section_names(path: Path) -> list[str]:
+    try:
+        return sorted(WholeFileElf(path)._sections) + [".made_up_section"]
+    except ElfError:
+        return []
+
+
+PADDING_MB = 16
+
+
+@pytest.fixture(scope="module")
+def padded_binary(gcc_binaries, tmp_path_factory) -> Path:
+    """The gcc -g sample with a PADDING_MB MB non-alloc section added by objcopy."""
+    if shutil.which("objcopy") is None:
+        pytest.skip("requires objcopy")
+    tmp = tmp_path_factory.mktemp("padded")
+    padding = tmp / "padding.bin"
+    padding.write_bytes(bytes(PADDING_MB << 20))
+    out = tmp / "sample-gcc-padded"
+    subprocess.run(
+        ["objcopy", f"--add-section=.padding={padding}", str(gcc_binaries["c"]), str(out)],
+        check=True, capture_output=True,
+    )
+    padding.unlink()
+    return out
+
+
+def test_a_padded_binary_reads_as_the_whole_file_reader_read_it(padded_binary):
+    names = _section_names(padded_binary)
+    assert ".padding" in names and ".symtab" in names and ".debug_line" in names
+    got = _answers(ElfFile, padded_binary, names)
+    assert got == _answers(WholeFileElf, padded_binary, names)
+    assert any(s.name == "main" for s in got["symbols"])
+
+
+def test_a_view_of_a_padded_binary_holds_only_its_tables(padded_binary):
+    symbolizer = Symbolizer()
+    tracemalloc.start()
+    try:
+        spans = symbolizer.function_boundaries(padded_binary)
+        del spans
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    assert peak < 2_000_000
+    assert "main" in {s.name for s in symbolizer.function_boundaries(padded_binary)}
+
+
+def _with_section(whole: bytes, index: int, offset: int, size: int) -> bytes:
+    """The image with section header `index` moved to (offset, size)."""
+    e_shoff = struct.unpack_from("<Q", whole, 40)[0]
+    image = bytearray(whole)
+    struct.pack_into("<QQ", image, e_shoff + index * 64 + 24, offset, size)
+    return bytes(image)
+
+
+def test_a_cut_or_corrupt_binary_reads_as_the_whole_file_reader_read_it(gcc_binaries, tmp_path):
+    whole = gcc_binaries["c"].read_bytes()
+    e_phoff, e_shoff = struct.unpack_from("<QQ", whole, 32)
+    reference = WholeFileElf(gcc_binaries["c"])
+    names = _section_names(gcc_binaries["c"])
+    spans = [header[3:5] for header in reference._headers]  # (offset, size) of each section
+    index = {name: spans.index(reference._sections[name][2:4])
+             for name in (".symtab", ".strtab", ".debug_line", ".shstrtab")}
+    symtab = reference._sections[".symtab"]
+    images = {
+        f"cut at {cut}": whole[:cut]
+        for cut in (0, 4, 63, 64, e_phoff + 60, symtab[2] + 30, e_shoff + 100, len(whole) - 1)
+    }
+    images[".symtab past the end"] = _with_section(whole, index[".symtab"], symtab[2], len(whole))
+    images[".strtab past the end"] = _with_section(whole, index[".strtab"], len(whole) - 8, 4096)
+    images[".debug_line past the end"] = _with_section(whole, index[".debug_line"], 1 << 40, 64)
+    images[".shstrtab past the end"] = _with_section(whole, index[".shstrtab"], 1 << 62, 1 << 62)
+    errors = 0
+    for label, image in images.items():
+        path = tmp_path / "image"
+        path.write_bytes(image)
+        got = _answers(ElfFile, path, names)
+        assert got == _answers(WholeFileElf, path, names), label
+        errors += isinstance(got, str) or isinstance(got["symbols"], str)
+    assert errors == 9  # every cut, and the symbol table past the end

@@ -45,6 +45,7 @@ from conftest import (
     reaped,
     refuse_seize,
 )
+from test_repair import cut_before_rename
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -1292,6 +1293,34 @@ def test_the_traced_benchmark_installs_its_hooks():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_an_ignorelist_write_cut_before_its_rename_leaves_the_previous_list(tmp_path, monkeypatch):
+    root = tmp_path / "project"
+    root.mkdir()
+    cfg = make_config(root, tmp_path / "out")
+    cfg.report_dir.mkdir()
+    path = cfg.report_dir / pipeline.IGNORELIST_NAME
+    previous = "[cfi-icall]\nfun:kept\n"
+    path.write_text(previous)
+    left = cut_before_rename(monkeypatch)
+    with pytest.raises(OSError, match="killed before the rename"):
+        pipeline._cfi_build(cfg, "[cfi-icall]\nfun:kept\nfun:added\n", RepairLedger())
+    assert left and path.read_text() == previous
+    assert [p.name for p in cfg.report_dir.iterdir()] == [pipeline.IGNORELIST_NAME]
+
+
+def test_importing_cfiheal_loads_no_openssl():
+    # OpenSSL's bindings alone add about 4 MB to every heal's peak RSS; no
+    # heal needs them. A fresh interpreter sees only what the import loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfiheal; print(sorted({'_hashlib', '_ssl'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_benchmark_self_check_imports():

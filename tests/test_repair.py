@@ -284,14 +284,18 @@ def test_revert_writes_each_file_at_most_once(tmp_path, monkeypatch):
     assert {p.name: p.read_text() for p in cfg.project_root.glob("*.c")} == pristine
 
 
-def _cut_before_rename(monkeypatch) -> list[str]:
-    """Make every os.replace fail once its temporary file exists, as a kill there would.
+def cut_before_rename(monkeypatch, only: Path | None = None) -> list[str]:
+    """Make every os.replace, or the one onto `only`, fail once its temporary
+    file exists, as a kill there would.
 
     Returns the temporary files the failed renames left.
     """
     left: list[str] = []
+    real_replace = os.replace
 
     def cut(src, dst):
+        if only is not None and Path(dst) != only:
+            return real_replace(src, dst)
         assert Path(src).is_file() and Path(src).parent == Path(dst).parent
         left.append(Path(src).name)
         raise OSError("killed before the rename")
@@ -311,7 +315,7 @@ def test_a_write_cut_before_its_rename_leaves_every_source_whole(tmp_path, monke
     else:
         cfg, _ = _patched_tree(tmp_path)
     before = {p.name: p.read_bytes() for p in cfg.project_root.glob("*.c")}
-    left = _cut_before_rename(monkeypatch)
+    left = cut_before_rename(monkeypatch)
     with pytest.raises(OSError, match="killed before the rename"):
         if step == "patch":
             repair._patch_pass(cfg, repair.RepairLedger(), ["one", "two", "three"], 1, [])
@@ -319,6 +323,19 @@ def test_a_write_cut_before_its_rename_leaves_every_source_whole(tmp_path, monke
             revert_patches(cfg)
     assert left
     assert {p.name: p.read_bytes() for p in cfg.project_root.iterdir()} == before
+
+
+def test_a_journal_rewrite_cut_before_its_rename_keeps_every_row(tmp_path, monkeypatch):
+    cfg, _ = _patched_tree(tmp_path)
+    a_c = cfg.project_root / "a.c"
+    a_c.write_text(a_c.read_text().replace("two(", "renamed_two("))  # its row stays
+    journal = cfg.report_dir / JOURNAL_NAME
+    rows = journal.read_text()
+    left = cut_before_rename(monkeypatch, journal)
+    with pytest.raises(OSError, match="killed before the rename"):
+        revert_patches(cfg)
+    assert left and journal.read_text() == rows
+    assert sorted(p.name for p in cfg.report_dir.iterdir()) == [".cfiheal.lock", JOURNAL_NAME]
 
 
 def test_a_patched_source_keeps_its_mode(tmp_path):
