@@ -160,6 +160,22 @@ def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, Trap
             yield result.test_id, trap, _symbolize_trap(run.symbolizer, trap)
 
 
+def _one_path_per_file(paths: Iterable[Path]) -> list[Path]:
+    """The paths in order, less each later alias (symlink or hard link) of a file listed.
+
+    A path whose stat fails stays, for the census to report it unreadable.
+    """
+    kept: dict[object, Path] = {}
+    for path in paths:
+        try:
+            st = path.stat()
+            key: object = (st.st_dev, st.st_ino)
+        except OSError:
+            key = path
+        kept.setdefault(key, path)
+    return list(kept.values())
+
+
 def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
     report_root = cfg.report_dir.resolve()
     files = []
@@ -170,7 +186,7 @@ def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
     extra = cfg.report_dir / "ir"
     if extra.is_dir():
         files.extend(sorted(extra.rglob("*.ll")))
-    return files
+    return _one_path_per_file(files)
 
 
 class _Crc32Reader(io.RawIOBase):
@@ -764,6 +780,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if not files:
             print("error: no .ll files found", file=sys.stderr)
             return 2
+        files = _one_path_per_file(files)
         total = IrSiteCensus.sum_of(census(read_ir_lines(path)) for path in files)
         for key, value in total.as_dict().items():
             print(f"{key}\t{value}")

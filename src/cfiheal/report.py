@@ -14,6 +14,8 @@ absorbs the rounding residual so each displayed triple sums to exactly
 report.json is the canonical artifact (schema_version marks the layout);
 report.html is a pure projection of the same dictionary, so the two never
 disagree, and rendering the same dictionary twice yields identical bytes.
+The projection names no field: every key at every depth shows, in the
+order render_json sorts them, and every scalar as its str().
 """
 
 from __future__ import annotations
@@ -148,125 +150,35 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    head = "".join(f"<th>{html.escape(str(h))}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{html.escape(str(c))}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
+def _project(value: object) -> str:
+    """HTML of one report value: a mapping is a table of its sorted keys, a list an ordered list."""
+    if isinstance(value, Mapping):
+        rows = "".join(
+            f"<tr><th>{html.escape(str(key))}</th><td>{_project(value[key])}</td></tr>"
+            for key in sorted(value)
+        )
+        return f"<table>{rows}</table>" if value else "<p>empty</p>"
+    if isinstance(value, (list, tuple)):
+        items = "".join(f"<li>{_project(item)}</li>" for item in value)
+        return f"<ol>{items}</ol>" if value else "<p>none</p>"
+    return html.escape(str(value))
 
 
 def render_html(report: dict) -> str:
-    """Deterministic HTML projection of the report dictionary."""
-    cov = report.get("coverage", {})
-    census = report.get("census", {})
-    violations = report.get("violations", {})
-    tests = report.get("tests", {})
-    repair = report.get("repair", {})
-
-    def triple_rows(key: str) -> list[list[object]]:
-        t = cov.get(key, {})
-        counts = t.get("counts", {})
-        return [
-            ["Protected", f"{t.get('protected', 0):.2f}%", counts.get("protected", 0)],
-            [
-                "DefaultVisibility",
-                f"{t.get('default_visibility', 0):.2f}%",
-                counts.get("default_visibility", 0),
-            ],
-            ["Ignored", f"{t.get('ignored', 0):.2f}%", counts.get("ignored", 0)],
-        ]
-
-    sections = [
-        "<h1>CFI enforcement report</h1>",
-        f"<p>Schema {html.escape(str(report.get('schema_version', '?')))}"
-        f" &middot; duration {html.escape(str(report.get('duration', '00:00:00')))}</p>",
-        "<h2>Coverage (per function)</h2>",
-        _table(["Status", "Share", "Functions"], triple_rows("per_function")),
-        "<h2>Coverage (per call site)</h2>",
-        _table(["Status", "Share", "Call sites"], triple_rows("per_call_site")),
-        "<h2>Indirect-transfer census</h2>",
-        _table(
-            ["Category", "Sites"],
-            [[k, census[k]] for k in sorted(census)],
-        ),
-        "<h2>Test outcomes</h2>",
-        _table(["Class", "Tests"], [[k, tests[k]] for k in sorted(tests)]),
-        "<h2>Violations</h2>",
-        _table(
-            ["Total", "Fixed", "Unresolvable"],
-            [
-                [
-                    violations.get("total", 0),
-                    violations.get("fixed", 0),
-                    violations.get("unresolvable", 0),
-                ]
-            ],
-        ),
-    ]
-    by_file = violations.get("by_file", [])
-    if by_file:
-        sections.append("<h3>By source file</h3>")
-        sections.append(
-            _table(
-                ["File", "Violations", "Triggering tests"],
-                [
-                    [row["file"], row["count"], ", ".join(row["tests"])]
-                    for row in by_file
-                ],
-            )
-        )
-    details = violations.get("details", [])
-    if details:
-        sections.append("<h3>Details</h3>")
-        sections.append(
-            _table(
-                ["Id", "Function", "File", "Status", "Level", "Tests"],
-                [
-                    [
-                        d["id"],
-                        d.get("function", "?"),
-                        d.get("file") or "<unknown>",
-                        d["status"],
-                        d.get("level", ""),
-                        ", ".join(d.get("tests", [])),
-                    ]
-                    for d in details
-                ],
-            )
-        )
-    entries = report.get("ignorelist", [])
-    sections.append("<h2>Final ignorelist</h2>")
-    if entries:
-        sections.append(
-            "<pre>" + html.escape("\n".join(entries)) + "</pre>"
-        )
-    else:
-        sections.append("<p>empty</p>")
-    patches = repair.get("patches", [])
-    sections.append("<h2>Visibility patches</h2>")
-    if patches:
-        sections.append(
-            _table(
-                ["Iteration", "Symbol", "File", "Line"],
-                [[p["iteration"], p["symbol"], p["file"], p["line"]] for p in patches],
-            )
-        )
-    else:
-        sections.append("<p>none</p>")
-
+    """Deterministic HTML projection of the report dictionary: one section per key, sorted."""
+    sections = "".join(
+        f"<h2>{html.escape(str(key))}</h2>{_project(report[key])}" for key in sorted(report)
+    )
     style = (
         "body{font-family:sans-serif;margin:2em;max-width:70em}"
         "table{border-collapse:collapse;margin:1em 0}"
-        "td,th{border:1px solid #999;padding:0.3em 0.7em;text-align:left}"
-        "th{background:#eee}pre{background:#f6f6f6;padding:1em}"
+        "td,th{border:1px solid #999;padding:0.3em 0.7em;text-align:left;vertical-align:top}"
+        "th{background:#eee}"
     )
     return (
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
         f"<title>CFI enforcement report</title><style>{style}</style></head><body>"
-        + "".join(sections)
-        + "</body></html>\n"
+        f"<h1>CFI enforcement report</h1>{sections}</body></html>\n"
     )
 
 

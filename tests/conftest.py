@@ -7,6 +7,7 @@ their own copy via copy_fixture.
 from __future__ import annotations
 
 import errno
+import html
 import os
 import platform
 import re
@@ -150,6 +151,31 @@ def opened_as(path: Path, mode: str) -> tuple[str, str]:
     if temporary and mode[0] == "x":
         return temporary[1], "w"
     return path.name, mode[0]
+
+
+def unshown_fields(report: dict, page: str) -> list[str]:
+    """What of a report its page leaves out: every key at every depth and every scalar leaf.
+
+    A top-level key must head its section as an <h2> and a deeper one its row
+    as a <th>; a leaf must stand escaped as the whole content of an element.
+    """
+    missing: list[str] = []
+
+    def walk(value, depth: int) -> None:
+        if isinstance(value, dict):
+            tag = "h2" if depth == 0 else "th"
+            for key, item in value.items():
+                if f"<{tag}>{html.escape(key)}</{tag}>" not in page:
+                    missing.append(key)
+                walk(item, depth + 1)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item, depth + 1)
+        elif f">{html.escape(str(value))}<" not in page:
+            missing.append(str(value))
+
+    walk(report, 0)
+    return missing
 
 
 def refuse_seize(monkeypatch, exited_first: bool = False) -> list[int]:

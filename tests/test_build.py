@@ -231,6 +231,8 @@ def test_lock_blocks_other_process(tmp_path):
         ],
         stdout=subprocess.PIPE,
         text=True,
+        # The child imports cfiheal from this checkout however pytest was started.
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     try:
         assert holder.stdout.readline().strip() == "held"

@@ -44,6 +44,7 @@ from conftest import (
     needs_toolchain,
     reaped,
     refuse_seize,
+    unshown_fields,
 )
 from test_repair import cut_before_rename
 
@@ -88,6 +89,36 @@ def test_census_diagnostics_sidecar_names_an_unreadable_path(tmp_path):
     sidecar = (reports / "ir-census-diagnostics.txt").read_text()
     assert sidecar.startswith("x.ll: unreadable: [Errno 21] Is a directory")
     assert sidecar.count("\n") == 1
+
+
+def test_a_link_to_nothing_stays_listed_and_is_named_unreadable(tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "x.ll").symlink_to(root / "absent.ll")
+    (root / "clean.ll").write_text(CENSUS_IR)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    assert _run_census(make_config(root, reports)).total.fp_calls == 1
+    sidecar = (reports / "ir-census-diagnostics.txt").read_text()
+    assert sidecar.startswith("x.ll: unreadable: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("link", [Path.symlink_to, Path.hardlink_to])
+def test_an_alias_of_an_ir_file_is_censused_once(tmp_path, capsys, link):
+    root = tmp_path / "proj"
+    (root / "sub").mkdir(parents=True)
+    (root / "a.ll").write_text(CENSUS_IR)
+    cfg = make_config(root, tmp_path / "reports")
+    alone = _run_census(cfg)
+    assert cli_main(["census", str(root)]) == 0
+    listed = capsys.readouterr().out
+    link(root / "sub" / "alias.ll", root / "a.ll")
+    aliased = _run_census(cfg)
+    assert (aliased.total, aliased.per_function) == (alone.total, alone.per_function)
+    # The first path in sorted order is the one read.
+    assert [path.name for path, _ in aliased.read] == ["a.ll"]
+    assert cli_main(["census", str(root), str(root / "sub" / "alias.ll")]) == 0
+    assert capsys.readouterr().out == listed
 
 
 def _src_rung_run(tmp_path, tables, per_function, variants=("cfi-icall",)):
@@ -1003,6 +1034,27 @@ def test_rig_cli_exit_codes(tmp_path, monkeypatch, capsys, script, code):
     rig = Rig(tmp_path, monkeypatch, script)
     assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == code
     assert "reports in" in capsys.readouterr().out
+
+
+def test_rig_report_page_shows_every_field_escaped(tmp_path, monkeypatch):
+    # A test id with markup stands in each list of tests the report holds.
+    rig = Rig(tmp_path, monkeypatch, {**SCRIPT, "t_<b>&'\"": SCRIPT["t_l0"]})
+    heal(rig.cfg)
+    page = (rig.reports / "report.html").read_text()
+    assert unshown_fields(json.loads((rig.reports / "report.json").read_text()), page) == []
+    assert "<b>" not in page and "t_&lt;b&gt;&amp;&#x27;&quot;" in page
+
+
+def test_rig_report_command_re_emits_what_heal_wrote(tmp_path, monkeypatch, capsys):
+    # The command renders the report state.json holds, read back from JSON.
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    heal(rig.cfg)
+    names = ("report.json", "report.html")
+    written = [(rig.reports / name).read_bytes() for name in names]
+    for name in names:
+        (rig.reports / name).unlink()
+    assert cli_main(["report", str(rig.reports)]) == 0
+    assert [(rig.reports / name).read_bytes() for name in names] == written
 
 
 def test_rig_confirmation_reopen_releases_the_ineffective_entry(tmp_path, monkeypatch):
