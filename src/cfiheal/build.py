@@ -1,22 +1,7 @@
 """Build orchestration: flag composition, build execution, linker diagnostics.
 
-Diagnostic grammars recognized by parse_diagnostics (both mainstream ELF
-linkers, messages captured verbatim from real runs):
-
-GNU ld (ld.bfd / gold):
-    <obj>: in function `<fn>':
-    <file>:(.text+0x12): undefined reference to `<sym>'
-    <lib.so>: undefined reference to `<sym>'
-    <obj>:(.text+0x3): relocation ... against undefined hidden symbol `<sym>'
-    hidden symbol `<sym>' in <obj> is referenced by DSO
-Under -flto <file> is `<artificial>', and the `in function' <obj> stands in.
-
-LLD:
-    ld.lld: error: undefined symbol: <sym>
-    >>> referenced by <file>
-    >>>               <obj>:(<section>)
-    ld.lld: error: undefined hidden symbol: <sym>
-
+parse_diagnostics reads the link failures of both mainstream ELF linkers, GNU
+ld (ld.bfd / gold) and LLD, from a build log, by the rule table _RULES.
 Undefined-reference lines map to UndefinedReference, hidden-symbol lines to
 HiddenSymbolMismatch. Remaining lines containing an error marker fold into
 kind Other; everything else is ignored. Symbol names stay in mangled form.
@@ -29,7 +14,7 @@ import os
 import re
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable
@@ -120,37 +105,62 @@ def compose_flags(mode: BuildMode, extra_compile_flags: tuple[str, ...] = ()) ->
     ] + list(extra_compile_flags)
 
 
-# GNU ld grammars. The `in function' prefix line carries the referencing object.
-_GNU_IN_FUNCTION = re.compile(r" in function [`'](?P<fn>[^']+)'")
-_GNU_UNDEF = re.compile(r"undefined reference to [`'](?P<sym>[^']+)'")
-_GNU_HIDDEN_RELOC = re.compile(
-    r"relocation .* against (?:undefined )?(?:protected |hidden )symbol [`'](?P<sym>[^']+)'"
-)
-_GNU_HIDDEN_DSO = re.compile(
-    r"hidden symbol [`'](?P<sym>[^']+)'(?: in (?P<obj>\S+))? is referenced by DSO"
-)
-# Linker/driver self-identification tokens, and GNU ld's LTO `<artificial>'.
-_TOOL_NAME = re.compile(r"(^|/)(ld(\.bfd|\.gold|\.lld)?|collect2|clang(\+\+)?(-\d+)?|gcc|cc|<artificial>)$")
-# `isn't defined' fires when a hidden-marked reference never finds a definition.
-_GNU_HIDDEN_UNDEF = re.compile(r"hidden symbol [`'](?P<sym>[^']+)' isn't defined")
-# LLD grammars. Continuation lines attribute the reference.
-_LLD_UNDEF = re.compile(r"ld\.lld: error: undefined symbol: (?P<sym>.+)$")
-_LLD_HIDDEN = re.compile(r"ld\.lld: error: undefined (?:hidden|protected) symbol: (?P<sym>.+)$")
+# The linkers' message forms, each after a line of it as captured from real
+# runs. <ld> is the linker's or the compiler driver's name, often as a path.
+# ld.lld: error: undefined hidden symbol: <sym>
+_LLD_HIDDEN = re.compile(r"ld\.lld: error: undefined (?:hidden|protected) symbol: \s*(?P<sym>.+)$")
+# ld.lld: error: undefined symbol: <sym>
+_LLD_UNDEF = re.compile(r"ld\.lld: error: undefined symbol: \s*(?P<sym>.+)$")
+# ld.lld: error: <lib.so>: undefined reference to <sym> [--no-allow-shlib-undefined]
 _LLD_SHLIB = re.compile(
     r"ld\.lld: error: (?P<obj>.+?): undefined reference to (?P<sym>\S+?)"
     r"(?: \[--no-allow-shlib-undefined\])?$"
 )
+# >>> referenced by <file>
+# >>>               <obj>:(<section>)
 _LLD_REFBY = re.compile(r"^>>> referenced by (?P<ref>.+)$")
 _LLD_REFOBJ = re.compile(r"^>>>\s+(?P<ref>\S+?):?\(")
+# <ld>: <exe>: hidden symbol `<sym>' in <obj> is referenced by DSO
+_GNU_HIDDEN_DSO = re.compile(
+    r"hidden symbol [`'](?P<sym>[^']+)'(?: in (?P<obj>\S+))? is referenced by DSO"
+)
+# <obj>:(.text+0x3): relocation ... against undefined hidden symbol `<sym>'
+_GNU_HIDDEN_RELOC = re.compile(
+    r"relocation .* against (?:undefined )?(?:protected |hidden )symbol [`'](?P<sym>[^']+)'"
+)
+# <ld>: <exe>: hidden symbol `<sym>' isn't defined
+# (a hidden-marked reference never found a definition)
+_GNU_HIDDEN_UNDEF = re.compile(r"hidden symbol [`'](?P<sym>[^']+)' isn't defined")
+# <file>:(.text+0x12): undefined reference to `<sym>'
+# <ld>: <lib.so>: undefined reference to `<sym>'
+_GNU_UNDEF = re.compile(r"undefined reference to [`'](?P<sym>[^']+)'")
+# <ld>: <obj>: in function `<fn>'
+# (names the object of the GNU ld lines after it; under -flto their <file> is `<artificial>')
+_GNU_IN_FUNCTION = re.compile(r" in function [`'](?P<fn>[^']+)'")
+# Linker/driver self-identification tokens, and GNU ld's LTO `<artificial>'.
+_TOOL_NAME = re.compile(r"(^|/)(ld(\.bfd|\.gold|\.lld)?|collect2|clang(\+\+)?(-\d+)?|gcc|cc|<artificial>)$")
 _OTHER_ERROR = re.compile(r"(?:^|\s)(?:error:|Error[: ]|fatal error:)|\*\*\*")
+
+# (form, kind, where the referencing object comes from), tried in order. The
+# object is the form's own `obj' group ("match", None without one), the
+# colon-separated prefix of a GNU ld line or else the last `in function' line
+# ("prefix"), or the first `>>>' line that follows an LLD error ("next").
+_HIDDEN, _UNDEF = DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, DiagnosticKind.UNDEFINED_REFERENCE
+_RULES = (
+    (_LLD_HIDDEN, _HIDDEN, "next"),
+    (_LLD_UNDEF, _UNDEF, "next"),
+    (_LLD_SHLIB, _UNDEF, "match"),
+    (_GNU_HIDDEN_DSO, _HIDDEN, "match"),
+    (_GNU_HIDDEN_RELOC, _HIDDEN, "prefix"),
+    (_GNU_HIDDEN_UNDEF, _HIDDEN, "match"),
+    (_GNU_UNDEF, _UNDEF, "prefix"),
+)
 
 
 def _gnu_source_object(line: str, match_start: int) -> str | None:
     """Referencing object/file from the colon-separated prefix of a GNU ld line."""
-    components = [c.strip() for c in line[:match_start].split(":") if c.strip()]
-    candidates = [
-        c for c in components if not c.startswith("(") and not _TOOL_NAME.search(c)
-    ]
+    components = (c.strip() for c in line[:match_start].split(":"))
+    candidates = [c for c in components if c and c[0] != "(" and not _TOOL_NAME.search(c)]
     return candidates[-1] if candidates else None
 
 
@@ -164,7 +174,11 @@ def parse_diagnostics(raw_log: str) -> list[Diagnostic]:
 
 
 def _parse_lines(lines: Iterable[str]) -> list[Diagnostic]:
-    """The diagnostics of a log given as its lines, which are read once, in order."""
+    """The diagnostics of a log given as its lines, which are read once, in order.
+
+    A `>>>' line continues an awaited LLD error; any other line goes to the
+    first rule it matches, else is an `in function' line or an Other error.
+    """
     diagnostics: list[Diagnostic] = []
     pending_obj: str | None = None
     awaiting_ref: int | None = None
@@ -173,76 +187,32 @@ def _parse_lines(lines: Iterable[str]) -> list[Diagnostic]:
         line = raw_line.rstrip()
         if not line:
             continue
-
-        m = _LLD_HIDDEN.search(line)
-        if m:
-            diagnostics.append(
-                Diagnostic(DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, m.group("sym").strip(), None, line)
-            )
-            awaiting_ref = len(diagnostics) - 1
-            continue
-        m = _LLD_UNDEF.search(line)
-        if m:
-            diagnostics.append(
-                Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, m.group("sym").strip(), None, line)
-            )
-            awaiting_ref = len(diagnostics) - 1
-            continue
-        m = _LLD_SHLIB.search(line)
-        if m:
-            diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.UNDEFINED_REFERENCE, m.group("sym"), m.group("obj"), line
-                )
-            )
-            awaiting_ref = None
-            continue
         if awaiting_ref is not None:
             m = _LLD_REFBY.match(line) or _LLD_REFOBJ.match(line)
             if m:
                 hit = diagnostics[awaiting_ref]
                 if hit.source_object is None:
-                    diagnostics[awaiting_ref] = Diagnostic(
-                        hit.kind, hit.symbol, m.group("ref").strip(), hit.raw_line
-                    )
+                    diagnostics[awaiting_ref] = replace(hit, source_object=m.group("ref").strip())
                 continue
             awaiting_ref = None
 
-        m = _GNU_HIDDEN_DSO.search(line)
-        if m:
-            diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, m.group("sym"), m.group("obj"), line
-                )
-            )
-            continue
-        m = _GNU_HIDDEN_RELOC.search(line)
-        if m:
-            source = _gnu_source_object(line, m.start()) or pending_obj
-            diagnostics.append(
-                Diagnostic(DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, m.group("sym"), source, line)
-            )
-            continue
-        m = _GNU_HIDDEN_UNDEF.search(line)
-        if m:
-            diagnostics.append(
-                Diagnostic(DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, m.group("sym"), None, line)
-            )
-            continue
-        m = _GNU_UNDEF.search(line)
-        if m:
-            source = _gnu_source_object(line, m.start()) or pending_obj
-            diagnostics.append(
-                Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, m.group("sym"), source, line)
-            )
-            continue
-        m = _GNU_IN_FUNCTION.search(line)
-        if m:
-            pending_obj = _gnu_source_object(line, m.start())
-            continue
-
-        if _OTHER_ERROR.search(line):
-            diagnostics.append(Diagnostic(DiagnosticKind.OTHER, None, None, line))
+        for pattern, kind, source in _RULES:
+            m = pattern.search(line)
+            if m:
+                if source == "prefix":
+                    obj = _gnu_source_object(line, m.start()) or pending_obj
+                else:
+                    obj = m.groupdict().get("obj")
+                diagnostics.append(Diagnostic(kind, m.group("sym"), obj, line))
+                if source == "next":
+                    awaiting_ref = len(diagnostics) - 1
+                break
+        else:
+            m = _GNU_IN_FUNCTION.search(line)
+            if m:
+                pending_obj = _gnu_source_object(line, m.start())
+            elif _OTHER_ERROR.search(line):
+                diagnostics.append(Diagnostic(DiagnosticKind.OTHER, None, None, line))
 
     return diagnostics
 

@@ -1,9 +1,8 @@
 """Project configuration: one YAML document drives an entire healing run.
 
-The document is a flat mapping. Required keys: ``project_root``, ``build_cmd``,
-``test_cmd``, ``executables``, ``cfi_variants``, ``report_dir``. Optional keys:
-``configure_cmd``, ``clean_cmd``, ``extra_compile_flags``, ``test_timeout``
-(seconds, default 120), ``max_repair_iterations`` (default 64).
+The document is a flat mapping whose keys are the fields of ``ProjectConfig``:
+a field without a default is a required key, and a field's declared type says
+how its key's value is read.
 
 ``parse_config`` rejects malformed documents with line/column positions where
 the YAML parser provides them; ``render_config`` emits a document that parses
@@ -15,7 +14,9 @@ all problems at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -60,44 +61,59 @@ class ProjectConfig:
         return tuple(self.project_root / e for e in self.executables)
 
 
-_REQUIRED = ("project_root", "build_cmd", "test_cmd", "executables", "cfi_variants", "report_dir")
-_KNOWN = {f.name for f in fields(ProjectConfig)}
-
-
-def _where(mark) -> str:
-    if mark is None:
-        return ""
-    return f" at line {mark.line + 1}, column {mark.column + 1}"
-
-
-def _want_str(raw: dict, key: str) -> str | None:
-    """The string at `key`, or None if the key is absent."""
-    if key not in raw:
-        return None
-    value = raw[key]
+def _string(key: str, value: object) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {type(value).__name__}")
     return value
 
 
-def _want_str_list(raw: dict, key: str) -> tuple[str, ...]:
-    value = raw.get(key, [])
+def _strings(key: str, value: object) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f"{key} must be a list of strings")
     return tuple(value)
+
+
+def _seconds(key: str, value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number of seconds")
+    if not abs(value) <= sys.float_info.max:  # false for nan, and for an int past float's range
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return float(value)
+
+
+def _integer(key: str, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer")
+    return value
+
+
+#: How a present key's YAML value becomes its field's value, by the field's declared type.
+_READERS = {
+    "Path": lambda key, value: Path(_string(key, value)),
+    "str": _string,
+    "str | None": _string,
+    "tuple[str, ...]": _strings,
+    "float": _seconds,
+    "int": _integer,
+}
+_FIELDS = {f.name: f for f in fields(ProjectConfig)}
+_REQUIRED = [name for name, f in _FIELDS.items() if f.default is MISSING]
 
 
 def parse_config(text: str) -> ProjectConfig:
     """Parse a YAML document into a ProjectConfig.
 
     Raises ConfigError on YAML syntax errors (with line/column), missing
-    required keys, unknown keys, wrong value types, duplicate or unknown CFI
-    variant names, and a non-positive iteration budget.
+    required keys, unknown keys, wrong value types, a non-finite timeout,
+    duplicate or unknown CFI variant names, and a non-positive iteration
+    budget.
     """
     try:
         raw = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
-        raise ConfigError(f"invalid YAML{_where(exc.problem_mark)}: {exc.problem}") from exc
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"invalid YAML{where}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if raw is None:
@@ -105,63 +121,33 @@ def parse_config(text: str) -> ProjectConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a mapping of keys to values")
 
-    unknown = sorted(set(raw) - _KNOWN)
+    unknown = sorted(str(k) for k in raw if k not in _FIELDS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    cfg = ProjectConfig(**{k: _READERS[_FIELDS[k].type](k, v) for k, v in raw.items()})
 
-    variants = _want_str_list(raw, "cfi_variants")
-    bad = [v for v in variants if v not in CFI_VARIANTS]
+    bad = [v for v in cfg.cfi_variants if v not in CFI_VARIANTS]
     if bad:
         raise ConfigError(
             f"unknown CFI variant names: {', '.join(bad)}; supported: {', '.join(CFI_VARIANTS)}"
         )
-    if len(set(variants)) != len(variants):
+    if len(set(cfg.cfi_variants)) != len(cfg.cfi_variants):
         raise ConfigError("duplicate CFI variant names")
-
-    timeout = raw.get("test_timeout", DEFAULT_TEST_TIMEOUT)
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
-        raise ConfigError("test_timeout must be a number of seconds")
-    budget = raw.get("max_repair_iterations", DEFAULT_MAX_REPAIR_ITERATIONS)
-    if not isinstance(budget, int) or isinstance(budget, bool):
-        raise ConfigError("max_repair_iterations must be an integer")
-    if budget < 1:
+    if cfg.max_repair_iterations < 1:
         raise ConfigError("max_repair_iterations must be at least 1")
-
-    return ProjectConfig(
-        project_root=Path(_want_str(raw, "project_root")),
-        build_cmd=_want_str(raw, "build_cmd"),
-        test_cmd=_want_str(raw, "test_cmd"),
-        executables=_want_str_list(raw, "executables"),
-        cfi_variants=variants,
-        report_dir=Path(_want_str(raw, "report_dir")),
-        configure_cmd=_want_str(raw, "configure_cmd"),
-        clean_cmd=_want_str(raw, "clean_cmd"),
-        extra_compile_flags=_want_str_list(raw, "extra_compile_flags"),
-        test_timeout=float(timeout),
-        max_repair_iterations=budget,
-    )
+    return cfg
 
 
 def render_config(cfg: ProjectConfig) -> str:
     """Render a config back to YAML; parse_config(render_config(c)) == c."""
-    doc: dict[str, object] = {
-        "project_root": str(cfg.project_root),
-        "build_cmd": cfg.build_cmd,
-        "test_cmd": cfg.test_cmd,
-        "executables": list(cfg.executables),
-        "cfi_variants": list(cfg.cfi_variants),
-        "report_dir": str(cfg.report_dir),
+    doc = {
+        key: str(value) if isinstance(value, Path) else list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(cfg).items()
+        if value is not None
     }
-    if cfg.configure_cmd is not None:
-        doc["configure_cmd"] = cfg.configure_cmd
-    if cfg.clean_cmd is not None:
-        doc["clean_cmd"] = cfg.clean_cmd
-    doc["extra_compile_flags"] = list(cfg.extra_compile_flags)
-    doc["test_timeout"] = cfg.test_timeout
-    doc["max_repair_iterations"] = cfg.max_repair_iterations
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
@@ -183,6 +169,8 @@ def validate_config(cfg: ProjectConfig) -> list[str]:
         findings.append("no executables listed")
     if cfg.test_timeout <= 0:
         findings.append("test_timeout must be positive")
+    elif not math.isfinite(cfg.test_timeout):
+        findings.append(f"test_timeout must be finite, got {cfg.test_timeout}")
     return findings
 
 

@@ -171,6 +171,85 @@ def test_gnu_relocation_against_hidden():
     assert got[0][:2] == (DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "fast_path")
 
 
+_HIDDEN, _UNDEF = DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, DiagnosticKind.UNDEFINED_REFERENCE
+
+# One line of each of the parser's rules, in the order of build._RULES.
+_ONE_LINE_PER_RULE = [
+    ("ld.lld: error: undefined hidden symbol: foo_api", (_HIDDEN, "foo_api", None)),
+    ("ld.lld: error: undefined symbol: bar_helper", (_UNDEF, "bar_helper", None)),
+    (
+        "ld.lld: error: ./libfoo3.so: undefined reference to bar_helper [--no-allow-shlib-undefined]",
+        (_UNDEF, "bar_helper", "./libfoo3.so"),
+    ),
+    (
+        "/usr/bin/ld.bfd: app5: hidden symbol `bar_helper' in barhid.o is referenced by DSO",
+        (_HIDDEN, "bar_helper", "barhid.o"),
+    ),
+    (GNU_RELOC_HIDDEN.rstrip(), (_HIDDEN, "fast_path", "obj/hot.o")),
+    ("/usr/bin/ld.bfd: app8: hidden symbol `foo_api' isn't defined", (_HIDDEN, "foo_api", None)),
+    ("main.c:(.text+0x15): undefined reference to `foo_api'", (_UNDEF, "foo_api", "main.c")),
+]
+
+
+@pytest.mark.parametrize(
+    ("index", "line", "expected"),
+    [
+        pytest.param(i, line, [want], id=f"rule{i}")
+        for i, (line, want) in enumerate(_ONE_LINE_PER_RULE)
+    ]
+    + [
+        pytest.param(
+            None, "/usr/bin/ld.bfd: /tmp/foo-be07c3.o: in function `foo_api':", [], id="in-function"
+        ),
+        pytest.param(
+            None, "collect2: error: ld returned 1 exit status", [(DiagnosticKind.OTHER, None, None)],
+            id="other",
+        ),
+    ],
+)
+def test_each_rule_reads_its_line(index, line, expected):
+    assert kinds_and_symbols(line) == expected
+    first = next((i for i, (pattern, _, _) in enumerate(build._RULES) if pattern.search(line)), None)
+    assert first == index
+
+
+def test_every_rule_has_a_line():
+    assert len(_ONE_LINE_PER_RULE) == len(build._RULES)
+
+
+@pytest.mark.parametrize(
+    ("log", "expected"),
+    [
+        (  # a `>>>' line after a GNU ld diagnostic attributes nothing
+            "/usr/bin/ld.bfd: app8: hidden symbol `foo_api' isn't defined\n>>> referenced by main.c\n",
+            [(_HIDDEN, "foo_api", None)],
+        ),
+        (  # an LLD error that names its object takes none from the `>>>' lines
+            "ld.lld: error: ./libfoo3.so: undefined reference to bar_helper\n"
+            ">>> referenced by main.c\n>>>               main.o:(main)\n",
+            [(_UNDEF, "bar_helper", "./libfoo3.so")],
+        ),
+        (  # the first `>>>' line fills the object; blank lines do not end the wait
+            "ld.lld: error: undefined symbol: bar_helper\n\n"
+            ">>>               /tmp/foo-60562c.o:(foo_api)\n>>> referenced by foo.c\n",
+            [(_UNDEF, "bar_helper", "/tmp/foo-60562c.o")],
+        ),
+        (  # any other line ends the wait
+            "ld.lld: error: undefined symbol: bar_helper\ncc -c a.c\n>>> referenced by foo.c\n",
+            [(_UNDEF, "bar_helper", None)],
+        ),
+        (  # so does the next LLD error, which then takes the `>>>' line itself
+            "ld.lld: error: undefined symbol: a\nld.lld: error: undefined hidden symbol: b\n"
+            ">>> referenced by b.c\n",
+            [(_UNDEF, "a", None), (_HIDDEN, "b", "b.c")],
+        ),
+    ],
+    ids=["after-gnu-ld", "object-known", "first-fills", "other-line-ends", "next-lld-error"],
+)
+def test_a_continuation_line_fills_only_an_awaited_lld_error(log, expected):
+    assert kinds_and_symbols(log) == expected
+
+
 def test_clean_log_yields_nothing():
     assert parse_diagnostics("cc -c a.c\ncc -o app a.o\n") == []
 

@@ -1,5 +1,7 @@
 """Config parsing, rendering, and validation."""
 
+import re
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from cfiheal.config import (
     render_config,
     validate_config,
 )
+from cfiheal.pipeline import PipelineFailure, cli_main, heal
 
 MINIMAL = """\
 project_root: /work/proj
@@ -73,6 +76,14 @@ def test_unknown_key_rejected():
         parse_config(MINIMAL + "build_command: make\n")
 
 
+@pytest.mark.parametrize(
+    ("extra", "named"), [("1: x\nfoo: y\n", "1, foo"), ("null: x\n", "None")]
+)
+def test_a_key_that_is_not_a_string_is_named_as_unknown(extra, named):
+    with pytest.raises(ConfigError, match=f"^unknown configuration keys: {named}$"):
+        parse_config(MINIMAL + extra)
+
+
 def test_missing_keys_listed():
     with pytest.raises(ConfigError, match="missing required keys") as err:
         parse_config("project_root: /p\n")
@@ -116,6 +127,52 @@ def test_a_string_key_with_another_type_is_rejected(key, value):
         text += f"{key}: {value}\n"
     with pytest.raises(ConfigError, match=f"^{key} must be a string, got "):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [".nan", ".inf", "-.inf", "1.0e+400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+)
+def test_a_timeout_that_is_not_finite_is_rejected(value):
+    with pytest.raises(ConfigError, match="^test_timeout must be finite"):
+        parse_config(MINIMAL + f"test_timeout: {value}\n")
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+def test_a_built_config_with_a_timeout_that_is_not_finite_is_invalid(tmp_path, timeout):
+    cfg = ProjectConfig(
+        project_root=tmp_path,
+        build_cmd="make",
+        test_cmd="sh t.sh",
+        executables=("app",),
+        cfi_variants=("cfi-icall",),
+        report_dir=tmp_path / "out",
+        test_timeout=timeout,
+    )
+    assert validate_config(cfg) == [f"test_timeout must be finite, got {timeout}"]
+    assert validate_config(replace(cfg, test_timeout=-timeout)) != []
+    # heal() refuses it before it takes the lock or writes any state.
+    with pytest.raises(PipelineFailure, match="test_timeout"):
+        heal(cfg)
+    assert not cfg.report_dir.exists()
+
+
+def test_heal_of_a_config_with_a_nan_timeout_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL + "test_timeout: .nan\n")
+    assert cli_main(["heal", str(path)]) == 2
+    assert "test_timeout must be finite" in capsys.readouterr().err
+
+
+def test_the_readme_config_table_lists_the_fields_of_project_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| (yes|no) \|", table, re.MULTILINE)
+    assert len(rows) == len(table.splitlines()) - 2  # every row below the header and rule
+    assert rows == [
+        (f.name, "yes" if f.default is MISSING else "no") for f in fields(ProjectConfig)
+    ]
 
 
 def test_all_seven_variants_accepted():
