@@ -145,7 +145,7 @@ from cfiheal.config import ProjectConfig  # noqa: E402
 from cfiheal.elf import ElfFile  # noqa: E402
 from cfiheal.harness import TestCase, run_cases  # noqa: E402
 from cfiheal.ircensus import census_by_function, read_ir_lines  # noqa: E402
-from cfiheal.pipeline import _symbolize_trap, _take_census  # noqa: E402
+from cfiheal.pipeline import _collect_ir_files, _symbolize_trap, _take_census  # noqa: E402
 from cfiheal.tracing import OutcomeKind, TrapEvent, run_traced, run_traced_many  # noqa: E402
 
 CXX_FIXTURE = ROOT / "tests" / "fixtures" / "symbolizer" / "sample.cpp"
@@ -423,7 +423,7 @@ def bench_census(repeat: int) -> list[dict]:
             cfi_variants=("cfi-icall",),
             report_dir=Path(tmp) / "reports",
         )
-        taken = _take_census(cfg)
+        taken = _take_census(_collect_ir_files(cfg))
         assert taken.current(cfg)
         return [
             _throughput_row(target, mb, "census_by_function", in_memory, repeat),

@@ -14,7 +14,6 @@ all problems at once.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -34,6 +33,7 @@ CFI_VARIANTS = (
 
 DEFAULT_TEST_TIMEOUT = 120.0
 DEFAULT_MAX_REPAIR_ITERATIONS = 64
+MAX_TEST_TIMEOUT = 2_147_483.0  # subprocess.run's longest wait: it polls with a C int of ms
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectConfig:
-    """Immutable description of one project under healing."""
+    """One project under healing; its relative directories are made absolute against the cwd."""
 
     project_root: Path
     build_cmd: str
@@ -55,6 +55,10 @@ class ProjectConfig:
     extra_compile_flags: tuple[str, ...] = ()
     test_timeout: float = DEFAULT_TEST_TIMEOUT
     max_repair_iterations: int = DEFAULT_MAX_REPAIR_ITERATIONS
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "project_root", self.project_root.absolute())
+        object.__setattr__(self, "report_dir", self.report_dir.absolute())
 
     def executable_paths(self) -> tuple[Path, ...]:
         """Executables resolved against the project root."""
@@ -78,6 +82,8 @@ def _seconds(key: str, value: object) -> float:
         raise ConfigError(f"{key} must be a number of seconds")
     if not abs(value) <= sys.float_info.max:  # false for nan, and for an int past float's range
         raise ConfigError(f"{key} must be finite, got {value}")
+    if not 0 < value <= MAX_TEST_TIMEOUT:
+        raise ConfigError(f"{key} must be positive and at most {MAX_TEST_TIMEOUT:.0f} seconds, got {value}")
     return float(value)
 
 
@@ -104,7 +110,7 @@ def parse_config(text: str) -> ProjectConfig:
     """Parse a YAML document into a ProjectConfig.
 
     Raises ConfigError on YAML syntax errors (with line/column), missing
-    required keys, unknown keys, wrong value types, a non-finite timeout,
+    required keys, unknown keys, wrong value types, a timeout out of range,
     duplicate or unknown CFI variant names, and a non-positive iteration
     budget.
     """
@@ -167,15 +173,15 @@ def validate_config(cfg: ProjectConfig) -> list[str]:
         findings.append("at least one CFI variant is required")
     if not cfg.executables:
         findings.append("no executables listed")
-    if cfg.test_timeout <= 0:
-        findings.append("test_timeout must be positive")
-    elif not math.isfinite(cfg.test_timeout):
-        findings.append(f"test_timeout must be finite, got {cfg.test_timeout}")
+    try:
+        _seconds("test_timeout", cfg.test_timeout)
+    except ConfigError as exc:
+        findings.append(str(exc))
     return findings
 
 
 def load_config(path: Path) -> ProjectConfig:
-    """Read and parse a config file; relative paths stay relative to cwd."""
+    """Read and parse a config file; relative paths resolve against cwd."""
     try:
         text = path.read_text()
     except OSError as exc:

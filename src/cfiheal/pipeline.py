@@ -30,9 +30,8 @@ at once if anything did or the thread took none. On one CPU the census
 is taken only then. Only the main thread writes the diagnostics sidecar,
 and the thread is joined before heal() returns or raises.
 
-Exit codes of the heal subcommand: 0 when the run completes with no
-unresolvable violations, 1 when it completes but some violations stayed
-unresolvable, 2 when the pipeline itself failed. Usage errors exit 64.
+Exit codes: 0 healed, 1 some violations stayed unresolvable, 2 the pipeline
+failed or a command raised anything else, 64 a usage error.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .harness import (
     run_suite,
 )
 from .ignorelist import EntryKind, IgnorelistEntry, render
-from .ircensus import IrSiteCensus, census, census_by_function, read_ir_lines
+from .ircensus import IrSiteCensus, census_by_function, read_ir_lines
 from .repair import (
     JOURNAL_NAME,
     RepairError,
@@ -244,8 +243,8 @@ class _Census:
         )
 
 
-def _take_census(cfg: ProjectConfig, stop: threading.Event | None = None) -> _Census | None:
-    """Census of every IR file, each streamed; a file counts once read to its end.
+def _take_census(files: Iterable[Path], stop: threading.Event | None = None) -> _Census | None:
+    """Census of the IR files, each streamed; a file counts once read to its end.
 
     Returns None if `stop` is set before the last file is read.
     """
@@ -253,7 +252,7 @@ def _take_census(cfg: ProjectConfig, stop: threading.Event | None = None) -> _Ce
     per_function: dict[str, IrSiteCensus] = {}
     diagnostics: list[str] = []
     read: list[tuple[Path, _Fingerprint]] = []
-    for path in _collect_ir_files(cfg):
+    for path in files:
         if stop is not None and stop.is_set():
             return None
         sidecar: list[tuple[int, str]] = []
@@ -291,7 +290,7 @@ class _CensusAhead(threading.Thread):
 
     def run(self) -> None:
         try:
-            self.census = _take_census(self.cfg, self.stop)
+            self.census = _take_census(_collect_ir_files(self.cfg), self.stop)
         except Exception:
             # The build runs beside the walk and may remove a directory under it.
             pass
@@ -330,7 +329,7 @@ def _run_census(cfg: ProjectConfig, ahead: _Census | None = None) -> _Census:
     A census taken `ahead` is kept only if the same files are there and each
     holds exactly the bytes it read; otherwise every file is censused again.
     """
-    census = ahead if ahead is not None and ahead.current(cfg) else _take_census(cfg)
+    census = ahead if ahead is not None and ahead.current(cfg) else _take_census(_collect_ir_files(cfg))
     sidecar = cfg.report_dir / "ir-census-diagnostics.txt"
     if census.diagnostics:
         replace_file(sidecar, "".join(census.diagnostics))
@@ -620,10 +619,10 @@ def heal(cfg: ProjectConfig) -> HealResult:
     """Run the full healing pipeline; raises PipelineFailure on hard errors.
 
     A run that fails once it holds the project lock leaves state.json at
-    phase "failed", with the PipelineFailure message as "reason"; test
-    harness and tracer errors from any phase surface as PipelineFailure.
-    A KeyboardInterrupt or SystemExit there leaves it at phase
-    "interrupted" and is re-raised.
+    phase "failed" with a "reason", and test harness and tracer errors
+    surface as PipelineFailure; any other exception, its type and message
+    the reason, is re-raised as it is. A KeyboardInterrupt or SystemExit
+    there leaves it at phase "interrupted" and is re-raised.
     """
     findings = validate_config(cfg)
     if findings:
@@ -667,12 +666,17 @@ def heal(cfg: ProjectConfig) -> HealResult:
             result = _account(run, diff, started)
             _save_state(cfg, state, phase="done", report=result.report)
             return result
-        except (PipelineFailure, HarnessError, TraceError) as exc:
-            reason = str(exc) if isinstance(exc, PipelineFailure) else f"test harness failed: {exc}"
-            _save_state(cfg, state, phase="failed", reason=reason)
-            raise PipelineFailure(reason) from exc
         except (KeyboardInterrupt, SystemExit):
             _save_state(cfg, state, phase="interrupted")
+            raise
+        except Exception as exc:
+            harness = isinstance(exc, (HarnessError, TraceError))
+            reason = (str(exc) if isinstance(exc, PipelineFailure)
+                      else f"test harness failed: {exc}" if harness
+                      else f"{type(exc).__name__}: {exc}")
+            _save_state(cfg, state, phase="failed", reason=reason)
+            if harness:
+                raise PipelineFailure(reason) from exc
             raise
 
 
@@ -683,7 +687,82 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _build_parser() -> _Parser:
+def _heal_command(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    if args.revert:
+        print(f"reverted {revert_patches(cfg)} visibility patch(es)")
+        journal = cfg.report_dir / JOURNAL_NAME
+        if journal.exists():
+            left = len(journal.read_text().splitlines())
+            print(f"error: {left} journal row(s) not reverted; kept in {journal}", file=sys.stderr)
+            return 1
+        return 0
+    result = heal(cfg)
+    summary = result.report["violations"]
+    print(
+        f"done: {summary['total']} violation(s), {summary['fixed']} fixed, "
+        f"{summary['unresolvable']} unresolvable; reports in {cfg.report_dir}"
+    )
+    return 1 if result.unresolvable else 0
+
+
+def _build_command(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    if args.mode == "baseline":
+        mode = BuildMode.baseline()
+    else:
+        path = cfg.report_dir / IGNORELIST_NAME
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("")
+        mode = BuildMode.cfi(cfg.cfi_variants, path)
+    with ProjectLock(cfg.report_dir):
+        outcome = run_build(cfg, mode)
+    print(f"build {'succeeded' if outcome.succeeded else 'failed'}; log: {outcome.log_path}")
+    for diag in outcome.diagnostics[:20]:
+        print(f"  [{diag.kind.value}] {diag.symbol or diag.raw_line}")
+    return 0 if outcome.succeeded else 2
+
+
+def _census_command(args: argparse.Namespace) -> int:
+    files: list[Path] = []
+    for path in args.paths:
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.ll")))
+        else:
+            files.append(path)
+    if not files:
+        print("error: no .ll files found", file=sys.stderr)
+        return 2
+    taken = _take_census(_one_path_per_file(files))
+    sys.stderr.write("".join(taken.diagnostics))
+    for key, value in taken.total.as_dict().items():
+        print(f"{key}\t{value}")
+    print(f"total\t{taken.total.total()}")
+    return 0
+
+
+def _report_command(args: argparse.Namespace) -> int:
+    state_path: Path = args.state_dir / STATE_NAME
+    if not state_path.is_file():
+        print(f"error: no {STATE_NAME} in {args.state_dir}", file=sys.stderr)
+        return 2
+    try:
+        state = json.loads(state_path.read_text())
+    except ValueError as exc:
+        print(f"error: {state_path} is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    report = state.get("report")
+    if not report:
+        print("error: state file has no completed report", file=sys.stderr)
+        return 2
+    for path in emit_report(report, args.state_dir):
+        print(f"wrote {path}")
+    return 0
+
+
+def cli_main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every exception it raises, short of an interrupt, exits 2."""
     parser = _Parser(prog="cfiheal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
@@ -694,119 +773,34 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="restore all journaled visibility patches and exit",
     )
+    p_heal.set_defaults(run=_heal_command)
 
     p_build = sub.add_parser("build", help="run one build")
     p_build.add_argument("config", type=Path)
     p_build.add_argument("--mode", choices=["baseline", "cfi"], default="baseline")
+    p_build.set_defaults(run=_build_command)
 
     p_census = sub.add_parser("census", help="census textual IR files")
     p_census.add_argument("paths", nargs="+", type=Path)
+    p_census.set_defaults(run=_census_command)
 
     p_report = sub.add_parser("report", help="re-emit reports from a state directory")
     p_report.add_argument("state_dir", type=Path)
-    return parser
+    p_report.set_defaults(run=_report_command)
 
-
-def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 64
-
-    if args.command == "heal":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.revert:
-            try:
-                removed = revert_patches(cfg)
-            except (RepairError, OrchestrationError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(f"reverted {removed} visibility patch(es)")
-            journal = cfg.report_dir / JOURNAL_NAME
-            if journal.exists():
-                left = len(journal.read_text().splitlines())
-                print(f"error: {left} journal row(s) not reverted; kept in {journal}", file=sys.stderr)
-                return 1
-            return 0
-        try:
-            result = heal(cfg)
-        except (PipelineFailure, OrchestrationError) as exc:
-            print(f"pipeline failure: {exc}", file=sys.stderr)
-            return 2
-        summary = result.report["violations"]
-        print(
-            f"done: {summary['total']} violation(s), {summary['fixed']} fixed, "
-            f"{summary['unresolvable']} unresolvable; reports in {cfg.report_dir}"
-        )
-        return 1 if result.unresolvable else 0
-
-    if args.command == "build":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.mode == "baseline":
-            mode = BuildMode.baseline()
-        else:
-            path = cfg.report_dir / IGNORELIST_NAME
-            if not path.exists():
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text("")
-            mode = BuildMode.cfi(cfg.cfi_variants, path)
-        try:
-            with ProjectLock(cfg.report_dir):
-                outcome = run_build(cfg, mode)
-        except OrchestrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"build {'succeeded' if outcome.succeeded else 'failed'}; log: {outcome.log_path}")
-        for diag in outcome.diagnostics[:20]:
-            print(f"  [{diag.kind.value}] {diag.symbol or diag.raw_line}")
-        return 0 if outcome.succeeded else 2
-
-    if args.command == "census":
-        files: list[Path] = []
-        for path in args.paths:
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.ll")))
-            elif path.is_file():
-                files.append(path)
-        if not files:
-            print("error: no .ll files found", file=sys.stderr)
-            return 2
-        files = _one_path_per_file(files)
-        total = IrSiteCensus.sum_of(census(read_ir_lines(path)) for path in files)
-        for key, value in total.as_dict().items():
-            print(f"{key}\t{value}")
-        print(f"total\t{total.total()}")
-        return 0
-
-    if args.command == "report":
-        state_path: Path = args.state_dir / STATE_NAME
-        if not state_path.is_file():
-            print(f"error: no {STATE_NAME} in {args.state_dir}", file=sys.stderr)
-            return 2
-        try:
-            state = json.loads(state_path.read_text())
-        except ValueError as exc:
-            print(f"error: {state_path} is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        report = state.get("report")
-        if not report:
-            print("error: state file has no completed report", file=sys.stderr)
-            return 2
-        for path in emit_report(report, args.state_dir):
-            print(f"wrote {path}")
-        return 0
-
-    parser.print_usage(sys.stderr)
-    return 64
+    try:
+        return args.run(args)
+    except (ConfigError, RepairError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except (PipelineFailure, OrchestrationError) as exc:
+        print(f"pipeline failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"pipeline failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

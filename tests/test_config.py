@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfiheal.config import (
     CFI_VARIANTS,
+    MAX_TEST_TIMEOUT,
     ConfigError,
     ProjectConfig,
     load_config,
@@ -156,6 +157,32 @@ def test_a_built_config_with_a_timeout_that_is_not_finite_is_invalid(tmp_path, t
     with pytest.raises(PipelineFailure, match="test_timeout"):
         heal(cfg)
     assert not cfg.report_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "2147484", "2147484.0", "1.0e+7", "1.0e+10"])
+def test_a_timeout_out_of_range_is_rejected(value):
+    # 2147483 s is the longest subprocess.run can wait; 2147484 raises OverflowError.
+    with pytest.raises(ConfigError, match="^test_timeout must be positive and at most 2147483 "):
+        parse_config(MINIMAL + f"test_timeout: {value}\n")
+
+
+def test_the_longest_timeout_subprocess_can_wait_is_accepted(tmp_path):
+    assert parse_config(MINIMAL + "test_timeout: 2147483\n").test_timeout == MAX_TEST_TIMEOUT
+    cfg = replace(parse_config(MINIMAL), project_root=tmp_path, test_timeout=MAX_TEST_TIMEOUT)
+    assert validate_config(cfg) == []
+    assert validate_config(replace(cfg, test_timeout=2147484.0)) == [
+        "test_timeout must be positive and at most 2147483 seconds, got 2147484.0"
+    ]
+
+
+def test_relative_directories_resolve_against_the_invoking_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL.replace("/work/proj", "proj").replace("/work/out", "proj/rep")
+    cfg = parse_config(text)
+    assert (cfg.project_root, cfg.report_dir) == (tmp_path / "proj", tmp_path / "proj" / "rep")
+    # A config built in code, or changed by replace(), resolves the same way.
+    assert replace(cfg, report_dir=Path("out")).report_dir == tmp_path / "out"
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_heal_of_a_config_with_a_nan_timeout_exits_2(tmp_path, capsys):

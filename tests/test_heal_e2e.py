@@ -521,3 +521,28 @@ def test_twin_links_heal_in_one_diagnostic_pass_at_any_cpu_count(tmp_path, monke
         reports.append(report)
         shutil.rmtree(box)
     assert reports[0] == reports[1]
+
+
+def test_a_relative_config_heals_as_an_absolute_one(tmp_path, monkeypatch, capsys):
+    # The config sits beside the project, not in it. The compiler runs in
+    # project_root, so no path its flags name may be relative to the
+    # directory cfiheal was invoked from.
+    build_cmd = gen._wrapped_make(sys.executable, PERFBENCH / "cfimodel.py", "all")
+    healed = []
+    for box, prefix in (("absolute", f"{tmp_path / 'absolute'}/"), ("relative", "")):
+        copy_fixture("twin", tmp_path / box)
+        (tmp_path / box / "cfi.yaml").write_text(
+            f"project_root: {prefix}twin\n"
+            f"build_cmd: {json.dumps(build_cmd)}\n"
+            "test_cmd: sh runtests.sh\n"
+            "executables: [app_a, app_b]\n"
+            "cfi_variants: [cfi-icall]\n"
+            f"report_dir: {prefix}rep\n"
+            "clean_cmd: make clean\n"
+        )
+        monkeypatch.chdir(tmp_path / box)
+        assert pipeline.cli_main(["heal", "cfi.yaml"]) == 0, capsys.readouterr().err
+        rep = tmp_path / box / "rep"
+        healed.append([(rep / name).read_text() for name in ("cfi.ignorelist", JOURNAL_NAME)])
+    assert healed[0] == healed[1]
+    assert healed[0][1].splitlines() == ["1\tbase.c\t1\tbase_a", "1\tbase.c\t3\tbase_b"]

@@ -11,13 +11,17 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfiheal import ircensus, pipeline
 from cfiheal.build import BuildKind, BuildMode, BuildOutcome, OrchestrationError, ProjectLock
+from cfiheal.config import ProjectConfig
 from cfiheal.harness import FailureClass, HarnessError, TestCase, TestResult
 from cfiheal.escalation import EscalationEngine, Fault
 from cfiheal.ignorelist import EntryKind, IgnorelistEntry, LadderLevel, parse, render
@@ -404,6 +408,36 @@ def test_cli_census_no_files(tmp_path, capsys):
     assert "no .ll files" in capsys.readouterr().err
 
 
+def test_cli_census_names_each_unreadable_path_as_heal_does(tmp_path, capsys):
+    root = tmp_path / "ir"
+    root.mkdir()
+    (root / "a.ll").write_text(CENSUS_IR)
+    (root / "b.ll").symlink_to(root / "absent.ll")
+    (root / "d.ll").mkdir()
+    assert cli_main(["census", str(root)]) == 0
+    out, err = capsys.readouterr()
+    assert dict(line.split("\t") for line in out.splitlines())["total"] == "2"
+    assert [line.split(": ")[:2] for line in err.splitlines()] == [
+        ["b.ll", "unreadable"], ["d.ll", "unreadable"]
+    ]
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    _run_census(make_config(root, reports))
+    assert err == (reports / "ir-census-diagnostics.txt").read_text()
+
+
+def test_cli_census_names_an_unreadable_path_given_directly(tmp_path, capsys):
+    (tmp_path / "a.ll").write_text(CENSUS_IR)
+    (tmp_path / "b.ll").symlink_to(tmp_path / "absent.ll")
+    paths = [tmp_path / "a.ll", tmp_path / "b.ll", tmp_path / "nothere.ll"]
+    assert cli_main(["census", *map(str, paths)]) == 0
+    out, err = capsys.readouterr()
+    assert dict(line.split("\t") for line in out.splitlines())["total"] == "2"
+    assert [line.split(": ")[:2] for line in err.splitlines()] == [
+        ["b.ll", "unreadable"], ["nothere.ll", "unreadable"]
+    ]
+
+
 @needs_toolchain
 def test_cli_build_baseline(tmp_path, capsys):
     root = copy_fixture("hello", tmp_path / "proj")
@@ -515,6 +549,64 @@ def test_cli_revert_reports_the_rows_it_left(tmp_path, capsys):
     (reports / "repair-journal.tsv").write_text("garbage row\n")
     assert cli_main(["heal", str(cfg_path), "--revert"]) == 2
     assert "error: journal line 1 is malformed" in capsys.readouterr().err
+
+
+def _trivial_config(tmp_path, **keys) -> Path:
+    """A config whose build copies /bin/true to app and whose suite is one test running it."""
+    root = tmp_path / "proj"
+    root.mkdir()
+    keys = {"executables": "[app]", **keys}
+    (root / "cfi.yaml").write_text(
+        f"project_root: {root}\n"
+        "build_cmd: cp /bin/true app\n"
+        "test_cmd: printf 'TEST\\tt1\\ttrue\\n'\n"
+        "cfi_variants: [cfi-icall]\n"
+        f"report_dir: {tmp_path / 'reports'}\n"
+        + "".join(f"{key}: {value}\n" for key, value in keys.items())
+    )
+    return root / "cfi.yaml"
+
+
+@needs_linux
+def test_an_executable_outside_the_root_fails_the_heal_inside_the_lock(tmp_path, capsys):
+    (tmp_path / "outside").mkdir()
+    cfg_path = _trivial_config(tmp_path, executables="[../outside/app]")
+    with pytest.raises(OrchestrationError, match="^executable escapes project root"):
+        heal(pipeline.load_config(cfg_path))
+    assert json.loads((tmp_path / "reports" / "state.json").read_text()) == {
+        "phase": "failed",
+        "iteration": 0,
+        "reason": "OrchestrationError: executable escapes project root: ../outside/app",
+    }
+    assert cli_main(["heal", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "pipeline failure: executable escapes project root: ../outside/app\n"
+    )
+
+
+@needs_linux
+@pytest.mark.parametrize(
+    ("keys", "err", "phase"),
+    [
+        ({"test_timeout": "1.0e+7"}, "error: test_timeout must be positive and at most", None),
+        ({"executables": "[../outside/app]"}, "pipeline failure: executable escapes", "failed"),
+    ],
+    ids=["huge-timeout", "escaping-executable"],
+)
+def test_the_entry_point_exits_2_without_a_traceback(tmp_path, keys, err, phase):
+    # A fresh interpreter, as the installed cfiheal script runs: a traceback
+    # the interpreter prints is seen only there.
+    (tmp_path / "outside").mkdir()
+    cfg_path = _trivial_config(tmp_path, **keys)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cfiheal.pipeline import main; main()", "heal", str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr.startswith(err)) == (2, True), proc.stderr
+    assert "Traceback" not in proc.stderr
+    state = tmp_path / "reports" / "state.json"
+    assert (json.loads(state.read_text())["phase"] if state.exists() else None) == phase
 
 
 # A static `helper` in two units, one of whose definitions makes an indirect call.
@@ -878,7 +970,7 @@ def test_rig_build_that_rewrites_the_ir_is_censused_after_it(tmp_path, monkeypat
     rig.overrides[("repair_until_buildable", 1)] = rewriting_build
     result = heal(rig.cfg)
 
-    fresh = real_take(rig.cfg)
+    fresh = real_take(pipeline._collect_ir_files(rig.cfg))
     assert fresh.total != ircensus.census(CENSUS_IR)
     assert result.report["census"] == {**fresh.total.as_dict(), "total": fresh.total.total()}
     assert accounted == [fresh.per_function]
@@ -988,7 +1080,7 @@ def test_rig_census_ahead_that_raises_is_taken_again(tmp_path, monkeypatch):
     result = heal(rig.cfg)
     assert listed[0] is not threading.main_thread()
     assert listed[1:] == [threading.main_thread()]
-    fresh = pipeline._take_census(rig.cfg)
+    fresh = pipeline._take_census(pipeline._collect_ir_files(rig.cfg))
     assert result.report["census"] == {**fresh.total.as_dict(), "total": fresh.total.total()}
     assert json.loads((rig.reports / "state.json").read_text())["phase"] == "done"
 
@@ -1161,6 +1253,17 @@ def test_rig_failure_saves_failed_state(tmp_path, monkeypatch, site):
     assert state["reason"] == str(excinfo.value)
 
 
+def test_rig_any_other_exception_saves_failed_state_and_surfaces(tmp_path, monkeypatch, capsys):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    rig.overrides[("run_build", 1)] = raising(ValueError("bad build"))
+    with pytest.raises(ValueError, match="^bad build$"):
+        heal(rig.cfg)
+    assert rig.state() == {"phase": "failed", "iteration": 0, "reason": "ValueError: bad build"}
+    rig.calls.clear()
+    assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == 2
+    assert capsys.readouterr().err == "pipeline failure: ValueError: bad build\n"
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_rig_interrupted_heal_says_so(tmp_path, monkeypatch, exc):
     rig = Rig(tmp_path, monkeypatch, SCRIPT)
@@ -1179,6 +1282,55 @@ def test_rig_cli_harness_error_in_round_exits_2(tmp_path, monkeypatch, capsys, e
     assert cli_main(["heal", str(write_config(rig.cfg.project_root, rig.reports))]) == 2
     assert str(exc) in capsys.readouterr().err
     assert rig.state()["phase"] == "failed"
+
+
+# Numbers at and just past every bound a config key has, and values of every YAML type.
+BOUNDARY_NUMBERS = [0, 1, -1, 0.5, 2147483, 2147484, 2147483.0, 2147484.0, 1.0e10, 10**400,
+                    float("nan"), float("inf"), -float("inf")]
+ANY_VALUE = st.one_of(
+    st.sampled_from(BOUNDARY_NUMBERS), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=4), st.lists(st.text(max_size=4), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+DROPPED = object()  # a key left out of the document
+
+
+def test_every_config_heals_or_fails_through_the_one_path(tmp_path, monkeypatch, capsys):
+    rig = Rig(tmp_path, monkeypatch, SCRIPT)
+    monkeypatch.chdir(tmp_path)
+    paths = st.sampled_from(
+        ["proj", "reports", "proj/rep", "missing", ".", str(rig.cfg.project_root), str(rig.reports)]
+    )
+    keys = st.one_of(st.sampled_from([f.name for f in fields(ProjectConfig)]), st.integers(),
+                     st.none())
+    changes = st.dictionaries(keys, st.one_of(st.just(DROPPED), ANY_VALUE), max_size=1)
+    faults = st.sampled_from([ValueError("bad"), OSError(5, "I/O error"),
+                              HarnessError("no TEST lines"), TraceError("lost")])
+    path = tmp_path / "cfg.yaml"
+
+    @settings(max_examples=150, deadline=None)
+    @given(project_root=paths, report_dir=paths,
+           test_timeout=st.one_of(st.just(30), st.sampled_from(BOUNDARY_NUMBERS), st.floats()),
+           budget=st.one_of(st.just(8), st.sampled_from(BOUNDARY_NUMBERS), st.integers()),
+           changes=st.one_of(st.just({}), changes),
+           fault=st.one_of(st.none(), st.tuples(st.sampled_from(LAYERS), faults)),
+           script=st.sampled_from([SCRIPT, {"t_l0": SCRIPT["t_l0"]}]))
+    def check(project_root, report_dir, test_timeout, budget, changes, fault, script):
+        doc = {"project_root": project_root, "build_cmd": "make app", "test_cmd": "sh runtests.sh",
+               "executables": ["app"], "cfi_variants": ["cfi-icall"], "report_dir": report_dir,
+               "test_timeout": test_timeout, "max_repair_iterations": budget, **changes}
+        path.write_text(yaml.safe_dump({k: v for k, v in doc.items() if v is not DROPPED}))
+        for state in tmp_path.rglob("state.json"):
+            state.unlink()
+        rig.script, rig.engine, rig.calls, rig.overrides = script, None, Counter(), {}
+        if fault is not None:
+            rig.overrides[(fault[0], 1)] = raising(fault[1])
+        assert cli_main(["heal", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        for state in tmp_path.rglob("state.json"):
+            assert json.loads(state.read_text())["phase"] in ("failed", "interrupted", "done")
+
+    check()
 
 
 class SpanSymbolizer:
