@@ -115,6 +115,7 @@ import os
 import platform
 import random
 import resource
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -233,7 +234,7 @@ def _trap_in_main(tmp: Path) -> tuple[Path, Path, TrapEvent]:
         check=True,
         capture_output=True,
     )
-    outcome = run_traced([str(project / "app")], 30)
+    outcome = run_traced(shlex.quote(str(project / "app")), 30)
     if outcome.trap is None:
         raise RuntimeError(f"the trap-in-main binary did not trap: {outcome}")
     return project, project / "app", outcome.trap
@@ -531,7 +532,7 @@ def bench_cross_dso_scan(repeat: int) -> dict:
 
 TRACER_CALLS = 200
 TRACER_COMMANDS = {
-    "/bin/true": ["/bin/true"],
+    "/bin/true": "/bin/true",
     "2-exec shell test": "/bin/true a 7 >/dev/null && /bin/true b 7 >/dev/null",
 }
 # One suite_fanout batch: its test count.
@@ -546,9 +547,7 @@ def _traced(cmd) -> None:
 
 def _untraced(cmd) -> None:
     null = subprocess.DEVNULL
-    subprocess.run(
-        cmd, shell=isinstance(cmd, str), check=True, stdin=null, stdout=null, stderr=null
-    )
+    subprocess.run(cmd, shell=True, check=True, stdin=null, stdout=null, stderr=null)
 
 
 def _one_by_one(call):

@@ -61,9 +61,8 @@ class ElfFile:
     """Parsed view of one ELF binary that holds only its headers.
 
     The constructor reads the ELF header, the program and section headers and
-    .shstrtab. A symbol table and its strings, or a section's bytes, are read
-    from the file when asked for and not kept, so a view never holds the
-    whole binary.
+    .shstrtab. A symbol table and its strings are read from the file when
+    asked for and not kept, so a view never holds the whole binary.
     """
 
     def __init__(self, path: Path):
@@ -131,15 +130,6 @@ class ElfFile:
         """The file's bytes [offset, offset + size), cut where the file ends."""
         size = min(size, self._size - offset)
         return os.pread(fd, size, offset) if size > 0 else b""
-
-    def section(self, name: str) -> bytes | None:
-        """The section's bytes, read from the file now; None if there is no such section."""
-        entry = self._sections.get(name)
-        if entry is None:
-            return None
-        _, _, offset, size, _ = entry
-        with self.path.open("rb") as fh:
-            return self._read(fh.fileno(), offset, size)
 
     def has_section(self, name: str) -> bool:
         return name in self._sections

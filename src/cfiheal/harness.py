@@ -120,16 +120,13 @@ def run_cases(cfg: ProjectConfig, cases: Sequence[TestCase]) -> list[TestResult]
     """Run `cases` traced in one batch, one per usable CPU at a time; results in input order.
 
     The CPUs are those this process may run on, so `taskset -c 0` runs the
-    tests one at a time. Every test is spawned in one copy of os.environ,
-    taken here, which run_traced_many encodes to bytes once for the batch:
-    os.posix_spawn converts its env mapping on every call, joining each name
-    to its value, and would encode a mapping of str anew for each test too.
+    tests one at a time. Every test runs in this process's environment,
+    which run_traced_many copies as bytes once for the batch.
     """
     outcomes = run_traced_many(
         [case.command for case in cases],
         cfg.test_timeout,
         cwd=cfg.project_root,
-        env=dict(os.environ),
         jobs=len(os.sched_getaffinity(0)),
     )
     return [TestResult(case.test_id, outcome) for case, outcome in zip(cases, outcomes)]

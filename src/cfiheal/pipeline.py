@@ -159,32 +159,40 @@ def _traps(run: _Run, results: Iterable[TestResult]) -> Iterator[tuple[str, Trap
             yield result.test_id, trap, _symbolize_trap(run.symbolizer, trap)
 
 
-def _one_path_per_file(paths: Iterable[Path]) -> list[Path]:
-    """The paths in order, less each later alias (symlink or hard link) of a file listed.
+# An IR file to census: its path, and the name its diagnostics give it.
+_IrFile = tuple[Path, str]
+
+
+def _listed_under(root: Path, below: Path | None = None) -> list[_IrFile]:
+    """The .ll files under `below` (`root` itself by default), sorted, each named relative to `root`."""
+    return [(path, str(path.relative_to(root))) for path in sorted((below or root).rglob("*.ll"))]
+
+
+def _one_path_per_file(files: Iterable[_IrFile]) -> list[_IrFile]:
+    """The files in order, less each later alias (symlink or hard link) of a file listed.
 
     A path whose stat fails stays, for the census to report it unreadable.
     """
-    kept: dict[object, Path] = {}
-    for path in paths:
+    kept: dict[object, _IrFile] = {}
+    for path, name in files:
         try:
             st = path.stat()
             key: object = (st.st_dev, st.st_ino)
         except OSError:
             key = path
-        kept.setdefault(key, path)
+        kept.setdefault(key, (path, name))
     return list(kept.values())
 
 
-def _collect_ir_files(cfg: ProjectConfig) -> list[Path]:
+def _collect_ir_files(cfg: ProjectConfig) -> list[_IrFile]:
+    """The project's IR outside report_dir, then report_dir's ir/ tree, named relative to each."""
     report_root = cfg.report_dir.resolve()
-    files = []
-    for path in sorted(cfg.project_root.rglob("*.ll")):
-        if report_root in path.resolve().parents:
-            continue
-        files.append(path)
-    extra = cfg.report_dir / "ir"
-    if extra.is_dir():
-        files.extend(sorted(extra.rglob("*.ll")))
+    files = [
+        (path, name) for path, name in _listed_under(cfg.project_root)
+        if report_root not in path.resolve().parents
+    ]
+    if (cfg.report_dir / "ir").is_dir():
+        files.extend(_listed_under(cfg.report_dir, cfg.report_dir / "ir"))
     return _one_path_per_file(files)
 
 
@@ -238,13 +246,16 @@ class _Census:
 
     def current(self, cfg: ProjectConfig) -> bool:
         """Whether the IR files are still the ones this census read, byte for byte."""
-        return [path for path, _ in self.read] == _collect_ir_files(cfg) and all(
+        listed = [path for path, _ in _collect_ir_files(cfg)]
+        return [path for path, _ in self.read] == listed and all(
             _fingerprint(path) == seen for path, seen in self.read
         )
 
 
-def _take_census(files: Iterable[Path], stop: threading.Event | None = None) -> _Census | None:
+def _take_census(files: Iterable[_IrFile], stop: threading.Event | None = None) -> _Census | None:
     """Census of the IR files, each streamed; a file counts once read to its end.
+
+    Each diagnostic names its file by the name it was listed with.
 
     Returns None if `stop` is set before the last file is read.
     """
@@ -252,7 +263,7 @@ def _take_census(files: Iterable[Path], stop: threading.Event | None = None) -> 
     per_function: dict[str, IrSiteCensus] = {}
     diagnostics: list[str] = []
     read: list[tuple[Path, _Fingerprint]] = []
-    for path in files:
+    for path, name in files:
         if stop is not None and stop.is_set():
             return None
         sidecar: list[tuple[int, str]] = []
@@ -260,16 +271,16 @@ def _take_census(files: Iterable[Path], stop: threading.Event | None = None) -> 
             reader = _Crc32Reader(open(path, "rb"))
             by_function = census_by_function(read_ir_lines(reader), sidecar)
         except OSError as exc:
-            diagnostics.append(f"{path.name}: unreadable: {exc}\n")
+            diagnostics.append(f"{name}: unreadable: {exc}\n")
             read.append((path, f"unreadable: {exc}"))
             continue
         read.append((path, (reader.size, reader.crc)))
         totals.append(IrSiteCensus.sum_of(by_function.values()))
-        for name, counts in by_function.items():
-            if name:
-                known = per_function.get(name)
-                per_function[name] = counts if known is None else known + counts
-        diagnostics.extend(f"{path.name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
+        for function, counts in by_function.items():
+            if function:
+                known = per_function.get(function)
+                per_function[function] = counts if known is None else known + counts
+        diagnostics.extend(f"{name}:{lineno}: {reason}\n" for lineno, reason in sidecar)
     return _Census(IrSiteCensus.sum_of(totals), per_function, diagnostics, read)
 
 
@@ -725,12 +736,9 @@ def _build_command(args: argparse.Namespace) -> int:
 
 
 def _census_command(args: argparse.Namespace) -> int:
-    files: list[Path] = []
+    files: list[_IrFile] = []
     for path in args.paths:
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.ll")))
-        else:
-            files.append(path)
+        files.extend(_listed_under(path) if path.is_dir() else [(path, str(path))])
     if not files:
         print("error: no .ll files found", file=sys.stderr)
         return 2

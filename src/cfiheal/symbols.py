@@ -302,92 +302,8 @@ def read_definitions(binary: Path) -> DefinitionTable | None:
     return {file: frozenset(names | declared_in.get(file, ())) for file, names in in_unit.items()}
 
 
-_OBJDUMP_SECTION = re.compile(r"^Disassembly of section (\S+):")
-_OBJDUMP_LABEL = re.compile(r"^([0-9a-f]+) <(.+)>:$")
-_OBJDUMP_INSN = re.compile(r"^\s+([0-9a-f]+):\t((?:[0-9a-f]{2} )+)\s*\t?(.*)$")
-
-_FLOW_ENDERS = {"ret", "retq", "jmp", "jmpq", "hlt", "ud2"}
-_PADDING = {"nop", "nopw", "nopl", "int3", "cs", "data16", "xchg"}
-_PROLOGUE = {"endbr64", "push", "pushq", "sub", "mov"}
-_CALLS = {"call", "callq"}
-_DIRECT_CALL = re.compile(r"\S+\s+([0-9a-f]+)\b")
-
-
 class ObjdumpBackend:
-    """Reference disassembly backend built on binutils objdump; the Symbolizer never calls it.
-
-    A function starts in .text at a listed prologue after a break in the
-    flow, at the ELF entry point (gcc's ``_start`` opens with ``xor``), or at
-    a direct call target.
-    """
-
-    def __init__(self, objdump: str = "objdump"):
-        self.objdump = objdump
-
-    def function_candidates(self, binary: Path) -> list[FunctionSpan]:
-        try:
-            proc = subprocess.run(
-                [self.objdump, "-d", "-f", str(binary)],
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return []
-        if proc.returncode != 0:
-            return []
-
-        starts: dict[int, str | None] = {}
-        # The entry point and direct call targets; starts where they are in .text.
-        known_starts: set[int] = set()
-        section_first = None
-        section_last_end = 0
-        flow_broken = True
-        in_text = False
-        for raw in proc.stdout.splitlines():
-            if raw.startswith("start address 0x"):
-                known_starts.add(int(raw.split()[-1], 16))
-                continue
-            m = _OBJDUMP_SECTION.match(raw)
-            if m:
-                in_text = m.group(1) == ".text"
-                flow_broken = True
-                continue
-            if not in_text:
-                continue
-            m = _OBJDUMP_LABEL.match(raw)
-            if m:
-                flow_broken = True
-                continue
-            m = _OBJDUMP_INSN.match(raw)
-            if not m:
-                continue
-            addr = int(m.group(1), 16)
-            insn_len = len(m.group(2).split())
-            mnemonic = (m.group(3).split() or [""])[0]
-            if section_first is None:
-                section_first = addr
-            section_last_end = max(section_last_end, addr + insn_len)
-            if mnemonic in _PADDING:
-                continue
-            if flow_broken and mnemonic in _PROLOGUE:
-                starts.setdefault(addr, None)
-            call = mnemonic in _CALLS and _DIRECT_CALL.match(m.group(3))
-            if call:
-                known_starts.add(int(call.group(1), 16))
-            flow_broken = mnemonic in _FLOW_ENDERS
-        for addr in known_starts:
-            if section_first is not None and section_first <= addr < section_last_end:
-                starts.setdefault(addr, None)
-
-        ordered = sorted(starts)
-        spans: list[FunctionSpan] = []
-        for i, start in enumerate(ordered):
-            end = ordered[i + 1] if i + 1 < len(ordered) else section_last_end
-            if end > start:
-                name = starts[start] or f"fn_0x{start:x}"
-                spans.append(FunctionSpan(name, start, end))
-        return spans
+    """A name kept for the benchmark's layer tracer; cfiheal disassembles nothing."""
 
 
 class _SpanIndex:

@@ -72,7 +72,6 @@ import ctypes
 import os
 import re
 import shlex
-import shutil
 import signal
 import time
 from dataclasses import dataclass
@@ -308,35 +307,17 @@ def _env_block(env: Mapping[str, str] | None) -> dict[bytes, bytes]:
     return {os.fsencode(key): os.fsencode(value) for key, value in env.items()}
 
 
-def _spawn_traced(
-    cmd: str | Sequence[str],
-    cwd: Path | None,
-    env: Mapping[bytes, bytes],
-    kit: _SpawnKit,
-) -> int:
+def _spawn_traced(cmd: str, env: Mapping[bytes, bytes], kit: _SpawnKit) -> int:
     """Spawn the tracee shell, which stops itself before the command; returns its pid.
 
     The shell is a session leader with the caller's signal mask, SIGPIPE and
     SIGXFSZ at their default actions, /dev/null as fds 0-2 and `env` as its
-    environment. It changes to `cwd` (exit 127 on failure), sends itself
-    SIGSTOP, then runs a string command or execs a list command, which must
-    be executable, found on the PATH of `env` (os.defpath without one).
+    environment. It runs the batch's prefix (its cd, which exits 127 on
+    failure, then SIGSTOP to itself), then the command.
     """
-    if isinstance(cmd, str):
-        argv = ["/bin/sh", "-c", kit.prefix + cmd]
-    else:
-        if not cmd:
-            raise TraceError("empty command")
-        program = cmd[0]
-        if os.sep not in program:
-            path = env.get(b"PATH")
-            program = shutil.which(program, path=os.defpath if path is None else os.fsdecode(path))
-        if program is None or not os.access(os.path.join(cwd or "", program), os.X_OK):
-            raise TraceError(f"command not executable: {cmd[0]}")
-        argv = ["/bin/sh", "-c", kit.prefix + 'exec "$@"', "sh", *cmd]
     return os.posix_spawn(
         "/bin/sh",
-        argv,
+        ["/bin/sh", "-c", kit.prefix + cmd],
         env,
         file_actions=kit.file_actions,
         setsid=True,
@@ -524,7 +505,7 @@ def _capture_trap(pid: int, stop_signal: int) -> TrapEvent:
 
 
 def run_traced(
-    cmd: str | Sequence[str],
+    cmd: str,
     timeout: float,
     *,
     cwd: Path | None = None,
@@ -532,7 +513,7 @@ def run_traced(
 ) -> TraceOutcome:
     """Run a command under trap supervision; first qualifying trap wins.
 
-    A string command runs in a spawned /bin/sh; a sequence is exec'd from it.
+    The command is a shell string, run by a spawned /bin/sh.
     A cwd the shell cannot enter gives EXITED with status 127.
     Stdin, stdout and stderr are /dev/null; no output is kept. Timeout kills
     the entire tree and covers the wait for the tracee's first stop. SIGCHLD
@@ -544,7 +525,7 @@ def run_traced(
 
 
 def run_traced_many(
-    cmds: Sequence[str | Sequence[str]],
+    cmds: Sequence[str],
     timeout: float,
     *,
     cwd: Path | None = None,
@@ -585,7 +566,7 @@ def run_traced_many(
         while True:
             while len(live) < jobs and spawned < len(cmds):
                 started = time.monotonic()
-                root = _spawn_traced(cmds[spawned], cwd, spawn_env, kit)
+                root = _spawn_traced(cmds[spawned], spawn_env, kit)
                 live.append(_Tree(spawned, root, started, timeout, owner))
                 spawned += 1
                 if ended := live[-1].seize():

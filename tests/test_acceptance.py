@@ -10,6 +10,7 @@ compiler invocations on pristine fixture copies, and hand-derived tables.
 """
 
 import random
+import shlex
 import shutil
 import subprocess
 import time
@@ -225,7 +226,7 @@ def test_criterion_4_live_trap_capture(capsys, asm_binaries):
         binary, map_path = asm_binaries["ud2"]
         expected_pc = linker_map_symbol(map_path, "trap_marker")
         started = time.monotonic()
-        outcome = run_traced([str(binary)], timeout=10.0)
+        outcome = run_traced(shlex.quote(str(binary)), timeout=10.0)
         elapsed = time.monotonic() - started
         assert outcome.kind is OutcomeKind.TRAPPED
         trap = outcome.trap

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfiheal import build, harness
+from cfiheal import build, harness, tracing
 from cfiheal.build import (
     LOG_CAP_BYTES,
     TRUNCATION_MARKER,
@@ -551,11 +551,12 @@ def test_the_tests_get_no_makeflags_from_a_build(tmp_path, monkeypatch):
     envs = []
 
     def recording(cmds, timeout, **kwargs):
-        envs.append(kwargs["env"])
+        # The environment run_traced_many would spawn the tests in.
+        envs.append(tracing._env_block(kwargs.get("env")))
         return [TraceOutcome(OutcomeKind.EXITED, 0) for _ in cmds]
 
     monkeypatch.setattr(harness, "run_traced_many", recording)
     _makeflags_seen(tmp_path, BuildKind.CFI)
     cfg = make_config(tmp_path / "project", tmp_path / "out")
     harness.run_cases(cfg, [harness.TestCase("t", "true")])
-    assert len(envs) == 1 and "MAKEFLAGS" not in envs[0]
+    assert len(envs) == 1 and b"MAKEFLAGS" not in envs[0]

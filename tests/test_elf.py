@@ -1,6 +1,5 @@
 """ELF reader and file/line lookup against binutils oracles."""
 
-import hashlib
 import re
 import shutil
 import struct
@@ -51,9 +50,7 @@ def test_header_and_sections(sample_binaries):
     assert elf.e_type in (ET_EXEC, ET_DYN)
     assert elf.has_section(".text")
     assert elf.has_section(".debug_line")
-    assert elf.section(".text")
     assert not elf.has_section(".made_up_section")
-    assert elf.section(".made_up_section") is None
 
 
 def test_rejects_non_elf(tmp_path):
@@ -303,10 +300,6 @@ class WholeFileElf:
                 self._sections[name] = (sh_type, sh_addr, sh_offset, sh_size, sh_link)
         self._headers = headers
 
-    def section(self, name):
-        entry = self._sections.get(name)
-        return None if entry is None else self._data[entry[2] : entry[2] + entry[3]]
-
     def has_section(self, name):
         return name in self._sections
 
@@ -344,10 +337,7 @@ class WholeFileElf:
 
 
 def _answers(reader, path: Path, names) -> object:
-    """What a reader answers about path, an ElfError's message standing for each answer it stops.
-
-    Section bytes are compared by digest, so that no answer holds a copy of a large section.
-    """
+    """What a reader answers about path, an ElfError's message standing for each answer it stops."""
 
     def ask(question):
         try:
@@ -358,14 +348,13 @@ def _answers(reader, path: Path, names) -> object:
     elf = ask(lambda: reader(path))
     if isinstance(elf, str):
         return elf
-    digest = lambda b: None if b is None else hashlib.sha256(b).hexdigest()  # noqa: E731
     return {
         "e_type": elf.e_type,
         "e_entry": elf.e_entry,
         "load_segments": elf.load_segments,
         "symbols": ask(elf.symbols),
         "dynamic_symbols": ask(elf.dynamic_symbols),
-        "sections": {n: (elf.has_section(n), digest(elf.section(n))) for n in names},
+        "sections": {n: elf.has_section(n) for n in names},
     }
 
 

@@ -102,9 +102,9 @@ def test_run_suite_spawns_every_test_in_one_copy_of_the_environment(tmp_path, mo
         batches.append(list(cmds))
         return real_many(cmds, timeout, **kwargs)
 
-    def recording_spawn(cmd, cwd, env, caller_mask):
+    def recording_spawn(cmd, env, kit):
         envs.append(env)
-        return real_spawn(cmd, cwd, env, caller_mask)
+        return real_spawn(cmd, env, kit)
 
     monkeypatch.setattr(harness, "run_traced_many", recording_batch)
     monkeypatch.setattr(tracing, "_spawn_traced", recording_spawn)

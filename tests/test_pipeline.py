@@ -1,5 +1,6 @@
 """Pipeline orchestration and the command-line entry points."""
 
+import ast
 import fcntl
 import json
 import os
@@ -65,21 +66,38 @@ entry:
 }
 define i32 @work(i32 %x) { ret i32 %x }
 """
+# Line 3 is a call without an argument list, which the census reports.
+ODD_IR = "define void @f(void ()* %fp) {\nentry:\n  call void %fp\n  ret void\n}\n"
 
 
 def test_census_diagnostics_sidecar_names_file_and_line(tmp_path):
     root = tmp_path / "proj"
     (root / "sub").mkdir(parents=True)
-    (root / "sub" / "odd.ll").write_text(
-        "define void @f(void ()* %fp) {\nentry:\n  call void %fp\n  ret void\n}\n"
-    )
+    (root / "sub" / "odd.ll").write_text(ODD_IR)
     (root / "clean.ll").write_text(CENSUS_IR)
     reports = tmp_path / "reports"
     reports.mkdir()
     total = _run_census(make_config(root, reports)).total
     assert total.fp_calls == 1
     sidecar = reports / "ir-census-diagnostics.txt"
-    assert sidecar.read_text() == "odd.ll:3: call instruction without an argument list\n"
+    assert sidecar.read_text() == "sub/odd.ll:3: call instruction without an argument list\n"
+
+
+def test_census_diagnostics_tell_same_named_files_apart(tmp_path, capsys):
+    root = tmp_path / "proj"
+    reports = tmp_path / "reports"
+    for where in (root / "x", root / "y", reports / "ir" / "x"):
+        where.mkdir(parents=True)
+        (where / "odd.ll").write_text(ODD_IR)
+    _run_census(make_config(root, reports))
+    reason = ":3: call instruction without an argument list\n"
+    assert (reports / "ir-census-diagnostics.txt").read_text() == (
+        f"x/odd.ll{reason}y/odd.ll{reason}ir/x/odd.ll{reason}"
+    )
+    # The CLI names each file relative to the directory given, and a file
+    # given directly as it was spelled.
+    assert cli_main(["census", str(root / "x"), str(root), str(reports / "ir" / "x" / "odd.ll")]) == 0
+    assert capsys.readouterr().err == f"odd.ll{reason}y/odd.ll{reason}{reports}/ir/x/odd.ll{reason}"
 
 
 def test_census_diagnostics_sidecar_names_an_unreadable_path(tmp_path):
@@ -434,7 +452,7 @@ def test_cli_census_names_an_unreadable_path_given_directly(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert dict(line.split("\t") for line in out.splitlines())["total"] == "2"
     assert [line.split(": ")[:2] for line in err.splitlines()] == [
-        ["b.ll", "unreadable"], ["nothere.ll", "unreadable"]
+        [str(tmp_path / "b.ll"), "unreadable"], [str(tmp_path / "nothere.ll"), "unreadable"]
     ]
 
 
@@ -976,9 +994,6 @@ def test_rig_build_that_rewrites_the_ir_is_censused_after_it(tmp_path, monkeypat
     assert accounted == [fresh.per_function]
 
 
-ODD_IR = "define void @f(void ()* %fp) {\nentry:\n  call void %fp\n  ret void\n}\n"
-
-
 def test_rig_clean_rerun_removes_the_previous_census_diagnostics(tmp_path, monkeypatch):
     rig = Rig(tmp_path, monkeypatch, {"t_pass": []})
     (rig.cfg.project_root / "odd.ll").write_text(ODD_IR)
@@ -1497,6 +1512,31 @@ def test_the_traced_benchmark_installs_its_hooks():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _benchmark_tools() -> tuple[str, ...]:
+    """The tools perfbench/run.py requires before it runs, read from its TOOLS."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TOOLS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no TOOLS")
+
+
+@pytest.mark.skipif(
+    any(shutil.which(tool) is None for tool in _benchmark_tools()),
+    reason="requires every tool the benchmark requires",
+)
+def test_the_traced_benchmark_heals_correctly():
+    # The layer trace wraps cfiheal's layers for a whole heal: a hook that
+    # installs but breaks when called shows only in a traced run.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "cxx_static", "--seed", "901",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), last
 
 
 def test_an_ignorelist_write_cut_before_its_rename_leaves_the_previous_list(tmp_path, monkeypatch):
