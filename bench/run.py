@@ -464,7 +464,7 @@ def bench_repair(repeat: int) -> list[dict]:
         failed = BuildOutcome(
             False,
             mode,
-            tuple(Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, t, None, "") for t in targets),
+            tuple(Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, t, "") for t in targets),
             (),
             None,
             0.0,
@@ -496,6 +496,8 @@ def bench_repair(repeat: int) -> list[dict]:
         finally:
             repair.run_build = real_build
             symbols.subprocess.Popen = counter.real
+    if patches != REPAIR_SYMBOLS:
+        raise RuntimeError(f"repair patched {patches} of {REPAIR_SYMBOLS} planted symbols")
     return [
         {
             "target": f"{REPAIR_SYMBOLS} undefined symbols over {REPAIR_FILES} generated .c files",

@@ -4,7 +4,8 @@ parse_diagnostics reads the link failures of both mainstream ELF linkers, GNU
 ld (ld.bfd / gold) and LLD, from a build log, by the rule table _RULES.
 Undefined-reference lines map to UndefinedReference, hidden-symbol lines to
 HiddenSymbolMismatch. Remaining lines containing an error marker fold into
-kind Other; everything else is ignored. Symbol names stay in mangled form.
+kind Other; everything else is ignored. Each line is read on its own, into
+its kind, its symbol in mangled form, and the line itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import re
 import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable
@@ -27,7 +28,7 @@ TRUNCATION_MARKER = "\n[build log truncated at 64 MiB]\n"
 
 
 class OrchestrationError(RuntimeError):
-    """A build could not be attempted (bad mode, missing ignorelist, lock held)."""
+    """A build could not be attempted (missing ignorelist or project root, lock held)."""
 
 
 class BuildKind(Enum):
@@ -72,7 +73,6 @@ class DiagnosticKind(Enum):
 class Diagnostic:
     kind: DiagnosticKind
     symbol: str | None
-    source_object: str | None
     raw_line: str
 
 
@@ -94,8 +94,6 @@ def compose_flags(mode: BuildMode, extra_compile_flags: tuple[str, ...] = ()) ->
     """
     if mode.kind is BuildKind.BASELINE:
         return list(extra_compile_flags)
-    if mode.ignorelist_path is None:
-        raise OrchestrationError("cfi mode without an ignorelist path")
     return [
         "-flto",
         "-fvisibility=hidden",
@@ -105,63 +103,31 @@ def compose_flags(mode: BuildMode, extra_compile_flags: tuple[str, ...] = ()) ->
     ] + list(extra_compile_flags)
 
 
-# The linkers' message forms, each after a line of it as captured from real
-# runs. <ld> is the linker's or the compiler driver's name, often as a path.
-# ld.lld: error: undefined hidden symbol: <sym>
-_LLD_HIDDEN = re.compile(r"ld\.lld: error: undefined (?:hidden|protected) symbol: \s*(?P<sym>.+)$")
-# ld.lld: error: undefined symbol: <sym>
-_LLD_UNDEF = re.compile(r"ld\.lld: error: undefined symbol: \s*(?P<sym>.+)$")
-# ld.lld: error: <lib.so>: undefined reference to <sym> [--no-allow-shlib-undefined]
-_LLD_SHLIB = re.compile(
-    r"ld\.lld: error: (?P<obj>.+?): undefined reference to (?P<sym>\S+?)"
-    r"(?: \[--no-allow-shlib-undefined\])?$"
-)
-# >>> referenced by <file>
-# >>>               <obj>:(<section>)
-_LLD_REFBY = re.compile(r"^>>> referenced by (?P<ref>.+)$")
-_LLD_REFOBJ = re.compile(r"^>>>\s+(?P<ref>\S+?):?\(")
-# <ld>: <exe>: hidden symbol `<sym>' in <obj> is referenced by DSO
-_GNU_HIDDEN_DSO = re.compile(
-    r"hidden symbol [`'](?P<sym>[^']+)'(?: in (?P<obj>\S+))? is referenced by DSO"
-)
-# <obj>:(.text+0x3): relocation ... against undefined hidden symbol `<sym>'
-_GNU_HIDDEN_RELOC = re.compile(
-    r"relocation .* against (?:undefined )?(?:protected |hidden )symbol [`'](?P<sym>[^']+)'"
-)
-# <ld>: <exe>: hidden symbol `<sym>' isn't defined
-# (a hidden-marked reference never found a definition)
-_GNU_HIDDEN_UNDEF = re.compile(r"hidden symbol [`'](?P<sym>[^']+)' isn't defined")
-# <file>:(.text+0x12): undefined reference to `<sym>'
-# <ld>: <lib.so>: undefined reference to `<sym>'
-_GNU_UNDEF = re.compile(r"undefined reference to [`'](?P<sym>[^']+)'")
-# <ld>: <obj>: in function `<fn>'
-# (names the object of the GNU ld lines after it; under -flto their <file> is `<artificial>')
-_GNU_IN_FUNCTION = re.compile(r" in function [`'](?P<fn>[^']+)'")
-# Linker/driver self-identification tokens, and GNU ld's LTO `<artificial>'.
-_TOOL_NAME = re.compile(r"(^|/)(ld(\.bfd|\.gold|\.lld)?|collect2|clang(\+\+)?(-\d+)?|gcc|cc|<artificial>)$")
-_OTHER_ERROR = re.compile(r"(?:^|\s)(?:error:|Error[: ]|fatal error:)|\*\*\*")
-
-# (form, kind, where the referencing object comes from), tried in order. The
-# object is the form's own `obj' group ("match", None without one), the
-# colon-separated prefix of a GNU ld line or else the last `in function' line
-# ("prefix"), or the first `>>>' line that follows an LLD error ("next").
 _HIDDEN, _UNDEF = DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, DiagnosticKind.UNDEFINED_REFERENCE
-_RULES = (
-    (_LLD_HIDDEN, _HIDDEN, "next"),
-    (_LLD_UNDEF, _UNDEF, "next"),
-    (_LLD_SHLIB, _UNDEF, "match"),
-    (_GNU_HIDDEN_DSO, _HIDDEN, "match"),
-    (_GNU_HIDDEN_RELOC, _HIDDEN, "prefix"),
-    (_GNU_HIDDEN_UNDEF, _HIDDEN, "match"),
-    (_GNU_UNDEF, _UNDEF, "prefix"),
-)
-
-
-def _gnu_source_object(line: str, match_start: int) -> str | None:
-    """Referencing object/file from the colon-separated prefix of a GNU ld line."""
-    components = (c.strip() for c in line[:match_start].split(":"))
-    candidates = [c for c in components if c and c[0] != "(" and not _TOOL_NAME.search(c)]
-    return candidates[-1] if candidates else None
+# (form, kind), tried in order: the first form a line matches gives its
+# diagnostic. Each form follows a line of it as captured from real runs;
+# <ld> is the linker's or the compiler driver's name, often as a path.
+_RULES = tuple((re.compile(form), kind) for form, kind in (
+    # ld.lld: error: undefined hidden symbol: <sym>
+    (r"ld\.lld: error: undefined (?:hidden|protected) symbol: \s*(?P<sym>.+)$", _HIDDEN),
+    # ld.lld: error: undefined symbol: <sym>
+    (r"ld\.lld: error: undefined symbol: \s*(?P<sym>.+)$", _UNDEF),
+    # ld.lld: error: <lib.so>: undefined reference to <sym> [--no-allow-shlib-undefined]
+    (r"ld\.lld: error: .+?: undefined reference to (?P<sym>\S+?)"
+     r"(?: \[--no-allow-shlib-undefined\])?$", _UNDEF),
+    # <ld>: <exe>: hidden symbol `<sym>' in <obj> is referenced by DSO
+    (r"hidden symbol [`'](?P<sym>[^']+)'(?: in \S+)? is referenced by DSO", _HIDDEN),
+    # <obj>:(.text+0x3): relocation ... against undefined hidden symbol `<sym>'
+    (r"relocation .* against (?:undefined )?(?:protected |hidden )"
+     r"symbol [`'](?P<sym>[^']+)'", _HIDDEN),
+    # <ld>: <exe>: hidden symbol `<sym>' isn't defined
+    # (a hidden-marked reference never found a definition)
+    (r"hidden symbol [`'](?P<sym>[^']+)' isn't defined", _HIDDEN),
+    # <file>:(.text+0x12): undefined reference to `<sym>'
+    # <ld>: <lib.so>: undefined reference to `<sym>'
+    (r"undefined reference to [`'](?P<sym>[^']+)'", _UNDEF),
+))
+_OTHER_ERROR = re.compile(r"(?:^|\s)(?:error:|Error[: ]|fatal error:)|\*\*\*")
 
 
 def parse_diagnostics(raw_log: str) -> list[Diagnostic]:
@@ -174,46 +140,16 @@ def parse_diagnostics(raw_log: str) -> list[Diagnostic]:
 
 
 def _parse_lines(lines: Iterable[str]) -> list[Diagnostic]:
-    """The diagnostics of a log given as its lines, which are read once, in order.
-
-    A `>>>' line continues an awaited LLD error; any other line goes to the
-    first rule it matches, else is an `in function' line or an Other error.
-    """
+    """The diagnostics of a log given as its lines, which are read once, in order."""
     diagnostics: list[Diagnostic] = []
-    pending_obj: str | None = None
-    awaiting_ref: int | None = None
-
-    for raw_line in lines:
-        line = raw_line.rstrip()
-        if not line:
-            continue
-        if awaiting_ref is not None:
-            m = _LLD_REFBY.match(line) or _LLD_REFOBJ.match(line)
-            if m:
-                hit = diagnostics[awaiting_ref]
-                if hit.source_object is None:
-                    diagnostics[awaiting_ref] = replace(hit, source_object=m.group("ref").strip())
-                continue
-            awaiting_ref = None
-
-        for pattern, kind, source in _RULES:
-            m = pattern.search(line)
-            if m:
-                if source == "prefix":
-                    obj = _gnu_source_object(line, m.start()) or pending_obj
-                else:
-                    obj = m.groupdict().get("obj")
-                diagnostics.append(Diagnostic(kind, m.group("sym"), obj, line))
-                if source == "next":
-                    awaiting_ref = len(diagnostics) - 1
+    for line in map(str.rstrip, lines):
+        for pattern, kind in _RULES:
+            if m := pattern.search(line):
+                diagnostics.append(Diagnostic(kind, m.group("sym"), line))
                 break
         else:
-            m = _GNU_IN_FUNCTION.search(line)
-            if m:
-                pending_obj = _gnu_source_object(line, m.start())
-            elif _OTHER_ERROR.search(line):
-                diagnostics.append(Diagnostic(DiagnosticKind.OTHER, None, None, line))
-
+            if _OTHER_ERROR.search(line):
+                diagnostics.append(Diagnostic(DiagnosticKind.OTHER, None, line))
     return diagnostics
 
 
@@ -296,7 +232,6 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
     ProjectLock.
     """
     if mode.kind is BuildKind.CFI:
-        assert mode.ignorelist_path is not None
         if not mode.ignorelist_path.exists():
             raise OrchestrationError(
                 f"ignorelist file does not exist: {mode.ignorelist_path} "
@@ -352,7 +287,7 @@ def run_build(cfg: ProjectConfig, mode: BuildMode, *, iteration: int = 1) -> Bui
                 missing.append(rel)
         if missing:
             diagnostics = [
-                Diagnostic(DiagnosticKind.OTHER, None, None, f"missing executable after build: {rel}")
+                Diagnostic(DiagnosticKind.OTHER, None, f"missing executable after build: {rel}")
                 for rel in missing
             ]
 

@@ -87,6 +87,7 @@ def enumerate_tests(cfg: ProjectConfig) -> list[TestCase]:
             cwd=str(cfg.project_root),
             capture_output=True,
             text=True,
+            errors="surrogateescape",  # a command's shell gets back bytes that are no UTF-8
             timeout=cfg.test_timeout,
         )
     except subprocess.TimeoutExpired as exc:

@@ -163,6 +163,11 @@ def _closing_paren(text: str, open_at: int) -> int:
     return len(text)
 
 
+def _read_source(path: Path) -> str:
+    """path's bytes as text, line endings kept; bytes that are no UTF-8 become surrogates."""
+    return path.read_bytes().decode("utf-8", "surrogateescape")
+
+
 def _iter_sources(root: Path) -> list[Path]:
     files = [p for p in root.rglob("*") if p.suffix in _SOURCE_SUFFIXES and not p.is_symlink()]
     return sorted((p for p in files if p.is_file()), key=lambda p: str(p.relative_to(root)))
@@ -195,7 +200,7 @@ def _scan_definitions(
     texts: dict[Path, str] = {}
     for path in _iter_sources(root):
         try:
-            text = path.read_text(errors="replace")
+            text = _read_source(path)
         except OSError:
             continue
         names_here = [n for w in set(_WORD.findall(text)) & by_word.keys() for n in by_word[w]]
@@ -256,10 +261,10 @@ def _without_attribute(text: str, name: str) -> str | None:
 def replace_file(path: Path, text: str) -> None:
     """Replace path by a file of text, with path's mode, written beside it under a new name."""
     temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
-    stream = temporary.open("x")  # never an existing file, which the except would remove
+    stream = temporary.open("xb")  # never an existing file, which the except would remove
     try:
         with stream:
-            stream.write(text)
+            stream.write(text.encode("utf-8", "surrogateescape"))  # as _read_source decodes
         if path.exists():
             shutil.copymode(path, temporary)
         os.replace(temporary, path)
@@ -299,7 +304,7 @@ def revert_patches(cfg: ProjectConfig) -> int:
         names = {s: base_identifier(d) for s, d in zip(symbols, _demangle_batch(symbols)[0])}
         removed, left = 0, []
         for file, file_rows in rows.items():
-            text = original = file.read_text(errors="replace") if file.is_file() else None
+            text = original = _read_source(file) if file.is_file() else None
             for lineno, raw, symbol in file_rows:
                 stripped = None if text is None else _without_attribute(text, names[symbol])
                 if stripped is None:

@@ -110,84 +110,74 @@ GNU_RELOC_HIDDEN = (
 
 
 def kinds_and_symbols(text):
-    return [(d.kind, d.symbol, d.source_object) for d in parse_diagnostics(text)]
-
-
-def test_lld_undefined_symbol():
-    got = kinds_and_symbols(LLD_UNDEF)
-    assert got[0] == (DiagnosticKind.UNDEFINED_REFERENCE, "bar_helper", "foo.c")
-    assert got[1][0] is DiagnosticKind.OTHER
-
-
-def test_lld_undefined_hidden_symbol():
-    got = kinds_and_symbols(LLD_UNDEF_HIDDEN)
-    assert got[0] == (DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "foo_api", "mainh2.c")
-
-
-def test_lld_shlib_undefined():
-    got = kinds_and_symbols(LLD_SHLIB)
-    assert got[0] == (DiagnosticKind.UNDEFINED_REFERENCE, "foo_api", "main.c")
-    assert got[1] == (DiagnosticKind.UNDEFINED_REFERENCE, "bar_helper", "./libfoo3.so")
-
-
-def test_bfd_undefined_reference():
-    got = kinds_and_symbols(BFD_UNDEF)
-    assert got[0] == (DiagnosticKind.UNDEFINED_REFERENCE, "bar_helper", "foo.c")
-
-
-def test_bfd_dso_reference():
-    got = kinds_and_symbols(BFD_DSO)
-    assert got[0] == (DiagnosticKind.UNDEFINED_REFERENCE, "foo_api", "main.c")
-    assert got[1] == (DiagnosticKind.UNDEFINED_REFERENCE, "bar_helper", "./libfoo3.so")
-
-
-def test_bfd_hidden_referenced_by_dso():
-    got = kinds_and_symbols(BFD_HIDDEN_DSO)
-    assert (DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "bar_helper", "barhid.o") in got
-
-
-def test_bfd_hidden_isnt_defined():
-    got = kinds_and_symbols(BFD_HIDDEN_UNDEF)
-    assert (DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "foo_api", None) in got
-
-
-def test_bare_tool_prefix_not_misattributed():
-    got = kinds_and_symbols(BFD_BARE_PREFIX)
-    kind, sym, obj = got[0]
-    assert (kind, sym) == (DiagnosticKind.UNDEFINED_REFERENCE, "foo_api")
-    # `ld.bfd' must never be taken for the referencing object.
-    assert obj == "mainh2.c" or obj == "nopic.o"
-
-
-def test_lto_artificial_falls_back_to_in_function_object():
-    got = kinds_and_symbols(BFD_LTO_ARTIFICIAL)
-    assert got[0] == (
-        DiagnosticKind.UNDEFINED_REFERENCE, "helper", "/tmp/ccvPDYNZ.ltrans0.ltrans.o"
-    )
-
-
-def test_gnu_relocation_against_hidden():
-    got = kinds_and_symbols(GNU_RELOC_HIDDEN)
-    assert got[0][:2] == (DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "fast_path")
+    return [(d.kind, d.symbol) for d in parse_diagnostics(text)]
 
 
 _HIDDEN, _UNDEF = DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, DiagnosticKind.UNDEFINED_REFERENCE
+_OTHER = (DiagnosticKind.OTHER, None)
+
+# Each captured log gives its whole list: a `>>>' or `in function' line gives nothing.
+
+
+def test_lld_undefined_symbol():
+    assert kinds_and_symbols(LLD_UNDEF) == [(_UNDEF, "bar_helper"), _OTHER]
+
+
+def test_lld_undefined_hidden_symbol():
+    assert kinds_and_symbols(LLD_UNDEF_HIDDEN) == [(_HIDDEN, "foo_api"), _OTHER]
+
+
+def test_lld_shlib_undefined():
+    assert kinds_and_symbols(LLD_SHLIB) == [(_UNDEF, "foo_api"), (_UNDEF, "bar_helper"), _OTHER]
+
+
+def test_bfd_undefined_reference():
+    assert kinds_and_symbols(BFD_UNDEF) == [(_UNDEF, "bar_helper"), _OTHER]
+
+
+def test_bfd_dso_reference():
+    assert kinds_and_symbols(BFD_DSO) == [(_UNDEF, "foo_api"), (_UNDEF, "bar_helper"), _OTHER]
+
+
+def test_bfd_hidden_referenced_by_dso():
+    assert kinds_and_symbols(BFD_HIDDEN_DSO) == [
+        (_UNDEF, "foo_api"), (_HIDDEN, "bar_helper"), _OTHER
+    ]
+
+
+def test_bfd_hidden_isnt_defined():
+    assert kinds_and_symbols(BFD_HIDDEN_UNDEF) == [
+        (_UNDEF, "foo_api"), (_HIDDEN, "foo_api"), _OTHER
+    ]
+
+
+def test_bare_tool_prefix():
+    assert kinds_and_symbols(BFD_BARE_PREFIX) == [(_UNDEF, "foo_api")]
+
+
+def test_lto_artificial_reference():
+    assert kinds_and_symbols(BFD_LTO_ARTIFICIAL) == [(_UNDEF, "helper"), _OTHER]
+
+
+def test_gnu_relocation_against_hidden():
+    assert kinds_and_symbols(GNU_RELOC_HIDDEN) == [(_HIDDEN, "fast_path")]
+
 
 # One line of each of the parser's rules, in the order of build._RULES.
 _ONE_LINE_PER_RULE = [
-    ("ld.lld: error: undefined hidden symbol: foo_api", (_HIDDEN, "foo_api", None)),
-    ("ld.lld: error: undefined symbol: bar_helper", (_UNDEF, "bar_helper", None)),
+    ("ld.lld: error: undefined hidden symbol: foo_api", (_HIDDEN, "foo_api")),
+    ("ld.lld: error: undefined symbol: bar_helper", (_UNDEF, "bar_helper")),
     (
         "ld.lld: error: ./libfoo3.so: undefined reference to bar_helper [--no-allow-shlib-undefined]",
-        (_UNDEF, "bar_helper", "./libfoo3.so"),
+        (_UNDEF, "bar_helper"),
     ),
     (
         "/usr/bin/ld.bfd: app5: hidden symbol `bar_helper' in barhid.o is referenced by DSO",
-        (_HIDDEN, "bar_helper", "barhid.o"),
+        (_HIDDEN, "bar_helper"),
     ),
-    (GNU_RELOC_HIDDEN.rstrip(), (_HIDDEN, "fast_path", "obj/hot.o")),
-    ("/usr/bin/ld.bfd: app8: hidden symbol `foo_api' isn't defined", (_HIDDEN, "foo_api", None)),
-    ("main.c:(.text+0x15): undefined reference to `foo_api'", (_UNDEF, "foo_api", "main.c")),
+    (GNU_RELOC_HIDDEN.rstrip(), (_HIDDEN, "fast_path")),
+    ("/usr/bin/ld.bfd: app8: hidden symbol `foo_api' isn't defined", (_HIDDEN, "foo_api")),
+    ("main.c:(.text+0x15): undefined reference to `foo_api'", (_UNDEF, "foo_api")),
 ]
 
 
@@ -201,15 +191,12 @@ _ONE_LINE_PER_RULE = [
         pytest.param(
             None, "/usr/bin/ld.bfd: /tmp/foo-be07c3.o: in function `foo_api':", [], id="in-function"
         ),
-        pytest.param(
-            None, "collect2: error: ld returned 1 exit status", [(DiagnosticKind.OTHER, None, None)],
-            id="other",
-        ),
+        pytest.param(None, "collect2: error: ld returned 1 exit status", [_OTHER], id="other"),
     ],
 )
 def test_each_rule_reads_its_line(index, line, expected):
     assert kinds_and_symbols(line) == expected
-    first = next((i for i, (pattern, _, _) in enumerate(build._RULES) if pattern.search(line)), None)
+    first = next((i for i, (pattern, _) in enumerate(build._RULES) if pattern.search(line)), None)
     assert first == index
 
 
@@ -220,33 +207,36 @@ def test_every_rule_has_a_line():
 @pytest.mark.parametrize(
     ("log", "expected"),
     [
-        (  # a `>>>' line after a GNU ld diagnostic attributes nothing
+        (
             "/usr/bin/ld.bfd: app8: hidden symbol `foo_api' isn't defined\n>>> referenced by main.c\n",
-            [(_HIDDEN, "foo_api", None)],
+            [(_HIDDEN, "foo_api")],
         ),
-        (  # an LLD error that names its object takes none from the `>>>' lines
+        (
             "ld.lld: error: ./libfoo3.so: undefined reference to bar_helper\n"
             ">>> referenced by main.c\n>>>               main.o:(main)\n",
-            [(_UNDEF, "bar_helper", "./libfoo3.so")],
+            [(_UNDEF, "bar_helper")],
         ),
-        (  # the first `>>>' line fills the object; blank lines do not end the wait
+        (
             "ld.lld: error: undefined symbol: bar_helper\n\n"
             ">>>               /tmp/foo-60562c.o:(foo_api)\n>>> referenced by foo.c\n",
-            [(_UNDEF, "bar_helper", "/tmp/foo-60562c.o")],
+            [(_UNDEF, "bar_helper")],
         ),
-        (  # any other line ends the wait
+        (
             "ld.lld: error: undefined symbol: bar_helper\ncc -c a.c\n>>> referenced by foo.c\n",
-            [(_UNDEF, "bar_helper", None)],
+            [(_UNDEF, "bar_helper")],
         ),
-        (  # so does the next LLD error, which then takes the `>>>' line itself
+        (
             "ld.lld: error: undefined symbol: a\nld.lld: error: undefined hidden symbol: b\n"
             ">>> referenced by b.c\n",
-            [(_UNDEF, "a", None), (_HIDDEN, "b", "b.c")],
+            [(_UNDEF, "a"), (_HIDDEN, "b")],
         ),
     ],
-    ids=["after-gnu-ld", "object-known", "first-fills", "other-line-ends", "next-lld-error"],
+    ids=[
+        "after-gnu-ld", "after-named-object", "after-blank-line", "after-other-line",
+        "between-lld-errors",
+    ],
 )
-def test_a_continuation_line_fills_only_an_awaited_lld_error(log, expected):
+def test_a_continuation_line_gives_no_diagnostic(log, expected):
     assert kinds_and_symbols(log) == expected
 
 
@@ -455,10 +445,7 @@ def test_a_failed_build_streams_its_log_and_parses_it_from_the_file(tmp_path):
     assert outcome.log_path.read_bytes() == expected
     text = expected.decode("utf-8", errors="replace")
     assert list(outcome.diagnostics) == parse_diagnostics(text)
-    assert [(d.kind, d.symbol, d.source_object) for d in outcome.diagnostics] == [
-        (DiagnosticKind.UNDEFINED_REFERENCE, "missing_api", "src/main.c"),
-        (DiagnosticKind.OTHER, None, None),
-    ]
+    assert [(d.kind, d.symbol) for d in outcome.diagnostics] == [(_UNDEF, "missing_api"), _OTHER]
     assert peak < 4_000_000
 
 

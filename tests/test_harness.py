@@ -1,5 +1,7 @@
 """Suite enumeration protocol and divergence classification."""
 
+import os
+
 import pytest
 
 from cfiheal import harness, tracing
@@ -71,6 +73,16 @@ def test_enumerate_skips_blank_fields(tmp_path):
     )
     cases = enumerate_tests(cfg)
     assert [c.test_id for c in cases] == ["t_real"]
+
+
+@needs_linux
+def test_bytes_that_are_no_utf8_pass_from_the_enumeration_to_the_shell(tmp_path):
+    # A Latin-1 noise line, and a test that creates a file with a Latin-1 name.
+    cfg = enum_config(tmp_path, "printf 'caf\\351 noise\\nTEST\\tt1\\ttouch caf\\351.txt\\n'\n")
+    cases = enumerate_tests(cfg)
+    assert [c.test_id for c in cases] == ["t1"]
+    assert [r.passed for r in harness.run_cases(cfg, cases)] == [True]
+    assert b"caf\xe9.txt" in os.listdir(bytes(tmp_path))
 
 
 def test_run_suite_refuses_failed_build(tmp_path):

@@ -117,10 +117,10 @@ def test_base_identifier():
 
 def test_extract_unresolved_symbols_order_and_dedup():
     diags = [
-        Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, "beta", None, ""),
-        Diagnostic(DiagnosticKind.OTHER, None, None, "noise"),
-        Diagnostic(DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "alpha", "x.o", ""),
-        Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, "beta", "y.o", ""),
+        Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, "beta", ""),
+        Diagnostic(DiagnosticKind.OTHER, None, "noise"),
+        Diagnostic(DiagnosticKind.HIDDEN_SYMBOL_MISMATCH, "alpha", ""),
+        Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, "beta", ""),
     ]
     assert extract_unresolved_symbols(diags) == ["beta", "alpha"]
 
@@ -349,6 +349,31 @@ def test_a_patched_source_keeps_its_mode(tmp_path):
     assert ATTRIBUTE_TEXT in source.read_text()
     assert source.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in root.iterdir()) == ["a.c"]
+
+
+def test_a_patch_and_its_revert_keep_every_other_byte(tmp_path):
+    # A Latin-1 comment and CRLF line endings, against an LF, UTF-8 twin.
+    source = (
+        b"/* caf\xe9 */\r\nint one(void)\r\n{\r\n    return 1;\r\n}\r\n"
+        b"/* caf\xe9 */ int two(void) { return 2; }\r\n"
+    )
+    twin = source.replace(b"\r\n", b"\n").replace(b"\xe9", "é".encode())
+    rows, sites = [], []
+    for name, original in (("latin1", source), ("twin", twin)):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "a.c").write_bytes(original)
+        cfg = make_config(root, tmp_path / f"out-{name}")
+        ledger = repair.RepairLedger()
+        assert repair._patch_pass(cfg, ledger, ["one", "two"], 1, []) == 2
+        attribute = ATTRIBUTE_TEXT.encode()
+        patched = original.replace(b"int one", b"int " + attribute + b"one")
+        assert (root / "a.c").read_bytes() == patched.replace(b"int two", b"int " + attribute + b"two")
+        rows.append((cfg.report_dir / JOURNAL_NAME).read_bytes())
+        sites.append([(p.line, p.column) for p in ledger.patches])
+        assert revert_patches(cfg) == 2
+        assert (root / "a.c").read_bytes() == original
+    assert rows[0] == rows[1] and sites[0] == sites[1] == [(2, 5), (6, 16)]
 
 
 def _gcc(cwd: Path, *args: str) -> None:

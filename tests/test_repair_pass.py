@@ -101,7 +101,7 @@ def _write_tree(root: Path) -> None:
 
 
 def _failing(names) -> BuildOutcome:
-    diags = tuple(Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, n, None, "") for n in names)
+    diags = tuple(Diagnostic(DiagnosticKind.UNDEFINED_REFERENCE, n, "") for n in names)
     return BuildOutcome(False, MODE, diags, (), None, 0.0)
 
 
